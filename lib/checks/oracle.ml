@@ -161,8 +161,10 @@ module Key_set = Set.Make (Int)
 (* Slice the hypotheses to the connected component of the goal's atom
    vocabulary: a hypothesis whose atoms never (transitively) touch the
    goal's cannot participate in a refutation, and dropping it up front
-   keeps elimination from burning fuel on irrelevant constraints. *)
-let slice ~(hyps : Check.t list) (goal : Check.t) : Check.t list =
+   keeps elimination from burning fuel on irrelevant constraints.
+   Returns [(connected, rest)]; [rest] keeps the original hypothesis
+   order. *)
+let slice ~(hyps : Check.t list) (goal : Check.t) : Check.t list * Check.t list =
   (* A constant hypothesis (empty atom set) never "touches" anything,
      but must survive the slice: when false (0 <= -1) it refutes the
      whole system by itself — [prepare] raises Refuted on it — and when
@@ -176,7 +178,7 @@ let slice ~(hyps : Check.t list) (goal : Check.t) : Check.t list =
         pending
     in
     match touching with
-    | [] -> kept
+    | [] -> (kept, pending)
     | _ ->
         let keys =
           List.fold_left
@@ -193,15 +195,54 @@ let negate (c : Check.t) : Check.t =
     (Linexpr.neg (Check.lhs c))
     (Linexpr.checked_add (-Check.constant c) (-1))
 
-let unsat (cs : Check.t list) : bool =
-  let fuel = Guard.fuel ~what:budget_name ~budget:fuel_budget in
-  try unsat_exn fuel cs
-  with
-  | Refuted -> true
-  | Unknown | Linexpr.Overflow -> false
-  | Guard.Fuel_exhausted w when w = budget_name -> false
+(* A per-compile memo of refutations. An answer is a function of the
+   exact input: the oracle's own fuel is fresh per query, and every
+   other source of [false] (overflow, the constraint cap,
+   incompleteness) is deterministic. So a hit returns exactly what
+   re-running the query would. The key is the constraint list as given
+   — [dedup] and [pick_var] iterate hash tables filled in list order,
+   so a permuted list is a different query — stored as an array, a
+   third of the list's memory. Only completed answers are stored: an
+   ambient budget or deadline that fires mid-query propagates and
+   records nothing. *)
+module Cache = struct
+  module Tbl = Hashtbl.Make (struct
+    type t = Check.t array
 
-let implies ~hyps (goal : Check.t) : bool =
+    let equal a b = Array.length a = Array.length b && Array.for_all2 Check.equal a b
+    let hash cs = Array.fold_left (fun h c -> (h * 31) + Check.hash c) 0 cs
+  end)
+
+  type t = bool Tbl.t
+
+  let create () : t = Tbl.create 64
+end
+
+let unsat ?cache (cs : Check.t list) : bool =
+  let run () =
+    let fuel = Guard.fuel ~what:budget_name ~budget:fuel_budget in
+    try unsat_exn fuel cs
+    with
+    | Refuted -> true
+    | Unknown | Linexpr.Overflow -> false
+    | Guard.Fuel_exhausted w when w = budget_name -> false
+  in
+  match cache with
+  | None -> run ()
+  | Some c -> (
+      let key = Array.of_list cs in
+      match Cache.Tbl.find_opt c key with
+      | Some v -> v
+      | None ->
+          let v = run () in
+          Cache.Tbl.add c key v;
+          v)
+
+(* With a [cache], the refutations are memoised, not the implication
+   itself: different hypothesis sets often slice to the same connected
+   component, and the caller (the validator) already memoises whole
+   questions on a more compact key. *)
+let implies ?cache ~hyps (goal : Check.t) : bool =
   (* Fast path: the within-family constant comparison needs no
      elimination and covers most queries the CIG already answers. *)
   List.exists (fun h -> Check.implies_within_family h goal) hyps
@@ -209,8 +250,8 @@ let implies ~hyps (goal : Check.t) : bool =
   match negate goal with
   | exception Linexpr.Overflow -> false
   | ng ->
-      let connected = slice ~hyps goal in
-      unsat (ng :: connected)
+      let connected, rest = slice ~hyps goal in
+      unsat ?cache (ng :: connected)
       || (* The sliced-away hypotheses share no atoms with the goal's
             component, so they cannot interact with [ng] — but they can
             be unsatisfiable among THEMSELVES, and a contradictory
@@ -219,6 +260,4 @@ let implies ~hyps (goal : Check.t) : bool =
             separately restores exactly the refutations the slice
             removed, and costs nothing when the slice kept every
             hypothesis. *)
-      (match List.filter (fun h -> not (List.memq h connected)) hyps with
-      | [] -> false
-      | rest -> unsat rest)
+      (rest <> [] && unsat ?cache rest)

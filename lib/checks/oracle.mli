@@ -21,10 +21,24 @@ val fuel_budget : int
 (** Combination-step budget per query (the bound that guarantees the
     oracle can never hang a pass). *)
 
-val implies : hyps:Check.t list -> Check.t -> bool
-(** [implies ~hyps goal]: does the conjunction of [hyps] entail [goal]?
-    Sound when [true]; [false] means "could not prove", not "refuted". *)
+(** Per-compile memo of {!unsat} answers, keyed on the exact query: the
+    constraint list, in order. A hit returns exactly the answer a fresh
+    query would: every query runs on its own fresh fuel and is
+    otherwise deterministic. Only completed answers are stored — an
+    ambient budget or deadline firing mid-query propagates and records
+    nothing. A cache is not thread-safe; give each compile its own. *)
+module Cache : sig
+  type t
 
-val unsat : Check.t list -> bool
+  val create : unit -> t
+end
+
+val implies : ?cache:Cache.t -> hyps:Check.t list -> Check.t -> bool
+(** [implies ~hyps goal]: does the conjunction of [hyps] entail [goal]?
+    Sound when [true]; [false] means "could not prove", not "refuted".
+    [cache] memoises the refutations the query runs, not the
+    implication itself. *)
+
+val unsat : ?cache:Cache.t -> Check.t list -> bool
 (** Is the conjunction of constraints unsatisfiable over the integers?
     Sound when [true]. *)

@@ -113,9 +113,9 @@ let redundancy_elimination (env : Analyses.env) (st : stats) : unit =
    function. A [Cond_check] whose check is provable outright is deleted
    too — if its guard is true the check runs and passes, and if false
    the instruction was a no-op either way. *)
-let oracle_elimination (f : Ir.Func.t) (st : stats) : unit =
+let oracle_elimination ~cache (f : Ir.Func.t) (st : stats) : unit =
   let atoms = f.Ir.Func.atoms in
-  let entry = Ir.Validate.Facts.ambient_entry f in
+  let entry = Ir.Validate.Facts.ambient_entry ~cache f in
   let reach = Ir.Func.reachable f in
   Ir.Func.iter_blocks
     (fun b ->
@@ -126,7 +126,7 @@ let oracle_elimination (f : Ir.Func.t) (st : stats) : unit =
             (fun i ->
               let provable m =
                 match !state with
-                | Some s -> Ir.Validate.Facts.proves s m.chk
+                | Some s -> Ir.Validate.Facts.proves ~cache s m.chk
                 | None -> true (* dead past an unconditional trap *)
               in
               match i with
@@ -134,7 +134,7 @@ let oracle_elimination (f : Ir.Func.t) (st : stats) : unit =
                   st.redundant_deleted <- st.redundant_deleted + 1;
                   false
               | _ ->
-                  state := Ir.Validate.Facts.step atoms !state i;
+                  state := Ir.Validate.Facts.step ~cache atoms !state i;
                   true)
             b.instrs
       end)
@@ -201,6 +201,7 @@ let run (ctx : Checkctx.t) : stats =
   let st = new_stats () in
   let env = Analyses.make_env ctx in
   redundancy_elimination env st;
-  if ctx.Checkctx.oracle then oracle_elimination ctx.Checkctx.func st;
+  if ctx.Checkctx.oracle then
+    oracle_elimination ~cache:(Ir.Validate.Cache.create ()) ctx.Checkctx.func st;
   compile_time_checks ctx.Checkctx.func st;
   st

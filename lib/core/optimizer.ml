@@ -260,6 +260,10 @@ let optimize_func (config : Config.t) (f : Ir.Func.t) : stats =
   let reference =
     if config.Config.oracle then Some (Ir.Transform.copy_func f) else None
   in
+  (* One entailment cache per function compile, shared by oracle-elim
+     and the certificate (most of their queries repeat); it dies with
+     this call, so concurrent compiles never share one. *)
+  let cache = Ir.Validate.Cache.create () in
   (* The context — canonical site checks, kill oracles, loop structure,
      CIG — is built once and shared by every pass; [Checkctx.refresh]
      revalidates the loop structure after CFG-shaping passes instead of
@@ -351,7 +355,7 @@ let optimize_func (config : Config.t) (f : Ir.Func.t) : stats =
       let oelim =
         if config.Config.oracle then
           run_pass "oracle-elim" ~vpass:Ir.Verify.Elimination (fun () ->
-              Eliminate.oracle_elimination f eo)
+              Eliminate.oracle_elimination ~cache f eo)
         else Ok ()
       in
       let fold =
@@ -379,7 +383,7 @@ let optimize_func (config : Config.t) (f : Ir.Func.t) : stats =
     | None -> None
     | Some orig ->
         let t = Mclock.counter () in
-        let v = Ir.Validate.func_guarded ~original:orig ~optimized:f in
+        let v = Ir.Validate.func_guarded ~cache ~original:orig ~optimized:f in
         let dt = Mclock.elapsed_s t in
         passes :=
           {

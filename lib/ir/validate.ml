@@ -168,14 +168,43 @@ let constraints_of_opt ~positive atoms e =
 
 (* --- proofs ---------------------------------------------------------- *)
 
-let entails (facts : CSet.t) (goal : Check.t) : bool =
+(* One compile's entailment memo, on top of the oracle's own: the
+   semantic meet and the lockstep walk ask the same (facts, goal)
+   question many times over, and a hit skips even building the
+   hypothesis list. Keys are compared as sets, so the answer is the one
+   [Oracle.implies] gives on [CSet.elements facts]. *)
+module Cache = struct
+  module Tbl = Hashtbl.Make (struct
+    type t = CSet.t * Check.t
+
+    let equal (f1, g1) (f2, g2) =
+      Check.equal g1 g2 && (f1 == f2 || CSet.equal f1 f2)
+
+    let hash (facts, goal) =
+      CSet.fold (fun c h -> (h * 31) + Check.hash c) facts (Check.hash goal)
+  end)
+
+  type t = { oracle : Oracle.Cache.t; entails : bool Tbl.t }
+
+  let create () = { oracle = Oracle.Cache.create (); entails = Tbl.create 256 }
+end
+
+(* One ambient tick per query, hit or miss, so the watchdogs still see
+   every question asked; only a completed answer is memoised. *)
+let entails (cache : Cache.t) (facts : CSet.t) (goal : Check.t) : bool =
   Guard.tick_ambient ();
-  Oracle.implies ~hyps:(CSet.elements facts) goal
+  let key = (facts, goal) in
+  match Cache.Tbl.find_opt cache.entails key with
+  | Some v -> v
+  | None ->
+      let v = Oracle.implies ~cache:cache.oracle ~hyps:(CSet.elements facts) goal in
+      Cache.Tbl.add cache.entails key v;
+      v
 
 (* Activate every conditional fact whose guards the current facts
    prove, to fixpoint (each round either fires at least one pending
    conditional or stops, so it terminates in at most |conds| rounds). *)
-let close (h : hstate) : CSet.t =
+let close cache (h : hstate) : CSet.t =
   let facts = ref h.facts in
   let pending = ref (CondSet.elements h.conds) in
   let continue = ref (!pending <> []) in
@@ -185,7 +214,7 @@ let close (h : hstate) : CSet.t =
     pending :=
       List.filter
         (fun (gs, c) ->
-          if List.for_all (fun g -> entails !facts g) gs then begin
+          if List.for_all (fun g -> entails cache !facts g) gs then begin
             facts := CSet.add c !facts;
             continue := true;
             false
@@ -275,7 +304,7 @@ let assign_transfer atoms (v : var) (e : expr) (h : hstate) : hstate =
    the {e ambient} variant: check instructions contribute nothing, so
    the resulting facts depend only on assignments and branch structure
    — exactly the facts that survive any further check deletion. *)
-let transfer ?(checks = true) atoms (h : hstate option) (i : instr) :
+let transfer ?(checks = true) cache atoms (h : hstate option) (i : instr) :
     hstate option =
   match h with
   | None -> None
@@ -295,7 +324,7 @@ let transfer ?(checks = true) atoms (h : hstate option) (i : instr) :
                 CondSet.add (List.sort Check.compare gs, m.chk) h.conds
               in
               let facts =
-                if List.for_all (entails h.facts) gs then
+                if List.for_all (entails cache h.facts) gs then
                   CSet.add m.chk h.facts
                 else h.facts
               in
@@ -311,7 +340,7 @@ let transfer ?(checks = true) atoms (h : hstate option) (i : instr) :
    "not yet reached" (top); in(b) is the semantic meet over reachable
    predecessors of out(p) + the constraints of the edge p->b's branch
    condition. A block ending in (or past) a trap propagates top. *)
-let entry_hyps ?(checks = true) (f : Func.t) : hstate array =
+let entry_hyps ?(checks = true) cache (f : Func.t) : hstate array =
   let atoms = f.Func.atoms in
   let n = Func.num_blocks f in
   let reach = Func.reachable f in
@@ -385,11 +414,11 @@ let entry_hyps ?(checks = true) (f : Func.t) : hstate array =
       match paths with
       | [] -> h_empty
       | _ ->
-          let judged = List.map (fun h -> (h.facts, lazy (close h))) paths in
+          let judged = List.map (fun h -> (h.facts, lazy (close cache h))) paths in
           let proven_on_all c =
             List.for_all
               (fun (facts, closed) ->
-                CSet.mem c facts || entails (Lazy.force closed) c)
+                CSet.mem c facts || entails cache (Lazy.force closed) c)
               judged
           in
           let base =
@@ -456,7 +485,7 @@ let entry_hyps ?(checks = true) (f : Func.t) : hstate array =
         in
         ins.(b) <- i;
         let o =
-          List.fold_left (transfer ~checks atoms) (Some i) (Func.block f b).instrs
+          List.fold_left (transfer ~checks cache atoms) (Some i) (Func.block f b).instrs
         in
         if not (same_out out.(b) (Some o)) then begin
           out.(b) <- Some o;
@@ -464,16 +493,6 @@ let entry_hyps ?(checks = true) (f : Func.t) : hstate array =
         end)
       rpo
   done;
-  (if Sys.getenv_opt "NASCENT_VALIDATE_DEBUG" <> None then begin
-     Printf.eprintf "[validate] %s: sweeps=%d converged=%b\n%!" f.Func.fname
-       !sweeps (not !changed);
-     Array.iteri
-       (fun b h ->
-         if reach.(b) then
-           Printf.eprintf "  b%d: %d facts, %d conds\n%!" b
-             (CSet.cardinal h.facts) (CondSet.cardinal h.conds))
-       ins
-   end);
   if !changed then Array.make n h_empty else ins
 
 (* --- the lockstep walk ---------------------------------------------- *)
@@ -500,7 +519,7 @@ let same_instr (a : instr) (b : instr) =
   | Call (n, args), Call (n', args') -> n = n' && args = args'
   | _ -> false
 
-let validate_block ~fname ~atoms ~orig_vids (entry : hstate) (ob : block)
+let validate_block ~cache ~fname ~atoms ~orig_vids (entry : hstate) (ob : block)
     (pb : block) : t =
   let results = ref [] in
   let record chk ok reason =
@@ -516,7 +535,7 @@ let validate_block ~fname ~atoms ~orig_vids (entry : hstate) (ob : block)
         match i with
         | Check m ->
             if dead then record m.chk true "dead-after-trap"
-            else if entails facts m.chk then record m.chk true "implied"
+            else if entails cache facts m.chk then record m.chk true "implied"
             else if
               (* a trap in this region is justified replacement for a
                  compile-time-false check *)
@@ -534,7 +553,7 @@ let validate_block ~fname ~atoms ~orig_vids (entry : hstate) (ob : block)
                   | _ -> false)
                 opt_region
             then record m.chk true "retained"
-            else if entails facts m.chk then record m.chk true "implied"
+            else if entails cache facts m.chk then record m.chk true "implied"
             else record m.chk false "guarded check lost"
         | Trap _ ->
             if not (dead || List.exists (function Trap _ -> true | _ -> false) opt_region)
@@ -550,7 +569,7 @@ let validate_block ~fname ~atoms ~orig_vids (entry : hstate) (ob : block)
         | _ -> ())
       orig_rest
   in
-  let step h i = Option.value (transfer atoms (Some h) i) ~default:h_empty in
+  let step h i = Option.value (transfer cache atoms (Some h) i) ~default:h_empty in
   let rec walk ~dead hyps orig opt =
     let orig_region, orig_rest = span is_checkish orig in
     let opt_region, opt_rest = span is_checkish opt in
@@ -559,11 +578,11 @@ let validate_block ~fname ~atoms ~orig_vids (entry : hstate) (ob : block)
        kills, and a region check that traps makes the remaining
        obligations vacuous anyway. *)
     let hyps' =
-      List.fold_left (transfer atoms) (Some hyps) opt_region
+      List.fold_left (transfer cache atoms) (Some hyps) opt_region
     in
     let dead' = dead || hyps' = None in
     let hyps' = Option.value hyps' ~default:h_empty in
-    discharge ~dead ~opt_region (close hyps') orig_region;
+    discharge ~dead ~opt_region (close cache hyps') orig_region;
     match (orig_rest, opt_rest) with
     | [], _ ->
         (* No obligations left; any trailing optimized-side
@@ -592,9 +611,9 @@ let validate_block ~fname ~atoms ~orig_vids (entry : hstate) (ob : block)
         results;
   }
 
-let func ~(original : Func.t) ~(optimized : Func.t) : t =
+let func_cached cache ~(original : Func.t) ~(optimized : Func.t) : t =
   let atoms = optimized.Func.atoms in
-  let entry = entry_hyps optimized in
+  let entry = entry_hyps cache optimized in
   let reach = Func.reachable original in
   (* Variables the reference function mentions anywhere: assignments to
      anything else on the optimized side are compiler-materialized. *)
@@ -612,14 +631,16 @@ let func ~(original : Func.t) ~(optimized : Func.t) : t =
         let pb = Func.block optimized ob.bid in
         acc :=
           merge !acc
-            (validate_block ~fname:original.Func.fname ~atoms ~orig_vids
+            (validate_block ~cache ~fname:original.Func.fname ~atoms ~orig_vids
                entry.(ob.bid) ob pb))
     original;
   !acc
 
-let func_guarded ~original ~optimized : t =
+let func ~original ~optimized = func_cached (Cache.create ()) ~original ~optimized
+
+let func_guarded ~cache ~original ~optimized : t =
   let fuel = Guard.fuel ~what:budget_name ~budget:fuel_budget in
-  try Guard.with_fuel fuel (fun () -> func ~original ~optimized)
+  try Guard.with_fuel fuel (fun () -> func_cached cache ~original ~optimized)
   with Guard.Fuel_exhausted w when w = budget_name ->
     let _, checks = Func.static_counts original in
     {
@@ -655,7 +676,8 @@ let program ~(original : Program.t) ~(optimized : Program.t) : t =
                   };
                 ];
             }
-      | Some opt -> merge acc (func_guarded ~original:f ~optimized:opt))
+      | Some opt ->
+          merge acc (func_guarded ~cache:(Cache.create ()) ~original:f ~optimized:opt))
     empty
     (Program.funcs_sorted original)
 
@@ -679,7 +701,8 @@ let pp ppf t =
    are reference checks). *)
 let fragile_sites (f : Func.t) : (block * int) list =
   let atoms = f.Func.atoms in
-  let entry = entry_hyps f in
+  let cache = Cache.create () in
+  let entry = entry_hyps cache f in
   let reach = Func.reachable f in
   let acc = ref [] in
   Func.iter_blocks
@@ -705,20 +728,20 @@ let fragile_sites (f : Func.t) : (block * int) list =
                   | Check m ->
                       let hyps = ref (Some h0) in
                       for k = j0 to j1 - 1 do
-                        if k <> j then hyps := transfer atoms !hyps instrs.(k)
+                        if k <> j then hyps := transfer cache atoms !hyps instrs.(k)
                       done;
                       (match !hyps with
-                      | Some s when not (entails (close s) m.chk) ->
+                      | Some s when not (entails cache (close cache s) m.chk) ->
                           acc := (b, j) :: !acc
                       | _ -> ())
                   | _ -> ()
                 done);
             for k = j0 to j1 - 1 do
-              h := transfer atoms !h instrs.(k)
+              h := transfer cache atoms !h instrs.(k)
             done
           end
           else begin
-            h := transfer atoms !h instrs.(!i);
+            h := transfer cache atoms !h instrs.(!i);
             incr i
           end
         done
@@ -731,10 +754,12 @@ let fragile_sites (f : Func.t) : (block * int) list =
 module Facts = struct
   type state = hstate
 
-  let ambient_entry (f : Func.t) : state array = entry_hyps ~checks:false f
+  let ambient_entry ~cache (f : Func.t) : state array =
+    entry_hyps ~checks:false cache f
 
-  let step atoms (s : state option) (i : instr) : state option =
-    transfer ~checks:false atoms s i
+  let step ~cache atoms (s : state option) (i : instr) : state option =
+    transfer ~checks:false cache atoms s i
 
-  let proves (s : state) (goal : Check.t) : bool = entails (close s) goal
+  let proves ~cache (s : state) (goal : Check.t) : bool =
+    entails cache (close cache s) goal
 end

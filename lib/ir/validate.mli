@@ -42,9 +42,22 @@ val func : original:Func.t -> optimized:Func.t -> t
 (** Validate one function pair (unbounded — callers wanting the fuel
     guarantee use {!func_guarded} or {!program}). *)
 
-val func_guarded : original:Func.t -> optimized:Func.t -> t
-(** {!func} under the validator's own fuel budget; exhaustion reports a
-    single "validation fuel exhausted" failure instead of raising. *)
+(** A compile's entailment cache: memoised answers to "do these facts
+    prove this check?" and the {!Nascent_checks.Oracle.Cache} beneath
+    them. Create one per function compile and share it between the
+    oracle elimination pass ({!Facts}) and the certificate
+    ({!func_guarded}); drop it with the function. A hit returns exactly
+    the answer a fresh query would. Not thread-safe. *)
+module Cache : sig
+  type t
+
+  val create : unit -> t
+end
+
+val func_guarded : cache:Cache.t -> original:Func.t -> optimized:Func.t -> t
+(** {!func} under the validator's own fuel budget, answering from and
+    filling [cache]; exhaustion reports a single "validation fuel
+    exhausted" failure instead of raising. *)
 
 val program : original:Program.t -> optimized:Program.t -> t
 (** Validate every function of the reference program against its
@@ -72,16 +85,16 @@ val fragile_sites : Func.t -> (Types.block * int) list
 module Facts : sig
   type state
 
-  val ambient_entry : Func.t -> state array
+  val ambient_entry : cache:Cache.t -> Func.t -> state array
   (** Per-block entry states from the validator's forward data-flow
       (semantic meet, affine loop-invariant candidates, widening) with
       check contributions disabled. *)
 
-  val step : Atoms.t -> state option -> Types.instr -> state option
+  val step : cache:Cache.t -> Atoms.t -> state option -> Types.instr -> state option
   (** Ambient transfer of one instruction; [None] = dead past an
       unconditional trap. *)
 
-  val proves : state -> Nascent_checks.Check.t -> bool
+  val proves : cache:Cache.t -> state -> Nascent_checks.Check.t -> bool
   (** Sound, fuel-bounded entailment: [true] means every execution
       reaching a point with this state satisfies the constraint. *)
 end

@@ -136,7 +136,11 @@ let check_cfg (f : Func.t) add =
         (Func.succs_of_term b.term)
     done
 
+(* [where] is lazy here and in [check_hoist]: printing an instruction
+   would dominate the cost of a clean pass, so a location is formatted
+   only when a violation is actually recorded. *)
 let check_checks (f : Func.t) add =
+  let add rule where what = add rule (Lazy.force where) what in
   let known_vids = Hashtbl.create 16 in
   List.iter (fun v -> Hashtbl.replace known_vids v.vid ()) f.Func.vars;
   List.iter
@@ -190,7 +194,7 @@ let check_checks (f : Func.t) add =
       if reach.(b.bid) then
         List.iter
           (fun i ->
-            let where = Fmt.str "block %d: %a" b.bid Printer.pp_instr i in
+            let where = lazy (Fmt.str "block %d: %a" b.bid Printer.pp_instr i) in
             match i with
             | Check m -> check_meta where m
             | Cond_check (g, m) ->
@@ -439,6 +443,7 @@ let scalars_defined_in (f : Func.t) (inloop : bool array) =
   defined
 
 let check_hoist (f : Func.t) (idom : int array) ~inserted ~removed add =
+  let add rule where what = add rule (Lazy.force where) what in
   let preds = Func.preds_array f in
   let preheaders = Hashtbl.create 4 in
   List.iter
@@ -476,7 +481,7 @@ let check_hoist (f : Func.t) (idom : int array) ~inserted ~removed add =
   in
   List.iter
     (fun (bid, i) ->
-      let where = instr_where bid i in
+      let where = lazy (instr_where bid i) in
       match Hashtbl.find_opt preheaders bid with
       | None ->
           add Insertion where "hoisting pass inserted outside a loop preheader"
@@ -499,7 +504,7 @@ let check_hoist (f : Func.t) (idom : int array) ~inserted ~removed add =
       | Check _ -> ()
       | i ->
           add Insertion
-            (Fmt.str "removed %a" Printer.pp_instr i)
+            (lazy (Fmt.str "removed %a" Printer.pp_instr i))
             "hoisting pass removed a non-check instruction")
     removed
 

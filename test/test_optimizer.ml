@@ -506,6 +506,48 @@ let test_mcm_trap_preserved () =
   trap_expected o1;
   trap_expected o2
 
+(* Golden ALL+O results: for every benchmark and check kind, the
+   static checks left and the certificate's site counts, with no
+   incident. The entailment cache must change none of them. *)
+let all_o_golden =
+  [
+    ("vortex", Config.PRX, 0, 146, 146);
+    ("vortex", Config.INX, 0, 146, 146);
+    ("arc2d", Config.PRX, 4, 236, 236);
+    ("arc2d", Config.INX, 2, 236, 236);
+    ("bdna", Config.PRX, 0, 212, 212);
+    ("bdna", Config.INX, 0, 212, 212);
+    ("dyfesm", Config.PRX, 7, 96, 96);
+    ("dyfesm", Config.INX, 7, 96, 96);
+    ("mdg", Config.PRX, 0, 112, 112);
+    ("mdg", Config.INX, 0, 112, 112);
+    ("qcd", Config.PRX, 4, 88, 88);
+    ("qcd", Config.INX, 4, 88, 88);
+    ("spec77", Config.PRX, 11, 90, 90);
+    ("spec77", Config.INX, 10, 90, 90);
+    ("trfd", Config.PRX, 14, 62, 62);
+    ("trfd", Config.INX, 12, 62, 62);
+    ("linpackd", Config.PRX, 12, 192, 192);
+    ("linpackd", Config.INX, 12, 192, 192);
+    ("simple", Config.PRX, 6, 248, 248);
+    ("simple", Config.INX, 3, 248, 248);
+  ]
+
+let test_all_o_golden () =
+  List.iter
+    (fun (name, kind, checks_after, sites, proven) ->
+      let b = Option.get (Nascent_benchmarks.Suite.find name) in
+      let config = Config.make ~scheme:Config.ALL ~kind ~oracle:true () in
+      let _, st = Core.Optimizer.optimize ~config (ir_of_source b.source) in
+      let label what = Fmt.str "%s %s: %s" name (Config.kind_name kind) what in
+      let v = Option.get st.Core.Optimizer.validation in
+      Alcotest.(check int) (label "static checks after") checks_after
+        st.Core.Optimizer.static_checks_after;
+      Alcotest.(check int) (label "certificate sites") sites v.Nascent_ir.Validate.total_sites;
+      Alcotest.(check int) (label "proven sites") proven v.Nascent_ir.Validate.proven_sites;
+      Alcotest.(check int) (label "incidents") 0 (List.length st.Core.Optimizer.incidents))
+    all_o_golden
+
 let suite =
   [
     tc "fig1: naive has 4 checks" test_fig1_naive_has_4_checks;
@@ -537,4 +579,5 @@ let suite =
     tc "compile-time false becomes trap" test_compile_time_false_becomes_trap;
     tc "all schemes sound on mixed program" test_all_schemes_sound_on_mixed_program;
     tc "LLS beats NI (~98%)" test_lls_beats_ni;
+    tc "ALL+O golden checks and certificates" test_all_o_golden;
   ]

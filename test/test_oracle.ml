@@ -207,6 +207,35 @@ let prop_huge_inputs_never_raise =
       let (_ : bool) = Oracle.unsat (goal :: hyps) in
       true)
 
+(* --- the per-compile cache ----------------------------------------- *)
+
+(* One cache shared across a stream of queries, each asked several
+   times and interleaved with the others, answers every one exactly as
+   an uncached query does. *)
+let prop_cache_transparent =
+  let gen =
+    G.(
+      list_size (int_range 1 5) (pair (list_size (int_range 0 4) gen_check) gen_check)
+      >>= fun qs ->
+      let n = List.length qs in
+      map (fun order -> (qs, order)) (list_size (int_range n (4 * n)) (int_bound (n - 1))))
+  in
+  let print (qs, order) =
+    Printf.sprintf "queries=[%s] order=[%s]"
+      (String.concat " | " (List.map print_query qs))
+      (String.concat "," (List.map string_of_int order))
+  in
+  QCheck.Test.make ~name:"oracle: a shared cache changes no answer" ~count:300
+    (QCheck.make ~print gen) (fun (qs, order) ->
+      let qs = Array.of_list qs in
+      let cache = Oracle.Cache.create () in
+      List.for_all
+        (fun i ->
+          let hyps, goal = qs.(i) in
+          Oracle.implies ~cache ~hyps goal = Oracle.implies ~hyps goal
+          && Oracle.unsat ~cache (goal :: hyps) = Oracle.unsat (goal :: hyps))
+        (order @ order))
+
 let test_fuel_budget_positive () =
   Alcotest.(check bool) "fuel budget positive" true (Oracle.fuel_budget > 0)
 
@@ -222,5 +251,6 @@ let suite =
     tc "oracle: unsat interval" test_unsat_detects_empty_interval;
     tc "oracle: overflow degrades to unknown" test_overflow_is_unknown;
     QCheck_alcotest.to_alcotest prop_huge_inputs_never_raise;
+    QCheck_alcotest.to_alcotest prop_cache_transparent;
     tc "oracle: fuel budget positive" test_fuel_budget_positive;
   ]

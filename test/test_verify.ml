@@ -82,10 +82,16 @@ let straight_src = "program s\ninteger a(1:10), k\nk = 3\na(k) = 1\nend"
 
 let has_rule rule vs = List.exists (fun v -> v.Verify.rule = rule) vs
 
-let check_rejected name rule vs =
+(* [expect] pins every reported violation as the user sees it: the
+   verifier builds locations lazily, and the text must not change. *)
+let check_rejected name rule ~expect vs =
   Alcotest.(check bool)
     (Fmt.str "%s reports a %s violation" name (Verify.rule_name rule))
-    true (has_rule rule vs)
+    true (has_rule rule vs);
+  Alcotest.(check (list string))
+    (name ^ ": violation text")
+    expect
+    (List.map (Fmt.str "%a" Verify.pp_violation) vs)
 
 let check_clean name vs =
   match vs with
@@ -97,7 +103,9 @@ let test_rejects_bad_terminator () =
   let f = Ir.Program.main_func (ir_of_source loop_src) in
   check_clean "initially clean" (Verify.func f);
   (Ir.Func.block f f.Ir.Func.entry).term <- Goto 9999;
-  check_rejected "dangling goto" Verify.Cfg (Verify.func f)
+  check_rejected "dangling goto" Verify.Cfg
+    ~expect:[ "[cfg] block 0: terminator target 9999 out of range [0,6)" ]
+    (Verify.func f)
 
 (* class 2: check corruption — an atom the function never interned *)
 let test_rejects_ghost_atom () =
@@ -113,7 +121,21 @@ let test_rejects_ghost_atom () =
   in
   let b = Ir.Func.block f f.Ir.Func.entry in
   b.instrs <- Check m :: b.instrs;
-  check_rejected "ghost atom" Verify.Check_form (Verify.func f)
+  check_rejected "ghost atom" Verify.Check_form
+    ~expect:
+      [
+        "[check-form] block 0: Check (ghost <= 5)  ! a dim 0 upper: atom ghost#99999 \
+         not in the function's atom table";
+      ]
+    (Verify.func f);
+  match Verify.func_exn f with
+  | () -> Alcotest.fail "func_exn accepted a ghost atom"
+  | exception Verify.Invalid_ir msg ->
+      Alcotest.(check string) "func_exn message"
+        "IR verification failed: l after lowered (1 violation)\n\
+         [check-form] block 0: Check (ghost <= 5)  ! a dim 0 upper: atom ghost#99999 \
+         not in the function's atom table"
+        msg
 
 (* class 2b: check corruption — dimension beyond the declared rank *)
 let test_rejects_bad_dimension () =
@@ -132,7 +154,13 @@ let test_rejects_bad_dimension () =
           b.instrs)
     f;
   Alcotest.(check bool) "found a check to corrupt" true !corrupted;
-  check_rejected "rank overflow" Verify.Check_form (Verify.func f)
+  check_rejected "rank overflow" Verify.Check_form
+    ~expect:
+      [
+        "[check-form] block 3: Check (-i <= -1)  ! a dim 7 lower: dimension 7 out of \
+         range for a (rank 1)";
+      ]
+    (Verify.func f)
 
 (* class 3: loop corruption — preheader metadata pointing elsewhere *)
 let test_rejects_stale_preheader () =
@@ -147,7 +175,13 @@ let test_rejects_stale_preheader () =
         | m -> m)
       f.Ir.Func.loops;
   Alcotest.(check bool) "program has a do loop" true !saw_do;
-  check_rejected "stale preheader" Verify.Loop_structure (Verify.func f)
+  check_rejected "stale preheader" Verify.Loop_structure
+    ~expect:
+      [
+        "[loop-structure] do-loop@2: preheader must enter the header: no edge 5 -> 2";
+        "[loop-structure] do-loop@2: preheader 5 does not dominate header 2";
+      ]
+    (Verify.func f)
 
 (* class 4: unsafe insertion — a check placed above the definition of
    its symbol (the paper's anticipatability safety rule) *)
@@ -166,6 +200,12 @@ let test_rejects_unsafe_insertion () =
      definition of k it guards *)
   entry.instrs <- Check meta :: entry.instrs;
   check_rejected "check above def" Verify.Insertion
+    ~expect:
+      [
+        "[insertion] block 0: inserted Check (-k <= -1)  ! a dim 0 lower: check is not \
+         anticipatable at its insertion point (may sit above a definition of one of \
+         its symbols, or trap on a path that did not)";
+      ]
     (Verify.func ~pass:Verify.Code_motion ~before f)
 
 (* positive control for class 4: inserting the same check below the
@@ -209,7 +249,45 @@ let test_rejects_weakening () =
     f;
   Alcotest.(check bool) "found a check to weaken" true !weakened;
   check_rejected "weakened check" Verify.Insertion
+    ~expect:
+      [
+        "[insertion] block 3: inserted Check (-i <= 0)  ! a dim 0 lower: strengthened \
+         check has no same-family original it implies";
+      ]
     (Verify.func ~pass:Verify.Strengthen ~before f)
+
+(* hoist corruption: a loop-variant check hoisted into the preheader,
+   and a "hoisted" check left in the loop body *)
+let test_rejects_bad_hoist () =
+  let f = Ir.Program.main_func (ir_of_source loop_src) in
+  let before = Ir.Transform.copy_func f in
+  let d =
+    match f.Ir.Func.loops with
+    | Ldo d :: _ -> d
+    | _ -> Alcotest.fail "expected a do loop"
+  in
+  let body_check = ref None in
+  Ir.Func.iter_blocks
+    (fun b ->
+      List.iter
+        (function Check m when !body_check = None -> body_check := Some (b, m) | _ -> ())
+        b.instrs)
+    f;
+  let body, m =
+    match !body_check with Some c -> c | None -> Alcotest.fail "expected a check"
+  in
+  let pre = Ir.Func.block f d.d_preheader in
+  pre.instrs <- pre.instrs @ [ Check m ];
+  body.instrs <- Check m :: body.instrs;
+  check_rejected "bad hoist" Verify.Insertion
+    ~expect:
+      [
+        "[insertion] block 1: inserted Check (-i <= -1)  ! a dim 0 lower: mentions i#0, \
+         defined inside the loop it was hoisted out of";
+        "[insertion] block 3: inserted Check (-i <= -1)  ! a dim 0 lower: hoisting pass \
+         inserted outside a loop preheader";
+      ]
+    (Verify.func ~pass:Verify.Hoist ~before f)
 
 (* --- qcheck: corruption never slips through ---------------------------- *)
 
@@ -267,5 +345,6 @@ let suite =
     tc "rejects check above its def" test_rejects_unsafe_insertion;
     tc "accepts safe duplicate insertion" test_accepts_safe_insertion;
     tc "rejects weakening strengthen" test_rejects_weakening;
+    tc "rejects loop-variant and misplaced hoists" test_rejects_bad_hoist;
     QCheck_alcotest.to_alcotest prop_corruption_rejected;
   ]
