@@ -18,11 +18,3 @@ let zero_of_ty : Nascent_ir.Types.ty -> t = function
   | Nascent_ir.Types.Int -> VInt 0
   | Nascent_ir.Types.Real -> VReal 0.0
   | Nascent_ir.Types.Bool -> VBool false
-
-let to_int = function
-  | VInt n -> n
-  | VReal _ | VBool _ -> invalid_arg "Value.to_int"
-
-let to_bool = function
-  | VBool b -> b
-  | VInt _ | VReal _ -> invalid_arg "Value.to_bool"

@@ -5,9 +5,3 @@ type t = VInt of int | VReal of float | VBool of bool
 val pp : t Fmt.t
 val equal : t -> t -> bool
 val zero_of_ty : Nascent_ir.Types.ty -> t
-
-val to_int : t -> int
-(** @raise Invalid_argument on non-integers. *)
-
-val to_bool : t -> bool
-(** @raise Invalid_argument on non-booleans. *)
