@@ -192,7 +192,7 @@ let setup_trace trace =
 
 (* temp + rename: a crashed or interrupted run never leaves a torn
    stats file for a dashboard to misparse *)
-let write_json path json = Nascent_support.Guard.write_atomic ~path json
+let write_json path json = Guard.write_atomic ~path (Json.to_string json ^ "\n")
 
 let naive_arg =
   Arg.(value & flag & info [ "naive" ] ~doc:"Skip optimization (naive checking).")
@@ -334,10 +334,7 @@ let cmd_stats =
     in
     Option.iter
       (fun path ->
-        write_json path
-          ("[\n"
-          ^ String.concat ",\n" (List.map Core.Optimizer.stats_to_json all_stats)
-          ^ "]\n"))
+        write_json path (Json.List (List.map Core.Optimizer.stats_to_json all_stats)))
       json;
     List.fold_left
       (fun code st -> max code (exit_of_stats (Some st)))
@@ -660,10 +657,10 @@ let cmd_client =
       & opt string (default_socket ())
       & info [ "connect" ] ~docv:"ADDR"
           ~doc:
-            "Address of the nascentd instance: a Unix socket path \
-             (line-delimited JSON), or HOST:PORT for the NF1 framed TCP \
-             transport — a shard router is just a daemon at such an \
-             address. Defaults to $(b,NASCENT_SOCKET) or \
+            "Address of the nascentd instance: a Unix socket path or \
+             HOST:PORT (both speak the NF1 framed protocol) — a shard \
+             router is just a daemon at such an address. Defaults to \
+             $(b,NASCENT_SOCKET) or \
              $(b,TMPDIR/nascentd.sock).")
   in
   let recv_timeout_arg =

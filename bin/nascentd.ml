@@ -1,8 +1,9 @@
 (* nascentd — the MiniF range-check optimizer as a long-running
    service.
 
-   Listens on a Unix-domain socket for newline-delimited JSON requests
-   (see Nascent_support.Server for the envelope and
+   Listens on a Unix-domain socket (and, with --tcp, a TCP port) for
+   requests in NF1 frames (see Nascent_support.Frame for the wire
+   format, Nascent_support.Server for the envelope and
    Nascent_harness.Service for the operations), fanning compiles over
    worker domains behind a bounded admission queue, per-request
    wall-clock deadlines, a per-scheme circuit breaker and a
@@ -76,7 +77,7 @@ let tcp_arg =
            per-connection pipelining. $(docv) is a port, or HOST:PORT to \
            bind one interface (default: every interface); port 0 picks an \
            ephemeral port, echoed as the \"tcp_port\" status field. The \
-           Unix socket keeps speaking line-delimited JSON.")
+           Unix socket speaks the same protocol.")
 
 let idle_arg =
   Arg.(
@@ -95,10 +96,10 @@ let io_deadline_arg =
     & opt float 10.0
     & info [ "io-deadline-s" ] ~docv:"S"
         ~doc:
-          "Slow-loris bound: a frame or request line left incomplete for \
-           $(docv) seconds closes its connection (counted \"io_timeouts\"); \
-           also the kernel send-timeout for response writes. $(docv) <= 0 \
-           disables both.")
+          "Slow-loris bound: a frame left incomplete for $(docv) seconds \
+           closes its connection (counted \"io_timeouts\"); also the \
+           kernel send-timeout for response writes. $(docv) <= 0 disables \
+           both.")
 
 let jobs_arg =
   Arg.(
@@ -276,9 +277,8 @@ let upstream_arg =
     & info [ "upstream" ] ~docv:"ADDR"
         ~doc:
           "The real daemon behind $(b,--chaos): a Unix socket path or \
-           HOST:PORT. Keep the proxy's listen transport the same as the \
-           upstream's (frames on TCP, lines on a Unix socket), since the \
-           proxy forwards raw bytes.")
+           HOST:PORT. Both transports speak NF1 frames, so the proxy's \
+           listen transport need not match the upstream's.")
 
 (* "PORT" or "HOST:PORT" for the TCP listener. *)
 let parse_tcp_listen s =

@@ -19,6 +19,7 @@
 module Ir = Nascent_ir
 module Mclock = Nascent_support.Mclock
 module Guard = Nascent_support.Guard
+module Json = Nascent_support.Json
 
 let log_src =
   Logs.Src.create "nascent.optimizer" ~doc:"Range-check optimizer pass pipeline"
@@ -459,74 +460,82 @@ let pp_stats ppf (s : stats) =
   | None -> ()
   | Some v -> Fmt.pf ppf "@,%a" Ir.Validate.pp v
 
-(* Hand-rolled JSON (no JSON library in the tree): every emitted value
-   is a number or a fixed-alphabet name, except incident details —
-   verifier messages and exception texts — which [%S] escapes. OCaml's
-   [%S] and JSON string syntax agree on every character these can
-   contain (printable ASCII, backslash, quote). *)
-let stats_to_json (s : stats) : string =
-  let buf = Buffer.create 512 in
-  let pf fmt = Printf.bprintf buf fmt in
-  pf "{\n";
-  pf
-    "  \"config\": {\"scheme\": %S, \"kind\": %S, \"impl\": %S, \"verify\": %b, \
-     \"fault\": %S, \"oracle\": %b},\n"
-    (Config.scheme_name s.config.Config.scheme)
-    (Config.kind_name s.config.Config.kind)
-    (Nascent_checks.Universe.mode_name s.config.Config.impl)
-    s.config.Config.verify
-    (Config.fault_name s.config.Config.fault)
-    s.config.Config.oracle;
-  pf "  \"static_checks_before\": %d,\n" s.static_checks_before;
-  pf "  \"static_checks_after\": %d,\n" s.static_checks_after;
-  pf "  \"strengthened\": %d,\n" s.strengthened;
-  pf "  \"pre_inserted\": %d,\n" s.pre_inserted;
-  pf "  \"hoisted_invariant\": %d,\n" s.hoisted_invariant;
-  pf "  \"hoisted_linear\": %d,\n" s.hoisted_linear;
-  pf "  \"guards_inserted\": %d,\n" s.guards_inserted;
-  pf "  \"plain_inserted\": %d,\n" s.plain_inserted;
-  pf "  \"redundant_deleted\": %d,\n" s.redundant_deleted;
-  pf "  \"compile_time_deleted\": %d,\n" s.compile_time_deleted;
-  pf "  \"compile_time_traps\": %d,\n" s.compile_time_traps;
-  pf "  \"elapsed_s\": %.9f,\n" s.elapsed_s;
-  pf "  \"passes\": [";
-  List.iteri
-    (fun i p ->
-      if i > 0 then pf ",";
-      pf
-        "\n    {\"pass\": %S, \"time_s\": %.9f, \"checks_before\": %d, \
-         \"checks_after\": %d}"
-        p.pass p.pass_time_s p.pass_checks_before p.pass_checks_after)
-    s.passes;
-  pf "\n  ],\n";
-  pf "  \"faults_injected\": %d,\n" s.faults_injected;
-  pf "  \"incidents\": [";
-  List.iteri
-    (fun i inc ->
-      if i > 0 then pf ",";
-      pf
-        "\n    {\"pass\": %S, \"func\": %S, \"cause\": %S, \"detail\": %S, \
-         \"elapsed_s\": %.9f}"
-        inc.inc_pass inc.inc_func (cause_name inc.inc_cause) inc.inc_detail
-        inc.inc_elapsed_s)
-    s.incidents;
-  pf "\n  ],\n";
-  (match s.validation with
-  | None ->
-      pf "  \"validated\": null,\n";
-      pf "  \"validation\": null\n"
-  | Some v ->
-      pf "  \"validated\": %b,\n" (Ir.Validate.validated v);
-      pf "  \"validation\": {\"sites\": %d, \"proven\": %d, \"failures\": ["
-        v.Ir.Validate.total_sites v.Ir.Validate.proven_sites;
-      List.iteri
-        (fun i (f : Ir.Validate.site) ->
-          if i > 0 then pf ",";
-          pf "\n    {\"func\": %S, \"bid\": %d, \"check\": %S, \"reason\": %S}"
-            f.Ir.Validate.s_func f.Ir.Validate.s_bid
-            (Fmt.str "%a" Nascent_checks.Check.pp f.Ir.Validate.s_check)
-            f.Ir.Validate.s_reason)
-        v.Ir.Validate.failures;
-      pf "%s]}\n" (if v.Ir.Validate.failures = [] then "" else "\n  "));
-  pf "}\n";
-  Buffer.contents buf
+let stats_to_json (s : stats) : Json.t =
+  let c = s.config in
+  let int_fields =
+    [
+      ("static_checks_before", s.static_checks_before);
+      ("static_checks_after", s.static_checks_after);
+      ("strengthened", s.strengthened);
+      ("pre_inserted", s.pre_inserted);
+      ("hoisted_invariant", s.hoisted_invariant);
+      ("hoisted_linear", s.hoisted_linear);
+      ("guards_inserted", s.guards_inserted);
+      ("plain_inserted", s.plain_inserted);
+      ("redundant_deleted", s.redundant_deleted);
+      ("compile_time_deleted", s.compile_time_deleted);
+      ("compile_time_traps", s.compile_time_traps);
+    ]
+  in
+  let pass p =
+    Json.Obj
+      [
+        ("pass", Json.Str p.pass);
+        ("time_s", Json.Float p.pass_time_s);
+        ("checks_before", Json.Int p.pass_checks_before);
+        ("checks_after", Json.Int p.pass_checks_after);
+      ]
+  in
+  let incident i =
+    Json.Obj
+      [
+        ("pass", Json.Str i.inc_pass);
+        ("func", Json.Str i.inc_func);
+        ("cause", Json.Str (cause_name i.inc_cause));
+        ("detail", Json.Str i.inc_detail);
+        ("elapsed_s", Json.Float i.inc_elapsed_s);
+      ]
+  in
+  let failure (f : Ir.Validate.site) =
+    Json.Obj
+      [
+        ("func", Json.Str f.Ir.Validate.s_func);
+        ("bid", Json.Int f.Ir.Validate.s_bid);
+        ("check", Json.Str (Fmt.str "%a" Nascent_checks.Check.pp f.Ir.Validate.s_check));
+        ("reason", Json.Str f.Ir.Validate.s_reason);
+      ]
+  in
+  Json.Obj
+    ([
+       ( "config",
+         Json.Obj
+           [
+             ("scheme", Json.Str (Config.scheme_name c.Config.scheme));
+             ("kind", Json.Str (Config.kind_name c.Config.kind));
+             ("impl", Json.Str (Nascent_checks.Universe.mode_name c.Config.impl));
+             ("verify", Json.Bool c.Config.verify);
+             ("fault", Json.Str (Config.fault_name c.Config.fault));
+             ("oracle", Json.Bool c.Config.oracle);
+           ] );
+     ]
+    @ List.map (fun (k, n) -> (k, Json.Int n)) int_fields
+    @ [
+        ("elapsed_s", Json.Float s.elapsed_s);
+        ("passes", Json.List (List.map pass s.passes));
+        ("faults_injected", Json.Int s.faults_injected);
+        ("incidents", Json.List (List.map incident s.incidents));
+      ]
+    @
+    match s.validation with
+    | None -> [ ("validated", Json.Null); ("validation", Json.Null) ]
+    | Some v ->
+        [
+          ("validated", Json.Bool (Ir.Validate.validated v));
+          ( "validation",
+            Json.Obj
+              [
+                ("sites", Json.Int v.Ir.Validate.total_sites);
+                ("proven", Json.Int v.Ir.Validate.proven_sites);
+                ("failures", Json.List (List.map failure v.Ir.Validate.failures));
+              ] );
+        ])

@@ -123,6 +123,6 @@ val pp_pass_stat : pass_stat Fmt.t
 val pp_incident : incident Fmt.t
 val pp_stats : stats Fmt.t
 
-val stats_to_json : stats -> string
+val stats_to_json : stats -> Nascent_support.Json.t
 (** Stable JSON rendering of {!stats} (including the per-pass
     breakdown) for the [--stats-json] CLI flag. *)

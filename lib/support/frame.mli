@@ -1,5 +1,5 @@
-(** NF1 — the compile service's length-prefixed framed wire protocol
-    (the TCP transport; the Unix socket keeps newline JSON).
+(** NF1 — the compile service's length-prefixed framed wire protocol,
+    spoken on both the Unix socket and the TCP listener.
 
     A frame is a fixed 20-byte header followed by the payload:
 
@@ -10,7 +10,7 @@
       4       8     request id, unsigned big-endian
       12      4     payload length, unsigned big-endian
       16      4     CRC32 (IEEE) of the payload, big-endian
-      20      len   payload bytes (the same JSON the line protocol carries)
+      20      len   payload bytes (one JSON request or response)
     v}
 
     The id is the pipelining tag: many requests may be in flight on one

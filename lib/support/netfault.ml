@@ -189,14 +189,18 @@ let write_all_quiet fd s =
     true
   with _ -> false
 
+(* Every connection opens with the NF1 hello, which a client writes in
+   one write and the server answers before the request follows — so
+   chunk 0 in each direction is the hello (or its ack) and chunk 1 is
+   the first request (or response). The hello always passes clean:
+   faulting the handshake would read as a protocol mismatch, not a
+   network fault. *)
+
 (* Pump upstream->client. On faulted connections, Reset_mid_exchange
    drops the response and cuts the wire (EOF before response at the
    client); Stalled_reader swallows it, stalls, then closes — the
-   client's receive deadline is the detection. The first [skip]
-   response chunks pass through clean (the NF1 hello-ack on a framed
-   connection: faulting the handshake would read as a protocol
-   mismatch, not a network fault). *)
-let pump_response ~faulted ~skip spec ufd cfd =
+   client's receive deadline is the detection. *)
+let pump_response ~faulted spec ufd cfd =
   let buf = Bytes.create 8192 in
   let chunk_no = ref 0 in
   let rec loop () =
@@ -209,7 +213,7 @@ let pump_response ~faulted ~skip spec ufd cfd =
         let forward () =
           if write_all_quiet cfd (Bytes.sub_string buf 0 n) then loop ()
         in
-        if (not faulted) || k < skip then forward ()
+        if (not faulted) || k = 0 then forward ()
         else
           match spec.cls with
           | Reset_mid_exchange -> shutdown_quiet cfd Unix.SHUTDOWN_ALL
@@ -220,12 +224,9 @@ let pump_response ~faulted ~skip spec ufd cfd =
   in
   loop ()
 
-(* Pump client->upstream; chunk [skip] of a faulted connection gets
-   the fault class's send plan (a client writes a whole frame or line
-   in one write and the hello is answered before the request follows,
-   so chunk boundaries align with protocol messages: chunk 0 is the
-   hello on a framed connection, the request itself on a line one). *)
-let pump_request ~faulted ~delay_s ~skip spec cfd ufd =
+(* Pump client->upstream; chunk 1 (the first request) of a faulted
+   connection gets the fault class's send plan. *)
+let pump_request ~faulted ~delay_s spec cfd ufd =
   let buf = Bytes.create 8192 in
   let chunk_no = ref 0 in
   let rec loop () =
@@ -237,7 +238,7 @@ let pump_request ~faulted ~delay_s ~skip spec cfd ufd =
         let k = !chunk_no in
         incr chunk_no;
         let chunk = Bytes.sub_string buf 0 n in
-        if faulted && k = skip then begin
+        if faulted && k = 1 then begin
           let closed =
             List.exists
               (function
@@ -257,7 +258,7 @@ let pump_request ~faulted ~delay_s ~skip spec cfd ufd =
   in
   loop ()
 
-let handle_conn ~faulted ~delay_s ~skip spec upstream cfd =
+let handle_conn ~faulted ~delay_s spec upstream cfd =
   match
     let ufd = sock_for upstream in
     (try Unix.connect ufd upstream
@@ -269,9 +270,9 @@ let handle_conn ~faulted ~delay_s ~skip spec upstream cfd =
   | exception _ -> close_quiet cfd
   | ufd ->
       let resp =
-        Thread.create (fun () -> pump_response ~faulted ~skip spec ufd cfd) ()
+        Thread.create (fun () -> pump_response ~faulted spec ufd cfd) ()
       in
-      pump_request ~faulted ~delay_s ~skip spec cfd ufd;
+      pump_request ~faulted ~delay_s spec cfd ufd;
       Thread.join resp;
       close_quiet ufd;
       close_quiet cfd
@@ -288,9 +289,6 @@ let proxy ~listen ~upstream ?(stop = fun () -> false) ?(delay_s = 3.0)
   Unix.bind lfd listen;
   Unix.listen lfd 64;
   on_listen (Unix.getsockname lfd);
-  (* On a TCP listener the peers speak NF1: the first exchange is the
-     hello handshake, which must pass clean (see pump_request). *)
-  let skip = match listen with Unix.ADDR_INET _ -> 1 | _ -> 0 in
   let idx = ref 0 in
   let rec loop () =
     if not (stop ()) then begin
@@ -307,7 +305,7 @@ let proxy ~listen ~upstream ?(stop = fun () -> false) ?(delay_s = 3.0)
               ignore
                 (Thread.create
                    (fun () ->
-                     handle_conn ~faulted ~delay_s ~skip spec upstream cfd)
+                     handle_conn ~faulted ~delay_s spec upstream cfd)
                    ())));
       loop ()
     end

@@ -1,8 +1,8 @@
 (* Compile-as-a-service transport, robust by construction: a
-   Unix-domain socket speaking newline-delimited JSON, plus an optional
-   TCP listener speaking the NF1 framed protocol (Frame) with
-   per-connection pipelining — many in-flight requests tagged by frame
-   id on one socket, responses written in completion order.
+   Unix-domain socket and an optional TCP listener, both speaking the
+   NF1 framed protocol (Frame) with per-connection pipelining — many
+   in-flight requests tagged by frame id on one socket, responses
+   written in completion order.
 
    Layering: this module owns everything about *serving* — the sockets,
    connection reader threads, the bounded request queue (admission
@@ -40,13 +40,13 @@
      off briefly on fd exhaustion and keeps serving instead of crashing
      the daemon with admitted requests still queued;
    - network failure domain: a slow-loris peer cannot wedge a reader or
-     leak a connection record — a frame (or line) that stays incomplete
-     past [io_deadline_s] closes the connection (io_timeouts), a
+     leak a connection record — a frame that stays incomplete past
+     [io_deadline_s] closes the connection (io_timeouts), a
      connected-but-silent client is reaped after [idle_timeout_s]
      (idle_closed), a response write blocked past the I/O budget gives
      up (the peer is not draining), torn/oversized/garbage frames are
      terminal for their connection only (frame_errors), and a legacy or
-     version-mismatched client on the TCP port gets one clear error
+     version-mismatched client on either listener gets one clear error
      line and a close (proto_rejects) instead of a hang;
    - graceful drain: [stop] (wired to SIGTERM/SIGINT by nascentd) stops
      accepting, sheds NEW requests with {"code":"shutting-down",
@@ -64,8 +64,7 @@ type handler = {
 type config = {
   socket_path : string;
   tcp : (string * int) option;
-      (* additional TCP listener (host, port; port 0 = ephemeral),
-         speaking the NF1 framed protocol *)
+      (* additional TCP listener (host, port; port 0 = ephemeral) *)
   jobs : int; (* worker domains *)
   queue_depth : int; (* admission bound on queued requests *)
   default_deadline_s : float option; (* per-request wall budget *)
@@ -78,9 +77,9 @@ type config = {
       (* reap a connected-but-silent client (no partial input, no
          response owed) after this long without a byte *)
   io_deadline_s : float option;
-      (* slow-loris bound: a frame/line that stays incomplete this
-         long closes the connection; also the response-write budget *)
-  max_frame_bytes : int; (* frame payload / request line cap *)
+      (* slow-loris bound: a frame that stays incomplete this long
+         closes the connection; also the response-write budget *)
+  max_frame_bytes : int; (* frame payload cap *)
 }
 
 let default_config ~socket_path =
@@ -103,7 +102,7 @@ type counters = {
   mutable shed : int; (* overload + drain rejections *)
   mutable timeouts : int; (* deadline / fuel responses *)
   mutable internal_errors : int; (* handler exceptions *)
-  mutable bad_requests : int; (* unparseable lines *)
+  mutable bad_requests : int; (* frame payloads that are not JSON *)
   mutable worker_restarts : int; (* escaped-exception supervisions *)
   mutable connections : int; (* lifetime accepted connections *)
   mutable accept_errors : int; (* absorbed accept(2) failures *)
@@ -115,31 +114,22 @@ type counters = {
   mutable bg_retried : int; (* background re-enqueues (backoff) *)
   mutable bg_dropped : int; (* background jobs abandoned after retries *)
   mutable bg_shed : int; (* background submissions refused *)
-  mutable proto_rejects : int; (* legacy / version-mismatched TCP clients *)
+  mutable proto_rejects : int; (* legacy / version-mismatched clients *)
   mutable idle_closed : int; (* silent connections reaped *)
   mutable frame_errors : int; (* torn / oversized / garbage frames *)
   mutable io_timeouts : int; (* mid-frame read or response-write overruns *)
 }
 
-(* What the reader thread is parsing on this connection. UDS starts (and
-   stays) in line mode; a TCP connection starts in sniff mode until its
-   first bytes prove it speaks NF1 — anything else is answered with one
-   clear error line and closed (proto_rejects), never left hanging. *)
-type proto =
-  | P_line of Buffer.t (* newline-JSON accumulator *)
-  | P_sniff of Buffer.t (* TCP, transport not yet identified *)
-  | P_framed of Frame.decoder
-
 type conn = {
   fd : Unix.file_descr;
-  wlock : Mutex.t; (* one response line at a time; guards the fields below *)
+  wlock : Mutex.t; (* one response at a time; guards the fields below *)
   mutable alive : bool; (* writing still makes sense *)
   mutable pending : int; (* admitted jobs that will answer on this conn *)
   mutable eof : bool; (* reader finished: no more requests coming *)
   mutable closed : bool; (* fd closed — never touch it again (fd reuse) *)
   (* reader-thread private state — no lock needed *)
-  mutable proto : proto;
-  mutable greeted : bool; (* framed: hello exchanged *)
+  dec : Frame.decoder;
+  mutable greeted : bool; (* hello exchanged *)
   mutable last_rx : float; (* uptime at the last byte received *)
   mutable in_started : float option; (* uptime when partial input began *)
 }
@@ -148,7 +138,7 @@ type job = {
   jconn : conn;
   jid : Json.t;
   jreq : Json.t;
-  jframe : int option; (* NF1 frame id to tag the response with *)
+  jframe : int; (* NF1 frame id to tag the response with *)
   jdeadline : Guard.deadline option;
   jseq : int option; (* journal sequence number, when journaling *)
 }
@@ -306,7 +296,8 @@ let write_all fd s =
    stops draining its responses surfaces here as EAGAIN — the write
    gives up, the connection dies, and the overrun is counted instead of
    parking a worker on a full socket buffer forever. [frame] tags the
-   response for the NF1 transport; [None] writes a JSON line. *)
+   response with its request's frame id; [None] writes a bare JSON
+   line, for a peer that has not completed the NF1 hello. *)
 let answer t ?frame conn (json : Json.t) =
   let timed_out = ref false in
   Mutex.lock conn.wlock;
@@ -466,7 +457,7 @@ let process t job =
   (match (t.cfg.journal, job.jseq) with
   | Some j, Some seq -> Journal.mark_done j seq
   | _ -> ());
-  answer t ?frame:job.jframe job.jconn response
+  answer t ~frame:job.jframe job.jconn response
 
 (* --- background lane ---------------------------------------------------- *)
 
@@ -628,7 +619,7 @@ let rec worker_main t =
 
 (* --- admission --------------------------------------------------------- *)
 
-let enqueue t conn ?frame ~id req =
+let enqueue t conn ~frame ~id req =
   (* Retained up front (outside t.lock — the locks never nest): an
      admitted job owns a ref on its connection until its response is
      written. The shed paths give the ref straight back; they run on
@@ -640,7 +631,7 @@ let enqueue t conn ?frame ~id req =
     t.c.shed <- t.c.shed + 1;
     Mutex.unlock t.lock;
     conn_release t conn;
-    answer t ?frame conn
+    answer t ~frame conn
       (error_response ~id ~code:"shutting-down" ~retryable:true
          "server is draining; retry against a fresh instance")
   end
@@ -648,7 +639,7 @@ let enqueue t conn ?frame ~id req =
     t.c.shed <- t.c.shed + 1;
     Mutex.unlock t.lock;
     conn_release t conn;
-    answer t ?frame conn
+    answer t ~frame conn
       (error_response ~id ~code:"overloaded" ~retryable:true
          (Printf.sprintf "queue full (%d requests); back off and retry"
             t.cfg.queue_depth))
@@ -662,7 +653,7 @@ let enqueue t conn ?frame ~id req =
     t.c.mem_shed <- t.c.mem_shed + 1;
     Mutex.unlock t.lock;
     conn_release t conn;
-    answer t ?frame conn
+    answer t ~frame conn
       (error_response ~id ~code:"overloaded" ~retryable:true
          "memory pressure: heap near budget; back off and retry")
   end
@@ -703,7 +694,7 @@ let enqueue t conn ?frame ~id req =
           Mutex.unlock t.lock;
           Journal.mark_done j seq;
           conn_release t conn;
-          answer t ?frame conn
+          answer t ~frame conn
             (error_response ~id ~code:"shutting-down" ~retryable:true
                "server is draining; retry against a fresh instance")
         end
@@ -797,23 +788,21 @@ let submit_background t (req : Json.t) =
     end
   end
 
-(* One request body (a line or a frame payload), parsed and dispatched.
-   [frame] tags the response for the NF1 transport. *)
-let handle_request t conn ?frame body =
-  if String.trim body = "" then ()
-  else
-    match Json.parse body with
-    | Error msg ->
-        locked t (fun () -> t.c.bad_requests <- t.c.bad_requests + 1);
-        answer t ?frame conn (error_response ~id:Json.Null ~code:"bad-request" msg)
-    | Ok req -> (
-        let id = Option.value ~default:Json.Null (Json.member "id" req) in
-        match Json.str_member "op" req with
-        | Some "status" ->
-            (* answered inline by the reader thread: status must work
-               even when the queue is full and every worker is busy *)
-            answer t ?frame conn (status_response t ~id)
-        | _ -> enqueue t conn ?frame ~id req)
+(* One frame payload, parsed and dispatched; the response is tagged
+   with the request's frame id. *)
+let handle_request t conn ~frame body =
+  match Json.parse body with
+  | Error msg ->
+      locked t (fun () -> t.c.bad_requests <- t.c.bad_requests + 1);
+      answer t ~frame conn (error_response ~id:Json.Null ~code:"bad-request" msg)
+  | Ok req -> (
+      let id = Option.value ~default:Json.Null (Json.member "id" req) in
+      match Json.str_member "op" req with
+      | Some "status" ->
+          (* answered inline by the reader thread: status must work
+             even when the queue is full and every worker is busy *)
+          answer t ~frame conn (status_response t ~id)
+      | _ -> enqueue t conn ~frame ~id req)
 
 (* --- connections ------------------------------------------------------- *)
 
@@ -824,31 +813,29 @@ let hello_ack t =
   | other -> other
 
 (* One clear line, then close: the answer a client gets when it speaks
-   the wrong protocol at the TCP port — newline JSON where NF1 frames
-   are expected, or an NF1 version this build does not know. A line is
-   readable by both kinds of peer, and closing right away turns a
-   would-be hang into an actionable error. *)
+   the wrong protocol — newline JSON where NF1 frames are expected, or
+   an NF1 version this build does not know. A line is readable by both
+   kinds of peer, and closing right away turns a would-be hang into an
+   actionable error. *)
 let proto_reject t conn detail =
   locked t (fun () -> t.c.proto_rejects <- t.c.proto_rejects + 1);
   answer t conn
     (error_response ~id:Json.Null ~code:"proto-mismatch"
-       (Printf.sprintf
-          "%s; this port speaks the NF1 framed protocol v%d (the Unix socket \
-           speaks newline JSON)"
-          detail Frame.version))
+       (Printf.sprintf "%s; this server speaks the NF1 framed protocol v%d" detail
+          Frame.version))
 
 (* Drain every complete frame buffered in the decoder. The first frame
    must be the hello (the version handshake); after that each payload
    is an ordinary request tagged with its frame id — the pipelining
    tag that lets responses complete out of order on one socket.
    Returns false when the connection must close. *)
-let rec drain_frames t conn dec =
-  match Frame.next dec with
+let rec drain_frames t conn =
+  match Frame.next conn.dec with
   | Ok None -> true
   | Ok (Some f) ->
       if conn.greeted then begin
         handle_request t conn ~frame:f.Frame.id f.Frame.payload;
-        drain_frames t conn dec
+        drain_frames t conn
       end
       else begin
         match Json.parse f.Frame.payload with
@@ -857,7 +844,7 @@ let rec drain_frames t conn dec =
             | Ok _ ->
                 conn.greeted <- true;
                 answer t ~frame:f.Frame.id conn (hello_ack t);
-                drain_frames t conn dec
+                drain_frames t conn
             | Error msg ->
                 proto_reject t conn msg;
                 false)
@@ -867,8 +854,13 @@ let rec drain_frames t conn dec =
       end
   | Error e ->
       (* torn, oversized, or garbage: the stream has no resync point,
-         so the error is terminal for this connection (and only it) *)
-      locked t (fun () -> t.c.frame_errors <- t.c.frame_errors + 1);
+         so the error is terminal for this connection (and only it). A
+         peer that is not NF1 at all — a newline-JSON client, say — is
+         a protocol mismatch, not a damaged frame; the decoder checks
+         the magic byte by byte, so a leading '{' is refused on
+         arrival. *)
+      if conn.greeted || e <> Frame.Bad_magic then
+        locked t (fun () -> t.c.frame_errors <- t.c.frame_errors + 1);
       (if conn.greeted then
          (* past the hello this peer speaks frames, so the terminal
             error must be a frame too (id 0 — no request to tag it to);
@@ -888,69 +880,9 @@ let rec drain_frames t conn dec =
                   (Format.asprintf "%a; closing connection" Frame.pp_error e)));
       false
 
-(* Feed [n] freshly read bytes through the connection's protocol state.
-   Returns false when the connection must close. *)
-let consume t conn buf n =
-  match conn.proto with
-  | P_line acc ->
-      let ok = ref true in
-      for i = 0 to n - 1 do
-        let ch = Bytes.get buf i in
-        if ch = '\n' then begin
-          let line = Buffer.contents acc in
-          Buffer.clear acc;
-          handle_request t conn line
-        end
-        else Buffer.add_char acc ch
-      done;
-      if Buffer.length acc > t.cfg.max_frame_bytes then begin
-        (* a line refusing to end is the line-mode slow-loris *)
-        locked t (fun () -> t.c.bad_requests <- t.c.bad_requests + 1);
-        answer t conn
-          (error_response ~id:Json.Null ~code:"bad-request"
-             (Printf.sprintf "request line exceeds %d bytes" t.cfg.max_frame_bytes));
-        ok := false
-      end;
-      !ok
-  | P_framed dec ->
-      Frame.feed_bytes dec buf ~off:0 ~len:n;
-      drain_frames t conn dec
-  | P_sniff acc ->
-      Buffer.add_subbytes acc buf 0 n;
-      (* Decide as early as the bytes allow: the magic is checked
-         position by position, so a legacy "{...}" client is rejected
-         on its first byte, not after 4. *)
-      let have = Buffer.length acc in
-      let magic = "NF1" in
-      let rec magic_ok i =
-        i >= min have 3 || (Buffer.nth acc i = magic.[i] && magic_ok (i + 1))
-      in
-      if not (magic_ok 0) then begin
-        proto_reject t conn "expected an NF1 frame, got something else";
-        false
-      end
-      else if have >= 4 && Buffer.nth acc 3 <> Char.chr Frame.version then begin
-        locked t (fun () -> t.c.frame_errors <- t.c.frame_errors + 1);
-        proto_reject t conn
-          (Printf.sprintf "protocol version %d" (Char.code (Buffer.nth acc 3)));
-        false
-      end
-      else if have >= 4 then begin
-        let dec = Frame.decoder ~max_payload:t.cfg.max_frame_bytes () in
-        Frame.feed dec (Buffer.contents acc) ~off:0 ~len:have;
-        conn.proto <- P_framed dec;
-        drain_frames t conn dec
-      end
-      else true
-
-let mid_input conn =
-  match conn.proto with
-  | P_line b | P_sniff b -> Buffer.length b > 0
-  | P_framed d -> Frame.mid_frame d
-
 (* The reader loop: select with a timeout derived from the two network
    budgets, then read. [io_deadline_s] bounds how long a started frame
-   or line may stay incomplete (the slow-loris bound — a worker is
+   may stay incomplete (the slow-loris bound — a worker is
    never involved, but the conn record and fd must not leak either);
    [idle_timeout_s] reaps a connection with no partial input and no
    response owed. A response in flight (pending > 0) never counts as
@@ -967,7 +899,7 @@ let serve_conn t conn =
     in
     let idle_deadline =
       match t.cfg.idle_timeout_s with
-      | Some d when not (mid_input conn) -> Some (conn.last_rx +. d)
+      | Some d when not (Frame.mid_frame conn.dec) -> Some (conn.last_rx +. d)
       | _ -> None
     in
     let timeout =
@@ -983,13 +915,13 @@ let serve_conn t conn =
         (* a budget expired (select can only time out when one was
            armed); decide which, re-checking liveness under wlock *)
         match (io_deadline, idle_deadline) with
-        | Some dl, _ when now +. timeout >= dl -. 0.000001 && mid_input conn ->
+        | Some dl, _ when now +. timeout >= dl -. 0.000001 && Frame.mid_frame conn.dec ->
             locked t (fun () -> t.c.io_timeouts <- t.c.io_timeouts + 1);
             let resp =
               error_response ~id:Json.Null ~code:"io-timeout"
                 "frame not completed within the I/O deadline"
             in
-            (* a greeted framed peer must see a well-formed frame, not
+            (* a greeted peer must see a well-formed frame, not
                a stray line it would decode as garbage *)
             if conn.greeted then answer t ~frame:0 conn resp
             else answer t conn resp
@@ -1014,9 +946,10 @@ let serve_conn t conn =
         | 0 -> ()
         | n ->
             conn.last_rx <- uptime_s t;
-            let keep = consume t conn buf n in
+            Frame.feed_bytes conn.dec buf ~off:0 ~len:n;
+            let keep = drain_frames t conn in
             conn.in_started <-
-              (if mid_input conn then
+              (if Frame.mid_frame conn.dec then
                  match conn.in_started with None -> Some conn.last_rx | s -> s
                else None);
             if keep then loop ())
@@ -1189,9 +1122,7 @@ let run_serving t =
             pending = 0;
             eof = false;
             closed = false;
-            proto =
-              (if is_tcp then P_sniff (Buffer.create 32)
-               else P_line (Buffer.create 256));
+            dec = Frame.decoder ~max_payload:t.cfg.max_frame_bytes ();
             greeted = false;
             last_rx = uptime_s t;
             in_started = None;
@@ -1323,13 +1254,10 @@ module Client = struct
 
   type connection = {
     cfd : Unix.file_descr;
-    racc : Buffer.t; (* line mode: read-ahead *)
-    fdec : Frame.decoder option; (* Some = NF1 framed (TCP) *)
+    fdec : Frame.decoder;
     mutable next_fid : int; (* pipelining tag allocator *)
     recv_timeout_s : float option;
   }
-
-  let framed conn = conn.fdec <> None
 
   let close conn = try Unix.close conn.cfd with Unix.Unix_error _ -> ()
 
@@ -1361,89 +1289,69 @@ module Client = struct
      surfaced as such (the caller decides retryability — a CRC tear is
      transient, a bad magic means the peer is not speaking NF1). *)
   let recv_frame conn =
-    match conn.fdec with
-    | None -> invalid_arg "Client.recv_frame: line-mode connection"
-    | Some dec ->
-        let buf = Bytes.create 8192 in
-        let rec go () =
-          match Frame.next dec with
-          | Error e -> Error e
-          | Ok (Some f) -> Ok (Some f)
-          | Ok None -> (
-              match read_chunk conn buf with
-              | 0 -> Ok None
-              | n ->
-                  Frame.feed_bytes dec buf ~off:0 ~len:n;
-                  go ())
-        in
-        go ()
+    let buf = Bytes.create 8192 in
+    let rec go () =
+      match Frame.next conn.fdec with
+      | Error e -> Error e
+      | Ok (Some f) -> Ok (Some f)
+      | Ok None -> (
+          match read_chunk conn buf with
+          | 0 -> Ok None
+          | n ->
+              Frame.feed_bytes conn.fdec buf ~off:0 ~len:n;
+              go ())
+    in
+    go ()
 
   let send_frame conn ~fid payload = write_all conn.cfd (Frame.encode ~id:fid payload)
 
+  (* Both transports run the same version handshake — hello out,
+     hello-ack back — before any request rides the connection; only
+     the socket family and TCP_NODELAY differ. *)
   let connect_addr ?recv_timeout_s addr =
-    match addr with
-    | Uds path -> (
-        let fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
-        match Unix.connect fd (ADDR_UNIX path) with
-        | () ->
-            {
-              cfd = fd;
-              racc = Buffer.create 256;
-              fdec = None;
-              next_fid = 1;
-              recv_timeout_s;
-            }
-        | exception e ->
-            (try Unix.close fd with Unix.Unix_error _ -> ());
-            raise e)
-    | Tcp (host, port) -> (
-        let fd = Unix.socket ~cloexec:true PF_INET SOCK_STREAM 0 in
-        match
+    let domain, sockaddr =
+      match addr with
+      | Uds path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
+      | Tcp (host, port) ->
           let ip =
             try Unix.inet_addr_of_string host
             with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
           in
-          Unix.connect fd (ADDR_INET (ip, port));
-          (try Unix.setsockopt fd Unix.TCP_NODELAY true
-           with Unix.Unix_error _ -> ())
-        with
-        | () -> (
-            let conn =
-              {
-                cfd = fd;
-                racc = Buffer.create 256;
-                fdec = Some (Frame.decoder ());
-                next_fid = 1;
-                recv_timeout_s;
-              }
-            in
-            (* version handshake: hello out, hello-ack back, before any
-               request rides the connection *)
-            send_frame conn ~fid:0 (Json.to_string (Frame.hello ()));
-            match recv_frame conn with
-            | Ok (Some f) -> (
-                match Json.parse f.Frame.payload with
-                | Ok j -> (
-                    match Frame.check_hello j with
-                    | Ok _ -> conn
-                    | Error msg ->
-                        close conn;
-                        raise (Handshake msg))
-                | Error _ ->
-                    close conn;
-                    raise (Handshake "server hello is not JSON"))
-            | Ok None ->
-                close conn;
-                raise
-                  (Unix.Unix_error (Unix.ECONNRESET, "connect", "hello"))
-            | Error e ->
-                (* the peer answered the hello with a line (or worse):
-                   it does not speak NF1 at this port *)
-                close conn;
-                raise (Handshake (Format.asprintf "%a" Frame.pp_error e)))
-        | exception e ->
-            (try Unix.close fd with Unix.Unix_error _ -> ());
-            raise e)
+          (Unix.PF_INET, Unix.ADDR_INET (ip, port))
+    in
+    let conn =
+      {
+        cfd = Unix.socket ~cloexec:true domain SOCK_STREAM 0;
+        fdec = Frame.decoder ();
+        next_fid = 1;
+        recv_timeout_s;
+      }
+    in
+    let fail exn =
+      close conn;
+      raise exn
+    in
+    match
+      Unix.connect conn.cfd sockaddr;
+      (if domain = Unix.PF_INET then
+         try Unix.setsockopt conn.cfd Unix.TCP_NODELAY true
+         with Unix.Unix_error _ -> ());
+      send_frame conn ~fid:0 (Json.to_string (Frame.hello ()));
+      recv_frame conn
+    with
+    | exception e -> fail e
+    | Ok (Some f) -> (
+        match Json.parse f.Frame.payload with
+        | Ok j -> (
+            match Frame.check_hello j with
+            | Ok _ -> conn
+            | Error msg -> fail (Handshake msg))
+        | Error _ -> fail (Handshake "server hello is not JSON"))
+    | Ok None -> fail (Unix.Unix_error (Unix.ECONNRESET, "connect", "hello"))
+    | Error e ->
+        (* the peer answered the hello with a line (or worse): it does
+           not speak NF1 *)
+        fail (Handshake (Format.asprintf "%a" Frame.pp_error e))
 
   let connect path = connect_addr (Uds path)
 
@@ -1455,38 +1363,13 @@ module Client = struct
     let conn = connect_addr ?recv_timeout_s addr in
     Fun.protect ~finally:(fun () -> close conn) (fun () -> f conn)
 
-  let send_line conn line = write_all conn.cfd (line ^ "\n")
-
-  (* Read one newline-terminated line, buffering any overshoot for the
-     next call. [None] on EOF before a complete line. *)
-  let recv_line conn =
-    let rec take_line () =
-      let s = Buffer.contents conn.racc in
-      match String.index_opt s '\n' with
-      | Some i ->
-          Buffer.clear conn.racc;
-          Buffer.add_string conn.racc
-            (String.sub s (i + 1) (String.length s - i - 1));
-          Some (String.sub s 0 i)
-      | None -> (
-          let buf = Bytes.create 4096 in
-          match read_chunk conn buf with
-          | 0 -> None
-          | n ->
-              Buffer.add_subbytes conn.racc buf 0 n;
-              take_line ())
-    in
-    take_line ()
-
-  (* --- pipelining (framed connections) --------------------------------
+  (* --- pipelining --------------------------------------------------------
 
      Many requests in flight on one socket: [pipeline_send] tags each
      with a fresh frame id, [pipeline_recv] returns responses in the
      order the server finishes them. *)
 
   let pipeline_send conn (req : Json.t) =
-    if not (framed conn) then
-      invalid_arg "Client.pipeline_send: line-mode connection";
     let fid = conn.next_fid in
     conn.next_fid <- fid + 1;
     send_frame conn ~fid (Json.to_string req);
@@ -1508,27 +1391,16 @@ module Client = struct
      frame-level decode error (a torn response — retryable for CRC,
      fatal for a protocol mismatch). Unix errors propagate. *)
   let exchange conn (req : Json.t) =
-    if framed conn then begin
-      let fid = pipeline_send conn req in
-      let rec await () =
-        match pipeline_recv conn with
-        | Ok (Some (id, resp)) when id = fid -> Ok resp
-        | Ok (Some _) -> await () (* stale tag from an abandoned request *)
-        | Ok None -> Error `Closed
-        | Error (`Garbled msg) -> Error (`Garbled msg)
-        | Error (`Frame e) -> Error (`Frame e)
-      in
-      await ()
-    end
-    else begin
-      send_line conn (Json.to_string req);
-      match recv_line conn with
-      | Some line -> (
-          match Json.parse line with
-          | Ok resp -> Ok resp
-          | Error msg -> Error (`Garbled msg))
-      | None -> Error `Closed
-    end
+    let fid = pipeline_send conn req in
+    let rec await () =
+      match pipeline_recv conn with
+      | Ok (Some (id, resp)) when id = fid -> Ok resp
+      | Ok (Some _) -> await () (* stale tag from an abandoned request *)
+      | Ok None -> Error `Closed
+      | Error (`Garbled msg) -> Error (`Garbled msg)
+      | Error (`Frame e) -> Error (`Frame e)
+    in
+    await ()
 
   let request conn (req : Json.t) : (Json.t, string) result =
     match exchange conn req with

@@ -1,8 +1,9 @@
 (** Compile-as-a-service transport, robust by construction: a
-    Unix-domain socket speaking newline-delimited JSON, plus an
-    optional TCP listener speaking the {!Frame} (NF1) framed protocol
-    with per-connection pipelining — many in-flight requests tagged by
-    frame id on one socket, responses written in completion order.
+    Unix-domain socket and an optional TCP listener, both speaking the
+    {!Frame} (NF1) framed protocol with per-connection pipelining —
+    many in-flight requests tagged by frame id on one socket,
+    responses written in completion order. Every connection opens with
+    the NF1 hello.
 
     The server owns everything about {e serving}: the sockets, one
     reader thread per connection, a bounded request queue (admission
@@ -23,13 +24,13 @@
     "retryable": true}] (draining), [{"code": "deadline"}] (wall budget
     or fuel exhausted — the worker is freed either way),
     [{"code": "internal"}] (handler exception; the worker survives),
-    [{"code": "bad-request"}] (unparseable line),
-    [{"code": "proto-mismatch"}] (a legacy or version-mismatched client
-    at the TCP port — one clear line, then close, counted as
-    [proto_rejects]), [{"code": "frame-error"}] (torn/oversized frame;
-    terminal for its connection only), [{"code": "io-timeout"}] (a
-    frame or line left incomplete past [io_deadline_s] — the
-    slow-loris bound).
+    [{"code": "bad-request"}] (a frame payload that is not JSON),
+    [{"code": "proto-mismatch"}] (a legacy newline-JSON or
+    version-mismatched client on either listener — one clear unframed
+    line, then close, counted as [proto_rejects]),
+    [{"code": "frame-error"}] (torn/oversized frame; terminal for its
+    connection only), [{"code": "io-timeout"}] (a frame left
+    incomplete past [io_deadline_s] — the slow-loris bound).
 
     Network failure domain: a slow-loris peer cannot wedge a reader or
     leak a connection record ([io_deadline_s], counted [io_timeouts]);
@@ -55,7 +56,7 @@ type config = {
   tcp : (string * int) option;
       (** additional TCP listener ([host, port]; empty or ["*"] host
           binds every interface, port [0] picks an ephemeral port —
-          see {!tcp_port}), speaking the NF1 framed protocol *)
+          see {!tcp_port}) *)
   jobs : int;  (** worker domains (clamped to >= 1) *)
   queue_depth : int;  (** admission bound on queued requests *)
   default_deadline_s : float option;  (** default per-request budget *)
@@ -74,10 +75,10 @@ type config = {
           response owed) after this long without a byte; [None]
           disables the reaper *)
   io_deadline_s : float option;
-      (** slow-loris bound: a frame/line that stays incomplete this
-          long closes its connection; also the kernel send-timeout for
+      (** slow-loris bound: a frame that stays incomplete this long
+          closes its connection; also the kernel send-timeout for
           response writes. [None] disables both. *)
-  max_frame_bytes : int;  (** frame payload / request line cap *)
+  max_frame_bytes : int;  (** frame payload cap *)
 }
 
 val default_config : socket_path:string -> config
@@ -167,16 +168,15 @@ module Client : sig
   type connection
 
   val connect : string -> connection
-  (** Connect to a Unix socket path (line protocol). Raises
-      [Unix.Unix_error] as [Unix.connect] does. *)
+  (** [connect_addr (Uds path)]. *)
 
   val connect_addr : ?recv_timeout_s:float -> address -> connection
-  (** Connect to either transport. A TCP connection performs the NF1
-      hello handshake before returning (raises {!Handshake} on a
-      protocol mismatch). [recv_timeout_s] bounds every subsequent
-      wait for response bytes: expiry raises
-      [Unix_error (ETIMEDOUT, _, _)] instead of hanging forever on a
-      stalled peer. *)
+  (** Connect to either transport and perform the NF1 hello handshake
+      before returning (raises {!Handshake} on a protocol mismatch,
+      [Unix.Unix_error] as [Unix.connect] does). [recv_timeout_s]
+      bounds every wait for response bytes, the hello-ack included:
+      expiry raises [Unix_error (ETIMEDOUT, _, _)] instead of hanging
+      forever on a stalled peer. *)
 
   val close : connection -> unit
 
@@ -184,25 +184,17 @@ module Client : sig
 
   val with_addr : ?recv_timeout_s:float -> address -> (connection -> 'a) -> 'a
 
-  val framed : connection -> bool
-
-  val send_line : connection -> string -> unit
-
-  val recv_line : connection -> string option
-  (** One newline-terminated line ([None] on EOF); overshoot is
-      buffered for the next call. *)
-
   val pipeline_send : connection -> Json.t -> int
-  (** Framed connections only: send a request tagged with a fresh
-      frame id (returned) without waiting — many may be in flight. *)
+  (** Send a request tagged with a fresh frame id (returned) without
+      waiting — many may be in flight. *)
 
   val pipeline_recv :
     connection ->
     ( (int * Json.t) option,
       [ `Garbled of string | `Frame of Frame.error ] )
     result
-  (** The next response off a framed connection, in server completion
-      order (match it to a {!pipeline_send} tag). [Ok None] on EOF. *)
+  (** The next response, in server completion order (match it to a
+      {!pipeline_send} tag). [Ok None] on EOF. *)
 
   val exchange :
     connection ->
@@ -213,7 +205,7 @@ module Client : sig
   (** One request/response exchange with the failure modes kept
       distinct: [`Closed] (EOF before a complete response — retryable),
       [`Garbled] (a response arrived but does not parse — a protocol
-      bug), [`Frame] (a framed response failed to decode). Unix errors
+      bug), [`Frame] (a response frame failed to decode). Unix errors
       propagate. *)
 
   val request : connection -> Json.t -> (Json.t, string) result

@@ -11,6 +11,7 @@
 module Server = Nascent_support.Server
 module Client = Server.Client
 module Json = Nascent_support.Json
+module Frame = Nascent_support.Frame
 module Retry = Nascent_support.Retry
 module Guard = Nascent_support.Guard
 module Service = Nascent_harness.Service
@@ -119,6 +120,61 @@ let compile_req ?(id = Json.Int 0) ?(scheme = "LLS") ?fault ?deadline_ms
 
 let status_req = Json.Obj [ ("id", Json.Str "st"); ("op", Json.Str "status") ]
 
+(* Pipelined sends and receives, for tests that keep several requests
+   in flight on one connection. *)
+let send conn req = ignore (Client.pipeline_send conn req)
+
+(* The next response in completion order; [None] on EOF. *)
+let recv_opt conn =
+  match Client.pipeline_recv conn with
+  | Ok r -> Option.map snd r
+  | Error (`Garbled msg) -> Alcotest.failf "unparseable response: %s" msg
+  | Error (`Frame e) -> Alcotest.failf "undecodable response: %a" Frame.pp_error e
+
+let recv_exn conn =
+  match recv_opt conn with
+  | Some resp -> resp
+  | None -> Alcotest.fail "connection closed before a response"
+
+(* --- raw NF1 plumbing (a hand-rolled client, for hostile sends) -------- *)
+
+let parse_exn s =
+  match Json.parse s with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "unparseable JSON %S: %s" s e
+
+(* A raw socket whose reads give up after 5 s, so a server that never
+   answers (or never closes) fails the test instead of hanging it. *)
+let raw_connect addr =
+  let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
+  (try
+     Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+     Unix.connect fd addr
+   with e ->
+     Unix.close fd;
+     raise e);
+  fd
+
+let send_raw fd s =
+  Frame.write_all ~write:(fun b off len -> Unix.write fd b off len) s
+
+let read_one_frame fd dec =
+  Frame.read_frame ~read:(fun b off len -> Unix.read fd b off len) dec
+
+(* perform the hello handshake on a raw socket; return the decoder
+   (which may already hold buffered bytes past the ack) *)
+let raw_handshake fd =
+  send_raw fd (Frame.encode ~id:0 (Json.to_string (Frame.hello ())));
+  let dec = Frame.decoder () in
+  (match read_one_frame fd dec with
+  | Ok (Some f) -> (
+      match Frame.check_hello (parse_exn f.Frame.payload) with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "bad hello ack: %s" e)
+  | Ok None -> Alcotest.fail "EOF during handshake"
+  | Error e -> Alcotest.failf "handshake decode error: %a" Frame.pp_error e);
+  dec
+
 (* --- basic request/response --------------------------------------------- *)
 
 let test_compile_ok () =
@@ -195,16 +251,19 @@ let test_status_shape () =
 
 let test_bad_inputs () =
   with_service @@ fun path _ ->
+  (* a frame whose payload is not JSON *)
+  let fd = raw_connect (Unix.ADDR_UNIX path) in
+  (Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+   let dec = raw_handshake fd in
+   send_raw fd (Frame.encode ~id:1 "this is not json");
+   match read_one_frame fd dec with
+   | Ok None -> Alcotest.fail "no response to bad frame"
+   | Error e -> Alcotest.failf "undecodable error response: %a" Frame.pp_error e
+   | Ok (Some f) ->
+       Alcotest.(check int) "tagged with the bad frame's id" 1 f.Frame.id;
+       Alcotest.(check string) "bad-request" "bad-request"
+         (sfield (parse_exn f.Frame.payload) "code"));
   Client.with_conn path @@ fun conn ->
-  (* unparseable line *)
-  Client.send_line conn "this is not json";
-  (match Client.recv_line conn with
-  | None -> Alcotest.fail "no response to bad line"
-  | Some line -> (
-      match Json.parse line with
-      | Error e -> Alcotest.failf "unparseable error response: %s" e
-      | Ok resp ->
-          Alcotest.(check string) "bad-request" "bad-request" (sfield resp "code")));
   (* unknown op *)
   let resp = request_exn conn (Json.Obj [ ("op", Json.Str "frobnicate") ]) in
   Alcotest.(check string) "bad-op" "bad-op" (sfield resp "code");
@@ -221,7 +280,7 @@ let test_bad_inputs () =
   Alcotest.(check string) "bad scheme rejected" "bad-request" (sfield resp "code");
   (* the daemon shrugged all of that off *)
   let st = request_exn conn status_req in
-  Alcotest.(check int) "bad line counted" 1 (ifield st "bad_requests");
+  Alcotest.(check int) "bad frame counted" 1 (ifield st "bad_requests");
   Alcotest.(check int) "no worker restarts" 0 (ifield st "worker_restarts")
 
 (* --- worker-crash isolation --------------------------------------------- *)
@@ -305,17 +364,14 @@ let test_deadline_counts_queue_wait () =
   Fun.protect ~finally:release @@ fun () ->
   Client.with_conn path @@ fun conn ->
   (* occupy the only worker... *)
-  Client.send_line conn
-    (Json.to_string (Json.Obj [ ("id", Json.Int 1); ("block", Json.Bool true) ]));
+  send conn (Json.Obj [ ("id", Json.Int 1); ("block", Json.Bool true) ]);
   (* ...queue a request with a deadline shorter than the block... *)
-  Client.send_line conn
-    (Json.to_string
-       (Json.Obj [ ("id", Json.Int 2); ("deadline_ms", Json.Int 100) ]));
+  send conn (Json.Obj [ ("id", Json.Int 2); ("deadline_ms", Json.Int 100) ]);
   Unix.sleepf 0.3;
   (* ...and only then release the worker. *)
   release ();
-  let r1 = Option.get (Client.recv_line conn) |> Json.parse |> Result.get_ok in
-  let r2 = Option.get (Client.recv_line conn) |> Json.parse |> Result.get_ok in
+  let r1 = recv_exn conn in
+  let r2 = recv_exn conn in
   let find id =
     if ifield r1 "id" = id then r1
     else if ifield r2 "id" = id then r2
@@ -358,7 +414,7 @@ let test_overload_sheds_with_retryable () =
   Client.with_conn path @@ fun conn ->
   Client.with_conn path @@ fun stconn ->
   (* one in flight (wait until the worker picked it up)... *)
-  Client.send_line conn (Json.to_string (Json.Obj [ ("id", Json.Int 1) ]));
+  send conn (Json.Obj [ ("id", Json.Int 1) ]);
   let rec wait_inflight n =
     if n = 0 then Alcotest.fail "request never went in flight";
     let st = request_exn stconn status_req in
@@ -369,8 +425,8 @@ let test_overload_sheds_with_retryable () =
   in
   wait_inflight 500;
   (* ...two filling the queue to capacity... *)
-  Client.send_line conn (Json.to_string (Json.Obj [ ("id", Json.Int 2) ]));
-  Client.send_line conn (Json.to_string (Json.Obj [ ("id", Json.Int 3) ]));
+  send conn (Json.Obj [ ("id", Json.Int 2) ]);
+  send conn (Json.Obj [ ("id", Json.Int 3) ]);
   let rec wait_queued n =
     if n = 0 then Alcotest.fail "queue never filled";
     let st = request_exn stconn status_req in
@@ -381,18 +437,15 @@ let test_overload_sheds_with_retryable () =
   in
   wait_queued 500;
   (* ...and one over: shed immediately, retryable. *)
-  Client.send_line conn (Json.to_string (Json.Obj [ ("id", Json.Int 4) ]));
-  let shed = Option.get (Client.recv_line conn) |> Json.parse |> Result.get_ok in
+  send conn (Json.Obj [ ("id", Json.Int 4) ]);
+  let shed = recv_exn conn in
   Alcotest.(check int) "the overflow request was the one shed" 4 (ifield shed "id");
   Alcotest.(check string) "overloaded" "overloaded" (sfield shed "code");
   Alcotest.(check bool) "marked retryable" true (bfield shed "retryable");
   (* status stayed answerable throughout (it already did, above); now
      drain the admitted three *)
   release ();
-  let answered =
-    List.init 3 (fun _ ->
-        ifield (Option.get (Client.recv_line conn) |> Json.parse |> Result.get_ok) "id")
-  in
+  let answered = List.init 3 (fun _ -> ifield (recv_exn conn) "id") in
   Alcotest.(check (list int)) "admitted requests all served" [ 1; 2; 3 ]
     (List.sort compare answered);
   let st = request_exn stconn status_req in
@@ -832,7 +885,7 @@ let test_drain_loses_nothing () =
   let conn = Client.connect path in
   Fun.protect ~finally:(fun () -> Client.close conn) @@ fun () ->
   for i = 0 to n - 1 do
-    Client.send_line conn (Json.to_string (Json.Obj [ ("id", Json.Int i) ]))
+    send conn (Json.Obj [ ("id", Json.Int i) ])
   done;
   (* wait until every request is admitted (queued, running or done),
      then pull the plug mid-flight *)
@@ -849,26 +902,20 @@ let test_drain_loses_nothing () =
       wait 1000);
   Server.stop srv;
   (* a request sent AFTER stop is shed, not silently dropped *)
-  (try
-     Client.send_line conn
-       (Json.to_string (Json.Obj [ ("id", Json.Str "late") ]))
+  (try send conn (Json.Obj [ ("id", Json.Str "late") ])
    with Unix.Unix_error _ -> () (* connection may already be shut down *));
   let rec collect acc =
     if List.length acc >= n then acc
     else
-      match Client.recv_line conn with
+      match recv_opt conn with
       | None -> acc
-      | Some line -> (
-          match Json.parse line with
-          | Error e -> Alcotest.failf "bad drain response: %s" e
-          | Ok resp ->
-              if Json.member "echo" resp <> None then
-                collect (ifield resp "id" :: acc)
-              else (
-                (* the late request's shed notice *)
-                Alcotest.(check string) "late request shed" "shutting-down"
-                  (sfield resp "code");
-                collect acc))
+      | Some resp ->
+          if Json.member "echo" resp <> None then collect (ifield resp "id" :: acc)
+          else (
+            (* the late request's shed notice *)
+            Alcotest.(check string) "late request shed" "shutting-down"
+              (sfield resp "code");
+            collect acc)
   in
   let served = collect [] in
   Alcotest.(check (list int)) "zero in-flight loss across drain"

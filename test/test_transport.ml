@@ -1,9 +1,9 @@
-(* The framed TCP transport end to end: the NF1 hello handshake,
-   per-connection pipelining with out-of-order completion, protocol
-   rejection of legacy/mismatched clients, torn-frame containment, the
-   idle reaper and slow-loris I/O deadline on both transports, client
-   receive timeouts, and — the capstone — every Netfault class driven
-   through a real chaos proxy in front of a real server, with
+(* The NF1 transport end to end, on the Unix socket and on TCP: the
+   hello handshake, per-connection pipelining with out-of-order
+   completion, protocol rejection of legacy/mismatched clients,
+   torn-frame containment, the idle reaper and slow-loris I/O deadline,
+   client receive timeouts, and — the capstone — every Netfault class
+   driven through a real chaos proxy in front of a real server, with
    request_retry recovering each time. *)
 
 module Server = Nascent_support.Server
@@ -18,10 +18,10 @@ let ifield = Test_server.ifield
 let request_exn = Test_server.request_exn
 let status_req = Json.Obj [ ("op", Json.Str "status") ]
 
-let parse_exn s =
-  match Json.parse s with
-  | Ok j -> j
-  | Error e -> Alcotest.failf "unparseable JSON %S: %s" s e
+let parse_exn = Test_server.parse_exn
+let send_raw = Test_server.send_raw
+let read_one_frame = Test_server.read_one_frame
+let raw_handshake = Test_server.raw_handshake
 
 (* every test here boots its server with a TCP listener on an
    ephemeral port alongside the Unix socket *)
@@ -45,35 +45,19 @@ let ok_handler =
     status_extra = (fun () -> []);
   }
 
-(* --- raw NF1 plumbing (a hand-rolled client, for hostile sends) -------- *)
+(* Run [f] once per listener — on a fresh server each time, so counter
+   checks are exact — with the listener's name and raw address. *)
+let on_each_listener ?tune handler f =
+  List.iter
+    (fun (kind, addr_of) ->
+      with_tcp ?tune handler (fun path srv port -> f kind path srv (addr_of path port)))
+    [
+      ("TCP", fun _ port -> Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      ("UDS", fun path _ -> Unix.ADDR_UNIX path);
+    ]
 
 let tcp_connect port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
-   with e ->
-     Unix.close fd;
-     raise e);
-  fd
-
-let send_raw fd s =
-  Frame.write_all ~write:(fun b off len -> Unix.write fd b off len) s
-
-let read_one_frame fd dec =
-  Frame.read_frame ~read:(fun b off len -> Unix.read fd b off len) dec
-
-(* perform the hello handshake on a raw socket; return the decoder
-   (which may already hold buffered bytes past the ack) *)
-let raw_handshake fd =
-  send_raw fd (Frame.encode ~id:0 (Json.to_string (Frame.hello ())));
-  let dec = Frame.decoder () in
-  (match read_one_frame fd dec with
-  | Ok (Some f) -> (
-      match Frame.check_hello (parse_exn f.Frame.payload) with
-      | Ok _ -> ()
-      | Error e -> Alcotest.failf "bad hello ack: %s" e)
-  | Ok None -> Alcotest.fail "EOF during handshake"
-  | Error e -> Alcotest.failf "handshake decode error: %a" Frame.pp_error e);
-  dec
+  Test_server.raw_connect (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
 
 let read_all_raw fd =
   let buf = Bytes.create 4096 in
@@ -96,12 +80,11 @@ let test_tcp_hello_and_request () =
       Fun.protect
         ~finally:(fun () -> Client.close conn)
         (fun () ->
-          Alcotest.(check bool) "connection is framed" true (Client.framed conn);
           let resp =
             request_exn conn (Json.Obj [ ("id", Json.Int 7); ("op", Json.Str "status") ])
           in
           Alcotest.(check string) "status over TCP" "ok" (sfield resp "status"));
-      (* the UDS side still speaks lines on the same server *)
+      (* the UDS side speaks the same protocol on the same server *)
       Client.with_conn path (fun c ->
           let resp = request_exn c status_req in
           Alcotest.(check int) "no proto rejects from a correct client" 0
@@ -145,8 +128,8 @@ let test_pipelining_out_of_order () =
 (* --- protocol rejection ------------------------------------------------ *)
 
 let test_legacy_client_rejected () =
-  with_tcp ok_handler (fun path _ port ->
-      let fd = tcp_connect port in
+  on_each_listener ok_handler (fun kind path _ addr ->
+      let fd = Test_server.raw_connect addr in
       Fun.protect
         ~finally:(fun () -> Unix.close fd)
         (fun () ->
@@ -154,12 +137,14 @@ let test_legacy_client_rejected () =
           let got = read_all_raw fd in
           (* one clear line, then close *)
           let resp = parse_exn (String.trim got) in
-          Alcotest.(check string) "proto-mismatch code" "proto-mismatch"
+          Alcotest.(check string) (kind ^ ": proto-mismatch code") "proto-mismatch"
             (sfield resp "code"));
       Client.with_conn path (fun c ->
           let resp = request_exn c status_req in
-          Alcotest.(check bool) "proto_rejects counted" true
-            (ifield resp "proto_rejects" >= 1)))
+          Alcotest.(check int) (kind ^ ": proto_rejects counted") 1
+            (ifield resp "proto_rejects");
+          Alcotest.(check int) (kind ^ ": not a frame error") 0
+            (ifield resp "frame_errors")))
 
 let test_version_mismatch_rejected () =
   with_tcp ok_handler (fun path _ port ->
@@ -181,8 +166,8 @@ let test_version_mismatch_rejected () =
             (ifield resp "proto_rejects" >= 1)))
 
 let test_torn_frame_after_hello () =
-  with_tcp ok_handler (fun path _ port ->
-      let fd = tcp_connect port in
+  on_each_listener ok_handler (fun kind path _ addr ->
+      let fd = Test_server.raw_connect addr in
       Fun.protect
         ~finally:(fun () -> Unix.close fd)
         (fun () ->
@@ -201,18 +186,20 @@ let test_torn_frame_after_hello () =
           (match read_one_frame fd dec with
           | Ok (Some f) ->
               let resp = parse_exn f.Frame.payload in
-              Alcotest.(check string) "framed frame-error" "frame-error"
+              Alcotest.(check string) (kind ^ ": framed frame-error") "frame-error"
                 (sfield resp "code")
-          | Ok None -> Alcotest.fail "closed without the framed error"
+          | Ok None -> Alcotest.failf "%s: closed without the framed error" kind
           | Error e ->
-              Alcotest.failf "server sent undecodable bytes: %a" Frame.pp_error e);
+              Alcotest.failf "%s: server sent undecodable bytes: %a" kind
+                Frame.pp_error e);
           match read_one_frame fd dec with
           | Ok None -> () (* EOF: the connection is terminal *)
-          | Ok (Some _) -> Alcotest.fail "connection survived a torn frame"
-          | Error e -> Alcotest.failf "garbage after error: %a" Frame.pp_error e);
+          | Ok (Some _) -> Alcotest.failf "%s: connection survived a torn frame" kind
+          | Error e ->
+              Alcotest.failf "%s: garbage after error: %a" kind Frame.pp_error e);
       Client.with_conn path (fun c ->
           let resp = request_exn c status_req in
-          Alcotest.(check bool) "frame_errors counted" true
+          Alcotest.(check bool) (kind ^ ": frame_errors counted") true
             (ifield resp "frame_errors" >= 1)))
 
 let test_oversized_frame_rejected () =
@@ -256,10 +243,11 @@ let test_idle_reaper_uds () =
       Fun.protect
         ~finally:(fun () -> Client.close conn)
         (fun () ->
-          (* a silent connection with nothing owed is reaped *)
-          match Client.recv_line conn with
+          (* greeted, then silent: with nothing owed it is reaped *)
+          match Test_server.recv_opt conn with
           | None -> ()
-          | Some l -> Alcotest.failf "reaped connection produced %S" l);
+          | Some r ->
+              Alcotest.failf "reaped connection produced %s" (Json.to_string r));
       Client.with_conn path (fun c ->
           let resp = request_exn c status_req in
           Alcotest.(check bool) "idle_closed counted" true
@@ -314,29 +302,44 @@ let test_io_deadline_cuts_slow_loris () =
           Alcotest.(check bool) "io_timeouts counted" true
             (ifield resp "io_timeouts" >= 1)))
 
-let test_client_recv_timeout () =
-  (* a listener that accepts and never answers: the client's receive
-     deadline must fire instead of hanging forever *)
+(* A one-connection NF1 peer on a fresh Unix socket, hand-rolled so a
+   test can misbehave on purpose: [serve fd dec] runs on the accepted
+   connection (with a decoder for the client's frames), [f path] runs
+   as the client. The accepted fd is closed only after both finish. *)
+let with_fake_server serve f =
   let path = Test_server.fresh_socket () in
   let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind lfd (Unix.ADDR_UNIX path);
   Unix.listen lfd 1;
   let accepted = ref None in
-  let acceptor =
+  let server =
     Thread.create
       (fun () ->
         match Unix.accept lfd with
-        | fd, _ -> accepted := Some fd
-        | exception _ -> ())
+        | exception _ -> ()
+        | fd, _ -> (
+            accepted := Some fd;
+            try serve fd (Frame.decoder ()) with _ -> ()))
       ()
   in
   Fun.protect
     ~finally:(fun () ->
       (try Unix.close lfd with _ -> ());
-      Thread.join acceptor;
+      Thread.join server;
       (match !accepted with Some fd -> ( try Unix.close fd with _ -> ()) | None -> ());
       try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
+    (fun () -> f path)
+
+let hello_ack = Frame.encode ~id:0 (Json.to_string (Frame.hello ()))
+
+let test_client_recv_timeout () =
+  (* a peer that answers the hello and then never again: the client's
+     receive deadline must fire instead of hanging forever *)
+  with_fake_server
+    (fun fd dec ->
+      ignore (read_one_frame fd dec);
+      send_raw fd hello_ack)
+    (fun path ->
       let conn = Client.connect_addr ~recv_timeout_s:0.3 (Client.Uds path) in
       Fun.protect
         ~finally:(fun () -> Client.close conn)
@@ -346,85 +349,79 @@ let test_client_recv_timeout () =
           | Ok _ -> Alcotest.fail "silent server produced a response"
           | Error _ -> Alcotest.fail "expected ETIMEDOUT, got a protocol error"))
 
-let test_dribbled_line_response () =
-  (* a server that answers one byte at a time: the client line reader
-     must reassemble it *)
-  let path = Test_server.fresh_socket () in
-  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind lfd (Unix.ADDR_UNIX path);
-  Unix.listen lfd 1;
-  let server =
-    Thread.create
-      (fun () ->
-        match Unix.accept lfd with
-        | exception _ -> ()
-        | fd, _ ->
-            let buf = Bytes.create 1024 in
-            let _ = Unix.read fd buf 0 (Bytes.length buf) in
-            let resp = {|{"id": 1, "status": "ok"}|} ^ "\n" in
-            String.iter
-              (fun c ->
-                ignore (Unix.write fd (Bytes.make 1 c) 0 1);
-                Thread.delay 0.002)
-              resp;
-            Unix.close fd)
-      ()
+let test_dribbled_frame_response () =
+  (* a peer that writes one byte at a time — the hello-ack and the
+     response both: the client's frame reader must reassemble them *)
+  let dribble fd s =
+    String.iter
+      (fun c ->
+        ignore (Unix.write fd (Bytes.make 1 c) 0 1);
+        Thread.delay 0.002)
+      s
   in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.close lfd with _ -> ());
-      Thread.join server;
-      try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
+  with_fake_server
+    (fun fd dec ->
+      ignore (read_one_frame fd dec);
+      dribble fd hello_ack;
+      match read_one_frame fd dec with
+      | Ok (Some f) ->
+          dribble fd (Frame.encode ~id:f.Frame.id {|{"id": 1, "status": "ok"}|})
+      | _ -> ())
+    (fun path ->
       Client.with_conn path (fun conn ->
           let resp = request_exn conn (Json.Obj [ ("id", Json.Int 1) ]) in
           Alcotest.(check string) "reassembled" "ok" (sfield resp "status")))
 
 (* --- chaos e2e --------------------------------------------------------- *)
 
-(* Every fault class, through a real proxy in front of a real TCP
-   server: request_retry must recover every time — the faulted
-   connection costs a retry, never an error. Deterministic in the
-   seed. *)
+(* Every fault class, through a real proxy in front of a real server,
+   on each listener: request_retry must recover every time — the
+   faulted connection costs a retry, never an error. Deterministic in
+   the seed. *)
 let test_chaos_classes_recover () =
-  with_tcp
+  on_each_listener
     ~tune:(fun c -> { c with Server.io_deadline_s = Some 0.3 })
     ok_handler
-    (fun _ _ port ->
-      let upstream = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
+    (fun kind _ _ upstream ->
       List.iter
         (fun cls ->
           List.iter
             (fun seed ->
               let spec = { Netfault.cls; seed } in
+              let listen =
+                match upstream with
+                | Unix.ADDR_INET _ -> Unix.ADDR_INET (Unix.inet_addr_loopback, 0)
+                | Unix.ADDR_UNIX _ -> Unix.ADDR_UNIX (Test_server.fresh_socket ())
+              in
               let stop = ref false in
-              let proxy_port = ref 0 in
+              let proxy_addr = ref None in
               let bound = Mutex.create () in
               let bound_cv = Condition.create () in
               let proxy =
                 Thread.create
                   (fun () ->
-                    Netfault.proxy
-                      ~listen:(Unix.ADDR_INET (Unix.inet_addr_loopback, 0))
-                      ~upstream
+                    Netfault.proxy ~listen ~upstream
                       ~stop:(fun () -> !stop)
                       ~delay_s:1.0
                       ~on_listen:(fun addr ->
                         Mutex.lock bound;
-                        (match addr with
-                        | Unix.ADDR_INET (_, p) -> proxy_port := p
-                        | _ -> ());
+                        proxy_addr :=
+                          Some
+                            (match addr with
+                            | Unix.ADDR_INET (_, p) -> Printf.sprintf "127.0.0.1:%d" p
+                            | Unix.ADDR_UNIX p -> p);
                         Condition.signal bound_cv;
                         Mutex.unlock bound)
                       spec)
                   ()
               in
               Mutex.lock bound;
-              while !proxy_port = 0 do
+              while !proxy_addr = None do
                 Condition.wait bound_cv bound
               done;
-              let addr = Printf.sprintf "127.0.0.1:%d" !proxy_port in
+              let addr = Option.get !proxy_addr in
               Mutex.unlock bound;
+              let what i = Printf.sprintf "%s %s req %d" kind (Netfault.to_string spec) i in
               Fun.protect
                 ~finally:(fun () ->
                   stop := true;
@@ -439,13 +436,9 @@ let test_chaos_classes_recover () =
                            [ ("id", Json.Int i); ("tag", Json.Int (100 + i)) ])
                     with
                     | Ok resp ->
-                        Alcotest.(check string)
-                          (Printf.sprintf "%s req %d recovered"
-                             (Netfault.to_string spec) i)
-                          "ok" (sfield resp "status")
-                    | Error e ->
-                        Alcotest.failf "%s req %d failed: %s"
-                          (Netfault.to_string spec) i e
+                        Alcotest.(check string) (what i ^ " recovered") "ok"
+                          (sfield resp "status")
+                    | Error e -> Alcotest.failf "%s failed: %s" (what i) e
                   done))
             [ 0; 1 ])
         Netfault.all_classes)
@@ -468,8 +461,8 @@ let suite =
     Alcotest.test_case "io deadline cuts slow loris" `Quick
       test_io_deadline_cuts_slow_loris;
     Alcotest.test_case "client recv timeout" `Quick test_client_recv_timeout;
-    Alcotest.test_case "dribbled line response reassembled" `Quick
-      test_dribbled_line_response;
+    Alcotest.test_case "dribbled frame response reassembled" `Quick
+      test_dribbled_frame_response;
     Alcotest.test_case "chaos classes recover through proxy" `Slow
       test_chaos_classes_recover;
   ]

@@ -229,19 +229,23 @@ echo "chaos smoke OK: double-daemon refused, kill -9 -> restart, journal replay,
 # the proxy while one (supervised) shard is kill -9'd mid-burst: every
 # request must still exit 0 — the dead shard costs failovers and
 # retries, never a client-visible error — and the restarted shard must
-# rejoin the ring. Finally, a quick open-loop load run must emit a
-# well-formed BENCH_load.json with a zero-error chaos rung.
+# rejoin the ring. A second torn-frame proxy on a Unix socket proves
+# that transport catches torn bytes too. Finally, a quick open-loop
+# load run must emit a well-formed BENCH_load.json with a zero-error
+# chaos rung.
 
 ROOT=$(pwd)
 SBASE="${TMPDIR:-/tmp}/nascent-shard-$$"
 S0="$SBASE-s0.sock"; S1="$SBASE-s1.sock"; S2="$SBASE-s2.sock"
 RSOCK="$SBASE-router.sock"
+USOCK="$SBASE-uproxy.sock"
 S1LOG="$SBASE-s1.log"; RLOG="$SBASE-router.log"; PLOG="$SBASE-proxy.log"
+UPLOG="$SBASE-uproxy.log"
 BOUT="$SBASE-batch.out"
 
 sfail() {
     echo "FAIL: $1" >&2
-    for f in "$S1LOG" "$RLOG" "$PLOG"; do
+    for f in "$S1LOG" "$RLOG" "$PLOG" "$UPLOG"; do
         [ -f "$f" ] && sed "s|^|  $(basename "$f"): |" "$f" >&2
     done
     exit 1
@@ -256,8 +260,8 @@ SH1=$!
 ./_build/default/bin/nascentd.exe --socket "$S2" -j 1 --shard-name s2 \
     >/dev/null 2>&1 &
 SH2=$!
-trap 'kill "$SH0" "$SH1" "$SH2" "$ROUTER" "$PROXY" 2>/dev/null || true; rm -f "$SBASE"-*' EXIT INT TERM
-ROUTER=""; PROXY=""
+trap 'kill "$SH0" "$SH1" "$SH2" "$ROUTER" "$PROXY" "$UPROXY" 2>/dev/null || true; rm -f "$SBASE"-*' EXIT INT TERM
+ROUTER=""; PROXY=""; UPROXY=""
 
 for s in "$S0" "$S1" "$S2"; do
     i=0
@@ -330,11 +334,33 @@ until rstatus | grep -Eq '"name":"s1"[^}]*"state":"closed"'; do
     sleep 0.1
 done
 
-# drain everything: router and shards all exit 0 on SIGTERM
-for p in "$PROXY" "$ROUTER" "$SH0" "$SH1" "$SH2"; do
+# the same fault class on a Unix socket: every connection there opens
+# with the NF1 hello too, so a torn request fails its frame CRC at the
+# router (frame_errors rises) and the client rides it out on a retry
+ferrs() { rstatus | grep -o '"frame_errors":[0-9]*' | cut -d: -f2; }
+FERR0=$(ferrs)
+./_build/default/bin/nascentd.exe --chaos torn-frame:1 \
+    --socket "$USOCK" --upstream "$RSOCK" >"$UPLOG" 2>&1 &
+UPROXY=$!
+i=0
+while [ ! -S "$USOCK" ]; do
+    kill -0 "$UPROXY" 2>/dev/null || sfail "unix-socket chaos proxy died on startup"
+    i=$((i + 1)); [ "$i" -le 100 ] || sfail "unix-socket chaos proxy never bound $USOCK"
+    sleep 0.1
+done
+for bench in vortex trfd qcd; do
+    timeout 60 ./_build/default/bin/nascentc.exe client --connect "$USOCK" \
+        --retries 12 --max-wait-ms 40000 --recv-timeout-ms 5000 "$bench" >/dev/null \
+        || sfail "compile of $bench through the unix-socket chaos proxy exited $?, want 0"
+done
+[ "$(ferrs)" -gt "$FERR0" ] \
+    || sfail "no torn frame reached the router through the unix-socket proxy"
+
+# drain everything: proxies, router and shards all exit 0 on SIGTERM
+for p in "$UPROXY" "$PROXY" "$ROUTER" "$SH0" "$SH1" "$SH2"; do
     kill -TERM "$p" 2>/dev/null || sfail "process $p already dead at drain"
 done
-for p in "$PROXY" "$ROUTER" "$SH0" "$SH1" "$SH2"; do
+for p in "$UPROXY" "$PROXY" "$ROUTER" "$SH0" "$SH1" "$SH2"; do
     i=0
     while kill -0 "$p" 2>/dev/null; do
         i=$((i + 1)); [ "$i" -le 100 ] || sfail "pid $p did not drain in 10s"
@@ -346,7 +372,7 @@ done
 
 trap - EXIT INT TERM
 rm -f "$SBASE"-*
-echo "shard smoke OK: chaos proxy batch->0 errors, kill -9 shard mid-burst ridden out, supervised shard rejoined, drains->0"
+echo "shard smoke OK: chaos proxy batch->0 errors, kill -9 shard mid-burst ridden out, supervised shard rejoined, unix-socket torn-frame batch->0 errors, drains->0"
 
 # --- quick open-loop load run -----------------------------------------
 # A shrunk ladder (NASCENT_LOAD_QUICK=1) in a scratch directory, so the
