@@ -548,6 +548,75 @@ let test_all_o_golden () =
       Alcotest.(check int) (label "incidents") 0 (List.length st.Core.Optimizer.incidents))
     all_o_golden
 
+(* Oracle cells: every benchmark under ALL, LLS and SE with the oracle
+   on, and ALL+O on the 100 fixed-seed random programs the interpreter
+   goldens use, each in both check kinds. oracle_cells.expected pins
+   what the proof engine decides in each cell: the static checks left,
+   the deletions, the certificate's sites and proven sites, and the
+   rolled-back passes. Some random-program certificates are refused;
+   those verdicts are pinned as they are. *)
+let oracle_cell_line label (st : Core.Optimizer.stats) =
+  let v = Option.get st.Core.Optimizer.validation in
+  Printf.sprintf "%s checks_after=%d redundant_deleted=%d sites=%d proven=%d incidents=%s" label
+    st.Core.Optimizer.static_checks_after st.Core.Optimizer.redundant_deleted
+    v.Nascent_ir.Validate.total_sites v.Nascent_ir.Validate.proven_sites
+    (match st.Core.Optimizer.incidents with
+    | [] -> "none"
+    | is ->
+        String.concat ","
+          (List.map
+             (fun (i : Core.Optimizer.incident) ->
+               Printf.sprintf "%s.%s:%s" i.inc_func i.inc_pass
+                 (Core.Optimizer.cause_name i.inc_cause))
+             is))
+
+let oracle_cell label ~scheme ~kind ir =
+  let config = Config.make ~scheme ~kind ~oracle:true () in
+  let label = Printf.sprintf "%s %s+O/%s" label (Config.scheme_name scheme) (Config.kind_name kind) in
+  oracle_cell_line label (snd (Core.Optimizer.optimize ~config ir))
+
+let kinds = [ Config.PRX; Config.INX ]
+
+let oracle_bench_lines () =
+  List.concat_map
+    (fun (bm : Nascent_benchmarks.Suite.benchmark) ->
+      let ir = ir_of_source bm.source in
+      List.concat_map
+        (fun scheme -> List.map (fun kind -> oracle_cell bm.name ~scheme ~kind ir) kinds)
+        [ Config.ALL; Config.LLS; Config.SE ])
+    Nascent_benchmarks.Suite.all
+
+let oracle_random_lines () =
+  List.concat_map
+    (fun seed ->
+      let src =
+        QCheck.Gen.generate1 ~rand:(Random.State.make [| seed |]) Test_random.gen_program
+      in
+      let ir = ir_of_source src in
+      List.map
+        (fun kind -> oracle_cell (Printf.sprintf "random-%03d" seed) ~scheme:Config.ALL ~kind ir)
+        kinds)
+    (List.init 100 succ)
+
+let oracle_expected =
+  lazy
+    (In_channel.with_open_bin "oracle_cells.expected" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) ""))
+
+(* Each line starts with its cell's label, so a failure names the cell. *)
+let check_oracle_cells ~random lines =
+  let expected =
+    List.filter
+      (fun l -> String.starts_with ~prefix:"random-" l = random)
+      (Lazy.force oracle_expected)
+  in
+  Alcotest.(check int) "cells" (List.length expected) (List.length lines);
+  List.iter2 (Alcotest.(check string) "oracle cell") expected lines
+
+let test_oracle_cells_benchmarks () = check_oracle_cells ~random:false (oracle_bench_lines ())
+let test_oracle_cells_random () = check_oracle_cells ~random:true (oracle_random_lines ())
+
 let suite =
   [
     tc "fig1: naive has 4 checks" test_fig1_naive_has_4_checks;
@@ -580,4 +649,6 @@ let suite =
     tc "all schemes sound on mixed program" test_all_schemes_sound_on_mixed_program;
     tc "LLS beats NI (~98%)" test_lls_beats_ni;
     tc "ALL+O golden checks and certificates" test_all_o_golden;
+    tc "oracle cells: benchmarks" test_oracle_cells_benchmarks;
+    tc "oracle cells: random programs" test_oracle_cells_random;
   ]
