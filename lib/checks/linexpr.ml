@@ -69,15 +69,12 @@ let atom_keys (t : t) = List.map (fun (a, _) -> Atom.key a) t
 
 let mentions_key (t : t) k = List.exists (fun (a, _) -> Atom.key a = k) t
 
-let coeff_of (t : t) a =
-  match List.assoc_opt a (List.map (fun (x, c) -> (x, c)) t) with
-  | Some c -> c
-  | None -> 0
-
 let coeff_of_key (t : t) k =
   match List.find_opt (fun (a, _) -> Atom.key a = k) t with
   | Some (_, c) -> c
   | None -> 0
+
+let coeff_of (t : t) a = coeff_of_key t (Atom.key a)
 
 (* Remove the term for atom [a] (if any), returning its coefficient and
    the remaining expression. *)

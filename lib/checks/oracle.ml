@@ -24,10 +24,10 @@
    direction.
 
    Never hangs: the engine charges a local {!Guard} fuel budget per
-   combination step and additionally ticks the ambient budgets, so a
-   pathological system exhausts the oracle's own fuel (answer: false)
-   long before it could wedge a pass, and the per-pass watchdog still
-   observes the work. *)
+   round and per combination step and additionally ticks the ambient
+   budgets, so a pathological system exhausts the oracle's own fuel
+   (answer: false) long before it could wedge a pass, and the per-pass
+   watchdog still observes the work. *)
 
 module Guard = Nascent_support.Guard
 
@@ -39,155 +39,192 @@ let max_constraints = 256
    variable; past this many live constraints we give up (unknown)
    rather than churn fuel on a system we will not refute. *)
 
-(* A constraint is a canonical check: lhs <= k. *)
-
-(* gcd-tighten: g*e <= k  <=>  e <= floor(k/g). Detects the empty-lhs
-   contradiction as a side effect. *)
-let tighten (c : Check.t) : Check.t =
-  let lhs = Check.lhs c in
-  let g = Linexpr.coeff_gcd lhs in
-  if g > 1 then Check.make_gcd lhs (Check.constant c) else c
-
-(* [Some false] = refuted, [Some true] = trivially true (drop),
-   [None] = still symbolic. *)
-let decided (c : Check.t) = Check.compile_time_value c
-
-(* Keep only the strongest constraint per family. Bounds growth and
-   makes the pos*neg pairing below cheaper. *)
-let dedup (cs : Check.t list) : Check.t list =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun c ->
-      let key = Check.family_key c in
-      match Hashtbl.find_opt tbl key with
-      | Some k when k <= Check.constant c -> ()
-      | _ -> Hashtbl.replace tbl key (Check.constant c))
-    cs;
-  Hashtbl.fold (fun lhs k acc -> Check.make lhs k :: acc) tbl []
-
 exception Refuted
 exception Unknown
 
-(* Pick the variable with the fewest pos*neg pairings (the classic FM
-   heuristic); atoms are identified by key. *)
-let pick_var (cs : Check.t list) : int option =
-  let score = Hashtbl.create 16 in
-  List.iter
-    (fun c ->
-      List.iter
-        (fun (a, coeff) ->
-          let k = Atom.key a in
-          let pos, neg = Option.value (Hashtbl.find_opt score k) ~default:(0, 0) in
-          let entry = if coeff > 0 then (pos + 1, neg) else (pos, neg + 1) in
-          Hashtbl.replace score k entry)
-        (Linexpr.terms (Check.lhs c)))
-    cs;
-  Hashtbl.fold
-    (fun k (pos, neg) best ->
-      let cost = pos * neg in
-      match best with
-      | Some (_, best_cost) when best_cost <= cost -> best
-      | _ -> Some (k, cost))
-    score None
-  |> Option.map fst
+(* --- the kernel ------------------------------------------------------- *)
 
-(* Eliminate atom key [x]: pair every constraint where x has positive
-   coefficient with every one where it is negative. For a*x + p <= kp
-   (a > 0) and -b*x + n <= kn (b > 0):
-     b*(a*x + p) + a*(-b*x + n) <= b*kp + a*kn
-   cancels x exactly. *)
-let eliminate fuel x (cs : Check.t list) : Check.t list =
-  let pos, neg, rest =
-    List.fold_left
-      (fun (pos, neg, rest) c ->
-        let coeff = Linexpr.coeff_of_key (Check.lhs c) x in
-        if coeff > 0 then (c :: pos, neg, rest)
-        else if coeff < 0 then (pos, c :: neg, rest)
-        else (pos, neg, c :: rest))
-      ([], [], []) cs
+(* A system's columns are the query's atoms, numbered in order of first
+   appearance. A row is an [int] array: its [w] coefficients, its
+   constant ([c.(0)*x0 + ... <= c.(w)]), then a hash of the
+   coefficients. The live rows are [rows.(0 .. n-1)], no two with the
+   same coefficients, and [pos.(j)] / [neg.(j)] count those with a
+   positive / negative coefficient in column [j]. *)
+type system = {
+  w : int;
+  mutable rows : int array array;
+  mutable n : int;
+  pos : int array;
+  neg : int array;
+}
+
+let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
+
+(* floor division for possibly-negative dividends *)
+let fdiv a b =
+  let q = a / b and r = a mod b in
+  if r <> 0 && (r < 0) <> (b < 0) then q - 1 else q
+
+let count sys row d =
+  for j = 0 to sys.w - 1 do
+    let c = row.(j) in
+    if c > 0 then sys.pos.(j) <- sys.pos.(j) + d
+    else if c < 0 then sys.neg.(j) <- sys.neg.(j) + d
+  done
+
+(* the index of the live row with [row]'s coefficients, or -1 *)
+let find_row sys (row : int array) =
+  let w = sys.w in
+  let rec same (r : int array) j = j < 0 || (r.(j) = row.(j) && same r (j - 1)) in
+  let rec go i =
+    if i = sys.n then -1
+    else
+      let r = sys.rows.(i) in
+      if r.(w + 1) = row.(w + 1) && same r (w - 1) then i else go (i + 1)
   in
-  let combined = ref rest in
+  go 0
+
+(* Insert a fresh row (the system takes it over): gcd-tighten it
+   (g*e <= k <=> e <= floor(k/g)), decide it when it has no terms left
+   — [0 <= k] with [k < 0] refutes the system, a true one is dropped —
+   and otherwise keep the stronger of it and any live row with the
+   same coefficients. Most coefficients are units, so the gcd stops
+   at the first 1. *)
+let add_row sys (row : int array) =
+  let w = sys.w in
+  let g = ref 0 in
+  for j = 0 to w - 1 do
+    let c = row.(j) in
+    if c <> 0 && !g <> 1 then g := if !g = 0 then abs c else gcd !g c
+  done;
+  let g = !g in
+  if g = 0 then (if row.(w) < 0 then raise Refuted)
+  else begin
+    if g > 1 then begin
+      for j = 0 to w - 1 do
+        row.(j) <- row.(j) / g
+      done;
+      row.(w) <- fdiv row.(w) g
+    end;
+    let h = ref 0 in
+    for j = 0 to w - 1 do
+      h := (!h * 31) + row.(j)
+    done;
+    row.(w + 1) <- !h;
+    match find_row sys row with
+    | -1 ->
+        if sys.n = Array.length sys.rows then begin
+          let grown = Array.make (2 * sys.n) [||] in
+          Array.blit sys.rows 0 grown 0 sys.n;
+          sys.rows <- grown
+        end;
+        sys.rows.(sys.n) <- row;
+        sys.n <- sys.n + 1;
+        count sys row 1
+    | i ->
+        let r = sys.rows.(i) in
+        if row.(w) < r.(w) then r.(w) <- row.(w)
+  end
+
+let system_of (cs : Check.t list) : system =
+  let terms = List.map (fun c -> Linexpr.terms (Check.lhs c)) cs in
+  let keys = Array.make (List.fold_left (fun n t -> n + List.length t) 0 terms) 0 in
+  let w = ref 0 in
+  let column k =
+    let rec go j = if j = !w then -1 else if keys.(j) = k then j else go (j + 1) in
+    go 0
+  in
+  List.iter
+    (List.iter (fun (a, _) ->
+         let k = Atom.key a in
+         if column k < 0 then begin
+           keys.(!w) <- k;
+           incr w
+         end))
+    terms;
+  let w = !w in
+  let sys =
+    { w; rows = Array.make 16 [||]; n = 0; pos = Array.make w 0; neg = Array.make w 0 }
+  in
+  List.iter2
+    (fun c t ->
+      let row = Array.make (w + 2) 0 in
+      List.iter (fun (a, co) -> row.(column (Atom.key a)) <- co) t;
+      row.(w) <- Check.constant c;
+      add_row sys row)
+    cs terms;
+  sys
+
+(* The column with the fewest pos*neg pairings (the classic FM
+   heuristic), the lowest-numbered on a tie; -1 when no row has a
+   term left. *)
+let pick sys =
+  let best = ref (-1) and best_cost = ref max_int in
+  for j = 0 to sys.w - 1 do
+    let p = sys.pos.(j) and n = sys.neg.(j) in
+    if p + n > 0 && p * n < !best_cost then begin
+      best := j;
+      best_cost := p * n
+    end
+  done;
+  !best
+
+(* Project column [x] away: its rows leave, and every row where [x] is
+   positive pairs with every row where it is negative. For
+   a*x + p <= kp (a > 0) and -b*x + n <= kn (b > 0):
+     b*(a*x + p) + a*(-b*x + n) <= b*kp + a*kn
+   cancels x exactly. All arithmetic is checked. *)
+let project fuel sys x =
+  let ps = ref [] and ns = ref [] and live = ref 0 in
+  for i = 0 to sys.n - 1 do
+    let r = sys.rows.(i) in
+    if r.(x) = 0 then begin
+      sys.rows.(!live) <- r;
+      incr live
+    end
+    else begin
+      count sys r (-1);
+      if r.(x) > 0 then ps := r :: !ps else ns := r :: !ns
+    end
+  done;
+  sys.n <- !live;
+  let open Linexpr in
   List.iter
     (fun p ->
-      let a = Linexpr.coeff_of_key (Check.lhs p) x in
+      let a = p.(x) in
       List.iter
         (fun n ->
           Guard.tick fuel;
           Guard.tick_ambient ();
-          let b = -Linexpr.coeff_of_key (Check.lhs n) x in
-          let lhs =
-            Linexpr.add
-              (Linexpr.scale b (Check.lhs p))
-              (Linexpr.scale a (Check.lhs n))
-          in
-          let k =
-            Linexpr.checked_add
-              (Linexpr.checked_mul b (Check.constant p))
-              (Linexpr.checked_mul a (Check.constant n))
-          in
-          let c = tighten (Check.make lhs k) in
-          match decided c with
-          | Some false -> raise Refuted
-          | Some true -> ()
-          | None -> combined := c :: !combined)
-        neg)
-    pos;
-  !combined
+          let b = -n.(x) in
+          let row = Array.make (sys.w + 2) 0 in
+          for j = 0 to sys.w do
+            row.(j) <- checked_add (checked_mul b p.(j)) (checked_mul a n.(j))
+          done;
+          add_row sys row)
+        !ns)
+    !ps
 
 let unsat_exn fuel (cs : Check.t list) : bool =
-  let prepare cs =
-    List.filter_map
-      (fun c ->
-        let c = tighten c in
-        match decided c with
-        | Some false -> raise Refuted
-        | Some true -> None
-        | None -> Some c)
-      cs
-  in
-  let rec go cs =
+  let sys = system_of cs in
+  let rec go () =
     Guard.tick fuel;
     Guard.tick_ambient ();
-    let cs = dedup cs in
-    if List.length cs > max_constraints then raise Unknown;
-    match pick_var cs with
-    | None -> false (* purely constant system, nothing refuted: sat *)
-    | Some x -> go (prepare (eliminate fuel x cs))
+    if sys.n > max_constraints then raise Unknown;
+    match pick sys with
+    | -1 -> false (* purely constant system, nothing refuted: sat *)
+    | x ->
+        project fuel sys x;
+        go ()
   in
-  match prepare cs with [] -> false | cs -> go cs
+  sys.n > 0 && go ()
 
-module Key_set = Set.Make (Int)
-
-(* Slice the hypotheses to the connected component of the goal's atom
-   vocabulary: a hypothesis whose atoms never (transitively) touch the
-   goal's cannot participate in a refutation, and dropping it up front
-   keeps elimination from burning fuel on irrelevant constraints.
-   Returns [(connected, rest)]; [rest] keeps the original hypothesis
-   order. *)
-let slice ~(hyps : Check.t list) (goal : Check.t) : Check.t list * Check.t list =
-  (* A constant hypothesis (empty atom set) never "touches" anything,
-     but must survive the slice: when false (0 <= -1) it refutes the
-     whole system by itself — [prepare] raises Refuted on it — and when
-     true it is dropped for free. Slicing it away would lose exactly
-     the Farkas certificates built on a contradictory hypothesis. *)
-  let constant, hyps = List.partition (fun h -> Check.atom_keys h = []) hyps in
-  let rec grow keys pending kept =
-    let touching, rest =
-      List.partition
-        (fun h -> List.exists (fun k -> Key_set.mem k keys) (Check.atom_keys h))
-        pending
-    in
-    match touching with
-    | [] -> (kept, pending)
-    | _ ->
-        let keys =
-          List.fold_left
-            (fun ks h -> List.fold_left (fun ks k -> Key_set.add k ks) ks (Check.atom_keys h))
-            keys touching
-        in
-        grow keys rest (List.rev_append touching kept)
-  in
-  grow (Key_set.of_list (Check.atom_keys goal)) hyps constant
+let refute (cs : Check.t list) : bool =
+  let fuel = Guard.fuel ~what:budget_name ~budget:fuel_budget in
+  try unsat_exn fuel cs with
+  | Refuted -> true
+  | Unknown | Linexpr.Overflow -> false
+  | Guard.Fuel_exhausted w when w = budget_name -> false
 
 (* not(e <= k) = (e > k) = (-e <= -k-1). *)
 let negate (c : Check.t) : Check.t =
@@ -200,9 +237,8 @@ let negate (c : Check.t) : Check.t =
    other source of [false] (overflow, the constraint cap,
    incompleteness) is deterministic. So a hit returns exactly what
    re-running the query would. The key is the constraint list as given
-   — [dedup] and [pick_var] iterate hash tables filled in list order,
-   so a permuted list is a different query — stored as an array, a
-   third of the list's memory. Only completed answers are stored: an
+   — its order numbers the columns, which break ties in the column
+   pick — stored as an array. Only completed answers are stored: an
    ambient budget or deadline that fires mid-query propagates and
    records nothing. *)
 module Cache = struct
@@ -219,45 +255,133 @@ module Cache = struct
 end
 
 let unsat ?cache (cs : Check.t list) : bool =
-  let run () =
-    let fuel = Guard.fuel ~what:budget_name ~budget:fuel_budget in
-    try unsat_exn fuel cs
-    with
-    | Refuted -> true
-    | Unknown | Linexpr.Overflow -> false
-    | Guard.Fuel_exhausted w when w = budget_name -> false
-  in
   match cache with
-  | None -> run ()
+  | None -> refute cs
   | Some c -> (
       let key = Array.of_list cs in
       match Cache.Tbl.find_opt c key with
       | Some v -> v
       | None ->
-          let v = run () in
+          let v = refute cs in
           Cache.Tbl.add c key v;
           v)
 
-(* With a [cache], the refutations are memoised, not the implication
-   itself: different hypothesis sets often slice to the same connected
-   component, and the caller (the validator) already memoises whole
-   questions on a more compact key. *)
-let implies ?cache ~hyps (goal : Check.t) : bool =
-  (* Fast path: the within-family constant comparison needs no
-     elimination and covers most queries the CIG already answers. *)
-  List.exists (fun h -> Check.implies_within_family h goal) hyps
-  ||
-  match negate goal with
-  | exception Linexpr.Overflow -> false
-  | ng ->
-      let connected, rest = slice ~hyps goal in
-      unsat ?cache (ng :: connected)
-      || (* The sliced-away hypotheses share no atoms with the goal's
-            component, so they cannot interact with [ng] — but they can
-            be unsatisfiable among THEMSELVES, and a contradictory
-            hypothesis set implies everything. Variable-disjoint blocks
-            are unsat iff some block is: checking the remainder
-            separately restores exactly the refutations the slice
-            removed, and costs nothing when the slice kept every
-            hypothesis. *)
-      (rest <> [] && unsat ?cache rest)
+(* --- hypothesis handles ----------------------------------------------- *)
+
+module Goals = Hashtbl.Make (struct
+  type t = Check.t
+
+  let equal = Check.equal
+  let hash = Check.hash
+end)
+
+(* A hypothesis set split once into variable-disjoint components (a
+   union–find over atom keys). A hypothesis outside the components a
+   goal's atoms touch cannot take part in refuting the goal's negation,
+   so a goal runs elimination on its negation plus the touched
+   components only. Variable-disjoint blocks are unsatisfiable iff one
+   of them is, and a contradictory set implies everything: whether the
+   set is contradictory is decided once per handle, when a goal first
+   needs it. Every memo holds completed answers only. *)
+module Hyps = struct
+  type t = {
+    hyps : Check.t list;
+    cache : Cache.t option;
+    false_constant : bool; (* a hypothesis [0 <= k] with [k < 0] *)
+    comps : Check.t list array; (* rows in hypothesis order *)
+    comp_of : (int, int) Hashtbl.t; (* atom key -> component *)
+    goals : bool Goals.t;
+    mutable contradictory : bool option;
+  }
+
+  let make ?cache (hyps : Check.t list) : t =
+    let parent = Hashtbl.create 16 in
+    let rec find k =
+      let p = Hashtbl.find parent k in
+      if p = k then k
+      else
+        let r = find p in
+        Hashtbl.replace parent k r;
+        r
+    in
+    List.iter
+      (fun h ->
+        match Check.atom_keys h with
+        | [] -> ()
+        | k0 :: _ as ks ->
+            List.iter (fun k -> if not (Hashtbl.mem parent k) then Hashtbl.add parent k k) ks;
+            let r0 = find k0 in
+            List.iter
+              (fun k ->
+                let r = find k in
+                if r <> r0 then Hashtbl.replace parent r r0)
+              ks)
+      hyps;
+    (* components in order of first appearance *)
+    let index = Hashtbl.create 8 and rows = ref [] and false_constant = ref false in
+    List.iter
+      (fun h ->
+        match Check.atom_keys h with
+        | [] -> if Check.constant h < 0 then false_constant := true
+        | k :: _ -> (
+            let r = find k in
+            match Hashtbl.find_opt index r with
+            | Some i -> rows := (i, h) :: !rows
+            | None ->
+                let i = Hashtbl.length index in
+                Hashtbl.add index r i;
+                rows := (i, h) :: !rows))
+      hyps;
+    let comps = Array.make (Hashtbl.length index) [] in
+    List.iter (fun (i, h) -> comps.(i) <- h :: comps.(i)) !rows;
+    let comp_of = Hashtbl.create 16 in
+    Hashtbl.iter (fun k _ -> Hashtbl.replace comp_of k (Hashtbl.find index (find k))) parent;
+    {
+      hyps;
+      cache;
+      false_constant = !false_constant;
+      comps;
+      comp_of;
+      goals = Goals.create 16;
+      contradictory = None;
+    }
+
+  let contradictory h =
+    match h.contradictory with
+    | Some v -> v
+    | None ->
+        let v = h.false_constant || Array.exists (unsat ?cache:h.cache) h.comps in
+        h.contradictory <- Some v;
+        v
+
+  (* The rows of the components the goal's atoms touch, in component
+     order. *)
+  let touched h (goal : Check.t) : Check.t list =
+    let ids =
+      List.sort_uniq Int.compare
+        (List.filter_map (Hashtbl.find_opt h.comp_of) (Check.atom_keys goal))
+    in
+    List.concat_map (fun i -> h.comps.(i)) ids
+
+  let decide h (goal : Check.t) : bool =
+    (* Fast path: the within-family constant comparison needs no
+       elimination and covers most queries the CIG already answers. *)
+    List.exists (fun c -> Check.implies_within_family c goal) h.hyps
+    ||
+    match negate goal with
+    | exception Linexpr.Overflow -> false
+    | ng ->
+        h.contradictory = Some true
+        || unsat ?cache:h.cache (ng :: touched h goal)
+        || contradictory h
+
+  let implies h (goal : Check.t) : bool =
+    match Goals.find_opt h.goals goal with
+    | Some v -> v
+    | None ->
+        let v = decide h goal in
+        Goals.add h.goals goal v;
+        v
+end
+
+let implies ?cache ~hyps (goal : Check.t) : bool = Hyps.implies (Hyps.make ?cache hyps) goal

@@ -62,14 +62,16 @@ let same_atom_keys a b =
 (* Build a frozen universe from the distinct checks of [checks].
    Implication queries go through [cig], which the caller has already
    populated with cross-family edges (e.g. from loop-limit
-   substitution). With [~oracle:true], availability-generation is
+   substitution). Given an [oracle] cache, availability-generation is
    additionally widened by the decision procedure ({!Oracle}): pairs
    the CIG cannot relate syntactically (different families, e.g.
    [2*i <= 10 => i <= 5]) gain an implication when the oracle proves
    it. Only [avail_gen] is widened — [ant_gen] keeps the paper's
    same-family restriction (section 3.2), because insertion safety
-   depends on it, not on implication strength. *)
-let build ~cig ~mode ?(oracle = false) (checks : Check.t list) : t =
+   depends on it, not on implication strength. The cache is the
+   compile's own: every pass rebuilds the universe, and the pairs
+   repeat. *)
+let build ~cig ~mode ?oracle (checks : Check.t list) : t =
   let index = Hashtbl.create 64 in
   let distinct =
     List.filter
@@ -94,9 +96,12 @@ let build ~cig ~mode ?(oracle = false) (checks : Check.t list) : t =
         Cig.as_strong_as cig ~strong:(families.(i), ci) ~weak:(families.(j), cj)
       in
       let oracle_proves () =
-        oracle && i <> j && (not same_fam)
-        && same_atom_keys arr.(i) arr.(j)
-        && Oracle.implies ~hyps:[ arr.(i) ] arr.(j)
+        match oracle with
+        | None -> false
+        | Some cache ->
+            i <> j && (not same_fam)
+            && same_atom_keys arr.(i) arr.(j)
+            && Oracle.implies ~cache ~hyps:[ arr.(i) ] arr.(j)
       in
       let avail_implies =
         match mode with

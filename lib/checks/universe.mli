@@ -17,14 +17,14 @@ val mode_name : mode -> string
 
 type t
 
-val build : cig:Cig.t -> mode:mode -> ?oracle:bool -> Check.t list -> t
+val build : cig:Cig.t -> mode:mode -> ?oracle:Oracle.Cache.t -> Check.t list -> t
 (** Freeze the distinct checks of the list into an indexed universe.
     Implication queries go through [cig], which the caller has already
-    populated with any cross-family edges. With [~oracle:true], the
-    availability-generation sets are additionally widened by the
-    {!Oracle} decision procedure: cross-family pairs the CIG cannot
-    relate syntactically gain an implication edge when the oracle
-    proves it. [ant_gen] is never widened — insertion safety depends
+    populated with any cross-family edges. Given an [oracle] cache (the
+    compile's own), the availability-generation sets are additionally
+    widened by the {!Oracle} decision procedure: cross-family pairs the
+    CIG cannot relate syntactically gain an implication edge when the
+    oracle proves it. [ant_gen] is never widened — insertion safety depends
     on the paper's same-family restriction (section 3.2). *)
 
 val size : t -> int

@@ -19,7 +19,7 @@ type t = {
   mutable loops_num_blocks : int; (* block count [loops] was computed at *)
   cig : Cig.t;
   mode : Universe.mode;
-  oracle : bool;
+  oracle : Ir.Validate.Cache.t option;
   site_check : Ir.Types.check_meta -> Check.t;
   instr_kill_keys : Ir.Types.instr -> int list;
   block_entry_kill_keys : int -> int list;
@@ -31,7 +31,7 @@ let prx_kills (atoms : Ir.Atoms.t) (i : Ir.Types.instr) : int list =
   | Ir.Types.Store _ | Ir.Types.Call _ -> Ir.Atoms.killed_by_store atoms
   | _ -> []
 
-let create_prx ~mode ?(oracle = false) (func : Ir.Func.t) : t =
+let create_prx ~mode ?oracle (func : Ir.Func.t) : t =
   {
     func;
     loops = Loops.compute func;
@@ -59,5 +59,6 @@ let refresh (t : t) : unit =
    the function (placement passes rebuild it after inserting). *)
 let universe (t : t) : Universe.t =
   let metas = Ir.Func.all_check_metas t.func in
-  Universe.build ~cig:t.cig ~mode:t.mode ~oracle:t.oracle
+  Universe.build ~cig:t.cig ~mode:t.mode
+    ?oracle:(Option.map Ir.Validate.Cache.oracle t.oracle)
     (List.map t.site_check metas)

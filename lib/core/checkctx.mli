@@ -18,16 +18,20 @@ type t = {
       (** block count {!loops} was computed at *)
   cig : Nascent_checks.Cig.t;
   mode : Nascent_checks.Universe.mode;
-  oracle : bool;
-      (** widen availability with the {!Nascent_checks.Oracle} decision
-          procedure (the [--oracle] axis) *)
+  oracle : Nascent_ir.Validate.Cache.t option;
+      (** the compile's entailment cache when availability is widened
+          with the {!Nascent_checks.Oracle} decision procedure (the
+          [--oracle] axis); [None] without the oracle *)
   site_check : Nascent_ir.Types.check_meta -> Nascent_checks.Check.t;
   instr_kill_keys : Nascent_ir.Types.instr -> int list;
   block_entry_kill_keys : int -> int list;
 }
 
 val create_prx :
-  mode:Nascent_checks.Universe.mode -> ?oracle:bool -> Nascent_ir.Func.t -> t
+  mode:Nascent_checks.Universe.mode ->
+  ?oracle:Nascent_ir.Validate.Cache.t ->
+  Nascent_ir.Func.t ->
+  t
 (** The standard context: site checks are the instructions' own
     canonical checks; assignments kill their variable's atoms, stores
     and calls kill load-bearing opaque atoms. *)

@@ -46,14 +46,15 @@ let redundancy_elimination (env : Analyses.env) (st : stats) : unit =
      folded into [cov] by the universe's oracle widening — this covers
      genuinely conjunctive facts like [x <= y /\ y <= 5 |- x <= 5]. *)
   let conjunction_implies cur j =
-    ctx.Checkctx.oracle
-    &&
-    let hyps = ref [] in
-    Bitset.iter
-      (fun i -> hyps := Universe.check env.Analyses.uni i :: !hyps)
-      cur;
-    Nascent_checks.Oracle.implies ~hyps:!hyps
-      (Universe.check env.Analyses.uni j)
+    match ctx.Checkctx.oracle with
+    | None -> false
+    | Some cache ->
+        let hyps = ref [] in
+        Bitset.iter
+          (fun i -> hyps := Universe.check env.Analyses.uni i :: !hyps)
+          cur;
+        Nascent_checks.Oracle.implies ~cache:(Ir.Validate.Cache.oracle cache) ~hyps:!hyps
+          (Universe.check env.Analyses.uni j)
   in
   Ir.Func.iter_blocks
     (fun b ->
@@ -201,7 +202,8 @@ let run (ctx : Checkctx.t) : stats =
   let st = new_stats () in
   let env = Analyses.make_env ctx in
   redundancy_elimination env st;
-  if ctx.Checkctx.oracle then
-    oracle_elimination ~cache:(Ir.Validate.Cache.create ()) ctx.Checkctx.func st;
+  Option.iter
+    (fun cache -> oracle_elimination ~cache ctx.Checkctx.func st)
+    ctx.Checkctx.oracle;
   compile_time_checks ctx.Checkctx.func st;
   st

@@ -261,7 +261,8 @@ let optimize_func (config : Config.t) (f : Ir.Func.t) : stats =
   let reference =
     if config.Config.oracle then Some (Ir.Transform.copy_func f) else None
   in
-  (* One entailment cache per function compile, shared by oracle-elim
+  (* One entailment cache per function compile, shared by every oracle
+     query — availability widening, conjunctive elimination, oracle-elim
      and the certificate (most of their queries repeat); it dies with
      this call, so concurrent compiles never share one. *)
   let cache = Ir.Validate.Cache.create () in
@@ -273,7 +274,9 @@ let optimize_func (config : Config.t) (f : Ir.Func.t) : stats =
      way to its naive-checked form (the NI floor). *)
   (match
      run_pass "context" (fun () ->
-         Checkctx.create_prx ~mode:config.Config.impl ~oracle:config.Config.oracle f)
+         Checkctx.create_prx ~mode:config.Config.impl
+           ?oracle:(if config.Config.oracle then Some cache else None)
+           f)
    with
   | Error () -> ()
   | Ok ctx ->

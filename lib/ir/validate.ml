@@ -168,38 +168,60 @@ let constraints_of_opt ~positive atoms e =
 
 (* --- proofs ---------------------------------------------------------- *)
 
-(* One compile's entailment memo, on top of the oracle's own: the
-   semantic meet and the lockstep walk ask the same (facts, goal)
-   question many times over, and a hit skips even building the
-   hypothesis list. Keys are compared as sets, so the answer is the one
-   [Oracle.implies] gives on [CSet.elements facts]. *)
+(* One compile's entailment memo: an {!Oracle.Hyps} handle per fact
+   set, each memoising its own goals, over the oracle's refutation
+   memo. The semantic meet and the lockstep walk ask many goals of the
+   same fact set; a caller holding a handle asks them without hashing
+   the set again. Keys are compared as sets, so a handle answers as
+   [Oracle.implies] does on [CSet.elements facts]. *)
 module Cache = struct
   module Tbl = Hashtbl.Make (struct
-    type t = CSet.t * Check.t
+    type t = CSet.t
 
-    let equal (f1, g1) (f2, g2) =
-      Check.equal g1 g2 && (f1 == f2 || CSet.equal f1 f2)
-
-    let hash (facts, goal) =
-      CSet.fold (fun c h -> (h * 31) + Check.hash c) facts (Check.hash goal)
+    let equal f1 f2 = f1 == f2 || CSet.equal f1 f2
+    let hash facts = CSet.fold (fun c h -> (h * 31) + Check.hash c) facts 0
   end)
 
-  type t = { oracle : Oracle.Cache.t; entails : bool Tbl.t }
+  type t = { oracle : Oracle.Cache.t; handles : Oracle.Hyps.t Tbl.t }
 
-  let create () = { oracle = Oracle.Cache.create (); entails = Tbl.create 256 }
+  let create () = { oracle = Oracle.Cache.create (); handles = Tbl.create 256 }
+  let oracle t = t.oracle
 end
 
-(* One ambient tick per query, hit or miss, so the watchdogs still see
-   every question asked; only a completed answer is memoised. *)
-let entails (cache : Cache.t) (facts : CSet.t) (goal : Check.t) : bool =
-  Guard.tick_ambient ();
-  let key = (facts, goal) in
-  match Cache.Tbl.find_opt cache.entails key with
-  | Some v -> v
+(* Building a handle cannot fail, so it is stored at once; the handle
+   itself records only completed answers. *)
+let handle (cache : Cache.t) (facts : CSet.t) : Oracle.Hyps.t =
+  match Cache.Tbl.find_opt cache.handles facts with
+  | Some h -> h
   | None ->
-      let v = Oracle.implies ~cache:cache.oracle ~hyps:(CSet.elements facts) goal in
-      Cache.Tbl.add cache.entails key v;
-      v
+      let h = Oracle.Hyps.make ~cache:cache.oracle (CSet.elements facts) in
+      Cache.Tbl.add cache.handles facts h;
+      h
+
+(* One ambient tick per query, hit or miss, so the watchdogs still see
+   every question asked. *)
+let proves (h : Oracle.Hyps.t) (goal : Check.t) : bool =
+  Guard.tick_ambient ();
+  Oracle.Hyps.implies h goal
+
+let entails cache facts goal = proves (handle cache facts) goal
+
+(* [proves] for the fact set [facts ()], computed and looked up only
+   when the first goal is asked, then held for every later goal. A
+   [ref], not a [Lazy]: a computation cut off by an ambient budget
+   leaves nothing behind. *)
+let prover cache (facts : unit -> CSet.t) : Check.t -> bool =
+  let hd = ref None in
+  fun goal ->
+    let h =
+      match !hd with
+      | Some h -> h
+      | None ->
+          let h = handle cache (facts ()) in
+          hd := Some h;
+          h
+    in
+    proves h goal
 
 (* Activate every conditional fact whose guards the current facts
    prove, to fixpoint (each round either fires at least one pending
@@ -414,12 +436,13 @@ let entry_hyps ?(checks = true) cache (f : Func.t) : hstate array =
       match paths with
       | [] -> h_empty
       | _ ->
-          let judged = List.map (fun h -> (h.facts, lazy (close cache h))) paths in
+          (* each path is closed and its fact set hashed once, on the
+             first candidate it does not hold syntactically *)
+          let judged =
+            List.map (fun h -> (h.facts, prover cache (fun () -> close cache h))) paths
+          in
           let proven_on_all c =
-            List.for_all
-              (fun (facts, closed) ->
-                CSet.mem c facts || entails cache (Lazy.force closed) c)
-              judged
+            List.for_all (fun (facts, proves) -> CSet.mem c facts || proves c) judged
           in
           let base =
             match paths with
@@ -456,6 +479,14 @@ let entry_hyps ?(checks = true) cache (f : Func.t) : hstate array =
   let rpo = Func.rpo f in
   let changed = ref true in
   let ins = Array.make n h_empty in
+  (* A block's in-state is a function of its predecessors' out-states,
+     so a sweep re-evaluates a block only if it has never been
+     evaluated or a predecessor's out-state changed since; every other
+     block would recompute what it already holds (under widening too:
+     its in-state already lies inside the unchanged meet). *)
+  let succs = Array.make n [] in
+  Array.iteri (fun b ps -> List.iter (fun p -> succs.(p) <- b :: succs.(p)) ps) preds;
+  let stale = Array.make n true in
   (* The semantic meet is not a lattice meet: a loop-carried bound can
      creep ([i <= 1], then [i <= 2], ... — each weakening provable from
      the entry path) and never settle. Widen from the third sweep on:
@@ -474,22 +505,26 @@ let entry_hyps ?(checks = true) cache (f : Func.t) : hstate array =
     Guard.tick_ambient ();
     List.iter
       (fun b ->
-        let i = in_of b in
-        let i =
-          if !sweeps <= 2 then i
-          else
-            {
-              facts = CSet.inter i.facts ins.(b).facts;
-              conds = CondSet.inter i.conds ins.(b).conds;
-            }
-        in
-        ins.(b) <- i;
-        let o =
-          List.fold_left (transfer ~checks cache atoms) (Some i) (Func.block f b).instrs
-        in
-        if not (same_out out.(b) (Some o)) then begin
-          out.(b) <- Some o;
-          changed := true
+        if stale.(b) then begin
+          stale.(b) <- false;
+          let i = in_of b in
+          let i =
+            if !sweeps <= 2 then i
+            else
+              {
+                facts = CSet.inter i.facts ins.(b).facts;
+                conds = CondSet.inter i.conds ins.(b).conds;
+              }
+          in
+          ins.(b) <- i;
+          let o =
+            List.fold_left (transfer ~checks cache atoms) (Some i) (Func.block f b).instrs
+          in
+          if not (same_out out.(b) (Some o)) then begin
+            out.(b) <- Some o;
+            changed := true;
+            List.iter (fun s -> stale.(s) <- true) succs.(b)
+          end
         end)
       rpo
   done;
@@ -529,13 +564,14 @@ let validate_block ~cache ~fname ~atoms ~orig_vids (entry : hstate) (ob : block)
      set; [dead] means the optimized side already trapped
      unconditionally. *)
   let discharge ~dead ~opt_region facts orig_region =
+    let implied = prover cache (fun () -> facts) in
     List.iter
       (fun i ->
         Guard.tick_ambient ();
         match i with
         | Check m ->
             if dead then record m.chk true "dead-after-trap"
-            else if entails cache facts m.chk then record m.chk true "implied"
+            else if implied m.chk then record m.chk true "implied"
             else if
               (* a trap in this region is justified replacement for a
                  compile-time-false check *)
@@ -553,7 +589,7 @@ let validate_block ~cache ~fname ~atoms ~orig_vids (entry : hstate) (ob : block)
                   | _ -> false)
                 opt_region
             then record m.chk true "retained"
-            else if entails cache facts m.chk then record m.chk true "implied"
+            else if implied m.chk then record m.chk true "implied"
             else record m.chk false "guarded check lost"
         | Trap _ ->
             if not (dead || List.exists (function Trap _ -> true | _ -> false) opt_region)

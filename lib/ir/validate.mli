@@ -42,16 +42,22 @@ val func : original:Func.t -> optimized:Func.t -> t
 (** Validate one function pair (unbounded — callers wanting the fuel
     guarantee use {!func_guarded} or {!program}). *)
 
-(** A compile's entailment cache: memoised answers to "do these facts
-    prove this check?" and the {!Nascent_checks.Oracle.Cache} beneath
-    them. Create one per function compile and share it between the
-    oracle elimination pass ({!Facts}) and the certificate
-    ({!func_guarded}); drop it with the function. A hit returns exactly
-    the answer a fresh query would. Not thread-safe. *)
+(** A compile's entailment cache: one {!Nascent_checks.Oracle.Hyps}
+    handle per fact set, each memoising the goals asked of it, over the
+    {!Nascent_checks.Oracle.Cache} of refutations beneath them. Create
+    one per function compile and share it between the optimizer's
+    oracle queries ({!Facts}, availability widening, conjunctive
+    elimination) and the certificate ({!func_guarded}); drop it with
+    the function. A hit returns exactly the answer a fresh query would,
+    and only completed answers are stored, so a pass rolled back
+    mid-query leaves it clean. Not thread-safe. *)
 module Cache : sig
   type t
 
   val create : unit -> t
+
+  val oracle : t -> Nascent_checks.Oracle.Cache.t
+  (** The refutation memo, for oracle callers below the IR. *)
 end
 
 val func_guarded : cache:Cache.t -> original:Func.t -> optimized:Func.t -> t
@@ -88,7 +94,9 @@ module Facts : sig
   val ambient_entry : cache:Cache.t -> Func.t -> state array
   (** Per-block entry states from the validator's forward data-flow
       (semantic meet, affine loop-invariant candidates, widening) with
-      check contributions disabled. *)
+      check contributions disabled. A sweep re-evaluates only the
+      blocks never evaluated or with a predecessor whose out-state
+      changed since; the fixpoint is the one full sweeps reach. *)
 
   val step : cache:Cache.t -> Atoms.t -> state option -> Types.instr -> state option
   (** Ambient transfer of one instruction; [None] = dead past an

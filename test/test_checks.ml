@@ -40,6 +40,17 @@ let test_linexpr_scale_subst () =
   Alcotest.(check int) "x gone" 0 (Linexpr.coeff_of t x);
   Alcotest.(check int) "y = 1 + 2" 3 (Linexpr.coeff_of t y)
 
+(* Atoms are identified by key alone: the same key under another
+   display name is the same atom to coefficient lookup and
+   substitution. *)
+let test_linexpr_coeff_by_key () =
+  let x' = atom 0 "x_alias" in
+  let a = Linexpr.of_terms [ (x, 2); (y, 1) ] in
+  Alcotest.(check int) "coeff of alias" 2 (Linexpr.coeff_of a x');
+  let t = Linexpr.subst a x' (Linexpr.of_atom y) in
+  Alcotest.(check int) "alias substituted" 0 (Linexpr.coeff_of t x);
+  Alcotest.(check int) "y = 1 + 2" 3 (Linexpr.coeff_of t y)
+
 let test_linexpr_gcd () =
   Alcotest.(check int) "gcd" 6 (Linexpr.coeff_gcd (Linexpr.of_terms [ (x, 6); (y, -12) ]));
   Alcotest.(check int) "gcd zero" 0 (Linexpr.coeff_gcd Linexpr.zero)
@@ -258,6 +269,7 @@ let suite =
     tc "linexpr: add/cancel" test_linexpr_add_cancel;
     tc "linexpr: canonical order" test_linexpr_canonical_order;
     tc "linexpr: scale/subst" test_linexpr_scale_subst;
+    tc "linexpr: coefficient by key" test_linexpr_coeff_by_key;
     tc "linexpr: gcd" test_linexpr_gcd;
     QCheck_alcotest.to_alcotest prop_add_commutative;
     QCheck_alcotest.to_alcotest prop_of_terms_idempotent;

@@ -236,6 +236,123 @@ let prop_cache_transparent =
           && Oracle.unsat ~cache (goal :: hyps) = Oracle.unsat (goal :: hyps))
         (order @ order))
 
+(* --- hypothesis handles ----------------------------------------------- *)
+
+(* Hypothesis sets built from 2–4 blocks over disjoint atom pairs,
+   shuffled together, sometimes with one block made contradictory
+   ([e <= k] and [-e <= -k-1-d]) — the case where the answer comes from
+   a component the goal never touches. *)
+let block_atoms = Array.init 8 (fun i -> Atom.make ~key:(100 + i) ~name:(Printf.sprintf "b%d" i))
+
+let over pair coeffs k =
+  Check.make (Linexpr.of_terms (List.map2 (fun a c -> (a, c)) pair coeffs)) k
+
+let gen_blocks : (Check.t list * Check.t list * bool) G.t =
+  let open G in
+  let atoms_of i = [ block_atoms.(2 * i); block_atoms.((2 * i) + 1) ] in
+  let coeffs = list_repeat 2 (int_range (-3) 3) in
+  int_range 2 4 >>= fun nb ->
+  list_repeat nb (list_size (int_range 1 3) (pair coeffs (int_range (-8) 8)))
+  >>= fun blocks ->
+  let hyps =
+    List.concat (List.mapi (fun i cs -> List.map (fun (co, k) -> over (atoms_of i) co k) cs) blocks)
+  in
+  frequency [ (2, return None); (1, map3 (fun b k d -> Some (b, k, d)) (int_bound (nb - 1)) (int_range (-8) 8) (int_range 0 3)) ]
+  >>= fun bad ->
+  (match bad with
+  | None -> return (hyps, false)
+  | Some (b, k, d) ->
+      map
+        (fun co ->
+          let co = if List.for_all (( = ) 0) co then [ 1; 0 ] else co in
+          let e = over (atoms_of b) co k in
+          (over (atoms_of b) (List.map (fun c -> -c) co) (-k - 1 - d) :: e :: hyps, true))
+        coeffs)
+  >>= fun (hyps, contradictory) ->
+  shuffle_l hyps >>= fun hyps ->
+  (* goals over any two atoms: inside one block, across two, or over
+     atoms no hypothesis mentions *)
+  list_size (int_range 1 6)
+    (map3
+       (fun (i, j) co k -> over [ block_atoms.(i); block_atoms.(j) ] co k)
+       (pair (int_bound 7) (int_bound 7))
+       coeffs (int_range (-8) 8))
+  >>= fun goals -> return (hyps, goals, contradictory)
+
+let print_blocks (hyps, goals, contradictory) =
+  Printf.sprintf "hyps=[%s] goals=[%s] contradictory=%b"
+    (String.concat "; " (List.map pp_check hyps))
+    (String.concat "; " (List.map pp_check goals))
+    contradictory
+
+(* One handle per set, over a shared cache, asked every goal twice in
+   two orders, answers each exactly as an uncached [Oracle.implies] on
+   the same hypotheses — and a contradictory set implies every goal. *)
+let prop_handle_matches_implies =
+  QCheck.Test.make ~name:"oracle: a handle answers as uncached implies" ~count:500
+    (QCheck.make ~print:print_blocks gen_blocks) (fun (hyps, goals, contradictory) ->
+      let h = Oracle.Hyps.make ~cache:(Oracle.Cache.create ()) hyps in
+      List.for_all
+        (fun g ->
+          let v = Oracle.Hyps.implies h g in
+          v = Oracle.implies ~hyps g && ((not contradictory) || v))
+        (goals @ List.rev goals))
+
+module Guard = Nascent_support.Guard
+
+(* A query cut off mid-flight — by an ambient fuel budget at every tick
+   it takes, or by a deadline — records nothing: the next query on the
+   same handle and cache gets the real answer. One goal is decided by
+   elimination over the touched component, the other only by the
+   contradictory component it does not touch. *)
+let test_cut_query_leaves_handle_clean () =
+  let chain = [ le x y; le y z; upper z 7 ] in
+  let bad = [ over [ block_atoms.(0) ] [ 1 ] 3; over [ block_atoms.(0) ] [ -1 ] (-5) ] in
+  let cases =
+    [ ("chain", chain, upper x 7, true); ("chain", chain, upper x 6, false);
+      ("remainder", chain @ bad, upper x 6, true) ]
+  in
+  let cut_fuel = ref 0 and cut_deadline = ref 0 in
+  let attempt ~cut install (name, hyps, goal, expected) =
+    let cache = Oracle.Cache.create () in
+    let h = Oracle.Hyps.make ~cache hyps in
+    (match install (fun () -> Oracle.Hyps.implies h goal) with
+    | (_ : bool) -> ()
+    | exception (Guard.Fuel_exhausted _ | Guard.Deadline_exceeded _) -> incr cut);
+    Alcotest.(check bool) (name ^ ": same handle") expected (Oracle.Hyps.implies h goal);
+    Alcotest.(check bool)
+      (name ^ ": fresh handle, same cache")
+      expected
+      (Oracle.Hyps.implies (Oracle.Hyps.make ~cache hyps) goal)
+  in
+  List.iter
+    (fun case ->
+      for budget = 1 to 40 do
+        attempt ~cut:cut_fuel
+          (fun q -> Guard.with_fuel (Guard.fuel ~what:"outer" ~budget) q)
+          case
+      done;
+      (* align the deadline throttle, then let the query take the
+         128-j-th tick of the stride *)
+      for j = 100 to 127 do
+        attempt ~cut:cut_deadline
+          (fun q ->
+            Guard.with_deadline (Guard.deadline ~what:"outer" ~seconds:0.0) (fun () ->
+                (try
+                   while true do
+                     Guard.tick_ambient ()
+                   done
+                 with Guard.Deadline_exceeded _ -> ());
+                for _ = 1 to j do
+                  Guard.tick_ambient ()
+                done;
+                q ()))
+          case
+      done)
+    cases;
+  Alcotest.(check bool) "some queries were cut by fuel" true (!cut_fuel > 0);
+  Alcotest.(check bool) "some queries were cut by the deadline" true (!cut_deadline > 0)
+
 let test_fuel_budget_positive () =
   Alcotest.(check bool) "fuel budget positive" true (Oracle.fuel_budget > 0)
 
@@ -252,5 +369,7 @@ let suite =
     tc "oracle: overflow degrades to unknown" test_overflow_is_unknown;
     QCheck_alcotest.to_alcotest prop_huge_inputs_never_raise;
     QCheck_alcotest.to_alcotest prop_cache_transparent;
+    QCheck_alcotest.to_alcotest prop_handle_matches_implies;
+    tc "oracle: a cut-off query leaves the handle clean" test_cut_query_leaves_handle_clean;
     tc "oracle: fuel budget positive" test_fuel_budget_positive;
   ]
