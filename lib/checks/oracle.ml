@@ -268,6 +268,14 @@ let unsat ?cache (cs : Check.t list) : bool =
 
 (* --- hypothesis handles ----------------------------------------------- *)
 
+(* atom keys and component roots: small non-negative ints *)
+module Keys = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = k land max_int
+end)
+
 module Goals = Hashtbl.Make (struct
   type t = Check.t
 
@@ -279,29 +287,31 @@ end)
    union–find over atom keys). A hypothesis outside the components a
    goal's atoms touch cannot take part in refuting the goal's negation,
    so a goal runs elimination on its negation plus the touched
-   components only. Variable-disjoint blocks are unsatisfiable iff one
-   of them is, and a contradictory set implies everything: whether the
-   set is contradictory is decided once per handle, when a goal first
-   needs it. Every memo holds completed answers only. *)
+   components. The untouched ones still matter in one way: a
+   contradictory set implies everything, and variable-disjoint blocks
+   are unsatisfiable iff one of them is. So when elimination fails, the
+   goal holds iff an untouched component is unsatisfiable, and each
+   component's satisfiability is decided once per handle, the first
+   time a goal needs it. Every memo holds completed answers only. *)
 module Hyps = struct
   type t = {
     hyps : Check.t list;
     cache : Cache.t option;
     false_constant : bool; (* a hypothesis [0 <= k] with [k < 0] *)
     comps : Check.t list array; (* rows in hypothesis order *)
-    comp_of : (int, int) Hashtbl.t; (* atom key -> component *)
+    comp_unsat : bool option array;
+    comp_of : int Keys.t; (* atom key -> component *)
     goals : bool Goals.t;
-    mutable contradictory : bool option;
   }
 
   let make ?cache (hyps : Check.t list) : t =
-    let parent = Hashtbl.create 16 in
+    let parent = Keys.create 16 in
     let rec find k =
-      let p = Hashtbl.find parent k in
+      let p = Keys.find parent k in
       if p = k then k
       else
         let r = find p in
-        Hashtbl.replace parent k r;
+        Keys.replace parent k r;
         r
     in
     List.iter
@@ -309,59 +319,50 @@ module Hyps = struct
         match Check.atom_keys h with
         | [] -> ()
         | k0 :: _ as ks ->
-            List.iter (fun k -> if not (Hashtbl.mem parent k) then Hashtbl.add parent k k) ks;
+            List.iter (fun k -> if not (Keys.mem parent k) then Keys.add parent k k) ks;
             let r0 = find k0 in
             List.iter
               (fun k ->
                 let r = find k in
-                if r <> r0 then Hashtbl.replace parent r r0)
+                if r <> r0 then Keys.replace parent r r0)
               ks)
       hyps;
     (* components in order of first appearance *)
-    let index = Hashtbl.create 8 and rows = ref [] and false_constant = ref false in
+    let index = Keys.create 8 and rows = ref [] and false_constant = ref false in
     List.iter
       (fun h ->
         match Check.atom_keys h with
         | [] -> if Check.constant h < 0 then false_constant := true
         | k :: _ -> (
             let r = find k in
-            match Hashtbl.find_opt index r with
+            match Keys.find_opt index r with
             | Some i -> rows := (i, h) :: !rows
             | None ->
-                let i = Hashtbl.length index in
-                Hashtbl.add index r i;
+                let i = Keys.length index in
+                Keys.add index r i;
                 rows := (i, h) :: !rows))
       hyps;
-    let comps = Array.make (Hashtbl.length index) [] in
+    let comps = Array.make (Keys.length index) [] in
     List.iter (fun (i, h) -> comps.(i) <- h :: comps.(i)) !rows;
-    let comp_of = Hashtbl.create 16 in
-    Hashtbl.iter (fun k _ -> Hashtbl.replace comp_of k (Hashtbl.find index (find k))) parent;
+    let comp_of = Keys.create 16 in
+    Keys.iter (fun k _ -> Keys.replace comp_of k (Keys.find index (find k))) parent;
     {
       hyps;
       cache;
       false_constant = !false_constant;
       comps;
+      comp_unsat = Array.make (Array.length comps) None;
       comp_of;
       goals = Goals.create 16;
-      contradictory = None;
     }
 
-  let contradictory h =
-    match h.contradictory with
+  let comp_unsat h i =
+    match h.comp_unsat.(i) with
     | Some v -> v
     | None ->
-        let v = h.false_constant || Array.exists (unsat ?cache:h.cache) h.comps in
-        h.contradictory <- Some v;
+        let v = unsat ?cache:h.cache h.comps.(i) in
+        h.comp_unsat.(i) <- Some v;
         v
-
-  (* The rows of the components the goal's atoms touch, in component
-     order. *)
-  let touched h (goal : Check.t) : Check.t list =
-    let ids =
-      List.sort_uniq Int.compare
-        (List.filter_map (Hashtbl.find_opt h.comp_of) (Check.atom_keys goal))
-    in
-    List.concat_map (fun i -> h.comps.(i)) ids
 
   let decide h (goal : Check.t) : bool =
     (* Fast path: the within-family constant comparison needs no
@@ -371,9 +372,19 @@ module Hyps = struct
     match negate goal with
     | exception Linexpr.Overflow -> false
     | ng ->
-        h.contradictory = Some true
-        || unsat ?cache:h.cache (ng :: touched h goal)
-        || contradictory h
+        h.false_constant
+        ||
+        let touched =
+          List.sort_uniq Int.compare
+            (List.filter_map (Keys.find_opt h.comp_of) (Check.atom_keys goal))
+        in
+        unsat ?cache:h.cache (ng :: List.concat_map (fun i -> h.comps.(i)) touched)
+        ||
+        let rec untouched_unsat i =
+          i < Array.length h.comps
+          && (((not (List.mem i touched)) && comp_unsat h i) || untouched_unsat (i + 1))
+        in
+        untouched_unsat 0
 
   let implies h (goal : Check.t) : bool =
     match Goals.find_opt h.goals goal with

@@ -45,9 +45,11 @@ end
 (** A hypothesis handle: one fact set, split once into variable-disjoint
     components (union–find over atom keys), answering any number of
     goals. A goal runs elimination on its negation plus the components
-    its atoms touch. Whether some component is unsatisfiable (then the
-    set implies every goal) is decided once, the first time a goal
-    needs it. Goals are memoised inside the handle, and the refutations
+    its atoms touch; if that fails, the goal still holds when an
+    untouched component is unsatisfiable (a contradictory set implies
+    everything). Each component's satisfiability is decided once, the
+    first time a goal needs it. Goals are memoised inside the handle,
+    and the refutations
     beneath them in the optional {!Cache}. Only completed answers are
     stored, so a query cut off by an ambient budget or deadline leaves
     the handle as it found it. Not thread-safe. *)
