@@ -268,7 +268,7 @@ let unsat ?cache (cs : Check.t list) : bool =
 
 (* --- hypothesis handles ----------------------------------------------- *)
 
-(* atom keys and component roots: small non-negative ints *)
+(* atom keys: small non-negative ints *)
 module Keys = Hashtbl.Make (struct
   type t = int
 
@@ -295,12 +295,10 @@ end)
    time a goal needs it. Every memo holds completed answers only. *)
 module Hyps = struct
   type t = {
-    hyps : Check.t list;
     cache : Cache.t option;
-    false_constant : bool; (* a hypothesis [0 <= k] with [k < 0] *)
-    comps : Check.t list array; (* rows in hypothesis order *)
+    constants : Check.t list; (* hypotheses without atoms: [0 <= k] *)
+    comps : Check.t array array; (* rows in hypothesis order *)
     comp_unsat : bool option array;
-    comp_of : int Keys.t; (* atom key -> component *)
     goals : bool Goals.t;
   }
 
@@ -328,11 +326,11 @@ module Hyps = struct
               ks)
       hyps;
     (* components in order of first appearance *)
-    let index = Keys.create 8 and rows = ref [] and false_constant = ref false in
+    let index = Keys.create 8 and rows = ref [] and constants = ref [] in
     List.iter
       (fun h ->
         match Check.atom_keys h with
-        | [] -> if Check.constant h < 0 then false_constant := true
+        | [] -> constants := h :: !constants
         | k :: _ -> (
             let r = find k in
             match Keys.find_opt index r with
@@ -344,45 +342,48 @@ module Hyps = struct
       hyps;
     let comps = Array.make (Keys.length index) [] in
     List.iter (fun (i, h) -> comps.(i) <- h :: comps.(i)) !rows;
-    let comp_of = Keys.create 16 in
-    Keys.iter (fun k _ -> Keys.replace comp_of k (Keys.find index (find k))) parent;
     {
-      hyps;
       cache;
-      false_constant = !false_constant;
-      comps;
+      constants = !constants;
+      comps = Array.map Array.of_list comps;
       comp_unsat = Array.make (Array.length comps) None;
-      comp_of;
-      goals = Goals.create 16;
+      goals = Goals.create 4;
     }
 
   let comp_unsat h i =
     match h.comp_unsat.(i) with
     | Some v -> v
     | None ->
-        let v = unsat ?cache:h.cache h.comps.(i) in
+        let v = unsat ?cache:h.cache (Array.to_list h.comps.(i)) in
         h.comp_unsat.(i) <- Some v;
         v
 
   let decide h (goal : Check.t) : bool =
+    let keys = Check.atom_keys goal in
+    let touched =
+      Array.map (Array.exists (fun r -> List.exists (Check.mentions_key r) keys)) h.comps
+    in
+    let rows = ref [] in
+    for i = Array.length h.comps - 1 downto 0 do
+      if touched.(i) then rows := Array.fold_right List.cons h.comps.(i) !rows
+    done;
+    let rows = !rows in
     (* Fast path: the within-family constant comparison needs no
-       elimination and covers most queries the CIG already answers. *)
-    List.exists (fun c -> Check.implies_within_family c goal) h.hyps
+       elimination and covers most queries the CIG already answers. A
+       hypothesis of the goal's family has the goal's atoms, so it is
+       a touched row or, for a goal without atoms, a constant. *)
+    List.exists (fun c -> Check.implies_within_family c goal) rows
+    || List.exists (fun c -> Check.implies_within_family c goal) h.constants
     ||
     match negate goal with
     | exception Linexpr.Overflow -> false
     | ng ->
-        h.false_constant
-        ||
-        let touched =
-          List.sort_uniq Int.compare
-            (List.filter_map (Keys.find_opt h.comp_of) (Check.atom_keys goal))
-        in
-        unsat ?cache:h.cache (ng :: List.concat_map (fun i -> h.comps.(i)) touched)
+        List.exists (fun c -> Check.constant c < 0) h.constants
+        || unsat ?cache:h.cache (ng :: rows)
         ||
         let rec untouched_unsat i =
           i < Array.length h.comps
-          && (((not (List.mem i touched)) && comp_unsat h i) || untouched_unsat (i + 1))
+          && (((not touched.(i)) && comp_unsat h i) || untouched_unsat (i + 1))
         in
         untouched_unsat 0
 
