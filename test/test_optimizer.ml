@@ -557,7 +557,8 @@ let test_all_o_golden () =
    those verdicts are pinned as they are. *)
 let oracle_cell_line label (st : Core.Optimizer.stats) =
   let v = Option.get st.Core.Optimizer.validation in
-  Printf.sprintf "%s checks_after=%d redundant_deleted=%d sites=%d proven=%d incidents=%s" label
+  Printf.sprintf "%s checks_after=%d redundant_deleted=%d sites=%d proven=%d incidents=%s"
+    label
     st.Core.Optimizer.static_checks_after st.Core.Optimizer.redundant_deleted
     v.Nascent_ir.Validate.total_sites v.Nascent_ir.Validate.proven_sites
     (match st.Core.Optimizer.incidents with
@@ -572,7 +573,9 @@ let oracle_cell_line label (st : Core.Optimizer.stats) =
 
 let oracle_cell label ~scheme ~kind ir =
   let config = Config.make ~scheme ~kind ~oracle:true () in
-  let label = Printf.sprintf "%s %s+O/%s" label (Config.scheme_name scheme) (Config.kind_name kind) in
+  let label =
+    Printf.sprintf "%s %s+O/%s" label (Config.scheme_name scheme) (Config.kind_name kind)
+  in
   oracle_cell_line label (snd (Core.Optimizer.optimize ~config ir))
 
 let kinds = [ Config.PRX; Config.INX ]
@@ -594,7 +597,8 @@ let oracle_random_lines () =
       in
       let ir = ir_of_source src in
       List.map
-        (fun kind -> oracle_cell (Printf.sprintf "random-%03d" seed) ~scheme:Config.ALL ~kind ir)
+        (fun kind ->
+          oracle_cell (Printf.sprintf "random-%03d" seed) ~scheme:Config.ALL ~kind ir)
         kinds)
     (List.init 100 succ)
 

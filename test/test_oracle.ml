@@ -242,7 +242,8 @@ let prop_cache_transparent =
    shuffled together, sometimes with one block made contradictory
    ([e <= k] and [-e <= -k-1-d]) — the case where the answer comes from
    a component the goal never touches. *)
-let block_atoms = Array.init 8 (fun i -> Atom.make ~key:(100 + i) ~name:(Printf.sprintf "b%d" i))
+let block_atoms =
+  Array.init 8 (fun i -> Atom.make ~key:(100 + i) ~name:(Printf.sprintf "b%d" i))
 
 let over pair coeffs k =
   Check.make (Linexpr.of_terms (List.map2 (fun a c -> (a, c)) pair coeffs)) k
@@ -255,9 +256,17 @@ let gen_blocks : (Check.t list * Check.t list * bool) G.t =
   list_repeat nb (list_size (int_range 1 3) (pair coeffs (int_range (-8) 8)))
   >>= fun blocks ->
   let hyps =
-    List.concat (List.mapi (fun i cs -> List.map (fun (co, k) -> over (atoms_of i) co k) cs) blocks)
+    List.concat
+      (List.mapi (fun i cs -> List.map (fun (co, k) -> over (atoms_of i) co k) cs) blocks)
   in
-  frequency [ (2, return None); (1, map3 (fun b k d -> Some (b, k, d)) (int_bound (nb - 1)) (int_range (-8) 8) (int_range 0 3)) ]
+  frequency
+    [
+      (2, return None);
+      ( 1,
+        map3
+          (fun b k d -> Some (b, k, d))
+          (int_bound (nb - 1)) (int_range (-8) 8) (int_range 0 3) );
+    ]
   >>= fun bad ->
   (match bad with
   | None -> return (hyps, false)
@@ -302,15 +311,18 @@ module Guard = Nascent_support.Guard
 
 (* A query cut off mid-flight — by an ambient fuel budget at every tick
    it takes, or by a deadline — records nothing: the next query on the
-   same handle and cache gets the real answer. One goal is decided by
-   elimination over the touched component, the other only by the
-   contradictory component it does not touch. *)
+   same handle and cache gets the real answer. The chain goals are
+   decided by elimination over the touched component, the remainder
+   goal only by the contradictory component it does not touch. *)
 let test_cut_query_leaves_handle_clean () =
   let chain = [ le x y; le y z; upper z 7 ] in
   let bad = [ over [ block_atoms.(0) ] [ 1 ] 3; over [ block_atoms.(0) ] [ -1 ] (-5) ] in
   let cases =
-    [ ("chain", chain, upper x 7, true); ("chain", chain, upper x 6, false);
-      ("remainder", chain @ bad, upper x 6, true) ]
+    [
+      ("chain", chain, upper x 7, true);
+      ("chain", chain, upper x 6, false);
+      ("remainder", chain @ bad, upper x 6, true);
+    ]
   in
   let cut_fuel = ref 0 and cut_deadline = ref 0 in
   let attempt ~cut install (name, hyps, goal, expected) =
