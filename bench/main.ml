@@ -15,8 +15,6 @@
      dune exec bench/main.exe -- tables     # tables only, no Bechamel (CI mode)
      dune exec bench/main.exe -- check-determinism  # serial vs parallel vs warm cache + oracle differential
      dune exec bench/main.exe -- oracle-diff  # --oracle vs baseline observable-identity matrix
-     dune exec bench/main.exe -- speedup    # serial vs parallel wall-clock, JSON record
-     dune exec bench/main.exe -- service    # warm-daemon latency vs cold nascentc startup
      dune exec bench/main.exe -- load       # open-loop RPS/latency ladder, 1 vs 3 shards + chaos
 *)
 
@@ -231,368 +229,6 @@ let run_check_determinism () =
     serial_misses parallel_misses;
   run_oracle_differential ()
 
-(* --- speedup baseline: serial vs parallel wall-clock ------------------ *)
-
-let speedup_json_path = "BENCH_parallel.json"
-
-let run_speedup () =
-  let par_jobs = max 2 (Pool.default_jobs ()) in
-  (* Cold-cache wall clock of the full table suite (characterization +
-     Tables 2/3 + extensions), monotonic clock. *)
-  let timed jobs =
-    E.reset_cell_cache ();
-    Pool.set_default_jobs jobs;
-    let t0 = Mclock.counter () in
-    ignore (full_suite ());
-    Mclock.elapsed_s t0
-  in
-  let serial_s = timed 1 in
-  let cells = (E.cell_cache_stats ()).Memo.misses in
-  let parallel_s = timed par_jobs in
-  let warm_t0 = Mclock.counter () in
-  ignore (full_suite ());
-  let warm_s = Mclock.elapsed_s warm_t0 in
-  let speedup = serial_s /. parallel_s in
-  Printf.printf
-    "\nspeedup (full table suite, %d cells): serial %.3fs, jobs=%d %.3fs (%.2fx), \
-     warm cache %.3fs (%.1fx)\n\
-     %!"
-    cells serial_s par_jobs parallel_s speedup warm_s (serial_s /. warm_s);
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"suite\": \"characterize + table2 + table3 + extensions\",\n\
-      \  \"cells\": %d,\n\
-      \  \"host_cores\": %d,\n\
-      \  \"jobs\": %d,\n\
-      \  \"serial_s\": %.6f,\n\
-      \  \"parallel_s\": %.6f,\n\
-      \  \"speedup\": %.4f,\n\
-      \  \"warm_cache_s\": %.6f,\n\
-      \  \"warm_speedup\": %.4f\n\
-       }\n"
-      cells
-      (Domain.recommended_domain_count ())
-      par_jobs serial_s parallel_s speedup warm_s (serial_s /. warm_s)
-  in
-  (* temp + rename: a partially-written record never survives a crash *)
-  Nascent_support.Guard.write_atomic ~path:speedup_json_path json;
-  Printf.printf "wrote %s\n%!" speedup_json_path
-
-(* --- service: warm-daemon latency vs cold CLI startup ------------------ *)
-
-let service_json_path = "BENCH_service.json"
-
-(* The case for compile-as-a-service, quantified: per-request latency
-   against a warm daemon (socket round-trip + cache hit) vs a cold
-   nascentc process per compile (exec + runtime init + lower +
-   optimize). The daemon runs in-process on a thread — same code path
-   as nascentd — and the cold runs exec the real binary. *)
-let run_service () =
-  let module Server = Nascent_support.Server in
-  let module Service = Nascent_harness.Service in
-  let module Json = Nascent_support.Json in
-  let module Client = Nascent_support.Server.Client in
-  let path =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "nascent-bench-%d.sock" (Unix.getpid ()))
-  in
-  let cfg = { (Server.default_config ~socket_path:path) with Server.jobs = 2 } in
-  let srv = Server.create cfg (Service.handler (Service.create ())) in
-  let runner = Thread.create (fun () -> Server.run srv) () in
-  let rec wait n =
-    if n = 0 then failwith "bench service: daemon socket never appeared"
-    else if not (Sys.file_exists path) then begin
-      Unix.sleepf 0.01;
-      wait (n - 1)
-    end
-  in
-  wait 500;
-  let req =
-    Json.Obj
-      [
-        ("op", Json.Str "compile");
-        ("benchmark", Json.Str "vortex");
-        ("scheme", Json.Str "LLS");
-      ]
-  in
-  let warm_n = 50 in
-  let warm =
-    Client.with_conn path (fun conn ->
-        let once () =
-          let t0 = Mclock.counter () in
-          (match Client.request conn req with
-          | Ok _ -> ()
-          | Error e -> failwith ("bench service: warm request failed: " ^ e));
-          Mclock.elapsed_s t0
-        in
-        ignore (once ()) (* populate the result cache *);
-        List.init warm_n (fun _ -> once ()))
-  in
-  (* Recovery/watchdog counters (journal replay, restarts, memory
-     shedding) from the status op — all zero in this in-process run,
-     printed so the bench output shape matches a production daemon's. *)
-  let robustness_line =
-    Client.with_conn path (fun conn ->
-        match Client.request conn (Json.Obj [ ("op", Json.Str "status") ]) with
-        | Error e -> "status unavailable: " ^ e
-        | Ok st ->
-            let geti name =
-              match Json.member name st with Some (Json.Int n) -> n | _ -> 0
-            in
-            Printf.sprintf
-              "replayed=%d journal_quarantined=%d restarts=%d mem_shed=%d"
-              (geti "replayed")
-              (geti "journal_quarantined")
-              (geti "restarts") (geti "mem_shed"))
-  in
-  Server.stop srv;
-  Thread.join runner;
-  (* Cold baseline: one full nascentc process per compile. The binary
-     lives next to this one in _build/default. *)
-  let nascentc =
-    Filename.concat
-      (Filename.concat (Filename.dirname (Filename.dirname Sys.executable_name)) "bin")
-      "nascentc.exe"
-  in
-  let cold_n = 5 in
-  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0o644 in
-  let cold =
-    List.init cold_n (fun _ ->
-        let t0 = Mclock.counter () in
-        let pid =
-          Unix.create_process nascentc
-            [| nascentc; "dump"; "vortex"; "-s"; "LLS" |]
-            Unix.stdin devnull devnull
-        in
-        (match Unix.waitpid [] pid with
-        | _, Unix.WEXITED 0 -> ()
-        | _ -> failwith "bench service: cold nascentc run failed");
-        Mclock.elapsed_s t0)
-  in
-  Unix.close devnull;
-  let mean xs = List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs) in
-  let minimum xs = List.fold_left Float.min infinity xs in
-  let warm_mean = mean warm and warm_min = minimum warm in
-  let cold_mean = mean cold and cold_min = minimum cold in
-  Printf.printf
-    "\nservice latency (vortex, LLS): warm daemon %.3f ms/request (min %.3f, %d \
-     requests), cold nascentc %.1f ms/compile (min %.1f, %d runs) — %.0fx\n\
-     %!"
-    (1000.0 *. warm_mean) (1000.0 *. warm_min) warm_n (1000.0 *. cold_mean)
-    (1000.0 *. cold_min) cold_n (cold_mean /. warm_mean);
-  Printf.printf "service robustness counters: %s\n%!" robustness_line;
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"request\": \"compile vortex LLS\",\n\
-      \  \"warm_requests\": %d,\n\
-      \  \"warm_mean_s\": %.6f,\n\
-      \  \"warm_min_s\": %.6f,\n\
-      \  \"cold_runs\": %d,\n\
-      \  \"cold_mean_s\": %.6f,\n\
-      \  \"cold_min_s\": %.6f,\n\
-      \  \"warm_over_cold_speedup\": %.4f\n\
-       }\n"
-      warm_n warm_mean warm_min cold_n cold_mean cold_min (cold_mean /. warm_mean)
-  in
-  Nascent_support.Guard.write_atomic ~path:service_json_path json;
-  Printf.printf "wrote %s\n%!" service_json_path
-
-(* --- tiers: instant floor, background upgrade, fault containment ------- *)
-
-let tiers_json_path = "BENCH_tiers.json"
-
-(* The tentpole quantified: a cold cache miss answered from the NI
-   floor must cost about as much as a warm NI hit (the acceptance bar
-   is 2x — both are one cache operation plus the round trip), the
-   background upgrade must land promptly, and a fault-injected upgrade
-   must degrade to a served floor with a recorded incident, never an
-   error or a stall. The daemon runs in-process with the background
-   lane wired exactly as nascentd wires it; floor and optimized
-   artifacts are additionally checked observably identical (same
-   trap/error under the interpreter). *)
-let run_tiers () =
-  let module Server = Nascent_support.Server in
-  let module Service = Nascent_harness.Service in
-  let module Json = Nascent_support.Json in
-  let module Client = Nascent_support.Server.Client in
-  let path =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "nascent-tiers-%d.sock" (Unix.getpid ()))
-  in
-  let cfg = { (Server.default_config ~socket_path:path) with Server.jobs = 2 } in
-  let service = Service.create ~breaker_threshold:3 () in
-  let srv = Server.create cfg (Service.handler service) in
-  Service.set_upgrade_submit service (Server.submit_background srv);
-  let runner = Thread.create (fun () -> Server.run srv) () in
-  let rec wait n =
-    if n = 0 then failwith "bench tiers: daemon socket never appeared"
-    else if not (Sys.file_exists path) then begin
-      Unix.sleepf 0.01;
-      wait (n - 1)
-    end
-  in
-  wait 500;
-  let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("FAIL: " ^ m); exit 1) fmt in
-  let req ?fault ~scheme name =
-    Json.Obj
-      ([
-         ("op", Json.Str "compile");
-         ("benchmark", Json.Str name);
-         ("scheme", Json.Str scheme);
-         ("run", Json.Bool true);
-       ]
-      @ match fault with None -> [] | Some f -> [ ("fault", Json.Str f) ])
-  in
-  let exchange conn r =
-    match Client.request conn r with
-    | Ok resp -> resp
-    | Error e -> fail "request failed: %s" e
-  in
-  let timed conn r =
-    let t0 = Mclock.counter () in
-    let resp = exchange conn r in
-    (Mclock.elapsed_s t0, resp)
-  in
-  let sfield resp name =
-    match Json.str_member name resp with
-    | Some s -> s
-    | None -> fail "response lacks %s: %s" name (Json.to_string resp)
-  in
-  let median xs =
-    let a = List.sort compare xs in
-    List.nth a (List.length a / 2)
-  in
-  let names = List.map (fun b -> b.B.name) B.all in
-  let warm_reps = 20 in
-  let within, ratio =
-    Client.with_conn path @@ fun conn ->
-    (* 1. Warm the NI floor cells, then measure the warm NI hit. *)
-  List.iter (fun n -> ignore (exchange conn (req ~scheme:"NI" n))) names;
-  let warm_ni =
-    median
-      (List.concat_map
-         (fun n ->
-           List.init warm_reps (fun _ -> fst (timed conn (req ~scheme:"NI" n))))
-         names)
-  in
-  (* 2. Cold miss at the requested scheme: served from the floor. *)
-  let cold_samples =
-    List.map
-      (fun n ->
-        let dt, resp = timed conn (req ~scheme:"LLS" n) in
-        if sfield resp "tier" <> "floor" then
-          fail "%s: cold miss served tier %s, want floor" n (sfield resp "tier");
-        (n, dt, resp))
-      names
-  in
-  let cold_floor = median (List.map (fun (_, dt, _) -> dt) cold_samples) in
-  (* 3. Poll each request until the background upgrade hot-swaps it. *)
-  let time_to_optimized =
-    List.map
-      (fun (n, _, floor_resp) ->
-        let t0 = Mclock.counter () in
-        let rec poll () =
-          let resp = exchange conn (req ~scheme:"LLS" n) in
-          match sfield resp "tier" with
-          | "optimized" -> (Mclock.elapsed_s t0, resp)
-          | _ when Mclock.elapsed_s t0 > 60.0 ->
-              fail "%s: upgrade did not land within 60s" n
-          | _ ->
-              Unix.sleepf 0.005;
-              poll ()
-        in
-        let dt, opt_resp = poll () in
-        (* Floor and optimized artifacts must be observably identical:
-           fewer checks, same interpreter outcome. *)
-        let run_of resp =
-          match Json.member "run" resp with
-          | Some r -> (Json.str_member "trap" r, Json.str_member "error" r)
-          | None -> fail "%s: response lacks a run object" n
-        in
-        if run_of floor_resp <> run_of opt_resp then
-          fail "%s: floor and optimized runs diverge observably" n;
-        dt)
-      cold_samples
-  in
-  (* 4. The whole matrix upgraded: measure the warm optimized hit. *)
-  let warm_opt =
-    median
-      (List.concat_map
-         (fun n ->
-           List.init warm_reps (fun _ ->
-               let dt, resp = timed conn (req ~scheme:"LLS" n) in
-               if sfield resp "tier" <> "optimized" then
-                 fail "%s: warm request regressed to tier %s" n (sfield resp "tier");
-               dt))
-         names)
-  in
-  (* 5. Fault containment: an injected upgrade fault degrades to a
-     served floor with a recorded incident — no error, no stall. *)
-  let fresp = exchange conn (req ~scheme:"CS" ~fault:"drop-check:7" "vortex") in
-  if sfield fresp "status" = "error" then
-    fail "fault-injected request errored: %s" (Json.to_string fresp);
-  if sfield fresp "tier" <> "floor" then
-    fail "fault-injected request served tier %s, want floor" (sfield fresp "tier");
-  let status_req = Json.Obj [ ("op", Json.Str "status") ] in
-  let upgrades_failed st =
-    match Json.member "upgrades" st with
-    | Some o -> ( match Json.int_member "failed" o with Some n -> n | None -> 0)
-    | None -> 0
-  in
-  let t0 = Mclock.counter () in
-  let rec wait_failed () =
-    let st = exchange conn status_req in
-    if upgrades_failed st >= 1 then st
-    else if Mclock.elapsed_s t0 > 60.0 then
-      fail "fault-injected upgrade never recorded its failure"
-    else begin
-      Unix.sleepf 0.01;
-      wait_failed ()
-    end
-  in
-  let st = wait_failed () in
-  let fresp2 = exchange conn (req ~scheme:"CS" ~fault:"drop-check:7" "vortex") in
-  if sfield fresp2 "tier" <> "floor" then
-    fail "faulted cell upgraded to tier %s, want a kept floor" (sfield fresp2 "tier");
-  let ttodo_max = List.fold_left Float.max 0.0 time_to_optimized in
-  let ratio = cold_floor /. warm_ni in
-  let within = ratio <= 2.0 in
-  Printf.printf
-    "\ntiers (%d benchmarks): warm NI hit %.3f ms, cold-miss floor %.3f ms \
-     (%.2fx%s), time-to-optimized max %.3f s, warm optimized %.3f ms\n\
-     tiers fault containment: injected upgrade fault -> tier:floor kept, \
-     %d failed upgrade(s) recorded, no client error\n\
-     %!"
-    (List.length names) (1000.0 *. warm_ni) (1000.0 *. cold_floor) ratio
-    (if within then "" else " — OVER THE 2x BAR")
-    ttodo_max (1000.0 *. warm_opt) (upgrades_failed st);
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"benchmarks\": %d,\n\
-      \  \"warm_ni_hit_ms\": %.6f,\n\
-      \  \"cold_floor_ms\": %.6f,\n\
-      \  \"floor_over_warm_ni\": %.4f,\n\
-      \  \"floor_within_2x\": %b,\n\
-      \  \"time_to_optimized_max_s\": %.6f,\n\
-      \  \"warm_optimized_ms\": %.6f,\n\
-      \  \"fault_upgrades_failed\": %d,\n\
-      \  \"fault_tier_served\": \"%s\"\n\
-       }\n"
-      (List.length names) (1000.0 *. warm_ni) (1000.0 *. cold_floor) ratio
-      within ttodo_max (1000.0 *. warm_opt) (upgrades_failed st)
-      (sfield fresp2 "tier")
-  in
-  Nascent_support.Guard.write_atomic ~path:tiers_json_path json;
-    Printf.printf "wrote %s\n%!" tiers_json_path;
-    (within, ratio)
-  in
-  Server.stop srv;
-  Thread.join runner;
-  if not within then fail "cold-miss floor %.2fx the warm NI hit (bar: 2x)" ratio
-
 (* --- load: open-loop generator over the sharded service ---------------- *)
 
 let load_json_path = "BENCH_load.json"
@@ -603,7 +239,6 @@ type load_rung = {
   sent : int;
   ok : int;
   errors : int;
-  floor : int; (* responses served from the cold-cache NI floor tier *)
   p50_ms : float;
   p99_ms : float;
   p999_ms : float;
@@ -618,8 +253,7 @@ type load_rung = {
    connections: one shard direct, then three shards behind the
    consistent-hash router. Each rate rung reports p50/p99/p999
    (completion minus scheduled arrival, so queueing and schedule slip
-   count) and how many responses came off the cold-cache NI floor
-   tier; the highest rung with zero errors and >= 90% of the offered
+   count); the highest rung with zero errors and >= 90% of the offered
    rate completed is the recorded max sustained RPS. A final chaos
    pass kills -9 one shard at load mid-run and demands the batch
    still complete with zero failed requests — health ejection plus
@@ -677,10 +311,8 @@ let run_load () =
         | None -> failwith "bench load: no tcp_port in status")
   in
   (* The request stream cycles the (benchmark x scheme) matrix, so the
-     leading edge of every run is all cold-cache misses: the daemon
-     answers those from the instant NI floor while upgrades compile on
-     the background lane — the tier path under high concurrency is
-     exactly what this generator exists to exercise. *)
+     leading edge of every run is all cold-cache misses, each compiled
+     on the live path at its requested scheme. *)
   let cells =
     List.concat_map
       (fun b -> List.map (fun s -> (b.B.name, s)) [ "NI"; "LLS"; "CS"; "ALL" ])
@@ -695,7 +327,6 @@ let run_load () =
         ("op", Json.Str "compile");
         ("benchmark", Json.Str b);
         ("scheme", Json.Str s);
-        ("tier", Json.Str "auto");
       ]
   in
   let percentile sorted q =
@@ -730,7 +361,7 @@ let run_load () =
       let lock = Mutex.create () in
       let pending = Hashtbl.create 64 in
       let lats = ref [] in
-      let okc = ref 0 and errc = ref 0 and floorc = ref 0 in
+      let okc = ref 0 and errc = ref 0 in
       let sent = ref 0 and received = ref 0 in
       (* The receiver owns a fixed quota — n_w completions — so there
          is no handoff race with the sender: blocking in pipeline_recv
@@ -757,13 +388,8 @@ let run_load () =
                         Hashtbl.remove pending fid;
                         lats := (now -. sched) :: !lats
                     | None -> ());
-                    (if Json.str_member "status" resp = Some "error" then
-                       incr errc
-                     else begin
-                       incr okc;
-                       if Json.str_member "tier" resp = Some "floor" then
-                         incr floorc
-                     end);
+                    if Json.str_member "status" resp = Some "error" then incr errc
+                    else incr okc;
                     Mutex.unlock lock;
                     loop ()
                 | Ok None | Error _ ->
@@ -802,21 +428,20 @@ let run_load () =
       done;
       Thread.join receiver;
       (try Client.close conn with _ -> ());
-      (!sent, !okc, !errc, !floorc, !lats)
+      (!sent, !okc, !errc, !lats)
     in
-    let out = Array.make workers (0, 0, 0, 0, []) in
+    let out = Array.make workers (0, 0, 0, []) in
     let threads =
       List.init workers (fun w ->
           Thread.create (fun () -> out.(w) <- worker w) ())
     in
     List.iter Thread.join threads;
     let elapsed = Mclock.elapsed_s t0 in
-    let sent = Array.fold_left (fun a (s, _, _, _, _) -> a + s) 0 out in
-    let ok = Array.fold_left (fun a (_, o, _, _, _) -> a + o) 0 out in
-    let errors = Array.fold_left (fun a (_, _, e, _, _) -> a + e) 0 out in
-    let floor = Array.fold_left (fun a (_, _, _, f, _) -> a + f) 0 out in
+    let sent = Array.fold_left (fun a (s, _, _, _) -> a + s) 0 out in
+    let ok = Array.fold_left (fun a (_, o, _, _) -> a + o) 0 out in
+    let errors = Array.fold_left (fun a (_, _, e, _) -> a + e) 0 out in
     let lats =
-      Array.fold_left (fun a (_, _, _, _, l) -> List.rev_append l a) [] out
+      Array.fold_left (fun a (_, _, _, l) -> List.rev_append l a) [] out
       |> Array.of_list
     in
     Array.sort compare lats;
@@ -826,7 +451,6 @@ let run_load () =
       sent;
       ok;
       errors;
-      floor;
       p50_ms = 1000.0 *. percentile lats 0.50;
       p99_ms = 1000.0 *. percentile lats 0.99;
       p999_ms = 1000.0 *. percentile lats 0.999;
@@ -841,7 +465,6 @@ let run_load () =
         ("sent", Json.Int r.sent);
         ("ok", Json.Int r.ok);
         ("errors", Json.Int r.errors);
-        ("floor_tier", Json.Int r.floor);
         ("p50_ms", Json.Float r.p50_ms);
         ("p99_ms", Json.Float r.p99_ms);
         ("p999_ms", Json.Float r.p999_ms);
@@ -866,10 +489,10 @@ let run_load () =
     List.iter
       (fun r ->
         Printf.printf
-          "  offered %6.0f rps: achieved %7.1f rps, %d/%d ok (%d floor-tier), \
-           p50 %.1f ms, p99 %.1f ms, p999 %.1f ms%s\n\
+          "  offered %6.0f rps: achieved %7.1f rps, %d/%d ok, p50 %.1f ms, p99 \
+           %.1f ms, p999 %.1f ms%s\n\
            %!"
-          r.offered_rps r.achieved_rps r.ok r.sent r.floor r.p50_ms r.p99_ms
+          r.offered_rps r.achieved_rps r.ok r.sent r.p50_ms r.p99_ms
           r.p999_ms
           (if sustained r then "" else "  [not sustained]"))
       rungs;
@@ -1053,17 +676,8 @@ let () =
     | "canon" -> run_canon ()
     | "extensions" -> run_extensions ()
     | "tables" -> run_tables ()
-    | "check-determinism" ->
-        run_check_determinism ();
-        (* The tier ladder is part of the determinism contract: a floor
-           response and its upgraded replacement must be observably
-           identical artifacts of the same source, and the
-           latency/containment record regenerates alongside it. *)
-        run_tiers ()
+    | "check-determinism" -> run_check_determinism ()
     | "oracle-diff" -> run_oracle_differential ()
-    | "speedup" -> run_speedup ()
-    | "service" -> run_service ()
-    | "tiers" -> run_tiers ()
     | "load" -> run_load ()
     | "bech" -> run_bech ()
     | "all" ->

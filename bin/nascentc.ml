@@ -699,32 +699,16 @@ let cmd_client =
       & info [ "run" ]
           ~doc:"Also execute the optimized program under the interpreter.")
   in
-  let tier_arg =
-    Arg.(
-      value
-      & opt (some (enum [ ("auto", "auto"); ("sync", "sync") ])) None
-      & info [ "tier" ] ~docv:"MODE"
-          ~doc:
-            "Tiering mode for the compile request. $(b,auto) (the daemon's \
-             default) answers a cold cache miss instantly from the NI floor \
-             (response field \"tier\":\"floor\") while the requested scheme \
-             compiles in the background and hot-swaps into the cache; \
-             $(b,sync) forces the requested scheme on the live request, \
-             pre-tier style. Omitted: the server decides.")
-  in
   let prewarm_arg =
     Arg.(
       value
       & flag
       & info [ "prewarm" ]
           ~doc:
-            "Warm the service's cache: request every (built-in benchmark × \
+            "Warm the service's cache: compile every (built-in benchmark × \
              scheme) cell under the current --kind/--implications/--verify \
-             settings, then poll status until the background upgrade queue \
-             drains, so subsequent requests are served \
-             \"tier\":\"optimized\" from cache. Exits 0 when drained, 4 if \
-             any cell failed, 6 if upgrades were still pending at the \
-             --max-wait-ms budget (default 120000).")
+             settings, so subsequent requests for them are served from \
+             cache. Exits 0 when every cell compiled, 4 if any failed.")
   in
   let deadline_arg =
     Arg.(
@@ -790,16 +774,10 @@ let cmd_client =
         else if Json.int_member "code" resp = Some 4 then 4
         else 0
   in
-  (* Warm every (benchmark × scheme) cell, then wait for the service's
-     background upgrade queue to drain: afterwards the whole matrix is
-     served "tier":"optimized" straight from cache. Polls the status op
-     — bg_pending/bg_inflight are the server lane, upgrades.pending the
-     service's in-flight set; all three at zero means no upgrade is
-     queued, running, or reserved. *)
-  let run_prewarm ~socket ~config ~policy ~seed ~recv_timeout_s ~deadline
-      ~max_wait_ms ~stats_json =
-    let budget_s = float_of_int (Option.value ~default:120_000 max_wait_ms) /. 1000.0 in
-    let t0 = Mclock.counter () in
+  (* Compile every (benchmark × scheme) cell once: afterwards the whole
+     matrix is served straight from the service's cache. *)
+  let run_prewarm ~socket ~config ~policy ?max_elapsed_s ~seed ~recv_timeout_s
+      ~deadline () =
     let failures = ref 0 in
     let cells =
       List.concat_map
@@ -820,74 +798,42 @@ let cmd_client =
                ("impl", Json.Str (impl_wire config.Config.impl));
                ("verify", Json.Bool config.Config.verify);
                ("oracle", Json.Bool config.Config.oracle);
-               ("tier", Json.Str "auto");
              ]
             @ deadline)
         in
-        match Client.request_retry ~policy ?recv_timeout_s ~seed socket req with
+        let fail msg =
+          incr failures;
+          Fmt.epr "nascentc: prewarm %s/%s: %s@." name sname msg
+        in
+        match
+          Client.request_retry ~policy ?max_elapsed_s ?recv_timeout_s ~seed socket req
+        with
         | Ok resp ->
-            if Json.str_member "status" resp = Some "error" then begin
-              incr failures;
-              Fmt.epr "nascentc: prewarm %s/%s: %s@." name sname
-                (Option.value ~default:"" (Json.str_member "detail" resp))
-            end
-        | Error msg ->
-            incr failures;
-            Fmt.epr "nascentc: prewarm %s/%s: %s@." name sname msg)
+            if Json.str_member "status" resp = Some "error" then
+              fail (Option.value ~default:"" (Json.str_member "detail" resp))
+        | Error msg -> fail msg)
       cells;
-    let status_req =
-      Json.Obj [ ("id", Json.Str "prewarm"); ("op", Json.Str "status") ]
-    in
-    let rec poll () =
-      match Client.request_retry ~policy ?recv_timeout_s ~seed socket status_req with
-      | Error msg ->
-          Fmt.epr "nascentc: prewarm status: %s@." msg;
-          7
-      | Ok resp ->
-          let geti name = Option.value ~default:0 (Json.int_member name resp) in
-          let upgrades_pending =
-            match Json.member "upgrades" resp with
-            | Some o -> Option.value ~default:0 (Json.int_member "pending" o)
-            | None -> 0
-          in
-          if geti "bg_pending" = 0 && geti "bg_inflight" = 0 && upgrades_pending = 0
-          then begin
-            Fmt.pr "%s@." (Json.to_string resp);
-            (match stats_json with
-            | None -> ()
-            | Some path -> (
-                try Guard.write_atomic ~path (Json.to_string resp ^ "\n")
-                with Sys_error msg -> Fmt.epr "nascentc: --stats-json: %s@." msg));
-            Fmt.epr "nascentc: prewarm: %d cell(s), %d failure(s), drained in %.1fs@."
-              (List.length cells) !failures (Mclock.elapsed_s t0);
-            if !failures > 0 then 4 else 0
-          end
-          else if Mclock.elapsed_s t0 > budget_s then begin
-            Fmt.epr "nascentc: prewarm: upgrades still pending after %.1fs@."
-              budget_s;
-            6
-          end
-          else begin
-            Unix.sleepf 0.1;
-            poll ()
-          end
-    in
-    poll ()
+    Fmt.epr "nascentc: prewarm: %d cell(s), %d failure(s)@." (List.length cells)
+      !failures;
+    if !failures > 0 then 4 else 0
   in
-  let run file socket status burn prewarm tier config want_run deadline_ms
-      retries seed max_wait_ms recv_timeout_ms stats_json =
+  let run file socket status burn prewarm config want_run deadline_ms retries
+      seed max_wait_ms recv_timeout_ms stats_json =
     let recv_timeout_s =
       Option.map (fun ms -> float_of_int (max 1 ms) /. 1000.0) recv_timeout_ms
     in
+    let deadline =
+      match deadline_ms with
+      | None -> []
+      | Some ms -> [ ("deadline_ms", Json.Int ms) ]
+    in
+    let policy = { Retry.default with Retry.max_attempts = max 1 retries } in
+    let max_elapsed_s =
+      Option.map (fun ms -> float_of_int (max 0 ms) /. 1000.0) max_wait_ms
+    in
     if prewarm then
-      let policy = { Retry.default with Retry.max_attempts = max 1 retries } in
-      let deadline =
-        match deadline_ms with
-        | None -> []
-        | Some ms -> [ ("deadline_ms", Json.Int ms) ]
-      in
-      run_prewarm ~socket ~config ~policy ~seed ~recv_timeout_s ~deadline
-        ~max_wait_ms ~stats_json
+      run_prewarm ~socket ~config ~policy ?max_elapsed_s ~seed ~recv_timeout_s
+        ~deadline ()
     else
     let req_fields =
       if status then Some [ ("op", Json.Str "status") ]
@@ -918,9 +864,6 @@ let cmd_client =
                  ("oracle", Json.Bool config.Config.oracle);
                  ("run", Json.Bool want_run);
                ]
-              @ (match tier with
-                | None -> []
-                | Some t -> [ ("tier", Json.Str t) ])
               @
               match config.Config.fault with
               | None -> []
@@ -929,16 +872,7 @@ let cmd_client =
     match req_fields with
     | None -> 1
     | Some fields ->
-        let deadline =
-          match deadline_ms with
-          | None -> []
-          | Some ms -> [ ("deadline_ms", Json.Int ms) ]
-        in
         let req = Json.Obj ((("id", Json.Str "cli") :: fields) @ deadline) in
-        let policy = { Retry.default with Retry.max_attempts = max 1 retries } in
-        let max_elapsed_s =
-          Option.map (fun ms -> float_of_int (max 0 ms) /. 1000.0) max_wait_ms
-        in
         (match
            Client.request_retry ~policy ?max_elapsed_s ?recv_timeout_s ~seed
              socket req
@@ -958,7 +892,7 @@ let cmd_client =
   Cmd.v (Cmd.info "client" ~doc)
     Term.(
       const run $ file_opt_arg $ socket_arg $ status_arg $ burn_arg
-      $ prewarm_arg $ tier_arg $ config_term $ run_flag_arg $ deadline_arg
+      $ prewarm_arg $ config_term $ run_flag_arg $ deadline_arg
       $ retries_arg $ seed_arg $ max_wait_arg $ recv_timeout_arg
       $ client_stats_arg)
 

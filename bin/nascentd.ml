@@ -394,13 +394,6 @@ let serve ~restarts socket tcp jobs queue_depth deadline_ms request_fuel
               ?state_path ?shard_name ()
           in
           let server = Server.create cfg (Service.handler service) in
-          (* Tiered compilation: a cold cache miss is answered from the
-             instant NI floor while the requested scheme compiles on the
-             server's background lane and hot-swaps into the cache.
-             Wiring the lane here — and only here — keeps every
-             embedded/test use of the service on the plain synchronous
-             path; clients opt out per request with "tier":"sync". *)
-          Service.set_upgrade_submit service (Server.submit_background server);
           (* Graceful drain on either termination signal: stop is
              lock-free and signal-safe; run returns once every admitted
              request is answered. *)

@@ -10,7 +10,6 @@ type counters = {
   disk_hits : int;
   misses : int;
   quarantined : int;
-  swaps : int;
 }
 
 type 'v t = {
@@ -21,7 +20,6 @@ type 'v t = {
   mutable disk_hits : int;
   mutable misses : int;
   mutable quarantined : int;
-  mutable swaps : int;
   disk_dir : string option;
   quarantine_max : int; (* cap on retained quarantine entries *)
 }
@@ -67,7 +65,6 @@ let create ?disk_dir ?quarantine_max ~name () =
     disk_hits = 0;
     misses = 0;
     quarantined = 0;
-    swaps = 0;
     disk_dir;
     quarantine_max;
   }
@@ -236,42 +233,6 @@ let find_or_compute t ~key f =
           disk_write t key v;
           v)
 
-(* Peek without computing: the in-memory table, then the disk store.
-   A present entry counts as a hit (a disk entry is cached in memory on
-   the way through, like [find_or_compute]); an absent one counts
-   nothing — no recomputation happened, so it is not a miss. *)
-let find_opt t ~key =
-  Mutex.lock t.lock;
-  match Hashtbl.find_opt t.table key with
-  | Some v ->
-      t.hits <- t.hits + 1;
-      Mutex.unlock t.lock;
-      Some v
-  | None -> (
-      Mutex.unlock t.lock;
-      match disk_read t key with
-      | Some v ->
-          Mutex.lock t.lock;
-          t.hits <- t.hits + 1;
-          t.disk_hits <- t.disk_hits + 1;
-          Hashtbl.replace t.table key v;
-          Mutex.unlock t.lock;
-          Some v
-      | None -> None)
-
-(* Hot-swap: atomically replace the cached value for [key]. The
-   in-memory table flips under the lock, so a concurrent reader sees
-   the old value or the new one, never a torn state; the disk entry is
-   rewritten through [Guard.write_atomic] (temp + rename), so a reader
-   racing the swap — or a crash mid-swap — can likewise only observe
-   one complete entry. *)
-let replace t ~key v =
-  Mutex.lock t.lock;
-  Hashtbl.replace t.table key v;
-  t.swaps <- t.swaps + 1;
-  Mutex.unlock t.lock;
-  disk_write t key v
-
 let stats t =
   Mutex.lock t.lock;
   let c =
@@ -280,7 +241,6 @@ let stats t =
       disk_hits = t.disk_hits;
       misses = t.misses;
       quarantined = t.quarantined;
-      swaps = t.swaps;
     }
   in
   Mutex.unlock t.lock;
@@ -293,5 +253,4 @@ let clear t =
   t.disk_hits <- 0;
   t.misses <- 0;
   t.quarantined <- 0;
-  t.swaps <- 0;
   Mutex.unlock t.lock

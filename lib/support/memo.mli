@@ -22,7 +22,6 @@ type counters = {
   quarantined : int;
       (** corrupt disk entries detected, moved to [<dir>/quarantine/]
           and re-counted as misses *)
-  swaps : int;  (** entries hot-swapped in place via {!replace} *)
 }
 
 val key : string list -> string
@@ -61,23 +60,6 @@ val find_or_compute : 'v t -> key:string -> (unit -> 'v) -> 'v
     degrades to an ordinary miss (recompute and re-persist) instead of
     raising. Entries are written atomically (temp file + rename), so an
     interrupted writer never leaves a torn entry behind. *)
-
-val find_opt : 'v t -> key:string -> 'v option
-(** Peek without computing: the in-memory table, then the disk store
-    (read-through, corruption quarantined exactly as in
-    {!find_or_compute}). A present entry counts as a hit; an absent
-    one counts nothing — no computation was forced, so it is not a
-    miss. *)
-
-val replace : 'v t -> key:string -> 'v -> unit
-(** Atomically replace the cached value for [key] (present or not) in
-    memory and on disk, counting the swap in [counters.swaps]. The
-    in-memory flip happens under the memo's lock and the disk entry is
-    rewritten via temp-file + rename, so a concurrent {!find_opt} /
-    {!find_or_compute} — or a crash mid-swap — observes the old entry
-    or the new one, never a torn state. The compile service's tier
-    upgrade uses this to promote a floor entry to its optimized form
-    without ever making the key unavailable. *)
 
 val stats : 'v t -> counters
 

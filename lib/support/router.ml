@@ -70,8 +70,11 @@ let now_s t = Mclock.elapsed_s t.clock
    order, with the per-call envelope stripped — two requests that
    would hit the same memo cell must hash identically, or routing
    would scatter a client's retries across shards and throw away the
-   cache locality sharding exists to preserve. *)
-let envelope_fields = [ "id"; "deadline_ms"; "tier"; "retries"; "lane"; "bg_attempt" ]
+   cache locality sharding exists to preserve. "tier" no longer
+   changes what a compile does, but older clients and prewarms still
+   send it, so it stays out of the key: hot keys keep routing to the
+   shard that warmed them. *)
+let envelope_fields = [ "id"; "deadline_ms"; "tier"; "retries" ]
 
 let shard_key (req : Json.t) =
   match req with

@@ -109,11 +109,6 @@ type counters = {
   mutable replayed : int; (* journal entries replayed at startup *)
   mutable mem_shed : int; (* admissions shed under memory pressure *)
   mutable mem_aborts : int; (* requests aborted by the memory watchdog *)
-  mutable bg_run : int; (* background job executions (incl. retries) *)
-  mutable bg_done : int; (* background jobs that reached a terminal run *)
-  mutable bg_retried : int; (* background re-enqueues (backoff) *)
-  mutable bg_dropped : int; (* background jobs abandoned after retries *)
-  mutable bg_shed : int; (* background submissions refused *)
   mutable proto_rejects : int; (* legacy / version-mismatched clients *)
   mutable idle_closed : int; (* silent connections reaped *)
   mutable frame_errors : int; (* torn / oversized / garbage frames *)
@@ -143,21 +138,6 @@ type job = {
   jseq : int option; (* journal sequence number, when journaling *)
 }
 
-(* A background job: handler work with NO client attached — the compile
-   service's tier upgrades ride this lane. Background jobs run only
-   when the live queue is empty (idle workers), each under a fresh
-   per-run deadline/fuel budget, and their journal entries are marked
-   done only after a terminal run — so a kill -9 mid-upgrade replays
-   the job, and replay re-enqueues it here (at lower priority than
-   live traffic) instead of running it before the socket binds. *)
-type bgjob = {
-  breq : Json.t;
-  mutable battempt : int; (* completed runs of this job *)
-  mutable bnot_before : float; (* uptime before which it must not run *)
-  benqueued : float; (* uptime at first enqueue, for age reporting *)
-  bseq : int option; (* journal sequence number, when journaling *)
-}
-
 type t = {
   cfg : config;
   handler : handler;
@@ -167,9 +147,6 @@ type t = {
   drained : Condition.t; (* queue empty and nothing in flight *)
   mutable inflight : int;
   mutable admitting : int; (* slots reserved while journaling an admission *)
-  mutable bgq : bgjob list; (* background lane, FIFO by eligibility; guarded by [lock] *)
-  mutable bg_inflight : int;
-  mutable bg_admitting : int; (* slots reserved while journaling a bg submission *)
   stopping : bool Atomic.t;
   c : counters;
   started : Mclock.counter;
@@ -191,9 +168,6 @@ let create cfg handler =
     drained = Condition.create ();
     inflight = 0;
     admitting = 0;
-    bgq = [];
-    bg_inflight = 0;
-    bg_admitting = 0;
     stopping = Atomic.make false;
     c =
       {
@@ -208,11 +182,6 @@ let create cfg handler =
         replayed = 0;
         mem_shed = 0;
         mem_aborts = 0;
-        bg_run = 0;
-        bg_done = 0;
-        bg_retried = 0;
-        bg_dropped = 0;
-        bg_shed = 0;
         proto_rejects = 0;
         idle_closed = 0;
         frame_errors = 0;
@@ -331,20 +300,8 @@ let with_id ~id = function
   | other -> Json.Obj [ ("id", id); ("result", other) ]
 
 let status_response t ~id =
-  let depth, inflight, open_conns, bg_pending, bg_inflight, bg_oldest =
-    locked t (fun () ->
-        let now = uptime_s t in
-        let oldest =
-          List.fold_left
-            (fun acc bj -> Float.max acc (now -. bj.benqueued))
-            0.0 t.bgq
-        in
-        ( Queue.length t.queue,
-          t.inflight,
-          List.length t.conns,
-          List.length t.bgq,
-          t.bg_inflight,
-          oldest ))
+  let depth, inflight, open_conns =
+    locked t (fun () -> (Queue.length t.queue, t.inflight, List.length t.conns))
   in
   let c = t.c in
   Json.Obj
@@ -376,14 +333,6 @@ let status_response t ~id =
            (match t.cfg.journal with None -> 0 | Some j -> Journal.quarantined j) );
        ("mem_shed", Json.Int c.mem_shed);
        ("mem_aborts", Json.Int c.mem_aborts);
-       ("bg_pending", Json.Int bg_pending);
-       ("bg_inflight", Json.Int bg_inflight);
-       ("bg_oldest_age_s", Json.Float bg_oldest);
-       ("bg_run", Json.Int c.bg_run);
-       ("bg_done", Json.Int c.bg_done);
-       ("bg_retried", Json.Int c.bg_retried);
-       ("bg_dropped", Json.Int c.bg_dropped);
-       ("bg_shed", Json.Int c.bg_shed);
        ("proto_rejects", Json.Int c.proto_rejects);
        ("idle_closed", Json.Int c.idle_closed);
        ("frame_errors", Json.Int c.frame_errors);
@@ -459,97 +408,6 @@ let process t job =
   | _ -> ());
   answer t ~frame:job.jframe job.jconn response
 
-(* --- background lane ---------------------------------------------------- *)
-
-(* The upgrade path is its own failure domain: a background run that
-   crashes (deadline, fuel, memory, a handler bug) is retried with
-   backoff up to this many runs, then abandoned — a sick upgrade can
-   cost bounded worker time, never wedge the lane or touch a live
-   response. The handler can also drive its own schedule by answering
-   with a "retry_after_s" field (e.g. waiting out a breaker cooldown). *)
-let bg_max_attempts = 8
-
-let bg_backoff =
-  { Retry.default with max_attempts = bg_max_attempts; base_delay_s = 0.05 }
-
-let set_field name v = function
-  | Json.Obj fields -> Json.Obj ((name, v) :: List.remove_assoc name fields)
-  | other -> other
-
-let bg_finish t bj ~dropped =
-  (match (t.cfg.journal, bj.bseq) with
-  | Some j, Some seq -> Journal.mark_done j seq
-  | _ -> ());
-  locked t (fun () ->
-      if dropped then t.c.bg_dropped <- t.c.bg_dropped + 1
-      else t.c.bg_done <- t.c.bg_done + 1)
-
-let bg_requeue t bj ~delay =
-  bj.battempt <- bj.battempt + 1;
-  bj.bnot_before <- uptime_s t +. Float.max 0.0 delay;
-  locked t (fun () ->
-      t.bgq <- t.bgq @ [ bj ];
-      t.c.bg_retried <- t.c.bg_retried + 1;
-      Condition.signal t.nonempty)
-
-(* One background run: same budget wrapping as [process], no client to
-   answer. The handler's response steers the lane — "retry_after_s"
-   re-enqueues the job after that delay (attempts capped), anything
-   else is terminal and completes the journal entry. An exception is
-   an implicit retry with deterministic backoff: transient pressure
-   (deadline, memory) may clear; after [bg_max_attempts] the job is
-   dropped — the floor entry it would have upgraded stays served. *)
-let process_bg t bj =
-  locked t (fun () -> t.c.bg_run <- t.c.bg_run + 1);
-  let req = set_field "bg_attempt" (Json.Int bj.battempt) bj.breq in
-  let body () = t.handler.handle req in
-  let body =
-    match t.cfg.request_fuel with
-    | Some budget -> fun () -> Guard.with_fuel (Guard.fuel ~what:"bg" ~budget) body
-    | None -> body
-  in
-  let body =
-    match request_deadline t bj.breq with
-    | Some d -> fun () -> Guard.with_deadline d body
-    | None -> body
-  in
-  match body () with
-  | resp -> (
-      match Json.float_member "retry_after_s" resp with
-      | Some d when bj.battempt + 1 < bg_max_attempts -> bg_requeue t bj ~delay:d
-      | Some _ -> bg_finish t bj ~dropped:true
-      | None -> bg_finish t bj ~dropped:false)
-  | exception _ ->
-      if bj.battempt + 1 < bg_max_attempts then
-        let seed = match bj.bseq with Some s -> s | None -> 1 in
-        bg_requeue t bj
-          ~delay:(Retry.delay_s bg_backoff ~seed ~attempt:(bj.battempt + 1))
-      else bg_finish t bj ~dropped:true
-
-(* Take the first eligible background job: FIFO among jobs whose
-   backoff delay has elapsed. Called under [t.lock]. *)
-let take_bg_locked t =
-  if Guard.mem_level () <> `Ok then None
-    (* memory pressure sheds the background lane first: upgrades are
-       deferred (the ticker re-offers them), live work keeps the
-       remaining headroom *)
-  else if t.bg_inflight >= max 1 (t.cfg.jobs - 1) then None
-    (* at most jobs-1 workers upgrade concurrently: a live request must
-       never queue behind a burst of in-flight background compiles, so
-       one worker always stays on the live lane (a single-worker server
-       has no spare and alternates, live first) *)
-  else
-    let now = uptime_s t in
-    let rec split acc = function
-      | [] -> None
-      | bj :: rest when bj.bnot_before <= now ->
-          t.bgq <- List.rev_append acc rest;
-          t.bg_inflight <- t.bg_inflight + 1;
-          Some bj
-      | bj :: rest -> split (bj :: acc) rest
-    in
-    split [] t.bgq
-
 let rec worker_loop t =
   Mutex.lock t.lock;
   let rec next () =
@@ -557,28 +415,20 @@ let rec worker_loop t =
     | Some j ->
         t.inflight <- t.inflight + 1;
         Mutex.unlock t.lock;
-        `Live j
+        Some j
     | None ->
         if stopping t then begin
-          (* pending background jobs are abandoned here, not run:
-             journaled ones stay pending and the next start re-enqueues
-             them — the drain contract covers admitted LIVE work only *)
           Mutex.unlock t.lock;
-          `Stop
+          None
         end
         else begin
-          (match take_bg_locked t with
-          | Some bj ->
-              Mutex.unlock t.lock;
-              `Bg bj
-          | None ->
-              Condition.wait t.nonempty t.lock;
-              next ())
+          Condition.wait t.nonempty t.lock;
+          next ()
         end
   in
   match next () with
-  | `Stop -> ()
-  | `Live job ->
+  | None -> ()
+  | Some job ->
       Fun.protect
         ~finally:(fun () ->
           conn_release t job.jconn;
@@ -587,16 +437,6 @@ let rec worker_loop t =
           if t.inflight = 0 && Queue.is_empty t.queue then Condition.broadcast t.drained;
           Mutex.unlock t.lock)
         (fun () -> process t job);
-      worker_loop t
-  | `Bg bj ->
-      Fun.protect
-        ~finally:(fun () ->
-          locked t (fun () ->
-              t.bg_inflight <- t.bg_inflight - 1;
-              (* a freed slot may unblock a capped waiter immediately;
-                 the ticker would otherwise delay it a beat *)
-              if t.bgq <> [] then Condition.signal t.nonempty))
-        (fun () -> process_bg t bj);
       worker_loop t
 
 (* Supervision: [process] already guards the handler, so nothing should
@@ -713,79 +553,6 @@ let enqueue t conn ~frame ~id req =
           Condition.signal t.nonempty;
           Mutex.unlock t.lock
         end
-  end
-
-(* Submit handler work to the background lane — no client, no response;
-   used by the compile service for tier upgrades. Journaled (when a
-   journal is configured) under a "lane":"bg" envelope mark BEFORE the
-   job is visible to a worker, so a kill -9 between submission and
-   completion replays it; the entry is marked done only by a terminal
-   run ([bg_finish]). Returns false — and journals nothing — when the
-   server is draining or the lane is at capacity: the caller's floor
-   entry keeps being served, and a later cold request resubmits. *)
-let submit_background t (req : Json.t) =
-  if stopping t then false
-  else begin
-    let req = set_field "lane" (Json.Str "bg") req in
-    Mutex.lock t.lock;
-    if
-      List.length t.bgq + t.bg_inflight + t.bg_admitting >= t.cfg.queue_depth
-      || Guard.mem_level () <> `Ok
-    then begin
-      t.c.bg_shed <- t.c.bg_shed + 1;
-      Mutex.unlock t.lock;
-      false
-    end
-    else begin
-      match t.cfg.journal with
-      | None ->
-          t.bgq <-
-            t.bgq
-            @ [
-                {
-                  breq = req;
-                  battempt = 0;
-                  bnot_before = 0.0;
-                  benqueued = uptime_s t;
-                  bseq = None;
-                };
-              ];
-          Condition.signal t.nonempty;
-          Mutex.unlock t.lock;
-          true
-      | Some j ->
-          (* fsync outside t.lock, slot reserved via [bg_admitting] —
-             same discipline as journaled live admission *)
-          t.bg_admitting <- t.bg_admitting + 1;
-          Mutex.unlock t.lock;
-          let seq = Journal.append j (Json.to_string req) in
-          Mutex.lock t.lock;
-          t.bg_admitting <- t.bg_admitting - 1;
-          if stopping t then begin
-            (* Draining: leave the entry PENDING — unlike a shed live
-               request (whose client retries), nobody will resubmit an
-               upgrade the journal forgets; the next start re-enqueues
-               it. Report the submission as accepted. *)
-            Mutex.unlock t.lock;
-            true
-          end
-          else begin
-            t.bgq <-
-              t.bgq
-              @ [
-                  {
-                    breq = req;
-                    battempt = 0;
-                    bnot_before = 0.0;
-                    benqueued = uptime_s t;
-                    bseq = Some seq;
-                  };
-                ];
-            Condition.signal t.nonempty;
-            Mutex.unlock t.lock;
-            true
-          end
-    end
   end
 
 (* One frame payload, parsed and dispatched; the response is tagged
@@ -1016,51 +783,24 @@ let replay_journal t j =
   List.iter
     (fun (e : Journal.entry) ->
       if not (stopping t) then begin
-        let finished =
-          match Json.parse e.Journal.payload with
-          | Error _ -> true (* checksummed at append; nothing to rescue *)
-          | Ok req when Json.str_member "lane" req = Some "bg" ->
-            (* A background (upgrade) job the crash interrupted: do NOT
-               run it here — replay must never starve admission, and an
-               upgrade can be slow. Re-enqueue it on the background
-               lane (same journal seq, so completion marks the original
-               entry done) and let idle workers resume it after the
-               socket is serving; live traffic admitted from the first
-               accepted connection outranks it by construction. *)
-              locked t (fun () ->
-                  t.bgq <-
-                    t.bgq
-                    @ [
-                        {
-                          breq = req;
-                          battempt = 0;
-                          bnot_before = 0.0;
-                          benqueued = uptime_s t;
-                          bseq = Some e.Journal.seq;
-                        };
-                      ];
-                  t.c.replayed <- t.c.replayed + 1);
-              false
-          | Ok req ->
-              let body () = t.handler.handle req in
-              let body =
-                match t.cfg.request_fuel with
-                | Some budget ->
-                    fun () -> Guard.with_fuel (Guard.fuel ~what:"replay" ~budget) body
-                | None -> body
-              in
-              let body =
-                match request_deadline t req with
-                | Some d -> fun () -> Guard.with_deadline d body
-                | None -> body
-              in
-              (try ignore (body ()) with _ -> ());
-              true
-        in
-        if finished then begin
-          Journal.mark_done j e.Journal.seq;
-          locked t (fun () -> t.c.replayed <- t.c.replayed + 1)
-        end
+        (match Json.parse e.Journal.payload with
+        | Error _ -> () (* checksummed at append; nothing to rescue *)
+        | Ok req ->
+            let body () = t.handler.handle req in
+            let body =
+              match t.cfg.request_fuel with
+              | Some budget ->
+                  fun () -> Guard.with_fuel (Guard.fuel ~what:"replay" ~budget) body
+              | None -> body
+            in
+            let body =
+              match request_deadline t req with
+              | Some d -> fun () -> Guard.with_deadline d body
+              | None -> body
+            in
+            (try ignore (body ()) with _ -> ()));
+        Journal.mark_done j e.Journal.seq;
+        locked t (fun () -> t.c.replayed <- t.c.replayed + 1)
       end)
     (Journal.pending j);
   Journal.compact j
@@ -1086,18 +826,6 @@ let run_serving t =
     listen_fd :: (match tcp_listener with None -> [] | Some fd -> [ fd ])
   in
   let workers = List.init t.cfg.jobs (fun _ -> Domain.spawn (fun () -> worker_main t)) in
-  (* Background jobs waiting out a backoff delay (or memory pressure)
-     have no event that marks them eligible again; a ticker re-offers
-     the lane to idle workers a few times a second. Exits on [stop]. *)
-  let ticker =
-    Thread.create
-      (fun () ->
-        while not (stopping t) do
-          Thread.delay 0.05;
-          locked t (fun () -> if t.bgq <> [] then Condition.broadcast t.nonempty)
-        done)
-      ()
-  in
   let accept_one lfd =
     let is_tcp = Some lfd = tcp_listener in
     match Unix.accept ~cloexec:true lfd with
@@ -1187,7 +915,6 @@ let run_serving t =
   Condition.broadcast t.nonempty;
   Mutex.unlock t.lock;
   List.iter Domain.join workers;
-  Thread.join ticker;
   (* Every response is on the wire: hang up the surviving connections
      (already-released ones are gone from t.conns) and collect their
      readers. The [closed] check under wlock keeps the shutdown off fd
@@ -1223,7 +950,7 @@ let run t =
 
 (* --- client helpers ---------------------------------------------------- *)
 
-(* Shared by nascentc client, the bench service target and the tests:
+(* Shared by nascentc client, the bench load target and the tests:
    the one place that knows how to speak a request/response exchange,
    including backoff against retryable errors. *)
 module Client = struct

@@ -114,34 +114,6 @@ val run : t -> unit
     [{"code": "mem-pressure", "retryable": true}] instead of letting
     the OS OOM-kill the daemon. *)
 
-val submit_background : t -> Json.t -> bool
-(** Submit handler work to the {e background lane}: no client, no
-    response — the compile service's tier-upgrade jobs. Background
-    jobs run only when the live queue is empty (idle workers), each
-    run under a fresh default deadline/fuel budget, so they can never
-    starve admission or live traffic. The handler sees the request
-    with two envelope additions: ["lane": "bg"] and ["bg_attempt": n]
-    (0-based run counter).
-
-    Scheduling protocol: a handler response carrying
-    ["retry_after_s": d] re-enqueues the job after [d] seconds
-    (bounded attempts); any other response is terminal. A run that
-    raises (deadline, fuel, memory, a handler bug) is retried with
-    deterministic exponential backoff and dropped after the attempt
-    cap — upgrade-path faults are contained to the lane.
-
-    With a journal configured the job is journaled (fsync'd) before it
-    becomes runnable and marked done only by a terminal run, so a
-    [kill -9] mid-upgrade replays it — {!run} re-enqueues pending
-    background entries on this lane instead of running them before the
-    socket binds (replay never starves admission), and a supervised
-    restart therefore resumes the upgrade queue from journaled state.
-
-    Returns [false] — journaling nothing — when the server is draining
-    or the lane is at capacity ([queue_depth]) or the heap is past the
-    shed fraction of the memory budget: the caller keeps serving its
-    floor entry and a later request may resubmit. *)
-
 val stop : t -> unit
 (** Request a graceful drain. Lock-free (a flag and a self-pipe
     write): safe to call from a signal handler or any thread.
@@ -151,7 +123,7 @@ val stopping : t -> bool
 val uptime_s : t -> float
 
 (** Client side of the protocol — shared by [nascentc client], the
-    bench service target and the tests. *)
+    bench load target and the tests. *)
 module Client : sig
   type address = Uds of string | Tcp of string * int
 

@@ -166,26 +166,6 @@ let with_journaled_server ~journal svc f =
       try Sys.remove path with Sys_error _ -> ())
     (fun () -> f path srv)
 
-(* Same, with the service's tier-upgrade path wired to the server's
-   background lane (the daemon's configuration). Wiring happens before
-   the runner thread starts, so journal replay already sees it. *)
-let with_tiered_journaled_server ?(tune = fun c -> c) ~journal svc f =
-  let path = fresh_socket () in
-  let cfg =
-    tune
-      { (Server.default_config ~socket_path:path) with Server.journal = Some journal }
-  in
-  let srv = Server.create cfg (Service.handler svc) in
-  Service.set_upgrade_submit svc (Server.submit_background srv);
-  let runner = Thread.create (fun () -> Server.run srv) () in
-  wait_for_socket path;
-  Fun.protect
-    ~finally:(fun () ->
-      Server.stop srv;
-      Thread.join runner;
-      try Sys.remove path with Sys_error _ -> ())
-    (fun () -> f path srv)
-
 let request_exn conn req =
   match Client.request conn req with
   | Ok resp -> resp
@@ -350,67 +330,16 @@ let test_crash_recovery_differential () =
         (Json.to_string (strip_volatile rb)))
     responses_a responses_b
 
-(* --- crash mid-upgrade: replay priority and exactly-once ----------------- *)
+(* --- legacy journal entries ------------------------------------------------
 
-let rec poll_until ?(n = 600) what f =
-  if n = 0 then Alcotest.failf "timed out waiting for %s" what
-  else if not (f ()) then begin
-    Unix.sleepf 0.01;
-    poll_until ~n:(n - 1) what f
-  end
-
-let ofield resp name =
-  match Json.member name resp with
-  | Some (Json.Obj _ as o) -> o
-  | _ -> Alcotest.failf "response lacks object field %S: %s" name (Json.to_string resp)
-
-(* The on-disk artifacts a run leaves behind, digested: the comparison
-   unit for the crash differential below. *)
-let cache_entries cache_dir =
-  let d = Filename.concat cache_dir "service" in
-  match Sys.readdir d with
-  | entries ->
-      Array.to_list entries |> List.sort compare
-      |> List.map (fun e ->
-             (e, Digest.to_hex (Digest.string (read_file (Filename.concat d e)))))
-  | exception Sys_error _ -> Alcotest.failf "no cache artifacts under %s" d
-
-(* Drive one tiered compile to its optimized tier and a drained lane,
-   returning the status snapshot. *)
-let drive_to_optimized conn =
-  let cold = request_exn conn (compile_req "vortex") in
-  poll_until "tier reaches optimized with the journal drained" (fun () ->
-      let r = request_exn conn (compile_req "vortex") in
-      let st = request_exn conn status_req in
-      sfield r "tier" = "optimized"
-      && ifield st "journal_pending" = 0
-      && ifield (ofield st "upgrades") "pending" = 0);
-  (cold, request_exn conn status_req)
-
-(* kill -9 between the floor response and the upgrade's completion: the
-   journal holds the admitted live request and its "lane":"bg" upgrade
-   entry. The successor must (1) replay the live compile inline before
-   the socket binds, (2) re-enqueue — not run — the upgrade, so it
-   executes on the background lane behind live traffic, (3) run the
-   hot-swap exactly once even though the live replay resubmits the same
-   upgrade, and (4) leave byte-identical cache artifacts to a run that
-   was never interrupted. *)
-let test_upgrade_replay_exactly_once_byte_identical () =
-  (* run A: uninterrupted tier lifecycle *)
-  let cache_a = fresh_dir () in
-  let svc_a = Service.create ~cache_dir:cache_a () in
-  let cold_a, _ =
-    with_tiered_journaled_server
-      ~tune:(fun c -> { c with Server.jobs = 1 })
-      ~journal:(openj_exn (fresh_dir ())) svc_a
-    @@ fun path _ ->
-    Client.with_conn path @@ fun conn -> drive_to_optimized conn
-  in
-  Alcotest.(check string) "run A began from the floor" "floor" (sfield cold_a "tier");
-  (* run B: the journal a kill -9 mid-upgrade leaves behind *)
-  let dir_b = fresh_dir () in
-  let cache_b = fresh_dir () in
-  let j = openj_exn dir_b in
+   A journal written by a daemon that still ran tiered compilation may
+   hold a pending {"op":"upgrade","lane":"bg"} entry next to a live
+   compile. Its successor replays the live entry as usual, answers the
+   upgrade (an op it no longer knows) with a bad-op error, retires both
+   entries, and binds. *)
+let test_legacy_upgrade_entry_retired () =
+  let dir = fresh_dir () in
+  let j = openj_exn dir in
   let _ = Journal.append j (Json.to_string (compile_req "vortex")) in
   let _ =
     Journal.append j
@@ -424,43 +353,51 @@ let test_upgrade_replay_exactly_once_byte_identical () =
             ]))
   in
   Journal.close j;
-  let svc_b = Service.create ~cache_dir:cache_b () in
-  (with_tiered_journaled_server
-     ~tune:(fun c -> { c with Server.jobs = 1 })
-     ~journal:(openj_exn dir_b) svc_b
-   @@ fun path _ ->
-   Client.with_conn path @@ fun conn ->
-   let st0 = request_exn conn status_req in
-   Alcotest.(check int) "both journal entries replayed" 2 (ifield st0 "replayed");
-   (* the live entry completed during replay: the retry is a warm hit *)
-   let warm = request_exn conn (compile_req "vortex") in
-   Alcotest.(check bool) "replayed live compile served from cache" true
-     (bfield warm "cached");
-   poll_until "recovered upgrade completes on the background lane" (fun () ->
-       let r = request_exn conn (compile_req "vortex") in
-       let st = request_exn conn status_req in
-       sfield r "tier" = "optimized"
-       && ifield st "journal_pending" = 0
-       && ifield (ofield st "upgrades") "pending" = 0);
-   let st = request_exn conn status_req in
-   (* exactly once: one hot-swap, one completed upgrade — the crashed
-      entry and the replay's resubmission collapsed to a single
-      promotion plus a noop, both on the background lane (bg_done),
-      never inline during replay *)
-   Alcotest.(check int) "one atomic hot-swap" 1 (ifield (ofield st "cache") "swaps");
-   Alcotest.(check int) "one upgrade completed" 1
-     (ifield (ofield st "upgrades") "done");
-   Alcotest.(check int) "no upgrade failed or dropped" 0
-     (ifield (ofield st "upgrades") "failed" + ifield (ofield st "upgrades") "dropped");
-   Alcotest.(check int) "both jobs ran on the background lane" 2
-     (ifield st "bg_done");
-   let final = request_exn conn (compile_req "vortex") in
-   Alcotest.(check string) "recovered artifact is the optimized tier" "LLS"
-     (sfield final "scheme_used"));
-  (* the differential: recovered artifacts byte-identical to run A's *)
-  Alcotest.(check (list (pair string string)))
-    "cache artifacts byte-identical across crash and recovery"
-    (cache_entries cache_a) (cache_entries cache_b)
+  let svc = Service.create () in
+  let answers = ref [] in
+  let inner = Service.handler svc in
+  let recording =
+    {
+      inner with
+      Server.handle =
+        (fun req ->
+          let resp = inner.Server.handle req in
+          answers := resp :: !answers;
+          resp);
+    }
+  in
+  let path = fresh_socket () in
+  let cfg =
+    {
+      (Server.default_config ~socket_path:path) with
+      Server.journal = Some (openj_exn dir);
+    }
+  in
+  let srv = Server.create cfg recording in
+  let runner = Thread.create (fun () -> Server.run srv) () in
+  wait_for_socket path;
+  Fun.protect
+    ~finally:(fun () ->
+      Server.stop srv;
+      Thread.join runner;
+      try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  (match List.rev !answers with
+  | [ live; upgrade ] ->
+      Alcotest.(check string) "live entry replayed as a compile" "ok" (sfield live "status");
+      Alcotest.(check string) "upgrade entry refused" "error" (sfield upgrade "status");
+      Alcotest.(check string) "as an unknown op" "bad-op" (sfield upgrade "code")
+  | l -> Alcotest.failf "expected 2 replayed entries, the handler saw %d" (List.length l));
+  Client.with_conn path @@ fun conn ->
+  let st = request_exn conn status_req in
+  Alcotest.(check int) "both journal entries replayed" 2 (ifield st "replayed");
+  Alcotest.(check int) "nothing left pending" 0 (ifield st "journal_pending");
+  let warm = request_exn conn (compile_req "vortex") in
+  Alcotest.(check bool) "replayed live compile served from cache" true
+    (bfield warm "cached");
+  Alcotest.(check string) "at the requested scheme" "LLS" (sfield warm "scheme_used");
+  let fresh = request_exn conn (compile_req "trfd") in
+  Alcotest.(check string) "the successor serves new work" "ok" (sfield fresh "status")
 
 (* --- breaker / counter snapshot across restarts ------------------------- *)
 
@@ -508,7 +445,6 @@ let suite =
     Util.tc "server replays pending entries" test_server_replays_pending;
     Util.tc "SIGTERM mid-replay drains cleanly" test_sigterm_mid_replay_drains_cleanly;
     Util.tc "crash-recovery differential" test_crash_recovery_differential;
-    Util.tc "crash mid-upgrade replays exactly once"
-      test_upgrade_replay_exactly_once_byte_identical;
+    Util.tc "legacy upgrade entry refused and retired" test_legacy_upgrade_entry_retired;
     Util.tc "breaker state survives restart" test_breaker_state_survives_restart;
   ]

@@ -115,8 +115,6 @@ let test_shard_key_strips_envelope () =
         ("deadline_ms", Json.Int 5000);
         ("tier", Json.Str "auto");
         ("retries", Json.Int 3);
-        ("lane", Json.Str "bg");
-        ("bg_attempt", Json.Int 2);
         ("op", Json.Str "compile");
         ("benchmark", Json.Str "linpackd");
         ("scheme", Json.Str "ALL");
@@ -125,7 +123,16 @@ let test_shard_key_strips_envelope () =
   in
   Alcotest.(check string) "envelope fields do not affect routing"
     (Router.shard_key base)
-    (Router.shard_key with_envelope)
+    (Router.shard_key with_envelope);
+  (* the background lane's fields are gone from the envelope: any other
+     field is content *)
+  let with_lane =
+    match base with
+    | Json.Obj fields -> Json.Obj (("lane", Json.Str "bg") :: fields)
+    | other -> other
+  in
+  Alcotest.(check bool) "a non-envelope field is part of the key" true
+    (Router.shard_key with_lane <> Router.shard_key base)
 
 let test_shard_key_canonical_order () =
   let a =

@@ -15,10 +15,6 @@ module Frame = Nascent_support.Frame
 module Retry = Nascent_support.Retry
 module Guard = Nascent_support.Guard
 module Service = Nascent_harness.Service
-module Mutate = Nascent_ir.Mutate
-module Config = Nascent_core.Config
-module Optimizer = Nascent_core.Optimizer
-module B = Nascent_benchmarks.Suite
 
 (* These tests race clients against draining/hung-up servers: broken
    pipes must surface as EPIPE, not kill the test binary. *)
@@ -63,15 +59,6 @@ let with_service ?tune ?breaker_threshold ?breaker_cooldown_s f =
     Service.create ?breaker_threshold ?breaker_cooldown_s ()
   in
   with_server ?tune (Service.handler svc) f
-
-(* Same, with the service's upgrade path wired to the server's
-   background lane — the daemon's (nascentd's) configuration, where
-   tiered compilation is active. *)
-let with_tiered_service ?tune ?breaker_threshold ?breaker_cooldown_s f =
-  let svc = Service.create ?breaker_threshold ?breaker_cooldown_s () in
-  with_server ?tune (Service.handler svc) (fun path srv ->
-      Service.set_upgrade_submit svc (Server.submit_background srv);
-      f path srv)
 
 (* --- response plumbing -------------------------------------------------- *)
 
@@ -180,7 +167,9 @@ let raw_handshake fd =
 let test_compile_ok () =
   with_service @@ fun path _ ->
   Client.with_conn path @@ fun conn ->
-  let resp = request_exn conn (compile_req ~id:(Json.Int 42) ~run:true "vortex") in
+  let resp =
+    request_exn conn (compile_req ~id:(Json.Int 42) ~run:true ~tier:"sync" "vortex")
+  in
   Alcotest.(check string) "status" "ok" (sfield resp "status");
   Alcotest.(check int) "code" 0 (ifield resp "code");
   Alcotest.(check int) "id echoed" 42 (ifield resp "id");
@@ -194,8 +183,14 @@ let test_compile_ok () =
       Alcotest.(check bool) "run reported checks" true (ifield run "checks" >= 0)
   | None -> Alcotest.fail "run outcome missing despite run:true");
   (* same request again: served from the result cache *)
-  let again = request_exn conn (compile_req ~id:(Json.Int 43) ~run:true "vortex") in
-  Alcotest.(check bool) "second compile cached" true (bfield again "cached")
+  let again =
+    request_exn conn (compile_req ~id:(Json.Int 43) ~run:true ~tier:"auto" "vortex")
+  in
+  Alcotest.(check bool) "second compile cached" true (bfield again "cached");
+  (* "tier" is accepted for older clients and changes nothing *)
+  Alcotest.(check string) "auto compiles the requested scheme" "LLS"
+    (sfield again "scheme_used");
+  Alcotest.(check bool) "no tier in the response" true (Json.member "tier" again = None)
 
 (* The --oracle axis end to end: a clean compile returns the
    translation-validation certificate; an unsound deletion (the fault
@@ -278,6 +273,9 @@ let test_bad_inputs () =
   (* unknown scheme name *)
   let resp = request_exn conn (compile_req ~scheme:"ZZZ" "simple") in
   Alcotest.(check string) "bad scheme rejected" "bad-request" (sfield resp "code");
+  (* unknown tier mode: only the legacy "auto" and "sync" are accepted *)
+  let resp = request_exn conn (compile_req ~tier:"turbo" "simple") in
+  Alcotest.(check string) "unknown tier mode rejected" "bad-request" (sfield resp "code");
   (* the daemon shrugged all of that off *)
   let st = request_exn conn status_req in
   Alcotest.(check int) "bad frame counted" 1 (ifield st "bad_requests");
@@ -641,229 +639,6 @@ let test_hundred_concurrent_faulted_requests () =
   Alcotest.(check int) "all 100 served" 100 (ifield st "served");
   Alcotest.(check bool) "incidents were recorded" true (ifield st "incidents_total" > 0)
 
-(* --- tiered compilation --------------------------------------------------- *)
-
-let ofield resp name =
-  match Json.member name resp with
-  | Some (Json.Obj _ as o) -> o
-  | _ -> Alcotest.failf "response lacks object field %S: %s" name (Json.to_string resp)
-
-let rec poll_until ?(n = 600) what f =
-  if n = 0 then Alcotest.failf "timed out waiting for %s" what
-  else if not (f ()) then begin
-    Unix.sleepf 0.01;
-    poll_until ~n:(n - 1) what f
-  end
-
-(* The tier lifecycle end to end: a cold miss answers instantly from
-   the NI floor, the background lane compiles the requested scheme,
-   and the hot-swap promotes the cache entry so the next request sees
-   the optimized artifact — with every stage visible in status. *)
-let test_tier_floor_then_optimized () =
-  with_tiered_service ~tune:(fun c -> { c with Server.jobs = 2 }) @@ fun path _ ->
-  Client.with_conn path @@ fun conn ->
-  let cold = request_exn conn (compile_req ~id:(Json.Int 1) ~run:true "vortex") in
-  Alcotest.(check string) "cold miss serves the floor tier" "floor" (sfield cold "tier");
-  Alcotest.(check string) "floor artifact is the NI compile" "NI"
-    (sfield cold "scheme_used");
-  Alcotest.(check string) "requested scheme echoed" "LLS"
-    (sfield cold "scheme_requested");
-  Alcotest.(check string) "floor response is healthy" "ok" (sfield cold "status");
-  Alcotest.(check bool) "floor is not a breaker fallback" false (bfield cold "fallback");
-  let last = ref cold in
-  poll_until "background upgrade to the optimized tier" (fun () ->
-      last := request_exn conn (compile_req ~run:true "vortex");
-      sfield !last "tier" = "optimized");
-  let opt = !last in
-  Alcotest.(check string) "optimized artifact at the requested scheme" "LLS"
-    (sfield opt "scheme_used");
-  Alcotest.(check bool) "hot-swapped entry served from cache" true (bfield opt "cached");
-  Alcotest.(check string) "upgrade kept the response healthy" "ok" (sfield opt "status");
-  Alcotest.(check bool) "the upgrade actually optimized" true
-    (ifield opt "checks_after" < ifield cold "checks_after");
-  (match (Json.member "run" cold, Json.member "run" opt) with
-  | Some rc, Some ro ->
-      (* the differential across the swap: same trap behaviour *)
-      Alcotest.(check (option string)) "no trap on either tier" None
-        (Json.str_member "trap" rc);
-      Alcotest.(check (option string)) "no trap after the swap" None
-        (Json.str_member "trap" ro)
-  | _ -> Alcotest.fail "run outcome missing from a tier response");
-  let st = request_exn conn status_req in
-  let tiers = ofield st "tiers"
-  and ups = ofield st "upgrades"
-  and cache = ofield st "cache" in
-  Alcotest.(check bool) "floor responses counted" true (ifield tiers "floor" >= 1);
-  Alcotest.(check bool) "optimized responses counted" true
-    (ifield tiers "optimized" >= 1);
-  Alcotest.(check int) "one upgrade submitted" 1 (ifield ups "submitted");
-  Alcotest.(check int) "one upgrade done" 1 (ifield ups "done");
-  Alcotest.(check int) "no upgrade pending" 0 (ifield ups "pending");
-  Alcotest.(check int) "no upgrade failed" 0 (ifield ups "failed");
-  Alcotest.(check int) "the promotion was one atomic swap" 1 (ifield cache "swaps");
-  Alcotest.(check int) "the background lane ran it" 1 (ifield st "bg_done");
-  Alcotest.(check int) "the lane is drained" 0 (ifield st "bg_pending")
-
-(* The per-request escape hatch and the always-sync cases: "tier":
-   "sync" compiles the requested scheme inline even on a wired server,
-   NI requests never upgrade (they ARE the floor), and an unknown tier
-   spelling is a structured bad-request. *)
-let test_tier_sync_optout () =
-  with_tiered_service @@ fun path _ ->
-  Client.with_conn path @@ fun conn ->
-  let r = request_exn conn (compile_req ~tier:"sync" "trfd") in
-  Alcotest.(check string) "sync compiles the requested scheme inline" "LLS"
-    (sfield r "scheme_used");
-  Alcotest.(check string) "sync response is already the optimized tier" "optimized"
-    (sfield r "tier");
-  Alcotest.(check bool) "cold sync compile, not a floor cache hit" false
-    (bfield r "cached");
-  let ni = request_exn conn (compile_req ~scheme:"NI" "trfd") in
-  Alcotest.(check string) "NI is served synchronously in auto mode" "NI"
-    (sfield ni "scheme_used");
-  Alcotest.(check string) "the floor itself has nothing to upgrade to" "optimized"
-    (sfield ni "tier");
-  let st = request_exn conn status_req in
-  Alcotest.(check int) "no upgrade was ever submitted" 0
-    (ifield (ofield st "upgrades") "submitted");
-  Alcotest.(check int) "nothing on the background lane" 0 (ifield st "bg_pending");
-  let bad = request_exn conn (compile_req ~tier:"turbo" "trfd") in
-  Alcotest.(check string) "unknown tier mode rejected" "bad-request" (sfield bad "code")
-
-(* A service with no background lane wired (every embedded/test use
-   before the daemon wires one) keeps the exact pre-tier semantics:
-   requests compile synchronously at the requested scheme. *)
-let test_tier_unwired_stays_sync () =
-  with_service @@ fun path _ ->
-  Client.with_conn path @@ fun conn ->
-  let r = request_exn conn (compile_req ~scheme:"ALL" "simple") in
-  Alcotest.(check string) "unwired service compiles inline" "ALL"
-    (sfield r "scheme_used");
-  Alcotest.(check string) "and serves the optimized tier directly" "optimized"
-    (sfield r "tier");
-  let st = request_exn conn status_req in
-  Alcotest.(check int) "no upgrade submitted without a lane" 0
-    (ifield (ofield st "upgrades") "submitted")
-
-(* Fault containment across every Mutate class, through the background
-   upgrade path: the floor response reaches the client untouched by the
-   upgrade's failure, the failure feeds the scheme's breaker (which
-   trips at the threshold), and no upgrade incident ever rides a floor
-   response — the upgrade path is its own failure domain. *)
-
-(* A scheme whose pipeline runs the pass the class targets (the same
-   mapping test_fault.ml and the CLI smoke matrix use), restricted to
-   non-NI schemes: NI requests are synchronous by construction, so the
-   upgrade path is only reachable above the floor. Unsound_eliminate
-   compiles with the oracle on — the translation validator is the only
-   net that catches it, and its refusal must fail the upgrade. *)
-let upgrade_scheme_for = function
-  | Mutate.Drop_check | Mutate.Weaken_check -> Config.CS
-  | Mutate.Unsafe_insert -> Config.SE
-  | Mutate.Break_edge | Mutate.Hang_fixpoint | Mutate.Unsound_eliminate -> Config.LLS
-
-(* (benchmark, seed) pairs where the class actually injects at the
-   upgrade scheme — a seed that never applies would let the upgrade
-   succeed, reset the breaker's consecutive-failure count and prove
-   nothing. Probed through the optimizer directly. *)
-let applicable_pairs cls ~scheme ~oracle ~wanted =
-  let applies seed (b : B.benchmark) =
-    let config = Config.make ~scheme ~fault:{ Mutate.cls; seed } ~oracle () in
-    let _, stats = Optimizer.optimize ~config (Util.ir_of_source b.B.source) in
-    stats.Optimizer.faults_injected > 0
-  in
-  let rec collect acc = function
-    | [] -> List.rev acc
-    | _ when List.length acc >= wanted -> List.rev acc
-    | (seed, b) :: rest ->
-        collect (if applies seed b then (b.B.name, seed) :: acc else acc) rest
-  in
-  let candidates =
-    List.concat_map (fun seed -> List.map (fun b -> (seed, b)) B.all) [ 1; 7; 42 ]
-  in
-  let pairs = collect [] candidates in
-  if List.length pairs < wanted then
-    Alcotest.failf "%s: only %d applicable (benchmark, seed) pairs found"
-      (Mutate.cls_name cls) (List.length pairs)
-  else pairs
-
-let test_upgrade_fault_containment_every_class () =
-  List.iter
-    (fun cls ->
-      let scheme = upgrade_scheme_for cls in
-      let sname = Config.scheme_name scheme in
-      let oracle = cls = Mutate.Unsound_eliminate in
-      let threshold = 2 in
-      let pairs = applicable_pairs cls ~scheme ~oracle ~wanted:threshold in
-      let fault_str seed = Printf.sprintf "%s:%d" (Mutate.cls_name cls) seed in
-      (* a long cooldown pins the breaker open once tripped *)
-      with_tiered_service ~breaker_threshold:threshold ~breaker_cooldown_s:60.0
-      @@ fun path _ ->
-      Client.with_conn path @@ fun conn ->
-      List.iter
-        (fun (bench, seed) ->
-          let r =
-            request_exn conn
-              (compile_req ~scheme:sname ~fault:(fault_str seed)
-                 ~oracle bench)
-          in
-          let where = Fmt.str "%s %s:%d on %s" sname (Mutate.cls_name cls) seed bench in
-          (* the floor answers — possibly degraded by its OWN NI-level
-             incidents (a hang or unsound deletion can apply at NI too),
-             but never an error and never a breaker/upgrade incident *)
-          Alcotest.(check string) (where ^ ": floor tier served") "floor"
-            (sfield r "tier");
-          Alcotest.(check string) (where ^ ": floor artifact is NI") "NI"
-            (sfield r "scheme_used");
-          Alcotest.(check bool) (where ^ ": never an outright error") true
-            (sfield r "status" <> "error");
-          Alcotest.(check bool) (where ^ ": breaker still closed on arrival") false
-            (bfield r "fallback");
-          Alcotest.(check bool)
-            (where ^ ": no upgrade-domain incident escapes to the floor client")
-            false
-            (List.exists
-               (fun i -> Json.str_member "pass" i = Some "service")
-               (incidents r));
-          (* let this upgrade reach its terminal failure before the
-             next request, so the breaker counts strictly consecutive
-             failures *)
-          poll_until (where ^ ": upgrade drained") (fun () ->
-              let st = request_exn conn status_req in
-              ifield (ofield st "upgrades") "pending" = 0))
-        pairs;
-      let st = request_exn conn status_req in
-      let ups = ofield st "upgrades" in
-      Alcotest.(check int)
-        (Mutate.cls_name cls ^ ": every faulted upgrade failed terminally")
-        threshold (ifield ups "failed");
-      Alcotest.(check int)
-        (Mutate.cls_name cls ^ ": no corrupt artifact was ever hot-swapped")
-        0 (ifield ups "done");
-      Alcotest.(check int) (Mutate.cls_name cls ^ ": breaker tripped once") 1
-        (ifield st "breaker_trips");
-      (* the tripped breaker now explains the floor: re-requesting the
-         first key serves the kept floor as an explicit fallback *)
-      let bench, seed = List.hd pairs in
-      let again =
-        request_exn conn
-          (compile_req ~scheme:sname ~fault:(fault_str seed)
-             ~oracle bench)
-      in
-      Alcotest.(check string) (Mutate.cls_name cls ^ ": floor kept after the trip")
-        "floor" (sfield again "tier");
-      Alcotest.(check string) (Mutate.cls_name cls ^ ": breaker reported open") "open"
-        (sfield again "breaker");
-      Alcotest.(check bool) (Mutate.cls_name cls ^ ": fallback now explicit") true
-        (bfield again "fallback");
-      Alcotest.(check bool)
-        (Mutate.cls_name cls ^ ": the fallback explains itself with an incident")
-        true
-        (List.exists
-           (fun i -> Json.str_member "pass" i = Some "service")
-           (incidents again)))
-    Mutate.all_classes
-
 (* --- graceful drain -------------------------------------------------------- *)
 
 let test_drain_loses_nothing () =
@@ -1021,11 +796,6 @@ let suite =
     Util.tc "mid-exchange close is retryable" test_retry_classifies_midexchange_close;
     Util.tc "connection resources released" test_connection_resources_released;
     Util.tc "breaker trips and recovers" test_breaker_trips_and_recovers;
-    Util.tc "tier: floor then optimized" test_tier_floor_then_optimized;
-    Util.tc "tier: sync opt-out and NI floor" test_tier_sync_optout;
-    Util.tc "tier: unwired service stays sync" test_tier_unwired_stays_sync;
-    Util.tc "tier: upgrade faults contained per class"
-      test_upgrade_fault_containment_every_class;
     Util.tc "100 concurrent faulted requests" test_hundred_concurrent_faulted_requests;
     Util.tc "drain loses nothing" test_drain_loses_nothing;
     Util.tc "mem pressure sheds admission" test_mem_pressure_sheds_admission;

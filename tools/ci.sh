@@ -42,33 +42,16 @@ done
 # plain compile answers ok (exit 0)
 client vortex >/dev/null || fail "service compile exited $?, want 0"
 
-# tiered compilation: a cold miss answers instantly from the NI floor...
-OUT=$(client qcd -s LLS) || fail "cold tier compile exited $?, want 0"
-echo "$OUT" | grep -q '"tier":"floor"' \
-    || fail "cold miss did not serve the floor tier: $OUT"
-echo "$OUT" | grep -q '"scheme_used":"NI"' \
-    || fail "floor response not compiled at NI: $OUT"
-# ...and the background upgrade hot-swaps in the optimized artifact
-i=0
-until client qcd -s LLS | grep -q '"tier":"optimized"'; do
-    i=$((i + 1))
-    [ "$i" -le 100 ] || fail "background upgrade to tier:optimized never landed"
-    sleep 0.1
-done
-
-# an oracle compile (pinned synchronous) carries its validation certificate
-OUT=$(client trfd --oracle --tier sync) || fail "oracle compile exited $?, want 0"
+# an oracle compile carries its validation certificate
+OUT=$(client trfd --oracle) || fail "oracle compile exited $?, want 0"
 echo "$OUT" | grep -q '"validated":true' \
     || fail "oracle compile response lacks \"validated\":true: $OUT"
 
 # status answers inline (exit 0)
 client --status >/dev/null || fail "service status exited $?, want 0"
 
-# an injected fault compiles degraded, with incident records (exit 4);
-# --tier sync pins the faulted scheme on the live request — in auto
-# mode the client would get the clean NI floor while the fault is
-# contained in the background upgrade
-rc=0; client vortex -s CS --inject-fault drop-check:7 --tier sync >/dev/null || rc=$?
+# an injected fault compiles degraded, with incident records (exit 4)
+rc=0; client vortex -s CS --inject-fault drop-check:7 >/dev/null || rc=$?
 [ "$rc" -eq 4 ] || fail "injected-fault compile exited $rc, want 4"
 
 # a hung request is cut off by its deadline (exit 6), worker freed
@@ -91,7 +74,7 @@ rc=0; wait "$DAEMON" || rc=$?
 
 trap - EXIT INT TERM
 rm -f "$SOCK" "$LOG"
-echo "service smoke OK: compile, tier floor->optimized, status, fault->4, deadline->6, SIGTERM drain->0"
+echo "service smoke OK: compile, oracle certificate, status, fault->4, deadline->6, SIGTERM drain->0"
 
 # --- chaos smoke: supervision + journal replay ------------------------
 # Boot a supervised, journaled daemon; prove a second daemon on the
@@ -166,48 +149,6 @@ echo "$STATUS" | grep -Eq '"replayed":[1-9]' \
 echo "$STATUS" | grep -q '"journal_pending":0' \
     || cfail "journal not drained after replay: $STATUS"
 
-# --- kill -9 mid-upgrade: the journaled upgrade survives the restart --
-# Trip the CS breaker (3 synchronous faulted compiles), then request a
-# clean tiered CS compile: the client gets the floor at once, while the
-# background upgrade is deferred by the open breaker — a deterministic
-# window in which its journal entry is pending. kill -9 in that window;
-# the restarted child replays the upgrade onto the background lane and,
-# once the restored breaker's cooldown passes, completes it.
-for n in 1 2 3; do
-    rc=0; cclient vortex -s CS --inject-fault drop-check:7 --tier sync \
-        --retries 12 --max-wait-ms 40000 >/dev/null 2>&1 || rc=$?
-    [ "$rc" -eq 4 ] || cfail "breaker-trip compile $n exited $rc, want 4"
-done
-OUT=$(cclient qcd -s CS --retries 12 --max-wait-ms 40000) || true
-echo "$OUT" | grep -q '"tier":"floor"' \
-    || cfail "tiered compile under an open breaker did not serve the floor: $OUT"
-sleep 0.3
-CHILD=$(awk '/serving pid/ { pid = $(NF-1) } END { print pid }' "$CLOG")
-case "$CHILD" in *[!0-9]*|"") cfail "could not parse serving pid for mid-upgrade kill" ;; esac
-kill -9 "$CHILD" 2>/dev/null || cfail "serving child $CHILD already gone before mid-upgrade kill"
-i=0
-until OUT=$(cclient qcd -s CS --retries 12 --max-wait-ms 40000 2>/dev/null) \
-    && echo "$OUT" | grep -q '"tier":"optimized"'; do
-    i=$((i + 1))
-    [ "$i" -le 200 ] || cfail "recovered upgrade never reached tier:optimized: $OUT"
-    sleep 0.1
-done
-STATUS=$(cclient --status --retries 12 --max-wait-ms 40000) \
-    || cfail "status after mid-upgrade restart exited $?"
-echo "$STATUS" | grep -q '"restarts":2' \
-    || cfail "status lacks \"restarts\":2 after the mid-upgrade kill: $STATUS"
-echo "$STATUS" | grep -Eq '"done":[1-9]' \
-    || cfail "no completed upgrade recorded after the restart: $STATUS"
-# the replayed entry and the live resubmission dedup to one swap; the
-# loser resolves as a noop on its next backoff tick — poll for the drain
-i=0
-until cclient --status --retries 12 --max-wait-ms 40000 \
-    | grep -q '"journal_pending":0'; do
-    i=$((i + 1))
-    [ "$i" -le 100 ] || cfail "upgrade journal entry not drained after recovery"
-    sleep 0.1
-done
-
 # SIGTERM on the supervisor passes through: child drains, both exit 0
 kill -TERM "$SUPER"
 i=0
@@ -221,7 +162,7 @@ rc=0; wait "$SUPER" || rc=$?
 
 trap - EXIT INT TERM
 rm -rf "$CSOCK" "$CLOG" "$CJDIR" "$BURNOUT"
-echo "chaos smoke OK: double-daemon refused, kill -9 -> restart, journal replay, kill -9 mid-upgrade -> upgrade completes, clients ride through, SIGTERM drain->0"
+echo "chaos smoke OK: double-daemon refused, kill -9 -> restart, journal replay, clients ride through, SIGTERM drain->0"
 
 # --- shard smoke: framed TCP, router, chaos proxy, kill -9 a shard ----
 # Three shards behind a consistent-hash router on a framed TCP port,
