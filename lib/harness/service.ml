@@ -286,10 +286,9 @@ let svc_error ~code detail =
       ("detail", Json.Str detail);
     ]
 
-(* "tier" is accepted for wire compatibility with clients written when
-   the daemon could answer from an NI floor and upgrade in the
-   background: every compile now runs its requested scheme, so both
-   spellings mean the same thing. *)
+(* Older clients and the ledger's prewarm still send "tier". Every
+   compile runs its requested scheme, so both accepted values mean the
+   same thing; any other value is still a client error. *)
 let check_tier req =
   match Json.str_member "tier" req with
   | None | Some ("auto" | "sync") -> ()

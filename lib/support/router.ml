@@ -70,10 +70,9 @@ let now_s t = Mclock.elapsed_s t.clock
    order, with the per-call envelope stripped — two requests that
    would hit the same memo cell must hash identically, or routing
    would scatter a client's retries across shards and throw away the
-   cache locality sharding exists to preserve. "tier" no longer
-   changes what a compile does, but older clients and prewarms still
-   send it, so it stays out of the key: hot keys keep routing to the
-   shard that warmed them. *)
+   cache locality sharding exists to preserve. "tier" changes nothing
+   a compile does, but older clients and prewarms send it; keeping it
+   out of the key keeps hot keys on the shard that warmed them. *)
 let envelope_fields = [ "id"; "deadline_ms"; "tier"; "retries" ]
 
 let shard_key (req : Json.t) =

@@ -124,8 +124,8 @@ let test_shard_key_strips_envelope () =
   Alcotest.(check string) "envelope fields do not affect routing"
     (Router.shard_key base)
     (Router.shard_key with_envelope);
-  (* the background lane's fields are gone from the envelope: any other
-     field is content *)
+  (* only the envelope is stripped: any other field, "lane" included, is
+     content *)
   let with_lane =
     match base with
     | Json.Obj fields -> Json.Obj (("lane", Json.Str "bg") :: fields)
