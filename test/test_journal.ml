@@ -445,6 +445,6 @@ let suite =
     Util.tc "server replays pending entries" test_server_replays_pending;
     Util.tc "SIGTERM mid-replay drains cleanly" test_sigterm_mid_replay_drains_cleanly;
     Util.tc "crash-recovery differential" test_crash_recovery_differential;
-    Util.tc "legacy upgrade entry refused and retired" test_legacy_upgrade_entry_retired;
+    Util.tc "legacy upgrade refused and retired" test_legacy_upgrade_entry_retired;
     Util.tc "breaker state survives restart" test_breaker_state_survives_restart;
   ]

@@ -15,6 +15,9 @@ module Frame = Nascent_support.Frame
 module Retry = Nascent_support.Retry
 module Guard = Nascent_support.Guard
 module Service = Nascent_harness.Service
+module Memo = Nascent_support.Memo
+module Config = Nascent_core.Config
+module Suite = Nascent_benchmarks.Suite
 
 (* These tests race clients against draining/hung-up servers: broken
    pipes must surface as EPIPE, not kill the test binary. *)
@@ -782,6 +785,45 @@ let test_mem_abort_is_retryable () =
   Alcotest.(check int) "abort counted" 1 (ifield st "mem_aborts");
   Alcotest.(check int) "nothing shed at admission" 0 (ifield st "mem_shed")
 
+(* --- cache versioning ------------------------------------------------------ *)
+
+(* Memo stores compiled cells with Marshal, which is not type-safe
+   across record layouts: a disk entry written under an older
+   [Service.cache_version] must be a miss, never a misread. Plant a
+   foreign value under the service-v3 key of the very cell the request
+   asks for; the service recomputes, and a restarted service then
+   disk-hits its own entry, so the disk store was live all along. *)
+let test_stale_cache_version_misses () =
+  let dir = Filename.temp_dir "nascent-svc-cache" "" in
+  let src =
+    match Suite.find "vortex" with
+    | Some b -> b.Suite.source
+    | None -> Alcotest.fail "vortex benchmark missing"
+  in
+  let stale_key = Memo.key [ "service-v3"; src; Config.cache_key Config.default; "run" ] in
+  let planted : string Memo.t = Memo.create ~disk_dir:dir ~name:"service" () in
+  ignore (Memo.find_or_compute planted ~key:stale_key (fun () -> "a v3-shaped cell"));
+  let compile_once () =
+    let svc = Service.create ~cache_dir:dir () in
+    with_server (Service.handler svc) @@ fun path _ ->
+    Client.with_conn path @@ fun conn ->
+    let resp = request_exn conn (compile_req ~run:true "vortex") in
+    Alcotest.(check string) "compile ok" "ok" (sfield resp "status");
+    Alcotest.(check bool) "optimizer removed checks" true
+      (ifield resp "checks_after" < ifield resp "checks_before");
+    match Json.member "cache" (request_exn conn status_req) with
+    | Some cache -> (ifield cache "disk_hits", ifield cache "misses", ifield cache "quarantined")
+    | None -> Alcotest.fail "status lacks cache counters"
+  in
+  let disk_hits, misses, quarantined = compile_once () in
+  Alcotest.(check string) "cache version" "service-v4" Service.cache_version;
+  Alcotest.(check int) "v3 entry not read" 0 disk_hits;
+  Alcotest.(check int) "recomputed" 1 misses;
+  Alcotest.(check int) "nothing quarantined" 0 quarantined;
+  let disk_hits, misses, _ = compile_once () in
+  Alcotest.(check int) "own entry served from disk" 1 disk_hits;
+  Alcotest.(check int) "no recompute on restart" 0 misses
+
 let suite =
   [
     Util.tc "compile request round-trips" test_compile_ok;
@@ -796,8 +838,9 @@ let suite =
     Util.tc "mid-exchange close is retryable" test_retry_classifies_midexchange_close;
     Util.tc "connection resources released" test_connection_resources_released;
     Util.tc "breaker trips and recovers" test_breaker_trips_and_recovers;
-    Util.tc "100 concurrent faulted requests" test_hundred_concurrent_faulted_requests;
     Util.tc "drain loses nothing" test_drain_loses_nothing;
     Util.tc "mem pressure sheds admission" test_mem_pressure_sheds_admission;
     Util.tc "mem abort is retryable" test_mem_abort_is_retryable;
+    Util.tc "stale cache version is a miss" test_stale_cache_version_misses;
+    Util.tc "100 concurrent faulted requests" test_hundred_concurrent_faulted_requests;
   ]
