@@ -9,17 +9,18 @@
    wall-clock deadlines, a per-scheme circuit breaker and a
    content-addressed result cache.
 
-   Crash durability (PR 5): with --journal-dir every admitted request
-   is written to an fsync'd journal before a worker touches it and
-   replayed on the next start, so kill -9 loses zero admitted work;
-   breaker state and service counters are snapshotted to --state-file
-   and restored; --supervise forks the serving process and restarts it
-   on abnormal exit with capped backoff; NASCENT_MEM_BUDGET /
-   --mem-budget-mb arms the Guard memory watchdog (shed admissions
-   under pressure, abort the offending request over budget). The
-   journal directory and any shared NASCENT_CACHE_DIR are protected by
-   advisory locks: a second daemon on the same directories refuses to
-   start with a clear error.
+   Crash behaviour: a compile is a pure function of (source,
+   configuration), so nothing a request computes needs to outlive the
+   process — a daemon that dies mid-request restarts clean and the
+   client's retry recomputes. What does outlive it: breaker state and
+   service counters are snapshotted to --state-file and restored (a
+   tripped scheme stays tripped); --supervise forks the serving process
+   and restarts it on abnormal exit with capped backoff;
+   NASCENT_MEM_BUDGET / --mem-budget-mb arms the Guard memory watchdog
+   (shed admissions under pressure, abort the offending request over
+   budget). A shared NASCENT_CACHE_DIR is protected by an advisory
+   lock: a second daemon on the same directory refuses to start with a
+   clear error.
 
    SIGTERM / SIGINT request a graceful drain: the listener closes, new
    requests are shed with a retryable "shutting-down" error, every
@@ -29,7 +30,6 @@
 
 module Server = Nascent_support.Server
 module Service = Nascent_harness.Service
-module Journal = Nascent_support.Journal
 module Guard = Nascent_support.Guard
 module Memo = Nascent_support.Memo
 module Retry = Nascent_support.Retry
@@ -52,10 +52,16 @@ let default_queue_depth () =
       | _ -> 64)
   | None -> 64
 
-let default_journal_dir () =
+(* The request journal is gone; a deployment that still sets its
+   variable gets one line saying what replaced it. *)
+let warn_stale_journal_env () =
   match Sys.getenv_opt "NASCENT_JOURNAL_DIR" with
-  | Some s when String.trim s <> "" -> Some s
-  | _ -> None
+  | Some s when String.trim s <> "" ->
+      Fmt.epr
+        "nascentd: NASCENT_JOURNAL_DIR is ignored: the request journal was \
+         removed (a retry recomputes); use --state-file to keep breaker \
+         state across restarts@."
+  | _ -> ()
 
 let socket_arg =
   Arg.(
@@ -158,18 +164,6 @@ let cooldown_arg =
     & info [ "breaker-cooldown-ms" ] ~docv:"MS"
         ~doc:"Cooldown before a tripped breaker lets one probe through.")
 
-let journal_arg =
-  Arg.(
-    value
-    & opt (some string) (default_journal_dir ())
-    & info [ "journal-dir" ] ~docv:"DIR"
-        ~doc:
-          "Write-ahead journal directory: every admitted request is recorded \
-           (fsync'd) before compiling and replayed on the next start, so \
-           $(b,kill -9) loses zero admitted work. The directory is created \
-           and advisory-locked (one daemon per journal). Defaults to \
-           $(b,NASCENT_JOURNAL_DIR); unset disables journaling.")
-
 let state_arg =
   Arg.(
     value
@@ -178,9 +172,8 @@ let state_arg =
         ~doc:
           "Snapshot file for breaker states and service counters, written \
            atomically after every compile and restored on start (a tripped \
-           scheme stays routed to the NI floor across a restart). Defaults \
-           to $(b,DIR/state.json) when $(b,--journal-dir) is set, otherwise \
-           off.")
+           scheme stays routed to the NI floor across a restart). Unset, \
+           the daemon keeps no state across restarts.")
 
 let mem_arg =
   Arg.(
@@ -203,9 +196,10 @@ let supervise_arg =
         ~doc:
           "Fork the serving process and restart it on abnormal exit with \
            capped exponential backoff (SIGTERM/SIGINT are passed through \
-           for a clean drain; a clean exit ends supervision). Combined with \
-           $(b,--journal-dir), a crashed server's admitted work is replayed \
-           by its replacement.")
+           for a clean drain; a clean exit ends supervision). Requests a \
+           crashed server admitted are recomputed by the clients' retries; \
+           combine with $(b,--state-file) to keep breaker state across the \
+           restart.")
 
 let trace_arg =
   Arg.(
@@ -307,11 +301,11 @@ let network_budgets ~idle_timeout_s ~io_deadline_s =
   ( idle_timeout_s,
     if io_deadline_s <= 0.0 then None else Some io_deadline_s )
 
-(* The serving process proper: lock shared directories, open the
-   journal, arm the watchdog, restore state, serve. [restarts] is the
-   supervisor's restart count, echoed in the status op. *)
+(* The serving process proper: lock the shared cache directory, arm
+   the watchdog, restore state, serve. [restarts] is the supervisor's
+   restart count, echoed in the status op. *)
 let serve ~restarts socket tcp jobs queue_depth deadline_ms request_fuel
-    threshold cooldown_ms trace journal_dir state_file mem_budget_mb
+    threshold cooldown_ms trace state_path mem_budget_mb
     idle_timeout_s io_deadline_s shard_name =
   if trace then begin
     Logs.set_reporter (Logs.format_reporter ());
@@ -348,89 +342,69 @@ let serve ~restarts socket tcp jobs queue_depth deadline_ms request_fuel
   | Error e ->
       Fmt.epr "nascentd: %s@." e;
       1
-  | Ok _cache_lock -> (
-      let journal =
-        match journal_dir with
-        | None -> Ok None
-        | Some dir -> (
-            match Journal.openj ~dir () with
-            | Ok j -> Ok (Some j)
-            | Error e -> Error e)
+  | Ok _cache_lock ->
+      let idle_timeout_s, io_deadline_s =
+        network_budgets ~idle_timeout_s ~io_deadline_s
       in
-      match journal with
-      | Error e ->
-          Fmt.epr "nascentd: %s@." e;
-          1
-      | Ok journal ->
-          let state_path =
-            match (state_file, journal_dir) with
-            | Some p, _ -> Some p
-            | None, Some dir -> Some (Filename.concat dir "state.json")
-            | None, None -> None
-          in
-          let idle_timeout_s, io_deadline_s =
-            network_budgets ~idle_timeout_s ~io_deadline_s
-          in
-          let cfg =
-            {
-              Server.socket_path = socket;
-              tcp;
-              jobs;
-              queue_depth = max 1 queue_depth;
-              default_deadline_s =
-                (if deadline_ms <= 0 then None
-                 else Some (float_of_int deadline_ms /. 1000.0));
-              request_fuel = (if request_fuel <= 0 then None else Some request_fuel);
-              journal;
-              restarts;
-              idle_timeout_s;
-              io_deadline_s;
-              max_frame_bytes = Frame.default_max_payload;
-            }
-          in
-          let service =
-            Service.create ~breaker_threshold:(max 1 threshold)
-              ~breaker_cooldown_s:(float_of_int (max 0 cooldown_ms) /. 1000.0)
-              ?state_path ?shard_name ()
-          in
-          let server = Server.create cfg (Service.handler service) in
-          (* Graceful drain on either termination signal: stop is
-             lock-free and signal-safe; run returns once every admitted
-             request is answered. *)
-          let on_signal _ = Server.stop server in
-          Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-          Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
-          (* A client vanishing mid-response must not kill the daemon. *)
-          Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-          Fmt.epr
-            "nascentd: listening on %s%s (jobs=%d queue=%d deadline=%s fuel=%s \
-             journal=%s mem=%s restarts=%d)@."
-            socket
-            (match tcp with
-            | None -> ""
-            | Some (h, p) ->
-                Fmt.str " + tcp %s:%d" (if h = "" then "*" else h) p)
-            jobs cfg.Server.queue_depth
-            (match cfg.Server.default_deadline_s with
-            | None -> "none"
-            | Some s -> Fmt.str "%gs" s)
-            (match cfg.Server.request_fuel with
-            | None -> "none"
-            | Some f -> string_of_int f)
-            (match journal_dir with None -> "off" | Some d -> d)
-            (match mem_bytes with
-            | None -> "off"
-            | Some b -> Fmt.str "%dMB" (b / (1024 * 1024)))
-            restarts;
-          Server.run server;
-          Fmt.epr "nascentd: drained, exiting@.";
-          0)
+      let cfg =
+        {
+          Server.socket_path = socket;
+          tcp;
+          jobs;
+          queue_depth = max 1 queue_depth;
+          default_deadline_s =
+            (if deadline_ms <= 0 then None
+             else Some (float_of_int deadline_ms /. 1000.0));
+          request_fuel = (if request_fuel <= 0 then None else Some request_fuel);
+          restarts;
+          idle_timeout_s;
+          io_deadline_s;
+          max_frame_bytes = Frame.default_max_payload;
+        }
+      in
+      let service =
+        Service.create ~breaker_threshold:(max 1 threshold)
+          ~breaker_cooldown_s:(float_of_int (max 0 cooldown_ms) /. 1000.0)
+          ?state_path ?shard_name ()
+      in
+      let server = Server.create cfg (Service.handler service) in
+      (* Graceful drain on either termination signal: stop is
+         lock-free and signal-safe; run returns once every admitted
+         request is answered. *)
+      let on_signal _ = Server.stop server in
+      Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
+      Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
+      (* A client vanishing mid-response must not kill the daemon. *)
+      Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+      Fmt.epr
+        "nascentd: listening on %s%s (jobs=%d queue=%d deadline=%s fuel=%s \
+         state=%s mem=%s restarts=%d)@."
+        socket
+        (match tcp with
+        | None -> ""
+        | Some (h, p) -> Fmt.str " + tcp %s:%d" (if h = "" then "*" else h) p)
+        jobs cfg.Server.queue_depth
+        (match cfg.Server.default_deadline_s with
+        | None -> "none"
+        | Some s -> Fmt.str "%gs" s)
+        (match cfg.Server.request_fuel with
+        | None -> "none"
+        | Some f -> string_of_int f)
+        (Option.value ~default:"off" state_path)
+        (match mem_bytes with
+        | None -> "off"
+        | Some b -> Fmt.str "%dMB" (b / (1024 * 1024)))
+        restarts;
+      Server.run server;
+      Fmt.epr "nascentd: drained, exiting@.";
+      0
 
 (* Router mode: the same Server front (admission control, both
    transports, drain, inline status) with the Router's forwarding
-   handler behind it instead of the compile service. No journal and no
-   fuel — the router holds no state worth replaying (shards journal
-   their own admitted work) and forwarding burns no optimizer fuel.
+   handler behind it instead of the compile service. No state file and
+   no fuel — the router holds no state worth keeping (a request lost
+   with a shard is recomputed by the failover or the client's retry)
+   and forwarding burns no optimizer fuel.
    Workers block on shard I/O, so the router defaults to more of them
    than a compile daemon would want. *)
 let serve_router ~restarts socket tcp jobs queue_depth deadline_ms threshold
@@ -464,7 +438,6 @@ let serve_router ~restarts socket tcp jobs queue_depth deadline_ms threshold
             (if deadline_ms <= 0 then None
              else Some (float_of_int deadline_ms /. 1000.0));
           request_fuel = None;
-          journal = None;
           restarts;
           idle_timeout_s;
           io_deadline_s;
@@ -628,8 +601,7 @@ let supervise serve_child =
   loop ~restarts:0 ~attempt:0
 
 let run_daemon socket tcp_str jobs queue_depth deadline_ms request_fuel
-    threshold cooldown_ms trace journal_dir state_file mem_budget_mb
-    supervise_flag idle_timeout_s io_deadline_s shard_name router_flag
+    threshold cooldown_ms trace state_path mem_budget_mb supervise_flag idle_timeout_s io_deadline_s shard_name router_flag
     shard_specs probe_interval_s chaos upstream =
   let tcp =
     match tcp_str with
@@ -653,9 +625,10 @@ let run_daemon socket tcp_str jobs queue_depth deadline_ms request_fuel
                 idle_timeout_s io_deadline_s
             else
               serve ~restarts socket tcp jobs queue_depth deadline_ms
-                request_fuel threshold cooldown_ms trace journal_dir state_file
+                request_fuel threshold cooldown_ms trace state_path
                 mem_budget_mb idle_timeout_s io_deadline_s shard_name
           in
+          warn_stale_journal_env ();
           if supervise_flag then supervise serve_child
           else serve_child ~restarts:0)
 
@@ -666,7 +639,7 @@ let () =
     Term.(
       const run_daemon $ socket_arg $ tcp_arg $ jobs_arg $ queue_arg
       $ deadline_arg $ fuel_arg $ threshold_arg $ cooldown_arg $ trace_arg
-      $ journal_arg $ state_arg $ mem_arg $ supervise_arg $ idle_arg
+      $ state_arg $ mem_arg $ supervise_arg $ idle_arg
       $ io_deadline_arg $ shard_name_arg $ router_arg $ shard_arg
       $ probe_interval_arg $ chaos_arg $ upstream_arg)
   in

@@ -73,6 +73,9 @@ type t = {
   mutable fallbacks : int; (* breaker-routed to the NI floor *)
   mutable incidents_total : int;
   state_path : string option; (* snapshot file for restart survival *)
+  state_lock : Mutex.t;
+      (* held across building AND writing a snapshot, so the renames
+         land in the order the snapshots were built *)
   shard_name : string option;
       (* identity behind a shard router, echoed as the "shard" status
          field so one status sweep tells which daemon answered *)
@@ -99,7 +102,10 @@ let counted t f =
    handled compile; written-then-renamed means a kill -9 leaves either
    the previous snapshot or the new one, never a torn file — and a
    snapshot that is missing or fails to parse just means starting
-   fresh, which is always safe (breakers re-learn). *)
+   fresh, which is always safe (breakers re-learn). So does a snapshot
+   of any other [state_version]: its fields may not mean what ours do. *)
+
+let state_version = 2
 
 let snapshot_json t =
   let compiles, degraded, fallbacks, incidents_total =
@@ -107,7 +113,7 @@ let snapshot_json t =
   in
   Json.Obj
     [
-      ("version", Json.Int 2);
+      ("version", Json.Int state_version);
       ("compiles", Json.Int compiles);
       ("degraded", Json.Int degraded);
       ("fallbacks", Json.Int fallbacks);
@@ -129,6 +135,8 @@ let save_state t =
   match t.state_path with
   | None -> ()
   | Some path -> (
+      Mutex.lock t.state_lock;
+      Fun.protect ~finally:(fun () -> Mutex.unlock t.state_lock) @@ fun () ->
       try Guard.write_atomic ~path (Json.to_string (snapshot_json t) ^ "\n")
       with Sys_error _ | Unix.Unix_error _ -> ())
 
@@ -143,6 +151,7 @@ let load_state t path =
   | Some raw -> (
       match Json.parse raw with
       | Error _ -> () (* torn or foreign file: start fresh *)
+      | Ok j when Json.member "version" j <> Some (Json.Int state_version) -> ()
       | Ok j ->
           let geti name =
             match Json.member name j with Some (Json.Int n) when n >= 0 -> n | _ -> 0
@@ -182,6 +191,7 @@ let create ?(breaker_threshold = 3) ?(breaker_cooldown_s = 2.0) ?state_path
       fallbacks = 0;
       incidents_total = 0;
       state_path;
+      state_lock = Mutex.create ();
       shard_name;
     }
   in

@@ -182,7 +182,7 @@ let write_atomic ~path contents =
 
 (* --- advisory directory locks ------------------------------------------ *)
 
-(* One daemon per shared on-disk directory (memo cache, journal). The
+(* One daemon per shared on-disk directory (the memo cache). The
    lock is a POSIX record lock ([Unix.lockf], fcntl underneath) on a
    [.nascent-lock] file inside the directory: the kernel releases it
    even on [kill -9], so a restarted daemon can always reacquire, while

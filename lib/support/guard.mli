@@ -128,13 +128,13 @@ val write_atomic : path:string -> string -> unit
 
 (** {2 Advisory directory locks}
 
-    One daemon per shared on-disk directory (memo cache, journal
-    directory). The lock is a POSIX record lock on
-    [<dir>/.nascent-lock]: released by the kernel even on [kill -9]
-    (so a restarted daemon always reacquires), refused with a clear
-    error while another process holds it. A process-local registry
-    backs up fcntl's no-self-conflict semantics, so a second acquire
-    from the same process is refused too. *)
+    One daemon per shared on-disk directory (the memo cache). The
+    lock is a POSIX record lock on [<dir>/.nascent-lock]: released by
+    the kernel even on [kill -9] (so a restarted daemon always
+    reacquires), refused with a clear error while another process
+    holds it. A process-local registry backs up fcntl's
+    no-self-conflict semantics, so a second acquire from the same
+    process is refused too. *)
 
 type dir_lock
 

@@ -18,8 +18,8 @@
     Failover: a forward that fails at the transport level (refused,
     reset, EOF before response, receive timeout) moves to the next
     distinct shard on the hash ring — safe because requests are
-    idempotent (compiles are memoized, status/burn read-only; a killed
-    shard's admitted work additionally replays from its own journal).
+    idempotent (compiles are pure and memoized, status/burn read-only;
+    a killed shard's admitted work is simply recomputed elsewhere).
     A shard's {e response} is returned as-is, error or not: an
     overloaded shard is alive, and its backpressure belongs to the
     client. Only when every candidate fails does the client see

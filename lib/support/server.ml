@@ -69,9 +69,6 @@ type config = {
   queue_depth : int; (* admission bound on queued requests *)
   default_deadline_s : float option; (* per-request wall budget *)
   request_fuel : int option; (* per-request Guard fuel budget *)
-  journal : Journal.t option;
-      (* write-ahead log: admitted requests are recorded before a
-         worker touches them and replayed by [run] after a crash *)
   restarts : int; (* supervisor restart count, reported in status *)
   idle_timeout_s : float option;
       (* reap a connected-but-silent client (no partial input, no
@@ -90,7 +87,6 @@ let default_config ~socket_path =
     queue_depth = 64;
     default_deadline_s = Some 30.0;
     request_fuel = Some 50_000_000;
-    journal = None;
     restarts = 0;
     idle_timeout_s = None;
     io_deadline_s = Some 10.0;
@@ -106,7 +102,6 @@ type counters = {
   mutable worker_restarts : int; (* escaped-exception supervisions *)
   mutable connections : int; (* lifetime accepted connections *)
   mutable accept_errors : int; (* absorbed accept(2) failures *)
-  mutable replayed : int; (* journal entries replayed at startup *)
   mutable mem_shed : int; (* admissions shed under memory pressure *)
   mutable mem_aborts : int; (* requests aborted by the memory watchdog *)
   mutable proto_rejects : int; (* legacy / version-mismatched clients *)
@@ -135,7 +130,6 @@ type job = {
   jreq : Json.t;
   jframe : int; (* NF1 frame id to tag the response with *)
   jdeadline : Guard.deadline option;
-  jseq : int option; (* journal sequence number, when journaling *)
 }
 
 type t = {
@@ -146,7 +140,6 @@ type t = {
   nonempty : Condition.t;
   drained : Condition.t; (* queue empty and nothing in flight *)
   mutable inflight : int;
-  mutable admitting : int; (* slots reserved while journaling an admission *)
   stopping : bool Atomic.t;
   c : counters;
   started : Mclock.counter;
@@ -167,7 +160,6 @@ let create cfg handler =
     nonempty = Condition.create ();
     drained = Condition.create ();
     inflight = 0;
-    admitting = 0;
     stopping = Atomic.make false;
     c =
       {
@@ -179,7 +171,6 @@ let create cfg handler =
         worker_restarts = 0;
         connections = 0;
         accept_errors = 0;
-        replayed = 0;
         mem_shed = 0;
         mem_aborts = 0;
         proto_rejects = 0;
@@ -324,13 +315,6 @@ let status_response t ~id =
        ("open_connections", Json.Int open_conns);
        ("accept_errors", Json.Int c.accept_errors);
        ("restarts", Json.Int t.cfg.restarts);
-       ("replayed", Json.Int c.replayed);
-       ( "journal_pending",
-         Json.Int
-           (match t.cfg.journal with None -> 0 | Some j -> Journal.pending_count j) );
-       ( "journal_quarantined",
-         Json.Int
-           (match t.cfg.journal with None -> 0 | Some j -> Journal.quarantined j) );
        ("mem_shed", Json.Int c.mem_shed);
        ("mem_aborts", Json.Int c.mem_aborts);
        ("proto_rejects", Json.Int c.proto_rejects);
@@ -398,14 +382,6 @@ let process t job =
             locked t (fun () -> t.c.internal_errors <- t.c.internal_errors + 1);
             error_response ~id ~code:"internal" (Printexc.to_string e))
   in
-  (* The response exists: the journal entry is complete. Marking done
-     BEFORE the write reaches the wire keeps status coherent — a client
-     that has read its response can never observe its own request as
-     journal-pending. A crash in the gap loses only the response bytes,
-     not the work: the client's retry recompiles from the memo. *)
-  (match (t.cfg.journal, job.jseq) with
-  | Some j, Some seq -> Journal.mark_done j seq
-  | _ -> ());
   answer t ~frame:job.jframe job.jconn response
 
 let rec worker_loop t =
@@ -475,7 +451,7 @@ let enqueue t conn ~frame ~id req =
       (error_response ~id ~code:"shutting-down" ~retryable:true
          "server is draining; retry against a fresh instance")
   end
-  else if Queue.length t.queue + t.admitting >= t.cfg.queue_depth then begin
+  else if Queue.length t.queue >= t.cfg.queue_depth then begin
     t.c.shed <- t.c.shed + 1;
     Mutex.unlock t.lock;
     conn_release t conn;
@@ -499,60 +475,12 @@ let enqueue t conn ~frame ~id req =
   end
   else begin
     (* the deadline clock starts at admission: queue wait counts *)
-    match t.cfg.journal with
-    | None ->
-        let job =
-          {
-            jconn = conn;
-            jid = id;
-            jreq = req;
-            jframe = frame;
-            jdeadline = request_deadline t req;
-            jseq = None;
-          }
-        in
-        Queue.add job t.queue;
-        Condition.signal t.nonempty;
-        Mutex.unlock t.lock
-    | Some j ->
-        (* Journaled admission: the fsync must not run under t.lock
-           (workers take it between every job), so the queue slot is
-           reserved via [admitting] first — check-plus-add stays
-           atomic — and the stopping flag is re-checked after the
-           write: stopping is monotonic, so seeing it clear under the
-           lock here proves no worker has exited yet and the job will
-           be drained. If a stop slipped in while we were journaling,
-           the entry is marked done and the request shed exactly as if
-           it had arrived after the flag. *)
-        t.admitting <- t.admitting + 1;
-        Mutex.unlock t.lock;
-        let seq = Journal.append j (Json.to_string req) in
-        Mutex.lock t.lock;
-        t.admitting <- t.admitting - 1;
-        if stopping t then begin
-          t.c.shed <- t.c.shed + 1;
-          Mutex.unlock t.lock;
-          Journal.mark_done j seq;
-          conn_release t conn;
-          answer t ~frame conn
-            (error_response ~id ~code:"shutting-down" ~retryable:true
-               "server is draining; retry against a fresh instance")
-        end
-        else begin
-          let job =
-            {
-              jconn = conn;
-              jid = id;
-              jreq = req;
-              jframe = frame;
-              jdeadline = request_deadline t req;
-              jseq = Some seq;
-            }
-          in
-          Queue.add job t.queue;
-          Condition.signal t.nonempty;
-          Mutex.unlock t.lock
-        end
+    let job =
+      { jconn = conn; jid = id; jreq = req; jframe = frame; jdeadline = request_deadline t req }
+    in
+    Queue.add job t.queue;
+    Condition.signal t.nonempty;
+    Mutex.unlock t.lock
   end
 
 (* One frame payload, parsed and dispatched; the response is tagged
@@ -768,48 +696,11 @@ let listen_tcp host port =
   in
   (fd, bound)
 
-(* Crash recovery: run every admitted-but-unanswered journal entry
-   through the handler before the socket binds (the socket appearing
-   IS the ready signal — clients retrying through a restart cannot
-   race the replay). The handler is idempotent (compiles are
-   memo-backed), so replaying warms the cache the crashed process lost
-   its chance to fill; the client that owned the request reconnects,
-   retries, and hits that warm entry. Replay honors each request's own
-   deadline/fuel budgets with a fresh clock — a request that hung the
-   old process cannot hang recovery — and checks [stopping] between
-   entries, so SIGTERM mid-replay drains cleanly, leaving the
-   remainder pending for the next start. *)
-let replay_journal t j =
-  List.iter
-    (fun (e : Journal.entry) ->
-      if not (stopping t) then begin
-        (match Json.parse e.Journal.payload with
-        | Error _ -> () (* checksummed at append; nothing to rescue *)
-        | Ok req ->
-            let body () = t.handler.handle req in
-            let body =
-              match t.cfg.request_fuel with
-              | Some budget ->
-                  fun () -> Guard.with_fuel (Guard.fuel ~what:"replay" ~budget) body
-              | None -> body
-            in
-            let body =
-              match request_deadline t req with
-              | Some d -> fun () -> Guard.with_deadline d body
-              | None -> body
-            in
-            (try ignore (body ()) with _ -> ()));
-        Journal.mark_done j e.Journal.seq;
-        locked t (fun () -> t.c.replayed <- t.c.replayed + 1)
-      end)
-    (Journal.pending j);
-  Journal.compact j
-
 (* Serve until [stop]: accept loop in the calling thread, one reader
    thread per connection, [cfg.jobs] worker domains. Returns after the
    drain completes: queue empty, nothing in flight, every response
    written, workers and readers joined, socket file removed. *)
-let run_serving t =
+let run t =
   (* TCP binds first, so the UDS socket file appearing — the ready
      signal clients and the supervisor poll for — implies both
      transports are listening. *)
@@ -937,16 +828,6 @@ let run_serving t =
     conns;
   Unix.close t.stop_r;
   Unix.close t.stop_w
-
-let run t =
-  (match t.cfg.journal with Some j -> replay_journal t j | None -> ());
-  if stopping t then begin
-    (* stopped during replay: nothing was bound or spawned — just
-       release the self-pipe and finish the drain *)
-    Unix.close t.stop_r;
-    Unix.close t.stop_w
-  end
-  else run_serving t
 
 (* --- client helpers ---------------------------------------------------- *)
 

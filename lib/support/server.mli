@@ -61,12 +61,6 @@ type config = {
   queue_depth : int;  (** admission bound on queued requests *)
   default_deadline_s : float option;  (** default per-request budget *)
   request_fuel : int option;  (** per-request {!Guard} fuel budget *)
-  journal : Journal.t option;
-      (** write-ahead log: every admitted request is recorded (fsync'd)
-          before a worker touches it and marked done after its response
-          is written; {!run} replays admitted-but-unfinished entries
-          through the handler before binding the socket, so a [kill -9]
-          loses zero admitted work. [None] disables journaling. *)
   restarts : int;
       (** supervisor restart count, echoed as the ["restarts"] status
           field — informational only *)
@@ -82,7 +76,7 @@ type config = {
 }
 
 val default_config : socket_path:string -> config
-(** 2 jobs, depth 64, 30s deadline, 50M fuel, no journal, no TCP, no
+(** 2 jobs, depth 64, 30s deadline, 50M fuel, no TCP, no
     idle reaper, 10s I/O deadline, 4 MiB frames. *)
 
 type t
@@ -96,16 +90,13 @@ val tcp_port : t -> int option
     bound. *)
 
 val run : t -> unit
-(** Serve until {!stop}. With a journal configured, first replays every
-    admitted-but-unfinished entry through the handler (idempotent:
-    compiles are memo-backed), each under its own fresh deadline/fuel
-    budget; the socket binds only after replay, so the socket appearing
-    is the ready signal. Then binds (replacing any stale socket file),
-    accepts in the calling thread, and on {!stop} drains — sheds new
-    work, finishes and answers {e every} admitted request, joins
-    workers and readers, removes the socket file. {!stop} during the
-    replay stops between entries (the rest stay pending for the next
-    start) and returns without serving.
+(** Serve until {!stop}. Binds (replacing any stale socket file; the
+    socket appearing is the ready signal), accepts in the calling
+    thread, and on {!stop} drains — sheds new work, finishes and
+    answers {e every} admitted request, joins workers and readers,
+    removes the socket file. Nothing survives the process: a request
+    admitted by a daemon that dies unanswered is recomputed by the
+    client's retry, which is safe because compiles are pure.
 
     Memory watchdog (see {!Guard.set_mem_budget}): past the shed
     fraction of the budget new admissions are refused with

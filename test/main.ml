@@ -19,7 +19,6 @@ let () =
       ("experiments", Test_experiments.suite);
       ("harness", Test_harness.suite);
       ("server", Test_server.suite);
-      ("journal", Test_journal.suite);
       ("frame", Test_frame.suite);
       ("router", Test_router.suite);
       ("transport", Test_transport.suite);
