@@ -509,39 +509,52 @@ let cmd_verify =
                 Config.extended_schemes)
             lowered
         in
+        (* A certificate that fell back from checking the oracle-elim
+           hint to searching for entry facts is still a certificate,
+           but a slow one: the sweep counts those functions and fails
+           on any. *)
         let outcomes =
           Nascent_support.Pool.parallel_map pool
             (fun (name, ir, config) ->
               match Core.Optimizer.optimize ~config ir with
               | _, stats -> (
+                  let fallbacks =
+                    match stats.Core.Optimizer.validation with
+                    | Some v -> v.Ir.Validate.fallbacks
+                    | None -> 0
+                  in
+                  let fail msg = (fallbacks, Some (name, config, msg)) in
                   match
                     (stats.Core.Optimizer.incidents, Core.Optimizer.validated stats)
                   with
                   | [], Some false ->
-                      Some
-                        ( name,
-                          config,
-                          Fmt.str "translation validation failed:@.%a"
-                            (Fmt.option Ir.Validate.pp)
-                            stats.Core.Optimizer.validation )
-                  | [], _ -> None
+                      fail
+                        (Fmt.str "translation validation failed:@.%a"
+                           (Fmt.option Ir.Validate.pp)
+                           stats.Core.Optimizer.validation)
+                  | [], _ when fallbacks > 0 ->
+                      fail
+                        (Fmt.str "certificate fell back to the search in %d function(s)"
+                           fallbacks)
+                  | [], _ -> (0, None)
                   | is, _ ->
-                      Some
-                        ( name,
-                          config,
-                          Fmt.str "%d pass(es) rolled back:@.%a" (List.length is)
-                            (Fmt.list Core.Optimizer.pp_incident)
-                            is ))
-              | exception Ir.Verify.Invalid_ir msg -> Some (name, config, msg))
+                      fail
+                        (Fmt.str "%d pass(es) rolled back:@.%a" (List.length is)
+                           (Fmt.list Core.Optimizer.pp_incident)
+                           is))
+              | exception Ir.Verify.Invalid_ir msg -> (0, Some (name, config, msg)))
             cells
         in
         List.iter
           (function
-            | None -> ()
-            | Some (name, config, msg) ->
+            | _, None -> ()
+            | _, Some (name, config, msg) ->
                 incr failures;
                 Fmt.epr "%s under %a:@.%s@." name Config.pp config msg)
           outcomes;
+        if oracle then
+          Fmt.pr "certificate fallbacks: %d@."
+            (List.fold_left (fun n (k, _) -> n + k) 0 outcomes);
         if !failures = 0 then
           Fmt.pr
             "verified %d program(s) under %d configuration(s) (jobs=%d): no violations@."

@@ -539,6 +539,7 @@ let stats_to_json (s : stats) : Json.t =
               [
                 ("sites", Json.Int v.Ir.Validate.total_sites);
                 ("proven", Json.Int v.Ir.Validate.proven_sites);
+                ("fallbacks", Json.Int v.Ir.Validate.fallbacks);
                 ("failures", Json.List (List.map failure v.Ir.Validate.failures));
               ] );
         ])

@@ -38,13 +38,18 @@
      the preheader's guarded bound check becomes available exactly
      where the deleted body checks need it.
 
-   Block entry states come from a forward data-flow. The meet is
-   semantic: a candidate fact (drawn from every incoming path) survives
-   if {e every} path proves it — plain set intersection would lose
-   facts that hold on all paths under different spellings ([i = lo] on
-   the preheader path versus [i <= hi] on the back edge). Conditional
-   facts meet by intersection. A [Trap] makes everything after it dead,
-   so remaining obligations are vacuous.
+   Block entry states are checked, not searched for, where they can
+   be ({!checked_entry}): the ambient facts oracle-elim solved for are
+   pruned to an inductive invariant, and the residual checks' facts
+   are added by a syntactic must-availability. Only if the walk from
+   those falls short does a forward data-flow search for them
+   ({!entry_hyps}). Its meet is semantic: a candidate fact (drawn from
+   every incoming path) survives if {e every} path proves it — plain
+   set intersection would lose facts that hold on all paths under
+   different spellings ([i = lo] on the preheader path versus
+   [i <= hi] on the back edge). Conditional facts meet by
+   intersection. A [Trap] makes everything after it dead, so remaining
+   obligations are vacuous.
 
    The validator is total and fail-safe: anything it cannot relate —
    structure mismatch, unlinearizable guard, oracle "unknown" — is a
@@ -72,17 +77,19 @@ type t = {
   total_sites : int;
   proven_sites : int;
   failures : site list; (* reference order; empty iff validated *)
+  fallbacks : int; (* functions whose checked certificate fell back to the search *)
 }
 
 let validated t = t.failures = []
 
-let empty = { total_sites = 0; proven_sites = 0; failures = [] }
+let empty = { total_sites = 0; proven_sites = 0; failures = []; fallbacks = 0 }
 
 let merge a b =
   {
     total_sites = a.total_sites + b.total_sites;
     proven_sites = a.proven_sites + b.proven_sites;
     failures = a.failures @ b.failures;
+    fallbacks = a.fallbacks + b.fallbacks;
   }
 
 module CSet = Set.Make (Check)
@@ -173,7 +180,10 @@ let constraints_of_opt ~positive atoms e =
    memo. The semantic meet and the lockstep walk ask many goals of the
    same fact set; a caller holding a handle asks them without hashing
    the set again. Keys are compared as sets, so a handle answers as
-   [Oracle.implies] does on [CSet.elements facts]. *)
+   [Oracle.implies] does on [CSet.elements facts].
+
+   [hint] is the block-entry states of the last ambient solve
+   ({!Facts.ambient_entry}), left for the certificate to check. *)
 module Cache = struct
   module Tbl = Hashtbl.Make (struct
     type t = CSet.t
@@ -182,9 +192,15 @@ module Cache = struct
     let hash facts = CSet.fold (fun c h -> (h * 31) + Check.hash c) facts 0
   end)
 
-  type t = { oracle : Oracle.Cache.t; handles : Oracle.Hyps.t Tbl.t }
+  type t = {
+    oracle : Oracle.Cache.t;
+    handles : Oracle.Hyps.t Tbl.t;
+    mutable hint : hstate array option;
+  }
 
-  let create () = { oracle = Oracle.Cache.create (); handles = Tbl.create 256 }
+  let create () =
+    { oracle = Oracle.Cache.create (); handles = Tbl.create 256; hint = None }
+
   let oracle t = t.oracle
 end
 
@@ -205,6 +221,17 @@ let proves (h : Oracle.Hyps.t) (goal : Check.t) : bool =
   Oracle.Hyps.implies h goal
 
 let entails cache facts goal = proves (handle cache facts) goal
+
+(* Goals [facts] implies without the oracle: a compile-time truth, or a
+   check no stronger than the strongest of its family in [facts] (the
+   smallest constant of a family comes first in the set). *)
+let implied_in_family (facts : CSet.t) (goal : Check.t) : bool =
+  Check.compile_time_value goal = Some true
+  ||
+  let lhs = Check.lhs goal in
+  match CSet.find_first_opt (fun c -> Linexpr.compare (Check.lhs c) lhs >= 0) facts with
+  | Some c -> Check.implies_within_family c goal
+  | None -> false
 
 (* [proves] for the fact set [facts ()], computed and looked up only
    when the first goal is asked, then held for every later goal. A
@@ -287,22 +314,26 @@ let assign_transfer atoms (v : var) (e : expr) (h : hstate) : hstate =
         | [ (a, 1) ] when Atom.key a = kv ->
             (* v := v + c *)
             let others = List.filter (fun k -> k <> kv) killed in
+            (* facts mentioning neither [v] nor a killed atom stay as
+               they are, sharing the set *)
+            let moved, stay =
+              CSet.partition
+                (fun chk -> List.exists (Check.mentions_key chk) (kv :: others))
+                h.facts
+            in
             let shift chk acc =
               if List.exists (fun k -> Check.mentions_key chk k) others then
                 acc
               else
-                let co = Linexpr.coeff_of_key (Check.lhs chk) kv in
-                if co = 0 then CSet.add chk acc
-                else
-                  match
-                    Linexpr.checked_add (Check.constant chk)
-                      (Linexpr.checked_mul co c)
-                  with
-                  | k' -> CSet.add (Check.make (Check.lhs chk) k') acc
-                  | exception Linexpr.Overflow -> acc
+                match
+                  Linexpr.checked_add (Check.constant chk)
+                    (Linexpr.checked_mul (Linexpr.coeff_of_key (Check.lhs chk) kv) c)
+                with
+                | k' -> CSet.add (Check.make (Check.lhs chk) k') acc
+                | exception Linexpr.Overflow -> acc
             in
             {
-              facts = CSet.fold shift h.facts CSet.empty;
+              facts = CSet.fold shift moved stay;
               conds =
                 CondSet.filter
                   (fun cd -> not (List.exists (cond_mentions cd) killed))
@@ -356,7 +387,91 @@ let transfer ?(checks = true) cache atoms (h : hstate option) (i : instr) :
       | Store _ | Call _ -> Some (kill_state (Atoms.killed_by_store atoms) h)
       | Print _ -> Some h)
 
+(* Transfer for the syntactic must-availability of residual checks:
+   a check adds its fact, a conditional check its fact when unguarded
+   and otherwise its conditional fact, plus the fact when [holds] says
+   its guards hold here; a definition kills what mentions it. *)
+let avail_transfer atoms ~(holds : Check.t list -> bool) (h : hstate option) (i : instr) :
+    hstate option =
+  match (h, i) with
+  | None, _ | _, Trap _ -> None
+  | Some h, Check m -> Some { h with facts = CSet.add m.chk h.facts }
+  | Some h, Cond_check (g, m) -> (
+      match constraints_of ~positive:true atoms g with
+      | exception Linexpr.Overflow -> Some h
+      | None -> Some h
+      | Some [] -> Some { h with facts = CSet.add m.chk h.facts }
+      | Some gs ->
+          let h = { h with conds = CondSet.add (List.sort Check.compare gs, m.chk) h.conds } in
+          if holds gs then Some { h with facts = CSet.add m.chk h.facts } else Some h)
+  | Some h, Assign (v, _) -> Some (kill_state (Atoms.killed_by_def atoms v) h)
+  | Some h, (Store _ | Call _) -> Some (kill_state (Atoms.killed_by_store atoms) h)
+  | Some h, Print _ -> Some h
+
 (* --- block-entry hypotheses: must-availability + edge facts --------- *)
+
+(* [edge_facts f p b]: the constraints of the branch condition on the
+   edge [p -> b], each branch linearized once. *)
+let edge_facts (f : Func.t) : int -> int -> Check.t list =
+  let branches =
+    Array.init (Func.num_blocks f) (fun p ->
+        match (Func.block f p).term with
+        | Branch (c, t, e) when t <> e ->
+            Some
+              ( t,
+                constraints_of_opt ~positive:true f.Func.atoms c,
+                e,
+                constraints_of_opt ~positive:false f.Func.atoms c )
+        | _ -> None)
+  in
+  fun p b ->
+    match branches.(p) with
+    | Some (t, ct, _, _) when b = t -> ct
+    | Some (_, _, e, ce) when b = e -> ce
+    | _ -> []
+
+let with_edge edge p b (h : hstate) =
+  { h with facts = List.fold_left (fun s c -> CSet.add c s) h.facts (edge p b) }
+
+(* The incoming paths of [b]: each live predecessor's out-state plus
+   the facts of its edge into [b]. Unreachable, unvisited ([None]) and
+   trap-dead ([Some None]) predecessors contribute no path. *)
+let paths_into edge reach preds (out : hstate option option array) b =
+  List.filter_map
+    (fun p ->
+      match out.(p) with
+      | Some (Some op) when reach.(p) -> Some (with_edge edge p b op)
+      | _ -> None)
+    preds.(b)
+
+(* Does every path prove [c]? Each path is closed and its fact set
+   hashed once, on the first goal it neither holds nor implies within a
+   family. A member costs nothing; every other question one ambient
+   tick, whoever answers it. *)
+let proven_on_all cache (paths : hstate list) : Check.t -> bool =
+  let judged = List.map (fun h -> (h.facts, prover cache (fun () -> close cache h))) paths in
+  fun c ->
+    List.for_all
+      (fun (facts, proves) ->
+        CSet.mem c facts
+        ||
+        if implied_in_family facts c then begin
+          Guard.tick_ambient ();
+          true
+        end
+        else proves c)
+      judged
+
+let same_out a b =
+  match (a, b) with
+  | None, None | Some None, Some None -> true
+  | Some (Some x), Some (Some y) -> h_equal x y
+  | _ -> false
+
+let succs_of preds =
+  let succs = Array.make (Array.length preds) [] in
+  Array.iteri (fun b ps -> List.iter (fun p -> succs.(p) <- b :: succs.(p)) ps) preds;
+  succs
 
 (* Forward data-flow over the optimized function. out.(b) = None means
    "not yet reached" (top); in(b) is the semantic meet over reachable
@@ -367,16 +482,9 @@ let entry_hyps ?(checks = true) cache (f : Func.t) : hstate array =
   let n = Func.num_blocks f in
   let reach = Func.reachable f in
   let preds = Func.preds_array f in
+  let edge = edge_facts f in
   let out : hstate option option array = Array.make n None in
   (* outer None = unvisited(top); inner option = trap-dead *)
-  let edge_facts p b =
-    match (Func.block f p).term with
-    | Branch (c, t, e) when t <> e ->
-        if b = t then constraints_of_opt ~positive:true atoms c
-        else if b = e then constraints_of_opt ~positive:false atoms c
-        else []
-    | _ -> []
-  in
   (* Affine loop invariants as meet {e candidates}: a counted loop whose
      basic variable [h] was materialized by the INX rewrite maintains
      [index = lo + step*h] at its header (established by the
@@ -412,42 +520,22 @@ let entry_hyps ?(checks = true) cache (f : Func.t) : hstate array =
       f.Func.loops;
     tbl
   in
-  let in_of b =
+  (* [widen] is the block's previous in-state once widening is on: the
+     result is intersected with it, so candidates outside it are
+     dropped before anything is proven about them. *)
+  let in_of ~widen b =
     if b = f.Func.entry then h_empty
     else
-      let paths =
-        List.filter_map
-          (fun p ->
-            if not reach.(p) then None
-            else
-              match out.(p) with
-              | None (* unvisited: top *) | Some None (* trap-dead *) -> None
-              | Some (Some op) ->
-                  Some
-                    {
-                      op with
-                      facts =
-                        List.fold_left
-                          (fun s c -> CSet.add c s)
-                          op.facts (edge_facts p b);
-                    })
-          preds.(b)
-      in
+      let within s = match widen with None -> s | Some w -> CSet.inter s w.facts in
+      let paths = paths_into edge reach preds out b in
       match paths with
       | [] -> h_empty
-      | _ ->
-          (* each path is closed and its fact set hashed once, on the
-             first candidate it does not hold syntactically *)
-          let judged =
-            List.map (fun h -> (h.facts, prover cache (fun () -> close cache h))) paths
-          in
-          let proven_on_all c =
-            List.for_all (fun (facts, proves) -> CSet.mem c facts || proves c) judged
-          in
+      | h0 :: rest ->
+          let proven_on_all = proven_on_all cache paths in
           let base =
-            match paths with
-            | [ h ] -> h
-            | h0 :: rest ->
+            match rest with
+            | [] -> { h0 with facts = within h0.facts }
+            | _ ->
                 (* Semantic meet: keep a candidate fact iff every path
                    proves it; conditional facts meet structurally. *)
                 let conds =
@@ -460,21 +548,23 @@ let entry_hyps ?(checks = true) cache (f : Func.t) : hstate array =
                     (fun acc h -> CSet.union acc h.facts)
                     h0.facts rest
                 in
-                { facts = CSet.filter proven_on_all candidates; conds }
-            | [] -> assert false
+                { facts = CSet.filter proven_on_all (within candidates); conds }
+          in
+          let base =
+            match widen with
+            | None -> base
+            | Some w -> { base with conds = CondSet.inter base.conds w.conds }
           in
           List.fold_left
             (fun st c ->
-              if CSet.mem c st.facts || not (proven_on_all c) then st
+              if
+                CSet.mem c st.facts
+                || (match widen with Some w -> not (CSet.mem c w.facts) | None -> false)
+                || not (proven_on_all c)
+              then st
               else { st with facts = CSet.add c st.facts })
             base
             (Option.value (Hashtbl.find_opt inv_candidates b) ~default:[])
-  in
-  let same_out a b =
-    match (a, b) with
-    | None, None | Some None, Some None -> true
-    | Some (Some x), Some (Some y) -> h_equal x y
-    | _ -> false
   in
   let rpo = Func.rpo f in
   let changed = ref true in
@@ -483,9 +573,10 @@ let entry_hyps ?(checks = true) cache (f : Func.t) : hstate array =
      so a sweep re-evaluates a block only if it has never been
      evaluated or a predecessor's out-state changed since; every other
      block would recompute what it already holds (under widening too:
-     its in-state already lies inside the unchanged meet). *)
-  let succs = Array.make n [] in
-  Array.iteri (fun b ps -> List.iter (fun p -> succs.(p) <- b :: succs.(p)) ps) preds;
+     its in-state already lies inside the unchanged meet). Likewise a
+     re-evaluated block whose in-state came out unchanged keeps its
+     out-state without running its transfer again. *)
+  let succs = succs_of preds in
   let stale = Array.make n true in
   (* The semantic meet is not a lattice meet: a loop-carried bound can
      creep ([i <= 1], then [i <= 2], ... — each weakening provable from
@@ -507,28 +598,183 @@ let entry_hyps ?(checks = true) cache (f : Func.t) : hstate array =
       (fun b ->
         if stale.(b) then begin
           stale.(b) <- false;
-          let i = in_of b in
-          let i =
-            if !sweeps <= 2 then i
-            else
-              {
-                facts = CSet.inter i.facts ins.(b).facts;
-                conds = CondSet.inter i.conds ins.(b).conds;
-              }
-          in
-          ins.(b) <- i;
-          let o =
-            List.fold_left (transfer ~checks cache atoms) (Some i) (Func.block f b).instrs
-          in
-          if not (same_out out.(b) (Some o)) then begin
-            out.(b) <- Some o;
-            changed := true;
-            List.iter (fun s -> stale.(s) <- true) succs.(b)
+          let i = in_of ~widen:(if !sweeps <= 2 then None else Some ins.(b)) b in
+          if out.(b) = None || not (h_equal i ins.(b)) then begin
+            ins.(b) <- i;
+            let o =
+              List.fold_left (transfer ~checks cache atoms) (Some i) (Func.block f b).instrs
+            in
+            if not (same_out out.(b) (Some o)) then begin
+              out.(b) <- Some o;
+              changed := true;
+              List.iter (fun s -> stale.(s) <- true) succs.(b)
+            end
           end
         end)
       rpo
   done;
   if !changed then Array.make n h_empty else ins
+
+(* --- the checked certificate: a hint made inductive ------------------- *)
+
+(* Block-entry states for the certificate, checked rather than searched
+   for. Nothing in [hint] is trusted:
+   - {e kept} facts: the greatest subset of the hint, found by
+     descending from it, such that the entry block keeps nothing and
+     every fact kept at [b] is proven by every live predecessor's
+     ambient out-state (its transfer from its own kept facts, checks
+     contributing nothing) plus the edge's facts. A block with no live
+     predecessor keeps nothing, as the search gives it nothing. The kept
+     sets are inductive, so they hold on every execution whatever the
+     hint was. When the hint is the ambient solution, each question is
+     one the solve already asked of the same fact set: a memo hit.
+   - {e available} facts and conditional facts of the residual checks
+     ({!avail_transfer}). At a join a fact survives if every path
+     holds it or a stronger fact of its family, among its available
+     facts or its kept out-state plus edge facts; conditional facts
+     meet by intersection. After a block's first visit its set only
+     shrinks, so the solve terminates.
+   A block's state is the union of both, and every fact in it holds on
+   every path in, by induction along the path. *)
+let checked_entry cache (f : Func.t) (hint : hstate array) : hstate array =
+  let atoms = f.Func.atoms in
+  let n = Func.num_blocks f in
+  let reach = Func.reachable f in
+  let preds = Func.preds_array f in
+  let succs = succs_of preds in
+  let edge = edge_facts f in
+  let rpo = Func.rpo f in
+  let kept =
+    Array.init n (fun b ->
+        if b = f.Func.entry || (not reach.(b)) || b >= Array.length hint then CSet.empty
+        else hint.(b).facts)
+  in
+  let ambient b =
+    Some
+      (List.fold_left (transfer ~checks:false cache atoms)
+         (Some { h_empty with facts = kept.(b) })
+         (Func.block f b).instrs)
+  in
+  let kout = Array.init n (fun b -> if reach.(b) then ambient b else None) in
+  let queued = Array.make n false in
+  let work = Queue.create () in
+  let push b =
+    if (not queued.(b)) && not (CSet.is_empty kept.(b)) then begin
+      queued.(b) <- true;
+      Queue.add b work
+    end
+  in
+  List.iter push rpo;
+  while not (Queue.is_empty work) do
+    let b = Queue.pop work in
+    queued.(b) <- false;
+    Guard.tick_ambient ();
+    let k =
+      match paths_into edge reach preds kout b with
+      | [] -> CSet.empty
+      | paths -> CSet.filter (proven_on_all cache paths) kept.(b)
+    in
+    if not (CSet.equal k kept.(b)) then begin
+      kept.(b) <- k;
+      let o = ambient b in
+      if not (same_out kout.(b) o) then begin
+        kout.(b) <- o;
+        List.iter push succs.(b)
+      end
+    end
+  done;
+  (* A conditional check's guards hold if the kept facts, carried
+     through the block alongside, or the available ones imply each
+     within its family. *)
+  let avail_block b a =
+    let instrs = (Func.block f b).instrs in
+    if not (List.exists (function Cond_check _ -> true | _ -> false) instrs) then
+      List.fold_left (avail_transfer atoms ~holds:(fun _ -> false)) (Some a) instrs
+    else
+      fst
+        (List.fold_left
+           (fun (a, k) i ->
+             let holds gs =
+               match (a, k) with
+               | Some a, Some k ->
+                   List.for_all
+                     (fun g ->
+                       CSet.mem g k.facts || implied_in_family k.facts g
+                       || CSet.mem g a.facts || implied_in_family a.facts g)
+                     gs
+               | _ -> false
+             in
+             (avail_transfer atoms ~holds a i, transfer ~checks:false cache atoms k i))
+           (Some a, Some { h_empty with facts = kept.(b) })
+           instrs)
+  in
+  (* [avail.(b) = None] until [b] is first visited *)
+  let avail = Array.make n None in
+  let aout = Array.make n None in
+  let stale = Array.make n true in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    Guard.tick_ambient ();
+    List.iter
+      (fun b ->
+        if stale.(b) then begin
+          stale.(b) <- false;
+          let paths =
+            if b = f.Func.entry then []
+            else
+              List.filter_map
+                (fun p ->
+                  match (aout.(p), kout.(p)) with
+                  | Some (Some a), Some (Some k) when reach.(p) ->
+                      Some (a, (with_edge edge p b k).facts)
+                  | _ -> None)
+                preds.(b)
+          in
+          let meet =
+            match paths with
+            | [] -> h_empty
+            | (a0, _) :: rest ->
+                let holds c =
+                  List.for_all
+                    (fun (a, k) ->
+                      CSet.mem c a.facts || implied_in_family a.facts c || CSet.mem c k
+                      || implied_in_family k c)
+                    paths
+                in
+                {
+                  facts =
+                    CSet.filter holds
+                      (List.fold_left (fun acc (a, _) -> CSet.union acc a.facts) a0.facts rest);
+                  conds = List.fold_left (fun acc (a, _) -> CondSet.inter acc a.conds) a0.conds rest;
+                }
+          in
+          let a =
+            match avail.(b) with
+            | None -> meet
+            | Some prev ->
+                {
+                  facts = CSet.inter meet.facts prev.facts;
+                  conds = CondSet.inter meet.conds prev.conds;
+                }
+          in
+          match avail.(b) with
+          | Some prev when h_equal a prev -> ()
+          | _ ->
+              avail.(b) <- Some a;
+              let o = avail_block b a in
+              if not (same_out aout.(b) (Some o)) then begin
+                aout.(b) <- Some o;
+                changed := true;
+                List.iter (fun s -> stale.(s) <- true) succs.(b)
+              end
+        end)
+      rpo
+  done;
+  Array.init n (fun b ->
+      match avail.(b) with
+      | Some a when reach.(b) -> { a with facts = CSet.union kept.(b) a.facts }
+      | _ -> h_empty)
 
 (* --- the lockstep walk ---------------------------------------------- *)
 
@@ -560,11 +806,20 @@ let validate_block ~cache ~fname ~atoms ~orig_vids (entry : hstate) (ob : block)
   let record chk ok reason =
     results := (chk, ok, reason) :: !results
   in
-  (* Discharge the reference-side check region against the closed fact
-     set; [dead] means the optimized side already trapped
-     unconditionally. *)
-  let discharge ~dead ~opt_region facts orig_region =
-    let implied = prover cache (fun () -> facts) in
+  (* Discharge the reference-side check region against the hypotheses
+     [h], closed only once some obligation is neither a member of its
+     facts nor implied within a family; [dead] means the optimized side
+     already trapped unconditionally. Every question is one ambient
+     tick, whoever answers it. *)
+  let discharge ~dead ~opt_region h orig_region =
+    let prove = prover cache (fun () -> close cache h) in
+    let implied c =
+      if CSet.mem c h.facts || implied_in_family h.facts c then begin
+        Guard.tick_ambient ();
+        true
+      end
+      else prove c
+    in
     List.iter
       (fun i ->
         Guard.tick_ambient ();
@@ -618,7 +873,7 @@ let validate_block ~cache ~fname ~atoms ~orig_vids (entry : hstate) (ob : block)
     in
     let dead' = dead || hyps' = None in
     let hyps' = Option.value hyps' ~default:h_empty in
-    discharge ~dead ~opt_region (close cache hyps') orig_region;
+    discharge ~dead ~opt_region hyps' orig_region;
     match (orig_rest, opt_rest) with
     | [], _ ->
         (* No obligations left; any trailing optimized-side
@@ -645,11 +900,16 @@ let validate_block ~cache ~fname ~atoms ~orig_vids (entry : hstate) (ob : block)
           else
             Some { s_func = fname; s_bid = ob.bid; s_check = chk; s_reason = reason })
         results;
+    fallbacks = 0;
   }
 
+(* The certificate walks every reachable reference block from checked
+   entry states ({!checked_entry}) over the hint the ambient solve left
+   in [cache] — solving for one first if none was left. Only if that
+   walk leaves a site unproven does it search ({!entry_hyps}) and walk
+   again; the result then counts one fallback. *)
 let func_cached cache ~(original : Func.t) ~(optimized : Func.t) : t =
   let atoms = optimized.Func.atoms in
-  let entry = entry_hyps cache optimized in
   let reach = Func.reachable original in
   (* Variables the reference function mentions anywhere: assignments to
      anything else on the optimized side are compiler-materialized. *)
@@ -660,17 +920,27 @@ let func_cached cache ~(original : Func.t) ~(optimized : Func.t) : t =
   List.iter
     (function Pscalar v -> Hashtbl.replace orig_vids v.vid () | Parr _ -> ())
     original.Func.params;
-  let acc = ref empty in
-  Func.iter_blocks
-    (fun ob ->
-      if reach.(ob.bid) && ob.bid < Func.num_blocks optimized then
-        let pb = Func.block optimized ob.bid in
-        acc :=
-          merge !acc
-            (validate_block ~cache ~fname:original.Func.fname ~atoms ~orig_vids
-               entry.(ob.bid) ob pb))
-    original;
-  !acc
+  let walk (entry : hstate array) =
+    let acc = ref empty in
+    Func.iter_blocks
+      (fun ob ->
+        if reach.(ob.bid) && ob.bid < Func.num_blocks optimized then
+          let pb = Func.block optimized ob.bid in
+          acc :=
+            merge !acc
+              (validate_block ~cache ~fname:original.Func.fname ~atoms ~orig_vids
+                 entry.(ob.bid) ob pb))
+      original;
+    !acc
+  in
+  let hint =
+    match cache.Cache.hint with
+    | Some h -> h
+    | None -> entry_hyps ~checks:false cache optimized
+  in
+  let checked = walk (checked_entry cache optimized hint) in
+  if validated checked then checked
+  else { (walk (entry_hyps cache optimized)) with fallbacks = 1 }
 
 let func ~original ~optimized = func_cached (Cache.create ()) ~original ~optimized
 
@@ -691,6 +961,7 @@ let func_guarded ~cache ~original ~optimized : t =
             s_reason = "validation fuel exhausted";
           };
         ];
+      fallbacks = 0;
     }
 
 let program ~(original : Program.t) ~(optimized : Program.t) : t =
@@ -711,6 +982,7 @@ let program ~(original : Program.t) ~(optimized : Program.t) : t =
                     s_reason = "function missing from optimized program";
                   };
                 ];
+              fallbacks = 0;
             }
       | Some opt ->
           merge acc (func_guarded ~cache:(Cache.create ()) ~original:f ~optimized:opt))
@@ -731,14 +1003,16 @@ let pp ppf t =
    re-prove if they were deleted: the check's constraint is unprovable
    from the full hypothesis state of its check region with the site
    itself excluded — exactly the discharge the lockstep walk would
-   attempt for that obligation after the deletion. Used by
-   {!Mutate.Unsound_eliminate} to pick deletions the validator is
-   guaranteed to catch (under schemes whose residual in-place checks
-   are reference checks). *)
+   attempt for that obligation after the deletion — from the searched
+   entry states and from the checked ones alike, since the certificate
+   walks from either. Used by {!Mutate.Unsound_eliminate} to pick
+   deletions the validator is guaranteed to catch (under schemes whose
+   residual in-place checks are reference checks). *)
 let fragile_sites (f : Func.t) : (block * int) list =
   let atoms = f.Func.atoms in
   let cache = Cache.create () in
-  let entry = entry_hyps cache f in
+  let searched = entry_hyps cache f in
+  let checked = checked_entry cache f (entry_hyps ~checks:false cache f) in
   let reach = Func.reachable f in
   let acc = ref [] in
   Func.iter_blocks
@@ -746,7 +1020,8 @@ let fragile_sites (f : Func.t) : (block * int) list =
       if reach.(b.bid) then begin
         let instrs = Array.of_list b.instrs in
         let n = Array.length instrs in
-        let h = ref (Some entry.(b.bid)) in
+        (* the walk's hypotheses from each entry state *)
+        let hs = ref [ Some searched.(b.bid); Some checked.(b.bid) ] in
         let i = ref 0 in
         while !i < n do
           if is_checkish instrs.(!i) then begin
@@ -756,28 +1031,29 @@ let fragile_sites (f : Func.t) : (block * int) list =
               incr i
             done;
             let j1 = !i in
-            (match !h with
-            | None -> () (* dead past a trap: obligations are vacuous *)
-            | Some h0 ->
-                for j = j0 to j1 - 1 do
-                  match instrs.(j) with
-                  | Check m ->
-                      let hyps = ref (Some h0) in
-                      for k = j0 to j1 - 1 do
-                        if k <> j then hyps := transfer cache atoms !hyps instrs.(k)
-                      done;
-                      (match !hyps with
-                      | Some s when not (entails cache (close cache s) m.chk) ->
-                          acc := (b, j) :: !acc
-                      | _ -> ())
-                  | _ -> ()
-                done);
+            let provable_without j chk = function
+              | None -> true (* dead past a trap: obligations are vacuous *)
+              | Some h0 -> (
+                  let hyps = ref (Some h0) in
+                  for k = j0 to j1 - 1 do
+                    if k <> j then hyps := transfer cache atoms !hyps instrs.(k)
+                  done;
+                  match !hyps with
+                  | Some s -> entails cache (close cache s) chk
+                  | None -> true)
+            in
+            for j = j0 to j1 - 1 do
+              match instrs.(j) with
+              | Check m when not (List.exists (provable_without j m.chk) !hs) ->
+                  acc := (b, j) :: !acc
+              | _ -> ()
+            done;
             for k = j0 to j1 - 1 do
-              h := transfer cache atoms !h instrs.(k)
+              hs := List.map (fun h -> transfer cache atoms h instrs.(k)) !hs
             done
           end
           else begin
-            h := transfer cache atoms !h instrs.(!i);
+            hs := List.map (fun h -> transfer cache atoms h instrs.(!i)) !hs;
             incr i
           end
         done
@@ -791,7 +1067,15 @@ module Facts = struct
   type state = hstate
 
   let ambient_entry ~cache (f : Func.t) : state array =
-    entry_hyps ~checks:false cache f
+    let entry = entry_hyps ~checks:false cache f in
+    cache.Cache.hint <- Some entry;
+    entry
+
+  let facts (s : state) = CSet.elements s.facts
+
+  let set_hint ~(cache : Cache.t) (hint : Check.t list array) =
+    cache.hint <-
+      Some (Array.map (fun cs -> { h_empty with facts = CSet.of_list cs }) hint)
 
   let step ~cache atoms (s : state option) (i : instr) : state option =
     transfer ~checks:false cache atoms s i

@@ -31,6 +31,9 @@ type t = {
   total_sites : int;  (** check sites of the reference program *)
   proven_sites : int;
   failures : site list;  (** reference order; empty iff validated *)
+  fallbacks : int;
+      (** functions whose certificate fell back from checking the
+          ambient solve's hint to searching for entry facts *)
 }
 
 val validated : t -> bool
@@ -50,7 +53,9 @@ val func : original:Func.t -> optimized:Func.t -> t
     elimination) and the certificate ({!func_guarded}); drop it with
     the function. A hit returns exactly the answer a fresh query would,
     and only completed answers are stored, so a pass rolled back
-    mid-query leaves it clean. Not thread-safe. *)
+    mid-query leaves it clean. It also carries the last
+    {!Facts.ambient_entry} solution as the hint the certificate checks.
+    Not thread-safe. *)
 module Cache : sig
   type t
 
@@ -63,7 +68,10 @@ end
 val func_guarded : cache:Cache.t -> original:Func.t -> optimized:Func.t -> t
 (** {!func} under the validator's own fuel budget, answering from and
     filling [cache]; exhaustion reports a single "validation fuel
-    exhausted" failure instead of raising. *)
+    exhausted" failure instead of raising. The entry facts of the walk
+    are the hint in [cache] pruned to an inductive invariant, plus the
+    residual checks available on every path; only if that walk leaves
+    a site unproven are they searched for ([fallbacks] = 1). *)
 
 val program : original:Program.t -> optimized:Program.t -> t
 (** Validate every function of the reference program against its
@@ -96,7 +104,17 @@ module Facts : sig
       (semantic meet, affine loop-invariant candidates, widening) with
       check contributions disabled. A sweep re-evaluates only the
       blocks never evaluated or with a predecessor whose out-state
-      changed since; the fixpoint is the one full sweeps reach. *)
+      changed since; the fixpoint is the one full sweeps reach. The
+      result is left in [cache] as the certificate's hint. *)
+
+  val facts : state -> Nascent_checks.Check.t list
+  (** The state's facts, in set order. *)
+
+  val set_hint : cache:Cache.t -> Nascent_checks.Check.t list array -> unit
+  (** Replace the hint in [cache] with these facts per block id. The
+      certificate keeps only the facts that every path into their block
+      proves, so a wrong hint can cost a fallback to the search but
+      never gets a false fact into a proof. *)
 
   val step : cache:Cache.t -> Atoms.t -> state option -> Types.instr -> state option
   (** Ambient transfer of one instruction; [None] = dead past an

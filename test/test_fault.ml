@@ -276,7 +276,32 @@ let test_stats_json_reports_incidents () =
     (Option.bind (Json.member "config" json) (Json.str_member "fault"));
   Alcotest.(check (option int)) "json counts injections"
     (Some stats.Optimizer.faults_injected)
-    (Json.int_member "faults_injected" json)
+    (Json.int_member "faults_injected" json);
+  (* With the oracle on, the certificate's counts round-trip too,
+     including the functions whose certificate fell back to the search.
+     Random program 1's ALL+O certificate is refused (see
+     oracle_cells.expected), and a refused certificate has always
+     fallen back, so the count is not zero. *)
+  let src = QCheck.Gen.generate1 ~rand:(Random.State.make [| 1 |]) Test_random.gen_program in
+  let _, stats =
+    Optimizer.optimize ~config:(Config.make ~scheme:Config.ALL ~oracle:true ()) (ir_of_source src)
+  in
+  let v = Option.get stats.Optimizer.validation in
+  Alcotest.(check bool) "a certificate fell back" true (v.Nascent_ir.Validate.fallbacks > 0);
+  let validation =
+    match Json.parse (Json.to_string (Optimizer.stats_to_json stats)) with
+    | Ok j -> Json.member "validation" j
+    | Error e -> Alcotest.failf "stats json does not parse: %s" e
+  in
+  List.iter
+    (fun (field, n) ->
+      Alcotest.(check (option int)) ("json validation " ^ field) (Some n)
+        (Option.bind validation (Json.int_member field)))
+    [
+      ("sites", v.Nascent_ir.Validate.total_sites);
+      ("proven", v.Nascent_ir.Validate.proven_sites);
+      ("fallbacks", v.Nascent_ir.Validate.fallbacks);
+    ]
 
 (* --- qcheck: random seeded faults never escape -------------------------- *)
 

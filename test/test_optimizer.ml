@@ -621,6 +621,112 @@ let check_oracle_cells ~random lines =
 let test_oracle_cells_benchmarks () = check_oracle_cells ~random:false (oracle_bench_lines ())
 let test_oracle_cells_random () = check_oracle_cells ~random:true (oracle_random_lines ())
 
+(* The certificate checks the hint oracle-elim leaves it and trusts
+   none of it. A poisoned hint adds to a block's honest facts
+   [0 <= -1] and the negation of each of them, so every fact it adds is
+   false on every path into the block. Trusted, [0 <= -1] alone would
+   prove every site. Only live blocks are poisoned: dead code is where
+   every fact holds, and the certificate may keep a poisoned fact there
+   and rightly prove more. A block is live if the honest facts say some
+   execution reaches it: its own facts are not contradictory, and a
+   live predecessor falls through to it rather than trapping. On the
+   100 fixed-seed random programs, re-running the certificate under
+   that hint must give each ALL+O compile's own verdict, and each
+   unsound-eliminate deletion under NI and LLS its own verdict too,
+   which refuses some of them. The reference is the function that
+   entered the pipeline: the lowered one, after the INX rewrite for
+   INX. *)
+module Validate = Nascent_ir.Validate
+
+let poisoned_hint (f : Nascent_ir.Func.t) =
+  let module C = Nascent_checks.Check in
+  let module L = Nascent_checks.Linexpr in
+  let module F = Nascent_ir.Func in
+  let cache = Validate.Cache.create () in
+  let honest = Validate.Facts.ambient_entry ~cache f in
+  let bottom = C.make L.zero (-1) in
+  let consistent = Array.map (fun s -> not (Validate.Facts.proves ~cache s bottom)) honest in
+  let falls_through =
+    Array.mapi
+      (fun p s ->
+        List.fold_left
+          (Validate.Facts.step ~cache f.F.atoms)
+          (Some s) (F.block f p).Nascent_ir.Types.instrs
+        <> None)
+      honest
+  in
+  let preds = F.preds_array f in
+  let live = Array.make (F.num_blocks f) false in
+  let grew = ref true in
+  while !grew do
+    grew := false;
+    List.iter
+      (fun b ->
+        if
+          (not live.(b))
+          && consistent.(b)
+          && (b = f.F.entry || List.exists (fun p -> live.(p) && falls_through.(p)) preds.(b))
+        then begin
+          live.(b) <- true;
+          grew := true
+        end)
+      (F.rpo f)
+  done;
+  (* not (e <= k) is -e <= -k-1 over the integers *)
+  let negation c = C.make (L.neg (C.lhs c)) (-C.constant c - 1) in
+  Array.mapi
+    (fun b s ->
+      let facts = Validate.Facts.facts s in
+      if live.(b) then (bottom :: facts) @ List.map negation facts else facts)
+    honest
+
+let poisoned_verdict ~kind (ir : Nascent_ir.Program.t) (opt : Nascent_ir.Program.t) =
+  List.fold_left
+    (fun acc (f : Nascent_ir.Func.t) ->
+      let original = Nascent_ir.Transform.copy_func f in
+      if kind = Config.INX then ignore (Core.Induction_rewrite.run original);
+      let optimized = Option.get (Nascent_ir.Program.find opt f.Nascent_ir.Func.fname) in
+      let cache = Validate.Cache.create () in
+      Validate.Facts.set_hint ~cache (poisoned_hint optimized);
+      Validate.merge acc (Validate.func_guarded ~cache ~original ~optimized))
+    Validate.empty (Nascent_ir.Program.funcs_sorted ir)
+
+let verdict (v : Validate.t) =
+  Fmt.str "%d/%d %a" v.Validate.proven_sites v.Validate.total_sites
+    (Fmt.list Validate.pp_site) v.Validate.failures
+
+let test_wrong_hint_never_trusted () =
+  let refused = ref 0 in
+  List.iter
+    (fun seed ->
+      let src =
+        QCheck.Gen.generate1 ~rand:(Random.State.make [| seed |]) Test_random.gen_program
+      in
+      let ir = ir_of_source src in
+      let same_verdict label ~kind config =
+        let opt, st = Core.Optimizer.optimize ~config ir in
+        let honest = Option.get st.Core.Optimizer.validation in
+        Alcotest.(check string) label (verdict honest) (verdict (poisoned_verdict ~kind ir opt));
+        if st.Core.Optimizer.faults_injected > 0 && not (Validate.validated honest) then
+          incr refused
+      in
+      List.iter
+        (fun kind ->
+          let label = Printf.sprintf "random-%03d %s" seed (Config.kind_name kind) in
+          same_verdict (label ^ " ALL+O") ~kind
+            (Config.make ~scheme:Config.ALL ~kind ~oracle:true ());
+          List.iter
+            (fun scheme ->
+              let fault = { Nascent_ir.Mutate.cls = Nascent_ir.Mutate.Unsound_eliminate; seed } in
+              same_verdict
+                (Fmt.str "%s %s unsound-eliminate" label (Config.scheme_name scheme))
+                ~kind
+                (Config.make ~scheme ~kind ~fault ~oracle:true ()))
+            [ Config.NI; Config.LLS ])
+        kinds)
+    (List.init 100 succ);
+  Alcotest.(check bool) (Fmt.str "unsound deletions refused (%d)" !refused) true (!refused > 0)
+
 let suite =
   [
     tc "fig1: naive has 4 checks" test_fig1_naive_has_4_checks;
@@ -655,4 +761,5 @@ let suite =
     tc "ALL+O golden checks and certificates" test_all_o_golden;
     tc "oracle cells: benchmarks" test_oracle_cells_benchmarks;
     tc "oracle cells: random programs" test_oracle_cells_random;
+    tc "certificate: a wrong hint is never trusted" test_wrong_hint_never_trusted;
   ]

@@ -211,6 +211,21 @@ let outcome_key (o : Run.outcome) =
     o.Run.error <> None,
     if o.Run.trap = None && o.Run.error = None then o.Run.printed else [] )
 
+(* When both runs trap, the optimized one may trap earlier, never
+   later, so what it printed is a prefix of what the naive run
+   printed. *)
+let rec is_prefix xs ys =
+  match (xs, ys) with
+  | [], _ -> true
+  | x :: xs, y :: ys -> Nascent_interp.Value.equal x y && is_prefix xs ys
+  | _ :: _, [] -> false
+
+let check_trapped_prefix what config src (naive : Run.outcome) (o : Run.outcome) =
+  if naive.Run.trap <> None && o.Run.trap <> None && not (is_prefix o.Run.printed naive.Run.printed)
+  then
+    QCheck.Test.fail_reportf "%s printed past the naive trap under %a:@.%s@.naive: %a@.optimized: %a"
+      what Config.pp config src Run.pp_outcome naive Run.pp_outcome o
+
 let check_program src =
   let ir =
     try Ir.Lower.of_source src
@@ -239,6 +254,7 @@ let check_program src =
           QCheck.Test.fail_reportf
             "behaviour change under %a:@.%s@.naive: %a@.optimized: %a" Config.pp config
             src Run.pp_outcome o1 Run.pp_outcome o2;
+        check_trapped_prefix "optimized run" config src o1 o2;
         (* Dynamic check counts are monotone for NI/CS/LI/LLS. The PRE
            placements are down-safe but not always profitable — the
            paper's Figure 5 shows SE adding checks on one path — so for
@@ -262,7 +278,8 @@ let check_program src =
         let o3 = Run.run ~fuel opt2 in
         if outcome_key o2 <> outcome_key o3 then
           QCheck.Test.fail_reportf "second optimization changed behaviour under %a:@.%s"
-            Config.pp config src)
+            Config.pp config src;
+        check_trapped_prefix "twice-optimized run" config src o1 o3)
       configs;
     true
   end
