@@ -9,6 +9,7 @@ type counters = {
   mutable no_shard : int; (* requests that exhausted every candidate *)
   mutable probes : int; (* health probes sent *)
   mutable probe_failures : int;
+  mutable connects : int; (* shard connections opened by forwards *)
 }
 
 type t = {
@@ -20,8 +21,9 @@ type t = {
   forward_timeout_s : float;
   clock : Mclock.counter;
   c : counters;
-  lock : Mutex.t; (* counters + per-shard forwarded *)
+  lock : Mutex.t; (* counters + per-shard forwarded + idle *)
   forwarded : int array; (* per-shard forwarded requests *)
+  idle : Server.Client.connection list array; (* per-shard pool *)
   mutable prober : Thread.t option;
   stop_flag : bool Atomic.t;
 }
@@ -57,9 +59,11 @@ let create ?(replicas = 64) ?(threshold = 3) ?(cooldown_s = 2.0)
     probe_timeout_s;
     forward_timeout_s;
     clock = Mclock.counter ();
-    c = { forwards = 0; failovers = 0; no_shard = 0; probes = 0; probe_failures = 0 };
+    c =
+      { forwards = 0; failovers = 0; no_shard = 0; probes = 0; probe_failures = 0; connects = 0 };
     lock = Mutex.create ();
     forwarded = Array.make (Array.length shards) 0;
+    idle = Array.make (Array.length shards) [];
     prober = None;
     stop_flag = Atomic.make false;
   }
@@ -127,6 +131,68 @@ let forward_timeout t req =
   | Some ms when ms > 0.0 -> (ms /. 1000.0) +. 5.0
   | _ -> t.forward_timeout_s
 
+(* --- the connection pool ------------------------------------------------ *)
+
+let connect t i ~timeout =
+  Mutex.lock t.lock;
+  t.c.connects <- t.c.connects + 1;
+  Mutex.unlock t.lock;
+  Server.Client.connect_addr ~recv_timeout_s:timeout t.shards.(i).address
+
+let take_idle t i =
+  Mutex.lock t.lock;
+  let conn =
+    match t.idle.(i) with
+    | conn :: rest ->
+        t.idle.(i) <- rest;
+        Some conn
+    | [] -> None
+  in
+  Mutex.unlock t.lock;
+  conn
+
+(* A stopped router keeps nothing: [stop] sets the flag before it
+   empties the pool under the same lock, so a connection is either
+   emptied by [stop] or closed here. *)
+let put_idle t i conn =
+  Mutex.lock t.lock;
+  let keep = not (Atomic.get t.stop_flag) in
+  if keep then t.idle.(i) <- conn :: t.idle.(i);
+  Mutex.unlock t.lock;
+  if not keep then Server.Client.close conn
+
+(* One exchange with shard [i], on an idle connection when the pool has
+   one. Only a complete, parseable response puts the connection back;
+   every other outcome closes it. An idle connection that turns out
+   dead — EOF before the response, EPIPE, ECONNRESET: what a shard
+   restart or its idle reaper leaves behind — is replaced by one fresh
+   connect before anything counts against the shard (requests are
+   idempotent, so resending is safe). A failure on a fresh connection is
+   the shard's, returned or raised as it came. *)
+let exchange t i req ~timeout =
+  let rec attempt conn ~pooled =
+    let retry () =
+      Server.Client.close conn;
+      attempt (connect t i ~timeout) ~pooled:false
+    in
+    match Server.Client.exchange ~recv_timeout_s:timeout conn req with
+    | Ok resp ->
+        put_idle t i conn;
+        Ok resp
+    | Error `Closed when pooled -> retry ()
+    | Error _ as e ->
+        Server.Client.close conn;
+        e
+    | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) when pooled ->
+        retry ()
+    | exception e ->
+        Server.Client.close conn;
+        raise e
+  in
+  match take_idle t i with
+  | Some conn -> attempt conn ~pooled:true
+  | None -> attempt (connect t i ~timeout) ~pooled:false
+
 (* Forward [req] along the failover order: unhealthy shards are
    skipped (unless every candidate is unhealthy — then trying beats
    refusing), transport-level failures record a breaker failure and
@@ -151,16 +217,13 @@ let forward t (req : Json.t) =
             );
           ]
     | shard :: rest when all_open || healthy t shard -> (
+        let i = shard_index t shard in
         Mutex.lock t.lock;
         if tried = 0 then t.c.forwards <- t.c.forwards + 1
         else t.c.failovers <- t.c.failovers + 1;
-        t.forwarded.(shard_index t shard) <-
-          t.forwarded.(shard_index t shard) + 1;
+        t.forwarded.(i) <- t.forwarded.(i) + 1;
         Mutex.unlock t.lock;
-        match
-          Server.Client.with_addr ~recv_timeout_s:timeout shard.address
-            (fun conn -> Server.Client.exchange conn req)
-        with
+        match exchange t i req ~timeout with
         | Ok resp ->
             record t shard ~ok:true;
             resp
@@ -191,6 +254,8 @@ let forward t (req : Json.t) =
 
 (* --- health probes ---------------------------------------------------- *)
 
+(* A probe always connects fresh: it asks whether the shard accepts
+   connections, which a pooled connection cannot tell. *)
 let probe_once t =
   Array.iter
     (fun shard ->
@@ -241,11 +306,16 @@ let start t =
 
 let stop t =
   Atomic.set t.stop_flag true;
-  match t.prober with
+  (match t.prober with
   | None -> ()
   | Some th ->
       Thread.join th;
-      t.prober <- None
+      t.prober <- None);
+  Mutex.lock t.lock;
+  let idle = Array.to_list t.idle in
+  Array.fill t.idle 0 (Array.length t.idle) [];
+  Mutex.unlock t.lock;
+  List.iter (List.iter Server.Client.close) idle
 
 (* --- the Server handler ------------------------------------------------ *)
 
@@ -276,6 +346,7 @@ let status_extra t () =
           ("no_shard", Json.Int c.no_shard);
           ("probes", Json.Int c.probes);
           ("probe_failures", Json.Int c.probe_failures);
+          ("connects", Json.Int c.connects);
           ("ejections", Json.Int (Breaker.trips t.breaker));
         ] );
   ]

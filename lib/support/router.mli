@@ -23,7 +23,22 @@
     A shard's {e response} is returned as-is, error or not: an
     overloaded shard is alive, and its backpressure belongs to the
     client. Only when every candidate fails does the client see
-    [{"code": "no-shard", "retryable": true}]. *)
+    [{"code": "no-shard", "retryable": true}].
+
+    Connections: forwards reuse their shard connections. Each shard has
+    a list of idle connections; a forward takes one (or connects when
+    the list is empty), does one exchange on it, and puts it back only
+    after a complete, parseable response — a [Closed], frame error,
+    garbled response, receive timeout or exception closes it. One
+    forward uses a connection at a time, so the pool never holds more
+    connections than the serving {!Server}'s workers times the shard
+    count; there is no other bound. An idle connection that fails with
+    EOF before the response, EPIPE or ECONNRESET (a restarted shard, or
+    one whose [idle_timeout_s] reaped it) gets one fresh connect to the
+    same shard before the breaker hears of it; a failure on a fresh
+    connection is a shard failure. Health probes always connect fresh.
+    Forwards count the connections they open as [connects] in
+    [status]. *)
 
 type shard = { name : string; address : Server.Client.address }
 
@@ -60,14 +75,16 @@ val route : t -> string -> shard list
 
 val handler : t -> Server.handler
 (** The forwarding handler (plug into {!Server.create}). Its
-    [status_extra] reports the ring and per-shard health under
-    ["router"]. *)
+    [status_extra] reports the ring, per-shard health and the forward,
+    failover, probe and [connects] counters under ["router"]. *)
 
 val start : t -> unit
 (** Spawn the probe thread. Idempotent. *)
 
 val stop : t -> unit
-(** Stop and join the probe thread. Idempotent. *)
+(** Stop and join the probe thread and close every idle shard
+    connection. Idempotent. Until the next {!start}, forwards still
+    work but close their connection instead of keeping it. *)
 
 val healthy : t -> shard -> bool
 (** Whether routing currently considers the shard admitted (its

@@ -863,8 +863,9 @@ module Client = struct
   type connection = {
     cfd : Unix.file_descr;
     fdec : Frame.decoder;
+    rbuf : Bytes.t; (* read buffer, reused by every receive *)
     mutable next_fid : int; (* pipelining tag allocator *)
-    recv_timeout_s : float option;
+    mutable recv_timeout_s : float option;
   }
 
   let close conn = try Unix.close conn.cfd with Unix.Unix_error _ -> ()
@@ -884,10 +885,10 @@ module Client = struct
         in
         go ()
 
-  let read_chunk conn buf =
+  let read_chunk conn =
     wait_readable conn;
     let rec go () =
-      match Unix.read conn.cfd buf 0 (Bytes.length buf) with
+      match Unix.read conn.cfd conn.rbuf 0 (Bytes.length conn.rbuf) with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
       | n -> n
     in
@@ -897,16 +898,15 @@ module Client = struct
      surfaced as such (the caller decides retryability — a CRC tear is
      transient, a bad magic means the peer is not speaking NF1). *)
   let recv_frame conn =
-    let buf = Bytes.create 8192 in
     let rec go () =
       match Frame.next conn.fdec with
       | Error e -> Error e
       | Ok (Some f) -> Ok (Some f)
       | Ok None -> (
-          match read_chunk conn buf with
+          match read_chunk conn with
           | 0 -> Ok None
           | n ->
-              Frame.feed_bytes conn.fdec buf ~off:0 ~len:n;
+              Frame.feed_bytes conn.fdec conn.rbuf ~off:0 ~len:n;
               go ())
     in
     go ()
@@ -931,6 +931,7 @@ module Client = struct
       {
         cfd = Unix.socket ~cloexec:true domain SOCK_STREAM 0;
         fdec = Frame.decoder ();
+        rbuf = Bytes.create 8192;
         next_fid = 1;
         recv_timeout_s;
       }
@@ -997,8 +998,12 @@ module Client = struct
      racing a draining/restarting daemon — retryable) vs. a response
      that arrived but does not parse (a protocol bug — fatal) vs. a
      frame-level decode error (a torn response — retryable for CRC,
-     fatal for a protocol mismatch). Unix errors propagate. *)
-  let exchange conn (req : Json.t) =
+     fatal for a protocol mismatch). Unix errors propagate.
+     [recv_timeout_s] replaces the connection's receive budget from this
+     exchange on, so a long-lived connection can give each request its
+     own. *)
+  let exchange ?recv_timeout_s conn (req : Json.t) =
+    Option.iter (fun d -> conn.recv_timeout_s <- Some d) recv_timeout_s;
     let fid = pipeline_send conn req in
     let rec await () =
       match pipeline_recv conn with

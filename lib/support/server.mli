@@ -160,6 +160,7 @@ module Client : sig
       {!pipeline_send} tag). [Ok None] on EOF. *)
 
   val exchange :
+    ?recv_timeout_s:float ->
     connection ->
     Json.t ->
     ( Json.t,
@@ -169,7 +170,9 @@ module Client : sig
       distinct: [`Closed] (EOF before a complete response — retryable),
       [`Garbled] (a response arrived but does not parse — a protocol
       bug), [`Frame] (a response frame failed to decode). Unix errors
-      propagate. *)
+      propagate. [recv_timeout_s], when given, replaces the receive
+      budget set at connect, for this exchange and the ones after it
+      on the same connection. *)
 
   val request : connection -> Json.t -> (Json.t, string) result
   (** {!exchange} with errors rendered as strings. *)

@@ -191,10 +191,11 @@ echo "chaos smoke OK: double-daemon refused, kill -9 -> restart, recomputed answ
 # the proxy while one (supervised) shard is kill -9'd mid-burst: every
 # request must still exit 0 — the dead shard costs failovers and
 # retries, never a client-visible error — and the restarted shard must
-# rejoin the ring. A second torn-frame proxy on a Unix socket proves
-# that transport catches torn bytes too. Finally, a quick open-loop
-# load run must emit a well-formed BENCH_load.json with a zero-error
-# chaos rung.
+# rejoin the ring. The router must then carry a burst of memo hits on
+# the shard connections it already holds. A second torn-frame proxy on
+# a Unix socket proves that transport catches torn bytes too. Finally,
+# a quick open-loop load run must emit a well-formed BENCH_load.json
+# with a zero-error chaos rung.
 
 ROOT=$(pwd)
 SBASE="${TMPDIR:-/tmp}/nascent-shard-$$"
@@ -233,7 +234,7 @@ for s in "$S0" "$S1" "$S2"; do
     done
 done
 
-./_build/default/bin/nascentd.exe --socket "$RSOCK" --tcp 127.0.0.1:0 \
+./_build/default/bin/nascentd.exe --socket "$RSOCK" --tcp 127.0.0.1:0 -j 2 \
     --router --shard s0="$S0" --shard s1="$S1" --shard s2="$S2" \
     --probe-interval-s 0.2 >"$RLOG" 2>&1 &
 ROUTER=$!
@@ -296,6 +297,28 @@ until rstatus | grep -Eq '"name":"s1"[^}]*"state":"closed"'; do
     sleep 0.1
 done
 
+# the router reuses its shard connections: after a warming round, 30
+# memo hits open at most one connection per router worker per shard
+# (2 x 3); one connection per forward would open 30
+BENCHES="vortex arc2d bdna dyfesm mdg qcd spec77 trfd linpackd simple"
+rclient() {
+    timeout 30 ./_build/default/bin/nascentc.exe client --connect "$RSOCK" "$@"
+}
+rconnects() { rstatus | grep -o '"connects":[0-9]*' | cut -d: -f2; }
+for bench in $BENCHES; do
+    rclient "$bench" >/dev/null || sfail "warming compile of $bench exited $?, want 0"
+done
+CONN0=$(rconnects)
+case "$CONN0" in *[!0-9]*|"") sfail "router status reported no connects" ;; esac
+for round in 1 2 3; do
+    for bench in $BENCHES; do
+        rclient "$bench" >/dev/null || sfail "memo-hit compile of $bench exited $?, want 0"
+    done
+done
+CONN1=$(rconnects)
+[ $((CONN1 - CONN0)) -le 6 ] \
+    || sfail "30 memo hits opened $((CONN1 - CONN0)) shard connections, want <= 6"
+
 # the same fault class on a Unix socket: every connection there opens
 # with the NF1 hello too, so a torn request fails its frame CRC at the
 # router (frame_errors rises) and the client rides it out on a retry
@@ -334,7 +357,7 @@ done
 
 trap - EXIT INT TERM
 rm -f "$SBASE"-*
-echo "shard smoke OK: chaos proxy batch->0 errors, kill -9 shard mid-burst ridden out, supervised shard rejoined, unix-socket torn-frame batch->0 errors, drains->0"
+echo "shard smoke OK: chaos proxy batch->0 errors, kill -9 shard mid-burst ridden out, supervised shard rejoined, pooled shard connections reused, unix-socket torn-frame batch->0 errors, drains->0"
 
 # --- quick open-loop load run -----------------------------------------
 # A shrunk ladder (NASCENT_LOAD_QUICK=1) in a scratch directory, so the
