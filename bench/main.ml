@@ -32,21 +32,14 @@ module Mclock = Nascent_support.Mclock
 
 let chars = lazy (E.characterize_all ())
 
-(* Per-target cache accounting: delta of the cell cache counters.
-   Quarantined entries — corrupt disk-cache files detected, moved aside
-   and recomputed — are reported whenever nonzero: they mean the cache
-   directory is being damaged by something. *)
+(* Per-target cache accounting: delta of the cell cache counters. *)
 let with_cache_report what f =
   let b = E.cell_cache_stats () in
   f ();
   let a = E.cell_cache_stats () in
-  let quarantined = a.Memo.quarantined - b.Memo.quarantined in
-  Printf.printf "[cache] %s: %d hit(s) (%d from disk), %d miss(es)%s, jobs=%d\n%!" what
+  Printf.printf "[cache] %s: %d hit(s), %d miss(es), jobs=%d\n%!" what
     (a.Memo.hits - b.Memo.hits)
-    (a.Memo.disk_hits - b.Memo.disk_hits)
     (a.Memo.misses - b.Memo.misses)
-    (if quarantined = 0 then ""
-     else Printf.sprintf ", %d corrupt entr(ies) quarantined" quarantined)
     (Pool.default_jobs ())
 
 (* Incident accounting: any cell that compiled degraded (a rolled-back

@@ -18,9 +18,8 @@
    and restarts it on abnormal exit with capped backoff;
    NASCENT_MEM_BUDGET / --mem-budget-mb arms the Guard memory watchdog
    (shed admissions under pressure, abort the offending request over
-   budget). A shared NASCENT_CACHE_DIR is protected by an advisory
-   lock: a second daemon on the same directory refuses to start with a
-   clear error.
+   budget). A second daemon pointed at the socket of a live one
+   refuses to start with a clear error instead of taking it over.
 
    SIGTERM / SIGINT request a graceful drain: the listener closes, new
    requests are shed with a retryable "shutting-down" error, every
@@ -31,7 +30,6 @@
 module Server = Nascent_support.Server
 module Service = Nascent_harness.Service
 module Guard = Nascent_support.Guard
-module Memo = Nascent_support.Memo
 module Retry = Nascent_support.Retry
 module Mclock = Nascent_support.Mclock
 module Frame = Nascent_support.Frame
@@ -301,9 +299,9 @@ let network_budgets ~idle_timeout_s ~io_deadline_s =
   ( idle_timeout_s,
     if io_deadline_s <= 0.0 then None else Some io_deadline_s )
 
-(* The serving process proper: lock the shared cache directory, arm
-   the watchdog, restore state, serve. [restarts] is the supervisor's
-   restart count, echoed in the status op. *)
+(* The serving process proper: arm the watchdog, restore state,
+   serve. [restarts] is the supervisor's restart count, echoed in the
+   status op. *)
 let serve ~restarts socket tcp jobs queue_depth deadline_ms request_fuel
     threshold cooldown_ms trace state_path mem_budget_mb
     idle_timeout_s io_deadline_s shard_name =
@@ -328,76 +326,61 @@ let serve ~restarts socket tcp jobs queue_depth deadline_ms request_fuel
     | None -> Guard.mem_budget_from_env ()
   in
   Guard.set_mem_budget ~bytes:mem_bytes ();
-  (* One daemon per shared disk cache: quarantine eviction and entry
-     rewrites must not race another process. *)
-  let cache_lock =
-    match Memo.env_disk_dir () with
-    | None -> Ok None
-    | Some dir -> (
-        match Guard.lock_dir ~dir with
-        | Ok l -> Ok (Some l)
-        | Error e -> Error (Printf.sprintf "cache %s" e))
+  let idle_timeout_s, io_deadline_s =
+    network_budgets ~idle_timeout_s ~io_deadline_s
   in
-  match cache_lock with
-  | Error e ->
-      Fmt.epr "nascentd: %s@." e;
-      1
-  | Ok _cache_lock ->
-      let idle_timeout_s, io_deadline_s =
-        network_budgets ~idle_timeout_s ~io_deadline_s
-      in
-      let cfg =
-        {
-          Server.socket_path = socket;
-          tcp;
-          jobs;
-          queue_depth = max 1 queue_depth;
-          default_deadline_s =
-            (if deadline_ms <= 0 then None
-             else Some (float_of_int deadline_ms /. 1000.0));
-          request_fuel = (if request_fuel <= 0 then None else Some request_fuel);
-          restarts;
-          idle_timeout_s;
-          io_deadline_s;
-          max_frame_bytes = Frame.default_max_payload;
-        }
-      in
-      let service =
-        Service.create ~breaker_threshold:(max 1 threshold)
-          ~breaker_cooldown_s:(float_of_int (max 0 cooldown_ms) /. 1000.0)
-          ?state_path ?shard_name ()
-      in
-      let server = Server.create cfg (Service.handler service) in
-      (* Graceful drain on either termination signal: stop is
-         lock-free and signal-safe; run returns once every admitted
-         request is answered. *)
-      let on_signal _ = Server.stop server in
-      Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-      Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
-      (* A client vanishing mid-response must not kill the daemon. *)
-      Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-      Fmt.epr
-        "nascentd: listening on %s%s (jobs=%d queue=%d deadline=%s fuel=%s \
-         state=%s mem=%s restarts=%d)@."
-        socket
-        (match tcp with
-        | None -> ""
-        | Some (h, p) -> Fmt.str " + tcp %s:%d" (if h = "" then "*" else h) p)
-        jobs cfg.Server.queue_depth
-        (match cfg.Server.default_deadline_s with
-        | None -> "none"
-        | Some s -> Fmt.str "%gs" s)
-        (match cfg.Server.request_fuel with
-        | None -> "none"
-        | Some f -> string_of_int f)
-        (Option.value ~default:"off" state_path)
-        (match mem_bytes with
-        | None -> "off"
-        | Some b -> Fmt.str "%dMB" (b / (1024 * 1024)))
-        restarts;
-      Server.run server;
-      Fmt.epr "nascentd: drained, exiting@.";
-      0
+  let cfg =
+    {
+      Server.socket_path = socket;
+      tcp;
+      jobs;
+      queue_depth = max 1 queue_depth;
+      default_deadline_s =
+        (if deadline_ms <= 0 then None
+         else Some (float_of_int deadline_ms /. 1000.0));
+      request_fuel = (if request_fuel <= 0 then None else Some request_fuel);
+      restarts;
+      idle_timeout_s;
+      io_deadline_s;
+      max_frame_bytes = Frame.default_max_payload;
+    }
+  in
+  let service =
+    Service.create ~breaker_threshold:(max 1 threshold)
+      ~breaker_cooldown_s:(float_of_int (max 0 cooldown_ms) /. 1000.0)
+      ?state_path ?shard_name ()
+  in
+  let server = Server.create cfg (Service.handler service) in
+  (* Graceful drain on either termination signal: stop is
+     lock-free and signal-safe; run returns once every admitted
+     request is answered. *)
+  let on_signal _ = Server.stop server in
+  Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
+  Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
+  (* A client vanishing mid-response must not kill the daemon. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  Fmt.epr
+    "nascentd: listening on %s%s (jobs=%d queue=%d deadline=%s fuel=%s \
+     state=%s mem=%s restarts=%d)@."
+    socket
+    (match tcp with
+    | None -> ""
+    | Some (h, p) -> Fmt.str " + tcp %s:%d" (if h = "" then "*" else h) p)
+    jobs cfg.Server.queue_depth
+    (match cfg.Server.default_deadline_s with
+    | None -> "none"
+    | Some s -> Fmt.str "%gs" s)
+    (match cfg.Server.request_fuel with
+    | None -> "none"
+    | Some f -> string_of_int f)
+    (Option.value ~default:"off" state_path)
+    (match mem_bytes with
+    | None -> "off"
+    | Some b -> Fmt.str "%dMB" (b / (1024 * 1024)))
+    restarts;
+  Server.run server;
+  Fmt.epr "nascentd: drained, exiting@.";
+  0
 
 (* Router mode: the same Server front (admission control, both
    transports, drain, inline status) with the Router's forwarding
@@ -600,6 +583,10 @@ let supervise serve_child =
   in
   loop ~restarts:0 ~attempt:0
 
+let refuse_live_socket path =
+  Fmt.epr "nascentd: socket %s in use by a live daemon@." path;
+  1
+
 let run_daemon socket tcp_str jobs queue_depth deadline_ms request_fuel
     threshold cooldown_ms trace state_path mem_budget_mb supervise_flag idle_timeout_s io_deadline_s shard_name router_flag
     shard_specs probe_interval_s chaos upstream =
@@ -617,16 +604,23 @@ let run_daemon socket tcp_str jobs queue_depth deadline_ms request_fuel
   | Ok tcp -> (
       match chaos with
       | Some chaos_str -> run_chaos socket tcp chaos_str upstream
+      | None when Server.socket_in_use socket ->
+          (* refused before the supervisor forks or any state loads *)
+          refuse_live_socket socket
       | None ->
           let serve_child ~restarts =
-            if router_flag then
-              serve_router ~restarts socket tcp jobs queue_depth deadline_ms
-                threshold cooldown_ms trace shard_specs probe_interval_s
-                idle_timeout_s io_deadline_s
-            else
-              serve ~restarts socket tcp jobs queue_depth deadline_ms
-                request_fuel threshold cooldown_ms trace state_path
-                mem_budget_mb idle_timeout_s io_deadline_s shard_name
+            try
+              if router_flag then
+                serve_router ~restarts socket tcp jobs queue_depth deadline_ms
+                  threshold cooldown_ms trace shard_specs probe_interval_s
+                  idle_timeout_s io_deadline_s
+              else
+                serve ~restarts socket tcp jobs queue_depth deadline_ms
+                  request_fuel threshold cooldown_ms trace state_path
+                  mem_budget_mb idle_timeout_s io_deadline_s shard_name
+            with Server.Socket_in_use path ->
+              (* a daemon that bound the path after the check above *)
+              refuse_live_socket path
           in
           warn_stale_journal_env ();
           if supervise_flag then supervise serve_child

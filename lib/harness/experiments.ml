@@ -106,11 +106,7 @@ type cell = {
          healthy run, structural (invariant across pool sizes) *)
 }
 
-(* Cache key version: bump when [cell]'s shape or the counting model
-   changes, or stale on-disk entries would replay the old shape. *)
-let cell_version = "cell-v3"
-
-let cell_cache : cell Memo.t = Memo.create ~name:"cells" ()
+let cell_cache : cell Memo.t = Memo.create ()
 let cell_cache_stats () = Memo.stats cell_cache
 let reset_cell_cache () = Memo.clear cell_cache
 
@@ -120,8 +116,7 @@ let run_config (c : characteristics) (config : Config.t) : cell =
      same matrix with it on). *)
   let config = { config with Config.verify = false } in
   let key =
-    Memo.key
-      [ cell_version; c.bench.B.name; c.bench.B.source; Config.cache_key config ]
+    Memo.key [ c.bench.B.name; c.bench.B.source; Config.cache_key config ]
   in
   Memo.find_or_compute cell_cache ~key @@ fun () ->
   let t0 = Nascent_support.Mclock.counter () in

@@ -81,14 +81,6 @@ type t = {
          field so one status sweep tells which daemon answered *)
 }
 
-(* v4: compiled cells lost v3's NI-floor flag (tiered compilation
-   removed). Memo stores cells with Marshal, which is not type-safe
-   across record layouts, so a v3 disk entry must miss, never be
-   misread: the version is part of every cell key.
-   v3: compiled cells gained an NI-floor flag (tiered compilation).
-   v2: compiled cells gained [r_validated] (the --oracle certificate). *)
-let cache_version = "service-v4"
-
 let counted t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
@@ -179,12 +171,12 @@ let load_state t path =
           Breaker.restore t.breaker ~now:(Mclock.elapsed_s t.clock) entries)
 
 let create ?(breaker_threshold = 3) ?(breaker_cooldown_s = 2.0) ?state_path
-    ?cache_dir ?shard_name () =
+    ?shard_name () =
   let t =
     {
       breaker = Breaker.create ~threshold:breaker_threshold ~cooldown_s:breaker_cooldown_s ();
       clock = Mclock.counter ();
-      cache = Memo.create ?disk_dir:cache_dir ~name:"service" ();
+      cache = Memo.create ();
       lock = Mutex.create ();
       compiles = 0;
       degraded = 0;
@@ -248,7 +240,7 @@ let parse_source req =
 
 let cell_key ~src ~config ~want_run =
   Memo.key
-    [ cache_version; src; Config.cache_key config; (if want_run then "run" else "norun") ]
+    [ src; Config.cache_key config; (if want_run then "run" else "norun") ]
 
 let compile_cell t ~src ~config ~want_run =
   let key = cell_key ~src ~config ~want_run in
@@ -495,9 +487,7 @@ let status_extra t () =
       Json.Obj
         [
           ("hits", Json.Int cache.Memo.hits);
-          ("disk_hits", Json.Int cache.Memo.disk_hits);
           ("misses", Json.Int cache.Memo.misses);
-          ("quarantined", Json.Int cache.Memo.quarantined);
         ] );
   ]
 

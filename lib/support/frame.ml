@@ -139,18 +139,20 @@ let next d =
 
 (* --- blocking helpers with injectable I/O --------------------------- *)
 
-let rec read_frame ~read d =
-  match next d with
-  | Error _ as e -> e
-  | Ok (Some _) as f -> f
-  | Ok None -> (
-      let chunk = Bytes.create 8192 in
-      match read chunk 0 (Bytes.length chunk) with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_frame ~read d
-      | 0 -> Ok None (* EOF; caller checks mid_frame for truncation *)
-      | n ->
-          feed_bytes d chunk ~off:0 ~len:n;
-          read_frame ~read d)
+let read_frame ?(buf = Bytes.create 8192) ~read d =
+  let rec go () =
+    match next d with
+    | Error _ as e -> e
+    | Ok (Some _) as f -> f
+    | Ok None -> (
+        match read buf 0 (Bytes.length buf) with
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+        | 0 -> Ok None (* EOF; caller checks mid_frame for truncation *)
+        | n ->
+            feed_bytes d buf ~off:0 ~len:n;
+            go ())
+  in
+  go ()
 
 let write_all ~write s =
   let b = Bytes.unsafe_of_string s in

@@ -86,10 +86,13 @@ val buffered : decoder -> int
     partial-I/O schedule deterministically. *)
 
 val read_frame :
+  ?buf:bytes ->
   read:(bytes -> int -> int -> int) ->
   decoder ->
   (frame option, error) result
-(** Pump [read] until a complete frame, EOF, or a decode error. A
+(** Pump [read] into [buf] until a complete frame, EOF, or a decode
+    error. A connection that reads many frames passes its own [buf] so
+    refills allocate nothing; without one, each call allocates 8 KiB. A
     truncated stream is not a decode error — nothing was misparsed —
     so EOF returns [Ok None] whether it lands cleanly between frames
     or mid-frame; the caller distinguishes the two via {!mid_frame}.

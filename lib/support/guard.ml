@@ -179,75 +179,3 @@ let write_atomic ~path contents =
   | exception e ->
       (try Sys.remove tmp with Sys_error _ -> ());
       raise e
-
-(* --- advisory directory locks ------------------------------------------ *)
-
-(* One daemon per shared on-disk directory (the memo cache). The
-   lock is a POSIX record lock ([Unix.lockf], fcntl underneath) on a
-   [.nascent-lock] file inside the directory: the kernel releases it
-   even on [kill -9], so a restarted daemon can always reacquire, while
-   a concurrently *running* second daemon is refused with a clear
-   error. fcntl locks never conflict within one process, so a
-   process-local registry backs them up — a double acquire in the same
-   process is refused too. *)
-
-type dir_lock = { lkey : string; lfd : Unix.file_descr }
-
-let locked_dirs : (string, unit) Hashtbl.t = Hashtbl.create 4
-let locked_dirs_mutex = Mutex.create ()
-
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let lock_file_name = ".nascent-lock"
-
-let forget_dir key =
-  Mutex.lock locked_dirs_mutex;
-  Hashtbl.remove locked_dirs key;
-  Mutex.unlock locked_dirs_mutex
-
-let lock_dir ~dir =
-  match mkdir_p dir with
-  | exception Unix.Unix_error (e, _, _) ->
-      Error (Printf.sprintf "cannot create %s: %s" dir (Unix.error_message e))
-  | () -> (
-      let key = try Unix.realpath dir with Unix.Unix_error _ -> dir in
-      Mutex.lock locked_dirs_mutex;
-      let dup = Hashtbl.mem locked_dirs key in
-      if not dup then Hashtbl.replace locked_dirs key ();
-      Mutex.unlock locked_dirs_mutex;
-      if dup then
-        Error (Printf.sprintf "%s is already locked by this process" dir)
-      else
-        let path = Filename.concat dir lock_file_name in
-        match Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_CLOEXEC ] 0o644 with
-        | exception Unix.Unix_error (e, _, _) ->
-            forget_dir key;
-            Error (Printf.sprintf "cannot open %s: %s" path (Unix.error_message e))
-        | fd -> (
-            match Unix.lockf fd Unix.F_TLOCK 0 with
-            | () ->
-                (* Best-effort pid breadcrumb for post-mortems. *)
-                (try
-                   ignore (Unix.ftruncate fd 0);
-                   let pid = string_of_int (Unix.getpid ()) ^ "\n" in
-                   ignore (Unix.write_substring fd pid 0 (String.length pid))
-                 with Unix.Unix_error _ -> ());
-                Ok { lkey = key; lfd = fd }
-            | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EACCES), _, _) ->
-                (try Unix.close fd with Unix.Unix_error _ -> ());
-                forget_dir key;
-                Error
-                  (Printf.sprintf "%s is locked by another process (another daemon?)" dir)
-            | exception Unix.Unix_error (e, _, _) ->
-                (try Unix.close fd with Unix.Unix_error _ -> ());
-                forget_dir key;
-                Error (Printf.sprintf "cannot lock %s: %s" path (Unix.error_message e))))
-
-let unlock_dir l =
-  forget_dir l.lkey;
-  (try Unix.lockf l.lfd Unix.F_ULOCK 0 with Unix.Unix_error _ -> ());
-  try Unix.close l.lfd with Unix.Unix_error _ -> ()

@@ -125,25 +125,3 @@ val write_atomic : path:string -> string -> unit
     and an atomic [rename]: readers see either the old file or the
     complete new one, never a torn write. Raises as [Out_channel] /
     [Sys.rename] do (the temp file is removed on failure). *)
-
-(** {2 Advisory directory locks}
-
-    One daemon per shared on-disk directory (the memo cache). The
-    lock is a POSIX record lock on [<dir>/.nascent-lock]: released by
-    the kernel even on [kill -9] (so a restarted daemon always
-    reacquires), refused with a clear error while another process
-    holds it. A process-local registry backs up fcntl's
-    no-self-conflict semantics, so a second acquire from the same
-    process is refused too. *)
-
-type dir_lock
-
-val lock_dir : dir:string -> (dir_lock, string) result
-(** Create [dir] if needed and take the exclusive advisory lock.
-    [Error] carries a human-readable reason (already locked by this or
-    another process, permission failure, ...) and leaves nothing
-    held. *)
-
-val unlock_dir : dir_lock -> unit
-(** Release the lock and close its fd. Idempotent in effect: errors on
-    release are swallowed. *)

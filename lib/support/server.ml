@@ -238,18 +238,6 @@ let conn_release t conn =
 
 (* --- responses --------------------------------------------------------- *)
 
-(* Whole-string write, restarted across EINTR and short writes: a
-   signal landing mid-response must never tear a frame or a line. *)
-let write_all fd s =
-  let n = String.length s in
-  let rec go off =
-    if off < n then
-      match Unix.write_substring fd s off (n - off) with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-      | w -> go (off + w)
-  in
-  go 0
-
 (* Best-effort response write: a client that hung up loses its answer,
    nobody else does (EPIPE never escapes into a worker). With an I/O
    deadline configured the socket carries SO_SNDTIMEO, so a peer that
@@ -267,7 +255,7 @@ let answer t ?frame conn (json : Json.t) =
        | Some fid -> Frame.encode ~id:fid (Json.to_string json)
        | None -> Json.to_string json ^ "\n"
      in
-     try write_all conn.fd s with
+     try Frame.write_all ~write:(Unix.single_write conn.fd) s with
      | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
          conn.alive <- false;
          timed_out := true
@@ -667,6 +655,19 @@ let serve_conn t conn =
 
 (* --- lifecycle --------------------------------------------------------- *)
 
+exception Socket_in_use of string
+
+(* Taking over a live daemon's socket file would strand it unreachable,
+   and whichever of the two drained first would unlink the other's
+   file. Only a file nobody answers on (a daemon killed with -9 leaves
+   one behind) is replaced. *)
+let socket_in_use path =
+  let fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  match Unix.connect fd (ADDR_UNIX path) with
+  | () -> true
+  | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _) -> false
+
 let listen_socket path =
   let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
   (try Unix.unlink path with Unix.Unix_error _ -> ());
@@ -701,6 +702,7 @@ let listen_tcp host port =
    drain completes: queue empty, nothing in flight, every response
    written, workers and readers joined, socket file removed. *)
 let run t =
+  if socket_in_use t.cfg.socket_path then raise (Socket_in_use t.cfg.socket_path);
   (* TCP binds first, so the UDS socket file appearing — the ready
      signal clients and the supervisor poll for — implies both
      transports are listening. *)
@@ -885,33 +887,18 @@ module Client = struct
         in
         go ()
 
-  let read_chunk conn =
-    wait_readable conn;
-    let rec go () =
-      match Unix.read conn.cfd conn.rbuf 0 (Bytes.length conn.rbuf) with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-      | n -> n
-    in
-    go ()
-
   (* Read the next complete frame. [Ok None] is EOF; a decode error is
      surfaced as such (the caller decides retryability — a CRC tear is
      transient, a bad magic means the peer is not speaking NF1). *)
   let recv_frame conn =
-    let rec go () =
-      match Frame.next conn.fdec with
-      | Error e -> Error e
-      | Ok (Some f) -> Ok (Some f)
-      | Ok None -> (
-          match read_chunk conn with
-          | 0 -> Ok None
-          | n ->
-              Frame.feed_bytes conn.fdec conn.rbuf ~off:0 ~len:n;
-              go ())
-    in
-    go ()
+    Frame.read_frame ~buf:conn.rbuf
+      ~read:(fun b off len ->
+        wait_readable conn;
+        Unix.read conn.cfd b off len)
+      conn.fdec
 
-  let send_frame conn ~fid payload = write_all conn.cfd (Frame.encode ~id:fid payload)
+  let send_frame conn ~fid payload =
+    Frame.write_all ~write:(Unix.single_write conn.cfd) (Frame.encode ~id:fid payload)
 
   (* Both transports run the same version handshake — hello out,
      hello-ack back — before any request rides the connection; only

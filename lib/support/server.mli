@@ -89,10 +89,20 @@ val tcp_port : t -> int option
     this). [None] when no TCP listener is configured or not yet
     bound. *)
 
+exception Socket_in_use of string
+(** Raised by {!run} when a live daemon already listens on the socket
+    path; the payload is the path. *)
+
+val socket_in_use : string -> bool
+(** Whether a daemon answers a connect on this Unix socket path. A
+    file nobody answers on (left by a [kill -9]) is stale, not in
+    use. *)
+
 val run : t -> unit
-(** Serve until {!stop}. Binds (replacing any stale socket file; the
-    socket appearing is the ready signal), accepts in the calling
-    thread, and on {!stop} drains — sheds new work, finishes and
+(** Serve until {!stop}. Binds (replacing a stale socket file, but
+    raising {!Socket_in_use} before binding anything if a live daemon
+    owns it; the socket appearing is the ready signal), accepts in the
+    calling thread, and on {!stop} drains — sheds new work, finishes and
     answers {e every} admitted request, joins workers and readers,
     removes the socket file. Nothing survives the process: a request
     admitted by a daemon that dies unanswered is recomputed by the

@@ -79,93 +79,23 @@ let prop_map_equiv_list_map =
       with_pool jobs @@ fun p ->
       observe List.map xs = observe (Pool.parallel_map p) xs)
 
-(* --- Memo: counters, disk store, key discipline ------------------------ *)
+(* --- Memo: counters, key discipline ------------------------ *)
 
 let test_memo_hit_miss () =
-  let m : int Memo.t = Memo.create ~name:"t-hit-miss" () in
+  let m : int Memo.t = Memo.create () in
   let k = Memo.key [ "a"; "b" ] in
   Alcotest.(check int) "miss computes" 41 (Memo.find_or_compute m ~key:k (fun () -> 41));
   Alcotest.(check int) "hit replays" 41
     (Memo.find_or_compute m ~key:k (fun () -> Alcotest.fail "recomputed on hit"));
   let s = Memo.stats m in
   Alcotest.(check int) "misses" 1 s.Memo.misses;
-  Alcotest.(check int) "hits" 1 s.Memo.hits;
-  Alcotest.(check int) "no disk" 0 s.Memo.disk_hits
+  Alcotest.(check int) "hits" 1 s.Memo.hits
 
 let test_memo_key_injective_on_structure () =
   (* The component list, not its concatenation, is what is digested:
      ["ab"] and ["a"; "b"] must not collide. *)
   Alcotest.(check bool) "split differs" true (Memo.key [ "ab" ] <> Memo.key [ "a"; "b" ]);
   Alcotest.(check bool) "order matters" true (Memo.key [ "a"; "b" ] <> Memo.key [ "b"; "a" ])
-
-let test_memo_disk_roundtrip () =
-  let dir = Filename.temp_dir "nascent-memo" "" in
-  let k = Memo.key [ "cell" ] in
-  let m1 : int Memo.t = Memo.create ~disk_dir:dir ~name:"t-disk" () in
-  Alcotest.(check int) "computed once" 7 (Memo.find_or_compute m1 ~key:k (fun () -> 7));
-  (* A fresh memo (fresh process, morally) reads the value back from
-     disk instead of recomputing. *)
-  let m2 : int Memo.t = Memo.create ~disk_dir:dir ~name:"t-disk" () in
-  Alcotest.(check int) "served from disk" 7
-    (Memo.find_or_compute m2 ~key:k (fun () -> Alcotest.fail "recomputed despite disk store"));
-  let s = Memo.stats m2 in
-  Alcotest.(check int) "disk hit" 1 s.Memo.disk_hits;
-  Alcotest.(check int) "no miss" 0 s.Memo.misses;
-  Memo.clear_disk m2;
-  let m3 : int Memo.t = Memo.create ~disk_dir:dir ~name:"t-disk" () in
-  Alcotest.(check int) "recomputes after clear_disk" 8
-    (Memo.find_or_compute m3 ~key:k (fun () -> 8))
-
-(* A corrupt or truncated disk entry must degrade to a recompute (miss)
-   and be moved aside to <dir>/quarantine/, never crash the lookup. *)
-let test_memo_corrupt_entry_quarantined () =
-  let dir = Filename.temp_dir "nascent-memo" "" in
-  let k = Memo.key [ "cell" ] in
-  let m1 : int Memo.t = Memo.create ~disk_dir:dir ~name:"t-corrupt" () in
-  Alcotest.(check int) "computed once" 9 (Memo.find_or_compute m1 ~key:k (fun () -> 9));
-  let entry = Filename.concat (Filename.concat dir "t-corrupt") k in
-  Alcotest.(check bool) "entry persisted" true (Sys.file_exists entry);
-  (* flip bits: valid magic, torn payload *)
-  let contents = In_channel.with_open_bin entry In_channel.input_all in
-  Out_channel.with_open_bin entry (fun oc ->
-      output_string oc (String.sub contents 0 (String.length contents - 3));
-      output_string oc "???");
-  let m2 : int Memo.t = Memo.create ~disk_dir:dir ~name:"t-corrupt" () in
-  Alcotest.(check int) "recomputed, not crashed" 10
-    (Memo.find_or_compute m2 ~key:k (fun () -> 10));
-  let s = Memo.stats m2 in
-  Alcotest.(check int) "counted as miss" 1 s.Memo.misses;
-  Alcotest.(check int) "counted as quarantined" 1 s.Memo.quarantined;
-  Alcotest.(check int) "not a disk hit" 0 s.Memo.disk_hits;
-  Alcotest.(check bool) "moved to quarantine/" true
-    (Sys.file_exists (Filename.concat (Filename.concat dir "quarantine") ("t-corrupt." ^ k)));
-  (* the recompute re-persisted a good entry: next memo disk-hits *)
-  let m3 : int Memo.t = Memo.create ~disk_dir:dir ~name:"t-corrupt" () in
-  Alcotest.(check int) "healed entry served from disk" 10
-    (Memo.find_or_compute m3 ~key:k (fun () -> Alcotest.fail "recomputed healed entry"));
-  Alcotest.(check int) "disk hit after heal" 1 (Memo.stats m3).Memo.disk_hits
-
-let test_memo_truncated_and_garbage_entries () =
-  let dir = Filename.temp_dir "nascent-memo" "" in
-  let m : int Memo.t = Memo.create ~disk_dir:dir ~name:"t-garbage" () in
-  let write key bytes =
-    let d = Filename.concat dir "t-garbage" in
-    if not (Sys.file_exists d) then Sys.mkdir d 0o755;
-    Out_channel.with_open_bin (Filename.concat d key) (fun oc -> output_string oc bytes)
-  in
-  (* hand-written hostile entries: empty, short, foreign magic, v1-era *)
-  List.iteri
-    (fun i bytes ->
-      let k = Memo.key [ "g"; string_of_int i ] in
-      write k bytes;
-      Alcotest.(check int)
-        (Printf.sprintf "garbage entry %d degrades to recompute" i)
-        i
-        (Memo.find_or_compute m ~key:k (fun () -> i)))
-    [ ""; "NASC"; "totally unrelated bytes"; "NASCENT-MEMO.v1\nstale-format" ];
-  let s = Memo.stats m in
-  Alcotest.(check int) "all four quarantined" 4 s.Memo.quarantined;
-  Alcotest.(check int) "all four missed" 4 s.Memo.misses
 
 let test_config_cache_key_covers_verify () =
   let base = Config.make ~scheme:Config.LLS () in
@@ -256,59 +186,6 @@ let test_task_fuel_serial_path () =
          90)
        [ 1; 2; 3 ])
 
-(* --- quarantine cap ----------------------------------------------------- *)
-
-(* The quarantine is a bounded post-mortem buffer: a flaky disk feeding
-   corrupt entries forever must not grow it without bound. Oldest
-   entries (by mtime) are evicted first. *)
-let test_quarantine_capped_evicts_oldest () =
-  let dir = Filename.temp_dir "nascent-quar" "" in
-  let m : int Memo.t = Memo.create ~disk_dir:dir ~quarantine_max:3 ~name:"t-cap" () in
-  let sub = Filename.concat dir "t-cap" in
-  Sys.mkdir sub 0o755;
-  let keys =
-    List.init 6 (fun i ->
-        let k = Memo.key [ "cap"; string_of_int i ] in
-        let path = Filename.concat sub k in
-        Out_channel.with_open_bin path (fun oc -> output_string oc "corrupt");
-        (* distinct, strictly increasing mtimes (rename preserves them,
-           so quarantine age is the corruption's age) *)
-        let t = 1000000.0 +. float_of_int i in
-        Unix.utimes path t t;
-        k)
-  in
-  (* trigger the six quarantines in write order *)
-  List.iteri
-    (fun i k ->
-      Alcotest.(check int)
-        (Printf.sprintf "corrupt entry %d degrades to recompute" i)
-        i
-        (Memo.find_or_compute m ~key:k (fun () -> i)))
-    keys;
-  Alcotest.(check int) "all six quarantined (counter)" 6 (Memo.stats m).Memo.quarantined;
-  let qd = Filename.concat dir "quarantine" in
-  let entries = Array.to_list (Sys.readdir qd) in
-  Alcotest.(check int) "directory capped at 3" 3 (List.length entries);
-  (* survivors are the NEWEST three by mtime: the last three corrupted *)
-  let expected =
-    List.filteri (fun i _ -> i >= 3) keys |> List.map (fun k -> "t-cap." ^ k)
-  in
-  Alcotest.(check (slist string compare)) "oldest evicted first" expected entries
-
-let test_quarantine_zero_keeps_nothing () =
-  let dir = Filename.temp_dir "nascent-quar0" "" in
-  let m : int Memo.t = Memo.create ~disk_dir:dir ~quarantine_max:0 ~name:"t-zero" () in
-  let sub = Filename.concat dir "t-zero" in
-  Sys.mkdir sub 0o755;
-  let k = Memo.key [ "only" ] in
-  Out_channel.with_open_bin (Filename.concat sub k) (fun oc ->
-      output_string oc "corrupt");
-  Alcotest.(check int) "recomputed" 5 (Memo.find_or_compute m ~key:k (fun () -> 5));
-  Alcotest.(check int) "counted" 1 (Memo.stats m).Memo.quarantined;
-  let qd = Filename.concat dir "quarantine" in
-  let kept = match Sys.readdir qd with es -> Array.length es | exception Sys_error _ -> 0 in
-  Alcotest.(check int) "nothing retained" 0 kept
-
 let suite =
   [
     Util.tc "map preserves order" test_map_preserves_order;
@@ -319,12 +196,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_map_equiv_list_map;
     Util.tc "memo hit/miss counters" test_memo_hit_miss;
     Util.tc "memo key injective on structure" test_memo_key_injective_on_structure;
-    Util.tc "memo disk roundtrip" test_memo_disk_roundtrip;
-    Util.tc "memo corrupt entry quarantined" test_memo_corrupt_entry_quarantined;
-    Util.tc "memo truncated/garbage entries" test_memo_truncated_and_garbage_entries;
     Util.tc "config cache key covers verify" test_config_cache_key_covers_verify;
     Util.tc "task_fuel on the serial path" test_task_fuel_serial_path;
-    Util.tc "quarantine capped, oldest evicted" test_quarantine_capped_evicts_oldest;
-    Util.tc "quarantine_max=0 keeps nothing" test_quarantine_zero_keeps_nothing;
     Util.tc "tables deterministic across jobs" test_tables_deterministic_across_jobs;
   ]

@@ -15,9 +15,6 @@ module Frame = Nascent_support.Frame
 module Retry = Nascent_support.Retry
 module Guard = Nascent_support.Guard
 module Service = Nascent_harness.Service
-module Memo = Nascent_support.Memo
-module Config = Nascent_core.Config
-module Suite = Nascent_benchmarks.Suite
 
 (* These tests race clients against draining/hung-up servers: broken
    pipes must surface as EPIPE, not kill the test binary. *)
@@ -869,44 +866,60 @@ let test_state_snapshot_is_newest () =
     | Error e -> Alcotest.failf "state file does not parse: %s" e
   done
 
-(* --- cache versioning ------------------------------------------------------ *)
+(* --- socket ownership ------------------------------------------------------ *)
 
-(* Memo stores compiled cells with Marshal, which is not type-safe
-   across record layouts: a disk entry written under an older
-   [Service.cache_version] must be a miss, never a misread. Plant a
-   foreign value under the service-v3 key of the very cell the request
-   asks for; the service recomputes, and a restarted service then
-   disk-hits its own entry, so the disk store was live all along. *)
-let test_stale_cache_version_misses () =
-  let dir = Filename.temp_dir "nascent-svc-cache" "" in
-  let src =
-    match Suite.find "vortex" with
-    | Some b -> b.Suite.source
-    | None -> Alcotest.fail "vortex benchmark missing"
+(* A second server on a live daemon's socket path is refused before it
+   binds anything: the first keeps its socket file and keeps answering. *)
+let service_server path =
+  Server.create (Server.default_config ~socket_path:path) (Service.handler (Service.create ()))
+
+let test_live_socket_refused () =
+  with_service @@ fun path _ ->
+  let dup = service_server path in
+  let refused = Atomic.make None in
+  let runner =
+    Thread.create
+      (fun () ->
+        try Server.run dup with Server.Socket_in_use p -> Atomic.set refused (Some p))
+      ()
   in
-  let stale_key = Memo.key [ "service-v3"; src; Config.cache_key Config.default; "run" ] in
-  let planted : string Memo.t = Memo.create ~disk_dir:dir ~name:"service" () in
-  ignore (Memo.find_or_compute planted ~key:stale_key (fun () -> "a v3-shaped cell"));
-  let compile_once () =
-    let svc = Service.create ~cache_dir:dir () in
-    with_server (Service.handler svc) @@ fun path _ ->
-    Client.with_conn path @@ fun conn ->
-    let resp = request_exn conn (compile_req ~run:true "vortex") in
-    Alcotest.(check string) "compile ok" "ok" (sfield resp "status");
-    Alcotest.(check bool) "optimizer removed checks" true
-      (ifield resp "checks_after" < ifield resp "checks_before");
-    match Json.member "cache" (request_exn conn status_req) with
-    | Some cache -> (ifield cache "disk_hits", ifield cache "misses", ifield cache "quarantined")
-    | None -> Alcotest.fail "status lacks cache counters"
+  let rec await n =
+    if Atomic.get refused = None && n > 0 then (Unix.sleepf 0.01; await (n - 1))
   in
-  let disk_hits, misses, quarantined = compile_once () in
-  Alcotest.(check string) "cache version" "service-v4" Service.cache_version;
-  Alcotest.(check int) "v3 entry not read" 0 disk_hits;
-  Alcotest.(check int) "recomputed" 1 misses;
-  Alcotest.(check int) "nothing quarantined" 0 quarantined;
-  let disk_hits, misses, _ = compile_once () in
-  Alcotest.(check int) "own entry served from disk" 1 disk_hits;
-  Alcotest.(check int) "no recompute on restart" 0 misses
+  await 500;
+  (* a server that was not refused is serving: stop it before failing *)
+  Server.stop dup;
+  Thread.join runner;
+  Alcotest.(check (option string)) "refused, naming the path" (Some path) (Atomic.get refused);
+  Alcotest.(check bool) "socket file still in place" true (Sys.file_exists path);
+  let st = Client.with_conn path (fun conn -> request_exn conn status_req) in
+  Alcotest.(check string) "first server still answers" "ok" (sfield st "status")
+
+(* A socket file with no listener behind it (what kill -9 leaves) is
+   stale: the next server replaces it and serves. *)
+let test_stale_socket_replaced () =
+  let path = fresh_socket () in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_UNIX path);
+  Unix.close fd;
+  Alcotest.(check bool) "stale file planted" true (Sys.file_exists path);
+  Alcotest.(check bool) "stale file is not in use" false (Server.socket_in_use path);
+  let srv = service_server path in
+  let runner = Thread.create (fun () -> Server.run srv) () in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.stop srv;
+      Thread.join runner;
+      try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  let rec await n =
+    if not (Server.socket_in_use path) then
+      if n <= 0 then Alcotest.fail "server never bound over the stale file"
+      else (Unix.sleepf 0.01; await (n - 1))
+  in
+  await 500;
+  let st = Client.with_conn path (fun conn -> request_exn conn status_req) in
+  Alcotest.(check string) "replacement answers" "ok" (sfield st "status")
 
 let suite =
   [
@@ -925,8 +938,9 @@ let suite =
     Util.tc "drain loses nothing" test_drain_loses_nothing;
     Util.tc "mem pressure sheds admission" test_mem_pressure_sheds_admission;
     Util.tc "mem abort is retryable" test_mem_abort_is_retryable;
-    Util.tc "stale cache version is a miss" test_stale_cache_version_misses;
     Util.tc "100 concurrent faulted requests" test_hundred_concurrent_faulted_requests;
     Util.tc "breaker state survives restart" test_breaker_state_survives_restart;
     Util.tc "state snapshot is the newest" test_state_snapshot_is_newest;
+    Util.tc "live socket refused" test_live_socket_refused;
+    Util.tc "stale socket replaced" test_stale_socket_replaced;
   ]

@@ -459,29 +459,6 @@ let test_mem_watchdog_pressure_without_abort () =
   (* ticking does not raise: the heap is under the hard budget *)
   Guard.tick_ambient ()
 
-(* --- Guard: advisory directory locks ------------------------------------ *)
-
-let test_dir_lock_conflict_and_release () =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "nascent-lock-test-%d" (Unix.getpid ()))
-  in
-  let l1 =
-    match Guard.lock_dir ~dir with
-    | Ok l -> l
-    | Error e -> Alcotest.failf "first acquire failed: %s" e
-  in
-  Alcotest.(check bool) "lock file created" true
-    (Sys.file_exists (Filename.concat dir ".nascent-lock"));
-  (match Guard.lock_dir ~dir with
-  | Ok _ -> Alcotest.fail "second acquire of a held lock must be refused"
-  | Error e -> Alcotest.(check bool) "refusal is explained" true (String.length e > 0));
-  Guard.unlock_dir l1;
-  (* released: the next acquire succeeds *)
-  match Guard.lock_dir ~dir with
-  | Ok l2 -> Guard.unlock_dir l2
-  | Error e -> Alcotest.failf "reacquire after release failed: %s" e
-
 let suite =
   [
     tc "bitset: basic" test_bitset_basic;
@@ -510,5 +487,4 @@ let suite =
     tc "guard: generous deadline quiet" test_deadline_generous_budget_no_fire;
     tc "guard: mem watchdog aborts over budget" test_mem_watchdog_over;
     tc "guard: mem pressure without abort" test_mem_watchdog_pressure_without_abort;
-    tc "guard: dir lock conflict and release" test_dir_lock_conflict_and_release;
   ]

@@ -77,16 +77,15 @@ rm -f "$SOCK" "$LOG"
 echo "service smoke OK: compile, oracle certificate, status, fault->4, deadline->6, SIGTERM drain->0"
 
 # --- chaos smoke: supervision + restart differential -----------------
-# Boot a supervised daemon on a shared disk cache; prove a second
-# daemon on the same cache directory is refused; kill -9 the serving
-# child mid-request; the supervisor restarts it clean and clients ride
-# through the restart on retries. A compile is pure, so nothing is
-# replayed: the restarted daemon recomputes (cache wiped) and must
-# answer byte-for-byte as its predecessor did, timing aside.
+# Boot a supervised daemon; prove a second daemon on the same socket is
+# refused and the first keeps answering; kill -9 the serving child
+# mid-request; the supervisor restarts it clean and clients ride
+# through the restart on retries. A compile is pure and the cache lives
+# in memory, so nothing is replayed: the restarted daemon recomputes
+# and must answer byte-for-byte as its predecessor did, timing aside.
 
 CSOCK="${TMPDIR:-/tmp}/nascent-chaos-$$.sock"
 CLOG="${TMPDIR:-/tmp}/nascent-chaos-$$.log"
-CCACHE="${TMPDIR:-/tmp}/nascent-chaos-$$.cache"
 CBASE="${TMPDIR:-/tmp}/nascent-chaos-$$"
 BURNOUT="$CBASE.burn"
 
@@ -96,10 +95,10 @@ cfail() {
     exit 1
 }
 
-NASCENT_CACHE_DIR="$CCACHE" ./_build/default/bin/nascentd.exe --socket "$CSOCK" \
+./_build/default/bin/nascentd.exe --socket "$CSOCK" \
     --jobs 2 --supervise >"$CLOG" 2>&1 &
 SUPER=$!
-trap 'kill "$SUPER" 2>/dev/null || true; rm -rf "$CSOCK" "$CLOG" "$CCACHE" "$CBASE".*' EXIT INT TERM
+trap 'kill "$SUPER" 2>/dev/null || true; rm -rf "$CSOCK" "$CLOG" "$CBASE".*' EXIT INT TERM
 
 cclient() {
     timeout 60 ./_build/default/bin/nascentc.exe client --connect "$CSOCK" "$@"
@@ -118,11 +117,15 @@ while [ ! -S "$CSOCK" ]; do
     sleep 0.1
 done
 
-# a second daemon on the same cache directory is refused promptly
+# a second daemon on the live socket is refused promptly, and the
+# first one still owns the socket and answers
 rc=0
-NASCENT_CACHE_DIR="$CCACHE" timeout 10 ./_build/default/bin/nascentd.exe \
-    --socket "$CSOCK.dup" >/dev/null 2>&1 || rc=$?
-[ "$rc" -ne 0 ] || cfail "second daemon on a locked cache dir exited 0, want nonzero"
+timeout 10 ./_build/default/bin/nascentd.exe --socket "$CSOCK" >/dev/null 2>&1 || rc=$?
+[ "$rc" -ne 0 ] || cfail "second daemon on a live socket exited 0, want nonzero"
+[ "$rc" -ne 124 ] || cfail "second daemon on a live socket was not refused within 10s"
+STATUS=$(cclient --status) || cfail "status after the refused second daemon exited $?"
+echo "$STATUS" | grep -q '"restarts":0' \
+    || cfail "supervised daemon does not answer after the refused second daemon: $STATUS"
 
 CBENCHES="vortex trfd qcd mdg simple"
 
@@ -140,12 +143,11 @@ done
 BURNER=$!
 sleep 0.5
 
-# kill -9 the serving child (its pid is in the supervisor's log), and
-# drop its disk cache so its successor must recompute every answer
+# kill -9 the serving child (its pid is in the supervisor's log); its
+# successor starts with an empty cache and must recompute every answer
 CHILD=$(awk '/serving pid/ { pid = $(NF-1) } END { print pid }' "$CLOG")
 case "$CHILD" in *[!0-9]*|"") cfail "could not parse serving pid from log" ;; esac
 kill -9 "$CHILD" 2>/dev/null || cfail "serving child $CHILD already gone"
-rm -rf "$CCACHE/service"
 
 # clients ride through the restart (retries + total-elapsed budget),
 # and the recomputed answers match the ones given before the kill
@@ -182,7 +184,7 @@ rc=0; wait "$SUPER" || rc=$?
 [ "$rc" -eq 0 ] || cfail "supervisor exited $rc after SIGTERM drain, want 0"
 
 trap - EXIT INT TERM
-rm -rf "$CSOCK" "$CLOG" "$CCACHE" "$CBASE".*
+rm -rf "$CSOCK" "$CLOG" "$CBASE".*
 echo "chaos smoke OK: double-daemon refused, kill -9 -> restart, recomputed answers identical, clients ride through, SIGTERM drain->0"
 
 # --- shard smoke: framed TCP, router, chaos proxy, kill -9 a shard ----
