@@ -938,9 +938,9 @@ let suite =
     Util.tc "drain loses nothing" test_drain_loses_nothing;
     Util.tc "mem pressure sheds admission" test_mem_pressure_sheds_admission;
     Util.tc "mem abort is retryable" test_mem_abort_is_retryable;
+    Util.tc "live socket refused" test_live_socket_refused;
     Util.tc "100 concurrent faulted requests" test_hundred_concurrent_faulted_requests;
     Util.tc "breaker state survives restart" test_breaker_state_survives_restart;
     Util.tc "state snapshot is the newest" test_state_snapshot_is_newest;
-    Util.tc "live socket refused" test_live_socket_refused;
     Util.tc "stale socket replaced" test_stale_socket_replaced;
   ]
