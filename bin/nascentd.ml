@@ -11,15 +11,16 @@
 
    Crash behaviour: a compile is a pure function of (source,
    configuration), so nothing a request computes needs to outlive the
-   process — a daemon that dies mid-request restarts clean and the
-   client's retry recomputes. What does outlive it: breaker state and
-   service counters are snapshotted to --state-file and restored (a
-   tripped scheme stays tripped); --supervise forks the serving process
-   and restarts it on abnormal exit with capped backoff;
-   NASCENT_MEM_BUDGET / --mem-budget-mb arms the Guard memory watchdog
-   (shed admissions under pressure, abort the offending request over
-   budget). A second daemon pointed at the socket of a live one
-   refuses to start with a clear error instead of taking it over.
+   process — a daemon that dies mid-request restarts clean, its
+   breakers re-learn, and the client's retry recomputes. --supervise
+   forks the serving process and restarts it on abnormal exit with
+   capped backoff, unless it died before its listeners were bound (a
+   restart would fail the same way, so supervision ends with the
+   child's exit code); NASCENT_MEM_BUDGET / --mem-budget-mb arms the
+   Guard memory watchdog (shed admissions under pressure, abort the
+   offending request over budget). A second daemon pointed at the
+   socket of a live one refuses to start with a clear error instead of
+   taking it over.
 
    SIGTERM / SIGINT request a graceful drain: the listener closes, new
    requests are shed with a retryable "shutting-down" error, every
@@ -34,7 +35,6 @@ module Retry = Nascent_support.Retry
 module Mclock = Nascent_support.Mclock
 module Frame = Nascent_support.Frame
 module Router = Nascent_support.Router
-module Netfault = Nascent_support.Netfault
 open Cmdliner
 
 let default_socket () =
@@ -49,17 +49,6 @@ let default_queue_depth () =
       | Some n when n > 0 -> n
       | _ -> 64)
   | None -> 64
-
-(* The request journal is gone; a deployment that still sets its
-   variable gets one line saying what replaced it. *)
-let warn_stale_journal_env () =
-  match Sys.getenv_opt "NASCENT_JOURNAL_DIR" with
-  | Some s when String.trim s <> "" ->
-      Fmt.epr
-        "nascentd: NASCENT_JOURNAL_DIR is ignored: the request journal was \
-         removed (a retry recomputes); use --state-file to keep breaker \
-         state across restarts@."
-  | _ -> ()
 
 let socket_arg =
   Arg.(
@@ -162,17 +151,6 @@ let cooldown_arg =
     & info [ "breaker-cooldown-ms" ] ~docv:"MS"
         ~doc:"Cooldown before a tripped breaker lets one probe through.")
 
-let state_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "state-file" ] ~docv:"FILE"
-        ~doc:
-          "Snapshot file for breaker states and service counters, written \
-           atomically after every compile and restored on start (a tripped \
-           scheme stays routed to the NI floor across a restart). Unset, \
-           the daemon keeps no state across restarts.")
-
 let mem_arg =
   Arg.(
     value
@@ -195,9 +173,9 @@ let supervise_arg =
           "Fork the serving process and restart it on abnormal exit with \
            capped exponential backoff (SIGTERM/SIGINT are passed through \
            for a clean drain; a clean exit ends supervision). Requests a \
-           crashed server admitted are recomputed by the clients' retries; \
-           combine with $(b,--state-file) to keep breaker state across the \
-           restart.")
+           crashed server admitted are recomputed by the clients' retries. \
+           A serving process that exits before its listeners are bound is \
+           not restarted: supervision ends with its exit code.")
 
 let trace_arg =
   Arg.(
@@ -249,29 +227,6 @@ let probe_interval_arg =
     & info [ "probe-interval-s" ] ~docv:"S"
         ~doc:"Router health-probe cadence per shard.")
 
-let chaos_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "chaos" ] ~docv:"CLASS[:SEED]"
-        ~doc:
-          "Run as a deterministic chaos proxy instead of serving: listen \
-           on $(b,--socket) (or $(b,--tcp)) and forward every connection \
-           to $(b,--upstream), injecting $(docv) faults on every third \
-           connection (seeded, reproducible). Classes: torn-frame, \
-           truncated-write, delayed-bytes, reset-mid-exchange, \
-           garbage-frame, oversized-frame, stalled-reader.")
-
-let upstream_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "upstream" ] ~docv:"ADDR"
-        ~doc:
-          "The real daemon behind $(b,--chaos): a Unix socket path or \
-           HOST:PORT. Both transports speak NF1 frames, so the proxy's \
-           listen transport need not match the upstream's.")
-
 (* "PORT" or "HOST:PORT" for the TCP listener. *)
 let parse_tcp_listen s =
   match int_of_string_opt s with
@@ -295,20 +250,39 @@ let parse_shard s =
   in
   { Router.name; address = Server.Client.parse_address addr }
 
-let network_budgets ~idle_timeout_s ~io_deadline_s =
-  ( idle_timeout_s,
-    if io_deadline_s <= 0.0 then None else Some io_deadline_s )
+(* One serving process, either role: the Server front (admission
+   control, both transports, drain, inline status) with [handler]
+   behind it. [start] runs before the listeners bind and [stop] after
+   the drain; [ready] runs once every listener is bound. *)
+let serve ~name ~ready ~start ~stop ~banner cfg handler =
+  let server = Server.create cfg handler in
+  (* Graceful drain on either termination signal: stop is
+     lock-free and signal-safe; run returns once every admitted
+     request is answered. *)
+  let on_signal _ = Server.stop server in
+  Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
+  Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
+  (* A client vanishing mid-response must not kill the daemon. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  Fmt.epr "%s: listening on %s%s (jobs=%d queue=%d deadline=%s restarts=%d %s)@."
+    name cfg.Server.socket_path
+    (match cfg.Server.tcp with
+    | None -> ""
+    | Some (h, p) -> Fmt.str " + tcp %s:%d" (if h = "" then "*" else h) p)
+    cfg.Server.jobs cfg.Server.queue_depth
+    (match cfg.Server.default_deadline_s with
+    | None -> "none"
+    | Some s -> Fmt.str "%gs" s)
+    cfg.Server.restarts banner;
+  start ();
+  Server.run ~on_ready:ready server;
+  stop ();
+  Fmt.epr "%s: drained, exiting@." name;
+  0
 
-(* The serving process proper: arm the watchdog, restore state,
-   serve. [restarts] is the supervisor's restart count, echoed in the
-   status op. *)
-let serve ~restarts socket tcp jobs queue_depth deadline_ms request_fuel
-    threshold cooldown_ms trace state_path mem_budget_mb
-    idle_timeout_s io_deadline_s shard_name =
-  if trace then begin
-    Logs.set_reporter (Logs.format_reporter ());
-    Logs.set_level (Some Logs.Info)
-  end;
+(* The compile role: arm the watchdog and serve the compile service. *)
+let serve_compile ~config ~ready jobs request_fuel threshold cooldown_s
+    mem_budget_mb shard_name =
   let jobs =
     match jobs with
     | Some n -> max 1 n
@@ -326,190 +300,58 @@ let serve ~restarts socket tcp jobs queue_depth deadline_ms request_fuel
     | None -> Guard.mem_budget_from_env ()
   in
   Guard.set_mem_budget ~bytes:mem_bytes ();
-  let idle_timeout_s, io_deadline_s =
-    network_budgets ~idle_timeout_s ~io_deadline_s
-  in
   let cfg =
-    {
-      Server.socket_path = socket;
-      tcp;
-      jobs;
-      queue_depth = max 1 queue_depth;
-      default_deadline_s =
-        (if deadline_ms <= 0 then None
-         else Some (float_of_int deadline_ms /. 1000.0));
-      request_fuel = (if request_fuel <= 0 then None else Some request_fuel);
-      restarts;
-      idle_timeout_s;
-      io_deadline_s;
-      max_frame_bytes = Frame.default_max_payload;
-    }
+    config ~jobs
+      ~request_fuel:(if request_fuel <= 0 then None else Some request_fuel)
   in
   let service =
     Service.create ~breaker_threshold:(max 1 threshold)
-      ~breaker_cooldown_s:(float_of_int (max 0 cooldown_ms) /. 1000.0)
-      ?state_path ?shard_name ()
+      ~breaker_cooldown_s:cooldown_s ?shard_name ()
   in
-  let server = Server.create cfg (Service.handler service) in
-  (* Graceful drain on either termination signal: stop is
-     lock-free and signal-safe; run returns once every admitted
-     request is answered. *)
-  let on_signal _ = Server.stop server in
-  Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-  Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
-  (* A client vanishing mid-response must not kill the daemon. *)
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  Fmt.epr
-    "nascentd: listening on %s%s (jobs=%d queue=%d deadline=%s fuel=%s \
-     state=%s mem=%s restarts=%d)@."
-    socket
-    (match tcp with
-    | None -> ""
-    | Some (h, p) -> Fmt.str " + tcp %s:%d" (if h = "" then "*" else h) p)
-    jobs cfg.Server.queue_depth
-    (match cfg.Server.default_deadline_s with
-    | None -> "none"
-    | Some s -> Fmt.str "%gs" s)
-    (match cfg.Server.request_fuel with
-    | None -> "none"
-    | Some f -> string_of_int f)
-    (Option.value ~default:"off" state_path)
-    (match mem_bytes with
-    | None -> "off"
-    | Some b -> Fmt.str "%dMB" (b / (1024 * 1024)))
-    restarts;
-  Server.run server;
-  Fmt.epr "nascentd: drained, exiting@.";
-  0
+  serve ~name:"nascentd" ~ready ~start:ignore ~stop:ignore
+    ~banner:
+      (Fmt.str "fuel=%s mem=%s"
+         (match cfg.Server.request_fuel with
+         | None -> "none"
+         | Some f -> string_of_int f)
+         (match mem_bytes with
+         | None -> "off"
+         | Some b -> Fmt.str "%dMB" (b / (1024 * 1024))))
+    cfg (Service.handler service)
 
-(* Router mode: the same Server front (admission control, both
-   transports, drain, inline status) with the Router's forwarding
-   handler behind it instead of the compile service. No state file and
-   no fuel — the router holds no state worth keeping (a request lost
-   with a shard is recomputed by the failover or the client's retry)
-   and forwarding burns no optimizer fuel.
-   Workers block on shard I/O, so the router defaults to more of them
+(* The router role: the Router's forwarding handler instead of the
+   compile service. No fuel — forwarding burns no optimizer fuel — and
+   workers block on shard I/O, so the router defaults to more of them
    than a compile daemon would want. *)
-let serve_router ~restarts socket tcp jobs queue_depth deadline_ms threshold
-    cooldown_ms trace shard_specs probe_interval_s idle_timeout_s io_deadline_s
-    =
-  if trace then begin
-    Logs.set_reporter (Logs.format_reporter ());
-    Logs.set_level (Some Logs.Info)
-  end;
+let serve_router ~config ~ready jobs threshold cooldown_s shard_specs
+    probe_interval_s =
   match shard_specs with
   | [] ->
       Fmt.epr "nascentd: --router needs at least one --shard@.";
       1
   | specs ->
       let shards = List.map parse_shard specs in
-      let cooldown_s = float_of_int (max 0 cooldown_ms) /. 1000.0 in
       let router =
         Router.create ~threshold:(max 1 threshold) ~cooldown_s
           ~probe_interval_s:(max 0.05 probe_interval_s) ~shards ()
       in
-      let idle_timeout_s, io_deadline_s =
-        network_budgets ~idle_timeout_s ~io_deadline_s
-      in
-      let cfg =
-        {
-          Server.socket_path = socket;
-          tcp;
-          jobs = (match jobs with Some n -> max 1 n | None -> 8);
-          queue_depth = max 1 queue_depth;
-          default_deadline_s =
-            (if deadline_ms <= 0 then None
-             else Some (float_of_int deadline_ms /. 1000.0));
-          request_fuel = None;
-          restarts;
-          idle_timeout_s;
-          io_deadline_s;
-          max_frame_bytes = Frame.default_max_payload;
-        }
-      in
-      let server = Server.create cfg (Router.handler router) in
-      let on_signal _ = Server.stop server in
-      Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-      Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
-      Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-      Fmt.epr "nascentd[router]: listening on %s%s, %d shard%s (%s)@." socket
-        (match tcp with
-        | None -> ""
-        | Some (h, p) -> Fmt.str " + tcp %s:%d" (if h = "" then "*" else h) p)
-        (List.length shards)
-        (if List.length shards = 1 then "" else "s")
-        (String.concat ", " (List.map (fun s -> s.Router.name) shards));
-      Router.start router;
-      Server.run server;
-      Router.stop router;
-      Fmt.epr "nascentd[router]: drained, exiting@.";
-      0
-
-(* Chaos proxy mode: nascentd fronts itself with its own fault
-   injector so the ci smoke and any manual soak drive the production
-   client/server/router stack through the Netfault catalogue without
-   test scaffolding. *)
-let run_chaos socket tcp chaos_str upstream =
-  match Netfault.parse chaos_str with
-  | Error e ->
-      Fmt.epr "nascentd: --chaos %s@." e;
-      1
-  | Ok spec -> (
-      match upstream with
-      | None ->
-          Fmt.epr "nascentd: --chaos requires --upstream ADDR@.";
-          1
-      | Some up -> (
-          let resolve host =
-            if host = "" || host = "*" then Unix.inet_addr_loopback
-            else
-              try Unix.inet_addr_of_string host
-              with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-          in
-          let sockaddr_of = function
-            | Server.Client.Uds p -> Unix.ADDR_UNIX p
-            | Server.Client.Tcp (h, p) -> Unix.ADDR_INET (resolve h, p)
-          in
-          match
-            let upstream_sa = sockaddr_of (Server.Client.parse_address up) in
-            let listen =
-              match tcp with
-              | Some (h, p) ->
-                  Unix.ADDR_INET
-                    ((if h = "" || h = "*" then Unix.inet_addr_any
-                      else resolve h),
-                     p)
-              | None -> Unix.ADDR_UNIX socket
-            in
-            (upstream_sa, listen)
-          with
-          | exception e ->
-              Fmt.epr "nascentd: --chaos setup: %s@." (Printexc.to_string e);
-              1
-          | upstream_sa, listen ->
-              let stopping = ref false in
-              let on_signal _ = stopping := true in
-              Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-              Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
-              Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-              Fmt.epr "nascentd[chaos]: %s proxying %s -> %s@."
-                (Netfault.to_string spec)
-                (match listen with
-                | Unix.ADDR_UNIX p -> p
-                | Unix.ADDR_INET (h, p) ->
-                    Fmt.str "%s:%d" (Unix.string_of_inet_addr h) p)
-                up;
-              Netfault.proxy ~listen ~upstream:upstream_sa
-                ~stop:(fun () -> !stopping)
-                spec;
-              Fmt.epr "nascentd[chaos]: stopped@.";
-              0))
+      serve ~name:"nascentd[router]" ~ready
+        ~start:(fun () -> Router.start router)
+        ~stop:(fun () -> Router.stop router)
+        ~banner:
+          ("shards=" ^ String.concat "," (List.map (fun s -> s.Router.name) shards))
+        (config ~jobs:(match jobs with Some n -> max 1 n | None -> 8)
+           ~request_fuel:None)
+        (Router.handler router)
 
 (* The supervisor: fork before any domain or thread exists, wait,
    restart on abnormal exit. Backoff is Retry's capped exponential
    schedule; a child that stayed up for a healthy stretch resets the
    attempt counter, so a daemon that crashes once a day never waits
-   long, while a crash loop backs off to the cap. *)
+   long, while a crash loop backs off to the cap. A child that dies
+   before its listeners are bound (a bad argument, a port in use)
+   never served, and its successor would fail the same way: that ends
+   supervision with the child's exit code. *)
 let supervisor_policy =
   {
     Retry.max_attempts = max_int;
@@ -540,13 +382,24 @@ let supervise serve_child =
     | Unix.WSIGNALED s -> Printf.sprintf "signal %d" s
     | Unix.WSTOPPED s -> Printf.sprintf "stopped %d" s
   in
+  let exit_code = function Unix.WEXITED n -> n | _ -> 1 in
   let rec loop ~restarts ~attempt =
     if !draining then 0
     else begin
       let born = Mclock.counter () in
+      (* The child writes one byte once its listeners are bound; the
+         byte outlives the child in the pipe. *)
+      let ready_r, ready_w = Unix.pipe ~cloexec:true () in
       match Unix.fork () with
-      | 0 -> exit (serve_child ~restarts)
+      | 0 ->
+          Unix.close ready_r;
+          let ready () =
+            try ignore (Unix.write_substring ready_w "r" 0 1)
+            with Unix.Unix_error _ -> ()
+          in
+          exit (serve_child ~restarts ~ready)
       | pid ->
+          Unix.close ready_w;
           child := Some pid;
           Fmt.epr "nascentd[supervisor]: serving pid %d (restarts=%d)@." pid restarts;
           (* A signal that landed between fork and the assignment above
@@ -559,6 +412,13 @@ let supervise serve_child =
           in
           let status = wait_child () in
           child := None;
+          let served =
+            Unix.set_nonblock ready_r;
+            match Unix.read ready_r (Bytes.create 1) 0 1 with
+            | n -> n = 1
+            | exception Unix.Unix_error _ -> false
+          in
+          Unix.close ready_r;
           let uptime = Mclock.elapsed_s born in
           if status = Unix.WEXITED 0 then begin
             Fmt.epr "nascentd[supervisor]: clean exit, ending supervision@.";
@@ -567,7 +427,14 @@ let supervise serve_child =
           else if !draining then begin
             Fmt.epr "nascentd[supervisor]: child ended during drain (%s)@."
               (describe status);
-            match status with Unix.WEXITED n -> n | _ -> 1
+            exit_code status
+          end
+          else if not served then begin
+            Fmt.epr
+              "nascentd[supervisor]: serving process ended (%s) before its \
+               listeners were bound; ending supervision@."
+              (describe status);
+            exit_code status
           end
           else begin
             let attempt = if uptime >= healthy_uptime_s then 1 else attempt + 1 in
@@ -588,43 +455,51 @@ let refuse_live_socket path =
   1
 
 let run_daemon socket tcp_str jobs queue_depth deadline_ms request_fuel
-    threshold cooldown_ms trace state_path mem_budget_mb supervise_flag idle_timeout_s io_deadline_s shard_name router_flag
-    shard_specs probe_interval_s chaos upstream =
-  let tcp =
-    match tcp_str with
-    | None -> Ok None
-    | Some s -> ( match parse_tcp_listen s with
-                  | Ok hp -> Ok (Some hp)
-                  | Error e -> Error e)
-  in
-  match tcp with
-  | Error e ->
+    threshold cooldown_ms trace mem_budget_mb supervise_flag idle_timeout_s
+    io_deadline_s shard_name router_flag shard_specs probe_interval_s =
+  match Option.map parse_tcp_listen tcp_str with
+  | Some (Error e) ->
       Fmt.epr "nascentd: %s@." e;
       1
-  | Ok tcp -> (
-      match chaos with
-      | Some chaos_str -> run_chaos socket tcp chaos_str upstream
-      | None when Server.socket_in_use socket ->
-          (* refused before the supervisor forks or any state loads *)
-          refuse_live_socket socket
-      | None ->
-          let serve_child ~restarts =
-            try
-              if router_flag then
-                serve_router ~restarts socket tcp jobs queue_depth deadline_ms
-                  threshold cooldown_ms trace shard_specs probe_interval_s
-                  idle_timeout_s io_deadline_s
-              else
-                serve ~restarts socket tcp jobs queue_depth deadline_ms
-                  request_fuel threshold cooldown_ms trace state_path
-                  mem_budget_mb idle_timeout_s io_deadline_s shard_name
-            with Server.Socket_in_use path ->
-              (* a daemon that bound the path after the check above *)
-              refuse_live_socket path
-          in
-          warn_stale_journal_env ();
-          if supervise_flag then supervise serve_child
-          else serve_child ~restarts:0)
+  | _ when Server.socket_in_use socket ->
+      (* refused before the supervisor forks *)
+      refuse_live_socket socket
+  | tcp ->
+      if trace then begin
+        Logs.set_reporter (Logs.format_reporter ());
+        Logs.set_level (Some Logs.Info)
+      end;
+      let cooldown_s = float_of_int (max 0 cooldown_ms) /. 1000.0 in
+      let serve_child ~restarts ~ready =
+        let config ~jobs ~request_fuel =
+          {
+            Server.socket_path = socket;
+            tcp = Option.map Result.get_ok tcp;
+            jobs;
+            queue_depth = max 1 queue_depth;
+            default_deadline_s =
+              (if deadline_ms <= 0 then None
+               else Some (float_of_int deadline_ms /. 1000.0));
+            request_fuel;
+            restarts;
+            idle_timeout_s;
+            io_deadline_s = (if io_deadline_s <= 0.0 then None else Some io_deadline_s);
+            max_frame_bytes = Frame.default_max_payload;
+          }
+        in
+        try
+          if router_flag then
+            serve_router ~config ~ready jobs threshold cooldown_s shard_specs
+              probe_interval_s
+          else
+            serve_compile ~config ~ready jobs request_fuel threshold cooldown_s
+              mem_budget_mb shard_name
+        with Server.Socket_in_use path ->
+          (* a daemon that bound the path after the check above *)
+          refuse_live_socket path
+      in
+      if supervise_flag then supervise serve_child
+      else serve_child ~restarts:0 ~ready:ignore
 
 let () =
   let doc = "range-check compile service (Kolte & Wolfe, PLDI 1995)" in
@@ -633,8 +508,7 @@ let () =
     Term.(
       const run_daemon $ socket_arg $ tcp_arg $ jobs_arg $ queue_arg
       $ deadline_arg $ fuel_arg $ threshold_arg $ cooldown_arg $ trace_arg
-      $ state_arg $ mem_arg $ supervise_arg $ idle_arg
-      $ io_deadline_arg $ shard_name_arg $ router_arg $ shard_arg
-      $ probe_interval_arg $ chaos_arg $ upstream_arg)
+      $ mem_arg $ supervise_arg $ idle_arg $ io_deadline_arg
+      $ shard_name_arg $ router_arg $ shard_arg $ probe_interval_arg)
   in
   exit (Cmd.eval' (Cmd.v info term))

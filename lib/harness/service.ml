@@ -72,10 +72,6 @@ type t = {
   mutable degraded : int; (* responses carrying incidents *)
   mutable fallbacks : int; (* breaker-routed to the NI floor *)
   mutable incidents_total : int;
-  state_path : string option; (* snapshot file for restart survival *)
-  state_lock : Mutex.t;
-      (* held across building AND writing a snapshot, so the renames
-         land in the order the snapshots were built *)
   shard_name : string option;
       (* identity behind a shard router, echoed as the "shard" status
          field so one status sweep tells which daemon answered *)
@@ -85,110 +81,18 @@ let counted t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-(* --- state snapshot ----------------------------------------------------
-
-   Breaker states and service counters survive a daemon restart: a
-   scheme that was tripped keeps being routed to the NI floor by its
-   successor until a cooldown probe (clock restarted at load) succeeds.
-   The snapshot is a small JSON file written atomically after every
-   handled compile; written-then-renamed means a kill -9 leaves either
-   the previous snapshot or the new one, never a torn file — and a
-   snapshot that is missing or fails to parse just means starting
-   fresh, which is always safe (breakers re-learn). So does a snapshot
-   of any other [state_version]: its fields may not mean what ours do. *)
-
-let state_version = 2
-
-let snapshot_json t =
-  let compiles, degraded, fallbacks, incidents_total =
-    counted t (fun () -> (t.compiles, t.degraded, t.fallbacks, t.incidents_total))
-  in
-  Json.Obj
-    [
-      ("version", Json.Int state_version);
-      ("compiles", Json.Int compiles);
-      ("degraded", Json.Int degraded);
-      ("fallbacks", Json.Int fallbacks);
-      ("incidents_total", Json.Int incidents_total);
-      ( "breakers",
-        Json.List
-          (List.map
-             (fun (key, st, failures) ->
-               Json.Obj
-                 [
-                   ("scheme", Json.Str key);
-                   ("state", Json.Str (Breaker.state_name st));
-                   ("failures", Json.Int failures);
-                 ])
-             (Breaker.snapshot t.breaker)) );
-    ]
-
-let save_state t =
-  match t.state_path with
-  | None -> ()
-  | Some path -> (
-      Mutex.lock t.state_lock;
-      Fun.protect ~finally:(fun () -> Mutex.unlock t.state_lock) @@ fun () ->
-      try Guard.write_atomic ~path (Json.to_string (snapshot_json t) ^ "\n")
-      with Sys_error _ | Unix.Unix_error _ -> ())
-
-let load_state t path =
-  match
-    if Sys.file_exists path then
-      try Some (In_channel.with_open_bin path In_channel.input_all)
-      with Sys_error _ -> None
-    else None
-  with
-  | None -> ()
-  | Some raw -> (
-      match Json.parse raw with
-      | Error _ -> () (* torn or foreign file: start fresh *)
-      | Ok j when Json.member "version" j <> Some (Json.Int state_version) -> ()
-      | Ok j ->
-          let geti name =
-            match Json.member name j with Some (Json.Int n) when n >= 0 -> n | _ -> 0
-          in
-          counted t (fun () ->
-              t.compiles <- geti "compiles";
-              t.degraded <- geti "degraded";
-              t.fallbacks <- geti "fallbacks";
-              t.incidents_total <- geti "incidents_total");
-          let entries =
-            match Json.member "breakers" j with
-            | Some (Json.List l) ->
-                List.filter_map
-                  (fun b ->
-                    match
-                      ( Json.str_member "scheme" b,
-                        Option.bind (Json.str_member "state" b) Breaker.state_of_name,
-                        Json.member "failures" b )
-                    with
-                    | Some key, Some st, Some (Json.Int f) -> Some (key, st, f)
-                    | _ -> None)
-                  l
-            | _ -> []
-          in
-          Breaker.restore t.breaker ~now:(Mclock.elapsed_s t.clock) entries)
-
-let create ?(breaker_threshold = 3) ?(breaker_cooldown_s = 2.0) ?state_path
-    ?shard_name () =
-  let t =
-    {
-      breaker = Breaker.create ~threshold:breaker_threshold ~cooldown_s:breaker_cooldown_s ();
-      clock = Mclock.counter ();
-      cache = Memo.create ();
-      lock = Mutex.create ();
-      compiles = 0;
-      degraded = 0;
-      fallbacks = 0;
-      incidents_total = 0;
-      state_path;
-      state_lock = Mutex.create ();
-      shard_name;
-    }
-  in
-  Option.iter (load_state t) state_path;
-  t
+let create ?(breaker_threshold = 3) ?(breaker_cooldown_s = 2.0) ?shard_name () =
+  {
+    breaker = Breaker.create ~threshold:breaker_threshold ~cooldown_s:breaker_cooldown_s ();
+    clock = Mclock.counter ();
+    cache = Memo.create ();
+    lock = Mutex.create ();
+    compiles = 0;
+    degraded = 0;
+    fallbacks = 0;
+    incidents_total = 0;
+    shard_name;
+  }
 
 exception Bad_request of string
 
@@ -335,7 +239,6 @@ let handle_compile t req =
            would otherwise leave the key half-open with no recorded
            outcome. *)
         record_attempt false;
-        save_state t;
         raise e
   in
   (* A refused translation-validation certificate is a scheme failure
@@ -351,7 +254,6 @@ let handle_compile t req =
         t.incidents_total
         + List.length cell.r_incidents
         + (if cell.r_validated = Some false then 1 else 0));
-  save_state t;
   let degraded = (not ok) || fallback in
   let validated_json =
     match cell.r_validated with None -> Json.Null | Some b -> Json.Bool b

@@ -20,12 +20,6 @@ let state_name = function
   | Open -> "open"
   | Half_open -> "half-open"
 
-let state_of_name = function
-  | "closed" -> Some Closed
-  | "open" -> Some Open
-  | "half-open" -> Some Half_open
-  | _ -> None
-
 type entry = {
   mutable failures : int; (* consecutive failures while closed *)
   mutable st : state;
@@ -121,16 +115,3 @@ let snapshot t =
   locked t @@ fun () ->
   Hashtbl.fold (fun key e acc -> (key, e.st, e.failures) :: acc) t.table []
   |> List.sort compare
-
-let restore t ~now entries =
-  locked t @@ fun () ->
-  List.iter
-    (fun (key, st, failures) ->
-      (* A probe in flight when the old process died is lost: restore
-         Half_open as Open. [opened_at <- now] restarts the cooldown
-         from the restart instant — conservative, and the only sound
-         choice since the snapshot's clock epoch died with its
-         process. *)
-      let st = match st with Half_open -> Open | s -> s in
-      Hashtbl.replace t.table key { failures = max 0 failures; st; opened_at = now })
-    entries

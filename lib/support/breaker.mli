@@ -24,9 +24,6 @@ type state = Closed | Open | Half_open
 val state_name : state -> string
 (** ["closed"], ["open"], ["half-open"]. *)
 
-val state_of_name : string -> state option
-(** Inverse of {!state_name}; [None] on anything else. *)
-
 val create : ?threshold:int -> ?cooldown_s:float -> unit -> t
 (** [threshold] consecutive failures trip a key (default 3, clamped to
     >= 1); [cooldown_s] is the open-to-probe delay (default 2s). *)
@@ -51,12 +48,3 @@ val trips : t -> int
 val snapshot : t -> (string * state * int) list
 (** Every key seen, with its state and current consecutive-failure
     count, sorted by key. *)
-
-val restore : t -> now:float -> (string * state * int) list -> unit
-(** Re-seed the table from a persisted {!snapshot}, e.g. across a
-    daemon restart: a scheme that was tripped stays routed to the
-    fallback floor after recovery. [Half_open] is restored as [Open]
-    (the probe died with the old process) and every restored key's
-    cooldown clock restarts at [now] — the snapshot's clock epoch is
-    meaningless in the new process. Existing entries for the same keys
-    are overwritten. *)

@@ -82,8 +82,8 @@ val buffered : decoder -> int
     [read] and [write] have the shape of [Unix.read]/[Unix.write] on a
     connected socket. Both helpers retry [EINTR] and short transfers —
     a signal landing mid-frame must never tear the stream — and the
-    injectable functions let tests (and {!Netfault}) drive every
-    partial-I/O schedule deterministically. *)
+    injectable functions let tests (and their seeded fault injector)
+    drive every partial-I/O schedule deterministically. *)
 
 val read_frame :
   ?buf:bytes ->

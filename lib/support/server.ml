@@ -675,17 +675,17 @@ let listen_socket path =
   Unix.listen fd 64;
   fd
 
+let resolve_host host =
+  if host = "" || host = "*" then Unix.inet_addr_any
+  else
+    try Unix.inet_addr_of_string host
+    with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
+
 let listen_tcp host port =
   let fd = Unix.socket PF_INET SOCK_STREAM 0 in
   (try
      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-     let addr =
-       if host = "" || host = "*" then Unix.inet_addr_any
-       else
-         try Unix.inet_addr_of_string host
-         with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-     in
-     Unix.bind fd (ADDR_INET (addr, port));
+     Unix.bind fd (ADDR_INET (resolve_host host, port));
      Unix.listen fd 128
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
@@ -701,7 +701,7 @@ let listen_tcp host port =
    thread per connection, [cfg.jobs] worker domains. Returns after the
    drain completes: queue empty, nothing in flight, every response
    written, workers and readers joined, socket file removed. *)
-let run t =
+let run ?(on_ready = ignore) t =
   if socket_in_use t.cfg.socket_path then raise (Socket_in_use t.cfg.socket_path);
   (* TCP binds first, so the UDS socket file appearing — the ready
      signal clients and the supervisor poll for — implies both
@@ -719,6 +719,7 @@ let run t =
     listen_fd :: (match tcp_listener with None -> [] | Some fd -> [ fd ])
   in
   let workers = List.init t.cfg.jobs (fun _ -> Domain.spawn (fun () -> worker_main t)) in
+  on_ready ();
   let accept_one lfd =
     let is_tcp = Some lfd = tcp_listener in
     match Unix.accept ~cloexec:true lfd with
@@ -907,12 +908,7 @@ module Client = struct
     let domain, sockaddr =
       match addr with
       | Uds path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
-      | Tcp (host, port) ->
-          let ip =
-            try Unix.inet_addr_of_string host
-            with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-          in
-          (Unix.PF_INET, Unix.ADDR_INET (ip, port))
+      | Tcp (host, port) -> (Unix.PF_INET, Unix.ADDR_INET (resolve_host host, port))
     in
     let conn =
       {

@@ -98,11 +98,17 @@ val socket_in_use : string -> bool
     file nobody answers on (left by a [kill -9]) is stale, not in
     use. *)
 
-val run : t -> unit
+val resolve_host : string -> Unix.inet_addr
+(** A host name or numeric address, for a listener or a client alike;
+    [""] and ["*"] mean every interface. Raises [Not_found] for a name
+    that does not resolve. *)
+
+val run : ?on_ready:(unit -> unit) -> t -> unit
 (** Serve until {!stop}. Binds (replacing a stale socket file, but
     raising {!Socket_in_use} before binding anything if a live daemon
-    owns it; the socket appearing is the ready signal), accepts in the
-    calling thread, and on {!stop} drains — sheds new work, finishes and
+    owns it; the socket appearing is the ready signal, and [on_ready]
+    runs once every listener is bound), accepts in the calling thread,
+    and on {!stop} drains — sheds new work, finishes and
     answers {e every} admitted request, joins workers and readers,
     removes the socket file. Nothing survives the process: a request
     admitted by a daemon that dies unanswered is recomputed by the

@@ -4,6 +4,8 @@
    fault-class -> detection -> recovery table this module exists to
    exercise. *)
 
+module Frame = Nascent_support.Frame
+
 type cls =
   | Torn_frame
   | Truncated_write

@@ -76,7 +76,7 @@ val reader : spec -> data:string -> bytes -> int -> int -> int
 val writer : spec -> out:Buffer.t -> bytes -> int -> int -> int
 (** The write-side twin: accepts seeded short writes (1–4 bytes at a
     time) into [out] and raises [EINTR] at seeded points — for driving
-    {!Frame.write_all} through hostile schedules. Never loses bytes. *)
+    {!Nascent_support.Frame.write_all} through hostile schedules. Never loses bytes. *)
 
 val proxy :
   listen:Unix.sockaddr ->

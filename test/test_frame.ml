@@ -6,7 +6,7 @@
    or an EINTR mid-frame must never surface a misparsed frame. *)
 
 module Frame = Nascent_support.Frame
-module Netfault = Nascent_support.Netfault
+module Netfault = Nascent_netfault.Netfault
 module Json = Nascent_support.Json
 
 let frame_error =

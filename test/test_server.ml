@@ -782,90 +782,6 @@ let test_mem_abort_is_retryable () =
   Alcotest.(check int) "abort counted" 1 (ifield st "mem_aborts");
   Alcotest.(check int) "nothing shed at admission" 0 (ifield st "mem_shed")
 
-(* --- state snapshot across restarts ---------------------------------------- *)
-
-let read_file path = In_channel.with_open_bin path In_channel.input_all
-
-let write_file path s =
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
-
-let with_state_service ?tune ~state_path f =
-  let svc = Service.create ~breaker_threshold:2 ~breaker_cooldown_s:60.0 ~state_path () in
-  with_server ?tune (Service.handler svc) @@ fun path _ -> f path
-
-(* The state file is the only thing a restarted daemon inherits: a
-   tripped breaker stays tripped. A snapshot of another version is not
-   trusted — the successor starts fresh, as it does on a torn file. *)
-let test_breaker_state_survives_restart () =
-  let state_path = Filename.concat (Filename.temp_dir "nascent-state" "") "state.json" in
-  (* life 1: trip the CS breaker with two faulty compiles *)
-  (with_state_service ~state_path @@ fun path ->
-   Client.with_conn path @@ fun conn ->
-   let r1 =
-     request_exn conn (compile_req ~id:(Json.Int 1) ~scheme:"CS" ~fault:"drop-check:7" "vortex")
-   in
-   Alcotest.(check string) "faulty compile degrades" "degraded" (sfield r1 "status");
-   let r2 =
-     request_exn conn (compile_req ~id:(Json.Int 2) ~scheme:"CS" ~fault:"drop-check:7" "vortex")
-   in
-   Alcotest.(check string) "breaker open after threshold" "open" (sfield r2 "breaker"));
-  Alcotest.(check bool) "state snapshot written" true (Sys.file_exists state_path);
-  (* life 2: a fresh Service restores the snapshot — the tripped scheme
-     stays routed to the NI floor (cooldown far from elapsed) *)
-  (with_state_service ~state_path @@ fun path ->
-   Client.with_conn path @@ fun conn ->
-   let r = request_exn conn (compile_req ~id:(Json.Int 3) ~scheme:"CS" "vortex") in
-   Alcotest.(check bool) "restored breaker routes to fallback" true (bfield r "fallback");
-   Alcotest.(check string) "served at the NI floor" "NI" (sfield r "scheme_used");
-   let st = request_exn conn status_req in
-   Alcotest.(check int) "service counters restored across the restart" 3
-     (ifield st "compiles"));
-  (* life 3: the same snapshot under another version is ignored *)
-  let snapshot =
-    match Json.parse (read_file state_path) with
-    | Ok (Json.Obj fields) -> fields
-    | _ -> Alcotest.fail "state snapshot is not a JSON object"
-  in
-  Alcotest.(check (option int)) "snapshot is version 2" (Some 2)
-    (Json.int_member "version" (Json.Obj snapshot));
-  write_file state_path
-    (Json.to_string
-       (Json.Obj (("version", Json.Int 3) :: List.remove_assoc "version" snapshot)));
-  with_state_service ~state_path @@ fun path ->
-  Client.with_conn path @@ fun conn ->
-  let r = request_exn conn (compile_req ~id:(Json.Int 4) ~scheme:"CS" "vortex") in
-  Alcotest.(check bool) "foreign version: breaker starts closed" false (bfield r "fallback");
-  Alcotest.(check string) "served at the requested scheme" "CS" (sfield r "scheme_used");
-  let st = request_exn conn status_req in
-  Alcotest.(check int) "foreign version: counters start fresh" 1 (ifield st "compiles")
-
-(* Workers snapshot concurrently; the file must end at the newest
-   snapshot, not whichever rename happened to land last. *)
-let test_state_snapshot_is_newest () =
-  let state_path = Filename.concat (Filename.temp_dir "nascent-state" "") "state.json" in
-  let schemes = [| "NI"; "CS"; "LLS"; "ALL" |] in
-  let rounds = 25 and burst = 8 in
-  let tune c = { c with Server.jobs = 4; queue_depth = 128 } in
-  with_state_service ~tune ~state_path @@ fun path ->
-  (* only the last snapshots of a burst can land out of order, so many
-     short bursts give the race many chances to show *)
-  for round = 1 to rounds do
-    let client k =
-      Client.with_conn path @@ fun conn ->
-      ignore
-        (request_exn conn
-           (compile_req ~id:(Json.Int k) ~scheme:schemes.(k mod Array.length schemes) "simple"))
-    in
-    List.iter Thread.join (List.init burst (Thread.create client));
-    let st = Client.with_conn path (fun conn -> request_exn conn status_req) in
-    Alcotest.(check int) "every compile counted" (round * burst) (ifield st "compiles");
-    match Json.parse (read_file state_path) with
-    | Ok snapshot ->
-        Alcotest.(check int) "file holds the newest snapshot" (round * burst)
-          (ifield snapshot "compiles")
-    | Error e -> Alcotest.failf "state file does not parse: %s" e
-  done
-
 (* --- socket ownership ------------------------------------------------------ *)
 
 (* A second server on a live daemon's socket path is refused before it
@@ -940,7 +856,5 @@ let suite =
     Util.tc "mem abort is retryable" test_mem_abort_is_retryable;
     Util.tc "live socket refused" test_live_socket_refused;
     Util.tc "100 concurrent faulted requests" test_hundred_concurrent_faulted_requests;
-    Util.tc "breaker state survives restart" test_breaker_state_survives_restart;
-    Util.tc "state snapshot is the newest" test_state_snapshot_is_newest;
     Util.tc "stale socket replaced" test_stale_socket_replaced;
   ]

@@ -9,7 +9,7 @@
 module Server = Nascent_support.Server
 module Client = Server.Client
 module Frame = Nascent_support.Frame
-module Netfault = Nascent_support.Netfault
+module Netfault = Nascent_netfault.Netfault
 module Json = Nascent_support.Json
 module Retry = Nascent_support.Retry
 

@@ -77,7 +77,8 @@ rm -f "$SOCK" "$LOG"
 echo "service smoke OK: compile, oracle certificate, status, fault->4, deadline->6, SIGTERM drain->0"
 
 # --- chaos smoke: supervision + restart differential -----------------
-# Boot a supervised daemon; prove a second daemon on the same socket is
+# A supervised child that never binds ends supervision instead of
+# looping. Then boot a supervised daemon; prove a second daemon on the same socket is
 # refused and the first keeps answering; kill -9 the serving child
 # mid-request; the supervisor restarts it clean and clients ride
 # through the restart on retries. A compile is pure and the cache lives
@@ -94,6 +95,14 @@ cfail() {
     [ -f "$CLOG" ] && sed 's/^/  nascentd: /' "$CLOG" >&2
     exit 1
 }
+
+# a serving process that exits before it binds is not restarted: a
+# router with no shard exits 1 under --supervise (124 means the
+# supervisor is restarting it in a loop)
+rc=0
+timeout 5 ./_build/default/bin/nascentd.exe --router --supervise \
+    --socket "$CSOCK" >"$CLOG" 2>&1 || rc=$?
+[ "$rc" -eq 1 ] || cfail "supervised router with no shard exited $rc, want 1"
 
 ./_build/default/bin/nascentd.exe --socket "$CSOCK" \
     --jobs 2 --supervise >"$CLOG" 2>&1 &
@@ -185,7 +194,7 @@ rc=0; wait "$SUPER" || rc=$?
 
 trap - EXIT INT TERM
 rm -rf "$CSOCK" "$CLOG" "$CBASE".*
-echo "chaos smoke OK: double-daemon refused, kill -9 -> restart, recomputed answers identical, clients ride through, SIGTERM drain->0"
+echo "chaos smoke OK: unbound child not restarted->1, double-daemon refused, kill -9 -> restart, recomputed answers identical, clients ride through, SIGTERM drain->0"
 
 # --- shard smoke: framed TCP, router, chaos proxy, kill -9 a shard ----
 # Three shards behind a consistent-hash router on a framed TCP port,
@@ -256,8 +265,8 @@ case "$RPORT" in *[!0-9]*|"") sfail "router status reported no tcp_port" ;; esac
 
 # the chaos proxy tears one framed connection in three
 CPORT=$((20000 + $$ % 20000))
-./_build/default/bin/nascentd.exe --chaos torn-frame:1 \
-    --tcp "127.0.0.1:$CPORT" --upstream "127.0.0.1:$RPORT" >"$PLOG" 2>&1 &
+./_build/default/test/netfault/chaos_proxy.exe torn-frame:1 \
+    "127.0.0.1:$CPORT" "127.0.0.1:$RPORT" >"$PLOG" 2>&1 &
 PROXY=$!
 sleep 0.3
 kill -0 "$PROXY" 2>/dev/null || sfail "chaos proxy died on startup"
@@ -326,8 +335,8 @@ CONN1=$(rconnects)
 # router (frame_errors rises) and the client rides it out on a retry
 ferrs() { rstatus | grep -o '"frame_errors":[0-9]*' | cut -d: -f2; }
 FERR0=$(ferrs)
-./_build/default/bin/nascentd.exe --chaos torn-frame:1 \
-    --socket "$USOCK" --upstream "$RSOCK" >"$UPLOG" 2>&1 &
+./_build/default/test/netfault/chaos_proxy.exe torn-frame:1 \
+    "$USOCK" "$RSOCK" >"$UPLOG" 2>&1 &
 UPROXY=$!
 i=0
 while [ ! -S "$USOCK" ]; do
