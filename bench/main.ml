@@ -267,6 +267,14 @@ let run_load () =
   let mypid = Unix.getpid () in
   let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0o644 in
   let children = ref [] in
+  (* Every daemon socket this run names: a kill -9'd shard cannot
+     remove its own, so kill_all removes them all. *)
+  let sockets = ref [] in
+  let socket_path name =
+    let path = Filename.concat tmp (Printf.sprintf "nload-%s-%d.sock" name mypid) in
+    sockets := path :: !sockets;
+    path
+  in
   let spawn argv =
     let pid =
       Unix.create_process nascentd
@@ -281,7 +289,8 @@ let run_load () =
     List.iter
       (fun pid -> try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
       !children;
-    children := []
+    children := [];
+    List.iter (fun path -> try Sys.remove path with Sys_error _ -> ()) !sockets
   in
   let wait_socket path =
     let rec go n =
@@ -493,7 +502,7 @@ let run_load () =
   in
   Fun.protect ~finally:(fun () -> kill_all (); Unix.close devnull) @@ fun () ->
   (* --- one shard, direct over TCP ----------------------------------- *)
-  let s1_sock = Filename.concat tmp (Printf.sprintf "nload-one-%d.sock" mypid) in
+  let s1_sock = socket_path "one" in
   ignore
     (spawn [ "--socket"; s1_sock; "--tcp"; "127.0.0.1:0"; "-j"; "2" ]);
   wait_socket s1_sock;
@@ -503,8 +512,7 @@ let run_load () =
   kill_all ();
   (* --- three shards behind the router -------------------------------- *)
   let shard_socks =
-    List.init 3 (fun i ->
-        Filename.concat tmp (Printf.sprintf "nload-s%d-%d.sock" i mypid))
+    List.init 3 (fun i -> socket_path (Printf.sprintf "s%d" i))
   in
   let shard_pids =
     List.mapi
@@ -514,7 +522,7 @@ let run_load () =
       shard_socks
   in
   List.iter wait_socket shard_socks;
-  let r_sock = Filename.concat tmp (Printf.sprintf "nload-r-%d.sock" mypid) in
+  let r_sock = socket_path "r" in
   ignore
     (spawn
        ([ "--socket"; r_sock; "--tcp"; "127.0.0.1:0"; "--router" ]

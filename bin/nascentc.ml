@@ -712,17 +712,6 @@ let cmd_client =
       & info [ "run" ]
           ~doc:"Also execute the optimized program under the interpreter.")
   in
-  let prewarm_arg =
-    Arg.(
-      value
-      & flag
-      & info [ "prewarm" ]
-          ~doc:
-            "Warm the service's cache: compile every (built-in benchmark × \
-             scheme) cell under the current --kind/--implications/--verify \
-             settings, so subsequent requests for them are served from \
-             cache. Exits 0 when every cell compiled, 4 if any failed.")
-  in
   let deadline_arg =
     Arg.(
       value
@@ -739,13 +728,6 @@ let cmd_client =
       & info [ "retries" ] ~docv:"N"
           ~doc:"Total connection/retryable-error attempts, including the first.")
   in
-  let seed_arg =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "seed" ] ~docv:"N"
-          ~doc:"Backoff jitter seed (deterministic per seed and attempt).")
-  in
   let max_wait_arg =
     Arg.(
       value
@@ -757,15 +739,6 @@ let cmd_client =
              longer than $(docv) in total. Exhaustion exits 7 like any \
              retries-exhausted failure. Omitted: only --retries bounds the \
              schedule.")
-  in
-  let client_stats_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "stats-json" ] ~docv:"FILE"
-          ~doc:
-            "Also write the response JSON (status counters included for \
-             --status) to $(docv), atomically.")
   in
   let exit_of_response resp =
     match Json.str_member "status" resp with
@@ -787,51 +760,10 @@ let cmd_client =
         else if Json.int_member "code" resp = Some 4 then 4
         else 0
   in
-  (* Compile every (benchmark × scheme) cell once: afterwards the whole
-     matrix is served straight from the service's cache. *)
-  let run_prewarm ~socket ~config ~policy ?max_elapsed_s ~seed ~recv_timeout_s
-      ~deadline () =
-    let failures = ref 0 in
-    let cells =
-      List.concat_map
-        (fun b -> List.map (fun s -> (b.B.name, s)) Config.all_schemes)
-        B.all
-    in
-    List.iter
-      (fun (name, scheme) ->
-        let sname = Config.scheme_name scheme in
-        let req =
-          Json.Obj
-            ([
-               ("id", Json.Str (Printf.sprintf "prewarm-%s-%s" name sname));
-               ("op", Json.Str "compile");
-               ("benchmark", Json.Str name);
-               ("scheme", Json.Str sname);
-               ("kind", Json.Str (Config.kind_name config.Config.kind));
-               ("impl", Json.Str (impl_wire config.Config.impl));
-               ("verify", Json.Bool config.Config.verify);
-               ("oracle", Json.Bool config.Config.oracle);
-             ]
-            @ deadline)
-        in
-        let fail msg =
-          incr failures;
-          Fmt.epr "nascentc: prewarm %s/%s: %s@." name sname msg
-        in
-        match
-          Client.request_retry ~policy ?max_elapsed_s ?recv_timeout_s ~seed socket req
-        with
-        | Ok resp ->
-            if Json.str_member "status" resp = Some "error" then
-              fail (Option.value ~default:"" (Json.str_member "detail" resp))
-        | Error msg -> fail msg)
-      cells;
-    Fmt.epr "nascentc: prewarm: %d cell(s), %d failure(s)@." (List.length cells)
-      !failures;
-    if !failures > 0 then 4 else 0
-  in
-  let run file socket status burn prewarm config want_run deadline_ms retries
-      seed max_wait_ms recv_timeout_ms stats_json =
+  (* The backoff jitter depends only on this seed and the attempt. *)
+  let jitter_seed = 1 in
+  let run file socket status burn config want_run deadline_ms retries
+      max_wait_ms recv_timeout_ms =
     let recv_timeout_s =
       Option.map (fun ms -> float_of_int (max 1 ms) /. 1000.0) recv_timeout_ms
     in
@@ -844,10 +776,6 @@ let cmd_client =
     let max_elapsed_s =
       Option.map (fun ms -> float_of_int (max 0 ms) /. 1000.0) max_wait_ms
     in
-    if prewarm then
-      run_prewarm ~socket ~config ~policy ?max_elapsed_s ~seed ~recv_timeout_s
-        ~deadline ()
-    else
     let req_fields =
       if status then Some [ ("op", Json.Str "status") ]
       else if burn then Some [ ("op", Json.Str "burn") ]
@@ -887,16 +815,11 @@ let cmd_client =
     | Some fields ->
         let req = Json.Obj ((("id", Json.Str "cli") :: fields) @ deadline) in
         (match
-           Client.request_retry ~policy ?max_elapsed_s ?recv_timeout_s ~seed
-             socket req
+           Client.request_retry ~policy ?max_elapsed_s ?recv_timeout_s
+             ~seed:jitter_seed socket req
          with
         | Ok resp ->
             Fmt.pr "%s@." (Json.to_string resp);
-            (match stats_json with
-            | None -> ()
-            | Some path -> (
-                try Guard.write_atomic ~path (Json.to_string resp ^ "\n")
-                with Sys_error msg -> Fmt.epr "nascentc: --stats-json: %s@." msg));
             exit_of_response resp
         | Error msg ->
             Fmt.epr "nascentc: %s@." msg;
@@ -905,9 +828,8 @@ let cmd_client =
   Cmd.v (Cmd.info "client" ~doc)
     Term.(
       const run $ file_opt_arg $ socket_arg $ status_arg $ burn_arg
-      $ prewarm_arg $ config_term $ run_flag_arg $ deadline_arg
-      $ retries_arg $ seed_arg $ max_wait_arg $ recv_timeout_arg
-      $ client_stats_arg)
+      $ config_term $ run_flag_arg $ deadline_arg $ retries_arg
+      $ max_wait_arg $ recv_timeout_arg)
 
 let cmd_list =
   let doc = "List the built-in benchmark programs." in

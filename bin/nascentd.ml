@@ -7,7 +7,12 @@
    Nascent_harness.Service for the operations), fanning compiles over
    worker domains behind a bounded admission queue, per-request
    wall-clock deadlines, a per-scheme circuit breaker and a
-   content-addressed result cache.
+   content-addressed result cache. Their bounds are constants, each
+   set in one place and not on the command line: queue depth,
+   deadline, fuel and I/O deadline in Server.default_config, the
+   scheme breaker in Service.create, and the shard health breaker and
+   probe cadence in Router.create. A request may still carry its own
+   "deadline_ms".
 
    Crash behaviour: a compile is a pure function of (source,
    configuration), so nothing a request computes needs to outlive the
@@ -16,11 +21,11 @@
    forks the serving process and restarts it on abnormal exit with
    capped backoff, unless it died before its listeners were bound (a
    restart would fail the same way, so supervision ends with the
-   child's exit code); NASCENT_MEM_BUDGET / --mem-budget-mb arms the
-   Guard memory watchdog (shed admissions under pressure, abort the
-   offending request over budget). A second daemon pointed at the
-   socket of a live one refuses to start with a clear error instead of
-   taking it over.
+   child's exit code); --mem-budget-mb arms the Guard memory watchdog
+   (shed admissions under pressure, abort the offending request over
+   budget). A second daemon pointed at the
+   socket of a live one, or at a TCP port already bound, refuses to
+   start with a clear error (exit 1) instead of taking it over.
 
    SIGTERM / SIGINT request a graceful drain: the listener closes, new
    requests are shed with a retryable "shutting-down" error, every
@@ -33,7 +38,6 @@ module Service = Nascent_harness.Service
 module Guard = Nascent_support.Guard
 module Retry = Nascent_support.Retry
 module Mclock = Nascent_support.Mclock
-module Frame = Nascent_support.Frame
 module Router = Nascent_support.Router
 open Cmdliner
 
@@ -41,14 +45,6 @@ let default_socket () =
   match Sys.getenv_opt "NASCENT_SOCKET" with
   | Some s when String.trim s <> "" -> s
   | _ -> Filename.concat (Filename.get_temp_dir_name ()) "nascentd.sock"
-
-let default_queue_depth () =
-  match Sys.getenv_opt "NASCENT_QUEUE_DEPTH" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n > 0 -> n
-      | _ -> 64)
-  | None -> 64
 
 let socket_arg =
   Arg.(
@@ -83,73 +79,14 @@ let idle_arg =
            transports; counted as \"idle_closed\". Unset disables the \
            reaper.")
 
-let io_deadline_arg =
-  Arg.(
-    value
-    & opt float 10.0
-    & info [ "io-deadline-s" ] ~docv:"S"
-        ~doc:
-          "Slow-loris bound: a frame left incomplete for $(docv) seconds \
-           closes its connection (counted \"io_timeouts\"); also the \
-           kernel send-timeout for response writes. $(docv) <= 0 disables \
-           both.")
-
 let jobs_arg =
   Arg.(
     value
     & opt (some int) None
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains serving compile requests. Defaults to \
-           $(b,NASCENT_JOBS) or 2.")
-
-let queue_arg =
-  Arg.(
-    value
-    & opt int (default_queue_depth ())
-    & info [ "queue-depth" ] ~docv:"N"
-        ~doc:
-          "Admission bound: requests beyond $(docv) queued are shed with a \
-           retryable \"overloaded\" error instead of piling up. Defaults to \
-           $(b,NASCENT_QUEUE_DEPTH) or 64.")
-
-let deadline_arg =
-  Arg.(
-    value
-    & opt int 30_000
-    & info [ "deadline-ms" ] ~docv:"MS"
-        ~doc:
-          "Default per-request wall-clock budget, measured from admission \
-           (queue wait counts); a request exceeding it is answered with a \
-           structured \"deadline\" error and its worker freed. Requests may \
-           override with their own \"deadline_ms\" field. $(docv) <= 0 \
-           disables the default.")
-
-let fuel_arg =
-  Arg.(
-    value
-    & opt int 50_000_000
-    & info [ "request-fuel" ] ~docv:"N"
-        ~doc:
-          "Per-request optimizer fuel budget (deterministic backstop under \
-           the wall-clock deadline). $(docv) <= 0 disables it.")
-
-let threshold_arg =
-  Arg.(
-    value
-    & opt int 3
-    & info [ "breaker-threshold" ] ~docv:"K"
-        ~doc:
-          "Trip a scheme's circuit breaker after $(docv) consecutive \
-           incident-bearing compiles; tripped schemes are served at the \
-           always-safe NI floor until a cooldown probe succeeds.")
-
-let cooldown_arg =
-  Arg.(
-    value
-    & opt int 2_000
-    & info [ "breaker-cooldown-ms" ] ~docv:"MS"
-        ~doc:"Cooldown before a tripped breaker lets one probe through.")
+          "Worker domains serving requests. Defaults to 2, or to 8 with \
+           $(b,--router).")
 
 let mem_arg =
   Arg.(
@@ -161,8 +98,7 @@ let mem_arg =
            admissions are shed as retryable \"overloaded\", past 100% the \
            request that crossed it is aborted with a recorded \
            \"mem-pressure\" incident instead of letting the OS OOM-kill the \
-           daemon. Defaults to $(b,NASCENT_MEM_BUDGET) (MB); $(docv) <= 0 \
-           or unset disables the watchdog.")
+           daemon. $(docv) <= 0 or unset disables the watchdog.")
 
 let supervise_arg =
   Arg.(
@@ -194,9 +130,7 @@ let router_arg =
            the fields that determine the memo cache key, shards are \
            health-checked (status probes; consecutive failures eject a \
            shard until a probe succeeds again) and idempotent requests \
-           fail over to the next shard on the ring. Reuses \
-           $(b,--breaker-threshold) / $(b,--breaker-cooldown-ms) for the \
-           health breaker.")
+           fail over to the next shard on the ring.")
 
 let shard_arg =
   Arg.(
@@ -219,13 +153,6 @@ let shard_name_arg =
           "This daemon's identity behind a shard router, echoed as the \
            \"shard\" status field (purely observational: one status sweep \
            tells which shard answered).")
-
-let probe_interval_arg =
-  Arg.(
-    value
-    & opt float 0.5
-    & info [ "probe-interval-s" ] ~docv:"S"
-        ~doc:"Router health-probe cadence per shard.")
 
 (* "PORT" or "HOST:PORT" for the TCP listener. *)
 let parse_tcp_listen s =
@@ -253,7 +180,8 @@ let parse_shard s =
 (* One serving process, either role: the Server front (admission
    control, both transports, drain, inline status) with [handler]
    behind it. [start] runs before the listeners bind and [stop] after
-   the drain; [ready] runs once every listener is bound. *)
+   the drain; [ready] runs once every listener is bound, and so does
+   the banner: a daemon that cannot bind never says it is listening. *)
 let serve ~name ~ready ~start ~stop ~banner cfg handler =
   let server = Server.create cfg handler in
   (* Graceful drain on either termination signal: stop is
@@ -264,50 +192,34 @@ let serve ~name ~ready ~start ~stop ~banner cfg handler =
   Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
   (* A client vanishing mid-response must not kill the daemon. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  Fmt.epr "%s: listening on %s%s (jobs=%d queue=%d deadline=%s restarts=%d %s)@."
-    name cfg.Server.socket_path
-    (match cfg.Server.tcp with
-    | None -> ""
-    | Some (h, p) -> Fmt.str " + tcp %s:%d" (if h = "" then "*" else h) p)
-    cfg.Server.jobs cfg.Server.queue_depth
-    (match cfg.Server.default_deadline_s with
-    | None -> "none"
-    | Some s -> Fmt.str "%gs" s)
-    cfg.Server.restarts banner;
+  let on_ready () =
+    Fmt.epr "%s: listening on %s%s (jobs=%d queue=%d deadline=%s restarts=%d %s)@."
+      name cfg.Server.socket_path
+      (match (cfg.Server.tcp, Server.tcp_port server) with
+      | Some (h, _), Some p -> Fmt.str " + tcp %s:%d" (if h = "" then "*" else h) p
+      | _ -> "")
+      cfg.Server.jobs cfg.Server.queue_depth
+      (match cfg.Server.default_deadline_s with
+      | None -> "none"
+      | Some s -> Fmt.str "%gs" s)
+      cfg.Server.restarts banner;
+    ready ()
+  in
   start ();
-  Server.run ~on_ready:ready server;
+  Server.run ~on_ready server;
   stop ();
   Fmt.epr "%s: drained, exiting@." name;
   0
 
 (* The compile role: arm the watchdog and serve the compile service. *)
-let serve_compile ~config ~ready jobs request_fuel threshold cooldown_s
-    mem_budget_mb shard_name =
-  let jobs =
-    match jobs with
-    | Some n -> max 1 n
-    | None -> (
-        match Sys.getenv_opt "NASCENT_JOBS" with
-        | Some s -> ( match int_of_string_opt (String.trim s) with
-                      | Some n when n > 0 -> n
-                      | _ -> 2)
-        | None -> 2)
-  in
+let serve_compile ~ready cfg mem_budget_mb shard_name =
   let mem_bytes =
     match mem_budget_mb with
     | Some mb when mb > 0 -> Some (mb * 1024 * 1024)
-    | Some _ -> None
-    | None -> Guard.mem_budget_from_env ()
+    | _ -> None
   in
   Guard.set_mem_budget ~bytes:mem_bytes ();
-  let cfg =
-    config ~jobs
-      ~request_fuel:(if request_fuel <= 0 then None else Some request_fuel)
-  in
-  let service =
-    Service.create ~breaker_threshold:(max 1 threshold)
-      ~breaker_cooldown_s:cooldown_s ?shard_name ()
-  in
+  let service = Service.create ?shard_name () in
   serve ~name:"nascentd" ~ready ~start:ignore ~stop:ignore
     ~banner:
       (Fmt.str "fuel=%s mem=%s"
@@ -323,25 +235,22 @@ let serve_compile ~config ~ready jobs request_fuel threshold cooldown_s
    compile service. No fuel — forwarding burns no optimizer fuel — and
    workers block on shard I/O, so the router defaults to more of them
    than a compile daemon would want. *)
-let serve_router ~config ~ready jobs threshold cooldown_s shard_specs
-    probe_interval_s =
+let router_jobs = 8
+
+let serve_router ~ready cfg shard_specs =
   match shard_specs with
   | [] ->
       Fmt.epr "nascentd: --router needs at least one --shard@.";
       1
   | specs ->
       let shards = List.map parse_shard specs in
-      let router =
-        Router.create ~threshold:(max 1 threshold) ~cooldown_s
-          ~probe_interval_s:(max 0.05 probe_interval_s) ~shards ()
-      in
+      let router = Router.create ~shards () in
       serve ~name:"nascentd[router]" ~ready
         ~start:(fun () -> Router.start router)
         ~stop:(fun () -> Router.stop router)
         ~banner:
           ("shards=" ^ String.concat "," (List.map (fun s -> s.Router.name) shards))
-        (config ~jobs:(match jobs with Some n -> max 1 n | None -> 8)
-           ~request_fuel:None)
+        { cfg with Server.request_fuel = None }
         (Router.handler router)
 
 (* The supervisor: fork before any domain or thread exists, wait,
@@ -454,9 +363,8 @@ let refuse_live_socket path =
   Fmt.epr "nascentd: socket %s in use by a live daemon@." path;
   1
 
-let run_daemon socket tcp_str jobs queue_depth deadline_ms request_fuel
-    threshold cooldown_ms trace mem_budget_mb supervise_flag idle_timeout_s
-    io_deadline_s shard_name router_flag shard_specs probe_interval_s =
+let run_daemon socket tcp_str jobs trace mem_budget_mb supervise_flag
+    idle_timeout_s shard_name router_flag shard_specs =
   match Option.map parse_tcp_listen tcp_str with
   | Some (Error e) ->
       Fmt.epr "nascentd: %s@." e;
@@ -469,34 +377,31 @@ let run_daemon socket tcp_str jobs queue_depth deadline_ms request_fuel
         Logs.set_reporter (Logs.format_reporter ());
         Logs.set_level (Some Logs.Info)
       end;
-      let cooldown_s = float_of_int (max 0 cooldown_ms) /. 1000.0 in
       let serve_child ~restarts ~ready =
-        let config ~jobs ~request_fuel =
+        let base = Server.default_config ~socket_path:socket in
+        let config ~default_jobs =
           {
-            Server.socket_path = socket;
-            tcp = Option.map Result.get_ok tcp;
-            jobs;
-            queue_depth = max 1 queue_depth;
-            default_deadline_s =
-              (if deadline_ms <= 0 then None
-               else Some (float_of_int deadline_ms /. 1000.0));
-            request_fuel;
+            base with
+            Server.tcp = Option.map Result.get_ok tcp;
+            jobs = max 1 (Option.value jobs ~default:default_jobs);
             restarts;
             idle_timeout_s;
-            io_deadline_s = (if io_deadline_s <= 0.0 then None else Some io_deadline_s);
-            max_frame_bytes = Frame.default_max_payload;
           }
         in
         try
           if router_flag then
-            serve_router ~config ~ready jobs threshold cooldown_s shard_specs
-              probe_interval_s
+            serve_router ~ready (config ~default_jobs:router_jobs) shard_specs
           else
-            serve_compile ~config ~ready jobs request_fuel threshold cooldown_s
+            serve_compile ~ready (config ~default_jobs:base.Server.jobs)
               mem_budget_mb shard_name
-        with Server.Socket_in_use path ->
-          (* a daemon that bound the path after the check above *)
-          refuse_live_socket path
+        with
+        | Server.Socket_in_use path ->
+            (* a daemon that bound the path after the check above *)
+            refuse_live_socket path
+        | Server.Tcp_in_use (host, port) ->
+            Fmt.epr "nascentd: tcp port %s:%d in use@."
+              (if host = "" then "*" else host) port;
+            1
       in
       if supervise_flag then supervise serve_child
       else serve_child ~restarts:0 ~ready:ignore
@@ -506,9 +411,7 @@ let () =
   let info = Cmd.info "nascentd" ~version:"1.0.0" ~doc in
   let term =
     Term.(
-      const run_daemon $ socket_arg $ tcp_arg $ jobs_arg $ queue_arg
-      $ deadline_arg $ fuel_arg $ threshold_arg $ cooldown_arg $ trace_arg
-      $ mem_arg $ supervise_arg $ idle_arg $ io_deadline_arg
-      $ shard_name_arg $ router_arg $ shard_arg $ probe_interval_arg)
+      const run_daemon $ socket_arg $ tcp_arg $ jobs_arg $ trace_arg $ mem_arg
+      $ supervise_arg $ idle_arg $ shard_name_arg $ router_arg $ shard_arg)
   in
   exit (Cmd.eval' (Cmd.v info term))

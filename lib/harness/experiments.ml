@@ -33,22 +33,11 @@ let pool () = Pool.global ()
 (* Per-cell watchdog: every cell runs under its own Guard fuel budget,
    charged one tick per dataflow/PRE fixpoint sweep, so one divergent
    cell fails (lowest-index exception, per the pool contract) instead
-   of wedging a worker domain for the whole matrix. The default is ~3
-   orders of magnitude above what the suite's hottest cell uses;
-   [NASCENT_CELL_FUEL=0] disables the watchdog, any other positive
-   value overrides it. *)
-let default_cell_fuel = 50_000_000
+   of wedging a worker domain for the whole matrix. The budget is ~3
+   orders of magnitude above what the suite's hottest cell uses. *)
+let cell_fuel = 50_000_000
 
-let cell_fuel () =
-  match Sys.getenv_opt "NASCENT_CELL_FUEL" with
-  | None -> Some default_cell_fuel
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some 0 -> None
-      | Some n when n > 0 -> Some n
-      | _ -> Some default_cell_fuel)
-
-let parallel_map f xs = Pool.parallel_map ?task_fuel:(cell_fuel ()) (pool ()) f xs
+let parallel_map f xs = Pool.parallel_map ~task_fuel:cell_fuel (pool ()) f xs
 
 (* --- Table 1: program characteristics -------------------------------- *)
 

@@ -56,7 +56,8 @@ let check d = if expired d then raise (Deadline_exceeded d.dwhat)
 
 let word_bytes = Sys.word_size / 8
 let mem_budget_bytes = Atomic.make 0
-let mem_shed_permille = Atomic.make 800
+(* [mem_level] reports [`Pressure] past this share of the budget. *)
+let mem_shed_permille = 800
 let mem_over = Atomic.make false
 let mem_alarm_installed = Atomic.make false
 
@@ -66,12 +67,8 @@ let mem_sample_over () =
   let b = Atomic.get mem_budget_bytes in
   b > 0 && mem_heap_bytes () >= b
 
-let set_mem_budget ?(shed_fraction = 0.8) ~bytes () =
-  let permille =
-    int_of_float (1000.0 *. Float.min 1.0 (Float.max 0.0 shed_fraction))
-  in
-  Atomic.set mem_shed_permille permille;
-  (match bytes with
+let set_mem_budget ~bytes () =
+  match bytes with
   | None ->
       Atomic.set mem_budget_bytes 0;
       Atomic.set mem_over false
@@ -80,7 +77,7 @@ let set_mem_budget ?(shed_fraction = 0.8) ~bytes () =
       Atomic.set mem_over (mem_sample_over ());
       if not (Atomic.exchange mem_alarm_installed true) then
         ignore
-          (Gc.create_alarm (fun () -> Atomic.set mem_over (mem_sample_over ()))))
+          (Gc.create_alarm (fun () -> Atomic.set mem_over (mem_sample_over ())))
 
 let mem_budget () =
   match Atomic.get mem_budget_bytes with 0 -> None | b -> Some b
@@ -96,17 +93,9 @@ let mem_level () =
     end
     else begin
       if Atomic.get mem_over then Atomic.set mem_over false;
-      if h * 1000 >= b * Atomic.get mem_shed_permille then `Pressure else `Ok
+      if h * 1000 >= b * mem_shed_permille then `Pressure else `Ok
     end
   end
-
-let mem_budget_from_env () =
-  match Sys.getenv_opt "NASCENT_MEM_BUDGET" with
-  | None -> None
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some mb when mb > 0 -> Some (mb * 1024 * 1024)
-      | _ -> None)
 
 let check_mem () =
   if Atomic.get mem_over then begin

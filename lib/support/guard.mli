@@ -94,29 +94,22 @@ val exhaust_ambient : unit -> 'a
     ticking once the heap is over budget — degrading that one request
     instead of letting the OS OOM-kill the daemon. {!mem_level} is the
     admission-side view: the server sheds new work at [`Pressure]
-    (default 80% of the budget) before any request has to die. *)
+    (80% of the budget) before any request has to die. *)
 
-val set_mem_budget : ?shed_fraction:float -> bytes:int option -> unit -> unit
+val set_mem_budget : bytes:int option -> unit -> unit
 (** Install ([Some bytes]) or remove ([None]) the process-wide
-    major-heap budget. [shed_fraction] (default [0.8], clamped to
-    [0, 1]) sets the fraction of the budget at which {!mem_level}
-    starts reporting [`Pressure]. Idempotent; safe to call again to
-    resize. *)
+    major-heap budget. Idempotent; safe to call again to resize. *)
 
 val mem_budget : unit -> int option
 (** The installed budget in bytes, if any. *)
 
 val mem_level : unit -> [ `Ok | `Pressure | `Over ]
 (** Fresh sample of the major heap against the budget: [`Ok] (or no
-    budget installed), [`Pressure] past [shed_fraction * budget],
-    [`Over] past the budget itself. Never raises. *)
+    budget installed), [`Pressure] past 80% of the budget, [`Over]
+    past the budget itself. Never raises. *)
 
 val mem_heap_bytes : unit -> int
 (** Current major-heap size in bytes ([Gc.quick_stat], cheap). *)
-
-val mem_budget_from_env : unit -> int option
-(** [NASCENT_MEM_BUDGET] (megabytes, positive integer) as a byte
-    budget; [None] when unset or unparseable. *)
 
 (** {2 Atomic writes} *)
 

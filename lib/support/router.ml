@@ -17,7 +17,6 @@ type t = {
   ring : (int * int) array; (* (point, shard index), sorted by point *)
   breaker : Breaker.t;
   probe_interval_s : float;
-  probe_timeout_s : float;
   forward_timeout_s : float;
   clock : Mclock.counter;
   c : counters;
@@ -38,9 +37,12 @@ let hash_point s =
   done;
   !v land max_int
 
-let create ?(replicas = 64) ?(threshold = 3) ?(cooldown_s = 2.0)
-    ?(probe_interval_s = 0.5) ?(probe_timeout_s = 2.0) ?(forward_timeout_s = 35.0)
-    ~shards () =
+(* Ring points per shard, and a health probe's receive budget. *)
+let replicas = 64
+let probe_timeout_s = 2.0
+
+let create ?(threshold = 3) ?(cooldown_s = 2.0) ?(probe_interval_s = 0.5)
+    ?(forward_timeout_s = 35.0) ~shards () =
   if shards = [] then invalid_arg "Router.create: no shards";
   let shards = Array.of_list shards in
   let ring =
@@ -56,7 +58,6 @@ let create ?(replicas = 64) ?(threshold = 3) ?(cooldown_s = 2.0)
     ring;
     breaker = Breaker.create ~threshold ~cooldown_s ();
     probe_interval_s;
-    probe_timeout_s;
     forward_timeout_s;
     clock = Mclock.counter ();
     c =
@@ -265,7 +266,7 @@ let probe_once t =
         Mutex.unlock t.lock;
         let ok =
           match
-            Server.Client.with_addr ~recv_timeout_s:t.probe_timeout_s
+            Server.Client.with_addr ~recv_timeout_s:probe_timeout_s
               shard.address
               (fun conn ->
                 Server.Client.exchange conn (Json.Obj [ ("op", Json.Str "status") ]))

@@ -45,22 +45,20 @@ type shard = { name : string; address : Server.Client.address }
 type t
 
 val create :
-  ?replicas:int ->
   ?threshold:int ->
   ?cooldown_s:float ->
   ?probe_interval_s:float ->
-  ?probe_timeout_s:float ->
   ?forward_timeout_s:float ->
   shards:shard list ->
   unit ->
   t
-(** [replicas] (default 64) is the number of ring points per shard;
-    [threshold]/[cooldown_s] parameterize the health {!Breaker}
-    (defaults 3 / 2.0); [probe_interval_s] (default 0.5) the probe
-    cadence; [probe_timeout_s] (default 2.0) the probe's receive
-    budget; [forward_timeout_s] (default 35.0) the receive budget for
-    a forwarded request carrying no ["deadline_ms"] of its own — one
-    that does gets that deadline plus slack instead.
+(** The ring has 64 points per shard. [threshold]/[cooldown_s]
+    parameterize the health {!Breaker} (defaults 3 / 2.0);
+    [probe_interval_s] (default 0.5) is the probe cadence, and each
+    probe waits at most 2 s for its answer; [forward_timeout_s]
+    (default 35.0) is the receive budget for a forwarded request
+    carrying no ["deadline_ms"] of its own — one that does gets that
+    deadline plus slack instead.
     @raise Invalid_argument on an empty shard list. *)
 
 val shard_key : Json.t -> string

@@ -76,7 +76,6 @@ type config = {
   io_deadline_s : float option;
       (* slow-loris bound: a frame that stays incomplete this long
          closes the connection; also the response-write budget *)
-  max_frame_bytes : int; (* frame payload cap *)
 }
 
 let default_config ~socket_path =
@@ -90,7 +89,6 @@ let default_config ~socket_path =
     restarts = 0;
     idle_timeout_s = None;
     io_deadline_s = Some 10.0;
-    max_frame_bytes = Frame.default_max_payload;
   }
 
 type counters = {
@@ -450,7 +448,7 @@ let enqueue t conn ~frame ~id req =
   end
   else if Guard.mem_level () <> `Ok then begin
     (* Memory watchdog, first line of defence: past the shed fraction
-       of NASCENT_MEM_BUDGET, refuse new work before any in-flight
+       of the memory budget, refuse new work before any in-flight
        request has to be aborted. Same contract as queue overload —
        retryable, so clients back off. *)
     t.c.shed <- t.c.shed + 1;
@@ -489,10 +487,10 @@ let handle_request t conn ~frame body =
 
 (* --- connections ------------------------------------------------------- *)
 
-let hello_ack t =
+let hello_ack =
   match Frame.hello () with
   | Json.Obj fields ->
-      Json.Obj (fields @ [ ("max_frame_bytes", Json.Int t.cfg.max_frame_bytes) ])
+      Json.Obj (fields @ [ ("max_frame_bytes", Json.Int Frame.default_max_payload) ])
   | other -> other
 
 (* One clear line, then close: the answer a client gets when it speaks
@@ -526,7 +524,7 @@ let rec drain_frames t conn =
             match Frame.check_hello j with
             | Ok _ ->
                 conn.greeted <- true;
-                answer t ~frame:f.Frame.id conn (hello_ack t);
+                answer t ~frame:f.Frame.id conn hello_ack;
                 drain_frames t conn
             | Error msg ->
                 proto_reject t conn msg;
@@ -656,6 +654,7 @@ let serve_conn t conn =
 (* --- lifecycle --------------------------------------------------------- *)
 
 exception Socket_in_use of string
+exception Tcp_in_use of string * int
 
 (* Taking over a live daemon's socket file would strand it unreachable,
    and whichever of the two drained first would unlink the other's
@@ -689,7 +688,9 @@ let listen_tcp host port =
      Unix.listen fd 128
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
-     raise e);
+     match e with
+     | Unix.Unix_error (Unix.EADDRINUSE, _, _) -> raise (Tcp_in_use (host, port))
+     | e -> raise e);
   let bound =
     match Unix.getsockname fd with
     | ADDR_INET (_, p) -> p
@@ -744,7 +745,7 @@ let run ?(on_ready = ignore) t =
             pending = 0;
             eof = false;
             closed = false;
-            dec = Frame.decoder ~max_payload:t.cfg.max_frame_bytes ();
+            dec = Frame.decoder ();
             greeted = false;
             last_rx = uptime_s t;
             in_started = None;

@@ -72,12 +72,13 @@ type config = {
       (** slow-loris bound: a frame that stays incomplete this long
           closes its connection; also the kernel send-timeout for
           response writes. [None] disables both. *)
-  max_frame_bytes : int;  (** frame payload cap *)
 }
+(** Frames are capped at {!Frame.default_max_payload}, announced as
+    ["max_frame_bytes"] in the hello-ack. *)
 
 val default_config : socket_path:string -> config
 (** 2 jobs, depth 64, 30s deadline, 50M fuel, no TCP, no
-    idle reaper, 10s I/O deadline, 4 MiB frames. *)
+    idle reaper, 10s I/O deadline. *)
 
 type t
 
@@ -93,6 +94,11 @@ exception Socket_in_use of string
 (** Raised by {!run} when a live daemon already listens on the socket
     path; the payload is the path. *)
 
+exception Tcp_in_use of string * int
+(** Raised by {!run} when the TCP listener's [host, port] is already
+    bound ([EADDRINUSE]). The TCP listener binds first, so nothing
+    else has been bound and no socket file is left behind. *)
+
 val socket_in_use : string -> bool
 (** Whether a daemon answers a connect on this Unix socket path. A
     file nobody answers on (left by a [kill -9]) is stale, not in
@@ -106,16 +112,17 @@ val resolve_host : string -> Unix.inet_addr
 val run : ?on_ready:(unit -> unit) -> t -> unit
 (** Serve until {!stop}. Binds (replacing a stale socket file, but
     raising {!Socket_in_use} before binding anything if a live daemon
-    owns it; the socket appearing is the ready signal, and [on_ready]
-    runs once every listener is bound), accepts in the calling thread,
+    owns it, or {!Tcp_in_use} if the TCP port is taken; the socket
+    appearing is the ready signal, and [on_ready] runs once every
+    listener is bound), accepts in the calling thread,
     and on {!stop} drains — sheds new work, finishes and
     answers {e every} admitted request, joins workers and readers,
     removes the socket file. Nothing survives the process: a request
     admitted by a daemon that dies unanswered is recomputed by the
     client's retry, which is safe because compiles are pure.
 
-    Memory watchdog (see {!Guard.set_mem_budget}): past the shed
-    fraction of the budget new admissions are refused with
+    Memory watchdog (see {!Guard.set_mem_budget}): past 80% of the
+    budget new admissions are refused with
     [{"code": "overloaded", "retryable": true}]; a request whose
     ticking crosses the full budget is aborted with
     [{"code": "mem-pressure", "retryable": true}] instead of letting

@@ -287,7 +287,7 @@ let test_probe_readmits () =
   let shard = shard_of path "s0" in
   let r =
     Router.create ~threshold:1 ~cooldown_s:0.05 ~probe_interval_s:0.05
-      ~probe_timeout_s:1.0 ~shards:[ shard ] ()
+      ~shards:[ shard ] ()
   in
   Router.start r;
   Fun.protect

@@ -837,6 +837,24 @@ let test_stale_socket_replaced () =
   let st = Client.with_conn path (fun conn -> request_exn conn status_req) in
   Alcotest.(check string) "replacement answers" "ok" (sfield st "status")
 
+(* --- fixed bounds ------------------------------------------------------------ *)
+
+(* The serving bounds are constants; pin the two a client can read: the
+   admission bound in status and the frame cap in the hello-ack. *)
+let test_default_bounds_visible () =
+  with_service @@ fun path _ ->
+  let st = Client.with_conn path (fun conn -> request_exn conn status_req) in
+  Alcotest.(check int) "queue capacity" 64 (ifield st "queue_capacity");
+  let fd = raw_connect (Unix.ADDR_UNIX path) in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  send_raw fd (Frame.encode ~id:0 (Json.to_string (Frame.hello ())));
+  match read_one_frame fd (Frame.decoder ()) with
+  | Ok (Some f) ->
+      Alcotest.(check int) "hello-ack frame cap" Frame.default_max_payload
+        (ifield (parse_exn f.Frame.payload) "max_frame_bytes")
+  | Ok None -> Alcotest.fail "EOF during handshake"
+  | Error e -> Alcotest.failf "handshake decode error: %a" Frame.pp_error e
+
 let suite =
   [
     Util.tc "compile request round-trips" test_compile_ok;
@@ -857,4 +875,5 @@ let suite =
     Util.tc "live socket refused" test_live_socket_refused;
     Util.tc "100 concurrent faulted requests" test_hundred_concurrent_faulted_requests;
     Util.tc "stale socket replaced" test_stale_socket_replaced;
+    Util.tc "default bounds visible to clients" test_default_bounds_visible;
   ]

@@ -448,14 +448,14 @@ let test_mem_watchdog_over () =
 
 let test_mem_watchdog_pressure_without_abort () =
   Fun.protect ~finally:reset_mem_budget @@ fun () ->
-  (* budget far above the live heap, shed threshold far below it:
-     admission-side pressure, but no request abort *)
+  (* budget just above the live heap, which is then past the fixed 80%
+     shed threshold: admission-side pressure, but no request abort *)
   let heap = Guard.mem_heap_bytes () in
-  Guard.set_mem_budget ~shed_fraction:0.1 ~bytes:(Some (heap * 4)) ();
+  Guard.set_mem_budget ~bytes:(Some (heap + (heap / 8))) ();
   (match Guard.mem_level () with
   | `Pressure -> ()
-  | `Over -> Alcotest.fail "heap is well under 4x its own size"
-  | `Ok -> Alcotest.fail "shed threshold at 10% must report `Pressure");
+  | `Over -> Alcotest.fail "heap is under its own size plus an eighth"
+  | `Ok -> Alcotest.fail "heap at 8/9 of the budget must report `Pressure");
   (* ticking does not raise: the heap is under the hard budget *)
   Guard.tick_ambient ()
 

@@ -443,6 +443,45 @@ let test_chaos_classes_recover () =
             [ 0; 1 ])
         Netfault.all_classes)
 
+(* --- a busy TCP port ----------------------------------------------------- *)
+
+(* A second server on a TCP port that is already bound is refused with
+   Tcp_in_use before anything is bound: on_ready never runs and no
+   socket file appears. *)
+let test_busy_tcp_port_refused () =
+  with_tcp ok_handler (fun _ _ port ->
+      let path = Test_server.fresh_socket () in
+      let dup =
+        Server.create
+          {
+            (Server.default_config ~socket_path:path) with
+            Server.tcp = Some ("127.0.0.1", port);
+          }
+          ok_handler
+      in
+      let ready = Atomic.make false in
+      let refused = Atomic.make None in
+      let runner =
+        Thread.create
+          (fun () ->
+            try Server.run ~on_ready:(fun () -> Atomic.set ready true) dup
+            with Server.Tcp_in_use (host, p) -> Atomic.set refused (Some (host, p)))
+          ()
+      in
+      let rec await n =
+        if Atomic.get refused = None && n > 0 then (Unix.sleepf 0.01; await (n - 1))
+      in
+      await 500;
+      (* a server that was not refused is serving: stop it before failing *)
+      Server.stop dup;
+      Thread.join runner;
+      let socket_left = Sys.file_exists path in
+      (try Sys.remove path with Sys_error _ -> ());
+      Alcotest.(check (option (pair string int)))
+        "refused, naming the port" (Some ("127.0.0.1", port)) (Atomic.get refused);
+      Alcotest.(check bool) "on_ready never ran" false (Atomic.get ready);
+      Alcotest.(check bool) "no socket file" false socket_left)
+
 let suite =
   [
     Alcotest.test_case "TCP hello and request" `Quick test_tcp_hello_and_request;
@@ -465,4 +504,5 @@ let suite =
       test_dribbled_frame_response;
     Alcotest.test_case "chaos classes recover through proxy" `Slow
       test_chaos_classes_recover;
+    Alcotest.test_case "busy tcp port refused" `Quick test_busy_tcp_port_refused;
   ]

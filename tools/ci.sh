@@ -76,6 +76,34 @@ trap - EXIT INT TERM
 rm -f "$SOCK" "$LOG"
 echo "service smoke OK: compile, oracle certificate, status, fault->4, deadline->6, SIGTERM drain->0"
 
+# --- fixed serving bounds ---------------------------------------------
+# Queue depth, deadline, fuel, breaker, I/O deadline and probe cadence
+# are constants, and the client's jitter seed, prewarm and response
+# file are gone: each old flag is an unknown option (cmdliner's usage
+# error), and a daemon that refuses one binds nothing.
+
+XSOCK="${TMPDIR:-/tmp}/nascent-flags-$$.sock"
+for flag in --queue-depth --deadline-ms --request-fuel --breaker-threshold \
+    --breaker-cooldown-ms --io-deadline-s --probe-interval-s; do
+    rc=0
+    OUT=$(timeout 5 ./_build/default/bin/nascentd.exe "$flag" 4 --socket "$XSOCK" 2>&1) \
+        || rc=$?
+    if ! echo "$OUT" | grep -q "unknown option '$flag'" || [ -e "$XSOCK" ]; then
+        rm -f "$XSOCK"
+        echo "FAIL: nascentd $flag 4 was not refused as an unknown option (exit $rc): $OUT" >&2
+        exit 1
+    fi
+done
+for flag in --seed=1 --stats-json=/dev/null --prewarm; do
+    rc=0
+    OUT=$(timeout 5 ./_build/default/bin/nascentc.exe client "$flag" --status \
+        --connect "$XSOCK" 2>&1) || rc=$?
+    echo "$OUT" | grep -q "unknown option '${flag%%=*}'" \
+        || { echo "FAIL: nascentc client $flag was not refused as an unknown option (exit $rc): $OUT" >&2
+             exit 1; }
+done
+echo "fixed-bounds smoke OK: 7 removed nascentd flags and 3 removed client flags are unknown options"
+
 # --- chaos smoke: supervision + restart differential -----------------
 # A supervised child that never binds ends supervision instead of
 # looping. Then boot a supervised daemon; prove a second daemon on the same socket is
@@ -246,8 +274,7 @@ for s in "$S0" "$S1" "$S2"; do
 done
 
 ./_build/default/bin/nascentd.exe --socket "$RSOCK" --tcp 127.0.0.1:0 -j 2 \
-    --router --shard s0="$S0" --shard s1="$S1" --shard s2="$S2" \
-    --probe-interval-s 0.2 >"$RLOG" 2>&1 &
+    --router --shard s0="$S0" --shard s1="$S1" --shard s2="$S2" >"$RLOG" 2>&1 &
 ROUTER=$!
 i=0
 while [ ! -S "$RSOCK" ]; do
@@ -262,6 +289,19 @@ rstatus() {
 
 RPORT=$(rstatus | grep -o '"tcp_port":[0-9]*' | cut -d: -f2)
 case "$RPORT" in *[!0-9]*|"") sfail "router status reported no tcp_port" ;; esac
+
+# a second daemon on the router's busy TCP port is refused cleanly: exit
+# 1, no "listening" banner, no socket file left behind
+BUSY="$SBASE-busy.sock"
+rc=0
+timeout 5 ./_build/default/bin/nascentd.exe --socket "$BUSY" \
+    --tcp "127.0.0.1:$RPORT" >"$SBASE-busy.log" 2>&1 || rc=$?
+[ "$rc" -eq 1 ] || sfail "daemon on a busy tcp port exited $rc, want 1"
+! grep -q "listening" "$SBASE-busy.log" \
+    || sfail "daemon on a busy tcp port claimed to listen: $(cat "$SBASE-busy.log")"
+grep -q "tcp port 127.0.0.1:$RPORT in use" "$SBASE-busy.log" \
+    || sfail "busy tcp port not reported: $(cat "$SBASE-busy.log")"
+[ ! -e "$BUSY" ] || sfail "daemon on a busy tcp port left $BUSY behind"
 
 # the chaos proxy tears one framed connection in three
 CPORT=$((20000 + $$ % 20000))
@@ -377,7 +417,7 @@ echo "shard smoke OK: chaos proxy batch->0 errors, kill -9 shard mid-burst ridde
 
 LTMP=$(mktemp -d "${TMPDIR:-/tmp}/nascent-load-XXXXXX")
 trap 'rm -rf "$LTMP"' EXIT INT TERM
-( cd "$LTMP" && NASCENT_LOAD_QUICK=1 timeout 300 \
+( cd "$LTMP" && TMPDIR="$LTMP" NASCENT_LOAD_QUICK=1 timeout 300 \
       "$ROOT/_build/default/bench/main.exe" load >load.log 2>&1 ) \
     || { sed 's/^/  bench load: /' "$LTMP/load.log" >&2
          echo "FAIL: quick bench load exited nonzero" >&2; exit 1; }
@@ -385,6 +425,10 @@ for key in '"one_shard"' '"three_shards"' '"chaos"' '"max_sustained_rps"'; do
     grep -q "$key" "$LTMP/BENCH_load.json" \
         || { echo "FAIL: BENCH_load.json lacks $key" >&2; exit 1; }
 done
+# every daemon socket is gone, the kill -9'd shard's included
+for f in "$LTMP"/nload-*.sock; do
+    [ ! -e "$f" ] || { echo "FAIL: bench load left $f behind" >&2; exit 1; }
+done
 trap - EXIT INT TERM
 rm -rf "$LTMP"
-echo "load smoke OK: quick ladder + zero-error chaos rung, BENCH_load.json well-formed"
+echo "load smoke OK: quick ladder + zero-error chaos rung, BENCH_load.json well-formed, no daemon socket left"
