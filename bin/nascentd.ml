@@ -5,7 +5,8 @@
    requests in NF1 frames (see Nascent_support.Frame for the wire
    format, Nascent_support.Server for the envelope and
    Nascent_harness.Service for the operations), fanning compiles over
-   worker domains behind a bounded admission queue, per-request
+   worker domains (a --router forwards on worker threads instead)
+   behind a bounded admission queue, per-request
    wall-clock deadlines, a per-scheme circuit breaker and a
    content-addressed result cache. Their bounds are constants, each
    set in one place and not on the command line: queue depth,
@@ -25,7 +26,10 @@
    (shed admissions under pressure, abort the offending request over
    budget). A second daemon pointed at the
    socket of a live one, or at a TCP port already bound, refuses to
-   start with a clear error (exit 1) instead of taking it over.
+   start with a clear error (exit 1) instead of taking it over; so
+   does one whose listener cannot be set up at all (an address not on
+   this host, a privileged port, an unresolvable host, an unbindable
+   socket path).
 
    SIGTERM / SIGINT request a graceful drain: the listener closes, new
    requests are shed with a retryable "shutting-down" error, every
@@ -85,8 +89,11 @@ let jobs_arg =
     & opt (some int) None
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains serving requests. Defaults to 2, or to 8 with \
-           $(b,--router).")
+          "Workers serving requests. A compile daemon runs one domain \
+           per worker (default 2); with $(b,--router) the workers are \
+           threads of one domain (default 8), since they only wait on \
+           shard sockets and each extra domain would add a minor heap \
+           to every stop-the-world collection.")
 
 let mem_arg =
   Arg.(
@@ -193,12 +200,16 @@ let serve ~name ~ready ~start ~stop ~banner cfg handler =
   (* A client vanishing mid-response must not kill the daemon. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let on_ready () =
-    Fmt.epr "%s: listening on %s%s (jobs=%d queue=%d deadline=%s restarts=%d %s)@."
+    Fmt.epr "%s: listening on %s%s (jobs=%d %s queue=%d deadline=%s restarts=%d %s)@."
       name cfg.Server.socket_path
       (match (cfg.Server.tcp, Server.tcp_port server) with
       | Some (h, _), Some p -> Fmt.str " + tcp %s:%d" (if h = "" then "*" else h) p
       | _ -> "")
-      cfg.Server.jobs cfg.Server.queue_depth
+      cfg.Server.jobs
+      (match handler.Server.workers with
+      | Server.Domains -> "domains"
+      | Server.Threads -> "threads")
+      cfg.Server.queue_depth
       (match cfg.Server.default_deadline_s with
       | None -> "none"
       | Some s -> Fmt.str "%gs" s)
@@ -233,8 +244,8 @@ let serve_compile ~ready cfg mem_budget_mb shard_name =
 
 (* The router role: the Router's forwarding handler instead of the
    compile service. No fuel — forwarding burns no optimizer fuel — and
-   workers block on shard I/O, so the router defaults to more of them
-   than a compile daemon would want. *)
+   its workers are threads that block on shard I/O, so the router
+   defaults to more of them than a compile daemon has domains. *)
 let router_jobs = 8
 
 let serve_router ~ready cfg shard_specs =
@@ -401,6 +412,9 @@ let run_daemon socket tcp_str jobs trace mem_budget_mb supervise_flag
         | Server.Tcp_in_use (host, port) ->
             Fmt.epr "nascentd: tcp port %s:%d in use@."
               (if host = "" then "*" else host) port;
+            1
+        | Server.Listen_failed reason ->
+            Fmt.epr "nascentd: %s@." reason;
             1
       in
       if supervise_flag then supervise serve_child

@@ -394,4 +394,4 @@ let status_extra t () =
   ]
 
 let handler t : Server.handler =
-  { Server.handle = handle t; status_extra = status_extra t }
+  { Server.handle = handle t; status_extra = status_extra t; workers = Server.Domains }

@@ -38,10 +38,11 @@ let put_u32 b off v =
   Bytes.set b (off + 2) (Char.chr ((v lsr 8) land 0xff));
   Bytes.set b (off + 3) (Char.chr (v land 0xff))
 
-let encode ~id payload =
+(* Fill in the header of a frame whose payload already sits at
+   [header_bytes] in [b]. *)
+let seal ~id b =
   if id < 0 then invalid_arg "Frame.encode: negative id";
-  let len = String.length payload in
-  let b = Bytes.create (header_bytes + len) in
+  let len = Bytes.length b - header_bytes in
   Bytes.blit_string magic 0 b 0 3;
   Bytes.set b 3 (Char.chr version);
   (* id: 8 bytes big-endian; OCaml ints are 63-bit so the top byte of a
@@ -50,9 +51,19 @@ let encode ~id payload =
     Bytes.set b (4 + i) (Char.chr ((id lsr (8 * (7 - i))) land 0xff))
   done;
   put_u32 b 12 len;
-  put_u32 b 16 (crc32 payload);
-  Bytes.blit_string payload 0 b header_bytes len;
+  put_u32 b 16 (crc32_sub (Bytes.unsafe_to_string b) header_bytes len);
   Bytes.unsafe_to_string b
+
+let encode ~id payload =
+  let len = String.length payload in
+  let b = Bytes.create (header_bytes + len) in
+  Bytes.blit_string payload 0 b header_bytes len;
+  seal ~id b
+
+let encode_json ~id j =
+  let b = Bytes.create (header_bytes + Json.length j) in
+  Json.blit j b header_bytes;
+  seal ~id b
 
 (* --- decode --------------------------------------------------------- *)
 
@@ -74,33 +85,60 @@ let pp_error ppf = function
   | Crc_mismatch -> Format.fprintf ppf "payload CRC mismatch"
   | Bad_id -> Format.fprintf ppf "request id does not fit"
 
+(* The unconsumed bytes are [buf.[start .. stop - 1]]. A frame is read
+   where it lies: its header in place and its payload with one copy,
+   and consuming it only moves [start]. The bytes left over slide to
+   the front only when a feed would not fit behind them. *)
 type decoder = {
   max_payload : int;
-  buf : Buffer.t;  (* bytes not yet consumed into a frame *)
+  mutable buf : Bytes.t;
+  mutable start : int;
+  mutable stop : int;
   mutable poisoned : error option;
 }
 
 let decoder ?(max_payload = default_max_payload) () =
-  { max_payload; buf = Buffer.create 256; poisoned = None }
+  { max_payload; buf = Bytes.create 256; start = 0; stop = 0; poisoned = None }
 
-let feed d s ~off ~len =
-  if d.poisoned = None then Buffer.add_substring d.buf s off len
+(* Room for [len] more bytes after [stop]. *)
+let reserve d len =
+  if d.stop + len > Bytes.length d.buf then begin
+    let have = d.stop - d.start in
+    let buf =
+      if have + len <= Bytes.length d.buf then d.buf
+      else Bytes.create (max (have + len) (2 * Bytes.length d.buf))
+    in
+    Bytes.blit d.buf d.start buf 0 have;
+    d.buf <- buf;
+    d.start <- 0;
+    d.stop <- have
+  end
 
 let feed_bytes d b ~off ~len =
-  if d.poisoned = None then Buffer.add_subbytes d.buf b off len
+  if Option.is_none d.poisoned then begin
+    reserve d len;
+    Bytes.blit b off d.buf d.stop len;
+    d.stop <- d.stop + len
+  end
 
-let buffered d = Buffer.length d.buf
-let mid_frame d = d.poisoned = None && Buffer.length d.buf > 0
+let feed d s ~off ~len = feed_bytes d (Bytes.unsafe_of_string s) ~off ~len
 
-let get_u32 s off =
-  (Char.code s.[off] lsl 24)
-  lor (Char.code s.[off + 1] lsl 16)
-  lor (Char.code s.[off + 2] lsl 8)
-  lor Char.code s.[off + 3]
+let buffered d = d.stop - d.start
+let mid_frame d = Option.is_none d.poisoned && d.stop > d.start
+
+(* Byte [i] of the unconsumed input, and the big-endian u32 there. *)
+let byte d i = Bytes.get d.buf (d.start + i)
+
+let u32_at d i =
+  (Char.code (byte d i) lsl 24)
+  lor (Char.code (byte d (i + 1)) lsl 16)
+  lor (Char.code (byte d (i + 2)) lsl 8)
+  lor Char.code (byte d (i + 3))
 
 let poison d e =
   d.poisoned <- Some e;
-  Buffer.clear d.buf;
+  d.start <- 0;
+  d.stop <- 0;
   Error e
 
 (* Validate as much of the header as is buffered, so a garbage prefix or
@@ -109,33 +147,34 @@ let poison d e =
 let next d =
   match d.poisoned with
   | Some e -> Error e
-  | None -> (
-      let have = Buffer.length d.buf in
+  | None ->
+      let have = d.stop - d.start in
       let chk = min have 3 in
-      let rec magic_ok i =
-        i >= chk || (Buffer.nth d.buf i = magic.[i] && magic_ok (i + 1))
-      in
+      let rec magic_ok i = i >= chk || (byte d i = magic.[i] && magic_ok (i + 1)) in
       if not (magic_ok 0) then poison d Bad_magic
-      else if have >= 4 && Buffer.nth d.buf 3 <> Char.chr version then
-        poison d (Bad_version (Char.code (Buffer.nth d.buf 3)))
+      else if have >= 4 && byte d 3 <> Char.chr version then
+        poison d (Bad_version (Char.code (byte d 3)))
       else if have < header_bytes then Ok None
       else
-        let hdr = Buffer.sub d.buf 0 header_bytes in
-        let len = get_u32 hdr 12 in
+        let len = u32_at d 12 in
         if len > d.max_payload then poison d (Oversized len)
-        else if Char.code hdr.[4] land 0xc0 <> 0 then poison d Bad_id
+        else if Char.code (byte d 4) land 0xc0 <> 0 then poison d Bad_id
         else if have < header_bytes + len then Ok None
-        else
+        else begin
           let id = ref 0 in
           for i = 0 to 7 do
-            id := (!id lsl 8) lor Char.code hdr.[4 + i]
+            id := (!id lsl 8) lor Char.code (byte d (4 + i))
           done;
-          let payload = Buffer.sub d.buf header_bytes len in
-          let rest = Buffer.sub d.buf (header_bytes + len) (have - header_bytes - len) in
-          Buffer.clear d.buf;
-          Buffer.add_string d.buf rest;
-          if crc32 payload <> get_u32 hdr 16 then poison d Crc_mismatch
-          else Ok (Some { id = !id; payload }))
+          let crc = u32_at d 16 in
+          let payload = Bytes.sub_string d.buf (d.start + header_bytes) len in
+          d.start <- d.start + header_bytes + len;
+          if d.start = d.stop then begin
+            d.start <- 0;
+            d.stop <- 0
+          end;
+          if crc32 payload <> crc then poison d Crc_mismatch
+          else Ok (Some { id = !id; payload })
+        end
 
 (* --- blocking helpers with injectable I/O --------------------------- *)
 

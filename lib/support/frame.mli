@@ -40,6 +40,11 @@ val encode : id:int -> string -> string
 (** One encoded frame. [id] must be non-negative.
     @raise Invalid_argument on a negative id. *)
 
+val encode_json : id:int -> Json.t -> string
+(** [encode ~id (Json.to_string j)], with the JSON printed straight
+    into the frame: one allocation, sized up front.
+    @raise Invalid_argument on a negative id. *)
+
 type frame = { id : int; payload : string }
 
 type error =

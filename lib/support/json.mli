@@ -22,7 +22,17 @@ val parse : string -> (t, string) result
     levels all return [Error] with a byte offset. *)
 
 val to_string : t -> string
-(** Compact single-line rendering (the wire format). *)
+(** Compact single-line rendering (the wire format), printed into a
+    string of exactly its length. *)
+
+val length : t -> int
+(** [String.length (to_string v)], measured without printing. *)
+
+val blit : t -> bytes -> int -> unit
+(** [blit v b off] writes [to_string v] into [b] from [off]; [b] must
+    hold [length v] bytes there. Lets a caller print a value straight
+    into a larger buffer (a frame after its header) with no
+    intermediate string. *)
 
 (** {2 Accessors} — all total, [None] on shape mismatch. *)
 

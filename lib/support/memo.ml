@@ -13,7 +13,11 @@ type 'v t = {
   mutable misses : int;
 }
 
-let key parts = Digest.to_hex (Digest.string (String.concat "\x00" parts))
+(* The digest of the parts' digests: each part (a whole source, say) is
+   hashed where it lies instead of being copied into one concatenation,
+   and fixed-width digests keep the list boundaries unambiguous. *)
+let key parts =
+  Digest.to_hex (Digest.string (String.concat "" (List.map Digest.string parts)))
 
 let create () = { table = Hashtbl.create 64; lock = Mutex.create (); hits = 0; misses = 0 }
 

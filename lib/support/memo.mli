@@ -20,8 +20,9 @@ type counters = {
 }
 
 val key : string list -> string
-(** Digest a list of key components (order-sensitive, injective for
-    component lists free of ['\000']). *)
+(** Digest a list of key components (order-sensitive; as injective as
+    MD5 is collision-free, whatever bytes the components hold). No
+    component is copied. *)
 
 val create : unit -> 'v t
 (** An empty memo. *)

@@ -352,4 +352,10 @@ let status_extra t () =
         ] );
   ]
 
-let handler t = { Server.handle = (fun req -> forward t req); status_extra = status_extra t }
+(* Forwarding only waits on shard sockets: its workers are threads. *)
+let handler t =
+  {
+    Server.handle = (fun req -> forward t req);
+    status_extra = status_extra t;
+    workers = Server.Threads;
+  }

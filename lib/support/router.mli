@@ -72,9 +72,11 @@ val route : t -> string -> shard list
     (closest ring point first). Deterministic; ignores health. *)
 
 val handler : t -> Server.handler
-(** The forwarding handler (plug into {!Server.create}). Its
-    [status_extra] reports the ring, per-shard health and the forward,
-    failover, probe and [connects] counters under ["router"]. *)
+(** The forwarding handler (plug into {!Server.create}). It asks for
+    {!Server.Threads} workers: a forward only waits on a shard socket.
+    Its [status_extra] reports the ring, per-shard health and the
+    forward, failover, probe and [connects] counters under
+    ["router"]. *)
 
 val start : t -> unit
 (** Spawn the probe thread. Idempotent. *)

@@ -6,7 +6,8 @@
 
    Layering: this module owns everything about *serving* — the sockets,
    connection reader threads, the bounded request queue (admission
-   control), worker domains with crash supervision, per-request
+   control), workers (domains or threads, as the handler asks) with
+   crash supervision, per-request
    wall-clock deadlines layered on Guard fuel, drain-on-stop, and the
    status counters. What a request *means* is the handler's business
    (the compile handler lives in Nascent_harness.Service); the server
@@ -54,18 +55,26 @@
      responses, then joins workers and readers — zero in-flight loss,
      exit 0. *)
 
+(* OCaml 5 collects every domain's minor heap together, stopping the
+   world, so each domain costs every request a share of every
+   collection even while it idles. A handler that computes gets a
+   domain per job; one that only waits on sockets gets threads of the
+   serving domain, which block in I/O without a heap of their own. *)
+type workers = Domains | Threads
+
 type handler = {
   handle : Json.t -> Json.t;
       (* request object -> response object; the server adds "id" *)
   status_extra : unit -> (string * Json.t) list;
       (* appended to "op":"status" responses *)
+  workers : workers;
 }
 
 type config = {
   socket_path : string;
   tcp : (string * int) option;
       (* additional TCP listener (host, port; port 0 = ephemeral) *)
-  jobs : int; (* worker domains *)
+  jobs : int; (* workers, of the handler's kind *)
   queue_depth : int; (* admission bound on queued requests *)
   default_deadline_s : float option; (* per-request wall budget *)
   request_fuel : int option; (* per-request Guard fuel budget *)
@@ -250,7 +259,7 @@ let answer t ?frame conn (json : Json.t) =
   (if conn.alive then
      let s =
        match frame with
-       | Some fid -> Frame.encode ~id:fid (Json.to_string json)
+       | Some fid -> Frame.encode_json ~id:fid json
        | None -> Json.to_string json ^ "\n"
      in
      try Frame.write_all ~write:(Unix.single_write conn.fd) s with
@@ -287,6 +296,8 @@ let status_response t ~id =
        ("status", Json.Str "ok");
        ("uptime_s", Json.Float (uptime_s t));
        ("jobs", Json.Int t.cfg.jobs);
+       ( "workers",
+         Json.Str (match t.handler.workers with Domains -> "domains" | Threads -> "threads") );
        ("queue_depth", Json.Int depth);
        ("queue_capacity", Json.Int t.cfg.queue_depth);
        ("inflight", Json.Int inflight);
@@ -335,16 +346,25 @@ let process t job =
         error_response ~id ~code:"deadline" "deadline exceeded while queued"
     | deadline -> (
         let body () = t.handler.handle job.jreq in
+        (* Guard's ambient budgets are domain-local: threads sharing a
+           domain would push onto and pop off one another's stacks. So
+           only domain workers install them. A thread worker's request
+           is bounded by its handler (the router's forward timeout
+           follows the request's deadline) and by the queued-expiry
+           check above. *)
         let body =
-          match t.cfg.request_fuel with
-          | Some budget ->
-              fun () -> Guard.with_fuel (Guard.fuel ~what:"request" ~budget) body
-          | None -> body
-        in
-        let body =
-          match deadline with
-          | Some d -> fun () -> Guard.with_deadline d body
-          | None -> body
+          match t.handler.workers with
+          | Threads -> body
+          | Domains -> (
+              let body =
+                match t.cfg.request_fuel with
+                | Some budget ->
+                    fun () -> Guard.with_fuel (Guard.fuel ~what:"request" ~budget) body
+                | None -> body
+              in
+              match deadline with
+              | Some d -> fun () -> Guard.with_deadline d body
+              | None -> body)
         in
         match body () with
         | resp ->
@@ -655,24 +675,47 @@ let serve_conn t conn =
 
 exception Socket_in_use of string
 exception Tcp_in_use of string * int
+exception Listen_failed of string
 
 (* Taking over a live daemon's socket file would strand it unreachable,
    and whichever of the two drained first would unlink the other's
    file. Only a file nobody answers on (a daemon killed with -9 leaves
-   one behind) is replaced. *)
+   one behind) is replaced. A path that cannot be connected to for any
+   other reason has no daemon behind it either; binding it reports
+   why. *)
 let socket_in_use path =
   let fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
   Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
   match Unix.connect fd (ADDR_UNIX path) with
   | () -> true
-  | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _) -> false
+  | exception Unix.Unix_error _ -> false
+
+(* Create, bind and listen one socket. Any failure closes it and
+   becomes a one-line [Listen_failed] naming [what], except a taken
+   address, which raises [busy]. *)
+let listen_on ~what ~busy domain addr backlog =
+  let fd = Unix.socket ~cloexec:true domain SOCK_STREAM 0 in
+  match
+    if domain = Unix.PF_INET then Unix.setsockopt fd Unix.SO_REUSEADDR true;
+    Unix.bind fd (Lazy.force addr);
+    Unix.listen fd backlog
+  with
+  | () -> fd
+  | exception e ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      let reason =
+        match e with
+        | Unix.Unix_error (Unix.EADDRINUSE, _, _) -> raise busy
+        | Unix.Unix_error (err, _, _) -> Unix.error_message err
+        | Not_found -> "host not found"
+        | e -> raise e
+      in
+      raise (Listen_failed (Printf.sprintf "cannot listen on %s: %s" what reason))
 
 let listen_socket path =
-  let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
   (try Unix.unlink path with Unix.Unix_error _ -> ());
-  Unix.bind fd (ADDR_UNIX path);
-  Unix.listen fd 64;
-  fd
+  listen_on ~what:("socket " ^ path) ~busy:(Socket_in_use path) PF_UNIX
+    (lazy (Unix.ADDR_UNIX path)) 64
 
 let resolve_host host =
   if host = "" || host = "*" then Unix.inet_addr_any
@@ -681,16 +724,13 @@ let resolve_host host =
     with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
 
 let listen_tcp host port =
-  let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt fd Unix.SO_REUSEADDR true;
-     Unix.bind fd (ADDR_INET (resolve_host host, port));
-     Unix.listen fd 128
-   with e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     match e with
-     | Unix.Unix_error (Unix.EADDRINUSE, _, _) -> raise (Tcp_in_use (host, port))
-     | e -> raise e);
+  let fd =
+    listen_on
+      ~what:(Printf.sprintf "tcp %s:%d" (if host = "" then "*" else host) port)
+      ~busy:(Tcp_in_use (host, port)) PF_INET
+      (lazy (Unix.ADDR_INET (resolve_host host, port)))
+      128
+  in
   let bound =
     match Unix.getsockname fd with
     | ADDR_INET (_, p) -> p
@@ -699,9 +739,10 @@ let listen_tcp host port =
   (fd, bound)
 
 (* Serve until [stop]: accept loop in the calling thread, one reader
-   thread per connection, [cfg.jobs] worker domains. Returns after the
-   drain completes: queue empty, nothing in flight, every response
-   written, workers and readers joined, socket file removed. *)
+   thread per connection, [cfg.jobs] workers of the handler's kind.
+   Returns after the drain completes: queue empty, nothing in flight,
+   every response written, workers and readers joined, socket file
+   removed. *)
 let run ?(on_ready = ignore) t =
   if socket_in_use t.cfg.socket_path then raise (Socket_in_use t.cfg.socket_path);
   (* TCP binds first, so the UDS socket file appearing — the ready
@@ -715,11 +756,26 @@ let run ?(on_ready = ignore) t =
         t.tcp_bound <- Some bound;
         Some fd
   in
-  let listen_fd = listen_socket t.cfg.socket_path in
+  let listen_fd =
+    try listen_socket t.cfg.socket_path
+    with e ->
+      Option.iter Unix.close tcp_listener;
+      t.tcp_bound <- None;
+      raise e
+  in
   let listeners =
     listen_fd :: (match tcp_listener with None -> [] | Some fd -> [ fd ])
   in
-  let workers = List.init t.cfg.jobs (fun _ -> Domain.spawn (fun () -> worker_main t)) in
+  let workers =
+    List.init t.cfg.jobs (fun _ ->
+        match t.handler.workers with
+        | Domains ->
+            let d = Domain.spawn (fun () -> worker_main t) in
+            fun () -> Domain.join d
+        | Threads ->
+            let th = Thread.create worker_main t in
+            fun () -> Thread.join th)
+  in
   on_ready ();
   let accept_one lfd =
     let is_tcp = Some lfd = tcp_listener in
@@ -809,7 +865,7 @@ let run ?(on_ready = ignore) t =
   done;
   Condition.broadcast t.nonempty;
   Mutex.unlock t.lock;
-  List.iter Domain.join workers;
+  List.iter (fun join -> join ()) workers;
   (* Every response is on the wire: hang up the surviving connections
      (already-released ones are gone from t.conns) and collect their
      readers. The [closed] check under wlock keeps the shutdown off fd
@@ -899,8 +955,8 @@ module Client = struct
         Unix.read conn.cfd b off len)
       conn.fdec
 
-  let send_frame conn ~fid payload =
-    Frame.write_all ~write:(Unix.single_write conn.cfd) (Frame.encode ~id:fid payload)
+  let send_frame conn ~fid (j : Json.t) =
+    Frame.write_all ~write:(Unix.single_write conn.cfd) (Frame.encode_json ~id:fid j)
 
   (* Both transports run the same version handshake — hello out,
      hello-ack back — before any request rides the connection; only
@@ -929,7 +985,7 @@ module Client = struct
       (if domain = Unix.PF_INET then
          try Unix.setsockopt conn.cfd Unix.TCP_NODELAY true
          with Unix.Unix_error _ -> ());
-      send_frame conn ~fid:0 (Json.to_string (Frame.hello ()));
+      send_frame conn ~fid:0 (Frame.hello ());
       recv_frame conn
     with
     | exception e -> fail e
@@ -965,7 +1021,7 @@ module Client = struct
   let pipeline_send conn (req : Json.t) =
     let fid = conn.next_fid in
     conn.next_fid <- fid + 1;
-    send_frame conn ~fid (Json.to_string req);
+    send_frame conn ~fid req;
     fid
 
   let pipeline_recv conn =

@@ -7,7 +7,7 @@
 
     The server owns everything about {e serving}: the sockets, one
     reader thread per connection, a bounded request queue (admission
-    control), [jobs] worker domains with crash supervision, per-request
+    control), [jobs] workers with crash supervision, per-request
     wall-clock deadlines layered on {!Guard} fuel, graceful drain, and
     status counters. What a request {e means} is the {!handler}'s
     business (the compile handler is [Nascent_harness.Service]); the
@@ -40,6 +40,19 @@
     parking a worker; frame decode errors close only their own
     connection (counted [frame_errors]). *)
 
+(** What a worker is. OCaml 5 collects the minor heaps of all domains
+    together, stopping every domain, so each extra domain — busy or
+    idle — adds a minor heap and a participant to every collection, a
+    cost every request pays. *)
+type workers =
+  | Domains
+      (** one domain per job: for a handler that computes (the compile
+          service), which needs the cores *)
+  | Threads
+      (** systhreads of the serving domain: for a handler that waits on
+          sockets (the shard router). They add no heap and no
+          collection participant. *)
+
 type handler = {
   handle : Json.t -> Json.t;
       (** request object -> response object; must not block forever
@@ -49,6 +62,13 @@ type handler = {
       (** extra fields appended to ["op": "status"] responses (breaker
           states, cache counters, ...). Called from reader threads:
           must be thread-safe and fast. *)
+  workers : workers;
+      (** the kind of worker that runs [handle]. Only {!Domains}
+          workers install the {!Guard} fuel and deadline around it:
+          that ambient state is per-domain, and threads sharing one
+          would pop each other's entries. A {!Threads} handler bounds
+          its own waits; a request whose deadline passed in the queue
+          is refused either way. *)
 }
 
 type config = {
@@ -57,7 +77,11 @@ type config = {
       (** additional TCP listener ([host, port]; empty or ["*"] host
           binds every interface, port [0] picks an ephemeral port —
           see {!tcp_port}) *)
-  jobs : int;  (** worker domains (clamped to >= 1) *)
+  jobs : int;
+      (** workers (clamped to >= 1), of the handler's {!workers} kind:
+          domains for the compile service, threads of one domain for
+          the router. Each domain adds a minor heap and joins every
+          stop-the-world collection; a thread does neither. *)
   queue_depth : int;  (** admission bound on queued requests *)
   default_deadline_s : float option;  (** default per-request budget *)
   request_fuel : int option;  (** per-request {!Guard} fuel budget *)
@@ -99,10 +123,18 @@ exception Tcp_in_use of string * int
     bound ([EADDRINUSE]). The TCP listener binds first, so nothing
     else has been bound and no socket file is left behind. *)
 
+exception Listen_failed of string
+(** Raised by {!run} when a listener cannot be set up for any other
+    reason — an address not on this host ([EADDRNOTAVAIL]), a
+    privileged port ([EACCES]), a host name that does not resolve, a
+    socket path that cannot be bound. The payload is one line naming
+    the listener and the reason. Nothing stays bound and [on_ready]
+    never runs. *)
+
 val socket_in_use : string -> bool
 (** Whether a daemon answers a connect on this Unix socket path. A
     file nobody answers on (left by a [kill -9]) is stale, not in
-    use. *)
+    use; so is a path that cannot be connected to at all. *)
 
 val resolve_host : string -> Unix.inet_addr
 (** A host name or numeric address, for a listener or a client alike;
@@ -112,7 +144,8 @@ val resolve_host : string -> Unix.inet_addr
 val run : ?on_ready:(unit -> unit) -> t -> unit
 (** Serve until {!stop}. Binds (replacing a stale socket file, but
     raising {!Socket_in_use} before binding anything if a live daemon
-    owns it, or {!Tcp_in_use} if the TCP port is taken; the socket
+    owns it, {!Tcp_in_use} if the TCP port is taken, or
+    {!Listen_failed} if a listener cannot be set up otherwise; the socket
     appearing is the ready signal, and [on_ready] runs once every
     listener is bound), accepts in the calling thread,
     and on {!stop} drains — sheds new work, finishes and

@@ -38,6 +38,7 @@ let marker name =
     Server.handle =
       (fun _ -> Json.Obj [ ("status", Json.Str "ok"); ("shard", Json.Str name) ]);
     status_extra = (fun () -> []);
+    workers = Server.Domains;
   }
 
 let shard_of path name = { Router.name; address = Client.Uds path }
@@ -242,6 +243,7 @@ let test_shard_errors_returned_as_is () =
         (fun _ ->
           Json.Obj [ ("code", Json.Str "boom"); ("detail", Json.Str "shard says no") ]);
       status_extra = (fun () -> []);
+      workers = Server.Domains;
     }
   in
   Test_server.with_server erroring (fun path _ ->
@@ -453,6 +455,7 @@ let test_pool_drops_timed_out () =
           if Json.member "slow" req <> None then Thread.delay 1.5;
           Json.Obj [ ("status", Json.Str "ok"); ("shard", Json.Str "s") ]);
       status_extra = (fun () -> []);
+      workers = Server.Domains;
     }
   in
   Test_server.with_server sleepy (fun path _ ->

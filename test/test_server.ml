@@ -291,6 +291,7 @@ let test_handler_exception_isolated () =
           if Json.member "boom" req <> None then failwith "kaboom"
           else Json.Obj [ ("status", Json.Str "ok") ]);
       status_extra = (fun () -> []);
+      workers = Server.Domains;
     }
   in
   with_server ~tune:(fun c -> { c with Server.jobs = 1 }) handler @@ fun path _ ->
@@ -356,6 +357,7 @@ let test_deadline_counts_queue_wait () =
            end);
           Json.Obj [ ("status", Json.Str "ok") ]);
       status_extra = (fun () -> []);
+      workers = Server.Domains;
     }
   in
   with_server ~tune:(fun c -> { c with Server.jobs = 1 }) handler @@ fun path _ ->
@@ -402,6 +404,7 @@ let test_overload_sheds_with_retryable () =
           Mutex.unlock gate;
           Json.Obj [ ("status", Json.Str "ok") ]);
       status_extra = (fun () -> []);
+      workers = Server.Domains;
     }
   in
   with_server
@@ -467,6 +470,7 @@ let test_client_retries_through_overload () =
               ]
           else Json.Obj [ ("status", Json.Str "ok") ]);
       status_extra = (fun () -> []);
+      workers = Server.Domains;
     }
   in
   with_server handler @@ fun path _ ->
@@ -653,6 +657,7 @@ let test_drain_loses_nothing () =
               ("echo", Option.value ~default:Json.Null (Json.member "id" req));
             ]);
       status_extra = (fun () -> []);
+      workers = Server.Domains;
     }
   in
   with_server ~tune:(fun c -> { c with Server.jobs = 2 }) handler @@ fun path srv ->
@@ -761,6 +766,7 @@ let test_mem_abort_is_retryable () =
           | Some "boom" -> raise (Guard.Mem_exceeded "major heap over budget")
           | _ -> Json.Obj [ ("status", Json.Str "ok") ]);
       status_extra = (fun () -> []);
+      workers = Server.Domains;
     }
   in
   with_server handler @@ fun path _ ->

@@ -9,6 +9,8 @@ module Json = Nascent_support.Json
 module Retry = Nascent_support.Retry
 module Breaker = Nascent_support.Breaker
 module Guard = Nascent_support.Guard
+module Frame = Nascent_support.Frame
+module Suite = Nascent_benchmarks.Suite
 
 let test_bitset_basic () =
   let b = Bitset.create 100 in
@@ -148,10 +150,12 @@ let test_json_roundtrip () =
       Json.Int 0;
       Json.Int (-42);
       Json.Int max_int;
+      Json.Int min_int;
       Json.Float 1.5;
       Json.Str "";
       Json.Str "hello \"world\"\n\t\\";
       Json.Str "unicode: \xc3\xa9\xe2\x82\xac";
+      Json.Str (String.init 256 Char.chr) (* every byte value *);
       Json.List [];
       Json.List [ Json.Int 1; Json.Str "two"; Json.Null ];
       Json.Obj [];
@@ -163,7 +167,11 @@ let test_json_roundtrip () =
     ]
   in
   List.iter
-    (fun v -> Alcotest.check json "print/parse roundtrip" v (parse_ok (Json.to_string v)))
+    (fun v ->
+      let printed = Json.to_string v in
+      Alcotest.(check int) "length measures the printed text" (String.length printed)
+        (Json.length v);
+      Alcotest.check json "print/parse roundtrip" v (parse_ok printed))
     samples
 
 let test_json_parse_forms () =
@@ -180,32 +188,108 @@ let test_json_parse_forms () =
   | v -> Alcotest.failf "expected Float, got %s" (Json.to_string v));
   Alcotest.check json "scientific" (parse_ok "1.5e2") (parse_ok "150.0")
 
+(* Each malformed input with the error [Json.parse] reports for it: the
+   byte offset is part of the contract (a client is told where its
+   request broke), so a rewrite of the parser must not move it. *)
 let test_json_malformed () =
   List.iter
-    (fun s ->
+    (fun (s, want) ->
       match Json.parse s with
       | Ok v ->
           Alcotest.failf "expected parse error for %S, got %s" s (Json.to_string v)
-      | Error _ -> ())
+      | Error e -> Alcotest.(check string) (Printf.sprintf "error for %S" s) want e)
     [
-      "";
-      "{";
-      "[1,]";
-      "{\"a\":}";
-      "\"unterminated";
-      "\"bad \\x escape\"";
-      "nul";
-      "1 2" (* trailing garbage *);
-      "\"raw\tcontrol\"" (* literal control byte in a string *);
-      "\"\\ud834\"" (* unpaired surrogate *);
-      "{\"a\" 1}";
-      "--3";
+      ("", "JSON parse error at byte 0: unexpected end of input");
+      ("{", "JSON parse error at byte 1: expected '\"'");
+      ("[1,]", "JSON parse error at byte 3: unexpected character ']'");
+      ("{\"a\":}", "JSON parse error at byte 5: unexpected character '}'");
+      ("\"unterminated", "JSON parse error at byte 13: unterminated string");
+      ("\"bad \\x escape\"", "JSON parse error at byte 7: bad escape");
+      ("nul", "JSON parse error at byte 0: expected null");
+      ("1 2" (* trailing garbage *), "JSON parse error at byte 2: trailing garbage after value");
+      ( "\"raw\tcontrol\"" (* literal control byte in a string *),
+        "JSON parse error at byte 4: raw control byte in string" );
+      ("\"\\ud834\"" (* unpaired surrogate *), "JSON parse error at byte 7: expected '\\\\'");
+      ("{\"a\" 1}", "JSON parse error at byte 5: expected ':'");
+      ("--3", "JSON parse error at byte 1: malformed number");
+      (* every other way a string can break *)
+      ("\"\\ud834\\u0041\"", "JSON parse error at byte 13: unpaired surrogate");
+      ("\"\\udd1e\"", "JSON parse error at byte 7: unpaired surrogate");
+      ("\"\\u12\"", "JSON parse error at byte 6: bad hex digit in \\u escape");
+      ("\"\\u12", "JSON parse error at byte 5: truncated \\u escape");
+      ("\"\\", "JSON parse error at byte 2: truncated escape");
+      ("\"x\001\"", "JSON parse error at byte 2: raw control byte in string");
+      ("\"abc\\n", "JSON parse error at byte 6: unterminated string");
     ];
   (* the anti-DoS nesting bound *)
   let deep = String.concat "" (List.init 600 (fun _ -> "[")) in
   match Json.parse deep with
   | Ok _ -> Alcotest.fail "expected nesting-depth error"
-  | Error _ -> ()
+  | Error e ->
+      Alcotest.(check string) "nesting bound" "JSON parse error at byte 513: nesting too deep" e
+
+(* Any byte string survives printing and parsing unchanged. The
+   generator leans on the bytes the printer must escape (every control
+   byte, '"', '\\') and on multi-byte UTF-8, which must pass through
+   raw. *)
+let prop_json_string_roundtrip =
+  let piece =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map (String.make 1) char);
+          (3, map (fun n -> String.make 1 (Char.chr n)) (int_bound 0x1f));
+          (1, oneofl [ "\""; "\\"; "\\u0041"; "/" ]);
+          (2, oneofl [ "\xc3\xa9"; "\xe2\x82\xac"; "\xf0\x9d\x84\x9e"; "\xef\xbf\xbf" ]);
+          (4, string_size ~gen:printable (int_bound 12));
+        ])
+  in
+  let gen = QCheck.Gen.(map (String.concat "") (list_size (int_bound 40) piece)) in
+  QCheck.Test.make ~count:1000 ~name:"json string print/parse roundtrip"
+    (QCheck.make ~print:(Printf.sprintf "%S") gen)
+    (fun s -> Json.parse (Json.to_string (Json.Str s)) = Ok (Json.Str s))
+
+(* Encode one Unicode scalar value as UTF-8. *)
+let utf8 u =
+  let b = Buffer.create 4 in
+  Buffer.add_utf_8_uchar b (Uchar.of_int u);
+  Buffer.contents b
+
+(* Text whose every character is written either raw (UTF-8) or as a
+   \u escape — a surrogate pair above U+FFFF — parses to its UTF-8. *)
+let prop_json_unicode_escapes =
+  let scalar =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, int_range 0x20 0x7e);
+          (2, int_range 0x80 0x7ff);
+          (2, int_range 0x800 0xd7ff);
+          (1, int_range 0xe000 0xffff);
+          (3, int_range 0x10000 0x10ffff);
+        ])
+  in
+  let gen = QCheck.Gen.(list_size (int_bound 30) (pair scalar bool)) in
+  let escape u =
+    if u < 0x10000 then Printf.sprintf "\\u%04X" u
+    else
+      let v = u - 0x10000 in
+      Printf.sprintf "\\u%04x\\u%04X" (0xD800 lor (v lsr 10)) (0xDC00 lor (v land 0x3ff))
+  in
+  QCheck.Test.make ~count:1000 ~name:"json \\u escapes and surrogate pairs decode"
+    (QCheck.make gen)
+    (fun chars ->
+      let text =
+        String.concat ""
+          (List.map
+             (fun (u, esc) ->
+               if esc then escape u
+               else if u = Char.code '"' || u = Char.code '\\' then escape u
+               else utf8 u)
+             chars)
+      in
+      let want = String.concat "" (List.map (fun (u, _) -> utf8 u) chars) in
+      Json.parse ("\"" ^ text ^ "\"") = Ok (Json.Str want))
 
 let test_json_accessors () =
   let v = parse_ok {|{"s":"x","i":7,"b":true,"f":2.5,"n":null}|} in
@@ -218,6 +302,86 @@ let test_json_accessors () =
   Alcotest.(check (option int)) "missing member" None (Json.int_member "zz" v);
   Alcotest.(check (option int)) "shape mismatch" None (Json.int_member "s" v);
   Alcotest.(check (option int)) "non-object" None (Json.int_member "s" (Json.Int 3))
+
+(* --- allocation bounds on the request path ------------------------------
+
+   Words allocated are the same on every host, so these bounds hold
+   wherever the suite runs: a codec that starts copying a request's
+   source per byte, or twice, fails them. *)
+
+(* Words [f ()] allocates on this domain: minor plus major, less the
+   promoted words, which both count. *)
+let allocated_words f =
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = words () in
+  let r = f () in
+  let after = words () in
+  (r, int_of_float (after -. before))
+
+(* A string's heap words: its header plus its padded bytes. *)
+let string_words s = 1 + ((String.length s + Sys.word_size / 8) / (Sys.word_size / 8))
+
+let compile_request src =
+  Json.to_string
+    (Json.Obj
+       [
+         ("id", Json.Str "cli");
+         ("op", Json.Str "compile");
+         ("source", Json.Str src);
+         ("scheme", Json.Str "LLS");
+         ("kind", Json.Str "PRX");
+         ("verify", Json.Bool true);
+         ("oracle", Json.Bool false);
+         ("run", Json.Bool false);
+         ("deadline_ms", Json.Int 30000);
+       ])
+
+let test_json_parse_alloc_bound () =
+  List.iter
+    (fun (b : Suite.benchmark) ->
+      let req = compile_request b.Suite.source in
+      let parsed, words = allocated_words (fun () -> Json.parse req) in
+      Alcotest.(check (option string))
+        (b.Suite.name ^ ": source decoded") (Some b.Suite.source)
+        (Option.bind (Result.to_option parsed) (Json.str_member "source"));
+      let bound = string_words b.Suite.source + 256 in
+      if words > bound then
+        Alcotest.failf "%s: parsing a %d-byte request allocated %d words, bound %d"
+          b.Suite.name (String.length req) words bound)
+    Suite.all
+
+(* Two pipelined frames arrive in one read: taking the first must not
+   copy the second. *)
+let test_frame_next_alloc_bound () =
+  let d = Frame.decoder () in
+  List.iter
+    (fun (b : Suite.benchmark) ->
+      let payload = compile_request b.Suite.source in
+      let frame = Frame.encode ~id:7 payload in
+      let feed2 () =
+        Frame.feed d frame ~off:0 ~len:(String.length frame);
+        Frame.feed d frame ~off:0 ~len:(String.length frame)
+      in
+      (* warm: the decoder has already held two frames this size *)
+      feed2 ();
+      ignore (Frame.next d);
+      ignore (Frame.next d);
+      feed2 ();
+      for k = 1 to 2 do
+        let next, words = allocated_words (fun () -> Frame.next d) in
+        (match next with
+        | Ok (Some f) ->
+            Alcotest.(check string) (b.Suite.name ^ ": payload") payload f.Frame.payload
+        | _ -> Alcotest.failf "%s: frame %d not decoded" b.Suite.name k);
+        let bound = string_words payload + 64 in
+        if words > bound then
+          Alcotest.failf "%s: decoding frame %d of %d bytes allocated %d words, bound %d"
+            b.Suite.name k (String.length frame) words bound
+      done)
+    Suite.all
 
 (* --- Retry: deterministic backoff -------------------------------------- *)
 
@@ -487,4 +651,8 @@ let suite =
     tc "guard: generous deadline quiet" test_deadline_generous_budget_no_fire;
     tc "guard: mem watchdog aborts over budget" test_mem_watchdog_over;
     tc "guard: mem pressure without abort" test_mem_watchdog_pressure_without_abort;
+    QCheck_alcotest.to_alcotest prop_json_string_roundtrip;
+    QCheck_alcotest.to_alcotest prop_json_unicode_escapes;
+    tc "json: parse allocation bound" test_json_parse_alloc_bound;
+    tc "frame: next allocation bound" test_frame_next_alloc_bound;
   ]

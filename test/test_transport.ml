@@ -43,6 +43,7 @@ let ok_handler =
         in
         Json.Obj [ ("status", Json.Str "ok"); ("tag", tag) ]);
     status_extra = (fun () -> []);
+    workers = Server.Domains;
   }
 
 (* Run [f] once per listener — on a fresh server each time, so counter
@@ -100,6 +101,7 @@ let test_pipelining_out_of_order () =
           | _ -> ());
           Json.Obj [ ("status", Json.Str "ok") ]);
       status_extra = (fun () -> []);
+      workers = Server.Domains;
     }
   in
   with_tcp slow_fast (fun _ _ port ->
@@ -482,6 +484,39 @@ let test_busy_tcp_port_refused () =
       Alcotest.(check bool) "on_ready never ran" false (Atomic.get ready);
       Alcotest.(check bool) "no socket file" false socket_left)
 
+(* A listener that cannot be set up for any reason but a busy port is
+   refused the same clean way: one line naming the listener and the
+   reason, nothing bound, no ready signal. 192.0.2.1 (TEST-NET-1) is on
+   no interface of any host, so the bind fails locally and nothing goes
+   on the wire. *)
+let test_unbindable_listener_refused () =
+  let refusal cfg =
+    let srv = Server.create cfg ok_handler in
+    let ready = ref false in
+    match Server.run ~on_ready:(fun () -> ready := true) srv with
+    | () -> Alcotest.fail "run returned without a refusal"
+    | exception Server.Listen_failed reason ->
+        Alcotest.(check bool) "on_ready never ran" false !ready;
+        reason
+  in
+  let path = Test_server.fresh_socket () in
+  let reason =
+    refusal
+      { (Server.default_config ~socket_path:path) with Server.tcp = Some ("192.0.2.1", 5000) }
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "reason names the address: %S" reason)
+    true
+    (String.starts_with ~prefix:"cannot listen on tcp 192.0.2.1:5000: " reason
+    && not (String.contains reason '\n'));
+  Alcotest.(check bool) "no socket file" false (Sys.file_exists path);
+  let missing = Filename.concat (Filename.concat (Filename.dirname path) "no-such-dir") "x.sock" in
+  let reason = refusal (Server.default_config ~socket_path:missing) in
+  Alcotest.(check bool)
+    (Printf.sprintf "reason names the socket: %S" reason)
+    true
+    (String.starts_with ~prefix:("cannot listen on socket " ^ missing ^ ": ") reason)
+
 let suite =
   [
     Alcotest.test_case "TCP hello and request" `Quick test_tcp_hello_and_request;
@@ -505,4 +540,6 @@ let suite =
     Alcotest.test_case "chaos classes recover through proxy" `Slow
       test_chaos_classes_recover;
     Alcotest.test_case "busy tcp port refused" `Quick test_busy_tcp_port_refused;
+    Alcotest.test_case "unbindable listener refused" `Quick
+      test_unbindable_listener_refused;
   ]

@@ -262,8 +262,8 @@ SH1=$!
 ./_build/default/bin/nascentd.exe --socket "$S2" -j 1 --shard-name s2 \
     >/dev/null 2>&1 &
 SH2=$!
-trap 'kill "$SH0" "$SH1" "$SH2" "$ROUTER" "$PROXY" "$UPROXY" 2>/dev/null || true; rm -f "$SBASE"-*' EXIT INT TERM
-ROUTER=""; PROXY=""; UPROXY=""
+trap 'kill "$SH0" "$SH1" "$SH2" "$ROUTER" "$RDEF" "$PROXY" "$UPROXY" 2>/dev/null || true; rm -f "$SBASE"-*' EXIT INT TERM
+ROUTER=""; RDEF=""; PROXY=""; UPROXY=""
 
 for s in "$S0" "$S1" "$S2"; do
     i=0
@@ -302,6 +302,23 @@ timeout 5 ./_build/default/bin/nascentd.exe --socket "$BUSY" \
 grep -q "tcp port 127.0.0.1:$RPORT in use" "$SBASE-busy.log" \
     || sfail "busy tcp port not reported: $(cat "$SBASE-busy.log")"
 [ ! -e "$BUSY" ] || sfail "daemon on a busy tcp port left $BUSY behind"
+
+# so is a daemon whose listener cannot be set up at all: 192.0.2.1 is a
+# documentation address on no interface of this host (bind fails
+# locally with EADDRNOTAVAIL; nothing is sent), and a socket path in a
+# missing directory cannot be bound
+for args in "--socket $BUSY --tcp 192.0.2.1:5000" "--socket $SBASE-nodir/x.sock"; do
+    rc=0
+    timeout 5 ./_build/default/bin/nascentd.exe $args >"$SBASE-busy.log" 2>&1 || rc=$?
+    [ "$rc" -eq 1 ] || sfail "daemon with $args exited $rc, want 1"
+    ! grep -q "listening" "$SBASE-busy.log" \
+        || sfail "daemon with $args claimed to listen: $(cat "$SBASE-busy.log")"
+    grep -q "^nascentd: cannot listen on " "$SBASE-busy.log" \
+        || sfail "daemon with $args gave no one-line reason: $(cat "$SBASE-busy.log")"
+    [ "$(wc -l <"$SBASE-busy.log")" -eq 1 ] \
+        || sfail "daemon with $args printed more than one line: $(cat "$SBASE-busy.log")"
+    [ ! -e "$BUSY" ] || sfail "daemon with $args left $BUSY behind"
+done
 
 # the chaos proxy tears one framed connection in three
 CPORT=$((20000 + $$ % 20000))
@@ -370,6 +387,53 @@ CONN1=$(rconnects)
 [ $((CONN1 - CONN0)) -le 6 ] \
     || sfail "30 memo hits opened $((CONN1 - CONN0)) shard connections, want <= 6"
 
+# a router at its defaults forwards on 8 worker threads: 16 concurrent
+# compiles, every second one carrying its own deadline, must each come
+# back with the check counts a shard gives directly, and count as
+# exactly 16 forwards
+RDSOCK="$SBASE-rdef.sock"
+./_build/default/bin/nascentd.exe --socket "$RDSOCK" --router \
+    --shard s0="$S0" --shard s1="$S1" --shard s2="$S2" >"$SBASE-rdef.log" 2>&1 &
+RDEF=$!
+i=0
+while [ ! -S "$RDSOCK" ]; do
+    kill -0 "$RDEF" 2>/dev/null || sfail "default router died on startup"
+    i=$((i + 1)); [ "$i" -le 100 ] || sfail "default router never bound $RDSOCK"
+    sleep 0.1
+done
+rdstatus() {
+    timeout 30 ./_build/default/bin/nascentc.exe client --connect "$RDSOCK" --status
+}
+rdstatus | grep -q '"jobs":8,"workers":"threads"' \
+    || sfail "default router does not run 8 worker threads: $(rdstatus)"
+CONC="$BENCHES vortex arc2d bdna dyfesm mdg qcd"
+n=0; CPIDS=""
+for bench in $CONC; do
+    n=$((n + 1))
+    dl=""; [ $((n % 2)) -eq 0 ] && dl="--deadline-ms 20000"
+    ( rc=0
+      timeout 60 ./_build/default/bin/nascentc.exe client --connect "$RDSOCK" \
+          $dl "$bench" >"$SBASE-conc-$n.out" 2>&1 || rc=$?
+      echo "$rc" >"$SBASE-conc-$n.rc" ) &
+    CPIDS="$CPIDS $!"
+done
+for p in $CPIDS; do wait "$p" 2>/dev/null || true; done
+counts() { grep -o '"checks_before":[0-9]*,"checks_after":[0-9]*' "$@"; }
+n=0
+for bench in $CONC; do
+    n=$((n + 1))
+    [ "$(cat "$SBASE-conc-$n.rc" 2>/dev/null)" = "0" ] \
+        || sfail "concurrent routed compile $n ($bench) failed: $(cat "$SBASE-conc-$n.out")"
+    timeout 30 ./_build/default/bin/nascentc.exe client --connect "$S0" "$bench" \
+        >"$SBASE-direct.out" || sfail "direct compile of $bench on s0 exited $?"
+    WANT=$(counts "$SBASE-direct.out")
+    GOT=$(counts "$SBASE-conc-$n.out")
+    [ -n "$WANT" ] && [ "$GOT" = "$WANT" ] \
+        || sfail "routed $bench answered '$GOT', the shard directly '$WANT'"
+done
+FWD=$(rdstatus | grep -o '"forwards":[0-9]*' | cut -d: -f2)
+[ "$FWD" = "16" ] || sfail "default router counted $FWD forwards for 16 compiles"
+
 # the same fault class on a Unix socket: every connection there opens
 # with the NF1 hello too, so a torn request fails its frame CRC at the
 # router (frame_errors rises) and the client rides it out on a retry
@@ -393,10 +457,10 @@ done
     || sfail "no torn frame reached the router through the unix-socket proxy"
 
 # drain everything: proxies, router and shards all exit 0 on SIGTERM
-for p in "$UPROXY" "$PROXY" "$ROUTER" "$SH0" "$SH1" "$SH2"; do
+for p in "$UPROXY" "$PROXY" "$ROUTER" "$RDEF" "$SH0" "$SH1" "$SH2"; do
     kill -TERM "$p" 2>/dev/null || sfail "process $p already dead at drain"
 done
-for p in "$UPROXY" "$PROXY" "$ROUTER" "$SH0" "$SH1" "$SH2"; do
+for p in "$UPROXY" "$PROXY" "$ROUTER" "$RDEF" "$SH0" "$SH1" "$SH2"; do
     i=0
     while kill -0 "$p" 2>/dev/null; do
         i=$((i + 1)); [ "$i" -le 100 ] || sfail "pid $p did not drain in 10s"
@@ -408,7 +472,7 @@ done
 
 trap - EXIT INT TERM
 rm -f "$SBASE"-*
-echo "shard smoke OK: chaos proxy batch->0 errors, kill -9 shard mid-burst ridden out, supervised shard rejoined, pooled shard connections reused, unix-socket torn-frame batch->0 errors, drains->0"
+echo "shard smoke OK: chaos proxy batch->0 errors, kill -9 shard mid-burst ridden out, supervised shard rejoined, pooled shard connections reused, 16 concurrent compiles through a default (threaded) router match the shard, unix-socket torn-frame batch->0 errors, drains->0"
 
 # --- quick open-loop load run -----------------------------------------
 # A shrunk ladder (NASCENT_LOAD_QUICK=1) in a scratch directory, so the
