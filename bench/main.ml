@@ -235,6 +235,7 @@ type load_rung = {
   p50_ms : float;
   p99_ms : float;
   p999_ms : float;
+  samples : int; (* latencies the percentiles are taken over *)
   elapsed_s : float;
 }
 
@@ -344,8 +345,8 @@ let run_load () =
      schedule. Latency is completion minus scheduled (not actual)
      send time, so a generator that falls behind cannot hide service
      queueing. *)
-  let run_phase ~addr ~rate ~duration ~workers ~kill_at =
-    let reqs_total = max workers (int_of_float (rate *. duration)) in
+  let run_phase ~addr ~rate ~requests ~workers ~kill_at =
+    let reqs_total = max workers requests in
     let t0 = Mclock.counter () in
     (match kill_at with
     | None -> ()
@@ -456,6 +457,7 @@ let run_load () =
       p50_ms = 1000.0 *. percentile lats 0.50;
       p99_ms = 1000.0 *. percentile lats 0.99;
       p999_ms = 1000.0 *. percentile lats 0.999;
+      samples = Array.length lats;
       elapsed_s = elapsed;
     }
   in
@@ -470,15 +472,28 @@ let run_load () =
         ("p50_ms", Json.Float r.p50_ms);
         ("p99_ms", Json.Float r.p99_ms);
         ("p999_ms", Json.Float r.p999_ms);
+        ("samples", Json.Int r.samples);
         ("elapsed_s", Json.Float r.elapsed_s);
       ]
   in
   let sustained r = r.errors = 0 && r.achieved_rps >= 0.9 *. r.offered_rps in
   let rates = if quick then [ 40.0; 80.0 ] else [ 50.0; 100.0; 200.0; 400.0 ] in
-  let duration = if quick then 1.0 else 3.0 in
+  (* A quick rung runs one second. A full rung is sized by requests, not
+     time: a p99 over fewer than a few thousand requests rests on a
+     handful of the slowest and does not hold still between runs, so
+     each full rung sends at least [min_requests] (p99 over >= 20
+     samples) and runs as long as that takes at its rate. *)
+  let min_requests = 2000 in
+  let rung_requests rate =
+    if quick then int_of_float rate else max min_requests (int_of_float (rate *. 3.0))
+  in
   let workers = if quick then 4 else 8 in
   let ladder ~addr =
-    let rungs = List.map (fun r -> run_phase ~addr ~rate:r ~duration ~workers ~kill_at:None) rates in
+    let rungs =
+      List.map
+        (fun r -> run_phase ~addr ~rate:r ~requests:(rung_requests r) ~workers ~kill_at:None)
+        rates
+    in
     let max_sustained =
       List.fold_left
         (fun acc r -> if sustained r then Float.max acc r.achieved_rps else acc)
@@ -492,9 +507,9 @@ let run_load () =
       (fun r ->
         Printf.printf
           "  offered %6.0f rps: achieved %7.1f rps, %d/%d ok, p50 %.1f ms, p99 \
-           %.1f ms, p999 %.1f ms%s\n\
+           %.1f ms (n=%d), p999 %.1f ms%s\n\
            %!"
-          r.offered_rps r.achieved_rps r.ok r.sent r.p50_ms r.p99_ms
+          r.offered_rps r.achieved_rps r.ok r.sent r.p50_ms r.p99_ms r.samples
           r.p999_ms
           (if sustained r then "" else "  [not sustained]"))
       rungs;
@@ -539,7 +554,8 @@ let run_load () =
   let chaos_duration = if quick then 2.0 else 6.0 in
   let victim = List.nth shard_pids 1 in
   let chaos =
-    run_phase ~addr:router_addr ~rate:chaos_rate ~duration:chaos_duration
+    run_phase ~addr:router_addr ~rate:chaos_rate
+      ~requests:(int_of_float (chaos_rate *. chaos_duration))
       ~workers ~kill_at:(Some (chaos_duration /. 2.0, victim))
   in
   Printf.printf
@@ -554,7 +570,7 @@ let run_load () =
       [
         ("quick", Json.Bool quick);
         ("workers", Json.Int workers);
-        ("duration_s", Json.Float duration);
+        ("min_requests_per_rung", Json.Int (if quick then 0 else min_requests));
         ( "one_shard",
           Json.Obj
             [

@@ -7,7 +7,14 @@
    full set.
 
    Unreachable blocks keep the optimistic value; clients only consult
-   reachable blocks. *)
+   reachable blocks.
+
+   The CFG facts a sweep needs (predecessor and successor lists, the
+   reverse postorder, the blocks that reach an exit) are read from the
+   function's cached view ({!Nascent_ir.Func.cfg}), not re-derived per
+   solve or per sweep: every solve of a pass sees the same view until a
+   pass adds a block or changes a terminator. A solve allocates its
+   result's in/out sets and little else. *)
 
 module Bitset = Nascent_support.Bitset
 module Guard = Nascent_support.Guard
@@ -32,7 +39,11 @@ let solve (f : Func.t) ~universe ~direction ~(boundary : Bitset.t)
   let n = Func.num_blocks f in
   let mk_full () = Array.init n (fun _ -> Bitset.full universe) in
   let in_ = mk_full () and out = mk_full () in
-  let preds = Func.preds_array f in
+  (* Predecessors, successors, the sweep order and the no-exit blocks
+     all come from the function's CFG view, shared with every other
+     analysis of the same CFG shape. *)
+  let c = Func.cfg f in
+  let preds = c.Func.pred and succs = c.Func.succ in
   (* Backward boundary: a block in a no-exit region (an SCC with no
      path to any successor-less block — an infinite loop built directly
      in the IR) has no terminating path, so the maximal fixed point
@@ -41,25 +52,9 @@ let solve (f : Func.t) ~universe ~direction ~(boundary : Bitset.t)
      boundary blocks too: no path to an exit means nothing is
      anticipated along one. *)
   let reaches_exit =
-    match direction with
-    | Forward -> [||]
-    | Backward ->
-        let r = Array.make n false in
-        let rec mark b =
-          if not r.(b) then begin
-            r.(b) <- true;
-            List.iter mark preds.(b)
-          end
-        in
-        Func.iter_blocks
-          (fun b ->
-            let bid = b.Nascent_ir.Types.bid in
-            if Func.succs f bid = [] then mark bid)
-          f;
-        r
+    match direction with Forward -> [||] | Backward -> Func.reaches_exit f
   in
-  let rpo = Func.rpo f in
-  let order = match direction with Forward -> rpo | Backward -> List.rev rpo in
+  let order = match direction with Forward -> c.Func.order | Backward -> List.rev c.Func.order in
   let entry = f.Func.entry in
   let tmp = Bitset.create universe in
   (* Convergence bound: a must-problem over an n-block CFG strictly
@@ -85,7 +80,7 @@ let solve (f : Func.t) ~universe ~direction ~(boundary : Bitset.t)
       (fun b ->
         (* confluence *)
         let conf_sources =
-          match direction with Forward -> preds.(b) | Backward -> Func.succs f b
+          match direction with Forward -> preds.(b) | Backward -> succs.(b)
         in
         let conf_target = match direction with Forward -> in_.(b) | Backward -> out.(b) in
         let is_boundary =

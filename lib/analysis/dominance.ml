@@ -1,5 +1,6 @@
-(* Dominator computation (Cooper–Harvey–Kennedy "engineered" iterative
-   algorithm) plus dominance frontiers and dominator-tree children.
+(* Dominators (Cooper–Harvey–Kennedy "engineered" iterative algorithm,
+   in {!Func.idom}) plus dominance frontiers and dominator-tree
+   children.
 
    Operates on reachable blocks only; unreachable blocks report no
    dominator and dominate nothing. *)
@@ -13,50 +14,12 @@ type t = {
   rpo : int list;
 }
 
+(* The dominator tree itself is computed once per CFG shape and cached
+   on the function ({!Func.idom}); this wraps it with the RPO numbering
+   of the same view. *)
 let compute (f : Func.t) : t =
-  let n = Func.num_blocks f in
-  let rpo = Func.rpo f in
-  let rpo_index = Array.make n (-1) in
-  List.iteri (fun i b -> rpo_index.(b) <- i) rpo;
-  let preds = Func.preds_array f in
-  let idom = Array.make n (-1) in
-  let entry = f.Func.entry in
-  idom.(entry) <- entry;
-  let intersect a b =
-    (* Walk up the (partially built) dominator tree: the common
-       ancestor with respect to RPO order. *)
-    let a = ref a and b = ref b in
-    while !a <> !b do
-      while rpo_index.(!a) > rpo_index.(!b) do
-        a := idom.(!a)
-      done;
-      while rpo_index.(!b) > rpo_index.(!a) do
-        b := idom.(!b)
-      done
-    done;
-    !a
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun b ->
-        if b <> entry then begin
-          let processed =
-            List.filter (fun p -> idom.(p) <> -1 && rpo_index.(p) <> -1) preds.(b)
-          in
-          match processed with
-          | [] -> ()
-          | first :: rest ->
-              let new_idom = List.fold_left intersect first rest in
-              if idom.(b) <> new_idom then begin
-                idom.(b) <- new_idom;
-                changed := true
-              end
-        end)
-      rpo
-  done;
-  { func = f; idom; rpo_index; rpo }
+  let c = Func.cfg f in
+  { func = f; idom = Func.idom f; rpo_index = c.Func.order_num; rpo = c.Func.order }
 
 let idom t b = if t.idom.(b) = -1 then None else Some t.idom.(b)
 

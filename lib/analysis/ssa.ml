@@ -25,13 +25,16 @@ type def_desc =
 type t = {
   func : Func.t;
   defs : def_desc Vec.t;
-  (* (bid, instr index) -> [vid -> def id] environment *before* the
-     instruction executes (phis of the block already applied). *)
-  snapshots : (int * int, int array) Hashtbl.t;
+  (* [vid -> def id] at the entry of each reachable block, its phis
+     applied; [None] for unreachable blocks *)
+  entry_env : int array option array;
+  (* the def id each instruction of a block assigns, -1 if none *)
+  defs_at : int array array;
+  (* environments built by [snapshot], per block and instruction index;
+     [||] until asked for *)
+  snapshots : int array array array;
   (* phis placed at each block: (vid, def id) list *)
   phis_at : (int, (int * def_id) list) Hashtbl.t;
-  (* [vid -> def id] at the end of each reachable block *)
-  block_end_env : int array array;
   nvars : int;
 }
 
@@ -46,7 +49,31 @@ let def_block t (d : def_id) =
   | Dassign { bid; _ } -> Some bid
   | Dphi { bid; _ } -> Some bid
 
-let snapshot t ~bid ~idx = Hashtbl.find_opt t.snapshots (bid, idx)
+(* A site's environment is its block's entry environment with the
+   block's earlier assignments replayed. Most sites are never asked
+   about (the INX rewrite asks at checks and at the definitions it
+   resolves through), so it is built on first request and kept. *)
+let snapshot t ~bid ~idx =
+  if bid < 0 || bid >= Array.length t.entry_env then None
+  else
+    match t.entry_env.(bid) with
+    | None -> None
+    | Some base ->
+        let dids = t.defs_at.(bid) in
+        if idx < 0 || idx >= Array.length dids then None
+        else begin
+          let known = t.snapshots.(bid).(idx) in
+          if Array.length known = t.nvars && t.nvars > 0 then Some known
+          else begin
+            let env = Array.copy base in
+            for k = 0 to idx - 1 do
+              let did = dids.(k) in
+              if did >= 0 then env.((var_of_def t did).vid) <- did
+            done;
+            t.snapshots.(bid).(idx) <- env;
+            Some env
+          end
+        end
 
 let phis_at t bid = Option.value ~default:[] (Hashtbl.find_opt t.phis_at bid)
 
@@ -78,8 +105,6 @@ let compute (f : Func.t) : t =
     f;
   (* 2. phi placement on iterated dominance frontiers *)
   let phis_at = Hashtbl.create 16 in
-  let phi_ids = Hashtbl.create 16 in
-  (* (bid, vid) -> def id *)
   let vars_arr = Array.make nvars None in
   List.iter (fun (v : var) -> vars_arr.(v.vid) <- Some v) f.Func.vars;
   List.iter
@@ -88,11 +113,12 @@ let compute (f : Func.t) : t =
       | Pscalar v -> vars_arr.(v.vid) <- Some v
       | Parr _ -> ())
     f.Func.params;
+  (* placed.(y) = vid: variable vid already has a phi at y *)
+  let placed = Array.make nblocks (-1) in
   for vid = 0 to nvars - 1 do
     match vars_arr.(vid) with
     | None -> ()
     | Some v ->
-        let placed = Array.make nblocks false in
         let work = ref assign_blocks.(vid) in
         (* entry holds the initial definition, so it counts as a def site *)
         work := f.Func.entry :: !work;
@@ -101,12 +127,11 @@ let compute (f : Func.t) : t =
           work := List.tl !work;
           List.iter
             (fun y ->
-              if not placed.(y) then begin
-                placed.(y) <- true;
+              if placed.(y) <> vid then begin
+                placed.(y) <- vid;
                 let did = Vec.push defs (Dphi { bid = y; v; args = [] }) in
                 Hashtbl.replace phis_at y
                   ((vid, did) :: Option.value ~default:[] (Hashtbl.find_opt phis_at y));
-                Hashtbl.replace phi_ids (y, vid) did;
                 (* a phi is itself a definition *)
                 work := y :: !work
               end)
@@ -114,8 +139,8 @@ let compute (f : Func.t) : t =
         done
   done;
   (* 3. renaming via dominator-tree walk *)
-  let snapshots = Hashtbl.create 256 in
-  let block_end_env = Array.make nblocks [||] in
+  let entry_env = Array.make nblocks None in
+  let defs_at = Array.make nblocks [||] in
   let cur = Array.make nvars (-1) in
   for vid = 0 to nvars - 1 do
     match vars_arr.(vid) with
@@ -123,23 +148,32 @@ let compute (f : Func.t) : t =
     | None -> ()
   done;
   let children = Dominance.children dom in
-  let preds = Func.preds_array f in
-  ignore preds;
-  let rec walk bid (env : int array) =
-    let env = Array.copy env in
+  let succ = (Func.cfg f).Func.succ in
+  (* One environment for the whole walk: each block records what it
+     overwrote and puts it back once its dominator subtree is done. *)
+  let env = cur in
+  let rec walk bid =
+    let saved = ref [] in
+    let set vid did =
+      saved := (vid, env.(vid)) :: !saved;
+      env.(vid) <- did
+    in
     (* phis first *)
-    List.iter (fun (vid, did) -> env.(vid) <- did) (phis_at_tbl bid);
+    List.iter (fun (vid, did) -> set vid did) (phis_at_tbl bid);
     let b = Func.block f bid in
+    (* a block without instructions has no sites to snapshot *)
+    if b.instrs <> [] then entry_env.(bid) <- Some (Array.copy env);
+    let dids = Array.make (List.length b.instrs) (-1) in
     List.iteri
       (fun idx i ->
-        Hashtbl.replace snapshots (bid, idx) (Array.copy env);
         match i with
         | Assign (v, rhs) ->
             let did = Vec.push defs (Dassign { bid; idx; v; rhs }) in
-            env.(v.vid) <- did
+            set v.vid did;
+            dids.(idx) <- did
         | _ -> ())
       b.instrs;
-    block_end_env.(bid) <- env;
+    defs_at.(bid) <- dids;
     (* fill successor phi args *)
     List.iter
       (fun s ->
@@ -149,8 +183,10 @@ let compute (f : Func.t) : t =
             | Dphi p -> p.args <- (bid, env.(vid)) :: p.args
             | _ -> ())
           (phis_at_tbl s))
-      (Func.succs f bid);
-    List.iter (fun c -> if Dominance.reachable dom c then walk c env) children.(bid)
+      succ.(bid);
+    List.iter (fun c -> if Dominance.reachable dom c then walk c) children.(bid);
+    List.iter (fun (vid, did) -> env.(vid) <- did) !saved
   and phis_at_tbl bid = Option.value ~default:[] (Hashtbl.find_opt phis_at bid) in
-  if nblocks > 0 then walk f.Func.entry cur;
-  { func = f; defs; snapshots; phis_at; block_end_env; nvars }
+  if nblocks > 0 then walk f.Func.entry;
+  let snapshots = Array.map (fun d -> Array.make (Array.length d) [||]) defs_at in
+  { func = f; defs; entry_env; defs_at; snapshots; phis_at; nvars }

@@ -115,7 +115,8 @@ let path_weight t f g =
     else None
   end
 
-(* Is check [(f, cf)] as strong as check [(g, cg)]? *)
+(* Is check [(f, cf)] as strong as check [(g, cg)]? (Hot loops call
+   {!path_weight} directly rather than build the pairs.) *)
 let as_strong_as t ~strong:(f, cf) ~weak:(g, cg) =
   match path_weight t f g with Some w -> cf + w <= cg | None -> false
 

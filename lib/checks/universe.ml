@@ -31,6 +31,7 @@ type t = {
       (* checks made anticipatable by performing check i (same-family only,
          per the paper's stronger anticipatability conditions) *)
   kills : (int, Nascent_support.Bitset.t) Hashtbl.t; (* atom key -> checks killed *)
+  none : Nascent_support.Bitset.t; (* the empty set, for keys that kill nothing *)
 }
 
 module Bitset = Nascent_support.Bitset
@@ -58,6 +59,14 @@ let family t i = t.families.(i)
 let same_atom_keys a b =
   let ka = Check.atom_keys a and kb = Check.atom_keys b in
   List.length ka = List.length kb && List.for_all2 ( = ) ka kb
+
+let oracle_proves oracle (arr : Check.t array) i j same_fam =
+  match oracle with
+  | None -> false
+  | Some cache ->
+      i <> j && (not same_fam)
+      && same_atom_keys arr.(i) arr.(j)
+      && Oracle.implies ~cache ~hyps:[ arr.(i) ] arr.(j)
 
 (* Build a frozen universe from the distinct checks of [checks].
    Implication queries go through [cig], which the caller has already
@@ -88,27 +97,21 @@ let build ~cig ~mode ?oracle (checks : Check.t list) : t =
   let families = Array.map (Cig.family_of_check cig) arr in
   let avail_gen = Array.init n (fun _ -> Bitset.create n) in
   let ant_gen = Array.init n (fun _ -> Bitset.create n) in
+  (* n^2 pairs: nothing below allocates per pair *)
   for i = 0 to n - 1 do
+    let fi = families.(i) and ci = Check.constant arr.(i) in
     for j = 0 to n - 1 do
-      let same_fam = families.(i) = families.(j) in
-      let ci = Check.constant arr.(i) and cj = Check.constant arr.(j) in
-      let strong () =
-        Cig.as_strong_as cig ~strong:(families.(i), ci) ~weak:(families.(j), cj)
-      in
-      let oracle_proves () =
-        match oracle with
-        | None -> false
-        | Some cache ->
-            i <> j && (not same_fam)
-            && same_atom_keys arr.(i) arr.(j)
-            && Oracle.implies ~cache ~hyps:[ arr.(i) ] arr.(j)
+      let fj = families.(j) and cj = Check.constant arr.(j) in
+      let same_fam = fi = fj in
+      let strong =
+        match Cig.path_weight cig fi fj with Some w -> ci + w <= cj | None -> false
       in
       let avail_implies =
         match mode with
         | No_implications -> i = j
         | Cross_family_only ->
-            i = j || ((not same_fam) && (strong () || oracle_proves ()))
-        | All_implications -> strong () || oracle_proves ()
+            i = j || ((not same_fam) && (strong || oracle_proves oracle arr i j same_fam))
+        | All_implications -> strong || oracle_proves oracle arr i j same_fam
       in
       if avail_implies then Bitset.add avail_gen.(i) j;
       let ant_implies =
@@ -135,7 +138,7 @@ let build ~cig ~mode ?oracle (checks : Check.t list) : t =
           Bitset.add set i)
         (Check.atom_keys c))
     arr;
-  { cig; index; checks = arr; families; mode; avail_gen; ant_gen; kills }
+  { cig; index; checks = arr; families; mode; avail_gen; ant_gen; kills; none = Bitset.create n }
 
 (* Set of checks made available by performing check [i]. *)
 let avail_gen t i = t.avail_gen.(i)
@@ -144,11 +147,12 @@ let avail_gen t i = t.avail_gen.(i)
 let ant_gen t i = t.ant_gen.(i)
 
 (* Set of checks whose range expression mentions the atom with key [k]
-   (i.e. killed by a definition of that atom). *)
+   (i.e. killed by a definition of that atom). Shared with the
+   universe, as the gen sets are: read it, never write it. *)
 let killed_by_key t k =
   match Hashtbl.find_opt t.kills k with
   | Some s -> s
-  | None -> Bitset.create (size t)
+  | None -> t.none
 
 (* Does performing check [i] make check [j] redundant (availability
    sense, mode-aware)? *)

@@ -50,7 +50,8 @@ val ant_gen : t -> int -> Nascent_support.Bitset.t
 
 val killed_by_key : t -> int -> Nascent_support.Bitset.t
 (** Checks whose range expression mentions the atom with this key
-    (killed by a definition of that atom). *)
+    (killed by a definition of that atom). The set is the universe's
+    own, as the gen sets are: read it, never write it. *)
 
 val implies_avail : t -> int -> int -> bool
 (** Does performing check [i] make check [j] redundant? *)

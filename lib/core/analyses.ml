@@ -25,51 +25,64 @@ let make_env ctx = { ctx; uni = Checkctx.universe ctx }
 
 let n_checks env = Universe.size env.uni
 
-let kill_bits env (keys : int list) : Bitset.t =
-  let b = Bitset.create (n_checks env) in
-  List.iter (fun k -> Bitset.union_into ~into:b (Universe.killed_by_key env.uni k)) keys;
-  b
+(* The transfer of a block, composed instruction by instruction in
+   place: kill-then-gen steps compose as
+     K := K ∪ Ki;  G := (G \ Ki) ∪ Gi  (then K := K \ Gi),
+   and Ki, the union of the universe's per-atom kill sets, is applied
+   one atom at a time, so no per-instruction set is built. The helpers
+   are top-level recursions rather than closures over [tf]: they run
+   once per instruction of every block, on every rebuild. *)
+let rec kill (tf : Dataflow.block_transfer) uni = function
+  | [] -> ()
+  | k :: keys ->
+      let s = Universe.killed_by_key uni k in
+      Bitset.diff_into ~into:tf.gen s;
+      Bitset.union_into ~into:tf.kill s;
+      kill tf uni keys
 
-let instr_kills env (i : Ir.Types.instr) = kill_bits env (env.ctx.Checkctx.instr_kill_keys i)
-
-(* Checks generated by an instruction, for availability (gen_of_avail)
-   or anticipatability (gen_of_ant). *)
-let gens env ~(ant : bool) ~(cond_gens : bool) (i : Ir.Types.instr) : Bitset.t option =
-  let gen_of m =
-    match Universe.index_of env.uni (env.ctx.Checkctx.site_check m) with
-    | None -> None
-    | Some j -> Some (if ant then Universe.ant_gen env.uni j else Universe.avail_gen env.uni j)
-  in
-  match i with
-  | Ir.Types.Check m -> gen_of m
-  | Ir.Types.Cond_check (_, m) when cond_gens -> gen_of m
-  | _ -> None
-
-(* Sequential composition of kill-then-gen transfers:
-   K := K ∪ Ki;  G := (G \ Ki) ∪ Gi. *)
-let compose (tf : Dataflow.block_transfer) ~kill ~gen =
-  Bitset.diff_into ~into:tf.gen kill;
-  Bitset.union_into ~into:tf.kill kill;
-  (match gen with
-  | Some g ->
+(* Checks generated by check [m]: itself and what it implies, for
+   availability (avail_gen) or within its family, for anticipatability
+   (ant_gen). *)
+let gen (tf : Dataflow.block_transfer) env ~ant (m : Ir.Types.check_meta) =
+  match Universe.index_of env.uni (env.ctx.Checkctx.site_check m) with
+  | None -> ()
+  | Some j ->
+      let g = if ant then Universe.ant_gen env.uni j else Universe.avail_gen env.uni j in
       Bitset.union_into ~into:tf.gen g;
       Bitset.diff_into ~into:tf.kill g
-  | None -> ());
-  ()
+
+let step tf env ~ant ~cond_gens (i : Ir.Types.instr) =
+  kill tf env.uni (env.ctx.Checkctx.instr_kill_keys i);
+  match i with
+  | Ir.Types.Check m -> gen tf env ~ant m
+  | Ir.Types.Cond_check (_, m) when cond_gens -> gen tf env ~ant m
+  | _ -> ()
+
+let rec forward tf env ~cond_gens = function
+  | [] -> ()
+  | i :: rest ->
+      step tf env ~ant:false ~cond_gens i;
+      forward tf env ~cond_gens rest
+
+(* last instruction first, on the stack rather than a reversed copy *)
+let rec backward tf env ~cond_gens = function
+  | [] -> ()
+  | i :: rest ->
+      backward tf env ~cond_gens rest;
+      step tf env ~ant:true ~cond_gens i
 
 let block_transfer env ~ant ~cond_gens (b : Ir.Types.block) : Dataflow.block_transfer =
   let n = n_checks env in
   let tf = { Dataflow.gen = Bitset.create n; kill = Bitset.create n } in
-  let entry_kill = kill_bits env (env.ctx.Checkctx.block_entry_kill_keys b.Ir.Types.bid) in
-  let step i = compose tf ~kill:(instr_kills env i) ~gen:(gens env ~ant ~cond_gens i) in
+  let entry_keys = env.ctx.Checkctx.block_entry_kill_keys b.Ir.Types.bid in
   if ant then begin
-    (* backward: last instruction first; block-entry kills apply last *)
-    List.iter step (List.rev b.Ir.Types.instrs);
-    compose tf ~kill:entry_kill ~gen:None
+    (* backward: block-entry kills apply last *)
+    backward tf env ~cond_gens b.Ir.Types.instrs;
+    kill tf env.uni entry_keys
   end
   else begin
-    compose tf ~kill:entry_kill ~gen:None;
-    List.iter step b.Ir.Types.instrs
+    kill tf env.uni entry_keys;
+    forward tf env ~cond_gens b.Ir.Types.instrs
   end;
   tf
 

@@ -15,7 +15,6 @@ val make_env : Checkctx.t -> env
 
 val n_checks : env -> int
 
-val instr_kills : env -> Nascent_ir.Types.instr -> Nascent_support.Bitset.t
 
 val availability : ?cond_gens:bool -> env -> Nascent_analysis.Dataflow.result
 (** Block-level availability. [cond_gens] makes a [Cond_check] generate

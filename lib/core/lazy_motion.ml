@@ -41,50 +41,46 @@ let locals (env : Analyses.env) (b : block) : local =
   let n = Universe.size uni in
   let antloc = Bitset.create n and comp = Bitset.create n in
   let killed = Bitset.create n in
-  let kill_of i =
-    let k = Bitset.create n in
+  let transp = Bitset.full n in
+  (* kills go straight into [killed] (and out of [transp]), one atom's
+     set at a time: no set is built per instruction *)
+  let kill keys =
     List.iter
-      (fun key -> Bitset.union_into ~into:k (Universe.killed_by_key uni key))
-      (ctx.Checkctx.instr_kill_keys i);
-    k
+      (fun key ->
+        let k = Universe.killed_by_key uni key in
+        Bitset.union_into ~into:killed k;
+        Bitset.diff_into ~into:transp k)
+      keys
+  in
+  (* [into] gains what check [m] generates ([gen_of] its index) and
+     nothing [killed] already holds *)
+  let gen into gen_of i =
+    match i with
+    | Check m -> (
+        match Universe.index_of uni (ctx.Checkctx.site_check m) with
+        | None -> ()
+        | Some j -> Bitset.union_diff_into ~into (gen_of uni j) killed)
+    | _ -> ()
   in
   (* entry kills count as kills-before-everything for ANTLOC *)
-  List.iter
-    (fun key -> Bitset.union_into ~into:killed (Universe.killed_by_key uni key))
-    (ctx.Checkctx.block_entry_kill_keys b.bid);
+  kill (ctx.Checkctx.block_entry_kill_keys b.bid);
   List.iter
     (fun i ->
-      (match i with
-      | Check m -> (
-          match Universe.index_of uni (ctx.Checkctx.site_check m) with
-          | None -> ()
-          | Some j ->
-              let g = Bitset.copy (Universe.ant_gen uni j) in
-              Bitset.diff_into ~into:g killed;
-              Bitset.union_into ~into:antloc g)
-      | _ -> ());
-      Bitset.union_into ~into:killed (kill_of i))
+      gen antloc Universe.ant_gen i;
+      kill (ctx.Checkctx.instr_kill_keys i))
     b.instrs;
-  (* backward scan for COMP *)
+  (* backward scan for COMP; [transp] already has every kill *)
   Bitset.clear killed;
-  List.iter
-    (fun i ->
-      (match i with
-      | Check m -> (
-          match Universe.index_of uni (ctx.Checkctx.site_check m) with
-          | None -> ()
-          | Some j ->
-              let g = Bitset.copy (Universe.avail_gen uni j) in
-              Bitset.diff_into ~into:g killed;
-              Bitset.union_into ~into:comp g)
-      | _ -> ());
-      Bitset.union_into ~into:killed (kill_of i))
-    (List.rev b.instrs);
-  let transp = Bitset.full n in
-  List.iter (fun i -> Bitset.diff_into ~into:transp (kill_of i)) b.instrs;
-  List.iter
-    (fun key -> Bitset.diff_into ~into:transp (Universe.killed_by_key uni key))
-    (ctx.Checkctx.block_entry_kill_keys b.bid);
+  let rec backward = function
+    | [] -> ()
+    | i :: rest ->
+        backward rest;
+        gen comp Universe.avail_gen i;
+        List.iter
+          (fun key -> Bitset.union_into ~into:killed (Universe.killed_by_key uni key))
+          (ctx.Checkctx.instr_kill_keys i)
+  in
+  backward b.instrs;
   { antloc; comp; transp }
 
 (* Insert the checks of [set] on edge (m, n). Because critical edges
@@ -142,11 +138,12 @@ let run (ctx : Checkctx.t) ~(placement : placement) : stats =
   (* EARLIEST(m,n) = ANTIN(n) ∧ ¬AVOUT(m) ∧ (¬TRANSP(m) ∨ ¬ANTOUT(m));
      m = -1 is the virtual edge into the entry block, where nothing is
      available and nothing can move higher. *)
+  let blocked = Bitset.create n in
   let earliest m nd =
     let e = Bitset.copy ant.Dataflow.in_.(nd) in
     if m <> -1 then begin
       Bitset.diff_into ~into:e av.Dataflow.out.(m);
-      let blocked = Bitset.copy loc.(m).transp in
+      Bitset.assign ~into:blocked loc.(m).transp;
       Bitset.inter_into ~into:blocked ant.Dataflow.out.(m);
       (* blocked = TRANSP(m) ∧ ANTOUT(m): placement can still move up *)
       Bitset.diff_into ~into:e blocked
@@ -172,13 +169,10 @@ let run (ctx : Checkctx.t) ~(placement : placement) : stats =
       Bitset.assign ~into:laterin.(entry) (earliest (-1) entry);
       let later (m, nd) =
         let l = earliest m nd in
-        if m <> -1 then begin
-          let pass = Bitset.copy laterin.(m) in
-          Bitset.diff_into ~into:pass loc.(m).antloc;
-          Bitset.union_into ~into:l pass
-        end;
+        if m <> -1 then Bitset.union_diff_into ~into:l laterin.(m) loc.(m).antloc;
         l
       in
+      let v = Bitset.create n in
       let changed = ref true in
       while !changed do
         (* charge any enclosing pass/task fuel budget per sweep *)
@@ -187,7 +181,7 @@ let run (ctx : Checkctx.t) ~(placement : placement) : stats =
         List.iter
           (fun nd ->
             if nd <> entry then begin
-              let v = Bitset.full n in
+              Bitset.fill v;
               List.iter (fun m -> Bitset.inter_into ~into:v (later (m, nd))) preds.(nd);
               if preds.(nd) = [] then Bitset.clear v;
               if not (Bitset.equal v laterin.(nd)) then begin

@@ -179,7 +179,7 @@ let optimize_func (config : Config.t) (f : Ir.Func.t) : stats =
   let run_pass : type a. string -> ?vpass:Ir.Verify.pass -> (unit -> a) -> (a, unit) result
       =
    fun name ?vpass body ->
-    let before = Ir.Transform.copy_func f in
+    let before = Ir.Transform.snapshot_func f in
     let _, cb = Ir.Func.static_counts f in
     let t = Mclock.counter () in
     let outcome =
@@ -403,6 +403,10 @@ let optimize_func (config : Config.t) (f : Ir.Func.t) : stats =
                 Ir.Validate.pp v);
         Some v
   in
+  (* The CFG view served the passes; a caller that keeps the optimized
+     function (the experiment harness keeps dozens) should not also
+     keep it. Whoever analyses the function again rebuilds one. *)
+  f.Ir.Func.view <- None;
   let result =
     {
       !st with

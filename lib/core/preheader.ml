@@ -241,11 +241,12 @@ let articulation (f : Ir.Func.t) (l : Loops.loop) ~body_entry ~latches b =
   b = body_entry
   || latches <> []
      &&
+     let succ = (Ir.Func.cfg f).Ir.Func.succ in
      let seen = Array.make (Ir.Func.num_blocks f) false in
      let rec go x =
        if (not seen.(x)) && x <> b && Loops.in_loop l x then begin
          seen.(x) <- true;
-         List.iter go (Ir.Func.succs f x)
+         List.iter go succ.(x)
        end
      in
      go body_entry;
@@ -270,17 +271,16 @@ let already_covered (pre : block) ~guard ~(chk : Check.t) ~mode =
       | _ -> false)
     pre.instrs
 
-let process_loop (ctx : Checkctx.t) ~variant (st : stats) (l : Loops.loop) : bool =
+(* [facts ()] is the check universe and its anticipatability for the
+   function as it stands; [dom] and [preds] hold for the whole pass. *)
+let process_loop (ctx : Checkctx.t) ~variant ~dom ~preds ~facts (st : stats)
+    (l : Loops.loop) : bool =
   let f = ctx.Checkctx.func in
   let atoms = f.Ir.Func.atoms in
   match (preheader_of l, body_entry_of l) with
   | None, _ | _, None -> false
   | Some pre_bid, Some body_bid ->
-      let env = Analyses.make_env ctx in
-      let uni = env.Analyses.uni in
-      let ant = Analyses.anticipatability ~cond_gens:true env in
-      let dom = Dominance.compute f in
-      let preds = Ir.Func.preds_array f in
+      let uni, ant = facts () in
       let latches =
         List.filter (fun p -> Loops.in_loop l p) preds.(l.Loops.header)
       in
@@ -379,8 +379,27 @@ let process_loop (ctx : Checkctx.t) ~variant (st : stats) (l : Loops.loop) : boo
 
 let run (ctx : Checkctx.t) ~variant : stats =
   let st = new_stats () in
-  (* innermost-first; each hoist can enable hoisting from the enclosing
-     loop, so anticipatability is recomputed per loop (process_loop
-     builds a fresh env). *)
-  List.iter (fun l -> ignore (process_loop ctx ~variant st l)) ctx.Checkctx.loops;
+  let f = ctx.Checkctx.func in
+  (* Loops are processed innermost-first, and each hoist can enable
+     hoisting from the enclosing loop, so the check universe and its
+     anticipatability are rebuilt after every loop that hoisted
+     something. A loop that hoisted nothing left the function as it
+     was, so the next loop reuses them. Hoisting edits instruction
+     lists only, never a terminator, so dominance and predecessors are
+     the same for every loop of the pass. *)
+  let dom = Dominance.compute f in
+  let preds = Ir.Func.preds_array f in
+  let current = ref None in
+  let facts () =
+    match !current with
+    | Some uf -> uf
+    | None ->
+        let env = Analyses.make_env ctx in
+        let uf = (env.Analyses.uni, Analyses.anticipatability ~cond_gens:true env) in
+        current := Some uf;
+        uf
+  in
+  List.iter
+    (fun l -> if process_loop ctx ~variant ~dom ~preds ~facts st l then current := None)
+    ctx.Checkctx.loops;
   st

@@ -11,11 +11,11 @@ type t = {
   mutable pos : int;
   mutable line : int;
   mutable col : int;
+  mutable tok_line : int; (* start of the token last scanned *)
+  mutable tok_col : int;
 }
 
-let make src = { src; pos = 0; line = 1; col = 1 }
-
-let cur_pos lx : Srcloc.pos = { line = lx.line; col = lx.col }
+let make src = { src; pos = 0; line = 1; col = 1; tok_line = 1; tok_col = 1 }
 
 (* The byte at [pos] (and the one after it), or '\000' past the end:
    peeking allocates nothing. A NUL in the source is an unexpected
@@ -95,11 +95,13 @@ let lex_ident lx =
   | Some kw -> kw
   | None -> Token.IDENT text
 
-(* Returns the next token together with its start position. *)
-let next lx : Token.t * Srcloc.pos =
+(* Scans the next token, leaving its start position in [tok_line] and
+   [tok_col]: nothing is allocated but a token's payload. *)
+let scan lx : Token.t =
   skip_ws lx;
-  let pos = cur_pos lx in
-  if at_end lx then (Token.EOF, pos)
+  lx.tok_line <- lx.line;
+  lx.tok_col <- lx.col;
+  if at_end lx then Token.EOF
   else
     let c = peek lx in
     let tok =
@@ -134,17 +136,62 @@ let next lx : Token.t * Srcloc.pos =
         | ')' -> Token.RPAREN
         | ',' -> Token.COMMA
         | ':' -> Token.COLON
-        | c -> raise (Error (Printf.sprintf "unexpected character %C" c, pos))
+        | c ->
+            raise
+              (Error
+                 ( Printf.sprintf "unexpected character %C" c,
+                   { Srcloc.line = lx.tok_line; col = lx.tok_col } ))
       end
     in
-    (tok, pos)
+    tok
+
+(* Tokens and their start positions, in chunks of [chunk] slots: a
+   chunk is small enough for the minor heap, where a whole-program
+   array would go straight to the major heap and stay there until a
+   major cycle reclaims it. *)
+let chunk = 256
+
+type tokens = {
+  toks : Token.t array array; (* token i is toks.(i / chunk).(i mod chunk) *)
+  lines : int array array; (* and starts at that line ... *)
+  cols : int array array; (* ... and column *)
+  count : int; (* tokens, the last one EOF *)
+}
+
+(* The whole source is lexed before parsing starts, so a lexical error
+   anywhere is reported ahead of any syntax error. *)
+let tokens src : tokens =
+  let lx = make src in
+  let rec go n t l c full =
+    let tok = scan lx in
+    let k = n mod chunk in
+    t.(k) <- tok;
+    l.(k) <- lx.tok_line;
+    c.(k) <- lx.tok_col;
+    match tok with
+    | Token.EOF -> (n + 1, List.rev ((t, l, c) :: full))
+    | _ when k = chunk - 1 ->
+        go (n + 1) (Array.make chunk Token.EOF) (Array.make chunk 0) (Array.make chunk 0)
+          ((t, l, c) :: full)
+    | _ -> go (n + 1) t l c full
+  in
+  let count, chunks =
+    go 0 (Array.make chunk Token.EOF) (Array.make chunk 0) (Array.make chunk 0) []
+  in
+  let field f = Array.of_list (List.map f chunks) in
+  {
+    toks = field (fun (t, _, _) -> t);
+    lines = field (fun (_, l, _) -> l);
+    cols = field (fun (_, _, c) -> c);
+    count;
+  }
+
+let count t = t.count
+let token t i = t.toks.(i / chunk).(i mod chunk)
+
+let pos_of t i : Srcloc.pos =
+  { line = t.lines.(i / chunk).(i mod chunk); col = t.cols.(i / chunk).(i mod chunk) }
 
 let tokenize src =
-  let lx = make src in
-  let rec go acc =
-    let tok, pos = next lx in
-    match tok with
-    | Token.EOF -> List.rev ((tok, pos) :: acc)
-    | _ -> go ((tok, pos) :: acc)
-  in
-  go []
+  let t = tokens src in
+  List.init t.count (fun i -> (token t i, pos_of t i))

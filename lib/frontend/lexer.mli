@@ -6,15 +6,22 @@
 
 exception Error of string * Srcloc.pos
 
-type t
+type tokens
+(** A whole token stream, written into arrays: no tuple, position
+    record or list cell per token. *)
 
-val make : string -> t
-
-val next : t -> Token.t * Srcloc.pos
-(** The next token and its start position; returns [EOF] at the end
-    (repeatedly).
+val tokens : string -> tokens
+(** Lex the whole source.
     @raise Error on an unexpected character. *)
 
+val count : tokens -> int
+(** Number of tokens; the last one is [EOF]. *)
+
+val token : tokens -> int -> Token.t
+
+val pos_of : tokens -> int -> Srcloc.pos
+(** The start position of token [i]. *)
+
 val tokenize : string -> (Token.t * Srcloc.pos) list
-(** The whole token stream, ending with [EOF].
+(** {!tokens} as a list, ending with [EOF].
     @raise Error on an unexpected character. *)

@@ -5,22 +5,24 @@
 
 exception Error of string * Srcloc.pos
 
-type t = { toks : (Token.t * Srcloc.pos) array; mutable cur : int }
+type t = { lx : Lexer.tokens; mutable cur : int }
 
-let make src = { toks = Array.of_list (Lexer.tokenize src); cur = 0 }
+let make src = { lx = Lexer.tokens src; cur = 0 }
 
-let peek p = fst p.toks.(p.cur)
-let peek_pos p = snd p.toks.(p.cur)
+let peek p = Lexer.token p.lx p.cur
+let peek_pos p = Lexer.pos_of p.lx p.cur
+let peek2 p = if p.cur + 1 < Lexer.count p.lx then Lexer.token p.lx (p.cur + 1) else Token.EOF
+let advance p = if p.cur < Lexer.count p.lx - 1 then p.cur <- p.cur + 1
 
-let peek2 p =
-  if p.cur + 1 < Array.length p.toks then fst p.toks.(p.cur + 1) else Token.EOF
-
-let advance p = if p.cur < Array.length p.toks - 1 then p.cur <- p.cur + 1
+(* Is the current token [tok]? Only payload-free tokens are asked for,
+   so physical equality is constructor equality, with no call into the
+   polymorphic comparison. *)
+let at p (tok : Token.t) = peek p == tok
 
 let error p msg = raise (Error (msg, peek_pos p))
 
 let expect p tok =
-  if peek p = tok then advance p
+  if at p tok then advance p
   else
     error p
       (Printf.sprintf "expected %s but found %s" (Token.to_string tok)
@@ -215,7 +217,7 @@ let parse_declarator p ty : Ast.decl =
 let rec parse_decls p acc =
   match peek p with
   | Token.KW_INTEGER | Token.KW_REAL ->
-      let ty = if peek p = Token.KW_INTEGER then Ast.TInt else Ast.TReal in
+      let ty = if at p Token.KW_INTEGER then Ast.TInt else Ast.TReal in
       advance p;
       let rec declarators acc =
         let d = parse_declarator p ty in
@@ -348,7 +350,7 @@ let parse_unit p : Ast.comp_unit =
               | Token.RPAREN -> []
               | _ ->
                   let id = expect_ident p in
-                  if peek p = Token.COMMA then begin
+                  if at p Token.COMMA then begin
                     advance p;
                     id :: go ()
                   end

@@ -390,6 +390,7 @@ let status_extra t () =
         [
           ("hits", Json.Int cache.Memo.hits);
           ("misses", Json.Int cache.Memo.misses);
+          ("entries", Json.Int cache.Memo.entries);
         ] );
   ]
 

@@ -93,9 +93,9 @@ let fresh_synth t name : Atom.t =
 let payload t key = Hashtbl.find_opt t.payloads key
 
 let payload_exn t key =
-  match payload t key with
-  | Some p -> p
-  | None -> invalid_arg "Atoms.payload_exn: unknown atom key"
+  match Hashtbl.find t.payloads key with
+  | p -> p
+  | exception Not_found -> invalid_arg "Atoms.payload_exn: unknown atom key"
 
 (* Atom keys invalidated by a definition of variable [v]. *)
 let killed_by_def t (v : Types.var) : int list =

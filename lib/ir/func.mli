@@ -6,6 +6,24 @@
 
 open Types
 
+(** What the analyses derive from the terminators alone, cached on the
+    function: one view serves every pass until a terminator changes or
+    a block is added. It is keyed by the terminators' physical identity,
+    so assigning [b.term] (even to an equal value) or pushing a block is
+    all it takes to make the next {!cfg} rebuild it. Everything in it is
+    shared: read it, never write it. *)
+type cfg = private {
+  terms : terminator array;  (** the key: block [i]'s terminator *)
+  centry : int;
+  succ : int list array;  (** {!succs_of_term} of each block *)
+  pred : int list array;  (** predecessors, ascending *)
+  order : int list;  (** reverse postorder over reachable blocks *)
+  order_num : int array;  (** position in [order]; -1 if unreachable *)
+  reach : bool array;
+  mutable idom : int array;  (** filled by {!idom} on first use *)
+  mutable exits : bool array;  (** filled by {!reaches_exit} on first use *)
+}
+
 type t = {
   fname : string;
   mutable params : param list;
@@ -17,6 +35,7 @@ type t = {
   atoms : Atoms.t;
   mutable loops : loop_meta list;  (** lowering-time loop structure *)
   mutable next_vid : int;
+  mutable view : cfg option;  (** the last {!cfg} built; see {!cfg} *)
 }
 
 val dummy_block : block
@@ -37,7 +56,13 @@ val iter_blocks : (block -> unit) -> t -> unit
 
 val succs_of_term : terminator -> int list
 val succs : t -> int -> int list
+
+val cfg : t -> cfg
+(** The current CFG view: the cached one if every terminator and the
+    entry are physically those it was built from, else a new one. *)
+
 val preds_array : t -> int list array
+(** [(cfg t).pred]. *)
 
 val reachable : t -> bool array
 (** Blocks reachable from entry; analyses ignore the rest. *)
@@ -45,6 +70,14 @@ val reachable : t -> bool array
 val rpo : t -> int list
 (** Reverse postorder over reachable blocks — the iteration order of
     the forward data-flow solvers. *)
+
+val idom : t -> int array
+(** Immediate dominators (Cooper–Harvey–Kennedy): the entry maps to
+    itself, unreachable blocks to -1. Computed once per view. *)
+
+val reaches_exit : t -> bool array
+(** Blocks with a path to a successor-less block; the others sit in
+    no-exit regions. Computed once per view. *)
 
 val split_critical_edges : t -> bool
 (** Split every edge from a multi-successor block to a

@@ -21,11 +21,25 @@ type ctx = {
   scalars : (string, var) Hashtbl.t;
   arrays : (string, arr) Hashtbl.t;
   mutable cur : block; (* block under construction *)
+  mutable pending : instr list; (* [cur]'s instructions not yet stored, newest first *)
   mutable next_arr_id : int;
   mutable temp_count : int;
 }
 
-let emit ctx i = ctx.cur.instrs <- ctx.cur.instrs @ [ i ]
+(* Instructions are collected newest-first and stored in the block
+   once, when lowering moves on to another block: appending each to the
+   block's list would copy the list on every instruction. *)
+let emit ctx i = ctx.pending <- i :: ctx.pending
+
+let flush ctx =
+  if ctx.pending <> [] then begin
+    ctx.cur.instrs <- ctx.cur.instrs @ List.rev ctx.pending;
+    ctx.pending <- []
+  end
+
+let switch ctx b =
+  flush ctx;
+  ctx.cur <- b
 
 let set_term ctx t = ctx.cur.term <- t
 
@@ -133,20 +147,20 @@ and lower_stmt ctx (s : Ast.stmt) =
       let belse = Func.new_block ctx.func in
       let bjoin = Func.new_block ctx.func in
       set_term ctx (Branch (cond, bthen.bid, belse.bid));
-      ctx.cur <- bthen;
+      switch ctx bthen;
       lower_stmts ctx then_;
       set_term ctx (Goto bjoin.bid);
-      ctx.cur <- belse;
+      switch ctx belse;
       lower_stmts ctx else_;
       set_term ctx (Goto bjoin.bid);
-      ctx.cur <- bjoin
+      switch ctx bjoin
   | Ast.Do { index; lo; hi; step; body } ->
       let iv = scalar ctx index in
       let step = const_step step in
       (* Preheader: evaluate the bounds once, initialize the index. *)
       let pre = Func.new_block ctx.func in
       set_term ctx (Goto pre.bid);
-      ctx.cur <- pre;
+      switch ctx pre;
       let lo_e = capture ctx ~hint:(index ^ "$lo") lo in
       let hi_e = capture ctx ~hint:(index ^ "$hi") hi in
       emit ctx (Assign (iv, lo_e));
@@ -157,7 +171,7 @@ and lower_stmt ctx (s : Ast.stmt) =
       set_term ctx (Goto header.bid);
       let test = if step > 0 then Ebin (Le, Evar iv, hi_e) else Ebin (Ge, Evar iv, hi_e) in
       header.term <- Branch (test, bodyb.bid, exit.bid);
-      ctx.cur <- bodyb;
+      switch ctx bodyb;
       lower_stmts ctx body;
       set_term ctx (Goto latch.bid);
       latch.instrs <- [ Assign (iv, Ebin (Add, Evar iv, Cint step)) ];
@@ -177,7 +191,7 @@ and lower_stmt ctx (s : Ast.stmt) =
             d_basic = None;
           }
         :: ctx.func.Func.loops;
-      ctx.cur <- exit
+      switch ctx exit
   | Ast.While (c, body) ->
       let pre = Func.new_block ctx.func in
       set_term ctx (Goto pre.bid);
@@ -187,10 +201,10 @@ and lower_stmt ctx (s : Ast.stmt) =
       pre.term <- Goto header.bid;
       (* The condition is lowered into the header (checks of any array
          reads it contains are re-executed per iteration, as in source). *)
-      ctx.cur <- header;
+      switch ctx header;
       let cond = lower_expr ctx c in
       set_term ctx (Branch (cond, bodyb.bid, exit.bid));
-      ctx.cur <- bodyb;
+      switch ctx bodyb;
       lower_stmts ctx body;
       set_term ctx (Goto header.bid);
       ctx.func.Func.loops <-
@@ -203,7 +217,7 @@ and lower_stmt ctx (s : Ast.stmt) =
             w_cond = cond;
           }
         :: ctx.func.Func.loops;
-      ctx.cur <- exit
+      switch ctx exit
   | Ast.Call (name, args) ->
       let args =
         List.map
@@ -221,7 +235,7 @@ and lower_stmt ctx (s : Ast.stmt) =
       set_term ctx Ret;
       (* Statements after return are unreachable; park them in a fresh
          dead block to keep lowering simple. *)
-      ctx.cur <- Func.new_block ctx.func
+      switch ctx (Func.new_block ctx.func)
     end
 
 (* Lower one compilation unit. *)
@@ -241,7 +255,9 @@ let lower_unit (uenv : Sema.unit_env) : Func.t =
     u.udecls;
   let entry = Func.new_block func in
   func.Func.entry <- entry.bid;
-  let ctx = { func; scalars; arrays; cur = entry; next_arr_id = 0; temp_count = 0 } in
+  let ctx =
+    { func; scalars; arrays; cur = entry; pending = []; next_arr_id = 0; temp_count = 0 }
+  in
   (* Pass 2: arrays; symbolic bounds are captured in entry temps.
      Temps are hash-consed by the (folded) bound expression, so arrays
      declared with the same symbolic extent share one temp — and hence
@@ -297,6 +313,7 @@ let lower_unit (uenv : Sema.unit_env) : Func.t =
   func.Func.params <- params;
   lower_stmts ctx u.ubody;
   set_term ctx Ret;
+  flush ctx;
   func
 
 let lower_program (env : Sema.env) : Program.t =

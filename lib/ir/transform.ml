@@ -7,7 +7,9 @@
 module Vec = Nascent_support.Vec
 open Types
 
-let copy_func (f : Func.t) : Func.t =
+(* The blocks and loop metadata of [f], fresh (both hold mutable
+   fields) but sharing every instruction list and terminator. *)
+let copy_shape (f : Func.t) : Func.t =
   let blocks = Vec.create ~dummy:Func.dummy_block in
   Vec.iter
     (fun (b : block) -> ignore (Vec.push blocks { bid = b.bid; instrs = b.instrs; term = b.term }))
@@ -19,13 +21,17 @@ let copy_func (f : Func.t) : Func.t =
         | Lwhile w -> Lwhile w)
       f.Func.loops
   in
-  {
-    f with
-    Func.blocks;
-    loops;
-    atoms = Atoms.clone f.Func.atoms;
-    (* vars/arrays are immutable values: shared. *)
-  }
+  (* vars/arrays are immutable values: shared. So is the CFG view: the
+     copied blocks carry the same terminators, which keeps it valid for
+     the copy. *)
+  { f with Func.blocks; loops }
+
+let copy_func (f : Func.t) : Func.t =
+  { (copy_shape f) with Func.atoms = Atoms.clone f.Func.atoms }
+
+(* A rollback snapshot shares the atom table: {!restore_func} never
+   rewinds it, so a private clone would only be garbage. *)
+let snapshot_func = copy_shape
 
 (* Roll a function back to a [copy_func] snapshot, in place: the
    [Func.t] record (and the block records the snapshot shares ids
@@ -55,7 +61,9 @@ let restore_func ~(from_ : Func.t) (f : Func.t) : unit =
     List.map
       (function Ldo d -> Ldo { d with d_basic = d.d_basic } | Lwhile w -> Lwhile w)
       from_.Func.loops;
-  f.Func.next_vid <- from_.Func.next_vid
+  f.Func.next_vid <- from_.Func.next_vid;
+  (* the restored terminators are the snapshot's, so its view fits *)
+  f.Func.view <- from_.Func.view
 
 let copy_program (p : Program.t) : Program.t =
   let q = Program.create ~main:p.Program.main in

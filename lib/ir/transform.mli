@@ -8,9 +8,15 @@
 val copy_func : Func.t -> Func.t
 val copy_program : Program.t -> Program.t
 
+val snapshot_func : Func.t -> Func.t
+(** A {!copy_func} that shares [f]'s atom table instead of cloning it:
+    the snapshot a pass runs against, for {!restore_func} and the
+    verifier's differential rules. Only [f] may intern atoms while the
+    snapshot is alive. *)
+
 val restore_func : from_:Func.t -> Func.t -> unit
 (** [restore_func ~from_:snapshot f] rolls [f] back to [snapshot] (a
-    {!copy_func} of [f] taken earlier), in place: block records and the
+    {!copy_func} or {!snapshot_func} of [f] taken earlier), in place: block records and the
     [Func.t] record keep their physical identity, blocks appended since
     the snapshot are dropped, and instruction lists / terminators /
     scalar tables / loop metadata are restored to the snapshot's

@@ -73,39 +73,7 @@ let pp_violation ppf v =
 exception Invalid_ir of string
 
 (* ------------------------------------------------------------------ *)
-(* Self-contained dominators (Cooper–Harvey–Kennedy over RPO numbers). *)
-
-let dominators (f : Func.t) : int array =
-  let n = Func.num_blocks f in
-  let rpo = Func.rpo f in
-  let rpo_num = Array.make n (-1) in
-  List.iteri (fun i b -> rpo_num.(b) <- i) rpo;
-  let preds = Func.preds_array f in
-  let idom = Array.make n (-1) in
-  let entry = f.Func.entry in
-  idom.(entry) <- entry;
-  let rec intersect a b =
-    if a = b then a
-    else if rpo_num.(a) > rpo_num.(b) then intersect idom.(a) b
-    else intersect a idom.(b)
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun b ->
-        if b <> entry then
-          match List.filter (fun p -> idom.(p) <> -1) preds.(b) with
-          | [] -> ()
-          | p0 :: rest ->
-              let ni = List.fold_left intersect p0 rest in
-              if idom.(b) <> ni then begin
-                idom.(b) <- ni;
-                changed := true
-              end)
-      rpo
-  done;
-  idom
+(* Dominance over the function's cached dominator tree.                *)
 
 (* Does [a] dominate [b]? (Reflexive; false if either is unreachable.) *)
 let dominates (idom : int array) a b =
@@ -115,7 +83,19 @@ let dominates (idom : int array) a b =
     up b
 
 (* ------------------------------------------------------------------ *)
-(* Structural rules.                                                   *)
+(* Structural rules. A clean run allocates next to nothing: locations
+   and messages are formatted only when a violation is recorded, so
+   the rules below pass the parts of a location ([block_at],
+   [instr_at], [loop_at]) instead of a string.                         *)
+
+let block_at i = Fmt.str "block %d" i
+
+let instr_at bid i = Fmt.str "block %d: %a" bid Printer.pp_instr i
+
+let loop_at meta =
+  match meta with
+  | Ldo d -> Fmt.str "do-loop@%d" d.d_header
+  | Lwhile w -> Fmt.str "while-loop@%d" w.w_header
 
 let check_cfg (f : Func.t) add =
   let n = Func.num_blocks f in
@@ -123,123 +103,139 @@ let check_cfg (f : Func.t) add =
   else if f.Func.entry < 0 || f.Func.entry >= n then
     add Cfg f.Func.fname (Fmt.str "entry block %d out of range" f.Func.entry)
   else
+    let target i s =
+      if s < 0 || s >= n then
+        add Cfg (block_at i) (Fmt.str "terminator target %d out of range [0,%d)" s n)
+    in
     for i = 0 to n - 1 do
       let b = Func.block f i in
-      if b.bid <> i then
-        add Cfg (Fmt.str "block %d" i) (Fmt.str "carries id %d" b.bid);
-      List.iter
-        (fun s ->
-          if s < 0 || s >= n then
-            add Cfg
-              (Fmt.str "block %d" i)
-              (Fmt.str "terminator target %d out of range [0,%d)" s n))
-        (Func.succs_of_term b.term)
+      if b.bid <> i then add Cfg (block_at i) (Fmt.str "carries id %d" b.bid);
+      match b.term with
+      | Goto l -> target i l
+      | Branch (_, x, y) ->
+          target i x;
+          if y <> x then target i y
+      | Ret -> ()
     done
 
-(* [where] is lazy here and in [check_hoist]: printing an instruction
-   would dominate the cost of a clean pass, so a location is formatted
-   only when a violation is actually recorded. *)
+(* Rank of the array [name], declared locally or as a parameter; -1 if
+   neither. *)
+let rec param_rank name = function
+  | [] -> -1
+  | Parr a :: rest -> if a.aname = name then List.length a.adims else param_rank name rest
+  | Pscalar _ :: rest -> param_rank name rest
+
+let rec array_rank name (f : Func.t) = function
+  | [] -> param_rank name f.Func.params
+  | a :: rest -> if a.aname = name then List.length a.adims else array_rank name f rest
+
 let check_checks (f : Func.t) add =
-  let add rule where what = add rule (Lazy.force where) what in
-  let known_vids = Hashtbl.create 16 in
-  List.iter (fun v -> Hashtbl.replace known_vids v.vid ()) f.Func.vars;
+  (* declared vids: every variable and scalar parameter *)
+  let size =
+    List.fold_left
+      (fun m p -> match p with Pscalar v -> max m (v.vid + 1) | Parr _ -> m)
+      (List.fold_left (fun m v -> max m (v.vid + 1)) f.Func.next_vid f.Func.vars)
+      f.Func.params
+  in
+  let known = Array.make size false in
+  List.iter (fun v -> if v.vid >= 0 then known.(v.vid) <- true) f.Func.vars;
   List.iter
-    (function Pscalar v -> Hashtbl.replace known_vids v.vid () | Parr _ -> ())
+    (function Pscalar v when v.vid >= 0 -> known.(v.vid) <- true | _ -> ())
     f.Func.params;
-  let array_rank name =
-    let ranked a = if a.aname = name then Some (List.length a.adims) else None in
-    match List.find_map ranked f.Func.arrays with
-    | Some r -> Some r
-    | None ->
-        List.find_map
-          (function Parr a -> ranked a | Pscalar _ -> None)
-          f.Func.params
+  let add_at rule bid i what = add rule (instr_at bid i) what in
+  let known_var bid i v =
+    if v.vid < 0 || v.vid >= size || not known.(v.vid) then
+      add_at Check_form bid i (Fmt.str "references undeclared variable %s#%d" v.vname v.vid)
   in
-  let known_var where v =
-    if not (Hashtbl.mem known_vids v.vid) then
-      add Check_form where (Fmt.str "references undeclared variable %s#%d" v.vname v.vid)
+  let rec canonical bid i prev = function
+    | [] -> ()
+    | (a, c) :: rest ->
+        let k = Atom.key a in
+        if c = 0 then add_at Check_form bid i "zero coefficient in canonical form";
+        if k <= prev then add_at Check_form bid i "canonical form not strictly key-sorted";
+        (match Atoms.payload_exn f.Func.atoms k with
+        | Atoms.Avar v -> known_var bid i v
+        | Atoms.Aopaque _ | Atoms.Asynth _ -> ()
+        | exception Invalid_argument _ ->
+            add_at Check_form bid i
+              (Fmt.str "atom %s#%d not in the function's atom table" (Atom.name a) k));
+        canonical bid i k rest
   in
-  let check_lhs where (chk : Check.t) =
-    let rec canonical prev = function
-      | [] -> ()
-      | (a, c) :: rest ->
-          let k = Atom.key a in
-          if c = 0 then add Check_form where "zero coefficient in canonical form";
-          if k <= prev then
-            add Check_form where "canonical form not strictly key-sorted";
-          (match Atoms.payload f.Func.atoms k with
-          | None ->
-              add Check_form where
-                (Fmt.str "atom %s#%d not in the function's atom table" (Atom.name a) k)
-          | Some (Atoms.Avar v) -> known_var where v
-          | Some (Atoms.Aopaque _) | Some (Atoms.Asynth _) -> ());
-          canonical k rest
-    in
-    canonical min_int (Linexpr.terms (Check.lhs chk))
-  in
-  let check_meta where (m : check_meta) =
-    check_lhs where m.chk;
+  let check_meta bid i (m : check_meta) =
+    canonical bid i min_int (Linexpr.terms (Check.lhs m.chk));
     if m.src_dim < 0 then
-      add Check_form where (Fmt.str "negative source dimension %d" m.src_dim);
-    match array_rank m.src_array with
-    | Some rank when m.src_dim >= rank ->
-        add Check_form where
-          (Fmt.str "dimension %d out of range for %s (rank %d)" m.src_dim m.src_array
-             rank)
-    | _ -> () (* synthetic provenance (e.g. PRE's "<pre>") carries no rank *)
+      add_at Check_form bid i (Fmt.str "negative source dimension %d" m.src_dim);
+    (* synthetic provenance (e.g. PRE's "<pre>") carries no rank *)
+    let rank = array_rank m.src_array f f.Func.arrays in
+    if rank >= 0 && m.src_dim >= rank then
+      add_at Check_form bid i
+        (Fmt.str "dimension %d out of range for %s (rank %d)" m.src_dim m.src_array rank)
+  in
+  let rec instrs bid = function
+    | [] -> ()
+    | i :: rest ->
+        (match i with
+        | Check m -> check_meta bid i m
+        | Cond_check (g, m) ->
+            check_meta bid i m;
+            if Expr.has_load g then
+              add_at Check_form bid i "guard reads memory (must be effect-free)";
+            List.iter (known_var bid i) (Expr.vars_of g)
+        | _ -> ());
+        instrs bid rest
   in
   let reach = Func.reachable f in
-  Func.iter_blocks
-    (fun b ->
-      if reach.(b.bid) then
-        List.iter
-          (fun i ->
-            let where = lazy (Fmt.str "block %d: %a" b.bid Printer.pp_instr i) in
-            match i with
-            | Check m -> check_meta where m
-            | Cond_check (g, m) ->
-                check_meta where m;
-                if Expr.has_load g then
-                  add Check_form where "guard reads memory (must be effect-free)";
-                List.iter (known_var where) (Expr.vars_of g)
-            | _ -> ())
-          b.instrs)
-    f
+  for bid = 0 to Func.num_blocks f - 1 do
+    if reach.(bid) then instrs bid (Func.block f bid).instrs
+  done
+
+let has_edge (f : Func.t) ~src ~dst =
+  match (Func.block f src).term with
+  | Goto l -> l = dst
+  | Branch (_, x, y) -> x = dst || y = dst
+  | Ret -> false
 
 let check_loops (f : Func.t) (idom : int array) add =
   let n = Func.num_blocks f in
-  let in_range = List.for_all (fun b -> b >= 0 && b < n) in
+  let in_range b = b >= 0 && b < n in
   let reach = Func.reachable f in
-  let edge_to where ~src ~dst what =
-    if not (List.mem dst (Func.succs f src)) then
-      add Loop_structure where (Fmt.str "%s: no edge %d -> %d" what src dst)
+  let edge_to meta ~src ~dst what =
+    if not (has_edge f ~src ~dst) then
+      add Loop_structure (loop_at meta) (Fmt.str "%s: no edge %d -> %d" what src dst)
   in
-  let check_shape where ~preheader ~header =
+  let check_shape meta ~preheader ~header =
     if preheader = header then
-      add Loop_structure where "preheader coincides with header"
+      add Loop_structure (loop_at meta) "preheader coincides with header"
     else begin
-      edge_to where ~src:preheader ~dst:header "preheader must enter the header";
+      edge_to meta ~src:preheader ~dst:header "preheader must enter the header";
       if reach.(header) && not (dominates idom preheader header) then
-        add Loop_structure where
+        add Loop_structure (loop_at meta)
           (Fmt.str "preheader %d does not dominate header %d" preheader header)
     end
+  in
+  let out_of_range meta =
+    add Loop_structure (loop_at meta) "loop metadata references out-of-range block"
   in
   List.iter
     (fun meta ->
       match meta with
       | Ldo d ->
-          let where = Fmt.str "do-loop@%d" d.d_header in
-          if not (in_range [ d.d_preheader; d.d_header; d.d_body_entry; d.d_latch; d.d_exit ])
-          then add Loop_structure where "loop metadata references out-of-range block"
+          if
+            not
+              (in_range d.d_preheader && in_range d.d_header && in_range d.d_body_entry
+             && in_range d.d_latch && in_range d.d_exit)
+          then out_of_range meta
           else begin
-            check_shape where ~preheader:d.d_preheader ~header:d.d_header;
-            edge_to where ~src:d.d_latch ~dst:d.d_header "latch must close the loop"
+            check_shape meta ~preheader:d.d_preheader ~header:d.d_header;
+            edge_to meta ~src:d.d_latch ~dst:d.d_header "latch must close the loop"
           end
       | Lwhile w ->
-          let where = Fmt.str "while-loop@%d" w.w_header in
-          if not (in_range [ w.w_preheader; w.w_header; w.w_body_entry; w.w_exit ]) then
-            add Loop_structure where "loop metadata references out-of-range block"
-          else check_shape where ~preheader:w.w_preheader ~header:w.w_header)
+          if
+            not
+              (in_range w.w_preheader && in_range w.w_header && in_range w.w_body_entry
+             && in_range w.w_exit)
+          then out_of_range meta
+          else check_shape meta ~preheader:w.w_preheader ~header:w.w_header)
     f.Func.loops
 
 (* ------------------------------------------------------------------ *)
@@ -248,23 +244,27 @@ let check_loops (f : Func.t) (idom : int array) add =
    identity of instructions they do not touch, so [memq] separates the
    pass's insertions from what it merely moved or kept. *)
 
-let instrs_of (f : Func.t) : instr list =
-  let acc = ref [] in
-  Func.iter_blocks (fun b -> acc := List.rev_append b.instrs !acc) f;
-  !acc
-
 let diff ~(before : Func.t) (f : Func.t) =
-  let old_instrs = instrs_of before in
-  let inserted = ref [] in
-  Func.iter_blocks
-    (fun b ->
+  let nb = Func.num_blocks before and n = Func.num_blocks f in
+  (* A block whose list is physically the snapshot's was not touched:
+     none of its instructions is new, none of the snapshot's is gone. *)
+  let untouched k =
+    k < nb && k < n && (Func.block f k).instrs == (Func.block before k).instrs
+  in
+  let rec occurs g ng i k = k < ng && (List.memq i (Func.block g k).instrs || occurs g ng i (k + 1)) in
+  let inserted = ref [] and removed = ref [] in
+  for k = 0 to n - 1 do
+    if not (untouched k) then
       List.iter
-        (fun i -> if not (List.memq i old_instrs) then inserted := (b.bid, i) :: !inserted)
-        b.instrs)
-    f;
-  let new_instrs = instrs_of f in
-  let removed = List.filter (fun i -> not (List.memq i new_instrs)) old_instrs in
-  (List.rev !inserted, removed)
+        (fun i -> if not (occurs before nb i 0) then inserted := (k, i) :: !inserted)
+        (Func.block f k).instrs
+  done;
+  for k = 0 to nb - 1 do
+    if not (untouched k) then
+      List.iter (fun i -> if not (occurs f n i 0) then removed := i :: !removed)
+        (Func.block before k).instrs
+  done;
+  (List.rev !inserted, !removed)
 
 let is_check = function Check _ | Cond_check _ -> true | _ -> false
 
@@ -317,18 +317,8 @@ let transfer_block atoms ~is_inserted instrs (out_state : ant_state) : ant_state
 
 let ant_solve (f : Func.t) ~is_inserted : ant_state option array * ant_state option array =
   let n = Func.num_blocks f in
-  let preds = Func.preds_array f in
-  let reaches_exit =
-    let r = Array.make n false in
-    let rec mark b =
-      if not r.(b) then begin
-        r.(b) <- true;
-        List.iter mark preds.(b)
-      end
-    in
-    Func.iter_blocks (fun b -> if Func.succs_of_term b.term = [] then mark b.bid) f;
-    r
-  in
+  let cfg = Func.cfg f in
+  let reaches_exit = Func.reaches_exit f in
   (* None is top; meet is pointwise max over common families *)
   let meet a b =
     match (a, b) with
@@ -347,7 +337,7 @@ let ant_solve (f : Func.t) ~is_inserted : ant_state option array * ant_state opt
     | _ -> false
   in
   let in_ = Array.make n None and out = Array.make n None in
-  let order = List.rev (Func.rpo f) in
+  let order = List.rev cfg.Func.order in
   let atoms = f.Func.atoms in
   let changed = ref true in
   while !changed do
@@ -355,7 +345,7 @@ let ant_solve (f : Func.t) ~is_inserted : ant_state option array * ant_state opt
     List.iter
       (fun bid ->
         let b = Func.block f bid in
-        let succs = Func.succs_of_term b.term in
+        let succs = cfg.Func.succ.(bid) in
         let o =
           if succs = [] || not reaches_exit.(bid) then Some FMap.empty
           else List.fold_left (fun acc s -> meet acc in_.(s)) None succs
@@ -607,7 +597,7 @@ let func ?(pass = Lowered) ?before (f : Func.t) : violation list =
   (* A broken CFG makes preds/dominators meaningless; report it alone. *)
   if !vs <> [] then List.rev !vs
   else begin
-    let idom = dominators f in
+    let idom = Func.idom f in
     check_checks f add;
     check_loops f idom add;
     (match before with

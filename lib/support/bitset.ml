@@ -3,9 +3,12 @@
    Data-flow analyses in the range-check optimizer manipulate sets of
    check indices; the universe (all canonical checks of a function) is
    fixed before the analysis starts, so a flat word array is the right
-   representation. *)
+   representation. The universe size lives in slot 0 and the words
+   follow, so a set is one block: the solvers allocate several per CFG
+   block, and a set over a typical function's checks is then three heap
+   words instead of five. *)
 
-type t = { n : int; words : int array }
+type t = int array (* t.(0) = n; bit i is bit (i mod w) of t.(1 + i / w) *)
 
 let bits_per_word = Sys.int_size (* 63 on 64-bit *)
 
@@ -13,44 +16,46 @@ let nwords n = if n = 0 then 0 else ((n - 1) / bits_per_word) + 1
 
 let create n =
   if n < 0 then invalid_arg "Bitset.create: negative size";
-  { n; words = Array.make (nwords n) 0 }
+  let t = Array.make (nwords n + 1) 0 in
+  t.(0) <- n;
+  t
 
-let universe t = t.n
+let universe (t : t) = t.(0)
 
-let copy t = { n = t.n; words = Array.copy t.words }
+let copy : t -> t = Array.copy
 
 let check_idx t i =
-  if i < 0 || i >= t.n then invalid_arg "Bitset: index out of universe"
+  if i < 0 || i >= t.(0) then invalid_arg "Bitset: index out of universe"
 
 let mem t i =
   check_idx t i;
-  t.words.(i / bits_per_word) land (1 lsl (i mod bits_per_word)) <> 0
+  t.(1 + (i / bits_per_word)) land (1 lsl (i mod bits_per_word)) <> 0
 
 let add t i =
   check_idx t i;
-  let w = i / bits_per_word in
-  t.words.(w) <- t.words.(w) lor (1 lsl (i mod bits_per_word))
+  let w = 1 + (i / bits_per_word) in
+  t.(w) <- t.(w) lor (1 lsl (i mod bits_per_word))
 
 let remove t i =
   check_idx t i;
-  let w = i / bits_per_word in
-  t.words.(w) <- t.words.(w) land lnot (1 lsl (i mod bits_per_word))
+  let w = 1 + (i / bits_per_word) in
+  t.(w) <- t.(w) land lnot (1 lsl (i mod bits_per_word))
 
-let clear t = Array.fill t.words 0 (Array.length t.words) 0
+let clear t = Array.fill t 1 (Array.length t - 1) 0
 
 (* Mask of valid bits in the last word, so [fill] keeps the invariant
    that bits >= n are zero (required for [equal] and [cardinal]). *)
 let last_mask t =
-  if t.n = 0 then 0
+  if t.(0) = 0 then 0
   else
-    let used = t.n mod bits_per_word in
+    let used = t.(0) mod bits_per_word in
     if used = 0 then -1 else (1 lsl used) - 1
 
 let fill t =
-  let nw = Array.length t.words in
-  if nw > 0 then begin
-    Array.fill t.words 0 nw (-1);
-    t.words.(nw - 1) <- t.words.(nw - 1) land last_mask t
+  let last = Array.length t - 1 in
+  if last > 0 then begin
+    Array.fill t 1 last (-1);
+    t.(last) <- t.(last) land last_mask t
   end
 
 let full n =
@@ -58,44 +63,68 @@ let full n =
   fill t;
   t
 
-let same_universe a b =
-  if a.n <> b.n then invalid_arg "Bitset: universe mismatch"
+let same_universe (a : t) (b : t) =
+  if a.(0) <> b.(0) then invalid_arg "Bitset: universe mismatch"
 
 let union_into ~into src =
   same_universe into src;
-  for i = 0 to Array.length into.words - 1 do
-    into.words.(i) <- into.words.(i) lor src.words.(i)
+  for i = 1 to Array.length into - 1 do
+    into.(i) <- into.(i) lor src.(i)
   done
 
 let inter_into ~into src =
   same_universe into src;
-  for i = 0 to Array.length into.words - 1 do
-    into.words.(i) <- into.words.(i) land src.words.(i)
+  for i = 1 to Array.length into - 1 do
+    into.(i) <- into.(i) land src.(i)
   done
 
 let diff_into ~into src =
   same_universe into src;
-  for i = 0 to Array.length into.words - 1 do
-    into.words.(i) <- into.words.(i) land lnot src.words.(i)
+  for i = 1 to Array.length into - 1 do
+    into.(i) <- into.(i) land lnot src.(i)
+  done
+
+let union_diff_into ~into a b =
+  same_universe into a;
+  same_universe into b;
+  for i = 1 to Array.length into - 1 do
+    into.(i) <- into.(i) lor (a.(i) land lnot b.(i))
   done
 
 let assign ~into src =
   same_universe into src;
-  Array.blit src.words 0 into.words 0 (Array.length src.words)
+  Array.blit src 1 into 1 (Array.length src - 1)
 
-let equal a b = a.n = b.n && a.words = b.words
+let equal (a : t) (b : t) =
+  Array.length a = Array.length b
+  &&
+  let i = ref 0 in
+  while !i < Array.length a && a.(!i) = b.(!i) do
+    incr i
+  done;
+  !i = Array.length a
 
-let is_empty t = Array.for_all (fun w -> w = 0) t.words
+let is_empty t =
+  let i = ref 1 in
+  while !i < Array.length t && t.(!i) = 0 do
+    incr i
+  done;
+  !i = Array.length t
 
 let popcount_word w =
   let rec go w acc = if w = 0 then acc else go (w land (w - 1)) (acc + 1) in
   go w 0
 
-let cardinal t = Array.fold_left (fun acc w -> acc + popcount_word w) 0 t.words
+let cardinal t =
+  let c = ref 0 in
+  for i = 1 to Array.length t - 1 do
+    c := !c + popcount_word t.(i)
+  done;
+  !c
 
 let iter f t =
-  for wi = 0 to Array.length t.words - 1 do
-    let w = ref t.words.(wi) in
+  for wi = 1 to Array.length t - 1 do
+    let w = ref t.(wi) in
     while !w <> 0 do
       let low = !w land - !w in
       let bit =
@@ -103,7 +132,7 @@ let iter f t =
         let rec idx b acc = if b land 1 = 1 then acc else idx (b lsr 1) (acc + 1) in
         idx low 0
       in
-      f ((wi * bits_per_word) + bit);
+      f (((wi - 1) * bits_per_word) + bit);
       w := !w land lnot low
     done
   done
@@ -122,19 +151,19 @@ let of_list n xs =
 
 let disjoint a b =
   same_universe a b;
-  let d = ref true in
-  for i = 0 to Array.length a.words - 1 do
-    if a.words.(i) land b.words.(i) <> 0 then d := false
+  let i = ref 1 in
+  while !i < Array.length a && a.(!i) land b.(!i) = 0 do
+    incr i
   done;
-  !d
+  !i = Array.length a
 
 let subset a b =
   same_universe a b;
-  let ok = ref true in
-  for i = 0 to Array.length a.words - 1 do
-    if a.words.(i) land lnot b.words.(i) <> 0 then ok := false
+  let i = ref 1 in
+  while !i < Array.length a && a.(!i) land lnot b.(!i) = 0 do
+    incr i
   done;
-  !ok
+  !i = Array.length a
 
 let pp ppf t =
   Fmt.pf ppf "{%a}" Fmt.(list ~sep:(any ",") int) (elements t)

@@ -28,6 +28,10 @@ val union_into : into:t -> t -> unit
 val inter_into : into:t -> t -> unit
 val diff_into : into:t -> t -> unit
 
+val union_diff_into : into:t -> t -> t -> unit
+(** [union_diff_into ~into a b] adds [a \ b] to [into], with no
+    intermediate set. *)
+
 val assign : into:t -> t -> unit
 (** [assign ~into src] overwrites [into] with the contents of [src]. *)
 

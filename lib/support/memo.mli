@@ -8,6 +8,12 @@
     the computed value in a domain-safe in-memory table. Nothing is
     persisted: a new process starts cold and recomputes.
 
+    The table is bounded by two generations of {!generation} entries:
+    a full young generation replaces the old one (whose entries are
+    dropped), and a hit in the old generation moves the entry back to
+    the young one. A long-lived daemon fed unique sources therefore
+    holds at most [2 * generation] results.
+
     The cache key MUST cover every input that affects the value —
     including [Config.verify] (see [Config.cache_key]): verifier-on and
     verifier-off runs never share entries. *)
@@ -17,7 +23,11 @@ type 'v t
 type counters = {
   hits : int;  (** lookups served from the table *)
   misses : int;  (** recomputations *)
+  entries : int;  (** results held now, both generations *)
 }
+
+val generation : int
+(** Entries per generation: 16,384. *)
 
 val key : string list -> string
 (** Digest a list of key components (order-sensitive; as injective as

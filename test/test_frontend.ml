@@ -46,9 +46,11 @@ let test_lex_error () =
   | _ -> Alcotest.fail "expected lex error"
 
 let test_lex_positions () =
-  let lx = Lexer.make "ab\n  cd" in
-  let _, p1 = Lexer.next lx in
-  let _, p2 = Lexer.next lx in
+  let p1, p2 =
+    match Lexer.tokenize "ab\n  cd" with
+    | (_, p1) :: (_, p2) :: _ -> (p1, p2)
+    | _ -> Alcotest.fail "expected two tokens"
+  in
   Alcotest.(check int) "line1" 1 p1.Nascent_frontend.Srcloc.line;
   Alcotest.(check int) "line2" 2 p2.Nascent_frontend.Srcloc.line;
   Alcotest.(check int) "col2" 3 p2.Nascent_frontend.Srcloc.col

@@ -97,6 +97,31 @@ let test_memo_key_injective_on_structure () =
   Alcotest.(check bool) "split differs" true (Memo.key [ "ab" ] <> Memo.key [ "a"; "b" ]);
   Alcotest.(check bool) "order matters" true (Memo.key [ "a"; "b" ] <> Memo.key [ "b"; "a" ])
 
+(* A daemon fed unique sources must not keep every result: the table
+   holds two generations, and what is still asked for stays. *)
+let test_memo_bounded () =
+  let m : int Memo.t = Memo.create () in
+  let key i = Memo.key [ string_of_int i ] in
+  for i = 0 to 39_999 do
+    ignore (Memo.find_or_compute m ~key:(key i) (fun () -> i));
+    (* key 0 is asked for again every 10,000 inserts, well within two
+       generations: each old-generation hit moves it back *)
+    if i mod 10_000 = 9_999 then
+      Alcotest.(check int) "key 0 still cached" 0
+        (Memo.find_or_compute m ~key:(key 0) (fun () -> -1))
+  done;
+  let s = Memo.stats m in
+  Alcotest.(check int) "misses" 40_000 s.Memo.misses;
+  if s.Memo.entries > 2 * Memo.generation || s.Memo.entries <= Memo.generation then
+    Alcotest.failf "%d entries after 40,000 keys, expected (%d, %d]" s.Memo.entries
+      Memo.generation (2 * Memo.generation);
+  for i = 39_000 to 39_999 do
+    Alcotest.(check int) "recent key hits" i
+      (Memo.find_or_compute m ~key:(key i) (fun () -> -1))
+  done;
+  Alcotest.(check int) "oldest keys dropped" (-1)
+    (Memo.find_or_compute m ~key:(key 1) (fun () -> -1))
+
 let test_config_cache_key_covers_verify () =
   let base = Config.make ~scheme:Config.LLS () in
   Alcotest.(check bool) "verify is part of the key" true
@@ -199,4 +224,5 @@ let suite =
     Util.tc "config cache key covers verify" test_config_cache_key_covers_verify;
     Util.tc "task_fuel on the serial path" test_task_fuel_serial_path;
     Util.tc "tables deterministic across jobs" test_tables_deterministic_across_jobs;
+    Util.tc "memo bounded by two generations" test_memo_bounded;
   ]

@@ -383,6 +383,72 @@ let test_frame_next_alloc_bound () =
       done)
     Suite.all
 
+(* --- allocation budgets on the compile path -----------------------------
+
+   A compile's garbage is paid by every domain of a daemon (each minor
+   collection stops them all), so the words it allocates are budgeted
+   like the codec's above. *)
+
+module Config = Nascent_core.Config
+
+(* The compile a daemon runs on a miss: frontend, lowering, and the
+   optimizer with the verifier on, over the 160 plain suite cells
+   (10 programs x 8 schemes x PRX/INX). *)
+let test_compile_alloc_budget () =
+  let cells =
+    List.concat_map
+      (fun (b : Suite.benchmark) ->
+        List.concat_map
+          (fun scheme ->
+            List.map (fun kind -> (b, Config.make ~scheme ~kind ())) [ Config.PRX; Config.INX ])
+          Config.[ NI; CS; LNI; SE; LI; LLS; ALL; MCM ])
+      Suite.all
+  in
+  let compile ((b : Suite.benchmark), config) =
+    let _, env = Nascent_frontend.Frontend.analyze_exn b.Suite.source in
+    ignore (Nascent_core.Optimizer.optimize ~config (Nascent_ir.Lower.lower_program env))
+  in
+  compile (List.hd cells);
+  let (), words = allocated_words (fun () -> List.iter compile cells) in
+  let mean = words / List.length cells in
+  let budget = 150_000 in
+  if mean > budget then
+    Alcotest.failf "a plain suite compile allocates %d words on average, budget %d" mean
+      budget
+
+(* The memo key of a compile cell digests the source where it lies:
+   its cost does not grow with the source. *)
+let test_memo_key_alloc_bound () =
+  List.iter
+    (fun (b : Suite.benchmark) ->
+      let config = Config.make () in
+      let _, words =
+        allocated_words (fun () ->
+            Nascent_support.Memo.key [ b.Suite.source; Config.cache_key config; "norun" ])
+      in
+      if words > 64 then
+        Alcotest.failf "%s: Memo.key allocated %d words, bound 64" b.Suite.name words)
+    Suite.all
+
+(* The compile response is printed once, into its frame. *)
+let test_compile_response_alloc_bound () =
+  let svc = Nascent_harness.Service.create () in
+  let h = Nascent_harness.Service.handler svc in
+  List.iter
+    (fun (b : Suite.benchmark) ->
+      let req =
+        match Json.parse (compile_request b.Suite.source) with
+        | Ok r -> r
+        | Error e -> Alcotest.failf "request: %s" e
+      in
+      let resp = h.Nascent_support.Server.handle req in
+      let frame, words = allocated_words (fun () -> Frame.encode_json ~id:7 resp) in
+      let bound = string_words frame + 64 in
+      if words > bound then
+        Alcotest.failf "%s: printing a %d-byte compile response allocated %d words, bound %d"
+          b.Suite.name (String.length frame) words bound)
+    Suite.all
+
 (* --- Retry: deterministic backoff -------------------------------------- *)
 
 let test_retry_delay_deterministic () =
@@ -655,4 +721,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_json_unicode_escapes;
     tc "json: parse allocation bound" test_json_parse_alloc_bound;
     tc "frame: next allocation bound" test_frame_next_alloc_bound;
+    tc "compile: allocation budget" test_compile_alloc_budget;
+    tc "memo: key allocation bound" test_memo_key_alloc_bound;
+    tc "service: compile response allocation bound" test_compile_response_alloc_bound;
   ]

@@ -61,6 +61,14 @@ rc=0; client --burn --deadline-ms 300 >/dev/null || rc=$?
 # ...freed enough to keep serving
 client vortex >/dev/null || fail "compile after deadline exited $?, want 0"
 
+# the bounded memo holds one result per miss (far below its bound)
+STATUS=$(client --status) || fail "status after compiles exited $?"
+ENTRIES=$(echo "$STATUS" | grep -o '"entries":[0-9]*' | cut -d: -f2)
+MISSES=$(echo "$STATUS" | grep -o '"misses":[0-9]*' | cut -d: -f2)
+case "$ENTRIES" in *[!0-9]*|"") fail "status reports no cache entries: $STATUS" ;; esac
+[ "$ENTRIES" -eq "$MISSES" ] && [ "$MISSES" -gt 0 ] \
+    || fail "cache holds $ENTRIES entries after $MISSES misses, want equal: $STATUS"
+
 # SIGTERM drains gracefully: prompt exit, code 0
 kill -TERM "$DAEMON"
 i=0
@@ -74,7 +82,7 @@ rc=0; wait "$DAEMON" || rc=$?
 
 trap - EXIT INT TERM
 rm -f "$SOCK" "$LOG"
-echo "service smoke OK: compile, oracle certificate, status, fault->4, deadline->6, SIGTERM drain->0"
+echo "service smoke OK: compile, oracle certificate, status, fault->4, deadline->6, cache entries = misses, SIGTERM drain->0"
 
 # --- fixed serving bounds ---------------------------------------------
 # Queue depth, deadline, fuel, breaker, I/O deadline and probe cadence
@@ -485,7 +493,7 @@ trap 'rm -rf "$LTMP"' EXIT INT TERM
       "$ROOT/_build/default/bench/main.exe" load >load.log 2>&1 ) \
     || { sed 's/^/  bench load: /' "$LTMP/load.log" >&2
          echo "FAIL: quick bench load exited nonzero" >&2; exit 1; }
-for key in '"one_shard"' '"three_shards"' '"chaos"' '"max_sustained_rps"'; do
+for key in '"one_shard"' '"three_shards"' '"chaos"' '"max_sustained_rps"' '"samples"'; do
     grep -q "$key" "$LTMP/BENCH_load.json" \
         || { echo "FAIL: BENCH_load.json lacks $key" >&2; exit 1; }
 done
