@@ -98,45 +98,40 @@ let file_arg =
     & info [] ~docv:"FILE"
         ~doc:"MiniF source file, or the name of a built-in benchmark (vortex, arc2d, ...).")
 
-let scheme_arg =
+(* One configuration axis, parsed by the wire form's parser: the CLI
+   accepts exactly the names a request does, with the same errors. *)
+let axis_conv field get name =
   let parse s =
-    match Config.scheme_of_name s with
-    | Some sc -> Ok sc
-    | None -> Error (`Msg (Printf.sprintf "unknown scheme %s" s))
+    match Config.of_json (Json.Obj [ (field, Json.Str s) ]) with
+    | Ok c -> Ok (get c)
+    | Error e -> Error (`Msg e)
   in
-  let print ppf s = Fmt.string ppf (Config.scheme_name s) in
+  Arg.conv (parse, fun ppf v -> Fmt.string ppf (name v))
+
+let scheme_arg =
   Arg.(
     value
-    & opt (conv (parse, print)) Config.LLS
+    & opt (axis_conv "scheme" (fun c -> c.Config.scheme) Config.scheme_name) Config.LLS
     & info [ "s"; "scheme" ] ~docv:"SCHEME"
         ~doc:"Placement scheme: NI, CS, LNI, SE, LI, LLS, ALL or MCM.")
 
 let kind_arg =
-  let parse = function
-    | "prx" | "PRX" -> Ok Config.PRX
-    | "inx" | "INX" -> Ok Config.INX
-    | s -> Error (`Msg (Printf.sprintf "unknown check kind %s" s))
-  in
-  let print ppf k = Fmt.string ppf (Config.kind_name k) in
   Arg.(
     value
-    & opt (conv (parse, print)) Config.PRX
+    & opt (axis_conv "kind" (fun c -> c.Config.kind) Config.kind_name) Config.PRX
     & info [ "k"; "kind" ] ~docv:"KIND"
         ~doc:"Check construction: PRX (program expressions) or INX (induction expressions).")
 
 let impl_arg =
-  let parse = function
-    | "all" -> Ok Universe.All_implications
-    | "none" -> Ok Universe.No_implications
-    | "cross" -> Ok Universe.Cross_family_only
-    | s -> Error (`Msg (Printf.sprintf "unknown implication mode %s" s))
-  in
-  let print ppf m = Fmt.string ppf (Universe.mode_name m) in
   Arg.(
     value
-    & opt (conv (parse, print)) Universe.All_implications
+    & opt
+        (axis_conv "impl" (fun c -> c.Config.impl) Universe.mode_name)
+        Universe.All_implications
     & info [ "i"; "implications" ] ~docv:"MODE"
-        ~doc:"Check implication mode: all, cross (cross-family only) or none.")
+        ~doc:
+          "Check implication mode: all (all-impl), cross (cross-family-only) or \
+           none (no-impl).")
 
 let verify_arg =
   Arg.(
@@ -639,13 +634,6 @@ let default_socket () =
   | Some s when String.trim s <> "" -> s
   | _ -> Filename.concat (Filename.get_temp_dir_name ()) "nascentd.sock"
 
-(* The wire names the service parses (Universe.mode_name is the
-   human/report spelling, not the protocol's). *)
-let impl_wire = function
-  | Universe.All_implications -> "all"
-  | Universe.No_implications -> "none"
-  | Universe.Cross_family_only -> "cross"
-
 let cmd_client =
   let doc =
     "Send one request to a running nascentd compile service and print its \
@@ -794,21 +782,12 @@ let cmd_client =
                     Fmt.epr "nascentc: no such file or built-in benchmark: %s@." f;
                     exit 1
             in
+            let config_fields =
+              match Config.to_json config with Json.Obj f -> f | _ -> []
+            in
             Some
-              ([
-                 ("op", Json.Str "compile");
-                 program;
-                 ("scheme", Json.Str (Config.scheme_name config.Config.scheme));
-                 ("kind", Json.Str (Config.kind_name config.Config.kind));
-                 ("impl", Json.Str (impl_wire config.Config.impl));
-                 ("verify", Json.Bool config.Config.verify);
-                 ("oracle", Json.Bool config.Config.oracle);
-                 ("run", Json.Bool want_run);
-               ]
-              @
-              match config.Config.fault with
-              | None -> []
-              | Some spec -> [ ("fault", Json.Str (Ir.Mutate.spec_name spec)) ])
+              ((("op", Json.Str "compile") :: program :: config_fields)
+              @ [ ("run", Json.Bool want_run) ])
     in
     match req_fields with
     | None -> 1

@@ -9,11 +9,11 @@
    behind a bounded admission queue, per-request
    wall-clock deadlines, a per-scheme circuit breaker and a
    content-addressed result cache. Their bounds are constants, each
-   set in one place and not on the command line: queue depth,
-   deadline, fuel and I/O deadline in Server.default_config, the
-   scheme breaker in Service.create, and the shard health breaker and
-   probe cadence in Router.create. A request may still carry its own
-   "deadline_ms".
+   set in one place and not on the command line: queue depth and I/O
+   deadline in Server.default_config, the request deadline and fuel
+   beside it in Server, the scheme breaker in Service.create, and the
+   shard health breaker and probe cadence in Router.create. A request
+   may still carry its own "deadline_ms".
 
    Crash behaviour: a compile is a pure function of (source,
    configuration), so nothing a request computes needs to outlive the
@@ -72,17 +72,6 @@ let tcp_arg =
            ephemeral port, echoed as the \"tcp_port\" status field. The \
            Unix socket speaks the same protocol.")
 
-let idle_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "idle-timeout-s" ] ~docv:"S"
-        ~doc:
-          "Reap a connected-but-silent client (no partial input, no \
-           response owed) after $(docv) seconds without a byte, on both \
-           transports; counted as \"idle_closed\". Unset disables the \
-           reaper.")
-
 let jobs_arg =
   Arg.(
     value
@@ -119,12 +108,6 @@ let supervise_arg =
            crashed server admitted are recomputed by the clients' retries. \
            A serving process that exits before its listeners are bound is \
            not restarted: supervision ends with its exit code.")
-
-let trace_arg =
-  Arg.(
-    value
-    & flag
-    & info [ "trace" ] ~doc:"Log server lifecycle events to stderr.")
 
 let router_arg =
   Arg.(
@@ -200,7 +183,7 @@ let serve ~name ~ready ~start ~stop ~banner cfg handler =
   (* A client vanishing mid-response must not kill the daemon. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let on_ready () =
-    Fmt.epr "%s: listening on %s%s (jobs=%d %s queue=%d deadline=%s restarts=%d %s)@."
+    Fmt.epr "%s: listening on %s%s (jobs=%d %s queue=%d restarts=%d %s)@."
       name cfg.Server.socket_path
       (match (cfg.Server.tcp, Server.tcp_port server) with
       | Some (h, _), Some p -> Fmt.str " + tcp %s:%d" (if h = "" then "*" else h) p
@@ -209,11 +192,7 @@ let serve ~name ~ready ~start ~stop ~banner cfg handler =
       (match handler.Server.workers with
       | Server.Domains -> "domains"
       | Server.Threads -> "threads")
-      cfg.Server.queue_depth
-      (match cfg.Server.default_deadline_s with
-      | None -> "none"
-      | Some s -> Fmt.str "%gs" s)
-      cfg.Server.restarts banner;
+      cfg.Server.queue_depth cfg.Server.restarts banner;
     ready ()
   in
   start ();
@@ -233,19 +212,15 @@ let serve_compile ~ready cfg mem_budget_mb shard_name =
   let service = Service.create ?shard_name () in
   serve ~name:"nascentd" ~ready ~start:ignore ~stop:ignore
     ~banner:
-      (Fmt.str "fuel=%s mem=%s"
-         (match cfg.Server.request_fuel with
-         | None -> "none"
-         | Some f -> string_of_int f)
-         (match mem_bytes with
-         | None -> "off"
-         | Some b -> Fmt.str "%dMB" (b / (1024 * 1024))))
+      (match mem_bytes with
+      | None -> "mem=off"
+      | Some b -> Fmt.str "mem=%dMB" (b / (1024 * 1024)))
     cfg (Service.handler service)
 
 (* The router role: the Router's forwarding handler instead of the
-   compile service. No fuel — forwarding burns no optimizer fuel — and
-   its workers are threads that block on shard I/O, so the router
-   defaults to more of them than a compile daemon has domains. *)
+   compile service. Its workers are threads that block on shard I/O
+   (and so run without fuel), so the router defaults to more of them
+   than a compile daemon has domains. *)
 let router_jobs = 8
 
 let serve_router ~ready cfg shard_specs =
@@ -261,8 +236,7 @@ let serve_router ~ready cfg shard_specs =
         ~stop:(fun () -> Router.stop router)
         ~banner:
           ("shards=" ^ String.concat "," (List.map (fun s -> s.Router.name) shards))
-        { cfg with Server.request_fuel = None }
-        (Router.handler router)
+        cfg (Router.handler router)
 
 (* The supervisor: fork before any domain or thread exists, wait,
    restart on abnormal exit. Backoff is Retry's capped exponential
@@ -374,8 +348,8 @@ let refuse_live_socket path =
   Fmt.epr "nascentd: socket %s in use by a live daemon@." path;
   1
 
-let run_daemon socket tcp_str jobs trace mem_budget_mb supervise_flag
-    idle_timeout_s shard_name router_flag shard_specs =
+let run_daemon socket tcp_str jobs mem_budget_mb supervise_flag shard_name
+    router_flag shard_specs =
   match Option.map parse_tcp_listen tcp_str with
   | Some (Error e) ->
       Fmt.epr "nascentd: %s@." e;
@@ -384,10 +358,6 @@ let run_daemon socket tcp_str jobs trace mem_budget_mb supervise_flag
       (* refused before the supervisor forks *)
       refuse_live_socket socket
   | tcp ->
-      if trace then begin
-        Logs.set_reporter (Logs.format_reporter ());
-        Logs.set_level (Some Logs.Info)
-      end;
       let serve_child ~restarts ~ready =
         let base = Server.default_config ~socket_path:socket in
         let config ~default_jobs =
@@ -396,7 +366,6 @@ let run_daemon socket tcp_str jobs trace mem_budget_mb supervise_flag
             Server.tcp = Option.map Result.get_ok tcp;
             jobs = max 1 (Option.value jobs ~default:default_jobs);
             restarts;
-            idle_timeout_s;
           }
         in
         try
@@ -425,7 +394,7 @@ let () =
   let info = Cmd.info "nascentd" ~version:"1.0.0" ~doc in
   let term =
     Term.(
-      const run_daemon $ socket_arg $ tcp_arg $ jobs_arg $ trace_arg $ mem_arg
-      $ supervise_arg $ idle_arg $ shard_name_arg $ router_arg $ shard_arg)
+      const run_daemon $ socket_arg $ tcp_arg $ jobs_arg $ mem_arg $ supervise_arg
+      $ shard_name_arg $ router_arg $ shard_arg)
   in
   exit (Cmd.eval' (Cmd.v info term))

@@ -1,6 +1,6 @@
 (* Dominators (Cooper–Harvey–Kennedy "engineered" iterative algorithm,
-   in {!Func.idom}) plus dominance frontiers and dominator-tree
-   children.
+   in {!Func.idom}, which {!Func.dominates} queries) plus dominance
+   frontiers and dominator-tree children.
 
    Operates on reachable blocks only; unreachable blocks report no
    dominator and dominate nothing. *)
@@ -24,24 +24,6 @@ let compute (f : Func.t) : t =
 let idom t b = if t.idom.(b) = -1 then None else Some t.idom.(b)
 
 let reachable t b = t.rpo_index.(b) <> -1
-
-(* Does [a] dominate [b]? (Reflexive.) *)
-let dominates t a b =
-  if not (reachable t b) then false
-  else begin
-    let x = ref b in
-    let result = ref false in
-    let continue = ref true in
-    while !continue do
-      if !x = a then begin
-        result := true;
-        continue := false
-      end
-      else if !x = t.func.Func.entry then continue := false
-      else x := t.idom.(!x)
-    done;
-    !result
-  end
 
 (* Dominator-tree children, for tree walks (SSA renaming). *)
 let children t : int list array =

@@ -1,5 +1,6 @@
 (** Dominator computation (Cooper–Harvey–Kennedy iterative algorithm)
-    plus dominance frontiers and dominator-tree children.
+    plus dominance frontiers and dominator-tree children. Dominance
+    queries are {!Nascent_ir.Func.dominates}.
 
     Operates on reachable blocks only; unreachable blocks report no
     dominator and dominate nothing. *)
@@ -13,10 +14,6 @@ val idom : t -> int -> int option
     [None] for unreachable blocks. *)
 
 val reachable : t -> int -> bool
-
-val dominates : t -> int -> int -> bool
-(** [dominates t a b]: does [a] dominate [b]? Reflexive; false when [b]
-    is unreachable. *)
 
 val children : t -> int list array
 (** Dominator-tree children, for tree walks (SSA renaming). *)

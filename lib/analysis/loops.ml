@@ -55,16 +55,16 @@ let collect_defined (f : Func.t) inset =
   (defined, !has_store)
 
 let compute (f : Func.t) : loop list =
-  let dom = Dominance.compute f in
+  let idom = Func.idom f in
   let preds = Func.preds_array f in
   let n = Func.num_blocks f in
   (* back edges grouped by header *)
   let latches_of = Hashtbl.create 8 in
   for b = 0 to n - 1 do
-    if Dominance.reachable dom b then
+    if idom.(b) <> -1 then
       List.iter
         (fun s ->
-          if Dominance.dominates dom s b then
+          if Func.dominates idom s b then
             Hashtbl.replace latches_of s (b :: Option.value ~default:[] (Hashtbl.find_opt latches_of s)))
         (Func.succs f b)
   done;

@@ -1,6 +1,7 @@
 (* Optimizer configuration: the axes of the paper's experiments. *)
 
 module Universe = Nascent_checks.Universe
+module Json = Nascent_support.Json
 
 (* The seven check placement schemes of Table 2 (section 3.3/4.2),
    plus MCM — the Markstein/Cocke/Markstein 1982 algorithm the paper's
@@ -76,6 +77,20 @@ let scheme_of_name = function
 
 let kind_name = function PRX -> "PRX" | INX -> "INX"
 
+let kind_of_name = function
+  | "prx" | "PRX" -> Some PRX
+  | "inx" | "INX" -> Some INX
+  | _ -> None
+
+(* The short spellings are what requests and the CLI have always
+   sent; the long ones are [Universe.mode_name], the only spelling
+   printed, so a reported configuration can be sent back as is. *)
+let impl_of_name = function
+  | "all" | "all-impl" -> Some Universe.All_implications
+  | "none" | "no-impl" -> Some Universe.No_implications
+  | "cross" | "cross-family-only" -> Some Universe.Cross_family_only
+  | _ -> None
+
 (* The paper's Table 2 rows. *)
 let all_schemes = [ NI; CS; LNI; SE; LI; LLS; ALL ]
 
@@ -94,6 +109,54 @@ let pp ppf t =
       | None -> ()
       | Some s -> Fmt.pf ppf "+%s" (Nascent_ir.Mutate.spec_name s))
     t.fault
+
+(* The wire form: one object, one spelling per axis. *)
+let to_json t =
+  Json.Obj
+    [
+      ("scheme", Json.Str (scheme_name t.scheme));
+      ("kind", Json.Str (kind_name t.kind));
+      ("impl", Json.Str (Universe.mode_name t.impl));
+      ("verify", Json.Bool t.verify);
+      ("fault", Json.Str (fault_name t.fault));
+      ("oracle", Json.Bool t.oracle);
+    ]
+
+(* Read the axes out of a request object; a missing axis takes its
+   default, an unknown name is refused. *)
+let of_json j =
+  let axis field what of_name default =
+    match Json.str_member field j with
+    | None -> Ok default
+    | Some s -> (
+        match of_name s with
+        | Some v -> Ok v
+        | None -> Error (Printf.sprintf "unknown %s %s" what s))
+  in
+  let fault =
+    match Json.str_member "fault" j with
+    | None | Some "none" -> Ok None
+    | Some s -> (
+        match Nascent_ir.Mutate.parse_request s with
+        | Ok (Nascent_ir.Mutate.Single spec) -> Ok (Some spec)
+        | Ok Nascent_ir.Mutate.Smoke -> Error "fault \"smoke\" is CLI-only"
+        | Error e -> Error e)
+  in
+  let flag field default = Option.value ~default (Json.bool_member field j) in
+  Result.bind (axis "scheme" "scheme" scheme_of_name default.scheme) @@ fun scheme ->
+  Result.bind (axis "kind" "check kind" kind_of_name default.kind) @@ fun kind ->
+  Result.bind (axis "impl" "implication mode" impl_of_name default.impl) @@ fun impl ->
+  Result.map
+    (fun fault ->
+      {
+        scheme;
+        kind;
+        impl;
+        verify = flag "verify" default.verify;
+        fault;
+        oracle = flag "oracle" default.oracle;
+      })
+    fault
 
 (* Stable serialization of EVERY axis for content-addressed caching.
    [verify] is included deliberately: the verifier changes no output,

@@ -57,6 +57,11 @@ val make :
 val scheme_name : scheme -> string
 val scheme_of_name : string -> scheme option
 val kind_name : check_kind -> string
+val kind_of_name : string -> check_kind option
+
+val impl_of_name : string -> Universe.mode option
+(** Accepts the request spellings [all], [none] and [cross] as well as
+    {!Universe.mode_name}'s, which is the one printed. *)
 
 val fault_name : Nascent_ir.Mutate.spec option -> string
 (** ["none"] or {!Nascent_ir.Mutate.spec_name}, for cache keys and
@@ -69,6 +74,18 @@ val extended_schemes : scheme list
 (** Everything implemented, including the MCM extension. *)
 
 val pp : t Fmt.t
+
+val to_json : t -> Nascent_support.Json.t
+(** The configuration's wire form: [scheme], [kind], [impl], [verify],
+    [fault] and [oracle], in that order, each named as {!pp} names it
+    ([impl] by {!Universe.mode_name}). *)
+
+val of_json : Nascent_support.Json.t -> (t, string) result
+(** Read a configuration from a request object: an absent (or
+    non-string, non-bool) field takes {!default}'s value, ["fault":
+    "none"] means no fault. [Error] carries the message for an unknown
+    scheme, check kind, implication mode or fault, and refuses the
+    CLI-only ["smoke"] fault. [of_json (to_json c) = Ok c]. *)
 
 val cache_key : t -> string
 (** Stable serialization of every axis — scheme, kind, implication

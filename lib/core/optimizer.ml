@@ -33,13 +33,21 @@ type pass_stat = {
   pass_checks_after : int;
 }
 
-(* Why a pass was rolled back. *)
-type cause = Pass_exception | Verifier_rejected | Budget_exhausted
+(* Why a pass was rolled back, or (the last two, recorded by the
+   compile service) why a response is degraded. *)
+type cause =
+  | Pass_exception
+  | Verifier_rejected
+  | Budget_exhausted
+  | Breaker_open
+  | Validation_refused
 
 let cause_name = function
   | Pass_exception -> "exception"
   | Verifier_rejected -> "verifier"
   | Budget_exhausted -> "fuel"
+  | Breaker_open -> "breaker"
+  | Validation_refused -> "validation"
 
 (* One rolled-back pass: the recovery path's audit record. *)
 type incident = {
@@ -467,8 +475,22 @@ let pp_stats ppf (s : stats) =
   | None -> ()
   | Some v -> Fmt.pf ppf "@,%a" Ir.Validate.pp v
 
+let incident_to_json ?(brief = false) i =
+  let cause = ("cause", Json.Str (cause_name i.inc_cause)) in
+  let detail = ("detail", Json.Str i.inc_detail) in
+  Json.Obj
+    (("pass", Json.Str i.inc_pass)
+    ::
+    (if brief then [ cause; detail ]
+     else
+       [
+         ("func", Json.Str i.inc_func);
+         cause;
+         detail;
+         ("elapsed_s", Json.Float i.inc_elapsed_s);
+       ]))
+
 let stats_to_json (s : stats) : Json.t =
-  let c = s.config in
   let int_fields =
     [
       ("static_checks_before", s.static_checks_before);
@@ -493,16 +515,6 @@ let stats_to_json (s : stats) : Json.t =
         ("checks_after", Json.Int p.pass_checks_after);
       ]
   in
-  let incident i =
-    Json.Obj
-      [
-        ("pass", Json.Str i.inc_pass);
-        ("func", Json.Str i.inc_func);
-        ("cause", Json.Str (cause_name i.inc_cause));
-        ("detail", Json.Str i.inc_detail);
-        ("elapsed_s", Json.Float i.inc_elapsed_s);
-      ]
-  in
   let failure (f : Ir.Validate.site) =
     Json.Obj
       [
@@ -514,23 +526,14 @@ let stats_to_json (s : stats) : Json.t =
   in
   Json.Obj
     ([
-       ( "config",
-         Json.Obj
-           [
-             ("scheme", Json.Str (Config.scheme_name c.Config.scheme));
-             ("kind", Json.Str (Config.kind_name c.Config.kind));
-             ("impl", Json.Str (Nascent_checks.Universe.mode_name c.Config.impl));
-             ("verify", Json.Bool c.Config.verify);
-             ("fault", Json.Str (Config.fault_name c.Config.fault));
-             ("oracle", Json.Bool c.Config.oracle);
-           ] );
+       ("config", Config.to_json s.config);
      ]
     @ List.map (fun (k, n) -> (k, Json.Int n)) int_fields
     @ [
         ("elapsed_s", Json.Float s.elapsed_s);
         ("passes", Json.List (List.map pass s.passes));
         ("faults_injected", Json.Int s.faults_injected);
-        ("incidents", Json.List (List.map incident s.incidents));
+        ("incidents", Json.List (List.map incident_to_json s.incidents));
       ]
     @
     match s.validation with

@@ -46,14 +46,18 @@ type pass_stat = {
   pass_checks_after : int;
 }
 
-(** Why a pass was rolled back. *)
+(** Why a pass was rolled back. The compile service records the last
+    two; {!optimize} never does. *)
 type cause =
   | Pass_exception  (** the pass body raised *)
   | Verifier_rejected  (** {!Nascent_ir.Verify} refused the pass output *)
   | Budget_exhausted  (** the per-pass fuel budget ran out *)
+  | Breaker_open  (** the scheme's breaker sent the compile to the NI floor *)
+  | Validation_refused  (** translation validation refused the certificate *)
 
 val cause_name : cause -> string
-(** ["exception"], ["verifier"] or ["fuel"]. *)
+(** ["exception"], ["verifier"], ["fuel"], ["breaker"] or
+    ["validation"]. *)
 
 (** One rolled-back pass: the recovery path's audit record. *)
 type incident = {
@@ -122,6 +126,11 @@ val optimize :
 val pp_pass_stat : pass_stat Fmt.t
 val pp_incident : incident Fmt.t
 val pp_stats : stats Fmt.t
+
+val incident_to_json : ?brief:bool -> incident -> Nascent_support.Json.t
+(** The one wire form of an incident: [pass], [func], [cause],
+    [detail], [elapsed_s]; [~brief:true] (a service response) keeps
+    only [pass], [cause] and [detail]. *)
 
 val stats_to_json : stats -> Nascent_support.Json.t
 (** Stable JSON rendering of {!stats} (including the per-pass

@@ -37,7 +37,6 @@ module Linexpr = Nascent_checks.Linexpr
 module Atom = Nascent_checks.Atom
 module Universe = Nascent_checks.Universe
 module Loops = Nascent_analysis.Loops
-module Dominance = Nascent_analysis.Dominance
 module Expr = Nascent_ir.Expr
 open Ir.Types
 
@@ -272,8 +271,8 @@ let already_covered (pre : block) ~guard ~(chk : Check.t) ~mode =
     pre.instrs
 
 (* [facts ()] is the check universe and its anticipatability for the
-   function as it stands; [dom] and [preds] hold for the whole pass. *)
-let process_loop (ctx : Checkctx.t) ~variant ~dom ~preds ~facts (st : stats)
+   function as it stands; [idom] and [preds] hold for the whole pass. *)
+let process_loop (ctx : Checkctx.t) ~variant ~idom ~preds ~facts (st : stats)
     (l : Loops.loop) : bool =
   let f = ctx.Checkctx.func in
   let atoms = f.Ir.Func.atoms in
@@ -319,7 +318,7 @@ let process_loop (ctx : Checkctx.t) ~variant ~dom ~preds ~facts (st : stats)
         | Some g ->
             (* once-per-iteration and guard stable across the loop *)
             latches <> []
-            && List.for_all (fun latch -> Dominance.dominates dom c.c_bid latch) latches
+            && List.for_all (fun latch -> Ir.Func.dominates idom c.c_bid latch) latches
             && expr_invariant l g
       in
       let to_delete = ref [] in
@@ -387,7 +386,7 @@ let run (ctx : Checkctx.t) ~variant : stats =
      was, so the next loop reuses them. Hoisting edits instruction
      lists only, never a terminator, so dominance and predecessors are
      the same for every loop of the pass. *)
-  let dom = Dominance.compute f in
+  let idom = Ir.Func.idom f in
   let preds = Ir.Func.preds_array f in
   let current = ref None in
   let facts () =
@@ -400,6 +399,6 @@ let run (ctx : Checkctx.t) ~variant : stats =
         uf
   in
   List.iter
-    (fun l -> if process_loop ctx ~variant ~dom ~preds ~facts st l then current := None)
+    (fun l -> if process_loop ctx ~variant ~idom ~preds ~facts st l then current := None)
     ctx.Checkctx.loops;
   st

@@ -5,8 +5,8 @@
    Operations:
    - "compile": lower + optimize (+ optionally interpret) one program —
      a MiniF source string or a built-in benchmark name — under a
-     requested (scheme, kind, impl, verify, oracle, fault) configuration
-     — "oracle": true additionally runs the Fourier-Motzkin elimination
+     requested (scheme, kind, impl, verify, oracle, fault) configuration,
+     read and echoed by Config's one wire codec — "oracle": true additionally runs the Fourier-Motzkin elimination
      sweep and the per-compile translation validator, whose verdict is
      returned as "validated" (a refused certificate degrades the
      response and feeds the breaker like a rolled-back pass).
@@ -35,7 +35,7 @@ module B = Nascent_benchmarks.Suite
 module Ir = Nascent_ir
 module Core = Nascent_core
 module Config = Core.Config
-module Universe = Nascent_checks.Universe
+module Optimizer = Core.Optimizer
 module Run = Nascent_interp.Run
 module Json = Nascent_support.Json
 module Server = Nascent_support.Server
@@ -46,7 +46,7 @@ module Mclock = Nascent_support.Mclock
 
 (* Everything deterministic about a compile, in cacheable form. *)
 type compiled = {
-  r_incidents : (string * string * string) list; (* pass, cause, detail *)
+  r_incidents : Optimizer.incident list;
   r_faults_injected : int;
   r_checks_before : int;
   r_checks_after : int;
@@ -98,38 +98,6 @@ exception Bad_request of string
 
 (* --- request parsing --------------------------------------------------- *)
 
-let parse_scheme req =
-  match Json.str_member "scheme" req with
-  | None -> Config.LLS
-  | Some s -> (
-      match Config.scheme_of_name s with
-      | Some sc -> sc
-      | None -> raise (Bad_request ("unknown scheme " ^ s)))
-
-let parse_kind req =
-  match Json.str_member "kind" req with
-  | None -> Config.PRX
-  | Some ("prx" | "PRX") -> Config.PRX
-  | Some ("inx" | "INX") -> Config.INX
-  | Some s -> raise (Bad_request ("unknown check kind " ^ s))
-
-let parse_impl req =
-  match Json.str_member "impl" req with
-  | None -> Universe.All_implications
-  | Some "all" -> Universe.All_implications
-  | Some "none" -> Universe.No_implications
-  | Some "cross" -> Universe.Cross_family_only
-  | Some s -> raise (Bad_request ("unknown implication mode " ^ s))
-
-let parse_fault req =
-  match Json.str_member "fault" req with
-  | None | Some "none" -> None
-  | Some s -> (
-      match Ir.Mutate.parse_request s with
-      | Ok (Ir.Mutate.Single spec) -> Some spec
-      | Ok Ir.Mutate.Smoke -> raise (Bad_request "fault \"smoke\" is CLI-only")
-      | Error e -> raise (Bad_request e))
-
 let parse_source req =
   match (Json.str_member "source" req, Json.str_member "benchmark" req) with
   | Some src, None -> ("<request>", src)
@@ -153,7 +121,7 @@ let compile_cell t ~src ~config ~want_run =
     Memo.find_or_compute t.cache ~key @@ fun () ->
     computed := true;
     let ir = Ir.Lower.of_source src in
-    let opt, stats = Core.Optimizer.optimize ~config ir in
+    let opt, stats = Optimizer.optimize ~config ir in
     let r_run =
       if want_run then
         let o = Run.run opt in
@@ -167,30 +135,31 @@ let compile_cell t ~src ~config ~want_run =
       else None
     in
     {
-      r_incidents =
-        List.map
-          (fun (i : Core.Optimizer.incident) ->
-            ( i.Core.Optimizer.inc_pass,
-              Core.Optimizer.cause_name i.Core.Optimizer.inc_cause,
-              i.Core.Optimizer.inc_detail ))
-          stats.Core.Optimizer.incidents;
-      r_faults_injected = stats.Core.Optimizer.faults_injected;
-      r_checks_before = stats.Core.Optimizer.static_checks_before;
-      r_checks_after = stats.Core.Optimizer.static_checks_after;
-      r_validated = Core.Optimizer.validated stats;
+      r_incidents = stats.Optimizer.incidents;
+      r_faults_injected = stats.Optimizer.faults_injected;
+      r_checks_before = stats.Optimizer.static_checks_before;
+      r_checks_after = stats.Optimizer.static_checks_after;
+      r_validated = Optimizer.validated stats;
       r_run;
     }
   in
   (cell, not !computed)
 
-let svc_error ~code detail =
-  Json.Obj
-    [
-      ("status", Json.Str "error");
-      ("code", Json.Str code);
-      ("retryable", Json.Bool false);
-      ("detail", Json.Str detail);
-    ]
+(* A degraded response's own incident records: the service, not a
+   pass, explains why. *)
+let service_incident ~pass cause detail =
+  {
+    Optimizer.inc_pass = pass;
+    inc_func = "";
+    inc_cause = cause;
+    inc_detail = detail;
+    inc_elapsed_s = 0.0;
+  }
+
+let validation_incident =
+  service_incident ~pass:"validate" Optimizer.Validation_refused
+    "translation validation refused the certificate: some reference check site \
+     is no longer provably covered"
 
 (* Older clients and the ledger's prewarm still send "tier". Every
    compile runs its requested scheme, so both accepted values mean the
@@ -202,12 +171,10 @@ let check_tier req =
 
 let handle_compile t req =
   let name, src = parse_source req in
-  let scheme = parse_scheme req in
-  let kind = parse_kind req in
-  let impl = parse_impl req in
-  let verify = Option.value ~default:true (Json.bool_member "verify" req) in
-  let oracle = Option.value ~default:false (Json.bool_member "oracle" req) in
-  let fault = parse_fault req in
+  let requested =
+    match Config.of_json req with Ok c -> c | Error e -> raise (Bad_request e)
+  in
+  let scheme = requested.Config.scheme in
   let want_run = Option.value ~default:false (Json.bool_member "run" req) in
   check_tier req;
   let sname = Config.scheme_name scheme in
@@ -219,7 +186,7 @@ let handle_compile t req =
   in
   let fallback = decision = `Fallback in
   let used_scheme = if fallback then Config.NI else scheme in
-  let config = Config.make ~scheme:used_scheme ~kind ~impl ~verify ~oracle ?fault () in
+  let config = { requested with Config.scheme = used_scheme } in
   (* Only compiles at the REQUESTED scheme feed its breaker. *)
   let record_attempt ok =
     if (not fallback) && scheme <> Config.NI then
@@ -258,6 +225,8 @@ let handle_compile t req =
   let validated_json =
     match cell.r_validated with None -> Json.Null | Some b -> Json.Bool b
   in
+  let wire = Config.to_json requested in
+  let echo field = Option.get (Json.member field wire) in
   Json.Obj
     ([
        ("status", Json.Str (if degraded then "degraded" else "ok"));
@@ -266,12 +235,12 @@ let handle_compile t req =
        ("program", Json.Str name);
        ("scheme_requested", Json.Str sname);
        ("scheme_used", Json.Str (Config.scheme_name used_scheme));
-       ("kind", Json.Str (Config.kind_name kind));
-       ("impl", Json.Str (Universe.mode_name impl));
-       ("verify", Json.Bool verify);
-       ("oracle", Json.Bool oracle);
+       ("kind", echo "kind");
+       ("impl", echo "impl");
+       ("verify", echo "verify");
+       ("oracle", echo "oracle");
        ("validated", validated_json);
-       ("fault", Json.Str (Config.fault_name fault));
+       ("fault", echo "fault");
        ("breaker", Json.Str (Breaker.state_name (Breaker.state t.breaker sname)));
        ("fallback", Json.Bool fallback);
        ("checks_before", Json.Int cell.r_checks_before);
@@ -281,42 +250,16 @@ let handle_compile t req =
           breaker fallback explains itself as a service-level record *)
        ( "incidents",
          Json.List
-           ((if fallback then
-               [
-                 Json.Obj
-                   [
-                     ("pass", Json.Str "service");
-                     ("cause", Json.Str "breaker");
-                     ( "detail",
-                       Json.Str
-                         (Printf.sprintf
-                            "scheme %s breaker open; compiled at the NI floor"
-                            sname) );
-                   ];
-               ]
-             else [])
-           @ (if cell.r_validated = Some false then
-                [
-                  Json.Obj
-                    [
-                      ("pass", Json.Str "validate");
-                      ("cause", Json.Str "validation");
-                      ( "detail",
-                        Json.Str
-                          "translation validation refused the certificate: some \
-                           reference check site is no longer provably covered" );
-                    ];
-                ]
-              else [])
-           @ List.map
-               (fun (pass, cause, detail) ->
-                 Json.Obj
-                   [
-                     ("pass", Json.Str pass);
-                     ("cause", Json.Str cause);
-                     ("detail", Json.Str detail);
-                   ])
-               cell.r_incidents) );
+           (List.map (Optimizer.incident_to_json ~brief:true)
+              ((if fallback then
+                  [
+                    service_incident ~pass:"service" Optimizer.Breaker_open
+                      (Printf.sprintf "scheme %s breaker open; compiled at the NI floor"
+                         sname);
+                  ]
+                else [])
+              @ (if cell.r_validated = Some false then [ validation_incident ] else [])
+              @ cell.r_incidents)) );
        ("cached", Json.Bool cached);
        ("elapsed_ms", Json.Float (1000.0 *. Mclock.elapsed_s t0));
      ]
@@ -353,12 +296,12 @@ let handle t req =
   match Json.str_member "op" req with
   | Some "compile" -> (
       try handle_compile t req with
-      | Bad_request msg -> svc_error ~code:"bad-request" msg
-      | Failure msg | Ir.Lower.Lower_error msg -> svc_error ~code:"invalid-program" msg
-      | Ir.Verify.Invalid_ir msg -> svc_error ~code:"invalid-program" msg)
+      | Bad_request msg -> Server.error ~code:"bad-request" msg
+      | Failure msg | Ir.Lower.Lower_error msg | Ir.Verify.Invalid_ir msg ->
+          Server.error ~code:"invalid-program" msg)
   | Some "burn" -> handle_burn ()
-  | Some op -> svc_error ~code:"bad-op" ("unknown op " ^ op)
-  | None -> svc_error ~code:"bad-op" "request has no \"op\" field"
+  | Some op -> Server.error ~code:"bad-op" ("unknown op " ^ op)
+  | None -> Server.error ~code:"bad-op" "request has no \"op\" field"
 
 let status_extra t () =
   let compiles, degraded, fallbacks, incidents_total =

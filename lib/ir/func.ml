@@ -185,6 +185,14 @@ let idom t : int array =
     idom
   end
 
+(* Does [a] dominate [b] in the tree [idom] (as {!idom} returns it)?
+   Reflexive; false if either is unreachable. *)
+let dominates (idom : int array) a b =
+  if a < 0 || b < 0 || idom.(b) = -1 || idom.(a) = -1 then false
+  else
+    let rec up b = a = b || (idom.(b) <> b && up idom.(b)) in
+    up b
+
 (* Blocks with a path to a successor-less block. The rest sit in
    no-exit regions (infinite loops built directly in the IR), which the
    backward analyses treat as boundary blocks. *)

@@ -75,6 +75,10 @@ val idom : t -> int array
 (** Immediate dominators (Cooper–Harvey–Kennedy): the entry maps to
     itself, unreachable blocks to -1. Computed once per view. *)
 
+val dominates : int array -> int -> int -> bool
+(** [dominates (idom f) a b]: does block [a] dominate block [b]?
+    Reflexive; false when either is unreachable. *)
+
 val reaches_exit : t -> bool array
 (** Blocks with a path to a successor-less block; the others sit in
     no-exit regions. Computed once per view. *)

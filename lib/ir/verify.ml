@@ -73,16 +73,6 @@ let pp_violation ppf v =
 exception Invalid_ir of string
 
 (* ------------------------------------------------------------------ *)
-(* Dominance over the function's cached dominator tree.                *)
-
-(* Does [a] dominate [b]? (Reflexive; false if either is unreachable.) *)
-let dominates (idom : int array) a b =
-  if a < 0 || b < 0 || idom.(b) = -1 || idom.(a) = -1 then false
-  else
-    let rec up b = a = b || (idom.(b) <> b && up idom.(b)) in
-    up b
-
-(* ------------------------------------------------------------------ *)
 (* Structural rules. A clean run allocates next to nothing: locations
    and messages are formatted only when a violation is recorded, so
    the rules below pass the parts of a location ([block_at],
@@ -208,7 +198,7 @@ let check_loops (f : Func.t) (idom : int array) add =
       add Loop_structure (loop_at meta) "preheader coincides with header"
     else begin
       edge_to meta ~src:preheader ~dst:header "preheader must enter the header";
-      if reach.(header) && not (dominates idom preheader header) then
+      if reach.(header) && not (Func.dominates idom preheader header) then
         add Loop_structure (loop_at meta)
           (Fmt.str "preheader %d does not dominate header %d" preheader header)
     end
@@ -417,7 +407,7 @@ let natural_loop (f : Func.t) (idom : int array) (preds : int list array) header
     end
   in
   List.iter
-    (fun p -> if dominates idom header p then pull p)
+    (fun p -> if Func.dominates idom header p then pull p)
     preds.(header);
   inloop
 

@@ -166,7 +166,7 @@ let put_idle t i conn =
    one. Only a complete, parseable response puts the connection back;
    every other outcome closes it. An idle connection that turns out
    dead — EOF before the response, EPIPE, ECONNRESET: what a shard
-   restart or its idle reaper leaves behind — is replaced by one fresh
+   restart leaves behind — is replaced by one fresh
    connect before anything counts against the shard (requests are
    idempotent, so resending is safe). A failure on a fresh connection is
    the shard's, returned or raised as it came. *)
@@ -207,16 +207,8 @@ let forward t (req : Json.t) =
         Mutex.lock t.lock;
         t.c.no_shard <- t.c.no_shard + 1;
         Mutex.unlock t.lock;
-        Json.Obj
-          [
-            ("status", Json.Str "error");
-            ("code", Json.Str "no-shard");
-            ("retryable", Json.Bool true);
-            ( "detail",
-              Json.Str
-                (Printf.sprintf "no shard could serve the request (%d tried)" tried)
-            );
-          ]
+        Server.error ~code:"no-shard" ~retryable:true
+          (Printf.sprintf "no shard could serve the request (%d tried)" tried)
     | shard :: rest when all_open || healthy t shard -> (
         let i = shard_index t shard in
         Mutex.lock t.lock;
@@ -233,13 +225,7 @@ let forward t (req : Json.t) =
                alive; surface the protocol bug instead of retrying it
                elsewhere *)
             record t shard ~ok:true;
-            Json.Obj
-              [
-                ("status", Json.Str "error");
-                ("code", Json.Str "bad-upstream");
-                ("retryable", Json.Bool false);
-                ("detail", Json.Str ("unparseable shard response: " ^ msg));
-              ]
+            Server.error ~code:"bad-upstream" ("unparseable shard response: " ^ msg)
         | Error `Closed | Error (`Frame _) ->
             record t shard ~ok:false;
             go (tried + 1) rest

@@ -33,12 +33,11 @@
     forward uses a connection at a time, so the pool never holds more
     connections than the serving {!Server}'s workers times the shard
     count; there is no other bound. An idle connection that fails with
-    EOF before the response, EPIPE or ECONNRESET (a restarted shard, or
-    one whose [idle_timeout_s] reaped it) gets one fresh connect to the
-    same shard before the breaker hears of it; a failure on a fresh
-    connection is a shard failure. Health probes always connect fresh.
-    Forwards count the connections they open as [connects] in
-    [status]. *)
+    EOF before the response, EPIPE or ECONNRESET (a restarted shard)
+    gets one fresh connect to the same shard before the breaker hears
+    of it; a failure on a fresh connection is a shard failure. Health
+    probes always connect fresh. Forwards count the connections they
+    open as [connects] in [status]. *)
 
 type shard = { name : string; address : Server.Client.address }
 

@@ -22,7 +22,8 @@
      "retryable":true} — the server degrades by refusing work, never by
      wedging or growing without bound;
    - per-request deadlines: a request carries its wall budget from
-     admission (queue wait included); a compile that outlives it is cut
+     admission (queue wait included; [deadline_s] unless it sends its
+     own "deadline_ms"); a compile that outlives it is cut
      off at the next ambient tick and answered with
      {"code":"deadline"}, freeing the worker. Fuel exhaustion is
      reported the same way — both are resource-bound responses;
@@ -42,13 +43,14 @@
      the daemon with admitted requests still queued;
    - network failure domain: a slow-loris peer cannot wedge a reader or
      leak a connection record — a frame that stays incomplete past
-     [io_deadline_s] closes the connection (io_timeouts), a
-     connected-but-silent client is reaped after [idle_timeout_s]
-     (idle_closed), a response write blocked past the I/O budget gives
-     up (the peer is not draining), torn/oversized/garbage frames are
-     terminal for their connection only (frame_errors), and a legacy or
-     version-mismatched client on either listener gets one clear error
-     line and a close (proto_rejects) instead of a hang;
+     [io_deadline_s] closes the connection (io_timeouts), a response
+     write blocked past the I/O budget gives up (the peer is not
+     draining), torn/oversized/garbage frames are terminal for their
+     connection only (frame_errors), and a legacy or version-mismatched
+     client on either listener gets one clear error line and a close
+     (proto_rejects) instead of a hang. A connection with no frame
+     started is never timed out: it holds a reader and an fd, no
+     worker;
    - graceful drain: [stop] (wired to SIGTERM/SIGINT by nascentd) stops
      accepting, sheds NEW requests with {"code":"shutting-down",
      "retryable":true}, finishes every admitted request, flushes
@@ -76,12 +78,7 @@ type config = {
       (* additional TCP listener (host, port; port 0 = ephemeral) *)
   jobs : int; (* workers, of the handler's kind *)
   queue_depth : int; (* admission bound on queued requests *)
-  default_deadline_s : float option; (* per-request wall budget *)
-  request_fuel : int option; (* per-request Guard fuel budget *)
   restarts : int; (* supervisor restart count, reported in status *)
-  idle_timeout_s : float option;
-      (* reap a connected-but-silent client (no partial input, no
-         response owed) after this long without a byte *)
   io_deadline_s : float option;
       (* slow-loris bound: a frame that stays incomplete this long
          closes the connection; also the response-write budget *)
@@ -93,12 +90,14 @@ let default_config ~socket_path =
     tcp = None;
     jobs = 2;
     queue_depth = 64;
-    default_deadline_s = Some 30.0;
-    request_fuel = Some 50_000_000;
     restarts = 0;
-    idle_timeout_s = None;
     io_deadline_s = Some 10.0;
   }
+
+(* A domain worker's request bounds, unless the request carries its own
+   "deadline_ms": its wall budget and its Guard fuel. *)
+let deadline_s = 30.0
+let fuel_budget = 50_000_000
 
 type counters = {
   mutable served : int; (* requests answered by the handler *)
@@ -112,7 +111,6 @@ type counters = {
   mutable mem_shed : int; (* admissions shed under memory pressure *)
   mutable mem_aborts : int; (* requests aborted by the memory watchdog *)
   mutable proto_rejects : int; (* legacy / version-mismatched clients *)
-  mutable idle_closed : int; (* silent connections reaped *)
   mutable frame_errors : int; (* torn / oversized / garbage frames *)
   mutable io_timeouts : int; (* mid-frame read or response-write overruns *)
 }
@@ -127,7 +125,6 @@ type conn = {
   (* reader-thread private state — no lock needed *)
   dec : Frame.decoder;
   mutable greeted : bool; (* hello exchanged *)
-  mutable last_rx : float; (* uptime at the last byte received *)
   mutable in_started : float option; (* uptime when partial input began *)
 }
 
@@ -181,7 +178,6 @@ let create cfg handler =
         mem_shed = 0;
         mem_aborts = 0;
         proto_rejects = 0;
-        idle_closed = 0;
         frame_errors = 0;
         io_timeouts = 0;
       };
@@ -271,15 +267,18 @@ let answer t ?frame conn (json : Json.t) =
   (* counter update outside wlock: t.lock and conn.wlock never nest *)
   if !timed_out then locked t (fun () -> t.c.io_timeouts <- t.c.io_timeouts + 1)
 
-let error_response ~id ~code ?(retryable = false) detail =
-  Json.Obj
+(* The one error envelope, for the server, its handlers and the
+   router alike. *)
+let error ?id ~code ?(retryable = false) detail =
+  let fields =
     [
-      ("id", id);
       ("status", Json.Str "error");
       ("code", Json.Str code);
       ("retryable", Json.Bool retryable);
       ("detail", Json.Str detail);
     ]
+  in
+  Json.Obj (match id with None -> fields | Some id -> ("id", id) :: fields)
 
 let with_id ~id = function
   | Json.Obj fields -> Json.Obj (("id", id) :: List.remove_assoc "id" fields)
@@ -315,7 +314,6 @@ let status_response t ~id =
        ("mem_shed", Json.Int c.mem_shed);
        ("mem_aborts", Json.Int c.mem_aborts);
        ("proto_rejects", Json.Int c.proto_rejects);
-       ("idle_closed", Json.Int c.idle_closed);
        ("frame_errors", Json.Int c.frame_errors);
        ("io_timeouts", Json.Int c.io_timeouts);
        ( "tcp_port",
@@ -327,14 +325,12 @@ let status_response t ~id =
 
 (* --- workers ----------------------------------------------------------- *)
 
-let request_deadline t req =
-  let explicit =
-    match Json.float_member "deadline_ms" req with
-    | Some ms when ms > 0.0 -> Some (ms /. 1000.0)
-    | Some _ -> None (* deadline_ms <= 0: explicitly unbounded *)
-    | None -> t.cfg.default_deadline_s
-  in
-  Option.map (fun seconds -> Guard.deadline ~what:"request" ~seconds) explicit
+let request_deadline req =
+  let within seconds = Some (Guard.deadline ~what:"request" ~seconds) in
+  match Json.float_member "deadline_ms" req with
+  | Some ms when ms > 0.0 -> within (ms /. 1000.0)
+  | Some _ -> None (* deadline_ms <= 0: explicitly unbounded *)
+  | None -> within deadline_s
 
 let process t job =
   let id = job.jid in
@@ -343,7 +339,7 @@ let process t job =
     | Some d when Guard.expired d ->
         (* expired while queued: don't burn a compile on a dead request *)
         locked t (fun () -> t.c.timeouts <- t.c.timeouts + 1);
-        error_response ~id ~code:"deadline" "deadline exceeded while queued"
+        error ~id ~code:"deadline" "deadline exceeded while queued"
     | deadline -> (
         let body () = t.handler.handle job.jreq in
         (* Guard's ambient budgets are domain-local: threads sharing a
@@ -356,11 +352,8 @@ let process t job =
           match t.handler.workers with
           | Threads -> body
           | Domains -> (
-              let body =
-                match t.cfg.request_fuel with
-                | Some budget ->
-                    fun () -> Guard.with_fuel (Guard.fuel ~what:"request" ~budget) body
-                | None -> body
+              let body () =
+                Guard.with_fuel (Guard.fuel ~what:"request" ~budget:fuel_budget) body
               in
               match deadline with
               | Some d -> fun () -> Guard.with_deadline d body
@@ -372,21 +365,21 @@ let process t job =
             with_id ~id resp
         | exception Guard.Deadline_exceeded what ->
             locked t (fun () -> t.c.timeouts <- t.c.timeouts + 1);
-            error_response ~id ~code:"deadline" ("deadline exceeded: " ^ what)
+            error ~id ~code:"deadline" ("deadline exceeded: " ^ what)
         | exception Guard.Fuel_exhausted what ->
             locked t (fun () -> t.c.timeouts <- t.c.timeouts + 1);
-            error_response ~id ~code:"deadline" ("fuel exhausted: " ^ what)
+            error ~id ~code:"deadline" ("fuel exhausted: " ^ what)
         | exception Guard.Mem_exceeded what ->
             (* The watchdog aborts the request that was ticking when the
                heap crossed the budget — a recorded incident, not an OS
                OOM-kill of the daemon. Retryable: the abort itself frees
                memory, so a later attempt may well fit. *)
             locked t (fun () -> t.c.mem_aborts <- t.c.mem_aborts + 1);
-            error_response ~id ~code:"mem-pressure" ~retryable:true
+            error ~id ~code:"mem-pressure" ~retryable:true
               ("memory budget: " ^ what)
         | exception e ->
             locked t (fun () -> t.c.internal_errors <- t.c.internal_errors + 1);
-            error_response ~id ~code:"internal" (Printexc.to_string e))
+            error ~id ~code:"internal" (Printexc.to_string e))
   in
   answer t ~frame:job.jframe job.jconn response
 
@@ -454,7 +447,7 @@ let enqueue t conn ~frame ~id req =
     Mutex.unlock t.lock;
     conn_release t conn;
     answer t ~frame conn
-      (error_response ~id ~code:"shutting-down" ~retryable:true
+      (error ~id ~code:"shutting-down" ~retryable:true
          "server is draining; retry against a fresh instance")
   end
   else if Queue.length t.queue >= t.cfg.queue_depth then begin
@@ -462,7 +455,7 @@ let enqueue t conn ~frame ~id req =
     Mutex.unlock t.lock;
     conn_release t conn;
     answer t ~frame conn
-      (error_response ~id ~code:"overloaded" ~retryable:true
+      (error ~id ~code:"overloaded" ~retryable:true
          (Printf.sprintf "queue full (%d requests); back off and retry"
             t.cfg.queue_depth))
   end
@@ -476,13 +469,13 @@ let enqueue t conn ~frame ~id req =
     Mutex.unlock t.lock;
     conn_release t conn;
     answer t ~frame conn
-      (error_response ~id ~code:"overloaded" ~retryable:true
+      (error ~id ~code:"overloaded" ~retryable:true
          "memory pressure: heap near budget; back off and retry")
   end
   else begin
     (* the deadline clock starts at admission: queue wait counts *)
     let job =
-      { jconn = conn; jid = id; jreq = req; jframe = frame; jdeadline = request_deadline t req }
+      { jconn = conn; jid = id; jreq = req; jframe = frame; jdeadline = request_deadline req }
     in
     Queue.add job t.queue;
     Condition.signal t.nonempty;
@@ -495,7 +488,7 @@ let handle_request t conn ~frame body =
   match Json.parse body with
   | Error msg ->
       locked t (fun () -> t.c.bad_requests <- t.c.bad_requests + 1);
-      answer t ~frame conn (error_response ~id:Json.Null ~code:"bad-request" msg)
+      answer t ~frame conn (error ~id:Json.Null ~code:"bad-request" msg)
   | Ok req -> (
       let id = Option.value ~default:Json.Null (Json.member "id" req) in
       match Json.str_member "op" req with
@@ -521,7 +514,7 @@ let hello_ack =
 let proto_reject t conn detail =
   locked t (fun () -> t.c.proto_rejects <- t.c.proto_rejects + 1);
   answer t conn
-    (error_response ~id:Json.Null ~code:"proto-mismatch"
+    (error ~id:Json.Null ~code:"proto-mismatch"
        (Printf.sprintf "%s; this server speaks the NF1 framed protocol v%d" detail
           Frame.version))
 
@@ -568,7 +561,7 @@ let rec drain_frames t conn =
             a retrying client sees well-formed bytes then EOF, not a
             protocol mismatch *)
          answer t ~frame:0 conn
-           (error_response ~id:Json.Null ~code:"frame-error"
+           (error ~id:Json.Null ~code:"frame-error"
               (Format.asprintf "%a; closing connection" Frame.pp_error e))
        else
          match e with
@@ -577,81 +570,46 @@ let rec drain_frames t conn =
          | Frame.Bad_magic -> proto_reject t conn "not an NF1 stream"
          | e ->
              answer t conn
-               (error_response ~id:Json.Null ~code:"frame-error"
+               (error ~id:Json.Null ~code:"frame-error"
                   (Format.asprintf "%a; closing connection" Frame.pp_error e)));
       false
 
-(* The reader loop: select with a timeout derived from the two network
-   budgets, then read. [io_deadline_s] bounds how long a started frame
-   may stay incomplete (the slow-loris bound — a worker is
-   never involved, but the conn record and fd must not leak either);
-   [idle_timeout_s] reaps a connection with no partial input and no
-   response owed. A response in flight (pending > 0) never counts as
-   idle: the client is waiting on us, not the other way around. *)
+(* The reader loop: select, then read. [io_deadline_s] bounds how long
+   a started frame may stay incomplete (the slow-loris bound — a worker
+   is never involved, but the conn record and fd must not leak either);
+   with no frame started the reader blocks until bytes or shutdown. *)
 let serve_conn t conn =
   let buf = Bytes.create 8192 in
-  let poll = 0.2 (* re-check granularity when a budget is armed *) in
   let rec loop () =
-    let now = uptime_s t in
-    let io_deadline =
-      match (t.cfg.io_deadline_s, conn.in_started) with
-      | Some d, Some s -> Some (s +. d)
-      | _ -> None
-    in
-    let idle_deadline =
-      match t.cfg.idle_timeout_s with
-      | Some d when not (Frame.mid_frame conn.dec) -> Some (conn.last_rx +. d)
-      | _ -> None
-    in
     let timeout =
-      match (io_deadline, idle_deadline) with
-      | None, None -> -1.0 (* no budgets: block until bytes or shutdown *)
-      | Some a, Some b -> Float.max 0.0 (Float.min a b -. now)
-      | Some a, None | None, Some a -> Float.max 0.0 (a -. now)
+      match (t.cfg.io_deadline_s, conn.in_started) with
+      | Some d, Some s -> Float.max 0.0 (s +. d -. uptime_s t)
+      | _ -> -1.0
     in
     match Unix.select [ conn.fd ] [] [] timeout with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
     | exception (Unix.Unix_error _ | Sys_error _) -> ()
-    | [], _, _ -> (
-        (* a budget expired (select can only time out when one was
-           armed); decide which, re-checking liveness under wlock *)
-        match (io_deadline, idle_deadline) with
-        | Some dl, _ when now +. timeout >= dl -. 0.000001 && Frame.mid_frame conn.dec ->
-            locked t (fun () -> t.c.io_timeouts <- t.c.io_timeouts + 1);
-            let resp =
-              error_response ~id:Json.Null ~code:"io-timeout"
-                "frame not completed within the I/O deadline"
-            in
-            (* a greeted peer must see a well-formed frame, not
-               a stray line it would decode as garbage *)
-            if conn.greeted then answer t ~frame:0 conn resp
-            else answer t conn resp
-        | _, Some dl when now +. timeout >= dl -. 0.000001 -> (
-            Mutex.lock conn.wlock;
-            let quiet = conn.pending = 0 in
-            Mutex.unlock conn.wlock;
-            match quiet with
-            | true -> locked t (fun () -> t.c.idle_closed <- t.c.idle_closed + 1)
-            | false ->
-                (* responses still owed: not idle — wait out [poll]
-                   and re-derive the budgets *)
-                (match Unix.select [ conn.fd ] [] [] poll with
-                | exception _ -> ()
-                | _ -> ());
-                loop ())
-        | _ -> loop ())
+    | [], _, _ ->
+        (* select times out only with a frame started: it overran *)
+        locked t (fun () -> t.c.io_timeouts <- t.c.io_timeouts + 1);
+        let resp =
+          error ~id:Json.Null ~code:"io-timeout"
+            "frame not completed within the I/O deadline"
+        in
+        (* a greeted peer must see a well-formed frame, not
+           a stray line it would decode as garbage *)
+        if conn.greeted then answer t ~frame:0 conn resp else answer t conn resp
     | _ -> (
         match Unix.read conn.fd buf 0 (Bytes.length buf) with
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
         | exception (Unix.Unix_error _ | Sys_error _) -> ()
         | 0 -> ()
         | n ->
-            conn.last_rx <- uptime_s t;
             Frame.feed_bytes conn.dec buf ~off:0 ~len:n;
             let keep = drain_frames t conn in
             conn.in_started <-
               (if Frame.mid_frame conn.dec then
-                 match conn.in_started with None -> Some conn.last_rx | s -> s
+                 match conn.in_started with None -> Some (uptime_s t) | s -> s
                else None);
             if keep then loop ())
   in
@@ -803,7 +761,6 @@ let run ?(on_ready = ignore) t =
             closed = false;
             dec = Frame.decoder ();
             greeted = false;
-            last_rx = uptime_s t;
             in_started = None;
           }
         in

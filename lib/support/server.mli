@@ -34,9 +34,7 @@
 
     Network failure domain: a slow-loris peer cannot wedge a reader or
     leak a connection record ([io_deadline_s], counted [io_timeouts]);
-    a connected-but-silent client with no response owed is reaped
-    after [idle_timeout_s] (counted [idle_closed]); a peer that stops
-    draining responses trips the kernel send timeout instead of
+    a peer that stops draining responses trips the kernel send timeout instead of
     parking a worker; frame decode errors close only their own
     connection (counted [frame_errors]). *)
 
@@ -83,15 +81,9 @@ type config = {
           the router. Each domain adds a minor heap and joins every
           stop-the-world collection; a thread does neither. *)
   queue_depth : int;  (** admission bound on queued requests *)
-  default_deadline_s : float option;  (** default per-request budget *)
-  request_fuel : int option;  (** per-request {!Guard} fuel budget *)
   restarts : int;
       (** supervisor restart count, echoed as the ["restarts"] status
           field — informational only *)
-  idle_timeout_s : float option;
-      (** reap a connected-but-silent client (no partial input, no
-          response owed) after this long without a byte; [None]
-          disables the reaper *)
   io_deadline_s : float option;
       (** slow-loris bound: a frame that stays incomplete this long
           closes its connection; also the kernel send-timeout for
@@ -101,8 +93,17 @@ type config = {
     ["max_frame_bytes"] in the hello-ack. *)
 
 val default_config : socket_path:string -> config
-(** 2 jobs, depth 64, 30s deadline, 50M fuel, no TCP, no
-    idle reaper, 10s I/O deadline. *)
+(** 2 jobs, depth 64, no TCP, 10s I/O deadline. Two bounds are
+    constants, not settings: a {!Domains} worker's request runs under
+    a 30s wall budget (unless it carries ["deadline_ms"]) and 50M
+    {!Guard} fuel. A connection with no frame started may stay silent
+    indefinitely. *)
+
+val error : ?id:Json.t -> code:string -> ?retryable:bool -> string -> Json.t
+(** The error envelope, built here only: [{"id", "status": "error",
+    "code", "retryable", "detail"}] in that order, ["id"] present when
+    given (the server adds a handler response's id itself).
+    [retryable] defaults to [false]. *)
 
 type t
 

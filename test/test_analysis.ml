@@ -33,6 +33,7 @@ let while_src = "program w\ninteger n\nn = 0\nwhile n < 5 do\nn = n + 1\nendwhil
 
 let test_dom_entry_dominates_all () =
   let f = func_of diamond_src in
+  let dominates = Ir.Func.dominates (Ir.Func.idom f) in
   let dom = Dominance.compute f in
   let entry = f.Ir.Func.entry in
   Ir.Func.iter_blocks
@@ -41,27 +42,28 @@ let test_dom_entry_dominates_all () =
         Alcotest.(check bool)
           (Fmt.str "entry dom B%d" b.Ir.Types.bid)
           true
-          (Dominance.dominates dom entry b.Ir.Types.bid))
+          (dominates entry b.Ir.Types.bid))
     f
 
 let test_dom_reflexive_antisymmetric () =
   let f = func_of nested_src in
+  let dominates = Ir.Func.dominates (Ir.Func.idom f) in
   let dom = Dominance.compute f in
   let n = Ir.Func.num_blocks f in
   for a = 0 to n - 1 do
     if Dominance.reachable dom a then begin
-      Alcotest.(check bool) "reflexive" true (Dominance.dominates dom a a);
+      Alcotest.(check bool) "reflexive" true (dominates a a);
       for b = 0 to n - 1 do
         if Dominance.reachable dom b && a <> b then
           Alcotest.(check bool) "antisymmetric" false
-            (Dominance.dominates dom a b && Dominance.dominates dom b a)
+            (dominates a b && dominates b a)
       done
     end
   done
 
 let test_dom_branch_blocks_dont_dominate_join () =
   let f = func_of diamond_src in
-  let dom = Dominance.compute f in
+  let dominates = Ir.Func.dominates (Ir.Func.idom f) in
   (* the join has two preds, neither of which dominates it *)
   let preds = Ir.Func.preds_array f in
   let joins = ref [] in
@@ -71,20 +73,20 @@ let test_dom_branch_blocks_dont_dominate_join () =
     (fun (j, ps) ->
       List.iter
         (fun p ->
-          Alcotest.(check bool) "pred not dominator" false (Dominance.dominates dom p j))
+          Alcotest.(check bool) "pred not dominator" false (dominates p j))
         ps)
     !joins
 
 let test_dom_idom_of_loop_body () =
   let f = func_of loop_src in
-  let dom = Dominance.compute f in
+  let dominates = Ir.Func.dominates (Ir.Func.idom f) in
   (* every loop body block is dominated by the loop header *)
   let loops = Loops.compute f in
   let l = List.hd loops in
   List.iter
     (fun b ->
       Alcotest.(check bool) "header dominates body" true
-        (Dominance.dominates dom l.Loops.header b))
+        (dominates l.Loops.header b))
     l.Loops.blocks
 
 let test_dom_frontier_of_branch () =

@@ -137,6 +137,34 @@ let test_config_cache_key_covers_verify () =
             ~fault:{ Nascent_ir.Mutate.cls = Nascent_ir.Mutate.Drop_check; seed = 1 }
             ()))
 
+(* The wire form reads back every configuration it writes, over every
+   axis value (a fault per mutation class, and none). *)
+let test_config_json_round_trip () =
+  let module U = Nascent_checks.Universe in
+  let module M = Nascent_ir.Mutate in
+  let vary set values cs = List.concat_map (fun c -> List.map (set c) values) cs in
+  let configs =
+    [ Config.default ]
+    |> vary (fun c scheme -> { c with Config.scheme }) Config.extended_schemes
+    |> vary (fun c kind -> { c with Config.kind }) [ Config.PRX; Config.INX ]
+    |> vary
+         (fun c impl -> { c with Config.impl })
+         [ U.All_implications; U.Cross_family_only; U.No_implications ]
+    |> vary (fun c verify -> { c with Config.verify }) [ false; true ]
+    |> vary (fun c oracle -> { c with Config.oracle }) [ false; true ]
+    |> vary
+         (fun c fault -> { c with Config.fault })
+         (None :: List.mapi (fun i cls -> Some { M.cls; seed = i }) M.all_classes)
+  in
+  Alcotest.(check int) "every configuration" (8 * 2 * 3 * 2 * 2 * 7) (List.length configs);
+  List.iter
+    (fun c ->
+      match Config.of_json (Config.to_json c) with
+      | Ok c' when c' = c -> ()
+      | Ok c' -> Alcotest.failf "%a read back as %a" Config.pp c Config.pp c'
+      | Error e -> Alcotest.failf "%a refused: %s" Config.pp c e)
+    configs
+
 (* --- the determinism contract of the table harness --------------------- *)
 
 (* Same projection as bench/main.exe check-determinism: everything but
@@ -222,6 +250,7 @@ let suite =
     Util.tc "memo hit/miss counters" test_memo_hit_miss;
     Util.tc "memo key injective on structure" test_memo_key_injective_on_structure;
     Util.tc "config cache key covers verify" test_config_cache_key_covers_verify;
+    Util.tc "config JSON round trip" test_config_json_round_trip;
     Util.tc "task_fuel on the serial path" test_task_fuel_serial_path;
     Util.tc "tables deterministic across jobs" test_tables_deterministic_across_jobs;
     Util.tc "memo bounded by two generations" test_memo_bounded;

@@ -444,6 +444,35 @@ let test_pool_drops_garbled () =
       done;
       Alcotest.(check int) "connects" 2 (router_stat r "connects"))
 
+(* One error envelope, whichever layer builds it: the service's bad
+   request and the router's no-shard and bad-upstream answers carry
+   the same fields in the same order. *)
+let test_error_envelope_shared () =
+  let req =
+    Json.Obj
+      [
+        ("id", Json.Int 7);
+        ("op", Json.Str "compile");
+        ("benchmark", Json.Str "simple");
+        ("kind", Json.Str "QRX");
+      ]
+  in
+  let expect code path =
+    let resp = Client.with_conn path (fun conn -> Test_server.request_exn conn req) in
+    Alcotest.(check string) "error code" code (sfield resp "code");
+    Alcotest.(check (list string))
+      (code ^ " envelope")
+      [ "id"; "status"; "code"; "retryable"; "detail" ]
+      (match resp with Json.Obj kvs -> List.map fst kvs | _ -> [])
+  in
+  Test_server.with_service (fun path _ -> expect "bad-request" path);
+  with_router (Router.create ~shards:[ dead_shard "a" ] ()) (fun r ->
+      Test_server.with_server (Router.handler r) (fun path _ -> expect "no-shard" path));
+  with_garbling_shard (fun shard _ ->
+      with_router (Router.create ~shards:[ shard_of shard "g" ] ()) (fun r ->
+          Test_server.with_server (Router.handler r) (fun path _ ->
+              expect "bad-upstream" path)))
+
 let test_pool_drops_timed_out () =
   (* a request marked "slow" outwaits the forward timeout; the
      connection it rode must not carry the next forward, or the late
@@ -526,6 +555,7 @@ let suite =
       test_pool_survives_shard_restart;
     Alcotest.test_case "pool drops a garbled connection" `Quick
       test_pool_drops_garbled;
+    Alcotest.test_case "error envelope is shared" `Quick test_error_envelope_shared;
     Alcotest.test_case "pool drops a timed-out connection" `Quick
       test_pool_drops_timed_out;
     Alcotest.test_case "stop closes idle connections" `Quick

@@ -221,6 +221,46 @@ let test_compile_oracle_certificate () =
        (fun i -> Json.str_member "pass" i = Some "validate")
        (incidents bad))
 
+(* A response names its configuration as a request may: sending its
+   kind and impl back (the request sent the short spellings) hits the
+   same memo cell, for every scheme, kind and implication mode. *)
+let test_response_config_is_a_request () =
+  with_service @@ fun path _ ->
+  Client.with_conn path @@ fun conn ->
+  let req scheme kind impl =
+    Json.Obj
+      [
+        ("op", Json.Str "compile");
+        ("benchmark", Json.Str "simple");
+        ("scheme", Json.Str scheme);
+        ("kind", Json.Str kind);
+        ("impl", Json.Str impl);
+      ]
+  in
+  List.iter
+    (fun scheme ->
+      List.iter
+        (fun kind ->
+          List.iter
+            (fun impl ->
+              let first =
+                request_exn conn (req (Nascent_core.Config.scheme_name scheme) kind impl)
+              in
+              Alcotest.(check string) "compiled" "ok" (sfield first "status");
+              let again =
+                request_exn conn
+                  (req (sfield first "scheme_requested") (sfield first "kind")
+                     (sfield first "impl"))
+              in
+              Alcotest.(check string) "echo accepted" "ok" (sfield again "status");
+              if not (bfield again "cached") then
+                Alcotest.failf "%s/%s/%s sent back as %s/%s missed the memo"
+                  (sfield first "scheme_requested") kind impl (sfield first "kind")
+                  (sfield first "impl"))
+            [ "all"; "cross"; "none" ])
+        [ "prx"; "inx" ])
+    Nascent_core.Config.extended_schemes
+
 let test_status_shape () =
   with_service @@ fun path _ ->
   Client.with_conn path @@ fun conn ->
@@ -270,9 +310,26 @@ let test_bad_inputs () =
   in
   Alcotest.(check string) "error status" "error" (sfield resp "status");
   Alcotest.(check string) "invalid-program" "invalid-program" (sfield resp "code");
-  (* unknown scheme name *)
+  (* unknown scheme name, check kind and implication mode *)
   let resp = request_exn conn (compile_req ~scheme:"ZZZ" "simple") in
   Alcotest.(check string) "bad scheme rejected" "bad-request" (sfield resp "code");
+  Alcotest.(check string) "bad scheme named" "unknown scheme ZZZ" (sfield resp "detail");
+  let bad_axis field value =
+    request_exn conn
+      (Json.Obj
+         [
+           ("op", Json.Str "compile");
+           ("benchmark", Json.Str "simple");
+           (field, Json.Str value);
+         ])
+  in
+  let resp = bad_axis "kind" "QRX" in
+  Alcotest.(check string) "bad kind rejected" "bad-request" (sfield resp "code");
+  Alcotest.(check string) "bad kind named" "unknown check kind QRX" (sfield resp "detail");
+  let resp = bad_axis "impl" "some" in
+  Alcotest.(check string) "bad impl rejected" "bad-request" (sfield resp "code");
+  Alcotest.(check string) "bad impl named" "unknown implication mode some"
+    (sfield resp "detail");
   (* unknown tier mode: only the legacy "auto" and "sync" are accepted *)
   let resp = request_exn conn (compile_req ~tier:"turbo" "simple") in
   Alcotest.(check string) "unknown tier mode rejected" "bad-request" (sfield resp "code");
@@ -861,6 +918,9 @@ let test_default_bounds_visible () =
   | Ok None -> Alcotest.fail "EOF during handshake"
   | Error e -> Alcotest.failf "handshake decode error: %a" Frame.pp_error e
 
+(* Order matters: a case whose name starts with a number is reported under
+   its index, so "100 concurrent faulted requests" stays at index 16. Add new
+   cases at the end. *)
 let suite =
   [
     Util.tc "compile request round-trips" test_compile_ok;
@@ -882,4 +942,5 @@ let suite =
     Util.tc "100 concurrent faulted requests" test_hundred_concurrent_faulted_requests;
     Util.tc "stale socket replaced" test_stale_socket_replaced;
     Util.tc "default bounds visible to clients" test_default_bounds_visible;
+    Util.tc "response config is a request" test_response_config_is_a_request;
   ]

@@ -1,7 +1,7 @@
 (* The NF1 transport end to end, on the Unix socket and on TCP: the
    hello handshake, per-connection pipelining with out-of-order
    completion, protocol rejection of legacy/mismatched clients,
-   torn-frame containment, the idle reaper and slow-loris I/O deadline,
+   torn-frame containment, the slow-loris I/O deadline,
    client receive timeouts, and — the capstone — every Netfault class
    driven through a real chaos proxy in front of a real server, with
    request_retry recovering each time. *)
@@ -234,49 +234,7 @@ let test_oversized_frame_rejected () =
           Alcotest.(check bool) "frame_errors counted" true
             (ifield resp "frame_errors" >= 1)))
 
-(* --- reaper and deadlines ---------------------------------------------- *)
-
-let test_idle_reaper_uds () =
-  Test_server.with_server
-    ~tune:(fun c -> { c with Server.idle_timeout_s = Some 0.2 })
-    ok_handler
-    (fun path _ ->
-      let conn = Client.connect path in
-      Fun.protect
-        ~finally:(fun () -> Client.close conn)
-        (fun () ->
-          (* greeted, then silent: with nothing owed it is reaped *)
-          match Test_server.recv_opt conn with
-          | None -> ()
-          | Some r ->
-              Alcotest.failf "reaped connection produced %s" (Json.to_string r));
-      Client.with_conn path (fun c ->
-          let resp = request_exn c status_req in
-          Alcotest.(check bool) "idle_closed counted" true
-            (ifield resp "idle_closed" >= 1)))
-
-let test_idle_reaper_tcp () =
-  with_tcp
-    ~tune:(fun c -> { c with Server.idle_timeout_s = Some 0.2 })
-    ok_handler
-    (fun path _ port ->
-      let conn = Client.connect_addr (Client.Tcp ("127.0.0.1", port)) in
-      Fun.protect
-        ~finally:(fun () -> Client.close conn)
-        (fun () ->
-          (* greeted, then silent: the reaper closes it *)
-          match Client.pipeline_recv conn with
-          | Ok None -> ()
-          | Ok (Some _) -> Alcotest.fail "reaped connection produced a frame"
-          | Error e ->
-              Alcotest.failf "reaped connection garbled: %s"
-                (match e with
-                | `Frame fe -> Frame.error_name fe
-                | `Garbled s -> s));
-      Client.with_conn path (fun c ->
-          let resp = request_exn c status_req in
-          Alcotest.(check bool) "idle_closed counted" true
-            (ifield resp "idle_closed" >= 1)))
+(* --- deadlines ------------------------------------------------------------ *)
 
 let test_io_deadline_cuts_slow_loris () =
   with_tcp
@@ -530,8 +488,6 @@ let suite =
       test_torn_frame_after_hello;
     Alcotest.test_case "oversized header rejected" `Quick
       test_oversized_frame_rejected;
-    Alcotest.test_case "idle reaper on UDS" `Quick test_idle_reaper_uds;
-    Alcotest.test_case "idle reaper on TCP" `Quick test_idle_reaper_tcp;
     Alcotest.test_case "io deadline cuts slow loris" `Quick
       test_io_deadline_cuts_slow_loris;
     Alcotest.test_case "client recv timeout" `Quick test_client_recv_timeout;

@@ -12,6 +12,15 @@ cd "$(dirname "$0")/.."
 
 dune build @ci
 
+# --- serving-stack size bar -------------------------------------------
+# ROADMAP item 5's bar on the serving stack, counted as
+# `wc -l lib/support/*.ml lib/support/*.mli lib/harness/service.ml bin/*.ml`.
+
+STACK=$(cat lib/support/*.ml lib/support/*.mli lib/harness/service.ml bin/*.ml | wc -l)
+[ "$STACK" -le 5700 ] \
+    || { echo "FAIL: the serving stack is $STACK lines, over the 5,700-line bar" >&2; exit 1; }
+echo "serving stack OK: $STACK lines (bar 5,700)"
+
 # --- compile-service smoke --------------------------------------------
 
 SOCK="${TMPDIR:-/tmp}/nascent-ci-$$.sock"
@@ -86,13 +95,14 @@ echo "service smoke OK: compile, oracle certificate, status, fault->4, deadline-
 
 # --- fixed serving bounds ---------------------------------------------
 # Queue depth, deadline, fuel, breaker, I/O deadline and probe cadence
-# are constants, and the client's jitter seed, prewarm and response
-# file are gone: each old flag is an unknown option (cmdliner's usage
-# error), and a daemon that refuses one binds nothing.
+# are constants, the idle reaper and nascentd's --trace are gone, and
+# so are the client's jitter seed, prewarm and response file: each old
+# flag is an unknown option (cmdliner's usage error), and a daemon that
+# refuses one binds nothing.
 
 XSOCK="${TMPDIR:-/tmp}/nascent-flags-$$.sock"
 for flag in --queue-depth --deadline-ms --request-fuel --breaker-threshold \
-    --breaker-cooldown-ms --io-deadline-s --probe-interval-s; do
+    --breaker-cooldown-ms --io-deadline-s --probe-interval-s --idle-timeout-s; do
     rc=0
     OUT=$(timeout 5 ./_build/default/bin/nascentd.exe "$flag" 4 --socket "$XSOCK" 2>&1) \
         || rc=$?
@@ -102,6 +112,14 @@ for flag in --queue-depth --deadline-ms --request-fuel --breaker-threshold \
         exit 1
     fi
 done
+# --trace takes no value; nascentc keeps its own
+rc=0
+OUT=$(timeout 5 ./_build/default/bin/nascentd.exe --trace --socket "$XSOCK" 2>&1) || rc=$?
+if ! echo "$OUT" | grep -q "unknown option '--trace'" || [ -e "$XSOCK" ]; then
+    rm -f "$XSOCK"
+    echo "FAIL: nascentd --trace was not refused as an unknown option (exit $rc): $OUT" >&2
+    exit 1
+fi
 for flag in --seed=1 --stats-json=/dev/null --prewarm; do
     rc=0
     OUT=$(timeout 5 ./_build/default/bin/nascentc.exe client "$flag" --status \
@@ -110,7 +128,7 @@ for flag in --seed=1 --stats-json=/dev/null --prewarm; do
         || { echo "FAIL: nascentc client $flag was not refused as an unknown option (exit $rc): $OUT" >&2
              exit 1; }
 done
-echo "fixed-bounds smoke OK: 7 removed nascentd flags and 3 removed client flags are unknown options"
+echo "fixed-bounds smoke OK: 9 removed nascentd flags and 3 removed client flags are unknown options"
 
 # --- chaos smoke: supervision + restart differential -----------------
 # A supervised child that never binds ends supervision instead of
