@@ -6,6 +6,16 @@
    expression node before its operands, an instruction after them, a
    check before its opaque atoms.
 
+   Fused operands: where the types are known, a binary operation, a
+   load or store, an assignment and a check read a leaf operand (a
+   typed scalar slot or a constant) inline instead of calling its
+   closure. The units that fall between two closure calls are charged
+   by one [charge_n], before the next call or after the last operand,
+   so a leaf that follows a closure operand is charged after that
+   closure returns. A leaf read neither fails nor shows, so every
+   trap, error and fuel cut-off falls at the same unit as with one
+   closure per node; the generic path keeps one closure per node.
+
    Typing: an expression whose static type is known compiles to an
    [I], [R] or [B] closure over unboxed values; anything else to a [V]
    closure that replays the dynamic dispatch over [Value.t], so a
@@ -58,8 +68,8 @@ type state = {
    reference with callers and callees; exactly one of [ints], [reals]
    and [vals] is in use. The addressing is this frame's own, fixed on
    first touch (after the entry block has assigned any bound temps):
-   [los] and column-major [strides] per dimension, with the first two
-   dimensions copied into fields for the rank-1 and rank-2 paths. *)
+   [los] and column-major [strides] per dimension, with the first three
+   dimensions copied into fields for the rank-1 to rank-3 paths. *)
 type view = {
   fixed : bool;
   ints : int array;
@@ -68,7 +78,9 @@ type view = {
   size : int; (* payload length *)
   lo0 : int;
   lo1 : int;
+  lo2 : int;
   stride1 : int;
+  stride2 : int;
   los : int array;
   strides : int array;
 }
@@ -88,7 +100,9 @@ let unfixed =
     size = 0;
     lo0 = 0;
     lo1 = 0;
+    lo2 = 0;
     stride1 = 0;
+    stride2 = 0;
     los = [||];
     strides = [||];
   }
@@ -112,10 +126,19 @@ type unit_ = {
 
 type cx = { st : state; typed : bool; units : (string, unit_) Hashtbl.t; cur : unit_ }
 
-let charge st =
-  let f = st.fuel - 1 in
-  st.fuel <- f;
-  if f < 0 then raise Out_of_fuel
+(* [n] units at once. On exhaustion the fuel is left where [n] single
+   charges would leave it (the first one to go below zero raises), so
+   the outcome cannot tell them apart as long as nothing observable
+   happens between those units. *)
+let[@inline] charge_n st n =
+  let f = st.fuel - n in
+  if f < 0 then begin
+    st.fuel <- Int.min (st.fuel - 1) (-1);
+    raise Out_of_fuel
+  end;
+  st.fuel <- f
+
+let[@inline] charge st = charge_n st 1
 
 let error msg = raise (Runtime_error msg)
 let ill_typed what = error ("ill-typed value: expected " ^ what)
@@ -203,56 +226,106 @@ let real_code = function
   | I f -> fun fr -> float_of_int (f fr)
   | B _ | V _ -> invalid_arg "real_code"
 
+(* --- fused operands ------------------------------------------------------ *)
+
+(* A typed operand as its parent reads it. A leaf (a slot of typed
+   scalar storage, or a constant) is read inline: the read can neither
+   fail nor be seen, so the parent charges the leaf's unit together
+   with the units next to it. A closure operand is called after
+   charging [pre], the units still pending before it. *)
+type 'a opnd = Slot of int | Const of 'a | Code of int * (frame -> 'a)
+
+let[@inline] int_at st o fr =
+  match o with Slot v -> fr.ints.(v) | Const n -> n | Code (pre, f) -> charge_n st pre; f fr
+
+let[@inline] real_at st o fr =
+  match o with Slot v -> fr.reals.(v) | Const x -> x | Code (pre, f) -> charge_n st pre; f fr
+
+(* The last operand, then the [fin] units still pending after it. *)
+let[@inline] int_last st o fin fr =
+  let x = int_at st o fr in
+  charge_n st fin;
+  x
+
+let[@inline] real_last st o fin fr =
+  let x = real_at st o fr in
+  charge_n st fin;
+  x
+
+(* A parent's operands are built in evaluation order; [pending] counts
+   the units not charged yet: a leaf adds its own, a closure takes them
+   all as its [pre]. The generic path gets closures only. *)
+let closure_opnd pending f =
+  let pre = !pending in
+  pending := 0;
+  Code (pre, f)
+
+let int_opnd cx pending (e : expr) c =
+  match (e, c) with
+  | Cint n, _ when cx.typed -> incr pending; Const n
+  | Evar v, I _ when cx.typed -> incr pending; Slot v.vid
+  | _ -> closure_opnd pending (int_code c)
+
+let real_opnd cx pending (e : expr) c =
+  match (e, c) with
+  | Creal x, _ when cx.typed -> incr pending; Const x
+  | Cint n, _ when cx.typed -> incr pending; Const (float_of_int n)
+  | Evar v, R _ when cx.typed -> incr pending; Slot v.vid
+  | _ -> closure_opnd pending (real_code c)
+
+(* [f] over [l] from left to right. *)
+let in_order f l = List.rev (List.fold_left (fun acc x -> f x :: acc) [] l)
+
 (* --- typed operations --------------------------------------------------- *)
 
 (* Each operation is written out so that OCaml specializes its
    arithmetic and comparisons; [None] leaves the node to the generic
-   dispatch, which reports the same error the type mismatch would. *)
-let int_binop st op (fa : frame -> int) (fb : frame -> int) =
+   dispatch, which reports the same error the type mismatch would.
+   [fin] is what is pending after both operands, the node's own unit
+   included when neither is a closure. *)
+let int_binop st op a b fin =
   match op with
-  | Add -> Some (I (fun fr -> charge st; let x = fa fr in let y = fb fr in x + y))
-  | Sub -> Some (I (fun fr -> charge st; let x = fa fr in let y = fb fr in x - y))
-  | Mul -> Some (I (fun fr -> charge st; let x = fa fr in let y = fb fr in x * y))
+  | Add -> Some (I (fun fr -> let x = int_at st a fr in x + int_last st b fin fr))
+  | Sub -> Some (I (fun fr -> let x = int_at st a fr in x - int_last st b fin fr))
+  | Mul -> Some (I (fun fr -> let x = int_at st a fr in x * int_last st b fin fr))
   | Div ->
       Some
         (I
            (fun fr ->
-             charge st;
-             let x = fa fr in
-             let y = fb fr in
+             let x = int_at st a fr in
+             let y = int_last st b fin fr in
              if y = 0 then error "integer division by zero" else x / y))
   | Mod ->
       Some
         (I
            (fun fr ->
-             charge st;
-             let x = fa fr in
-             let y = fb fr in
+             let x = int_at st a fr in
+             let y = int_last st b fin fr in
              if y = 0 then error "mod by zero" else x mod y))
-  | Min -> Some (I (fun fr -> charge st; let x = fa fr in let y = fb fr in if x <= y then x else y))
-  | Max -> Some (I (fun fr -> charge st; let x = fa fr in let y = fb fr in if x >= y then x else y))
-  | Eq -> Some (B (fun fr -> charge st; let x = fa fr in let y = fb fr in x = y))
-  | Ne -> Some (B (fun fr -> charge st; let x = fa fr in let y = fb fr in x <> y))
-  | Lt -> Some (B (fun fr -> charge st; let x = fa fr in let y = fb fr in x < y))
-  | Le -> Some (B (fun fr -> charge st; let x = fa fr in let y = fb fr in x <= y))
-  | Gt -> Some (B (fun fr -> charge st; let x = fa fr in let y = fb fr in x > y))
-  | Ge -> Some (B (fun fr -> charge st; let x = fa fr in let y = fb fr in x >= y))
+  | Min -> Some (I (fun fr -> let x = int_at st a fr in Int.min x (int_last st b fin fr)))
+  | Max -> Some (I (fun fr -> let x = int_at st a fr in Int.max x (int_last st b fin fr)))
+  | Eq -> Some (B (fun fr -> let x = int_at st a fr in x = int_last st b fin fr))
+  | Ne -> Some (B (fun fr -> let x = int_at st a fr in x <> int_last st b fin fr))
+  | Lt -> Some (B (fun fr -> let x = int_at st a fr in x < int_last st b fin fr))
+  | Le -> Some (B (fun fr -> let x = int_at st a fr in x <= int_last st b fin fr))
+  | Gt -> Some (B (fun fr -> let x = int_at st a fr in x > int_last st b fin fr))
+  | Ge -> Some (B (fun fr -> let x = int_at st a fr in x >= int_last st b fin fr))
   | And | Or -> None
 
-let real_binop st op (fa : frame -> float) (fb : frame -> float) =
+let real_binop st op a b fin =
   match op with
-  | Add -> Some (R (fun fr -> charge st; let x = fa fr in let y = fb fr in x +. y))
-  | Sub -> Some (R (fun fr -> charge st; let x = fa fr in let y = fb fr in x -. y))
-  | Mul -> Some (R (fun fr -> charge st; let x = fa fr in let y = fb fr in x *. y))
-  | Div -> Some (R (fun fr -> charge st; let x = fa fr in let y = fb fr in x /. y))
-  | Min -> Some (R (fun fr -> charge st; let x = fa fr in let y = fb fr in Float.min x y))
-  | Max -> Some (R (fun fr -> charge st; let x = fa fr in let y = fb fr in Float.max x y))
-  | Eq -> Some (B (fun fr -> charge st; let x = fa fr in let y = fb fr in x = y))
-  | Ne -> Some (B (fun fr -> charge st; let x = fa fr in let y = fb fr in x <> y))
-  | Lt -> Some (B (fun fr -> charge st; let x = fa fr in let y = fb fr in x < y))
-  | Le -> Some (B (fun fr -> charge st; let x = fa fr in let y = fb fr in x <= y))
-  | Gt -> Some (B (fun fr -> charge st; let x = fa fr in let y = fb fr in x > y))
-  | Ge -> Some (B (fun fr -> charge st; let x = fa fr in let y = fb fr in x >= y))
+  | Add -> Some (R (fun fr -> let x = real_at st a fr in x +. real_last st b fin fr))
+  | Sub -> Some (R (fun fr -> let x = real_at st a fr in x -. real_last st b fin fr))
+  | Mul -> Some (R (fun fr -> let x = real_at st a fr in x *. real_last st b fin fr))
+  | Div -> Some (R (fun fr -> let x = real_at st a fr in x /. real_last st b fin fr))
+  | Min -> Some (R (fun fr -> let x = real_at st a fr in Float.min x (real_last st b fin fr)))
+  | Max -> Some (R (fun fr -> let x = real_at st a fr in Float.max x (real_last st b fin fr)))
+  | Eq -> Some (B (fun fr -> let x = real_at st a fr in x = real_last st b fin fr))
+  | Ne -> Some (B (fun fr -> let x = real_at st a fr in x <> real_last st b fin fr))
+  | Lt -> Some (B (fun fr -> let x = real_at st a fr in x < real_last st b fin fr))
+  | Le -> Some (B (fun fr -> let x = real_at st a fr in x <= real_last st b fin fr))
+  | Gt -> Some (B (fun fr -> let x = real_at st a fr in x > real_last st b fin fr))
+  | Ge -> Some (B (fun fr -> let x = real_at st a fr in x >= real_last st b fin fr))
   | Mod | And | Or -> None
 
 let bool_binop st op (fa : frame -> bool) (fb : frame -> bool) =
@@ -276,8 +349,9 @@ let layout v dims =
       m := !m * max 0 (hi - lo + 1))
     dims;
   let nth a j = if j < rank then a.(j) else 0 in
-  let lo0 = nth los 0 and lo1 = nth los 1 and stride1 = nth strides 1 in
-  ({ v with fixed = true; lo0; lo1; stride1; los; strides }, !m)
+  let lo0 = nth los 0 and lo1 = nth los 1 and lo2 = nth los 2 in
+  let stride1 = nth strides 1 and stride2 = nth strides 2 in
+  ({ v with fixed = true; lo0; lo1; lo2; stride1; stride2; los; strides }, !m)
 
 (* Out-of-storage accesses can only happen when range checks were
    (incorrectly) removed; they are a memory fault, not a trap. *)
@@ -288,6 +362,9 @@ let in_storage (a : arr) v off =
 
 let at1 a v x = in_storage a v (x - v.lo0)
 let at2 a v x y = in_storage a v (x - v.lo0 + ((y - v.lo1) * v.stride1))
+
+let at3 a v x y z =
+  in_storage a v (x - v.lo0 + ((y - v.lo1) * v.stride1) + ((z - v.lo2) * v.stride2))
 
 let atn (a : arr) v xs =
   if Array.length xs <> Array.length v.los then error ("rank mismatch accessing " ^ a.aname);
@@ -329,9 +406,9 @@ let var_int cx (v : var) : frame -> int =
 
 let bound cx = function Bconst n -> fun _ -> n | Bvar v -> var_int cx v
 
-(* [frame -> view] for [a], fixing its dims on first touch: a
-   parameter's payload came with the call, a local's is allocated
-   zeroed. *)
+(* [a]'s frame slot, and the function that fixes its dims on first
+   touch: a parameter's payload came with the call, a local's is
+   allocated zeroed. *)
 let view cx (a : arr) =
   let k = slot cx.cur a.aid in
   let bounds = List.map (fun (lo, hi) -> (bound cx lo, bound cx hi)) a.adims in
@@ -352,9 +429,20 @@ let view cx (a : arr) =
     fr.arrs.(k) <- v;
     v
   in
-  fun fr ->
-    let v = fr.arrs.(k) in
-    if v.fixed then v else touch fr
+  (k, touch)
+
+let[@inline] view_of fr k touch =
+  let v = fr.arrs.(k) in
+  if v.fixed then v else touch fr
+
+(* Subscripts the rank-1 to rank-3 paths read as operands; [] leaves the
+   access to [atn] over closures (a higher rank, a rank mismatch, or
+   the generic path). *)
+let subscripts cx pending (a : arr) cs =
+  let rank = List.length cs in
+  if cx.typed && rank <= 3 && rank = List.length a.adims then
+    in_order (fun (i, c) -> int_opnd cx pending i c) cs
+  else []
 
 let rec expr cx (e : expr) : code =
   let st = cx.st in
@@ -369,7 +457,7 @@ let rec expr cx (e : expr) : code =
         match var_ty cx.cur v with
         | Int -> I (fun fr -> charge st; fr.ints.(vid))
         | _ -> R (fun fr -> charge st; fr.reals.(vid)))
-  | Eload (a, idxs) -> load cx a (List.map (fun i -> int_code (expr cx i)) idxs)
+  | Eload (a, idxs) -> load cx a idxs
   | Eun (op, a) -> (
       match (op, expr cx a) with
       | Neg, I f -> I (fun fr -> charge st; -f fr)
@@ -383,10 +471,17 @@ let rec expr cx (e : expr) : code =
   | Ebin (op, a, b) -> (
       let ca = expr cx a in
       let cb = expr cx b in
+      let pending = ref 1 in
       let typed =
         match (ca, cb) with
-        | I fa, I fb -> int_binop st op fa fb
-        | (I _ | R _), (I _ | R _) -> real_binop st op (real_code ca) (real_code cb)
+        | I _, I _ ->
+            let oa = int_opnd cx pending a ca in
+            let ob = int_opnd cx pending b cb in
+            int_binop st op oa ob !pending
+        | (I _ | R _), (I _ | R _) ->
+            let oa = real_opnd cx pending a ca in
+            let ob = real_opnd cx pending b cb in
+            real_binop st op oa ob !pending
         | B fa, B fb -> bool_binop st op fa fb
         | _ -> None
       in
@@ -403,80 +498,111 @@ let rec expr cx (e : expr) : code =
 
 (* The load's unit, its subscripts left to right, then the touch. *)
 and load cx a idxs =
-  let st = cx.st and view = view cx a in
-  match (payload_ty cx a, idxs, a.adims) with
-  | Int, [ i ], [ _ ] when cx.typed ->
-      I (fun fr -> charge st; let x = i fr in let v = view fr in v.ints.(at1 a v x))
-  | Real, [ i ], [ _ ] when cx.typed ->
-      R (fun fr -> charge st; let x = i fr in let v = view fr in v.reals.(at1 a v x))
-  | Int, [ i; j ], [ _; _ ] when cx.typed ->
+  let st = cx.st and k, touch = view cx a in
+  let cs = List.map (fun i -> (i, expr cx i)) idxs in
+  let pending = ref 1 in
+  let subs = subscripts cx pending a cs in
+  let fin = !pending in
+  match (payload_ty cx a, subs) with
+  | Int, [ i ] ->
       I
         (fun fr ->
-          charge st;
-          let x = i fr in
-          let y = j fr in
-          let v = view fr in
-          v.ints.(at2 a v x y))
-  | Real, [ i; j ], [ _; _ ] when cx.typed ->
+          let x = int_last st i fin fr in
+          let v = view_of fr k touch in
+          v.ints.(at1 a v x))
+  | Real, [ i ] ->
       R
         (fun fr ->
-          charge st;
-          let x = i fr in
-          let y = j fr in
-          let v = view fr in
+          let x = int_last st i fin fr in
+          let v = view_of fr k touch in
+          v.reals.(at1 a v x))
+  | Int, [ i; j ] ->
+      I
+        (fun fr ->
+          let x = int_at st i fr in
+          let y = int_last st j fin fr in
+          let v = view_of fr k touch in
+          v.ints.(at2 a v x y))
+  | Real, [ i; j ] ->
+      R
+        (fun fr ->
+          let x = int_at st i fr in
+          let y = int_last st j fin fr in
+          let v = view_of fr k touch in
           v.reals.(at2 a v x y))
-  | Int, _, _ when cx.typed ->
-      let is = Array.of_list idxs in
-      I (fun fr -> charge st; let xs = eval_all is fr in let v = view fr in v.ints.(atn a v xs))
-  | Real, _, _ when cx.typed ->
-      let is = Array.of_list idxs in
-      R (fun fr -> charge st; let xs = eval_all is fr in let v = view fr in v.reals.(atn a v xs))
-  | _ ->
-      let is = Array.of_list idxs in
-      V (fun fr -> charge st; let xs = eval_all is fr in let v = view fr in v.vals.(atn a v xs))
+  | Int, [ i; j; l ] ->
+      I
+        (fun fr ->
+          let x = int_at st i fr in
+          let y = int_at st j fr in
+          let z = int_last st l fin fr in
+          let v = view_of fr k touch in
+          v.ints.(at3 a v x y z))
+  | Real, [ i; j; l ] ->
+      R
+        (fun fr ->
+          let x = int_at st i fr in
+          let y = int_at st j fr in
+          let z = int_last st l fin fr in
+          let v = view_of fr k touch in
+          v.reals.(at3 a v x y z))
+  | ty, _ -> (
+      let is = Array.of_list (List.map (fun (_, c) -> int_code c) cs) in
+      (* the offset, once the view is fixed *)
+      let at fr = let xs = eval_all is fr in atn a (view_of fr k touch) xs in
+      match ty with
+      | Int when cx.typed -> I (fun fr -> charge st; let o = at fr in fr.arrs.(k).ints.(o))
+      | Real when cx.typed -> R (fun fr -> charge st; let o = at fr in fr.arrs.(k).reals.(o))
+      | _ -> V (fun fr -> charge st; let o = at fr in fr.arrs.(k).vals.(o)))
 
 let trap_message (m : check_meta) =
   Fmt.str "range check failed: %s dimension %d (%s bound): %a" m.src_array m.src_dim
     (match m.kind with Lower -> "lower" | Upper -> "upper")
     Check.pp m.chk
 
-(* A canonical check: count it, sum its linear terms, compare. *)
+(* A canonical check: count it, sum its linear terms, compare. A
+   variable atom is read, not charged. *)
 let check cx (m : check_meta) =
   let st = cx.st in
-  let reader (atom, coeff) =
+  let pending = ref 1 in
+  let term (atom, coeff) =
     ( coeff,
       match Ir.Atoms.payload cx.cur.func.Ir.Func.atoms (Atom.key atom) with
-      | Some (Ir.Atoms.Avar v) -> var_int cx v
-      | Some (Ir.Atoms.Aopaque e) -> int_code (expr cx e)
+      | Some (Ir.Atoms.Avar v) when cx.typed && var_ty cx.cur v = Int -> Slot v.vid
+      | Some (Ir.Atoms.Avar v) -> closure_opnd pending (var_int cx v)
+      | Some (Ir.Atoms.Aopaque e) -> int_opnd cx pending e (expr cx e)
       | Some (Ir.Atoms.Asynth name) ->
-          fun _ -> error ("synthetic atom " ^ name ^ " in an executed check")
-      | None -> fun _ -> error ("unknown atom " ^ Atom.name atom ^ " in an executed check") )
+          closure_opnd pending (fun _ ->
+              error ("synthetic atom " ^ name ^ " in an executed check"))
+      | None ->
+          closure_opnd pending (fun _ ->
+              error ("unknown atom " ^ Atom.name atom ^ " in an executed check")) )
   in
   let terms =
-    Array.of_list (List.map reader (Nascent_checks.Linexpr.terms (Check.lhs m.chk)))
+    Array.of_list (in_order term (Nascent_checks.Linexpr.terms (Check.lhs m.chk)))
   in
-  let k = Check.constant m.chk in
-  let count () =
-    st.checks <- st.checks + 1;
-    charge st
-  in
+  let fin = !pending and k = Check.constant m.chk in
   let fail () = raise (Trap (trap_message m)) in
   match terms with
-  | [| (c, r) |] -> fun fr -> count (); if c * r fr > k then fail ()
+  | [| (c, r) |] ->
+      fun fr ->
+        st.checks <- st.checks + 1;
+        if c * int_last st r fin fr > k then fail ()
   | [| (c, r); (c', r') |] ->
       fun fr ->
-        count ();
-        let s = c * r fr in
-        if s + (c' * r' fr) > k then fail ()
+        st.checks <- st.checks + 1;
+        let s = c * int_at st r fr in
+        if s + (c' * int_last st r' fin fr) > k then fail ()
   | _ ->
       fun fr ->
-        count ();
+        st.checks <- st.checks + 1;
         let s = ref 0 in
-        Array.iter (fun (c, r) -> s := !s + (c * r fr)) terms;
+        Array.iter (fun (c, r) -> s := !s + (c * int_at st r fr)) terms;
+        charge_n st fin;
         if !s > k then fail ()
 
-let assign cx (v : var) c =
-  let st = cx.st and vid = v.vid in
+let assign cx (v : var) e =
+  let st = cx.st and vid = v.vid and c = expr cx e in
   if not cx.typed then
     let f = value_code c in
     fun fr ->
@@ -484,75 +610,98 @@ let assign cx (v : var) c =
       charge st;
       fr.vals.(vid) <- assignable v.vty x
   else
+    let pending = ref 0 in
     match (var_ty cx.cur v, c) with
-    | Int, I f -> fun fr -> let x = f fr in charge st; fr.ints.(vid) <- x
+    | Int, I _ ->
+        let x = int_opnd cx pending e c in
+        let fin = !pending + 1 in
+        fun fr -> fr.ints.(vid) <- int_last st x fin fr
     | Real, (I _ | R _) ->
-        let f = real_code c in
-        fun fr -> let x = f fr in charge st; fr.reals.(vid) <- x
+        let x = real_opnd cx pending e c in
+        let fin = !pending + 1 in
+        fun fr -> fr.reals.(vid) <- real_last st x fin fr
     | _ -> raise Ill_typed
 
 (* Subscripts, then the value, then the store's unit, then the touch. *)
-let store cx a idxs c =
-  let st = cx.st and view = view cx a in
-  let idxs = List.map (fun i -> int_code (expr cx i)) idxs in
+let store cx a idxs e =
+  let st = cx.st and k, touch = view cx a in
+  let c = expr cx e and cs = List.map (fun i -> (i, expr cx i)) idxs in
   let ty = payload_ty cx a in
+  let is = Array.of_list (List.map (fun (_, c) -> int_code c) cs) in
   if not cx.typed then
-    let is = Array.of_list idxs and f = value_code c in
+    let f = value_code c in
     fun fr ->
       let xs = eval_all is fr in
       let x = f fr in
       charge st;
-      let v = view fr in
+      let v = view_of fr k touch in
       v.vals.(atn a v xs) <- assignable ty x
   else
-    let c = match (ty, c) with Real, I _ -> R (real_code c) | _ -> c in
-    match (ty, c, idxs, a.adims) with
-    | Int, I f, [ i ], [ _ ] ->
-        fun fr ->
-          let x = i fr in
-          let y = f fr in
-          charge st;
-          let v = view fr in
-          v.ints.(at1 a v x) <- y
-    | Real, R f, [ i ], [ _ ] ->
-        fun fr ->
-          let x = i fr in
-          let y = f fr in
-          charge st;
-          let v = view fr in
-          v.reals.(at1 a v x) <- y
-    | Int, I f, [ i; j ], [ _; _ ] ->
-        fun fr ->
-          let x = i fr in
-          let x' = j fr in
-          let y = f fr in
-          charge st;
-          let v = view fr in
-          v.ints.(at2 a v x x') <- y
-    | Real, R f, [ i; j ], [ _; _ ] ->
-        fun fr ->
-          let x = i fr in
-          let x' = j fr in
-          let y = f fr in
-          charge st;
-          let v = view fr in
-          v.reals.(at2 a v x x') <- y
-    | Int, I f, _, _ ->
-        let is = Array.of_list idxs in
-        fun fr ->
-          let xs = eval_all is fr in
-          let y = f fr in
-          charge st;
-          let v = view fr in
-          v.ints.(atn a v xs) <- y
-    | Real, R f, _, _ ->
-        let is = Array.of_list idxs in
-        fun fr ->
-          let xs = eval_all is fr in
-          let y = f fr in
-          charge st;
-          let v = view fr in
-          v.reals.(atn a v xs) <- y
+    let pending = ref 0 in
+    let subs = subscripts cx pending a cs in
+    match (ty, c) with
+    | Int, I _ -> (
+        let y = int_opnd cx pending e c in
+        let fin = !pending + 1 in
+        match subs with
+        | [ i ] ->
+            fun fr ->
+              let x = int_at st i fr in
+              let y = int_last st y fin fr in
+              let v = view_of fr k touch in
+              v.ints.(at1 a v x) <- y
+        | [ i; j ] ->
+            fun fr ->
+              let x = int_at st i fr in
+              let x' = int_at st j fr in
+              let y = int_last st y fin fr in
+              let v = view_of fr k touch in
+              v.ints.(at2 a v x x') <- y
+        | [ i; j; l ] ->
+            fun fr ->
+              let x = int_at st i fr in
+              let x' = int_at st j fr in
+              let x'' = int_at st l fr in
+              let y = int_last st y fin fr in
+              let v = view_of fr k touch in
+              v.ints.(at3 a v x x' x'') <- y
+        | _ ->
+            fun fr ->
+              let xs = eval_all is fr in
+              let y = int_last st y fin fr in
+              let v = view_of fr k touch in
+              v.ints.(atn a v xs) <- y)
+    | Real, (I _ | R _) -> (
+        let y = real_opnd cx pending e c in
+        let fin = !pending + 1 in
+        match subs with
+        | [ i ] ->
+            fun fr ->
+              let x = int_at st i fr in
+              let y = real_last st y fin fr in
+              let v = view_of fr k touch in
+              v.reals.(at1 a v x) <- y
+        | [ i; j ] ->
+            fun fr ->
+              let x = int_at st i fr in
+              let x' = int_at st j fr in
+              let y = real_last st y fin fr in
+              let v = view_of fr k touch in
+              v.reals.(at2 a v x x') <- y
+        | [ i; j; l ] ->
+            fun fr ->
+              let x = int_at st i fr in
+              let x' = int_at st j fr in
+              let x'' = int_at st l fr in
+              let y = real_last st y fin fr in
+              let v = view_of fr k touch in
+              v.reals.(at3 a v x x' x'') <- y
+        | _ ->
+            fun fr ->
+              let xs = eval_all is fr in
+              let y = real_last st y fin fr in
+              let v = view_of fr k touch in
+              v.reals.(atn a v xs) <- y)
     | _ -> raise Ill_typed
 
 let new_frame ~typed u =
@@ -597,10 +746,10 @@ let bind cx callee (p : param) (arg : call_arg) : frame -> frame -> unit =
         | _ -> raise Ill_typed)
   | Parr p, Aarr a ->
       if cx.typed && a.aty <> p.aty then raise Ill_typed;
-      let view = view cx a and k = slot callee p.aid in
+      let k, touch = view cx a and k' = slot callee p.aid in
       fun fr cf ->
-        let v = view fr in
-        cf.arrs.(k) <- { unfixed with ints = v.ints; reals = v.reals; vals = v.vals; size = v.size }
+        let v = view_of fr k touch in
+        cf.arrs.(k') <- { unfixed with ints = v.ints; reals = v.reals; vals = v.vals; size = v.size }
   | _ -> invalid_arg "bind"
 
 (* The call's unit, then the arguments left to right, then the callee.
@@ -627,8 +776,8 @@ let call cx name args =
                     let f = value_code (expr cx e) in
                     fun fr -> ignore (f fr)
                 | Aarr a ->
-                    let view = view cx a in
-                    fun fr -> ignore (view fr))
+                    let k, touch = view cx a in
+                    fun fr -> ignore (view_of fr k touch))
               args
           in
           fun fr ->
@@ -649,8 +798,8 @@ let call cx name args =
 let instr cx (i : instr) : frame -> unit =
   let st = cx.st in
   match i with
-  | Assign (v, e) -> assign cx v (expr cx e)
-  | Store (a, idxs, e) -> store cx a idxs (expr cx e)
+  | Assign (v, e) -> assign cx v e
+  | Store (a, idxs, e) -> store cx a idxs e
   | Check m -> check cx m
   | Cond_check (g, m) ->
       let g = bool_code (expr cx g) and chk = check cx m in

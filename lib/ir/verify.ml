@@ -241,17 +241,23 @@ let diff ~(before : Func.t) (f : Func.t) =
   let untouched k =
     k < nb && k < n && (Func.block f k).instrs == (Func.block before k).instrs
   in
-  let rec occurs g ng i k = k < ng && (List.memq i (Func.block g k).instrs || occurs g ng i (k + 1)) in
+  (* Whether [i], found in block [k] of the other function, is in [g]:
+     most instructions a pass keeps stay in their block, so that block
+     is searched before all of them. *)
+  let occurs g ng i k =
+    let rec from j = j < ng && (List.memq i (Func.block g j).instrs || from (j + 1)) in
+    (k < ng && List.memq i (Func.block g k).instrs) || from 0
+  in
   let inserted = ref [] and removed = ref [] in
   for k = 0 to n - 1 do
     if not (untouched k) then
       List.iter
-        (fun i -> if not (occurs before nb i 0) then inserted := (k, i) :: !inserted)
+        (fun i -> if not (occurs before nb i k) then inserted := (k, i) :: !inserted)
         (Func.block f k).instrs
   done;
   for k = 0 to nb - 1 do
     if not (untouched k) then
-      List.iter (fun i -> if not (occurs f n i 0) then removed := i :: !removed)
+      List.iter (fun i -> if not (occurs f n i k) then removed := i :: !removed)
         (Func.block before k).instrs
   done;
   (List.rev !inserted, !removed)

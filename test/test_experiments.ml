@@ -179,16 +179,21 @@ let test_lls_prime_close () =
         (a -. b <= 1.5))
     (Lazy.force chars)
 
-(* Compile-time ordering (Table 2/3 Range column): NI is the cheapest
-   scheme; the primed NI' costs at least as much as NI despite doing
-   less (the paper's CIG-blow-up effect). *)
+(* Compile-time ordering (Table 2/3 Range column): NI is cheaper than
+   ALL. Range times are wall-clock sums, so each scheme's is its fastest
+   of three timing passes (Table 2's and two more, past the cell
+   cache): one scheduling or GC pause cannot decide the comparison. *)
 let test_compile_time_ordering () =
   let t = Lazy.force table2 in
-  let range label = (row label Config.PRX t).E.total_range_s in
-  Alcotest.(check bool)
-    (Fmt.str "NI (%.4fs) cheapest vs ALL (%.4fs)" (range "NI") (range "ALL"))
-    true
-    (range "NI" <= range "ALL")
+  let range label scheme =
+    let again () =
+      E.reset_cell_cache ();
+      (E.run_row (Lazy.force chars) (Config.make ~scheme ~kind:Config.PRX ())).E.total_range_s
+    in
+    List.fold_left Float.min (row label Config.PRX t).E.total_range_s [ again (); again () ]
+  in
+  let ni = range "NI" Config.NI and all = range "ALL" Config.ALL in
+  Alcotest.(check bool) (Fmt.str "NI (%.4fs) cheapest vs ALL (%.4fs)" ni all) true (ni <= all)
 
 (* Extension: the MCM comparison the paper proposes in section 5 — the
    restricted 1982 algorithm must fall well short of LLS on the suite

@@ -596,6 +596,125 @@ let test_golden_parallel () =
     "jobs=2 = serial" (Lazy.force bench_lines)
     (Nascent_support.Pool.parallel_map pool run_cell (Lazy.force bench_cells))
 
+(* --- fuel sweep: fused operands = generic closures --------------------- *)
+
+(* Together these cover every fused operand shape: leaves on the left,
+   on the right and on both sides of int and real operations and
+   comparisons; rank-1 to rank-3 loads and stores with variable,
+   constant and expression subscripts; checks over variable and opaque
+   atoms, and (under LLS) cond checks; a division by zero and a memory
+   fault in the left operand of a fused node. *)
+let fused_shapes =
+  "program fused\n\
+   integer i, n, s, a(1:4), b(0:3, 1:3), c(1:2, 0:2, 2:3)\n\
+   real x, y, r(1:3), p(0:1, 1:2), q(1:2, 1:2, 1:2)\n\
+   n = 3\n\
+   s = 1\n\
+   x = 0.5\n\
+   do i = 1, n\n\
+   s = s + i\n\
+   s = 2 * s - i\n\
+   s = i + (s * 2) - 1\n\
+   if s > 100 then\n\
+   s = 100 - s\n\
+   endif\n\
+   if (s - 1) >= i then\n\
+   s = s - 1\n\
+   endif\n\
+   if n < s * 2 then\n\
+   s = s / 2\n\
+   endif\n\
+   a(i) = s\n\
+   a(i + 1) = a(i) - 1\n\
+   b(i, 2) = a(1) + i\n\
+   b(i - 1, 3) = b(i, 2) * 2\n\
+   c(1, i - 1, 2) = b(i - 1, 1) + c(2, 0, 3)\n\
+   c(mod(i, 2) + 1, i - 1, 3) = c(1, i - 1, 2) + s\n\
+   x = x + 0.5 * i\n\
+   y = x / 2.0\n\
+   r(i) = y - x\n\
+   p(mod(i, 2), 1) = r(i) * x\n\
+   q(1, 2, mod(i, 2) + 1) = q(1, 1, 1) + y\n\
+   q(mod(i, 2) + 1, 1, 2) = 1.0\n\
+   if x >= 1.0 then\n\
+   y = y + 1.0\n\
+   endif\n\
+   if x < y then\n\
+   x = 2.0 - y\n\
+   endif\n\
+   enddo\n\
+   print s\n\
+   print a(1) + a(2) + a(3) + a(4)\n\
+   print b(0, 3) + b(1, 2) + b(2, 3) + b(3, 2)\n\
+   print c(1, 0, 2) + c(1, 2, 2) + c(2, 1, 3) + c(1, 2, 3)\n\
+   print x\n\
+   print y\n\
+   print r(1) + r(2) + r(3)\n\
+   print p(0, 1) + p(1, 1)\n\
+   print q(1, 2, 1) + q(1, 2, 2) + q(1, 1, 1)\n\
+   end"
+
+(* n / z fails inside the left operand of the sum; s is never charged. *)
+let fused_division =
+  "program divz\n\
+   integer i, n, z, s\n\
+   n = 4\n\
+   z = 0\n\
+   s = 0\n\
+   do i = 1, n\n\
+   s = s + i\n\
+   enddo\n\
+   print s\n\
+   s = (n / z) + s\n\
+   print s\n\
+   end"
+
+(* With its checks stripped, c(1, 1, 3) is read past the payload's end
+   as the left operand of the sum; with them, the check traps first. *)
+let fused_fault =
+  "program fault\n\
+   integer i, s, c(1:2, 1:2, 1:2)\n\
+   c(2, 2, 2) = 5\n\
+   s = 0\n\
+   do i = 1, 3\n\
+   s = c(1, 1, i) + s\n\
+   print s\n\
+   enddo\n\
+   end"
+
+(* At every fuel from 0 to a full run's count the typed run and the
+   generic one stop at the same unit, with the same outcome. *)
+let fuel_sweep name prog =
+  let full = Interp.Run.run prog in
+  let units = full.instrs + full.checks in
+  Alcotest.(check bool) (name ^ ": full run completes") false full.fuel_exhausted;
+  let generic = with_ill_typed_unit prog in
+  for fuel = 0 to units do
+    let label = Printf.sprintf "%s, fuel %d" name fuel in
+    Alcotest.(check string)
+      label
+      (golden_line label (Interp.Run.run ~fuel generic))
+      (golden_line label (Interp.Run.run ~fuel prog))
+  done;
+  Alcotest.(check bool)
+    (name ^ ": one unit short runs out") true
+    (Interp.Run.run ~fuel:(units - 1) prog).fuel_exhausted
+
+let test_fuel_sweep () =
+  let shapes = ir_of_source fused_shapes in
+  fuel_sweep "shapes naive" shapes;
+  fuel_sweep "shapes LLS" (optimize (Config.make ~scheme:Config.LLS ()) shapes);
+  let o = Interp.Run.run (ir_of_source fused_division) in
+  Alcotest.(check (option string)) "division" (Some "integer division by zero") o.error;
+  fuel_sweep "division" (ir_of_source fused_division);
+  let fault = ir_of_source fused_fault in
+  trap_expected (Interp.Run.run fault);
+  fuel_sweep "fault naive" fault;
+  let bare = Nascent_ir.Transform.strip_checks fault in
+  Alcotest.(check (option string))
+    "fault" (Some "memory fault on c (offset 8)") (Interp.Run.run bare).error;
+  fuel_sweep "fault stripped" bare
+
 let suite =
   [
     tc "arith" test_arith;
@@ -644,4 +763,5 @@ let suite =
     tc "golden counts: random programs" test_golden_random;
     tc "golden counts: generic closures" test_golden_generic;
     tc "golden counts: 2 domains = serial" test_golden_parallel;
+    tc "fuel sweep: fused = generic" test_fuel_sweep;
   ]

@@ -3,6 +3,7 @@
    deadlines). *)
 
 open Util
+open Alloc_words
 module Bitset = Nascent_support.Bitset
 module Vec = Nascent_support.Vec
 module Json = Nascent_support.Json
@@ -309,36 +310,6 @@ let test_json_accessors () =
    wherever the suite runs: a codec that starts copying a request's
    source per byte, or twice, fails them. *)
 
-(* Words [f ()] allocates on this domain: minor plus major, less the
-   promoted words, which both count. *)
-let allocated_words f =
-  let words () =
-    let minor, promoted, major = Gc.counters () in
-    minor +. major -. promoted
-  in
-  let before = words () in
-  let r = f () in
-  let after = words () in
-  (r, int_of_float (after -. before))
-
-(* A string's heap words: its header plus its padded bytes. *)
-let string_words s = 1 + ((String.length s + Sys.word_size / 8) / (Sys.word_size / 8))
-
-let compile_request src =
-  Json.to_string
-    (Json.Obj
-       [
-         ("id", Json.Str "cli");
-         ("op", Json.Str "compile");
-         ("source", Json.Str src);
-         ("scheme", Json.Str "LLS");
-         ("kind", Json.Str "PRX");
-         ("verify", Json.Bool true);
-         ("oracle", Json.Bool false);
-         ("run", Json.Bool false);
-         ("deadline_ms", Json.Int 30000);
-       ])
-
 let test_json_parse_alloc_bound () =
   List.iter
     (fun (b : Suite.benchmark) ->
@@ -351,36 +322,6 @@ let test_json_parse_alloc_bound () =
       if words > bound then
         Alcotest.failf "%s: parsing a %d-byte request allocated %d words, bound %d"
           b.Suite.name (String.length req) words bound)
-    Suite.all
-
-(* Two pipelined frames arrive in one read: taking the first must not
-   copy the second. *)
-let test_frame_next_alloc_bound () =
-  let d = Frame.decoder () in
-  List.iter
-    (fun (b : Suite.benchmark) ->
-      let payload = compile_request b.Suite.source in
-      let frame = Frame.encode ~id:7 payload in
-      let feed2 () =
-        Frame.feed d frame ~off:0 ~len:(String.length frame);
-        Frame.feed d frame ~off:0 ~len:(String.length frame)
-      in
-      (* warm: the decoder has already held two frames this size *)
-      feed2 ();
-      ignore (Frame.next d);
-      ignore (Frame.next d);
-      feed2 ();
-      for k = 1 to 2 do
-        let next, words = allocated_words (fun () -> Frame.next d) in
-        (match next with
-        | Ok (Some f) ->
-            Alcotest.(check string) (b.Suite.name ^ ": payload") payload f.Frame.payload
-        | _ -> Alcotest.failf "%s: frame %d not decoded" b.Suite.name k);
-        let bound = string_words payload + 64 in
-        if words > bound then
-          Alcotest.failf "%s: decoding frame %d of %d bytes allocated %d words, bound %d"
-            b.Suite.name k (String.length frame) words bound
-      done)
     Suite.all
 
 (* --- allocation budgets on the compile path -----------------------------
@@ -415,20 +356,6 @@ let test_compile_alloc_budget () =
   if mean > budget then
     Alcotest.failf "a plain suite compile allocates %d words on average, budget %d" mean
       budget
-
-(* The memo key of a compile cell digests the source where it lies:
-   its cost does not grow with the source. *)
-let test_memo_key_alloc_bound () =
-  List.iter
-    (fun (b : Suite.benchmark) ->
-      let config = Config.make () in
-      let _, words =
-        allocated_words (fun () ->
-            Nascent_support.Memo.key [ b.Suite.source; Config.cache_key config; "norun" ])
-      in
-      if words > 64 then
-        Alcotest.failf "%s: Memo.key allocated %d words, bound 64" b.Suite.name words)
-    Suite.all
 
 (* The compile response is printed once, into its frame. *)
 let test_compile_response_alloc_bound () =
@@ -720,8 +647,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_json_string_roundtrip;
     QCheck_alcotest.to_alcotest prop_json_unicode_escapes;
     tc "json: parse allocation bound" test_json_parse_alloc_bound;
-    tc "frame: next allocation bound" test_frame_next_alloc_bound;
     tc "compile: allocation budget" test_compile_alloc_budget;
-    tc "memo: key allocation bound" test_memo_key_alloc_bound;
     tc "service: compile response allocation bound" test_compile_response_alloc_bound;
   ]
