@@ -1,16 +1,17 @@
-(** Generic iterative bit-vector data-flow solver.
+(** Bit-vector data-flow problems over the fixpoint engine
+    ({!Nascent_ir.Fixpoint}).
 
     Both check analyses are {e must} problems (intersection confluence)
-    whose per-block transfer is kill-then-gen; the solver takes
-    per-block GEN/KILL sets, a direction, and a boundary value, and
-    iterates to the maximal fixed point from the optimistic full set.
+    whose per-block transfer is kill-then-gen; a problem is per-block
+    GEN/KILL sets, a direction, and a boundary value, solved to the
+    maximal fixed point from the optimistic full set, in place.
 
     Unreachable blocks keep the optimistic value; clients only consult
     reachable blocks. *)
 
 module Bitset = Nascent_support.Bitset
 
-type direction = Forward | Backward
+type direction = Nascent_ir.Fixpoint.direction = Forward | Backward
 
 type block_transfer = { gen : Bitset.t; kill : Bitset.t }
 (** Transfer [X -> (X \ kill) ∪ gen]. *)
@@ -20,8 +21,6 @@ type result = {
   out : Bitset.t array;  (** value at each block's exit *)
 }
 
-val apply_transfer : block_transfer -> input:Bitset.t -> output:Bitset.t -> unit
-
 val solve :
   Nascent_ir.Func.t ->
   universe:int ->
@@ -30,5 +29,7 @@ val solve :
   transfer:block_transfer array ->
   result
 (** [boundary] is the value at the entry (forward) or at every exit
-    block (backward). [in_]/[out] are named by {e program} position in
-    both directions. *)
+    block and no-exit block (backward). [in_]/[out] are named by
+    {e program} position in both directions.
+    @raise Nascent_support.Guard.Fuel_exhausted after [8n + 64] sweeps
+    without a fixpoint. *)

@@ -60,9 +60,6 @@ let scale_form k f =
 
 let is_identity_leaf d f = f.const = 0 && f.leaves = [ (Ldef d, 1) ]
 
-let mentions_basic f =
-  List.exists (fun (l, _) -> match l with Lbasic _ -> true | Ldef _ -> false) f.leaves
-
 type ctx = {
   ssa : Ssa.t;
   (* the loops enclosing the site, innermost first *)

@@ -31,15 +31,8 @@ type leaf =
 
 type linear_form = { leaves : (leaf * int) list; const : int }
 
-val const_form : int -> linear_form
-val basic_form : ?coeff:int -> int -> linear_form
-val add_forms : linear_form -> linear_form -> linear_form
-val scale_form : int -> linear_form -> linear_form
-
 val is_identity_leaf : Ssa.def_id -> linear_form -> bool
 (** Is the form just the definition itself (no rewriting gained)? *)
-
-val mentions_basic : linear_form -> bool
 
 val classify : Ssa.t -> Loops.loop -> Ssa.def_id -> iv_class
 (** Classification of a definition relative to one loop (the paper's

@@ -77,9 +77,6 @@ let snapshot t ~bid ~idx =
 
 let phis_at t bid = Option.value ~default:[] (Hashtbl.find_opt t.phis_at bid)
 
-let phi_args t (d : def_id) =
-  match def t d with Dphi { args; _ } -> args | _ -> []
-
 (* --- construction ---------------------------------------------------- *)
 
 let assigned_var (i : instr) : var option =

@@ -37,5 +37,3 @@ val snapshot : t -> bid:int -> idx:int -> int array option
 
 val phis_at : t -> int -> (int * def_id) list
 (** The phis placed at a block, as [(vid, def id)] pairs. *)
-
-val phi_args : t -> def_id -> (int * def_id) list

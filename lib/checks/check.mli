@@ -52,13 +52,6 @@ val mentions_key : t -> int -> bool
 
 val atom_keys : t -> int list
 
-val make_gcd : Linexpr.t -> int -> t
-(** Like {!make} but additionally divides the coefficients by their gcd
-    [g] and floors the constant — exact over the integers:
-    [g*e <= k <=> e <= floor(k/g)]. The paper's canonical form does
-    {e not} do this (Figure 1 relies on [2*N <= 10] and [2*N <= 11]
-    staying distinct); it is provided for the canonical-form ablation. *)
-
 val gcd_normalize : t -> t
 (** Re-normalize an existing check with the gcd rule. *)
 

@@ -31,8 +31,6 @@ let create () =
     closure_valid = false;
   }
 
-let num_families t = t.nfam
-
 let family_of_expr t (e : Linexpr.t) : family_id =
   match Hashtbl.find_opt t.families e with
   | Some id -> id
@@ -50,8 +48,6 @@ let family_of_expr t (e : Linexpr.t) : family_id =
       id
 
 let family_of_check t (c : Check.t) = family_of_expr t (Check.family_key c)
-
-let expr_of_family t id = t.exprs.(id)
 
 (* [add_implication t ~from:(F, cf) ~to_:(G, cg)] records that the check
    [(F <= cf)] implies [(G <= cg)], generalized shift-invariantly to the
@@ -119,5 +115,3 @@ let path_weight t f g =
    {!path_weight} directly rather than build the pairs.) *)
 let as_strong_as t ~strong:(f, cf) ~weak:(g, cg) =
   match path_weight t f g with Some w -> cf + w <= cg | None -> false
-
-let edge_list t = Hashtbl.fold (fun (f, g) w acc -> (f, g, w) :: acc) t.edges []

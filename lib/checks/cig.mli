@@ -18,20 +18,11 @@ type family_id = int
 
 val create : unit -> t
 
-val num_families : t -> int
-
 val family_of_expr : t -> Linexpr.t -> family_id
 (** Intern a range expression, allocating a fresh family id on first
     sight. *)
 
 val family_of_check : t -> Check.t -> family_id
-
-val expr_of_family : t -> family_id -> Linexpr.t
-
-val add_edge : t -> from:family_id -> to_:family_id -> weight:int -> unit
-(** Record the implication [e_from <= c  =>  e_to <= c + weight] for
-    all [c]; self-edges are ignored, parallel edges keep the minimum
-    weight. *)
 
 val add_implication : t -> from:Check.t -> to_:Check.t -> unit
 (** [add_implication t ~from ~to_] records that [from] implies [to_],
@@ -46,6 +37,3 @@ val path_weight : t -> family_id -> family_id -> int option
 val as_strong_as : t -> strong:family_id * int -> weak:family_id * int -> bool
 (** [as_strong_as t ~strong:(f, cf) ~weak:(g, cg)]: does performing
     check [(f, cf)] make [(g, cg)] redundant? *)
-
-val edge_list : t -> (family_id * family_id * int) list
-(** All explicit edges (not the transitive closure), for inspection. *)

@@ -44,9 +44,6 @@ val subst : t -> Atom.t -> t -> t
     (loop-limit substitution: the index variable replaced by its
     extreme value). If [a] does not occur, [e] is returned unchanged. *)
 
-val split_atom : t -> Atom.t -> int * t
-(** [split_atom e a] is [(coeff of a in e, e without a's term)]. *)
-
 val atoms : t -> Atom.t list
 val atom_keys : t -> int list
 

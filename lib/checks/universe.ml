@@ -154,11 +154,5 @@ let killed_by_key t k =
   | Some s -> s
   | None -> t.none
 
-(* Does performing check [i] make check [j] redundant (availability
-   sense, mode-aware)? *)
-let implies_avail t i j = Bitset.mem t.avail_gen.(i) j
-
-let iter_checks f t = Array.iteri f t.checks
-
 let pp ppf t =
   Array.iteri (fun i c -> Fmt.pf ppf "%d: %a@." i Check.pp c) t.checks

@@ -53,8 +53,4 @@ val killed_by_key : t -> int -> Nascent_support.Bitset.t
     (killed by a definition of that atom). The set is the universe's
     own, as the gen sets are: read it, never write it. *)
 
-val implies_avail : t -> int -> int -> bool
-(** Does performing check [i] make check [j] redundant? *)
-
-val iter_checks : (int -> Check.t -> unit) -> t -> unit
 val pp : t Fmt.t

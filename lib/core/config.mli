@@ -55,17 +55,7 @@ val make :
   t
 
 val scheme_name : scheme -> string
-val scheme_of_name : string -> scheme option
 val kind_name : check_kind -> string
-val kind_of_name : string -> check_kind option
-
-val impl_of_name : string -> Universe.mode option
-(** Accepts the request spellings [all], [none] and [cross] as well as
-    {!Universe.mode_name}'s, which is the one printed. *)
-
-val fault_name : Nascent_ir.Mutate.spec option -> string
-(** ["none"] or {!Nascent_ir.Mutate.spec_name}, for cache keys and
-    reports. *)
 
 val all_schemes : scheme list
 (** The paper's Table 2 rows (no MCM). *)

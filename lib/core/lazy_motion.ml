@@ -161,36 +161,31 @@ let run (ctx : Checkctx.t) ~(placement : placement) : stats =
       List.iter (fun (m, nd) -> insert_on_edge env preds st m nd (earliest m nd)) edges
   | Latest_not_isolated ->
       (* LATER system (Knoop et al. 92):
-         LATERIN(n) = ∧_{(m,n)} LATER(m,n)   (entry: ∅)
+         LATERIN(n) = ∧_{(m,n)} LATER(m,n)   (entry: the virtual edge's EARLIEST)
          LATER(m,n) = EARLIEST(m,n) ∨ (LATERIN(m) ∧ ¬ANTLOC(m))
          INSERT(m,n) = LATER(m,n) ∧ ¬LATERIN(n) *)
       let laterin = Array.init nb (fun _ -> Bitset.full n) in
-      (* the entry block's only incoming edge is the virtual one *)
-      Bitset.assign ~into:laterin.(entry) (earliest (-1) entry);
       let later (m, nd) =
         let l = earliest m nd in
         if m <> -1 then Bitset.union_diff_into ~into:l laterin.(m) loc.(m).antloc;
         l
       in
       let v = Bitset.create n in
-      let changed = ref true in
-      while !changed do
-        (* charge any enclosing pass/task fuel budget per sweep *)
-        Nascent_support.Guard.tick_ambient ();
-        changed := false;
-        List.iter
-          (fun nd ->
-            if nd <> entry then begin
-              Bitset.fill v;
-              List.iter (fun m -> Bitset.inter_into ~into:v (later (m, nd))) preds.(nd);
-              if preds.(nd) = [] then Bitset.clear v;
-              if not (Bitset.equal v laterin.(nd)) then begin
-                Bitset.assign ~into:laterin.(nd) v;
-                changed := true
-              end
-            end)
-          (Ir.Func.rpo f)
-      done;
+      let visit ~sweep:_ nd preds =
+        (match preds with
+        | [] ->
+            (* the entry block's only incoming edge is the virtual one *)
+            Bitset.assign ~into:v (earliest (-1) entry)
+        | _ ->
+            Bitset.fill v;
+            List.iter (fun m -> Bitset.inter_into ~into:v (later (m, nd))) preds);
+        if Bitset.equal v laterin.(nd) then false
+        else begin
+          Bitset.assign ~into:laterin.(nd) v;
+          true
+        end
+      in
+      ignore (Ir.Fixpoint.iterate f Ir.Fixpoint.Forward visit);
       List.iter
         (fun (m, nd) ->
           let ins = later (m, nd) in

@@ -58,10 +58,10 @@ type incident = {
   inc_elapsed_s : float;
 }
 
-(* Per-pass fuel: every dataflow fixpoint sweep charges one ambient
-   tick, so this bounds iteration counts, not wall-clock. Benchmarks
-   converge in tens of sweeps per solve; a pass that burns through six
-   figures of sweeps is hung, not slow. *)
+(* Per-pass fuel: the fixpoint engine charges one ambient tick per
+   block visit, so this bounds iteration counts, not wall-clock. No
+   benchmark compile reaches 13,000 ticks in all its passes together;
+   a pass that burns through six figures of them is hung, not slow. *)
 let pass_fuel_budget = 200_000
 
 type stats = {

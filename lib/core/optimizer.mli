@@ -68,11 +68,6 @@ type incident = {
   inc_elapsed_s : float;  (** time burned by the failed attempt *)
 }
 
-val pass_fuel_budget : int
-(** Iteration budget per pass: dataflow fixpoint sweeps charge one
-    ambient {!Nascent_support.Guard} tick each, so this bounds sweep
-    counts deterministically, not wall-clock. *)
-
 type stats = {
   config : Config.t;
   strengthened : int;
@@ -99,8 +94,6 @@ type stats = {
           unless the compile ran with [Config.oracle]. *)
 }
 
-val empty_stats : Config.t -> stats
-
 val validated : stats -> bool option
 (** The certificate folded to its wire form: [None] when validation did
     not run (no [--oracle]), [Some ok] otherwise. *)
@@ -123,7 +116,6 @@ val optimize :
     Check [stats.incidents] to learn whether any function compiled
     degraded. *)
 
-val pp_pass_stat : pass_stat Fmt.t
 val pp_incident : incident Fmt.t
 val pp_stats : stats Fmt.t
 

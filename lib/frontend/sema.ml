@@ -26,8 +26,6 @@ type env = {
 
 type error = { msg : string; at : Srcloc.t }
 
-exception Sema_error of error list
-
 let err loc fmt = Format.kasprintf (fun msg -> { msg; at = loc }) fmt
 
 (* Expression types: numeric kinds plus booleans from comparisons. *)
@@ -305,8 +303,5 @@ let check (prog : Ast.program) : (env, error list) result =
       List.iter (check_stmt env uenv errs) uenv.unit_ast.ubody)
     units;
   if !errs = [] then Ok env else Error (List.rev !errs)
-
-let check_exn prog =
-  match check prog with Ok env -> env | Error es -> raise (Sema_error es)
 
 let pp_error ppf { msg; at } = Fmt.pf ppf "%a: %s" Srcloc.pp at msg

@@ -27,10 +27,5 @@ type env = {
 
 type error = { msg : string; at : Srcloc.t }
 
-exception Sema_error of error list
-
 val check : Ast.program -> (env, error list) result
-val check_exn : Ast.program -> env
 val pp_error : error Fmt.t
-
-val find_sym : unit_env -> string -> sym option

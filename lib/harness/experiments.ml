@@ -31,7 +31,7 @@ module Memo = Nascent_support.Memo
 let pool () = Pool.global ()
 
 (* Per-cell watchdog: every cell runs under its own Guard fuel budget,
-   charged one tick per dataflow/PRE fixpoint sweep, so one divergent
+   charged one tick per fixpoint block visit, so one divergent
    cell fails (lowest-index exception, per the pool contract) instead
    of wedging a worker domain for the whole matrix. The budget is ~3
    orders of magnitude above what the suite's hottest cell uses. *)

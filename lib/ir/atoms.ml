@@ -85,11 +85,6 @@ let of_opaque t (e : Types.expr) : Atom.t =
       if Expr.has_load e then t.load_opaques <- Atom.key a :: t.load_opaques;
       a
 
-let fresh_synth t name : Atom.t =
-  let a = Atom.make ~key:(fresh_key t) ~name in
-  Hashtbl.replace t.payloads (Atom.key a) (Asynth name);
-  a
-
 let payload t key = Hashtbl.find_opt t.payloads key
 
 let payload_exn t key =
@@ -104,11 +99,3 @@ let killed_by_def t (v : Types.var) : int list =
 (* Atom keys invalidated by any store to an array (or call, which may
    store). *)
 let killed_by_store t : int list = t.load_opaques
-
-(* The IR expression whose runtime value an atom denotes; synthetic
-   atoms have none (they are never materialized in instructions). *)
-let expr_of_atom t (a : Atom.t) : Types.expr option =
-  match payload t (Atom.key a) with
-  | Some (Avar v) -> Some (Types.Evar v)
-  | Some (Aopaque e) -> Some e
-  | Some (Asynth _) | None -> None

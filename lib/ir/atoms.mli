@@ -35,9 +35,6 @@ val of_opaque : t -> Types.expr -> Nascent_checks.Atom.t
 (** The (hash-consed, by structural equality) atom of an opaque
     subscript subexpression. *)
 
-val fresh_synth : t -> string -> Nascent_checks.Atom.t
-(** A fresh synthetic atom. *)
-
 val payload : t -> int -> payload option
 (** What an atom key denotes. *)
 
@@ -50,7 +47,3 @@ val killed_by_def : t -> Types.var -> int list
 val killed_by_store : t -> int list
 (** Atom keys invalidated by any array store or call: the opaque atoms
     whose expressions read memory. *)
-
-val expr_of_atom : t -> Nascent_checks.Atom.t -> Types.expr option
-(** The IR expression whose runtime value the atom denotes; [None] for
-    synthetic atoms (they are never materialized in instructions). *)

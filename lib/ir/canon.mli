@@ -8,8 +8,6 @@ val linearize : Atoms.t -> Types.expr -> Nascent_checks.Linexpr.t * int
     expression has a canonical form — a non-linear one simply has
     coarser kill behaviour. *)
 
-val of_bound : Atoms.t -> Types.bound -> Nascent_checks.Linexpr.t * int
-
 val checks_for_subscript :
   Atoms.t -> Types.arr -> dim:int -> sub:Types.expr -> Types.check_meta list
 (** The lower and upper canonical checks guarding subscript [sub] of

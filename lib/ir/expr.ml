@@ -72,8 +72,6 @@ let rec equal (a : expr) (b : expr) =
   | Ebin (ox, xa, xb), Ebin (oy, ya, yb) -> ox = oy && equal xa ya && equal xb yb
   | _ -> false
 
-let bound_expr = function Bconst n -> Cint n | Bvar v -> Evar v
-
 (* Constant folding of the operators the lowerer produces for guards
    and bounds; used by step 5 (compile-time checks) and by guard
    simplification. *)

@@ -24,8 +24,5 @@ val fold : expr -> expr
     and guard simplification. Preserves semantics exactly (integer
     division by zero is left unfolded). *)
 
-val bound_expr : bound -> expr
-(** The expression reading an array bound (a constant or its temp). *)
-
 val binop_name : binop -> string
 val pp : expr Fmt.t

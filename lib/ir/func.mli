@@ -54,7 +54,6 @@ val block : t -> int -> block
 val num_blocks : t -> int
 val iter_blocks : (block -> unit) -> t -> unit
 
-val succs_of_term : terminator -> int list
 val succs : t -> int -> int list
 
 val cfg : t -> cfg
@@ -87,9 +86,6 @@ val split_critical_edges : t -> bool
 (** Split every edge from a multi-successor block to a
     multi-predecessor block by inserting an empty block, giving PRE
     edge insertions a place to live. Returns true if anything changed. *)
-
-val fold_checks : ('a -> block -> instr -> check_meta -> 'a) -> 'a -> t -> 'a
-(** Fold over every [Check] and [Cond_check] instruction. *)
 
 val all_check_metas : t -> check_meta list
 

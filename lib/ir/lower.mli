@@ -11,7 +11,6 @@
 
 exception Lower_error of string
 
-val lower_unit : Nascent_frontend.Sema.unit_env -> Func.t
 val lower_program : Nascent_frontend.Sema.env -> Program.t
 
 val of_source : string -> Program.t

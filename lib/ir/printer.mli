@@ -3,9 +3,5 @@
 
 val pp_check_meta : Types.check_meta Fmt.t
 val pp_instr : Types.instr Fmt.t
-val pp_terminator : Types.terminator Fmt.t
-val pp_block : Types.block Fmt.t
-val pp_func : Func.t Fmt.t
-val pp_program : Program.t Fmt.t
 val func_to_string : Func.t -> string
 val program_to_string : Program.t -> string

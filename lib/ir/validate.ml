@@ -434,15 +434,14 @@ let with_edge edge p b (h : hstate) =
   { h with facts = List.fold_left (fun s c -> CSet.add c s) h.facts (edge p b) }
 
 (* The incoming paths of [b]: each live predecessor's out-state plus
-   the facts of its edge into [b]. Unreachable, unvisited ([None]) and
-   trap-dead ([Some None]) predecessors contribute no path. *)
-let paths_into edge reach preds (out : hstate option option array) b =
-  List.filter_map
-    (fun p ->
-      match out.(p) with
-      | Some (Some op) when reach.(p) -> Some (with_edge edge p b op)
-      | _ -> None)
-    preds.(b)
+   the facts of its edge into [b]. Unreachable, unvisited and
+   trap-dead predecessors are not among the engine's live sources. *)
+let paths_into edge b (live : (int * hstate) list) =
+  List.map (fun (p, op) -> with_edge edge p b op) live
+
+(* A block's transferred state as the engine's fact: [Unreachable]
+   past a trap. *)
+let reached = function Some h -> Fixpoint.Reached h | None -> Fixpoint.Unreachable
 
 (* Does every path prove [c]? Each path is closed and its fact set
    hashed once, on the first goal it neither holds nor implies within a
@@ -462,29 +461,15 @@ let proven_on_all cache (paths : hstate list) : Check.t -> bool =
         else proves c)
       judged
 
-let same_out a b =
-  match (a, b) with
-  | None, None | Some None, Some None -> true
-  | Some (Some x), Some (Some y) -> h_equal x y
-  | _ -> false
-
-let succs_of preds =
-  let succs = Array.make (Array.length preds) [] in
-  Array.iteri (fun b ps -> List.iter (fun p -> succs.(p) <- b :: succs.(p)) ps) preds;
-  succs
-
-(* Forward data-flow over the optimized function. out.(b) = None means
-   "not yet reached" (top); in(b) is the semantic meet over reachable
+(* Forward data-flow over the optimized function, an instance of the
+   fixpoint engine: in(b) is the semantic meet over the live
    predecessors of out(p) + the constraints of the edge p->b's branch
-   condition. A block ending in (or past) a trap propagates top. *)
+   condition. A block ending in (or past) a trap is [Unreachable] to
+   its successors. *)
 let entry_hyps ?(checks = true) cache (f : Func.t) : hstate array =
   let atoms = f.Func.atoms in
   let n = Func.num_blocks f in
-  let reach = Func.reachable f in
-  let preds = Func.preds_array f in
   let edge = edge_facts f in
-  let out : hstate option option array = Array.make n None in
-  (* outer None = unvisited(top); inner option = trap-dead *)
   (* Affine loop invariants as meet {e candidates}: a counted loop whose
      basic variable [h] was materialized by the INX rewrite maintains
      [index = lo + step*h] at its header (established by the
@@ -520,17 +505,23 @@ let entry_hyps ?(checks = true) cache (f : Func.t) : hstate array =
       f.Func.loops;
     tbl
   in
-  (* [widen] is the block's previous in-state once widening is on: the
-     result is intersected with it, so candidates outside it are
-     dropped before anything is proven about them. *)
-  let in_of ~widen b =
-    if b = f.Func.entry then h_empty
-    else
-      let within s = match widen with None -> s | Some w -> CSet.inter s w.facts in
-      let paths = paths_into edge reach preds out b in
-      match paths with
+  (* The semantic meet is not a lattice meet: a loop-carried bound can
+     creep ([i <= 1], then [i <= 2], ... — each weakening provable from
+     the entry path) and never settle. Widen from the third sweep on:
+     keep only facts already present in the block's previous in-state,
+     so the per-block state is non-increasing and the solve terminates.
+     Any fixpoint reached is sound — widening only removes facts, and a
+     subset of a sound must-set is still a sound must-set. The result is
+     intersected with [widen], so candidates outside it are dropped
+     before anything is proven about them. *)
+  let join ~sweep ~prev b live =
+    let widen = match prev with Fixpoint.Reached w when sweep > 2 -> Some w | _ -> None in
+    let within s = match widen with None -> s | Some w -> CSet.inter s w.facts in
+    Fixpoint.Reached
+      (match paths_into edge b live with
+      (* no live path: read as no facts *)
       | [] -> h_empty
-      | h0 :: rest ->
+      | (h0 :: rest) as paths ->
           let proven_on_all = proven_on_all cache paths in
           let base =
             match rest with
@@ -564,56 +555,21 @@ let entry_hyps ?(checks = true) cache (f : Func.t) : hstate array =
               then st
               else { st with facts = CSet.add c st.facts })
             base
-            (Option.value (Hashtbl.find_opt inv_candidates b) ~default:[])
+            (Option.value (Hashtbl.find_opt inv_candidates b) ~default:[]))
   in
-  let rpo = Func.rpo f in
-  let changed = ref true in
-  let ins = Array.make n h_empty in
-  (* A block's in-state is a function of its predecessors' out-states,
-     so a sweep re-evaluates a block only if it has never been
-     evaluated or a predecessor's out-state changed since; every other
-     block would recompute what it already holds (under widening too:
-     its in-state already lies inside the unchanged meet). Likewise a
-     re-evaluated block whose in-state came out unchanged keeps its
-     out-state without running its transfer again. *)
-  let succs = succs_of preds in
-  let stale = Array.make n true in
-  (* The semantic meet is not a lattice meet: a loop-carried bound can
-     creep ([i <= 1], then [i <= 2], ... — each weakening provable from
-     the entry path) and never settle. Widen from the third sweep on:
-     keep only facts already present in the previous solution, so the
-     per-block state is non-increasing and the solve terminates. Any
-     fixpoint reached is sound — widening only removes facts, and a
-     subset of a sound must-set is still a sound must-set. The sweep
-     cap is a backstop for the fuel-bounded (hence not perfectly
-     monotone) oracle inside [transfer]; on non-convergence fall back
-     to the sound weak seed (empty hypothesis states). *)
-  let max_sweeps = (2 * n) + 8 in
-  let sweeps = ref 0 in
-  while !changed && !sweeps <= max_sweeps do
-    changed := false;
-    incr sweeps;
-    Guard.tick_ambient ();
-    List.iter
-      (fun b ->
-        if stale.(b) then begin
-          stale.(b) <- false;
-          let i = in_of ~widen:(if !sweeps <= 2 then None else Some ins.(b)) b in
-          if out.(b) = None || not (h_equal i ins.(b)) then begin
-            ins.(b) <- i;
-            let o =
-              List.fold_left (transfer ~checks cache atoms) (Some i) (Func.block f b).instrs
-            in
-            if not (same_out out.(b) (Some o)) then begin
-              out.(b) <- Some o;
-              changed := true;
-              List.iter (fun s -> stale.(s) <- true) succs.(b)
-            end
-          end
-        end)
-      rpo
-  done;
-  if !changed then Array.make n h_empty else ins
+  let transfer b i =
+    reached (List.fold_left (transfer ~checks cache atoms) (Some i) (Func.block f b).instrs)
+  in
+  (* The sweep cap is a backstop for the fuel-bounded (hence not
+     perfectly monotone) oracle inside [transfer]: 2n + 8 sweeps after
+     the first. On non-convergence fall back to the sound weak seed
+     (empty hypothesis states). *)
+  let s =
+    Fixpoint.solve ~cap:((2 * n) + 9) f
+      { direction = Forward; boundary = Reached h_empty; join; transfer; equal = h_equal }
+  in
+  if not s.converged then Array.make n h_empty
+  else Array.map (function Fixpoint.Reached h -> h | Unreachable -> h_empty) s.flow_in
 
 (* --- the checked certificate: a hint made inductive ------------------- *)
 
@@ -639,50 +595,34 @@ let entry_hyps ?(checks = true) cache (f : Func.t) : hstate array =
 let checked_entry cache (f : Func.t) (hint : hstate array) : hstate array =
   let atoms = f.Func.atoms in
   let n = Func.num_blocks f in
-  let reach = Func.reachable f in
-  let preds = Func.preds_array f in
-  let succs = succs_of preds in
   let edge = edge_facts f in
-  let rpo = Func.rpo f in
+  let ambient b (k : hstate) =
+    reached
+      (List.fold_left (transfer ~checks:false cache atoms) (Some k) (Func.block f b).instrs)
+  in
   let kept =
-    Array.init n (fun b ->
-        if b = f.Func.entry || (not reach.(b)) || b >= Array.length hint then CSet.empty
-        else hint.(b).facts)
+    Fixpoint.solve f
+      ~seed:(fun b ->
+        if b = f.Func.entry || b >= Array.length hint then h_empty
+        else { h_empty with facts = hint.(b).facts })
+      {
+        direction = Forward;
+        boundary = Reached h_empty;
+        join =
+          (fun ~sweep:_ ~prev b live ->
+            match (prev, paths_into edge b live) with
+            | _, [] -> Reached h_empty
+            | Unreachable, _ -> Unreachable
+            | Reached k, paths ->
+                Reached { h_empty with facts = CSet.filter (proven_on_all cache paths) k.facts });
+        transfer = ambient;
+        equal = h_equal;
+      }
   in
-  let ambient b =
-    Some
-      (List.fold_left (transfer ~checks:false cache atoms)
-         (Some { h_empty with facts = kept.(b) })
-         (Func.block f b).instrs)
+  let kept_facts b =
+    match kept.flow_in.(b) with Reached k -> k.facts | Unreachable -> CSet.empty
   in
-  let kout = Array.init n (fun b -> if reach.(b) then ambient b else None) in
-  let queued = Array.make n false in
-  let work = Queue.create () in
-  let push b =
-    if (not queued.(b)) && not (CSet.is_empty kept.(b)) then begin
-      queued.(b) <- true;
-      Queue.add b work
-    end
-  in
-  List.iter push rpo;
-  while not (Queue.is_empty work) do
-    let b = Queue.pop work in
-    queued.(b) <- false;
-    Guard.tick_ambient ();
-    let k =
-      match paths_into edge reach preds kout b with
-      | [] -> CSet.empty
-      | paths -> CSet.filter (proven_on_all cache paths) kept.(b)
-    in
-    if not (CSet.equal k kept.(b)) then begin
-      kept.(b) <- k;
-      let o = ambient b in
-      if not (same_out kout.(b) o) then begin
-        kout.(b) <- o;
-        List.iter push succs.(b)
-      end
-    end
-  done;
+  let kout = kept.flow_out in
   (* A conditional check's guards hold if the kept facts, carried
      through the block alongside, or the available ones imply each
      within its family. *)
@@ -705,76 +645,56 @@ let checked_entry cache (f : Func.t) (hint : hstate array) : hstate array =
                | _ -> false
              in
              (avail_transfer atoms ~holds a i, transfer ~checks:false cache atoms k i))
-           (Some a, Some { h_empty with facts = kept.(b) })
+           (Some a, Some { h_empty with facts = kept_facts b })
            instrs)
   in
-  (* [avail.(b) = None] until [b] is first visited *)
-  let avail = Array.make n None in
-  let aout = Array.make n None in
-  let stale = Array.make n true in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Guard.tick_ambient ();
-    List.iter
-      (fun b ->
-        if stale.(b) then begin
-          stale.(b) <- false;
-          let paths =
-            if b = f.Func.entry then []
-            else
-              List.filter_map
-                (fun p ->
-                  match (aout.(p), kout.(p)) with
-                  | Some (Some a), Some (Some k) when reach.(p) ->
-                      Some (a, (with_edge edge p b k).facts)
-                  | _ -> None)
-                preds.(b)
+  let join ~sweep:_ ~prev b live =
+    let paths =
+      List.filter_map
+        (fun (p, a) ->
+          match kout.(p) with
+          | Fixpoint.Reached k -> Some (a, (with_edge edge p b k).facts)
+          | Unreachable -> None)
+        live
+    in
+    let meet =
+      match paths with
+      | [] -> h_empty
+      | (a0, _) :: rest ->
+          let holds c =
+            List.for_all
+              (fun (a, k) ->
+                CSet.mem c a.facts || implied_in_family a.facts c || CSet.mem c k
+                || implied_in_family k c)
+              paths
           in
-          let meet =
-            match paths with
-            | [] -> h_empty
-            | (a0, _) :: rest ->
-                let holds c =
-                  List.for_all
-                    (fun (a, k) ->
-                      CSet.mem c a.facts || implied_in_family a.facts c || CSet.mem c k
-                      || implied_in_family k c)
-                    paths
-                in
-                {
-                  facts =
-                    CSet.filter holds
-                      (List.fold_left (fun acc (a, _) -> CSet.union acc a.facts) a0.facts rest);
-                  conds = List.fold_left (fun acc (a, _) -> CondSet.inter acc a.conds) a0.conds rest;
-                }
-          in
-          let a =
-            match avail.(b) with
-            | None -> meet
-            | Some prev ->
-                {
-                  facts = CSet.inter meet.facts prev.facts;
-                  conds = CondSet.inter meet.conds prev.conds;
-                }
-          in
-          match avail.(b) with
-          | Some prev when h_equal a prev -> ()
-          | _ ->
-              avail.(b) <- Some a;
-              let o = avail_block b a in
-              if not (same_out aout.(b) (Some o)) then begin
-                aout.(b) <- Some o;
-                changed := true;
-                List.iter (fun s -> stale.(s) <- true) succs.(b)
-              end
-        end)
-      rpo
-  done;
+          {
+            facts =
+              CSet.filter holds
+                (List.fold_left (fun acc (a, _) -> CSet.union acc a.facts) a0.facts rest);
+            conds = List.fold_left (fun acc (a, _) -> CondSet.inter acc a.conds) a0.conds rest;
+          }
+    in
+    Fixpoint.Reached
+      (match prev with
+      | Fixpoint.Unreachable -> meet
+      | Reached prev ->
+          { facts = CSet.inter meet.facts prev.facts; conds = CondSet.inter meet.conds prev.conds })
+  in
+  let avail =
+    Fixpoint.solve f
+      {
+        direction = Forward;
+        boundary = Reached h_empty;
+        join;
+        transfer = (fun b a -> reached (avail_block b a));
+        equal = h_equal;
+      }
+  in
   Array.init n (fun b ->
-      match avail.(b) with
-      | Some a when reach.(b) -> { a with facts = CSet.union kept.(b) a.facts }
-      | _ -> h_empty)
+      match avail.flow_in.(b) with
+      | Reached a -> { a with facts = CSet.union (kept_facts b) a.facts }
+      | Unreachable -> h_empty)
 
 (* --- the lockstep walk ---------------------------------------------- *)
 

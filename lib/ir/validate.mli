@@ -102,10 +102,8 @@ module Facts : sig
   val ambient_entry : cache:Cache.t -> Func.t -> state array
   (** Per-block entry states from the validator's forward data-flow
       (semantic meet, affine loop-invariant candidates, widening) with
-      check contributions disabled. A sweep re-evaluates only the
-      blocks never evaluated or with a predecessor whose out-state
-      changed since; the fixpoint is the one full sweeps reach. The
-      result is left in [cache] as the certificate's hint. *)
+      check contributions disabled, solved by {!Fixpoint}. The result
+      is left in [cache] as the certificate's hint. *)
 
   val facts : state -> Nascent_checks.Check.t list
   (** The state's facts, in set order. *)

@@ -24,15 +24,14 @@
      definition of one of its symbols unless the check is re-generated
      before that definition on every path to an exit.
 
-   The anticipatability oracle is self-contained (this library sits
-   below [Nascent_analysis]) and uses a per-family lattice: a state
-   maps each family lhs to the smallest constant [m] generated on
-   every path to an exit, so [Check (e <= k)] is anticipated iff the
-   state binds [e] to some [m <= k] (within-family implication). This
-   is the widest gen relation any implication mode uses, so a program
-   valid under a stricter mode is accepted. Blocks in no-exit regions
-   anticipate nothing (matching the dataflow solver's pessimistic
-   boundary). *)
+   The anticipatability oracle is a backward {!Fixpoint} problem over
+   a per-family lattice: a state maps each family lhs to the smallest
+   constant [m] generated on every path to an exit, so
+   [Check (e <= k)] is anticipated iff the state binds [e] to some
+   [m <= k] (within-family implication). This is the widest gen
+   relation any implication mode uses, so a program valid under a
+   stricter mode is accepted. Blocks in no-exit regions
+   anticipate nothing: the engine's backward boundary. *)
 
 module Check = Nascent_checks.Check
 module Linexpr = Nascent_checks.Linexpr
@@ -311,50 +310,29 @@ let transfer_block atoms ~is_inserted instrs (out_state : ant_state) : ant_state
       apply_kills atoms i st)
     out_state (List.rev instrs)
 
-let ant_solve (f : Func.t) ~is_inserted : ant_state option array * ant_state option array =
-  let n = Func.num_blocks f in
-  let cfg = Func.cfg f in
-  let reaches_exit = Func.reaches_exit f in
-  (* None is top; meet is pointwise max over common families *)
-  let meet a b =
-    match (a, b) with
-    | None, x | x, None -> x
-    | Some m1, Some m2 ->
-        Some
-          (FMap.merge
-             (fun _ a b ->
-               match (a, b) with Some x, Some y -> Some (max x y) | _ -> None)
-             m1 m2)
-  in
-  let state_equal a b =
-    match (a, b) with
-    | None, None -> true
-    | Some m1, Some m2 -> FMap.equal Int.equal m1 m2
-    | _ -> false
-  in
-  let in_ = Array.make n None and out = Array.make n None in
-  let order = List.rev cfg.Func.order in
+(* Block-end states of the backward must-problem: the meet is the
+   pointwise max over common families; no live successor is
+   [Unreachable], the identity of the meet. *)
+let ant_solve (f : Func.t) ~is_inserted : ant_state Fixpoint.fact array =
   let atoms = f.Func.atoms in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun bid ->
-        let b = Func.block f bid in
-        let succs = cfg.Func.succ.(bid) in
-        let o =
-          if succs = [] || not reaches_exit.(bid) then Some FMap.empty
-          else List.fold_left (fun acc s -> meet acc in_.(s)) None succs
-        in
-        out.(bid) <- o;
-        let i = Option.map (transfer_block atoms ~is_inserted b.instrs) o in
-        if not (state_equal in_.(bid) i) then begin
-          in_.(bid) <- i;
-          changed := true
-        end)
-      order
-  done;
-  (in_, out)
+  let meet =
+    FMap.merge (fun _ a b ->
+        match (a, b) with Some x, Some y -> Some (max x y) | _ -> None)
+  in
+  let problem =
+    {
+      Fixpoint.direction = Backward;
+      boundary = Reached FMap.empty;
+      join =
+        (fun ~sweep:_ ~prev:_ _ -> function
+          | [] -> Unreachable
+          | (_, s0) :: rest -> Reached (List.fold_left (fun acc (_, s) -> meet acc s) s0 rest));
+      transfer =
+        (fun b st -> Reached (transfer_block atoms ~is_inserted (Func.block f b).instrs st));
+      equal = FMap.equal Int.equal;
+    }
+  in
+  (Fixpoint.solve f problem).flow_in
 
 (* ------------------------------------------------------------------ *)
 (* Per-pass differential rules.                                        *)
@@ -366,7 +344,7 @@ let instr_where bid i = Fmt.str "block %d: inserted %a" bid Printer.pp_instr i
 let check_insertion_safety (f : Func.t) ~inserted add =
   let ins_instrs = List.map snd inserted in
   let is_inserted i = List.memq i ins_instrs in
-  let _, out = ant_solve f ~is_inserted in
+  let out = ant_solve f ~is_inserted in
   let reach = Func.reachable f in
   let by_block = Hashtbl.create 8 in
   List.iter
@@ -378,7 +356,9 @@ let check_insertion_safety (f : Func.t) ~inserted add =
       if reach.(bid) then begin
         let b = Func.block f bid in
         let atoms = f.Func.atoms in
-        let st = ref (Option.value ~default:FMap.empty out.(bid)) in
+        let st =
+          ref (match out.(bid) with Fixpoint.Reached s -> s | Unreachable -> FMap.empty)
+        in
         List.iter
           (fun i ->
             (match i with

@@ -30,8 +30,6 @@ type pass =
   | Elimination  (** redundancy elimination: deletions only *)
   | Fold  (** compile-time folding: deletions, traps, guard folding *)
 
-val pass_name : pass -> string
-
 type rule = Cfg | Check_form | Loop_structure | Insertion
 
 val rule_name : rule -> string

@@ -123,7 +123,6 @@ let feed_bytes d b ~off ~len =
 
 let feed d s ~off ~len = feed_bytes d (Bytes.unsafe_of_string s) ~off ~len
 
-let buffered d = d.stop - d.start
 let mid_frame d = Option.is_none d.poisoned && d.stop > d.start
 
 (* Byte [i] of the unconsumed input, and the big-endian u32 there. *)

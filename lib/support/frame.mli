@@ -33,9 +33,6 @@ val header_bytes : int
 val default_max_payload : int
 (** Default payload cap, 4 MiB. *)
 
-val crc32 : string -> int
-(** IEEE CRC32 of a string (the checksum the header carries). *)
-
 val encode : id:int -> string -> string
 (** One encoded frame. [id] must be non-negative.
     @raise Invalid_argument on a negative id. *)
@@ -78,9 +75,6 @@ val mid_frame : decoder -> bool
     server's mid-frame read deadline keys off this: a peer may be
     silent between frames for as long as the idle budget allows, but
     once a frame has started it must finish within the I/O budget. *)
-
-val buffered : decoder -> int
-(** Bytes currently buffered (header + partial payload). *)
 
 (** {2 Blocking helpers with injectable I/O}
 

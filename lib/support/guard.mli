@@ -3,7 +3,7 @@
 
     Fuel replaces wall-clock watchdogs everywhere determinism matters:
     a budget is a tick counter, fixpoint loops charge it once per
-    sweep, and exhaustion raises {!Fuel_exhausted} at the same tick on
+    block visit, and exhaustion raises {!Fuel_exhausted} at the same tick on
     every run, every pool size, every machine. The optimizer installs
     one budget per pass (so a hung fixpoint rolls back that pass); the
     pool can install one per task (so a pathological cell fails

@@ -40,8 +40,6 @@ val member : string -> t -> t option
 (** Field of an [Obj]; [None] on missing field or non-object. *)
 
 val to_str : t -> string option
-val to_int : t -> int option
-val to_bool : t -> bool option
 
 val to_float : t -> float option
 (** Accepts [Int] too (JSON does not distinguish). *)

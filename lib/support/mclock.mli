@@ -9,8 +9,5 @@ type counter = int64
 val counter : unit -> counter
 (** The current instant. *)
 
-val elapsed_ns : counter -> int64
-(** Nanoseconds elapsed since [c]. Never negative. *)
-
 val elapsed_s : counter -> float
 (** Seconds elapsed since [c]. Never negative. *)

@@ -294,6 +294,107 @@ let test_solver_backward_no_exit () =
       (Bitset.is_empty r.Dataflow.out.(b))
   done
 
+(* --- the fixpoint engine ------------------------------------------------ *)
+
+module Fixpoint = Ir.Fixpoint
+
+(* A toy lattice: sorted int lists, meet by intersection. *)
+let inter_all = function
+  | [] -> Fixpoint.Unreachable
+  | (_, x) :: rest ->
+      Fixpoint.Reached (List.fold_left (fun acc (_, y) -> List.filter (fun e -> List.mem e y) acc) x rest)
+
+let toy ~direction ~boundary ~transfer =
+  {
+    Fixpoint.direction;
+    boundary;
+    join = (fun ~sweep:_ ~prev:_ _ live -> inter_all live);
+    transfer;
+    equal = ( = );
+  }
+
+let blocks f k = List.init k (fun _ -> Ir.Func.new_block f)
+
+(* Every block of an infinite loop sits in a no-exit region, so a
+   backward problem starts there from its boundary value, not from the
+   optimistic meet of the loop's own values. *)
+let test_fixpoint_backward_no_exit () =
+  let f = Ir.Func.create ~name:"inf" ~params:[] in
+  let b0, b1 = match blocks f 2 with [ b0; b1 ] -> (b0, b1) | _ -> assert false in
+  b0.Ir.Types.term <- Ir.Types.Goto b1.Ir.Types.bid;
+  b1.Ir.Types.term <- Ir.Types.Goto b1.Ir.Types.bid;
+  let s =
+    Fixpoint.solve f
+      (toy ~direction:Fixpoint.Backward ~boundary:(Fixpoint.Reached [ 7 ])
+         ~transfer:(fun b x -> Fixpoint.Reached (List.sort_uniq compare (b :: x))))
+  in
+  Alcotest.(check bool) "converged" true s.Fixpoint.converged;
+  List.iter
+    (fun b ->
+      Alcotest.(check bool) (Fmt.str "B%d starts from the boundary" b) true
+        (s.Fixpoint.flow_in.(b) = Fixpoint.Reached [ 7 ]))
+    [ 0; 1 ]
+
+(* B0 branches to B1, which traps, and to B2; B1 goes on to B4, whose
+   only predecessor it is, and both arms meet in B3. B4 is unreachable
+   rather than holding no facts, and the meet at B3 sees only B2. *)
+let test_fixpoint_unreachable_past_trap () =
+  let f = Ir.Func.create ~name:"trap" ~params:[] in
+  let b0, b1, b2, b3, b4 =
+    match blocks f 5 with [ b0; b1; b2; b3; b4 ] -> (b0, b1, b2, b3, b4) | _ -> assert false
+  in
+  let open Ir.Types in
+  b0.term <- Branch (Cbool true, b1.bid, b2.bid);
+  b1.instrs <- [ Trap "always" ];
+  b1.term <- Goto b4.bid;
+  b4.term <- Goto b3.bid;
+  b2.term <- Goto b3.bid;
+  b3.term <- Ret;
+  let transfer b x =
+    if List.exists (function Trap _ -> true | _ -> false) (Ir.Func.block f b).instrs then
+      Fixpoint.Unreachable
+    else Fixpoint.Reached (List.sort_uniq compare (b :: x))
+  in
+  let s =
+    Fixpoint.solve f (toy ~direction:Fixpoint.Forward ~boundary:(Fixpoint.Reached []) ~transfer)
+  in
+  Alcotest.(check bool) "B4 in: unreachable" true (s.Fixpoint.flow_in.(b4.bid) = Fixpoint.Unreachable);
+  Alcotest.(check bool) "B4 out: unreachable" true
+    (s.Fixpoint.flow_out.(b4.bid) = Fixpoint.Unreachable);
+  Alcotest.(check bool) "B3 meets B2 alone" true
+    (s.Fixpoint.flow_in.(b3.bid) = Fixpoint.Reached [ b0.bid; b2.bid ])
+
+(* A transfer that never settles (a loop counter growing on every
+   visit) stops at the cap, and before a far cap the ambient fuel,
+   which every visit charges, cuts it off. *)
+let test_fixpoint_non_monotone_capped () =
+  let f = func_of loop_src in
+  let visits = ref 0 in
+  let problem =
+    {
+      Fixpoint.direction = Fixpoint.Forward;
+      boundary = Fixpoint.Reached 0;
+      join =
+        (fun ~sweep:_ ~prev:_ _ live ->
+          Fixpoint.Reached (List.fold_left (fun acc (_, x) -> max acc x) 0 live));
+      transfer =
+        (fun _ x ->
+          incr visits;
+          Fixpoint.Reached (x + 1));
+      equal = Int.equal;
+    }
+  in
+  let s = Fixpoint.solve ~cap:5 f problem in
+  Alcotest.(check bool) "not converged" false s.Fixpoint.converged;
+  let reachable = List.length (Ir.Func.rpo f) in
+  Alcotest.(check bool) "at most 5 sweeps" true (!visits <= 5 * reachable);
+  (* a cap far past the fuel, so a solve that stopped ticking fails
+     here instead of spinning *)
+  let guard = Nascent_support.Guard.fuel ~what:"toy" ~budget:1000 in
+  match Nascent_support.Guard.with_fuel guard (fun () -> Fixpoint.solve ~cap:100_000 f problem) with
+  | _ -> Alcotest.fail "the fuel did not cut off a divergent solve"
+  | exception Nascent_support.Guard.Fuel_exhausted "toy" -> ()
+
 let suite =
   [
     tc "dom: entry dominates all" test_dom_entry_dominates_all;
@@ -311,4 +412,7 @@ let suite =
     tc "solver: kill" test_solver_kill;
     tc "solver: backward" test_solver_backward;
     tc "solver: backward, no exit" test_solver_backward_no_exit;
+    tc "fixpoint: backward boundary at no-exit blocks" test_fixpoint_backward_no_exit;
+    tc "fixpoint: unreachable past a trap" test_fixpoint_unreachable_past_trap;
+    tc "fixpoint: non-monotone instance stops at its cap" test_fixpoint_non_monotone_capped;
   ]

@@ -3,15 +3,12 @@
    deadlines). *)
 
 open Util
-open Alloc_words
 module Bitset = Nascent_support.Bitset
 module Vec = Nascent_support.Vec
 module Json = Nascent_support.Json
 module Retry = Nascent_support.Retry
 module Breaker = Nascent_support.Breaker
 module Guard = Nascent_support.Guard
-module Frame = Nascent_support.Frame
-module Suite = Nascent_benchmarks.Suite
 
 let test_bitset_basic () =
   let b = Bitset.create 100 in
@@ -304,78 +301,6 @@ let test_json_accessors () =
   Alcotest.(check (option int)) "shape mismatch" None (Json.int_member "s" v);
   Alcotest.(check (option int)) "non-object" None (Json.int_member "s" (Json.Int 3))
 
-(* --- allocation bounds on the request path ------------------------------
-
-   Words allocated are the same on every host, so these bounds hold
-   wherever the suite runs: a codec that starts copying a request's
-   source per byte, or twice, fails them. *)
-
-let test_json_parse_alloc_bound () =
-  List.iter
-    (fun (b : Suite.benchmark) ->
-      let req = compile_request b.Suite.source in
-      let parsed, words = allocated_words (fun () -> Json.parse req) in
-      Alcotest.(check (option string))
-        (b.Suite.name ^ ": source decoded") (Some b.Suite.source)
-        (Option.bind (Result.to_option parsed) (Json.str_member "source"));
-      let bound = string_words b.Suite.source + 256 in
-      if words > bound then
-        Alcotest.failf "%s: parsing a %d-byte request allocated %d words, bound %d"
-          b.Suite.name (String.length req) words bound)
-    Suite.all
-
-(* --- allocation budgets on the compile path -----------------------------
-
-   A compile's garbage is paid by every domain of a daemon (each minor
-   collection stops them all), so the words it allocates are budgeted
-   like the codec's above. *)
-
-module Config = Nascent_core.Config
-
-(* The compile a daemon runs on a miss: frontend, lowering, and the
-   optimizer with the verifier on, over the 160 plain suite cells
-   (10 programs x 8 schemes x PRX/INX). *)
-let test_compile_alloc_budget () =
-  let cells =
-    List.concat_map
-      (fun (b : Suite.benchmark) ->
-        List.concat_map
-          (fun scheme ->
-            List.map (fun kind -> (b, Config.make ~scheme ~kind ())) [ Config.PRX; Config.INX ])
-          Config.[ NI; CS; LNI; SE; LI; LLS; ALL; MCM ])
-      Suite.all
-  in
-  let compile ((b : Suite.benchmark), config) =
-    let _, env = Nascent_frontend.Frontend.analyze_exn b.Suite.source in
-    ignore (Nascent_core.Optimizer.optimize ~config (Nascent_ir.Lower.lower_program env))
-  in
-  compile (List.hd cells);
-  let (), words = allocated_words (fun () -> List.iter compile cells) in
-  let mean = words / List.length cells in
-  let budget = 150_000 in
-  if mean > budget then
-    Alcotest.failf "a plain suite compile allocates %d words on average, budget %d" mean
-      budget
-
-(* The compile response is printed once, into its frame. *)
-let test_compile_response_alloc_bound () =
-  let svc = Nascent_harness.Service.create () in
-  let h = Nascent_harness.Service.handler svc in
-  List.iter
-    (fun (b : Suite.benchmark) ->
-      let req =
-        match Json.parse (compile_request b.Suite.source) with
-        | Ok r -> r
-        | Error e -> Alcotest.failf "request: %s" e
-      in
-      let resp = h.Nascent_support.Server.handle req in
-      let frame, words = allocated_words (fun () -> Frame.encode_json ~id:7 resp) in
-      let bound = string_words frame + 64 in
-      if words > bound then
-        Alcotest.failf "%s: printing a %d-byte compile response allocated %d words, bound %d"
-          b.Suite.name (String.length frame) words bound)
-    Suite.all
-
 (* --- Retry: deterministic backoff -------------------------------------- *)
 
 let test_retry_delay_deterministic () =
@@ -646,7 +571,4 @@ let suite =
     tc "guard: mem pressure without abort" test_mem_watchdog_pressure_without_abort;
     QCheck_alcotest.to_alcotest prop_json_string_roundtrip;
     QCheck_alcotest.to_alcotest prop_json_unicode_escapes;
-    tc "json: parse allocation bound" test_json_parse_alloc_bound;
-    tc "compile: allocation budget" test_compile_alloc_budget;
-    tc "service: compile response allocation bound" test_compile_response_alloc_bound;
   ]

@@ -21,6 +21,17 @@ STACK=$(cat lib/support/*.ml lib/support/*.mli lib/harness/service.ml bin/*.ml |
     || { echo "FAIL: the serving stack is $STACK lines, over the 5,700-line bar" >&2; exit 1; }
 echo "serving stack OK: $STACK lines (bar 5,700)"
 
+# --- optimizer-core size bar ------------------------------------------
+# ROADMAP item 10's bar on the optimizer core, counted as
+# `cat lib/ir/*.ml* lib/analysis/*.ml* lib/core/*.ml* | wc -l`: a new
+# data-flow problem arrives as an instance of the fixpoint engine
+# (lib/ir/fixpoint.ml), not as another hand-written loop.
+
+CORE=$(cat lib/ir/*.ml* lib/analysis/*.ml* lib/core/*.ml* | wc -l)
+[ "$CORE" -le 6917 ] \
+    || { echo "FAIL: the optimizer core is $CORE lines, over the 6,917-line bar" >&2; exit 1; }
+echo "optimizer core OK: $CORE lines (bar 6,917)"
+
 # --- compile-service smoke --------------------------------------------
 
 SOCK="${TMPDIR:-/tmp}/nascent-ci-$$.sock"
