@@ -163,7 +163,7 @@ let () =
           Alcotest.test_case "memo: key allocation bound" `Quick test_memo_key_alloc_bound;
           Alcotest.test_case "json: parse allocation bound" `Quick test_json_parse_alloc_bound;
           Alcotest.test_case "compile: allocation budget" `Quick test_compile_alloc_budget;
-          Alcotest.test_case "service: compile response allocation bound" `Quick
+          Alcotest.test_case "service: compile response allocation" `Quick
             test_compile_response_alloc_bound;
         ] );
     ]
