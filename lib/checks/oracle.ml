@@ -214,12 +214,14 @@ let unsat_exn fuel (cs : Check.t list) : bool =
     match pick sys with
     | -1 -> false (* purely constant system, nothing refuted: sat *)
     | x ->
+        Work.round ();
         project fuel sys x;
         go ()
   in
   sys.n > 0 && go ()
 
 let refute (cs : Check.t list) : bool =
+  Work.refutation ();
   let fuel = Guard.fuel ~what:budget_name ~budget:fuel_budget in
   try unsat_exn fuel cs with
   | Refuted -> true
@@ -391,6 +393,7 @@ module Hyps = struct
     match Goals.find_opt h.goals goal with
     | Some v -> v
     | None ->
+        Work.goal ();
         let v = decide h goal in
         Goals.add h.goals goal v;
         v

@@ -84,6 +84,7 @@ type stats = {
   validation : Ir.Validate.t option;
       (* the translation-validation certificate; [None] unless the
          compile ran with [Config.oracle] *)
+  work : Nascent_checks.Work.t; (* the proof engine's deterministic work counts *)
 }
 
 let empty_stats config =
@@ -105,6 +106,7 @@ let empty_stats config =
     faults_injected = 0;
     elapsed_s = 0.0;
     validation = None;
+    work = Nascent_checks.Work.zero;
   }
 
 (* [validated] folds the certificate to the wire-friendly triple:
@@ -154,6 +156,7 @@ let add a b =
       (match (a.validation, b.validation) with
       | None, v | v, None -> v
       | Some va, Some vb -> Some (Ir.Validate.merge va vb));
+    work = Nascent_checks.Work.add a.work b.work;
   }
 
 (* Optimize one function in place.
@@ -167,6 +170,7 @@ let add a b =
    always-safe NI configuration instead of the compile failing. *)
 let optimize_func (config : Config.t) (f : Ir.Func.t) : stats =
   let t0 = Mclock.counter () in
+  let w0 = Nascent_checks.Work.now () in
   let fault = config.Config.fault in
   (* Fault injection is only meaningful under the detection oracle. *)
   let verify = config.Config.verify || fault <> None in
@@ -425,6 +429,7 @@ let optimize_func (config : Config.t) (f : Ir.Func.t) : stats =
       faults_injected = !faults_injected;
       elapsed_s = Mclock.elapsed_s t0;
       validation;
+      work = Nascent_checks.Work.since w0;
     }
   in
   Log.info (fun m ->
@@ -534,6 +539,9 @@ let stats_to_json (s : stats) : Json.t =
         ("passes", Json.List (List.map pass s.passes));
         ("faults_injected", Json.Int s.faults_injected);
         ("incidents", Json.List (List.map incident_to_json s.incidents));
+        ( "work",
+          Json.Obj
+            (List.map (fun (k, n) -> (k, Json.Int n)) (Nascent_checks.Work.fields s.work)) );
       ]
     @
     match s.validation with

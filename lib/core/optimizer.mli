@@ -92,6 +92,9 @@ type stats = {
       (** the translation-validation certificate ({!Nascent_ir.Validate}):
           proven/failed coverage of every reference check site. [None]
           unless the compile ran with [Config.oracle]. *)
+  work : Nascent_checks.Work.t;
+      (** the proof engine's deterministic work counts, validation
+          included ({!Nascent_checks.Work}) *)
 }
 
 val validated : stats -> bool option

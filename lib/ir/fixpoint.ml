@@ -37,6 +37,7 @@ let iterate ?(cap = max_int) (f : Func.t) direction visit =
         if stale.(b) then begin
           stale.(b) <- false;
           Guard.tick_ambient ();
+          Nascent_checks.Work.visit ();
           if visit ~sweep:!sweep b (if is_boundary b then [] else sources.(b)) then begin
             changed := true;
             List.iter (fun d -> stale.(d) <- true) dependents.(b)

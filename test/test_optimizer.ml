@@ -571,12 +571,23 @@ let oracle_cell_line label (st : Core.Optimizer.stats) =
                  (Core.Optimizer.cause_name i.inc_cause))
              is))
 
+(* The same cell's work counts ({!Nascent_checks.Work}):
+   work_counts.expected pins them, so a change that claims to move only
+   constant factors of the proof engine must leave them as they are. *)
+let work_line label (st : Core.Optimizer.stats) =
+  String.concat " "
+    (label
+    :: List.map
+         (fun (k, n) -> Printf.sprintf "%s=%d" k n)
+         (Nascent_checks.Work.fields st.Core.Optimizer.work))
+
 let oracle_cell label ~scheme ~kind ir =
   let config = Config.make ~scheme ~kind ~oracle:true () in
   let label =
     Printf.sprintf "%s %s+O/%s" label (Config.scheme_name scheme) (Config.kind_name kind)
   in
-  oracle_cell_line label (snd (Core.Optimizer.optimize ~config ir))
+  let st = snd (Core.Optimizer.optimize ~config ir) in
+  (oracle_cell_line label st, work_line label st)
 
 let kinds = [ Config.PRX; Config.INX ]
 
@@ -602,24 +613,32 @@ let oracle_random_lines () =
         kinds)
     (List.init 100 succ)
 
-let oracle_expected =
-  lazy
-    (In_channel.with_open_bin "oracle_cells.expected" In_channel.input_all
-    |> String.split_on_char '\n'
-    |> List.filter (( <> ) ""))
+let golden file =
+  In_channel.with_open_bin file In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (( <> ) "")
 
 (* Each line starts with its cell's label, so a failure names the cell. *)
-let check_oracle_cells ~random lines =
-  let expected =
-    List.filter
-      (fun l -> String.starts_with ~prefix:"random-" l = random)
-      (Lazy.force oracle_expected)
-  in
+let check_lines what expected lines =
   Alcotest.(check int) "cells" (List.length expected) (List.length lines);
-  List.iter2 (Alcotest.(check string) "oracle cell") expected lines
+  List.iter2 (Alcotest.(check string) what) expected lines
 
-let test_oracle_cells_benchmarks () = check_oracle_cells ~random:false (oracle_bench_lines ())
-let test_oracle_cells_random () = check_oracle_cells ~random:true (oracle_random_lines ())
+let bench_cells = lazy (oracle_bench_lines ())
+let random_cells = lazy (oracle_random_lines ())
+
+let check_oracle_cells ~random cells =
+  check_lines "oracle cell"
+    (List.filter
+       (fun l -> String.starts_with ~prefix:"random-" l = random)
+       (golden "oracle_cells.expected"))
+    (List.map fst (Lazy.force cells))
+
+let test_oracle_cells_benchmarks () = check_oracle_cells ~random:false bench_cells
+let test_oracle_cells_random () = check_oracle_cells ~random:true random_cells
+
+let test_work_counts () =
+  check_lines "work counts" (golden "work_counts.expected")
+    (List.map snd (Lazy.force bench_cells @ Lazy.force random_cells))
 
 (* The certificate checks the hint oracle-elim leaves it and trusts
    none of it. A poisoned hint adds to a block's honest facts
@@ -761,5 +780,6 @@ let suite =
     tc "ALL+O golden checks and certificates" test_all_o_golden;
     tc "oracle cells: benchmarks" test_oracle_cells_benchmarks;
     tc "oracle cells: random programs" test_oracle_cells_random;
+    tc "oracle cells: work counts" test_work_counts;
     tc "certificate: a wrong hint is never trusted" test_wrong_hint_never_trusted;
   ]
