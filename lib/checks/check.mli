@@ -41,7 +41,12 @@ val implies_within_family : t -> t -> bool
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
+
 val hash : t -> int
+(** Cached at construction, as are {!family_hash} and {!atom_keys}. *)
+
+val family_hash : t -> int
+(** The hash of the range expression: equal for checks of one family. *)
 
 val compile_time_value : t -> bool option
 (** [Some v] when the check has no symbolic terms ([0 <= k]); step 5 of
@@ -51,6 +56,7 @@ val mentions_key : t -> int -> bool
 (** Is the check killed by a definition of the atom with this key? *)
 
 val atom_keys : t -> int list
+(** The keys of the range expression's atoms, increasing. *)
 
 val gcd_normalize : t -> t
 (** Re-normalize an existing check with the gcd rule. *)

@@ -22,8 +22,12 @@ let cadd a b =
   if (a >= 0 && b >= 0 && s < 0) || (a < 0 && b < 0 && s >= 0) then raise Overflow;
   s
 
+(* Operands below 2^30 in magnitude cannot overflow a 63-bit product. *)
+let small = 1 lsl 30
+
 let cmul a b =
   if a = 0 || b = 0 then 0
+  else if a < small && a > -small && b < small && b > -small then a * b
   else
     let p = a * b in
     (* min_int / -1 itself overflows, so test it first. *)

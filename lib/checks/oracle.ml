@@ -48,11 +48,13 @@ exception Unknown
    appearance. A row is an [int] array: its [w] coefficients, its
    constant ([c.(0)*x0 + ... <= c.(w)]), then a hash of the
    coefficients. The live rows are [rows.(0 .. n-1)], no two with the
-   same coefficients, and [pos.(j)] / [neg.(j)] count those with a
-   positive / negative coefficient in column [j]. *)
+   same coefficients, [hs.(i)] is [rows.(i)]'s hash, and [pos.(j)] /
+   [neg.(j)] count those with a positive / negative coefficient in
+   column [j]. *)
 type system = {
   w : int;
   mutable rows : int array array;
+  mutable hs : int array;
   mutable n : int;
   pos : int array;
   neg : int array;
@@ -74,13 +76,10 @@ let count sys row d =
 
 (* the index of the live row with [row]'s coefficients, or -1 *)
 let find_row sys (row : int array) =
-  let w = sys.w in
+  let w = sys.w and h = row.(sys.w + 1) and hs = sys.hs in
   let rec same (r : int array) j = j < 0 || (r.(j) = row.(j) && same r (j - 1)) in
   let rec go i =
-    if i = sys.n then -1
-    else
-      let r = sys.rows.(i) in
-      if r.(w + 1) = row.(w + 1) && same r (w - 1) then i else go (i + 1)
+    if i = sys.n then -1 else if hs.(i) = h && same sys.rows.(i) (w - 1) then i else go (i + 1)
   in
   go 0
 
@@ -114,11 +113,14 @@ let add_row sys (row : int array) =
     match find_row sys row with
     | -1 ->
         if sys.n = Array.length sys.rows then begin
-          let grown = Array.make (2 * sys.n) [||] in
+          let grown = Array.make (2 * sys.n) [||] and hs = Array.make (2 * sys.n) 0 in
           Array.blit sys.rows 0 grown 0 sys.n;
-          sys.rows <- grown
+          Array.blit sys.hs 0 hs 0 sys.n;
+          sys.rows <- grown;
+          sys.hs <- hs
         end;
         sys.rows.(sys.n) <- row;
+        sys.hs.(sys.n) <- !h;
         sys.n <- sys.n + 1;
         count sys row 1
     | i ->
@@ -126,33 +128,118 @@ let add_row sys (row : int array) =
         if row.(w) < r.(w) then r.(w) <- row.(w)
   end
 
-let system_of (cs : Check.t list) : system =
-  let terms = List.map (fun c -> Linexpr.terms (Check.lhs c)) cs in
-  let keys = Array.make (List.fold_left (fun n t -> n + List.length t) 0 terms) 0 in
-  let w = ref 0 in
-  let column k =
-    let rec go j = if j = !w then -1 else if keys.(j) = k then j else go (j + 1) in
-    go 0
-  in
+(* A constraint ready to enter a system: its atoms, as the dense ids
+   the compile's context gives them, with their coefficients, in the
+   check's term order, and its constant. Each check's row is computed
+   once per compile; a query only numbers its rows' atoms as columns. *)
+type prerow = { atoms : int array; coeffs : int array; k : int }
+
+module Keys = Hashtbl.Make (Int)
+module Checks = Hashtbl.Make (Check)
+
+module Queries = Hashtbl.Make (struct
+  type t = Check.t array
+
+  let equal a b = Array.length a = Array.length b && Array.for_all2 Check.equal a b
+  let hash cs = Array.fold_left (fun h c -> (h * 31) + Check.hash c) 0 cs
+end)
+
+(* A compile's oracle context: dense ids for the atoms it meets, the
+   row of every check it meets, scratch arrays indexed by atom id, and
+   (in a {!Cache}) the memo of refutations. A scratch slot holds a
+   value of the current system or handle iff its [mark] is the current
+   [stamp]; each new one takes a fresh stamp, so nothing is reset. *)
+type ctx = {
+  memo : bool Queries.t option;
+  atom_ids : int Keys.t;
+  rows : prerow Checks.t;
+  mutable stamp : int;
+  mutable mark : int array;
+  mutable col : int array; (* atom -> its column, or its component *)
+  mutable parent : int array; (* atom -> union-find parent *)
+}
+
+let context memo =
+  {
+    memo;
+    atom_ids = Keys.create 64;
+    rows = Checks.create 256;
+    stamp = 0;
+    mark = [||];
+    col = [||];
+    parent = [||];
+  }
+
+let fresh_stamp ctx =
+  ctx.stamp <- ctx.stamp + 1;
+  ctx.stamp
+
+let atom_id ctx key =
+  match Keys.find_opt ctx.atom_ids key with
+  | Some a -> a
+  | None ->
+      let a = Keys.length ctx.atom_ids in
+      Keys.add ctx.atom_ids key a;
+      if a >= Array.length ctx.col then begin
+        let grow old fill =
+          let b = Array.make (max 64 (2 * a)) fill in
+          Array.blit old 0 b 0 (Array.length old);
+          b
+        in
+        ctx.mark <- grow ctx.mark 0;
+        ctx.col <- grow ctx.col 0;
+        ctx.parent <- grow ctx.parent 0
+      end;
+      a
+
+let row ctx (c : Check.t) : prerow =
+  match Checks.find_opt ctx.rows c with
+  | Some r -> r
+  | None ->
+      let terms = Array.of_list (Linexpr.terms (Check.lhs c)) in
+      let r =
+        {
+          atoms = Array.map (fun (a, _) -> atom_id ctx (Atom.key a)) terms;
+          coeffs = Array.map snd terms;
+          k = Check.constant c;
+        }
+      in
+      Checks.add ctx.rows c r;
+      r
+
+(* The system of [rows]. Columns are the rows' atoms numbered in order
+   of first appearance. *)
+let system_of ctx (rows : prerow list) : system =
+  let s = fresh_stamp ctx and mark = ctx.mark and col = ctx.col and w = ref 0 in
   List.iter
-    (List.iter (fun (a, _) ->
-         let k = Atom.key a in
-         if column k < 0 then begin
-           keys.(!w) <- k;
-           incr w
-         end))
-    terms;
+    (fun r ->
+      Array.iter
+        (fun a ->
+          if mark.(a) <> s then begin
+            mark.(a) <- s;
+            col.(a) <- !w;
+            incr w
+          end)
+        r.atoms)
+    rows;
   let w = !w in
   let sys =
-    { w; rows = Array.make 16 [||]; n = 0; pos = Array.make w 0; neg = Array.make w 0 }
+    {
+      w;
+      rows = Array.make 16 [||];
+      hs = Array.make 16 0;
+      n = 0;
+      pos = Array.make w 0;
+      neg = Array.make w 0;
+    }
   in
-  List.iter2
-    (fun c t ->
+  List.iter
+    (fun r ->
       let row = Array.make (w + 2) 0 in
-      List.iter (fun (a, co) -> row.(column (Atom.key a)) <- co) t;
-      row.(w) <- Check.constant c;
+      Array.iteri (fun i a -> row.(col.(a)) <- r.coeffs.(i)) r.atoms;
+      row.(w) <- r.k;
       add_row sys row)
-    cs terms;
+    rows;
   sys
 
 (* The column with the fewest pos*neg pairings (the classic FM
@@ -180,6 +267,7 @@ let project fuel sys x =
     let r = sys.rows.(i) in
     if r.(x) = 0 then begin
       sys.rows.(!live) <- r;
+      sys.hs.(!live) <- sys.hs.(i);
       incr live
     end
     else begin
@@ -205,8 +293,8 @@ let project fuel sys x =
         !ns)
     !ps
 
-let unsat_exn fuel (cs : Check.t list) : bool =
-  let sys = system_of cs in
+let unsat_exn fuel ctx (rows : prerow list) : bool =
+  let sys = system_of ctx rows in
   let rec go () =
     Guard.tick fuel;
     Guard.tick_ambient ();
@@ -220,10 +308,10 @@ let unsat_exn fuel (cs : Check.t list) : bool =
   in
   sys.n > 0 && go ()
 
-let refute (cs : Check.t list) : bool =
+let refute ctx (rows : prerow list) : bool =
   Work.refutation ();
   let fuel = Guard.fuel ~what:budget_name ~budget:fuel_budget in
-  try unsat_exn fuel cs with
+  try unsat_exn fuel ctx rows with
   | Refuted -> true
   | Unknown | Linexpr.Overflow -> false
   | Guard.Fuel_exhausted w when w = budget_name -> false
@@ -242,113 +330,123 @@ let negate (c : Check.t) : Check.t =
    — its order numbers the columns, which break ties in the column
    pick — stored as an array. Only completed answers are stored: an
    ambient budget or deadline that fires mid-query propagates and
-   records nothing. *)
+   records nothing. The memo comes with the compile's oracle context,
+   so its atom ids and rows are computed once too. *)
 module Cache = struct
-  module Tbl = Hashtbl.Make (struct
-    type t = Check.t array
+  type t = ctx
 
-    let equal a b = Array.length a = Array.length b && Array.for_all2 Check.equal a b
-    let hash cs = Array.fold_left (fun h c -> (h * 31) + Check.hash c) 0 cs
-  end)
-
-  type t = bool Tbl.t
-
-  let create () : t = Tbl.create 64
+  let create () = context (Some (Queries.create 64))
 end
 
-let unsat ?cache (cs : Check.t list) : bool =
-  match cache with
-  | None -> refute cs
-  | Some c -> (
-      let key = Array.of_list cs in
-      match Cache.Tbl.find_opt c key with
+let ctx_of = function Some c -> c | None -> context None
+
+(* [unsat_rows ctx key rows]: is [key], whose rows are [rows],
+   unsatisfiable? *)
+let unsat_rows ctx key rows : bool =
+  match ctx.memo with
+  | None -> refute ctx (Lazy.force rows)
+  | Some memo -> (
+      match Queries.find_opt memo key with
       | Some v -> v
       | None ->
-          let v = refute cs in
-          Cache.Tbl.add c key v;
+          let v = refute ctx (Lazy.force rows) in
+          Queries.add memo key v;
           v)
 
-(* --- hypothesis handles ----------------------------------------------- *)
+let unsat ?cache (cs : Check.t list) : bool =
+  let ctx = ctx_of cache in
+  unsat_rows ctx (Array.of_list cs) (lazy (List.map (row ctx) cs))
 
-(* atom keys: small non-negative ints *)
-module Keys = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash k = k land max_int
-end)
-
-module Goals = Hashtbl.Make (struct
-  type t = Check.t
-
-  let equal = Check.equal
-  let hash = Check.hash
-end)
+module Goals = Hashtbl.Make (Check)
 
 (* A hypothesis set split once into variable-disjoint components (a
-   union–find over atom keys). A hypothesis outside the components a
-   goal's atoms touch cannot take part in refuting the goal's negation,
-   so a goal runs elimination on its negation plus the touched
-   components. The untouched ones still matter in one way: a
-   contradictory set implies everything, and variable-disjoint blocks
-   are unsatisfiable iff one of them is. So when elimination fails, the
-   goal holds iff an untouched component is unsatisfiable, and each
-   component's satisfiability is decided once per handle, the first
-   time a goal needs it. Every memo holds completed answers only. *)
+   union–find over the atom ids of the compile's context). A hypothesis
+   outside the components a goal's atoms touch cannot take part in
+   refuting the goal's negation, so a goal runs elimination on its
+   negation plus the touched components. The untouched ones still
+   matter in one way: a contradictory set implies everything, and
+   variable-disjoint blocks are unsatisfiable iff one of them is. So
+   when elimination fails, the goal holds iff an untouched component is
+   unsatisfiable, and each component's satisfiability is decided once
+   per handle, the first time a goal needs it. Every memo holds
+   completed answers only. *)
 module Hyps = struct
   type t = {
-    cache : Cache.t option;
+    ctx : ctx;
+    vocab : int array; (* the hypotheses' atoms, in order of first appearance *)
+    comp_of : int array; (* [vocab.(i)]'s component *)
     constants : Check.t list; (* hypotheses without atoms: [0 <= k] *)
     comps : Check.t array array; (* rows in hypothesis order *)
+    rows : prerow array array; (* [comps], ready for a system *)
     comp_unsat : bool option array;
     goals : bool Goals.t;
   }
 
   let make ?cache (hyps : Check.t list) : t =
-    let parent = Keys.create 16 in
-    let rec find k =
-      let p = Keys.find parent k in
-      if p = k then k
+    let ctx = ctx_of cache in
+    let hs = Array.of_list hyps in
+    let rs = Array.map (row ctx) hs in
+    let s = fresh_stamp ctx and mark = ctx.mark and parent = ctx.parent and comp = ctx.col in
+    let vocab = ref [] in
+    Array.iter
+      (fun r ->
+        Array.iter
+          (fun a ->
+            if mark.(a) <> s then begin
+              mark.(a) <- s;
+              parent.(a) <- a;
+              comp.(a) <- -1;
+              vocab := a :: !vocab
+            end)
+          r.atoms)
+      rs;
+    let rec find a =
+      let p = parent.(a) in
+      if p = a then a
       else
         let r = find p in
-        Keys.replace parent k r;
+        parent.(a) <- r;
         r
     in
-    List.iter
-      (fun h ->
-        match Check.atom_keys h with
-        | [] -> ()
-        | k0 :: _ as ks ->
-            List.iter (fun k -> if not (Keys.mem parent k) then Keys.add parent k k) ks;
-            let r0 = find k0 in
-            List.iter
-              (fun k ->
-                let r = find k in
-                if r <> r0 then Keys.replace parent r r0)
-              ks)
-      hyps;
-    (* components in order of first appearance *)
-    let index = Keys.create 8 and rows = ref [] and constants = ref [] in
-    List.iter
-      (fun h ->
-        match Check.atom_keys h with
-        | [] -> constants := h :: !constants
-        | k :: _ -> (
-            let r = find k in
-            match Keys.find_opt index r with
-            | Some i -> rows := (i, h) :: !rows
-            | None ->
-                let i = Keys.length index in
-                Keys.add index r i;
-                rows := (i, h) :: !rows))
-      hyps;
-    let comps = Array.make (Keys.length index) [] in
-    List.iter (fun (i, h) -> comps.(i) <- h :: comps.(i)) !rows;
+    Array.iter
+      (fun r ->
+        if Array.length r.atoms > 0 then begin
+          let r0 = find r.atoms.(0) in
+          Array.iter
+            (fun a ->
+              let ra = find a in
+              if ra <> r0 then parent.(ra) <- r0)
+            r.atoms
+        end)
+      rs;
+    (* components in order of first appearance, numbered at their roots *)
+    let ncomps = ref 0 and of_hyp = Array.make (Array.length hs) (-1) in
+    Array.iteri
+      (fun i r ->
+        if Array.length r.atoms > 0 then begin
+          let root = find r.atoms.(0) in
+          if comp.(root) < 0 then begin
+            comp.(root) <- !ncomps;
+            incr ncomps
+          end;
+          of_hyp.(i) <- comp.(root)
+        end)
+      rs;
+    let members = Array.make !ncomps [] and constants = ref [] in
+    for i = Array.length hs - 1 downto 0 do
+      match of_hyp.(i) with
+      | -1 -> constants := hs.(i) :: !constants
+      | c -> members.(c) <- i :: members.(c)
+    done;
+    let vocab = Array.of_list (List.rev !vocab) in
     {
-      cache;
+      ctx;
+      vocab;
+      comp_of = Array.map (fun a -> comp.(find a)) vocab;
       constants = !constants;
-      comps = Array.map Array.of_list comps;
-      comp_unsat = Array.make (Array.length comps) None;
+      comps = Array.map (fun m -> Array.of_list (List.map (Array.get hs) m)) members;
+      rows = Array.map (fun m -> Array.of_list (List.map (Array.get rs) m)) members;
+      comp_unsat = Array.make !ncomps None;
       goals = Goals.create 4;
     }
 
@@ -356,18 +454,26 @@ module Hyps = struct
     match h.comp_unsat.(i) with
     | Some v -> v
     | None ->
-        let v = unsat ?cache:h.cache (Array.to_list h.comps.(i)) in
+        let v = unsat_rows h.ctx h.comps.(i) (lazy (Array.to_list h.rows.(i))) in
         h.comp_unsat.(i) <- Some v;
         v
 
   let decide h (goal : Check.t) : bool =
-    let keys = Check.atom_keys goal in
-    let touched =
-      Array.map (Array.exists (fun r -> List.exists (Check.mentions_key r) keys)) h.comps
-    in
-    let rows = ref [] in
+    let touched = Array.make (Array.length h.comps) false in
+    Array.iter
+      (fun a ->
+        let rec go i =
+          if i < Array.length h.vocab then
+            if h.vocab.(i) = a then touched.(h.comp_of.(i)) <- true else go (i + 1)
+        in
+        go 0)
+      (row h.ctx goal).atoms;
+    let rows = ref [] and pre = ref [] in
     for i = Array.length h.comps - 1 downto 0 do
-      if touched.(i) then rows := Array.fold_right List.cons h.comps.(i) !rows
+      if touched.(i) then begin
+        rows := Array.fold_right List.cons h.comps.(i) !rows;
+        pre := Array.fold_right List.cons h.rows.(i) !pre
+      end
     done;
     let rows = !rows in
     (* Fast path: the within-family constant comparison needs no
@@ -381,7 +487,7 @@ module Hyps = struct
     | exception Linexpr.Overflow -> false
     | ng ->
         List.exists (fun c -> Check.constant c < 0) h.constants
-        || unsat ?cache:h.cache (ng :: rows)
+        || unsat_rows h.ctx (Array.of_list (ng :: rows)) (lazy (row h.ctx ng :: !pre))
         ||
         let rec untouched_unsat i =
           i < Array.length h.comps

@@ -19,9 +19,11 @@ let mode_name = function
   | Cross_family_only -> "cross-family-only"
   | All_implications -> "all-impl"
 
+module Index = Hashtbl.Make (Check)
+
 type t = {
   cig : Cig.t;
-  index : (Check.t, int) Hashtbl.t;
+  index : int Index.t;
   checks : Check.t array;
   families : int array; (* check index -> family id *)
   mode : mode;
@@ -42,7 +44,7 @@ let mode t = t.mode
 
 let check t i = t.checks.(i)
 
-let index_of t c = Hashtbl.find_opt t.index c
+let index_of t c = Index.find_opt t.index c
 
 let index_of_exn t c =
   match index_of t c with
@@ -56,9 +58,7 @@ let family t i = t.families.(i)
    occurring in just one of the two constraints is unbounded in the
    direction the refutation would need. Cheap pre-filter that keeps the
    O(n^2) oracle sweep of [build] from querying hopeless pairs. *)
-let same_atom_keys a b =
-  let ka = Check.atom_keys a and kb = Check.atom_keys b in
-  List.length ka = List.length kb && List.for_all2 ( = ) ka kb
+let same_atom_keys a b = List.equal Int.equal (Check.atom_keys a) (Check.atom_keys b)
 
 let oracle_proves oracle (arr : Check.t array) i j same_fam =
   match oracle with
@@ -81,13 +81,13 @@ let oracle_proves oracle (arr : Check.t array) i j same_fam =
    compile's own: every pass rebuilds the universe, and the pairs
    repeat. *)
 let build ~cig ~mode ?oracle (checks : Check.t list) : t =
-  let index = Hashtbl.create 64 in
+  let index = Index.create 64 in
   let distinct =
     List.filter
       (fun c ->
-        if Hashtbl.mem index c then false
+        if Index.mem index c then false
         else begin
-          Hashtbl.replace index c (Hashtbl.length index);
+          Index.replace index c (Index.length index);
           true
         end)
       checks

@@ -92,27 +92,16 @@ let merge a b =
     fallbacks = a.fallbacks + b.fallbacks;
   }
 
-module CSet = Set.Make (Check)
+module Intern = Nascent_checks.Intern
+module Ids = Intern.Ids
 
-module Cond = struct
-  (* guards => fact, from a [Cond_check]; guards sorted for canonical
-     set membership *)
-  type t = Check.t list * Check.t
+(* Facts and conditional facts [guards => fact] (from [Cond_check]s),
+   as sets of the compile's interned ids ({!Intern}). *)
+type hstate = { facts : Ids.t; conds : Ids.t }
 
-  let compare (g1, c1) (g2, c2) =
-    match List.compare Check.compare g1 g2 with
-    | 0 -> Check.compare c1 c2
-    | n -> n
-end
+let h_empty = { facts = Ids.empty; conds = Ids.empty }
 
-module CondSet = Set.Make (Cond)
-
-type hstate = { facts : CSet.t; conds : CondSet.t }
-
-let h_empty = { facts = CSet.empty; conds = CondSet.empty }
-
-let h_equal a b =
-  CSet.equal a.facts b.facts && CondSet.equal a.conds b.conds
+let h_equal a b = Ids.equal a.facts b.facts && Ids.equal a.conds b.conds
 
 (* --- boolean exprs as conjunctions of canonical constraints --------- *)
 
@@ -175,44 +164,22 @@ let constraints_of_opt ~positive atoms e =
 
 (* --- proofs ---------------------------------------------------------- *)
 
-(* One compile's entailment memo: an {!Oracle.Hyps} handle per fact
-   set, each memoising its own goals, over the oracle's refutation
-   memo. The semantic meet and the lockstep walk ask many goals of the
-   same fact set; a caller holding a handle asks them without hashing
-   the set again. Keys are compared as sets, so a handle answers as
-   [Oracle.implies] does on [CSet.elements facts].
+(* One compile's entailment memo: the {!Intern} pool of its checks,
+   which holds an {!Oracle.Hyps} handle per fact set, each memoising
+   its own goals, over the oracle's refutation memo. The semantic meet
+   and the lockstep walk ask many goals of the same fact set; a caller
+   holding a handle asks them without hashing the set again. A handle
+   answers as [Oracle.implies] does on the set's checks in
+   [Check.compare] order.
 
    [hint] is the block-entry states of the last ambient solve
    ({!Facts.ambient_entry}), left for the certificate to check. *)
 module Cache = struct
-  module Tbl = Hashtbl.Make (struct
-    type t = CSet.t
+  type t = { pool : Intern.t; mutable hint : hstate array option }
 
-    let equal f1 f2 = f1 == f2 || CSet.equal f1 f2
-    let hash facts = CSet.fold (fun c h -> (h * 31) + Check.hash c) facts 0
-  end)
-
-  type t = {
-    oracle : Oracle.Cache.t;
-    handles : Oracle.Hyps.t Tbl.t;
-    mutable hint : hstate array option;
-  }
-
-  let create () =
-    { oracle = Oracle.Cache.create (); handles = Tbl.create 256; hint = None }
-
-  let oracle t = t.oracle
+  let create () = { pool = Intern.create (); hint = None }
+  let oracle t = Intern.oracle t.pool
 end
-
-(* Building a handle cannot fail, so it is stored at once; the handle
-   itself records only completed answers. *)
-let handle (cache : Cache.t) (facts : CSet.t) : Oracle.Hyps.t =
-  match Cache.Tbl.find_opt cache.handles facts with
-  | Some h -> h
-  | None ->
-      let h = Oracle.Hyps.make ~cache:cache.oracle (CSet.elements facts) in
-      Cache.Tbl.add cache.handles facts h;
-      h
 
 (* One ambient tick per query, hit or miss, so the watchdogs still see
    every question asked. *)
@@ -220,42 +187,31 @@ let proves (h : Oracle.Hyps.t) (goal : Check.t) : bool =
   Guard.tick_ambient ();
   Oracle.Hyps.implies h goal
 
-let entails cache facts goal = proves (handle cache facts) goal
-
-(* Goals [facts] implies without the oracle: a compile-time truth, or a
-   check no stronger than the strongest of its family in [facts] (the
-   smallest constant of a family comes first in the set). *)
-let implied_in_family (facts : CSet.t) (goal : Check.t) : bool =
-  Check.compile_time_value goal = Some true
-  ||
-  let lhs = Check.lhs goal in
-  match CSet.find_first_opt (fun c -> Linexpr.compare (Check.lhs c) lhs >= 0) facts with
-  | Some c -> Check.implies_within_family c goal
-  | None -> false
+let entails (cache : Cache.t) facts goal = proves (Intern.handle cache.pool facts) goal
 
 (* [proves] for the fact set [facts ()], computed and looked up only
    when the first goal is asked, then held for every later goal. A
    [ref], not a [Lazy]: a computation cut off by an ambient budget
    leaves nothing behind. *)
-let prover cache (facts : unit -> CSet.t) : Check.t -> bool =
+let prover (cache : Cache.t) (facts : unit -> Ids.t) : int -> bool =
   let hd = ref None in
   fun goal ->
     let h =
       match !hd with
       | Some h -> h
       | None ->
-          let h = handle cache (facts ()) in
+          let h = Intern.handle cache.pool (facts ()) in
           hd := Some h;
           h
     in
-    proves h goal
+    proves h (Intern.check cache.pool goal)
 
 (* Activate every conditional fact whose guards the current facts
    prove, to fixpoint (each round either fires at least one pending
    conditional or stops, so it terminates in at most |conds| rounds). *)
-let close cache (h : hstate) : CSet.t =
+let close (cache : Cache.t) (h : hstate) : Ids.t =
   let facts = ref h.facts in
-  let pending = ref (CondSet.elements h.conds) in
+  let pending = ref (Intern.conds cache.pool h.conds) in
   let continue = ref (!pending <> []) in
   while !continue do
     continue := false;
@@ -264,7 +220,7 @@ let close cache (h : hstate) : CSet.t =
       List.filter
         (fun (gs, c) ->
           if List.for_all (fun g -> entails cache !facts g) gs then begin
-            facts := CSet.add c !facts;
+            facts := Ids.add (Intern.id cache.pool c) !facts;
             continue := true;
             false
           end
@@ -275,22 +231,9 @@ let close cache (h : hstate) : CSet.t =
 
 (* --- hypothesis-state transfer over optimized instructions ---------- *)
 
-let cond_mentions ((gs, c) : Cond.t) (k : int) : bool =
-  Check.mentions_key c k || List.exists (fun g -> Check.mentions_key g k) gs
-
-let kill_state (keys : int list) (h : hstate) : hstate =
+let kill_state pool (keys : int list) (h : hstate) : hstate =
   if keys = [] then h
-  else
-    {
-      facts =
-        CSet.filter
-          (fun c -> not (List.exists (fun k -> Check.mentions_key c k) keys))
-          h.facts;
-      conds =
-        CondSet.filter
-          (fun cd -> not (List.exists (cond_mentions cd) keys))
-          h.conds;
-    }
+  else { facts = Intern.kill pool keys h.facts; conds = Intern.kill_conds pool keys h.conds }
 
 (* Strongest postcondition of [v := e] over the hypothesis state:
    - pure self-increment [v := v + c]: every fact whose only killed
@@ -300,138 +243,159 @@ let kill_state (keys : int list) (h : hstate) : hstate =
      of [v] kills: facts mentioning [v] die, and the equality
      [v = e] enters as two inequalities;
    - anything else (opaque right-hand side, self-reference through an
-     opaque atom): plain kill. Conditional facts never shift. *)
-let assign_transfer atoms (v : var) (e : expr) (h : hstate) : hstate =
-  let killed = Atoms.killed_by_def atoms v in
-  let plain_kill () = kill_state killed h in
-  if v.vty <> Int then plain_kill ()
+     opaque atom): plain kill. Conditional facts never shift.
+   The assignment is linearized, and its facts interned, once, and each
+   fact's shift is computed once. What [v]'s definition kills is read at
+   every use, since linearizations may add opaque atoms that mention
+   [v]; the first use reads it as it was before this assignment's own
+   linearization, as a transfer that linearizes on every use would. *)
+let assign_transfer pool atoms (v : var) (e : expr) : hstate -> hstate =
+  let first = ref (Some (Atoms.killed_by_def atoms v)) in
+  let killed () =
+    match !first with
+    | Some k ->
+        first := None;
+        k
+    | None -> Atoms.killed_by_def atoms v
+  in
+  let plain_kill h = kill_state pool (killed ()) h in
+  if v.vty <> Int then plain_kill
   else
     match Canon.linearize atoms e with
-    | exception Linexpr.Overflow -> plain_kill ()
+    | exception Linexpr.Overflow -> plain_kill
     | le, c -> (
         let kv = Atom.key (Atoms.of_var atoms v) in
         match Linexpr.terms le with
         | [ (a, 1) ] when Atom.key a = kv ->
             (* v := v + c *)
-            let others = List.filter (fun k -> k <> kv) killed in
-            (* facts mentioning neither [v] nor a killed atom stay as
-               they are, sharing the set *)
-            let moved, stay =
-              CSet.partition
-                (fun chk -> List.exists (Check.mentions_key chk) (kv :: others))
-                h.facts
-            in
-            let shift chk acc =
-              if List.exists (fun k -> Check.mentions_key chk k) others then
-                acc
-              else
-                match
-                  Linexpr.checked_add (Check.constant chk)
-                    (Linexpr.checked_mul (Linexpr.coeff_of_key (Check.lhs chk) kv) c)
-                with
-                | k' -> CSet.add (Check.make (Check.lhs chk) k') acc
-                | exception Linexpr.Overflow -> acc
-            in
-            {
-              facts = CSet.fold shift moved stay;
-              conds =
-                CondSet.filter
-                  (fun cd -> not (List.exists (cond_mentions cd) killed))
-                  h.conds;
-            }
-        | _
-          when (not (Linexpr.mentions_key le kv))
-               && not (List.exists (Linexpr.mentions_key le) killed) -> (
-            let h = plain_kill () in
+            fun h ->
+              let killed = killed () in
+              let others = List.filter (fun k -> k <> kv) killed in
+              let moves = Intern.mentions pool (kv :: others) and dies = Intern.mentions pool others in
+              let shift i acc =
+                if moves i && not (dies i) then Intern.shift pool i ~key:kv ~by:c :: acc else acc
+              in
+              (* facts mentioning neither [v] nor a killed atom stay as
+                 they are, sharing the set *)
+              {
+                facts =
+                  Ids.union
+                    (Intern.kill pool (kv :: others) h.facts)
+                    (Ids.of_list (List.filter (fun j -> j >= 0) (Ids.fold shift h.facts [])));
+                conds = Intern.kill_conds pool killed h.conds;
+              }
+        | _ when not (Linexpr.mentions_key le kv) -> (
             let lv = Linexpr.of_atom (Atoms.of_var atoms v) in
             match
               ( Check.make (Linexpr.sub lv le) c,
                 Check.make (Linexpr.sub le lv) (Linexpr.checked_mul (-1) c) )
             with
-            | lo, hi -> { h with facts = CSet.add lo (CSet.add hi h.facts) }
-            | exception Linexpr.Overflow -> h)
-        | _ -> plain_kill ())
+            | lo, hi ->
+                let eq = Intern.of_checks pool [ lo; hi ] in
+                fun h ->
+                  let killed = killed () in
+                  let h = kill_state pool killed h in
+                  if List.exists (Linexpr.mentions_key le) killed then h
+                  else { h with facts = Ids.union h.facts eq }
+            | exception Linexpr.Overflow -> plain_kill)
+        | _ -> plain_kill)
 
-(* Transfer for one optimized-side instruction; [None] = code past an
-   unconditional trap (dead, hypotheses irrelevant). [checks:false] is
-   the {e ambient} variant: check instructions contribute nothing, so
-   the resulting facts depend only on assignments and branch structure
-   — exactly the facts that survive any further check deletion. *)
-let transfer ?(checks = true) cache atoms (h : hstate option) (i : instr) :
-    hstate option =
-  match h with
-  | None -> None
-  | Some h -> (
-      match i with
-      | Check m ->
-          if checks then Some { h with facts = CSet.add m.chk h.facts }
-          else Some h
-      | Cond_check _ when not checks -> Some h
-      | Cond_check (g, m) -> (
-          match constraints_of ~positive:true atoms g with
-          | exception Linexpr.Overflow -> Some h
-          | None -> Some h
-          | Some [] -> Some { h with facts = CSet.add m.chk h.facts }
-          | Some gs ->
-              let conds =
-                CondSet.add (List.sort Check.compare gs, m.chk) h.conds
-              in
-              let facts =
-                if List.for_all (entails cache h.facts) gs then
-                  CSet.add m.chk h.facts
-                else h.facts
-              in
-              Some { facts; conds })
-      | Trap _ -> None
-      | Assign (v, e) -> Some (assign_transfer atoms v e h)
-      | Store _ | Call _ -> Some (kill_state (Atoms.killed_by_store atoms) h)
-      | Print _ -> Some h)
+(* A conditional check's constraints: [Some []] when its guard holds
+   outright, [None] when it cannot be spelled. *)
+let guards_of atoms g =
+  match constraints_of ~positive:true atoms g with exception Linexpr.Overflow -> None | gs -> gs
+
+(* Transfer for one optimized-side instruction, prepared: its facts
+   interned and its assignment linearized before any state is given.
+   [None] = code past an unconditional trap (dead, hypotheses
+   irrelevant). [checks:false] is the {e ambient} variant: check
+   instructions contribute nothing, so the resulting facts depend only
+   on assignments and branch structure — exactly the facts that survive
+   any further check deletion. *)
+let prepare ?(checks = true) (cache : Cache.t) atoms (i : instr) : hstate -> hstate option =
+  let pool = cache.pool in
+  let adds c =
+    let c = Intern.id pool c in
+    fun h -> Some { h with facts = Ids.add c h.facts }
+  in
+  match i with
+  | Check m -> if checks then adds m.chk else Option.some
+  | Cond_check _ when not checks -> Option.some
+  | Cond_check (g, m) -> (
+      match guards_of atoms g with
+      | None -> Option.some
+      | Some [] -> adds m.chk
+      | Some gs ->
+          let c = Intern.id pool m.chk and cd = Intern.cond pool gs m.chk in
+          fun h ->
+            let facts =
+              if List.for_all (entails cache h.facts) gs then Ids.add c h.facts else h.facts
+            in
+            Some { facts; conds = Ids.add cd h.conds })
+  | Trap _ -> fun _ -> None
+  | Assign (v, e) ->
+      let t = assign_transfer pool atoms v e in
+      fun h -> Some (t h)
+  | Store _ | Call _ -> fun h -> Some (kill_state pool (Atoms.killed_by_store atoms) h)
+  | Print _ -> Option.some
+
+let transfer ?checks cache atoms (h : hstate option) (i : instr) : hstate option =
+  match h with None -> None | Some h -> prepare ?checks cache atoms i h
+
+(* Each block's transfer for a solve that visits blocks again and
+   again: an instruction is prepared the first time it is reached, as
+   [transfer] would have linearized it then, and kept. *)
+let block_transfer ?checks cache (f : Func.t) : int -> hstate -> hstate option =
+  let memo = Array.make (Func.num_blocks f) [] in
+  fun b h ->
+    if memo.(b) == [] then
+      memo.(b) <-
+        List.map (fun i -> lazy (prepare ?checks cache f.Func.atoms i)) (Func.block f b).instrs;
+    List.fold_left
+      (fun h t -> match h with None -> None | Some h -> Lazy.force t h)
+      (Some h) memo.(b)
 
 (* Transfer for the syntactic must-availability of residual checks:
    a check adds its fact, a conditional check its fact when unguarded
    and otherwise its conditional fact, plus the fact when [holds] says
    its guards hold here; a definition kills what mentions it. *)
-let avail_transfer atoms ~(holds : Check.t list -> bool) (h : hstate option) (i : instr) :
-    hstate option =
+let avail_transfer pool atoms ~(holds : Check.t list -> bool) (h : hstate option) (i : instr)
+    : hstate option =
+  let add h c = { h with facts = Ids.add (Intern.id pool c) h.facts } in
   match (h, i) with
   | None, _ | _, Trap _ -> None
-  | Some h, Check m -> Some { h with facts = CSet.add m.chk h.facts }
+  | Some h, Check m -> Some (add h m.chk)
   | Some h, Cond_check (g, m) -> (
-      match constraints_of ~positive:true atoms g with
-      | exception Linexpr.Overflow -> Some h
+      match guards_of atoms g with
       | None -> Some h
-      | Some [] -> Some { h with facts = CSet.add m.chk h.facts }
+      | Some [] -> Some (add h m.chk)
       | Some gs ->
-          let h = { h with conds = CondSet.add (List.sort Check.compare gs, m.chk) h.conds } in
-          if holds gs then Some { h with facts = CSet.add m.chk h.facts } else Some h)
-  | Some h, Assign (v, _) -> Some (kill_state (Atoms.killed_by_def atoms v) h)
-  | Some h, (Store _ | Call _) -> Some (kill_state (Atoms.killed_by_store atoms) h)
+          let h = { h with conds = Ids.add (Intern.cond pool gs m.chk) h.conds } in
+          if holds gs then Some (add h m.chk) else Some h)
+  | Some h, Assign (v, _) -> Some (kill_state pool (Atoms.killed_by_def atoms v) h)
+  | Some h, (Store _ | Call _) -> Some (kill_state pool (Atoms.killed_by_store atoms) h)
   | Some h, Print _ -> Some h
 
 (* --- block-entry hypotheses: must-availability + edge facts --------- *)
 
 (* [edge_facts f p b]: the constraints of the branch condition on the
-   edge [p -> b], each branch linearized once. *)
-let edge_facts (f : Func.t) : int -> int -> Check.t list =
+   edge [p -> b], each branch linearized and interned once. *)
+let edge_facts (cache : Cache.t) (f : Func.t) : int -> int -> Ids.t =
+  let facts positive c = Intern.of_checks cache.pool (constraints_of_opt ~positive f.Func.atoms c) in
   let branches =
     Array.init (Func.num_blocks f) (fun p ->
         match (Func.block f p).term with
         | Branch (c, t, e) when t <> e ->
-            Some
-              ( t,
-                constraints_of_opt ~positive:true f.Func.atoms c,
-                e,
-                constraints_of_opt ~positive:false f.Func.atoms c )
+            Some (t, facts true c, e, facts false c)
         | _ -> None)
   in
   fun p b ->
     match branches.(p) with
     | Some (t, ct, _, _) when b = t -> ct
     | Some (_, _, e, ce) when b = e -> ce
-    | _ -> []
+    | _ -> Ids.empty
 
-let with_edge edge p b (h : hstate) =
-  { h with facts = List.fold_left (fun s c -> CSet.add c s) h.facts (edge p b) }
+let with_edge edge p b (h : hstate) = { h with facts = Ids.union h.facts (edge p b) }
 
 (* The incoming paths of [b]: each live predecessor's out-state plus
    the facts of its edge into [b]. Unreachable, unvisited and
@@ -447,18 +411,18 @@ let reached = function Some h -> Fixpoint.Reached h | None -> Fixpoint.Unreachab
    hashed once, on the first goal it neither holds nor implies within a
    family. A member costs nothing; every other question one ambient
    tick, whoever answers it. *)
-let proven_on_all cache (paths : hstate list) : Check.t -> bool =
+let proven_on_all cache (paths : hstate list) : int -> bool =
   let judged = List.map (fun h -> (h.facts, prover cache (fun () -> close cache h))) paths in
   fun c ->
     List.for_all
-      (fun (facts, proves) ->
-        CSet.mem c facts
+      (fun (facts, prove) ->
+        Ids.mem c facts
         ||
-        if implied_in_family facts c then begin
+        if Intern.implied cache.Cache.pool facts c then begin
           Guard.tick_ambient ();
           true
         end
-        else proves c)
+        else prove c)
       judged
 
 (* Forward data-flow over the optimized function, an instance of the
@@ -469,7 +433,7 @@ let proven_on_all cache (paths : hstate list) : Check.t -> bool =
 let entry_hyps ?(checks = true) cache (f : Func.t) : hstate array =
   let atoms = f.Func.atoms in
   let n = Func.num_blocks f in
-  let edge = edge_facts f in
+  let edge = edge_facts cache f in
   (* Affine loop invariants as meet {e candidates}: a counted loop whose
      basic variable [h] was materialized by the INX rewrite maintains
      [index = lo + step*h] at its header (established by the
@@ -480,7 +444,7 @@ let entry_hyps ?(checks = true) cache (f : Func.t) : hstate array =
      incoming path must still {e prove} it before it is admitted.
      Nothing is trusted: an invariant the code does not actually
      maintain simply fails its proof and is dropped. *)
-  let inv_candidates : (int, Check.t list) Hashtbl.t =
+  let inv_candidates : (int, int list) Hashtbl.t =
     let tbl = Hashtbl.create 8 in
     List.iter
       (function
@@ -500,7 +464,8 @@ let entry_hyps ?(checks = true) cache (f : Func.t) : hstate array =
                 let prev =
                   Option.value (Hashtbl.find_opt tbl d.d_header) ~default:[]
                 in
-                Hashtbl.replace tbl d.d_header (c1 :: c2 :: prev)
+                Hashtbl.replace tbl d.d_header
+                  (Intern.id cache.pool c1 :: Intern.id cache.pool c2 :: prev)
             | exception Linexpr.Overflow -> ()))
       f.Func.loops;
     tbl
@@ -516,7 +481,7 @@ let entry_hyps ?(checks = true) cache (f : Func.t) : hstate array =
      before anything is proven about them. *)
   let join ~sweep ~prev b live =
     let widen = match prev with Fixpoint.Reached w when sweep > 2 -> Some w | _ -> None in
-    let within s = match widen with None -> s | Some w -> CSet.inter s w.facts in
+    let within s = match widen with None -> s | Some w -> Ids.inter s w.facts in
     Fixpoint.Reached
       (match paths_into edge b live with
       (* no live path: read as no facts *)
@@ -529,36 +494,29 @@ let entry_hyps ?(checks = true) cache (f : Func.t) : hstate array =
             | _ ->
                 (* Semantic meet: keep a candidate fact iff every path
                    proves it; conditional facts meet structurally. *)
-                let conds =
-                  List.fold_left
-                    (fun acc h -> CondSet.inter acc h.conds)
-                    h0.conds rest
-                in
-                let candidates =
-                  List.fold_left
-                    (fun acc h -> CSet.union acc h.facts)
-                    h0.facts rest
-                in
-                { facts = CSet.filter proven_on_all (within candidates); conds }
+                let conds = List.fold_left (fun acc h -> Ids.inter acc h.conds) h0.conds rest in
+                let candidates = List.fold_left (fun acc h -> Ids.union acc h.facts) h0.facts rest in
+                { facts = Ids.filter proven_on_all (within candidates); conds }
           in
           let base =
             match widen with
             | None -> base
-            | Some w -> { base with conds = CondSet.inter base.conds w.conds }
+            | Some w -> { base with conds = Ids.inter base.conds w.conds }
           in
           List.fold_left
             (fun st c ->
               if
-                CSet.mem c st.facts
-                || (match widen with Some w -> not (CSet.mem c w.facts) | None -> false)
+                Ids.mem c st.facts
+                || (match widen with Some w -> not (Ids.mem c w.facts) | None -> false)
                 || not (proven_on_all c)
               then st
-              else { st with facts = CSet.add c st.facts })
+              else { st with facts = Ids.add c st.facts })
             base
             (Option.value (Hashtbl.find_opt inv_candidates b) ~default:[]))
   in
-  let transfer b i =
-    reached (List.fold_left (transfer ~checks cache atoms) (Some i) (Func.block f b).instrs)
+  let transfer =
+    let t = block_transfer ~checks cache f in
+    fun b h -> reached (t b h)
   in
   (* The sweep cap is a backstop for the fuel-bounded (hence not
      perfectly monotone) oracle inside [transfer]: 2n + 8 sweeps after
@@ -595,10 +553,11 @@ let entry_hyps ?(checks = true) cache (f : Func.t) : hstate array =
 let checked_entry cache (f : Func.t) (hint : hstate array) : hstate array =
   let atoms = f.Func.atoms in
   let n = Func.num_blocks f in
-  let edge = edge_facts f in
-  let ambient b (k : hstate) =
-    reached
-      (List.fold_left (transfer ~checks:false cache atoms) (Some k) (Func.block f b).instrs)
+  let pool = cache.Cache.pool in
+  let edge = edge_facts cache f in
+  let ambient =
+    let t = block_transfer ~checks:false cache f in
+    fun b k -> reached (t b k)
   in
   let kept =
     Fixpoint.solve f
@@ -614,13 +573,13 @@ let checked_entry cache (f : Func.t) (hint : hstate array) : hstate array =
             | _, [] -> Reached h_empty
             | Unreachable, _ -> Unreachable
             | Reached k, paths ->
-                Reached { h_empty with facts = CSet.filter (proven_on_all cache paths) k.facts });
+                Reached { h_empty with facts = Ids.filter (proven_on_all cache paths) k.facts });
         transfer = ambient;
         equal = h_equal;
       }
   in
   let kept_facts b =
-    match kept.flow_in.(b) with Reached k -> k.facts | Unreachable -> CSet.empty
+    match kept.flow_in.(b) with Reached k -> k.facts | Unreachable -> Ids.empty
   in
   let kout = kept.flow_out in
   (* A conditional check's guards hold if the kept facts, carried
@@ -629,7 +588,7 @@ let checked_entry cache (f : Func.t) (hint : hstate array) : hstate array =
   let avail_block b a =
     let instrs = (Func.block f b).instrs in
     if not (List.exists (function Cond_check _ -> true | _ -> false) instrs) then
-      List.fold_left (avail_transfer atoms ~holds:(fun _ -> false)) (Some a) instrs
+      List.fold_left (avail_transfer pool atoms ~holds:(fun _ -> false)) (Some a) instrs
     else
       fst
         (List.fold_left
@@ -639,12 +598,12 @@ let checked_entry cache (f : Func.t) (hint : hstate array) : hstate array =
                | Some a, Some k ->
                    List.for_all
                      (fun g ->
-                       CSet.mem g k.facts || implied_in_family k.facts g
-                       || CSet.mem g a.facts || implied_in_family a.facts g)
+                       let g = Intern.id pool g in
+                       Intern.implied pool k.facts g || Intern.implied pool a.facts g)
                      gs
                | _ -> false
              in
-             (avail_transfer atoms ~holds a i, transfer ~checks:false cache atoms k i))
+             (avail_transfer pool atoms ~holds a i, transfer ~checks:false cache atoms k i))
            (Some a, Some { h_empty with facts = kept_facts b })
            instrs)
   in
@@ -662,24 +621,20 @@ let checked_entry cache (f : Func.t) (hint : hstate array) : hstate array =
       | [] -> h_empty
       | (a0, _) :: rest ->
           let holds c =
-            List.for_all
-              (fun (a, k) ->
-                CSet.mem c a.facts || implied_in_family a.facts c || CSet.mem c k
-                || implied_in_family k c)
-              paths
+            List.for_all (fun (a, k) -> Intern.implied pool a.facts c || Intern.implied pool k c) paths
           in
           {
             facts =
-              CSet.filter holds
-                (List.fold_left (fun acc (a, _) -> CSet.union acc a.facts) a0.facts rest);
-            conds = List.fold_left (fun acc (a, _) -> CondSet.inter acc a.conds) a0.conds rest;
+              Ids.filter holds
+                (List.fold_left (fun acc (a, _) -> Ids.union acc a.facts) a0.facts rest);
+            conds = List.fold_left (fun acc (a, _) -> Ids.inter acc a.conds) a0.conds rest;
           }
     in
     Fixpoint.Reached
       (match prev with
       | Fixpoint.Unreachable -> meet
       | Reached prev ->
-          { facts = CSet.inter meet.facts prev.facts; conds = CondSet.inter meet.conds prev.conds })
+          { facts = Ids.inter meet.facts prev.facts; conds = Ids.inter meet.conds prev.conds })
   in
   let avail =
     Fixpoint.solve f
@@ -693,7 +648,7 @@ let checked_entry cache (f : Func.t) (hint : hstate array) : hstate array =
   in
   Array.init n (fun b ->
       match avail.flow_in.(b) with
-      | Reached a -> { a with facts = CSet.union (kept_facts b) a.facts }
+      | Reached a -> { a with facts = Ids.union (kept_facts b) a.facts }
       | Unreachable -> h_empty)
 
 (* --- the lockstep walk ---------------------------------------------- *)
@@ -734,7 +689,8 @@ let validate_block ~cache ~fname ~atoms ~orig_vids (entry : hstate) (ob : block)
   let discharge ~dead ~opt_region h orig_region =
     let prove = prover cache (fun () -> close cache h) in
     let implied c =
-      if CSet.mem c h.facts || implied_in_family h.facts c then begin
+      let c = Intern.id cache.Cache.pool c in
+      if Intern.implied cache.Cache.pool h.facts c then begin
         Guard.tick_ambient ();
         true
       end
@@ -984,22 +940,25 @@ let fragile_sites (f : Func.t) : (block * int) list =
 (* --- the ambient fact engine, exposed for oracle elimination --------- *)
 
 module Facts = struct
-  type state = hstate
+  (* A state keeps its compile's pool, so its facts can be read back. *)
+  type state = Intern.t * hstate
 
   let ambient_entry ~cache (f : Func.t) : state array =
     let entry = entry_hyps ~checks:false cache f in
     cache.Cache.hint <- Some entry;
-    entry
+    Array.map (fun h -> (cache.Cache.pool, h)) entry
 
-  let facts (s : state) = CSet.elements s.facts
+  let facts ((pool, s) : state) = Intern.elements pool s.facts
 
   let set_hint ~(cache : Cache.t) (hint : Check.t list array) =
     cache.hint <-
-      Some (Array.map (fun cs -> { h_empty with facts = CSet.of_list cs }) hint)
+      Some (Array.map (fun cs -> { h_empty with facts = Intern.of_checks cache.pool cs }) hint)
 
   let step ~cache atoms (s : state option) (i : instr) : state option =
-    transfer ~checks:false cache atoms s i
+    match s with
+    | None -> None
+    | Some (pool, h) -> Option.map (fun h -> (pool, h)) (transfer ~checks:false cache atoms (Some h) i)
 
-  let proves ~cache (s : state) (goal : Check.t) : bool =
+  let proves ~cache ((_, s) : state) (goal : Check.t) : bool =
     entails cache (close cache s) goal
 end
