@@ -31,10 +31,10 @@ let prx_kills (atoms : Ir.Atoms.t) (i : Ir.Types.instr) : int list =
   | Ir.Types.Store _ | Ir.Types.Call _ -> Ir.Atoms.killed_by_store atoms
   | _ -> []
 
-let create_prx ~mode ?oracle (func : Ir.Func.t) : t =
+let create_prx ~mode ?oracle ?loops (func : Ir.Func.t) : t =
   {
     func;
-    loops = Loops.compute func;
+    loops = (match loops with Some l -> l | None -> Loops.compute func);
     loops_num_blocks = Ir.Func.num_blocks func;
     cig = Cig.create ();
     mode;

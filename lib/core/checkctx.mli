@@ -30,11 +30,14 @@ type t = {
 val create_prx :
   mode:Nascent_checks.Universe.mode ->
   ?oracle:Nascent_ir.Validate.Cache.t ->
+  ?loops:Nascent_analysis.Loops.loop list ->
   Nascent_ir.Func.t ->
   t
 (** The standard context: site checks are the instructions' own
     canonical checks; assignments kill their variable's atoms, stores
-    and calls kill load-bearing opaque atoms. *)
+    and calls kill load-bearing opaque atoms. [loops] are the
+    function's current loops, when a pass already has them (the INX
+    rewrite); otherwise they are computed. *)
 
 val refresh : t -> unit
 (** Recompute the loop structure if a pass changed the CFG shape (edge

@@ -41,9 +41,11 @@ module Ssa = Nascent_analysis.Ssa
 module Induction = Nascent_analysis.Induction
 open Ir.Types
 
-type stats = { mutable rewritten : int; mutable basics_materialized : int }
-
-let new_stats () = { rewritten = 0; basics_materialized = 0 }
+type stats = {
+  mutable rewritten : int;
+  mutable basics_materialized : int;
+  loops : Loops.loop list; (* the function's loops, materialized latches included *)
+}
 
 (* Rewrite the terms of [chk] at a site with environment [env] enclosed
    by [loops] (innermost first). [h_atom_for] yields the atom of the
@@ -78,7 +80,7 @@ let rewrite_check (f : Ir.Func.t) (ssa : Ssa.t) (loops : Loops.loop list)
                         | Some h -> terms := (h, c * lc) :: !terms
                         | None -> raise Fail))
                   form.Induction.leaves)
-        | Some (Ir.Atoms.Aopaque _) | Some (Ir.Atoms.Asynth _) ->
+        | Some (Ir.Atoms.Aopaque _) ->
             terms := (a, c) :: !terms
         | None -> raise Fail)
       (Linexpr.terms (Check.lhs chk));
@@ -87,9 +89,9 @@ let rewrite_check (f : Ir.Func.t) (ssa : Ssa.t) (loops : Loops.loop list)
   with Fail -> None
 
 let run (f : Ir.Func.t) : stats =
-  let st = new_stats () in
   let ssa = Ssa.compute f in
   let loops = Loops.compute f in
+  let st = { rewritten = 0; basics_materialized = 0; loops } in
   let preds = Ir.Func.preds_array f in
   (* basic variables, materialized lazily per loop header *)
   let h_vars : (int, var) Hashtbl.t = Hashtbl.create 4 in
@@ -136,19 +138,23 @@ let run (f : Ir.Func.t) : stats =
             b.instrs
       end)
     f;
-  (* materialize the basic variables *)
+  (* materialize the basic variables; every loop around an assignment
+     now defines [h] *)
+  let assign h (b : block) e =
+    b.instrs <- b.instrs @ [ Assign (h, e) ];
+    List.iter
+      (fun l -> if Loops.in_loop l b.bid then Hashtbl.replace l.Loops.defined_vids h.vid ())
+      loops
+  in
   Hashtbl.iter
     (fun header h ->
       match loop_by_header header with
       | Some ({ Loops.meta = Some (Ldo d); _ } as l) ->
-          let pre = Ir.Func.block f d.d_preheader in
-          pre.instrs <- pre.instrs @ [ Assign (h, Cint 0) ];
+          assign h (Ir.Func.block f d.d_preheader) (Cint 0);
           List.iter
             (fun latch ->
-              if Loops.in_loop l latch then begin
-                let lb = Ir.Func.block f latch in
-                lb.instrs <- lb.instrs @ [ Assign (h, Ebin (Add, Evar h, Cint 1)) ]
-              end)
+              if Loops.in_loop l latch then
+                assign h (Ir.Func.block f latch) (Ebin (Add, Evar h, Cint 1)))
             preds.(header)
       | _ -> ())
     h_vars;

@@ -260,12 +260,18 @@ let optimize_func (config : Config.t) (f : Ir.Func.t) : stats =
   in
   let st = ref (empty_stats config) in
   (* INX: rewrite checks into induction-expression form first, so every
-     later pass sees induction checks (section 2.3). A rolled-back
-     rewrite leaves PRX-form checks — weaker, still sound. *)
-  if config.Config.kind = Config.INX then
-    ignore
-      (run_pass "inx-rewrite" ~vpass:Ir.Verify.Rewrite (fun () ->
-           Induction_rewrite.run f));
+     later pass sees induction checks (section 2.3); the loops it found
+     serve the context. A rolled-back rewrite leaves PRX-form checks —
+     weaker, still sound. *)
+  let loops =
+    if config.Config.kind <> Config.INX then None
+    else
+      match
+        run_pass "inx-rewrite" ~vpass:Ir.Verify.Rewrite (fun () -> Induction_rewrite.run f)
+      with
+      | Ok s -> Some s.Induction_rewrite.loops
+      | Error () -> None
+  in
   (* Translation validation compares the final function against the
      state entering the optimization pipeline proper (the INX rewrite
      above is certified by its own differential rules); snapshot it
@@ -288,7 +294,7 @@ let optimize_func (config : Config.t) (f : Ir.Func.t) : stats =
      run_pass "context" (fun () ->
          Checkctx.create_prx ~mode:config.Config.impl
            ?oracle:(if config.Config.oracle then Some cache else None)
-           f)
+           ?loops f)
    with
   | Error () -> ()
   | Ok ctx ->

@@ -69,7 +69,7 @@ let atom_invariant (atoms : Ir.Atoms.t) (l : Loops.loop) (a : Atom.t) : bool =
   | Some (Ir.Atoms.Aopaque e) ->
       List.for_all (fun (v : var) -> not (Loops.defines l v.vid)) (Expr.vars_of e)
       && not (Expr.has_load e && l.Loops.has_store)
-  | Some (Ir.Atoms.Asynth _) | None -> false
+  | None -> false
 
 let expr_invariant (l : Loops.loop) (e : expr) : bool =
   List.for_all (fun (v : var) -> not (Loops.defines l v.vid)) (Expr.vars_of e)

@@ -571,9 +571,6 @@ let check cx (m : check_meta) =
       | Some (Ir.Atoms.Avar v) when cx.typed && var_ty cx.cur v = Int -> Slot v.vid
       | Some (Ir.Atoms.Avar v) -> closure_opnd pending (var_int cx v)
       | Some (Ir.Atoms.Aopaque e) -> int_opnd cx pending e (expr cx e)
-      | Some (Ir.Atoms.Asynth name) ->
-          closure_opnd pending (fun _ ->
-              error ("synthetic atom " ^ name ^ " in an executed check"))
       | None ->
           closure_opnd pending (fun _ ->
               error ("unknown atom " ^ Atom.name atom ^ " in an executed check")) )

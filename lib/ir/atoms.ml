@@ -4,22 +4,16 @@
    expressions:
    - a scalar variable maps to a stable atom;
    - a non-linear subscript subexpression maps to a hash-consed
-     *opaque* atom (the whole subexpression is one symbolic term);
-   - analyses may allocate *synthetic* atoms (basic loop variables of
-     induction analysis, SSA names).
+     *opaque* atom (the whole subexpression is one symbolic term).
 
    The environment also answers the kill question of the check data
    flow: which atom keys does a definition of variable [v] invalidate?
    (The atom of [v] itself plus every opaque atom whose expression
-   mentions [v]; synthetic atoms have their own kill rules, managed by
-   the analysis that created them.) *)
+   mentions [v].) *)
 
 module Atom = Nascent_checks.Atom
 
-type payload =
-  | Avar of Types.var
-  | Aopaque of Types.expr
-  | Asynth of string (* descriptive name; kill rules are the creator's business *)
+type payload = Avar of Types.var | Aopaque of Types.expr
 
 type t = {
   mutable next : int;

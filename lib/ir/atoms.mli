@@ -4,19 +4,13 @@
     expressions:
     - a scalar variable maps to a stable atom;
     - a non-linear subscript subexpression maps to a hash-consed
-      {e opaque} atom (the whole subexpression is one symbolic term);
-    - analyses may allocate {e synthetic} atoms.
+      {e opaque} atom (the whole subexpression is one symbolic term).
 
     The environment also answers the kill question of the check data
     flow: which atom keys does a definition of variable [v] (or a store
     to memory) invalidate? *)
 
-type payload =
-  | Avar of Types.var
-  | Aopaque of Types.expr
-  | Asynth of string
-      (** descriptive name; kill rules are the creating analysis's
-          business *)
+type payload = Avar of Types.var | Aopaque of Types.expr
 
 type t
 

@@ -144,7 +144,7 @@ let check_checks (f : Func.t) add =
         if k <= prev then add_at Check_form bid i "canonical form not strictly key-sorted";
         (match Atoms.payload_exn f.Func.atoms k with
         | Atoms.Avar v -> known_var bid i v
-        | Atoms.Aopaque _ | Atoms.Asynth _ -> ()
+        | Atoms.Aopaque _ -> ()
         | exception Invalid_argument _ ->
             add_at Check_form bid i
               (Fmt.str "atom %s#%d not in the function's atom table" (Atom.name a) k));
@@ -231,7 +231,7 @@ let check_loops (f : Func.t) (idom : int array) add =
 (* Differential rules: compare against a snapshot taken before the
    pass. Passes rebuild instruction lists but preserve the physical
    identity of instructions they do not touch, so [memq] separates the
-   pass's insertions from what it merely moved or kept. *)
+   pass's insertions from what it kept in its block. *)
 
 let diff ~(before : Func.t) (f : Func.t) =
   let nb = Func.num_blocks before and n = Func.num_blocks f in
@@ -240,13 +240,10 @@ let diff ~(before : Func.t) (f : Func.t) =
   let untouched k =
     k < nb && k < n && (Func.block f k).instrs == (Func.block before k).instrs
   in
-  (* Whether [i], found in block [k] of the other function, is in [g]:
-     most instructions a pass keeps stay in their block, so that block
-     is searched before all of them. *)
-  let occurs g ng i k =
-    let rec from j = j < ng && (List.memq i (Func.block g j).instrs || from (j + 1)) in
-    (k < ng && List.memq i (Func.block g k).instrs) || from 0
-  in
+  (* Whether [i], found in block [k] of the other function, is in block
+     [k] of [g]: an instruction moved to another block counts as removed
+     from one and inserted into the other. *)
+  let occurs g ng i k = k < ng && List.memq i (Func.block g k).instrs in
   let inserted = ref [] and removed = ref [] in
   for k = 0 to n - 1 do
     if not (untouched k) then
