@@ -21,11 +21,10 @@
 
    [make] is the only constructor, and it caches what the proof engine
    asks of a check again and again: the hash of its family and of
-   itself, and its atom keys. Tables keyed by checks then hash in O(1),
-   and two checks of different families rarely need their terms
-   compared. *)
+   itself. Tables keyed by checks then hash in O(1), and two checks of
+   different families rarely need their terms compared. *)
 
-type t = { lhs : Linexpr.t; k : int; fhash : int; hash : int; keys : int list }
+type t = { lhs : Linexpr.t; k : int; fhash : int; hash : int }
 
 (* floor division for possibly-negative dividends *)
 let fdiv a b =
@@ -35,7 +34,7 @@ let fdiv a b =
 (* [make lhs k] is the canonical form of [lhs <= k]. *)
 let make lhs k : t =
   let fhash = Linexpr.hash lhs in
-  { lhs; k; fhash; hash = (fhash * 31) + k; keys = Linexpr.atom_keys lhs }
+  { lhs; k; fhash; hash = (fhash * 31) + k }
 
 (* gcd-normalizing constructor, see above. *)
 let make_gcd lhs k : t =
@@ -76,9 +75,9 @@ let compare a b =
    [0 <= k]. *)
 let compile_time_value t = if Linexpr.is_zero t.lhs then Some (0 <= t.k) else None
 
-let mentions_key t k = List.exists (Int.equal k) t.keys
+let mentions_key t k = Linexpr.mentions_key t.lhs k
 
-let atom_keys t = t.keys
+let atom_keys t = Linexpr.atom_keys t.lhs
 
 let family_hash t = t.fhash
 

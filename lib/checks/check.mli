@@ -43,7 +43,7 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 
 val hash : t -> int
-(** Cached at construction, as are {!family_hash} and {!atom_keys}. *)
+(** Cached at construction, as is {!family_hash}. *)
 
 val family_hash : t -> int
 (** The hash of the range expression: equal for checks of one family. *)

@@ -122,7 +122,8 @@ type t = {
   families : int Families.t;
   mutable checks : Check.t array;
   mutable family : int array; (* id -> family *)
-  mutable masks : int array; (* id -> {!mask} of its atom keys *)
+  mutable keys : int list array; (* id -> its atom keys *)
+  mutable masks : int array; (* id -> {!mask} of [keys] *)
   handles : Oracle.Hyps.t Handles.t;
   cond_ids : int Conds.t;
   mutable conds : cond array;
@@ -133,16 +134,17 @@ type t = {
 let create () =
   {
     oracle = Oracle.Cache.create ();
-    ids = Tbl.create 256;
-    families = Families.create 64;
+    ids = Tbl.create 64;
+    families = Families.create 16;
     checks = [||];
     family = [||];
+    keys = [||];
     masks = [||];
-    handles = Handles.create 256;
-    cond_ids = Conds.create 16;
+    handles = Handles.create 64;
+    cond_ids = Conds.create 8;
     conds = [||];
     cmasks = [||];
-    shifts = Hashtbl.create 64;
+    shifts = Hashtbl.create 16;
   }
 
 let oracle t = t.oracle
@@ -165,9 +167,11 @@ let id t (c : Check.t) =
       let i = Tbl.length t.ids in
       t.checks <- grow t.checks i c;
       t.family <- grow t.family i 0;
+      t.keys <- grow t.keys i [];
       t.masks <- grow t.masks i 0;
       t.checks.(i) <- c;
-      t.masks.(i) <- mask (Check.atom_keys c);
+      t.keys.(i) <- Check.atom_keys c;
+      t.masks.(i) <- mask t.keys.(i);
       t.family.(i) <-
         (match Families.find_opt t.families c with
         | Some f -> f
@@ -186,7 +190,7 @@ let mentions t keys =
   fun i ->
     t.masks.(i) land m <> 0
     &&
-    let ks = Check.atom_keys t.checks.(i) in
+    let ks = t.keys.(i) in
     List.exists (fun k -> List.exists (Int.equal k) ks) keys
 
 let kill t keys s =

@@ -20,7 +20,6 @@ module Ids : sig
 
   val empty : t
   val equal : t -> t -> bool
-  val hash : t -> int
   val mem : int -> t -> bool
   val add : int -> t -> t
   val union : t -> t -> t
@@ -30,7 +29,6 @@ module Ids : sig
   (** A result equal to the operand is the operand itself, as for
       {!union} and {!inter}. *)
 
-  val exists : (int -> bool) -> t -> bool
   val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
   val of_list : int list -> t
 end
@@ -79,10 +77,6 @@ val handle : t -> Ids.t -> Oracle.Hyps.t
 val cond : t -> Check.t list -> Check.t -> int
 (** [cond t guards fact]: the conditional fact's id; the guards' order
     does not matter. *)
-
-val cond_mentions : t -> int list -> int -> bool
-(** Does a guard or the fact mention an atom of [keys]? Staged as
-    {!mentions} is. *)
 
 val conds : t -> Ids.t -> (Check.t list * Check.t) list
 (** The set's conditional facts, guards sorted, ordered by their guards

@@ -162,8 +162,8 @@ type ctx = {
 let context memo =
   {
     memo;
-    atom_ids = Keys.create 64;
-    rows = Checks.create 256;
+    atom_ids = Keys.create 16;
+    rows = Checks.create 64;
     stamp = 0;
     mark = [||];
     col = [||];
@@ -210,19 +210,22 @@ let row ctx (c : Check.t) : prerow =
 (* The system of [rows]. Columns are the rows' atoms numbered in order
    of first appearance. *)
 let system_of ctx (rows : prerow list) : system =
-  let s = fresh_stamp ctx and mark = ctx.mark and col = ctx.col and w = ref 0 in
-  List.iter
-    (fun r ->
-      Array.iter
-        (fun a ->
+  let s = fresh_stamp ctx and mark = ctx.mark and col = ctx.col in
+  let rec number w = function
+    | [] -> w
+    | r :: rest ->
+        let w = ref w in
+        for i = 0 to Array.length r.atoms - 1 do
+          let a = r.atoms.(i) in
           if mark.(a) <> s then begin
             mark.(a) <- s;
             col.(a) <- !w;
             incr w
-          end)
-        r.atoms)
-    rows;
-  let w = !w in
+          end
+        done;
+        number !w rest
+  in
+  let w = number 0 rows in
   let sys =
     {
       w;
@@ -236,7 +239,9 @@ let system_of ctx (rows : prerow list) : system =
   List.iter
     (fun r ->
       let row = Array.make (w + 2) 0 in
-      Array.iteri (fun i a -> row.(col.(a)) <- r.coeffs.(i)) r.atoms;
+      for i = 0 to Array.length r.atoms - 1 do
+        row.(col.(r.atoms.(i))) <- r.coeffs.(i)
+      done;
       row.(w) <- r.k;
       add_row sys row)
     rows;
@@ -262,8 +267,10 @@ let pick sys =
      b*(a*x + p) + a*(-b*x + n) <= b*kp + a*kn
    cancels x exactly. All arithmetic is checked. *)
 let project fuel sys x =
-  let ps = ref [] and ns = ref [] and live = ref 0 in
-  for i = 0 to sys.n - 1 do
+  let n0 = sys.n and w = sys.w in
+  let ps = Array.make n0 [||] and np = ref 0 and ns = Array.make n0 [||] and nn = ref 0 in
+  let live = ref 0 in
+  for i = 0 to n0 - 1 do
     let r = sys.rows.(i) in
     if r.(x) = 0 then begin
       sys.rows.(!live) <- r;
@@ -272,26 +279,34 @@ let project fuel sys x =
     end
     else begin
       count sys r (-1);
-      if r.(x) > 0 then ps := r :: !ps else ns := r :: !ns
+      if r.(x) > 0 then begin
+        ps.(!np) <- r;
+        incr np
+      end
+      else begin
+        ns.(!nn) <- r;
+        incr nn
+      end
     end
   done;
   sys.n <- !live;
-  let open Linexpr in
-  List.iter
-    (fun p ->
-      let a = p.(x) in
-      List.iter
-        (fun n ->
-          Guard.tick fuel;
-          Guard.tick_ambient ();
-          let b = -n.(x) in
-          let row = Array.make (sys.w + 2) 0 in
-          for j = 0 to sys.w do
-            row.(j) <- checked_add (checked_mul b p.(j)) (checked_mul a n.(j))
-          done;
-          add_row sys row)
-        !ns)
-    !ps
+  (* the latest positive row first, each with the latest negative first *)
+  for pi = !np - 1 downto 0 do
+    let p = ps.(pi) in
+    let a = p.(x) in
+    for ni = !nn - 1 downto 0 do
+      let n = ns.(ni) in
+      Guard.tick fuel;
+      Guard.tick_ambient ();
+      let b = -n.(x) in
+      let row = Array.make (w + 2) 0 in
+      for j = 0 to w do
+        row.(j) <-
+          Linexpr.checked_add (Linexpr.checked_mul b p.(j)) (Linexpr.checked_mul a n.(j))
+      done;
+      add_row sys row
+    done
+  done
 
 let unsat_exn fuel ctx (rows : prerow list) : bool =
   let sys = system_of ctx rows in

@@ -271,9 +271,11 @@ let assign_transfer pool atoms (v : var) (e : expr) : hstate -> hstate =
             fun h ->
               let killed = killed () in
               let others = List.filter (fun k -> k <> kv) killed in
-              let moves = Intern.mentions pool (kv :: others) and dies = Intern.mentions pool others in
+              let moves = Intern.mentions pool (kv :: others) in
+              let dies = Intern.mentions pool others in
               let shift i acc =
-                if moves i && not (dies i) then Intern.shift pool i ~key:kv ~by:c :: acc else acc
+                if moves i && not (dies i) then Intern.shift pool i ~key:kv ~by:c :: acc
+                else acc
               in
               (* facts mentioning neither [v] nor a killed atom stay as
                  they are, sharing the set *)
@@ -381,7 +383,9 @@ let avail_transfer pool atoms ~(holds : Check.t list -> bool) (h : hstate option
 (* [edge_facts f p b]: the constraints of the branch condition on the
    edge [p -> b], each branch linearized and interned once. *)
 let edge_facts (cache : Cache.t) (f : Func.t) : int -> int -> Ids.t =
-  let facts positive c = Intern.of_checks cache.pool (constraints_of_opt ~positive f.Func.atoms c) in
+  let facts positive c =
+    Intern.of_checks cache.pool (constraints_of_opt ~positive f.Func.atoms c)
+  in
   let branches =
     Array.init (Func.num_blocks f) (fun p ->
         match (Func.block f p).term with
@@ -495,7 +499,9 @@ let entry_hyps ?(checks = true) cache (f : Func.t) : hstate array =
                 (* Semantic meet: keep a candidate fact iff every path
                    proves it; conditional facts meet structurally. *)
                 let conds = List.fold_left (fun acc h -> Ids.inter acc h.conds) h0.conds rest in
-                let candidates = List.fold_left (fun acc h -> Ids.union acc h.facts) h0.facts rest in
+                let candidates =
+                  List.fold_left (fun acc h -> Ids.union acc h.facts) h0.facts rest
+                in
                 { facts = Ids.filter proven_on_all (within candidates); conds }
           in
           let base =
@@ -621,7 +627,9 @@ let checked_entry cache (f : Func.t) (hint : hstate array) : hstate array =
       | [] -> h_empty
       | (a0, _) :: rest ->
           let holds c =
-            List.for_all (fun (a, k) -> Intern.implied pool a.facts c || Intern.implied pool k c) paths
+            List.for_all
+              (fun (a, k) -> Intern.implied pool a.facts c || Intern.implied pool k c)
+              paths
           in
           {
             facts =
@@ -957,7 +965,8 @@ module Facts = struct
   let step ~cache atoms (s : state option) (i : instr) : state option =
     match s with
     | None -> None
-    | Some (pool, h) -> Option.map (fun h -> (pool, h)) (transfer ~checks:false cache atoms (Some h) i)
+    | Some (pool, h) ->
+        Option.map (fun h -> (pool, h)) (transfer ~checks:false cache atoms (Some h) i)
 
   let proves ~cache ((_, s) : state) (goal : Check.t) : bool =
     entails cache (close cache s) goal
