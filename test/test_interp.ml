@@ -600,18 +600,22 @@ let test_golden_parallel () =
 
 (* Together these cover every fused operand shape: leaves on the left,
    on the right and on both sides of int and real operations and
-   comparisons; rank-1 to rank-3 loads and stores with variable,
-   constant and expression subscripts; checks over variable and opaque
-   atoms, and (under LLS) cond checks; a division by zero and a memory
-   fault in the left operand of a fused node. *)
+   comparisons; [var +- const] operands and integer scalars inside real
+   operations; increments [v = v + 1], [s = s + i] and [x = x + i];
+   rank-1 to rank-3 loads and stores with variable, constant, offset and
+   expression subscripts; checks over variable and opaque atoms, and
+   (under LLS) cond checks; a division by zero and a memory fault in
+   the left operand of a fused node. *)
 let fused_shapes =
   "program fused\n\
-   integer i, n, s, a(1:4), b(0:3, 1:3), c(1:2, 0:2, 2:3)\n\
-   real x, y, r(1:3), p(0:1, 1:2), q(1:2, 1:2, 1:2)\n\
+   integer i, m, n, s, a(1:4), b(0:3, 1:3), c(1:2, 0:2, 2:3)\n\
+   real x, y, r(0:3), p(0:1, 1:2), q(1:2, 1:2, 1:2), w(1:4, 1:2)\n\
    n = 3\n\
+   m = 0\n\
    s = 1\n\
    x = 0.5\n\
    do i = 1, n\n\
+   m = m + 1\n\
    s = s + i\n\
    s = 2 * s - i\n\
    s = i + (s * 2) - 1\n\
@@ -631,8 +635,12 @@ let fused_shapes =
    c(1, i - 1, 2) = b(i - 1, 1) + c(2, 0, 3)\n\
    c(mod(i, 2) + 1, i - 1, 3) = c(1, i - 1, 2) + s\n\
    x = x + 0.5 * i\n\
+   x = x + i\n\
    y = x / 2.0\n\
    r(i) = y - x\n\
+   y = r(i - 1) + y\n\
+   w(i + 1, 2) = w(i, 1) + m\n\
+   y = w(i + 1, 2) - y\n\
    p(mod(i, 2), 1) = r(i) * x\n\
    q(1, 2, mod(i, 2) + 1) = q(1, 1, 1) + y\n\
    q(mod(i, 2) + 1, 1, 2) = 1.0\n\
@@ -644,12 +652,14 @@ let fused_shapes =
    endif\n\
    enddo\n\
    print s\n\
+   print m\n\
    print a(1) + a(2) + a(3) + a(4)\n\
    print b(0, 3) + b(1, 2) + b(2, 3) + b(3, 2)\n\
    print c(1, 0, 2) + c(1, 2, 2) + c(2, 1, 3) + c(1, 2, 3)\n\
    print x\n\
    print y\n\
-   print r(1) + r(2) + r(3)\n\
+   print r(0) + r(1) + r(2) + r(3)\n\
+   print w(2, 2) + w(3, 2) + w(4, 2)\n\
    print p(0, 1) + p(1, 1)\n\
    print q(1, 2, 1) + q(1, 2, 2) + q(1, 1, 1)\n\
    end"
@@ -682,38 +692,92 @@ let fused_fault =
    enddo\n\
    end"
 
+(* Block transitions across a call, a while loop and an if inside it;
+   under LLS the do loop's checks become cond checks in its preheader. *)
+let fused_calls =
+  "program calls\n\
+   integer i, n, m, s, a(1:6)\n\
+   real x, w(0:4, 1:3)\n\
+   n = 4\n\
+   m = 1\n\
+   s = 0\n\
+   x = 0.25\n\
+   do i = 1, n\n\
+   a(i + 1) = a(i) + i\n\
+   call acc(a, w, i, x)\n\
+   enddo\n\
+   while s < 20 do\n\
+   s = s + a(m)\n\
+   m = m + 1\n\
+   if m > n then\n\
+   m = 1\n\
+   endif\n\
+   endwhile\n\
+   print s\n\
+   print m\n\
+   print w(2, 1) + w(3, 2)\n\
+   end\n\
+   subroutine acc(b, v, k, y)\n\
+   integer k, b(1:6)\n\
+   real y, v(0:4, 1:3)\n\
+   b(k + 1) = b(k) + k\n\
+   v(k, 1) = v(k - 1, 2) + y * k\n\
+   v(k - 1, 2) = y + k\n\
+   end"
+
 (* At every fuel from 0 to a full run's count the typed run and the
-   generic one stop at the same unit, with the same outcome. *)
+   generic one stop at the same unit, with the same outcome; returns
+   that outcome's line at each fuel. *)
 let fuel_sweep name prog =
   let full = Interp.Run.run prog in
   let units = full.instrs + full.checks in
   Alcotest.(check bool) (name ^ ": full run completes") false full.fuel_exhausted;
-  let generic = with_ill_typed_unit prog in
-  for fuel = 0 to units do
-    let label = Printf.sprintf "%s, fuel %d" name fuel in
-    Alcotest.(check string)
-      label
-      (golden_line label (Interp.Run.run ~fuel generic))
-      (golden_line label (Interp.Run.run ~fuel prog))
-  done;
   Alcotest.(check bool)
     (name ^ ": one unit short runs out") true
-    (Interp.Run.run ~fuel:(units - 1) prog).fuel_exhausted
+    (Interp.Run.run ~fuel:(units - 1) prog).fuel_exhausted;
+  let generic = with_ill_typed_unit prog in
+  List.init (units + 1) (fun fuel ->
+      let label = Printf.sprintf "%s, fuel %d" name fuel in
+      let line = golden_line label (Interp.Run.run ~fuel prog) in
+      Alcotest.(check string) label (golden_line label (Interp.Run.run ~fuel generic)) line;
+      line)
 
+(* fuel_sweep.expected pins every line of every sweep: the dispatcher
+   interpreter that preceded the threaded blocks wrote it, and the
+   counting model must not move under any later rewrite. *)
 let test_fuel_sweep () =
   let shapes = ir_of_source fused_shapes in
-  fuel_sweep "shapes naive" shapes;
-  fuel_sweep "shapes LLS" (optimize (Config.make ~scheme:Config.LLS ()) shapes);
   let o = Interp.Run.run (ir_of_source fused_division) in
   Alcotest.(check (option string)) "division" (Some "integer division by zero") o.error;
-  fuel_sweep "division" (ir_of_source fused_division);
   let fault = ir_of_source fused_fault in
   trap_expected (Interp.Run.run fault);
-  fuel_sweep "fault naive" fault;
   let bare = Nascent_ir.Transform.strip_checks fault in
   Alcotest.(check (option string))
     "fault" (Some "memory fault on c (offset 8)") (Interp.Run.run bare).error;
-  fuel_sweep "fault stripped" bare
+  let calls = ir_of_source fused_calls in
+  let calls_lls = optimize (Config.make ~scheme:Config.LLS ()) calls in
+  let o = Interp.Run.run calls_lls in
+  check_no_trap o;
+  Alcotest.(check bool) "calls LLS: cond checks run" true (o.cond_guards > 0);
+  let lines =
+    List.concat
+      [
+        fuel_sweep "shapes naive" shapes;
+        fuel_sweep "shapes LLS" (optimize (Config.make ~scheme:Config.LLS ()) shapes);
+        fuel_sweep "division" (ir_of_source fused_division);
+        fuel_sweep "fault naive" fault;
+        fuel_sweep "fault stripped" bare;
+        fuel_sweep "calls naive" calls;
+        fuel_sweep "calls LLS" calls_lls;
+      ]
+  in
+  let expected =
+    In_channel.with_open_bin "fuel_sweep.expected" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+  in
+  Alcotest.(check int) "sweep lines" (List.length expected) (List.length lines);
+  List.iter2 (Alcotest.(check string) "fuel sweep line") expected lines
 
 let suite =
   [
