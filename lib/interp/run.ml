@@ -6,15 +6,36 @@
    expression node before its operands, an instruction after them, a
    check before its opaque atoms.
 
+   Threaded blocks: each block compiles to one [frame -> unit] closure
+   that runs its instructions (inline for up to three, in a loop
+   beyond), charges its terminator's unit, and then tail-calls the
+   closure of its successor: a [Goto] its target, a [Branch] one of its
+   two targets, while a [Ret] returns. The successor is read from a
+   cell filled once every block is compiled, so loops close without a
+   dispatcher, and a run of any length uses a constant OCaml stack
+   within one call.
+
    Fused operands: where the types are known, a binary operation, a
-   load or store, an assignment and a check read a leaf operand (a
-   typed scalar slot or a constant) inline instead of calling its
-   closure. The units that fall between two closure calls are charged
-   by one [charge_n], before the next call or after the last operand,
-   so a leaf that follows a closure operand is charged after that
-   closure returns. A leaf read neither fails nor shows, so every
-   trap, error and fuel cut-off falls at the same unit as with one
-   closure per node; the generic path keeps one closure per node.
+   load or store, an assignment, a check and a branch read their leaf
+   operands inline instead of calling their closures: a typed scalar
+   slot, a constant, a [var +- const] node (three units: the node and
+   its two leaves), and an int operand of a real operation, converted
+   where it is read. They also read inline an array element of rank 1
+   to 3 whose subscripts are such leaves: the units pending before it,
+   its own and its subscripts' are charged just before the access,
+   where the load's closure would charge them. An assignment or a store
+   of [a + b], [a - b] or [a * b] computed in the target's type reads
+   [a] and [b] itself, with the operation's unit pending before them
+   and the assignment's or store's after them; a branch on an int
+   comparison reads its operands itself, with the terminator's unit
+   and the comparison's pending before them. The units that fall
+   between two closure calls are charged by one [charge_n], before the
+   next call or after the last operand, so a leaf that follows a
+   closure operand is charged after that closure returns. A leaf read
+   neither fails nor shows, and an element read faults only once its
+   units are charged, so every trap, error and fuel cut-off falls at
+   the same unit as with one closure per node; the generic path keeps
+   one closure per node.
 
    Typing: an expression whose static type is known compiles to an
    [I], [R] or [B] closure over unboxed values; anything else to a [V]
@@ -226,20 +247,118 @@ let real_code = function
   | I f -> fun fr -> float_of_int (f fr)
   | B _ | V _ -> invalid_arg "real_code"
 
+(* --- arrays --------------------------------------------------------------- *)
+
+(* Fix [v]'s dims, keeping its payload: column-major strides over the
+   extents [max 0 (hi - lo + 1)]. Also returns the element count. *)
+let layout v dims =
+  let rank = List.length dims in
+  let los = Array.of_list (List.map fst dims) in
+  let strides = Array.make rank 1 in
+  let m = ref 1 in
+  List.iteri
+    (fun j (lo, hi) ->
+      strides.(j) <- !m;
+      m := !m * max 0 (hi - lo + 1))
+    dims;
+  let nth a j = if j < rank then a.(j) else 0 in
+  let lo0 = nth los 0 and lo1 = nth los 1 and lo2 = nth los 2 in
+  let stride1 = nth strides 1 and stride2 = nth strides 2 in
+  ({ v with fixed = true; lo0; lo1; lo2; stride1; stride2; los; strides }, !m)
+
+(* Out-of-storage accesses can only happen when range checks were
+   (incorrectly) removed; they are a memory fault, not a trap. *)
+let in_storage (a : arr) v off =
+  if off < 0 || off >= v.size then
+    error (Printf.sprintf "memory fault on %s (offset %d)" a.aname off)
+  else off
+
+let at1 a v x = in_storage a v (x - v.lo0)
+let at2 a v x y = in_storage a v (x - v.lo0 + ((y - v.lo1) * v.stride1))
+
+let at3 a v x y z =
+  in_storage a v (x - v.lo0 + ((y - v.lo1) * v.stride1) + ((z - v.lo2) * v.stride2))
+
+let atn (a : arr) v xs =
+  if Array.length xs <> Array.length v.los then error ("rank mismatch accessing " ^ a.aname);
+  let off = ref 0 in
+  Array.iteri (fun j x -> off := !off + ((x - v.los.(j)) * v.strides.(j))) xs;
+  in_storage a v !off
+
+let eval_all fs fr = Array.map (fun f -> f fr) fs
+
+let[@inline] view_of fr k touch =
+  let v = fr.arrs.(k) in
+  if v.fixed then v else touch fr
+
 (* --- fused operands ------------------------------------------------------ *)
 
-(* A typed operand as its parent reads it. A leaf (a slot of typed
-   scalar storage, or a constant) is read inline: the read can neither
-   fail nor be seen, so the parent charges the leaf's unit together
-   with the units next to it. A closure operand is called after
-   charging [pre], the units still pending before it. *)
-type 'a opnd = Slot of int | Const of 'a | Code of int * (frame -> 'a)
+(* An array element its parent reads inline, rank 1 to 3: [pre] units
+   (those pending before it, the load's own and its subscripts') are
+   charged, then the element of slot [k] at subscripts
+   [fr.ints.(s0) + c0], [fr.ints.(s1) + c1], [fr.ints.(s2) + c2] is
+   read, or faults, as the load's closure would. *)
+type elem = {
+  pre : int;
+  k : int;
+  touch : frame -> view;
+  arr : arr;
+  rank : int;
+  s0 : int;
+  c0 : int;
+  s1 : int;
+  c1 : int;
+  s2 : int;
+  c2 : int;
+}
+
+(* A typed operand as its parent reads it. A leaf is read inline: an
+   int scalar, a constant or a [var +- const] node is [Leaf (v, c)],
+   the value [fr.ints.(v) + c] (a constant's [v] is the frame's zero
+   slot), and a real scalar or constant is [Rslot] or [Rconst]. A leaf
+   read can neither fail nor be seen, so the parent charges the leaf's
+   units (three for [var +- const]: the node and its two leaves)
+   together with the units next to it. An element read inline and a
+   closure operand charge [pre], the units still pending before them,
+   when they run: the element together with its own, the closure
+   before it is called. A real operation reads an int operand through
+   [Rint] and converts it. *)
+type iopnd = Leaf of int * int | Elem of elem | Code of int * (frame -> int)
+
+type ropnd =
+  | Rslot of int
+  | Rconst of float
+  | Relem of elem
+  | Rint of iopnd
+  | Rcode of int * (frame -> float)
+
+(* [e]'s offset in [v], once [e]'s units are charged. *)
+let[@inline] offset e v fr =
+  let x = fr.ints.(e.s0) + e.c0 in
+  match e.rank with
+  | 1 -> at1 e.arr v x
+  | 2 -> at2 e.arr v x (fr.ints.(e.s1) + e.c1)
+  | _ -> at3 e.arr v x (fr.ints.(e.s1) + e.c1) (fr.ints.(e.s2) + e.c2)
 
 let[@inline] int_at st o fr =
-  match o with Slot v -> fr.ints.(v) | Const n -> n | Code (pre, f) -> charge_n st pre; f fr
+  match o with
+  | Leaf (v, c) -> fr.ints.(v) + c
+  | Elem e ->
+      charge_n st e.pre;
+      let v = view_of fr e.k e.touch in
+      v.ints.(offset e v fr)
+  | Code (pre, f) -> charge_n st pre; f fr
 
 let[@inline] real_at st o fr =
-  match o with Slot v -> fr.reals.(v) | Const x -> x | Code (pre, f) -> charge_n st pre; f fr
+  match o with
+  | Rslot v -> fr.reals.(v)
+  | Rconst x -> x
+  | Relem e ->
+      charge_n st e.pre;
+      let v = view_of fr e.k e.touch in
+      v.reals.(offset e v fr)
+  | Rint o -> float_of_int (int_at st o fr)
+  | Rcode (pre, f) -> charge_n st pre; f fr
 
 (* The last operand, then the [fin] units still pending after it. *)
 let[@inline] int_last st o fin fr =
@@ -253,25 +372,13 @@ let[@inline] real_last st o fin fr =
   x
 
 (* A parent's operands are built in evaluation order; [pending] counts
-   the units not charged yet: a leaf adds its own, a closure takes them
-   all as its [pre]. The generic path gets closures only. *)
-let closure_opnd pending f =
+   the units not charged yet: a leaf adds its own, an element or a
+   closure takes them all as its [pre]. The generic path gets closures
+   only. *)
+let take pending =
   let pre = !pending in
   pending := 0;
-  Code (pre, f)
-
-let int_opnd cx pending (e : expr) c =
-  match (e, c) with
-  | Cint n, _ when cx.typed -> incr pending; Const n
-  | Evar v, I _ when cx.typed -> incr pending; Slot v.vid
-  | _ -> closure_opnd pending (int_code c)
-
-let real_opnd cx pending (e : expr) c =
-  match (e, c) with
-  | Creal x, _ when cx.typed -> incr pending; Const x
-  | Cint n, _ when cx.typed -> incr pending; Const (float_of_int n)
-  | Evar v, R _ when cx.typed -> incr pending; Slot v.vid
-  | _ -> closure_opnd pending (real_code c)
+  pre
 
 (* [f] over [l] from left to right. *)
 let in_order f l = List.rev (List.fold_left (fun acc x -> f x :: acc) [] l)
@@ -334,46 +441,6 @@ let bool_binop st op (fa : frame -> bool) (fb : frame -> bool) =
   | Or -> Some (B (fun fr -> charge st; let x = fa fr in let y = fb fr in x || y))
   | _ -> None
 
-(* --- arrays --------------------------------------------------------------- *)
-
-(* Fix [v]'s dims, keeping its payload: column-major strides over the
-   extents [max 0 (hi - lo + 1)]. Also returns the element count. *)
-let layout v dims =
-  let rank = List.length dims in
-  let los = Array.of_list (List.map fst dims) in
-  let strides = Array.make rank 1 in
-  let m = ref 1 in
-  List.iteri
-    (fun j (lo, hi) ->
-      strides.(j) <- !m;
-      m := !m * max 0 (hi - lo + 1))
-    dims;
-  let nth a j = if j < rank then a.(j) else 0 in
-  let lo0 = nth los 0 and lo1 = nth los 1 and lo2 = nth los 2 in
-  let stride1 = nth strides 1 and stride2 = nth strides 2 in
-  ({ v with fixed = true; lo0; lo1; lo2; stride1; stride2; los; strides }, !m)
-
-(* Out-of-storage accesses can only happen when range checks were
-   (incorrectly) removed; they are a memory fault, not a trap. *)
-let in_storage (a : arr) v off =
-  if off < 0 || off >= v.size then
-    error (Printf.sprintf "memory fault on %s (offset %d)" a.aname off)
-  else off
-
-let at1 a v x = in_storage a v (x - v.lo0)
-let at2 a v x y = in_storage a v (x - v.lo0 + ((y - v.lo1) * v.stride1))
-
-let at3 a v x y z =
-  in_storage a v (x - v.lo0 + ((y - v.lo1) * v.stride1) + ((z - v.lo2) * v.stride2))
-
-let atn (a : arr) v xs =
-  if Array.length xs <> Array.length v.los then error ("rank mismatch accessing " ^ a.aname);
-  let off = ref 0 in
-  Array.iteri (fun j x -> off := !off + ((x - v.los.(j)) * v.strides.(j))) xs;
-  in_storage a v !off
-
-let eval_all fs fr = Array.map (fun f -> f fr) fs
-
 (* --- compiling ------------------------------------------------------------ *)
 
 let slot u aid =
@@ -431,9 +498,60 @@ let view cx (a : arr) =
   in
   (k, touch)
 
-let[@inline] view_of fr k touch =
-  let v = fr.arrs.(k) in
-  if v.fixed then v else touch fr
+(* The slot every typed frame keeps at 0, past the unit's scalars. *)
+let zero_slot u = max u.func.Ir.Func.next_vid 1
+
+(* [e] as [(v, c, units)] when it is an int leaf read as
+   [fr.ints.(v) + c]: an int scalar, a constant (over the zero slot) or
+   [var +- const], whose [x - n] is [x + (-n)] in wrapping arithmetic. *)
+let int_leaf cx (e : expr) =
+  let int_var (v : var) = var_ty cx.cur v = Int in
+  if not cx.typed then None
+  else
+    match e with
+    | Cint n -> Some (zero_slot cx.cur, n, 1)
+    | Evar v when int_var v -> Some (v.vid, 0, 1)
+    | (Ebin (Add, Evar v, Cint n) | Ebin (Add, Cint n, Evar v)) when int_var v ->
+        Some (v.vid, n, 3)
+    | Ebin (Sub, Evar v, Cint n) when int_var v -> Some (v.vid, -n, 3)
+    | _ -> None
+
+(* [a(idxs)] read inline, when [a] has rank 1 to 3 and every subscript
+   is an int leaf. *)
+let elem cx pending (a : arr) idxs =
+  let subs = List.filter_map (int_leaf cx) idxs and rank = List.length idxs in
+  if rank = 0 || rank > 3 || rank <> List.length a.adims || List.length subs <> rank then None
+  else
+    let subs = Array.of_list subs in
+    let sub j = if j < rank then subs.(j) else (0, 0, 0) in
+    let (s0, c0, _), (s1, c1, _), (s2, c2, _) = (sub 0, sub 1, sub 2) in
+    let units = Array.fold_left (fun n (_, _, u) -> n + u) 1 subs in
+    let k, touch = view cx a in
+    Some { pre = take pending + units; k; touch; arr = a; rank; s0; c0; s1; c1; s2; c2 }
+
+let int_opnd cx pending (e : expr) c =
+  match (int_leaf cx e, e, c) with
+  | Some (v, n, units), _, _ ->
+      pending := !pending + units;
+      Leaf (v, n)
+  | None, Eload (a, idxs), I _ when cx.typed -> (
+      match elem cx pending a idxs with
+      | Some el -> Elem el
+      | None -> Code (take pending, int_code c))
+  | _ -> Code (take pending, int_code c)
+
+(* Only called on I or R: the promotion of [promote_pair]. *)
+let real_opnd cx pending (e : expr) c =
+  match (e, c) with
+  | Creal x, _ when cx.typed -> incr pending; Rconst x
+  | Cint n, _ when cx.typed -> incr pending; Rconst (float_of_int n)
+  | Evar v, R _ when cx.typed -> incr pending; Rslot v.vid
+  | Eload (a, idxs), R _ when cx.typed -> (
+      match elem cx pending a idxs with
+      | Some el -> Relem el
+      | None -> Rcode (take pending, real_code c))
+  | _, I _ -> Rint (int_opnd cx pending e c)
+  | _ -> Rcode (take pending, real_code c)
 
 (* Subscripts the rank-1 to rank-3 paths read as operands; [] leaves the
    access to [atn] over closures (a higher rank, a rank mismatch, or
@@ -468,33 +586,36 @@ let rec expr cx (e : expr) : code =
       | _, c ->
           let f = value_code c in
           V (fun fr -> charge st; unop op (f fr)))
-  | Ebin (op, a, b) -> (
+  | Ebin (op, a, b) ->
       let ca = expr cx a in
-      let cb = expr cx b in
-      let pending = ref 1 in
-      let typed =
-        match (ca, cb) with
-        | I _, I _ ->
-            let oa = int_opnd cx pending a ca in
-            let ob = int_opnd cx pending b cb in
-            int_binop st op oa ob !pending
-        | (I _ | R _), (I _ | R _) ->
-            let oa = real_opnd cx pending a ca in
-            let ob = real_opnd cx pending b cb in
-            real_binop st op oa ob !pending
-        | B fa, B fb -> bool_binop st op fa fb
-        | _ -> None
-      in
-      match typed with
-      | Some c -> c
-      | None ->
-          let fa = value_code ca and fb = value_code cb in
-          V
-            (fun fr ->
-              charge st;
-              let va = fa fr in
-              let vb = fb fr in
-              binop op va vb))
+      ebin cx op a b ca (expr cx b)
+
+(* [Ebin (op, a, b)] over its operands' code. *)
+and ebin cx op a b ca cb =
+  let st = cx.st and pending = ref 1 in
+  let typed =
+    match (ca, cb) with
+    | I _, I _ ->
+        let oa = int_opnd cx pending a ca in
+        let ob = int_opnd cx pending b cb in
+        int_binop st op oa ob !pending
+    | (I _ | R _), (I _ | R _) ->
+        let oa = real_opnd cx pending a ca in
+        let ob = real_opnd cx pending b cb in
+        real_binop st op oa ob !pending
+    | B fa, B fb -> bool_binop st op fa fb
+    | _ -> None
+  in
+  match typed with
+  | Some c -> c
+  | None ->
+      let fa = value_code ca and fb = value_code cb in
+      V
+        (fun fr ->
+          charge st;
+          let va = fa fr in
+          let vb = fb fr in
+          binop op va vb)
 
 (* The load's unit, its subscripts left to right, then the touch. *)
 and load cx a idxs =
@@ -568,12 +689,13 @@ let check cx (m : check_meta) =
   let term (atom, coeff) =
     ( coeff,
       match Ir.Atoms.payload cx.cur.func.Ir.Func.atoms (Atom.key atom) with
-      | Some (Ir.Atoms.Avar v) when cx.typed && var_ty cx.cur v = Int -> Slot v.vid
-      | Some (Ir.Atoms.Avar v) -> closure_opnd pending (var_int cx v)
+      | Some (Ir.Atoms.Avar v) when cx.typed && var_ty cx.cur v = Int -> Leaf (v.vid, 0)
+      | Some (Ir.Atoms.Avar v) -> Code (take pending, var_int cx v)
       | Some (Ir.Atoms.Aopaque e) -> int_opnd cx pending e (expr cx e)
       | None ->
-          closure_opnd pending (fun _ ->
-              error ("unknown atom " ^ Atom.name atom ^ " in an executed check")) )
+          Code
+            ( take pending,
+              fun _ -> error ("unknown atom " ^ Atom.name atom ^ " in an executed check") ) )
   in
   let terms =
     Array.of_list (in_order term (Nascent_checks.Linexpr.terms (Check.lhs m.chk)))
@@ -598,35 +720,85 @@ let check cx (m : check_meta) =
         charge_n st fin;
         if !s > k then fail ()
 
+(* --- assignments and stores ------------------------------------------------ *)
+
+(* The value an assignment or a store reads: one operand, or a sum,
+   difference or product of two, computed in the target's type and read
+   without its node's closure. *)
+type 'a value = One of 'a | Two of binop * 'a * 'a
+
+type typed_value = Ival of iopnd value | Rval of ropnd value
+
+let[@inline] int_value st w fin fr =
+  match w with
+  | One o -> int_last st o fin fr
+  | Two (op, a, b) -> (
+      let x = int_at st a fr in
+      let y = int_last st b fin fr in
+      match op with Add -> x + y | Sub -> x - y | _ -> x * y)
+
+let[@inline] real_value st w fin fr =
+  match w with
+  | One o -> real_last st o fin fr
+  | Two (op, a, b) -> (
+      let x = real_at st a fr in
+      let y = real_last st b fin fr in
+      match op with Add -> x +. y | Sub -> x -. y | _ -> x *. y)
+
+(* [e] as the value of a typed store into a [ty] target; [None] if it
+   does not fit. A [Two]'s node unit is pending before its operands,
+   where its closure would charge it. *)
+let value cx pending ty (e : expr) =
+  let one c =
+    match (ty, c) with
+    | Int, I _ -> Some (Ival (One (int_opnd cx pending e c)))
+    | Real, (I _ | R _) -> Some (Rval (One (real_opnd cx pending e c)))
+    | _ -> None
+  in
+  match e with
+  | Ebin (((Add | Sub | Mul) as op), a, b) -> (
+      let ca = expr cx a in
+      let cb = expr cx b in
+      match (ty, ca, cb) with
+      | Int, I _, I _ ->
+          incr pending;
+          let oa = int_opnd cx pending a ca in
+          Some (Ival (Two (op, oa, int_opnd cx pending b cb)))
+      | Real, (I _ | R _), R _ | Real, R _, I _ ->
+          incr pending;
+          let oa = real_opnd cx pending a ca in
+          Some (Rval (Two (op, oa, real_opnd cx pending b cb)))
+      | _ -> one (ebin cx op a b ca cb))
+  | _ -> one (expr cx e)
+
+(* The value, then the assignment's unit. *)
 let assign cx (v : var) e =
-  let st = cx.st and vid = v.vid and c = expr cx e in
+  let st = cx.st and vid = v.vid in
   if not cx.typed then
-    let f = value_code c in
+    let f = value_code (expr cx e) in
     fun fr ->
       let x = f fr in
       charge st;
       fr.vals.(vid) <- assignable v.vty x
   else
     let pending = ref 0 in
-    match (var_ty cx.cur v, c) with
-    | Int, I _ ->
-        let x = int_opnd cx pending e c in
+    match value cx pending (var_ty cx.cur v) e with
+    | Some (Ival w) ->
         let fin = !pending + 1 in
-        fun fr -> fr.ints.(vid) <- int_last st x fin fr
-    | Real, (I _ | R _) ->
-        let x = real_opnd cx pending e c in
+        fun fr -> fr.ints.(vid) <- int_value st w fin fr
+    | Some (Rval w) ->
         let fin = !pending + 1 in
-        fun fr -> fr.reals.(vid) <- real_last st x fin fr
-    | _ -> raise Ill_typed
+        fun fr -> fr.reals.(vid) <- real_value st w fin fr
+    | None -> raise Ill_typed
 
 (* Subscripts, then the value, then the store's unit, then the touch. *)
 let store cx a idxs e =
   let st = cx.st and k, touch = view cx a in
-  let c = expr cx e and cs = List.map (fun i -> (i, expr cx i)) idxs in
+  let cs = List.map (fun i -> (i, expr cx i)) idxs in
   let ty = payload_ty cx a in
   let is = Array.of_list (List.map (fun (_, c) -> int_code c) cs) in
   if not cx.typed then
-    let f = value_code c in
+    let f = value_code (expr cx e) in
     fun fr ->
       let xs = eval_all is fr in
       let x = f fr in
@@ -636,22 +808,21 @@ let store cx a idxs e =
   else
     let pending = ref 0 in
     let subs = subscripts cx pending a cs in
-    match (ty, c) with
-    | Int, I _ -> (
-        let y = int_opnd cx pending e c in
+    match value cx pending ty e with
+    | Some (Ival w) -> (
         let fin = !pending + 1 in
         match subs with
         | [ i ] ->
             fun fr ->
               let x = int_at st i fr in
-              let y = int_last st y fin fr in
+              let y = int_value st w fin fr in
               let v = view_of fr k touch in
               v.ints.(at1 a v x) <- y
         | [ i; j ] ->
             fun fr ->
               let x = int_at st i fr in
               let x' = int_at st j fr in
-              let y = int_last st y fin fr in
+              let y = int_value st w fin fr in
               let v = view_of fr k touch in
               v.ints.(at2 a v x x') <- y
         | [ i; j; l ] ->
@@ -659,30 +830,29 @@ let store cx a idxs e =
               let x = int_at st i fr in
               let x' = int_at st j fr in
               let x'' = int_at st l fr in
-              let y = int_last st y fin fr in
+              let y = int_value st w fin fr in
               let v = view_of fr k touch in
               v.ints.(at3 a v x x' x'') <- y
         | _ ->
             fun fr ->
               let xs = eval_all is fr in
-              let y = int_last st y fin fr in
+              let y = int_value st w fin fr in
               let v = view_of fr k touch in
               v.ints.(atn a v xs) <- y)
-    | Real, (I _ | R _) -> (
-        let y = real_opnd cx pending e c in
+    | Some (Rval w) -> (
         let fin = !pending + 1 in
         match subs with
         | [ i ] ->
             fun fr ->
               let x = int_at st i fr in
-              let y = real_last st y fin fr in
+              let y = real_value st w fin fr in
               let v = view_of fr k touch in
               v.reals.(at1 a v x) <- y
         | [ i; j ] ->
             fun fr ->
               let x = int_at st i fr in
               let x' = int_at st j fr in
-              let y = real_last st y fin fr in
+              let y = real_value st w fin fr in
               let v = view_of fr k touch in
               v.reals.(at2 a v x x') <- y
         | [ i; j; l ] ->
@@ -690,16 +860,16 @@ let store cx a idxs e =
               let x = int_at st i fr in
               let x' = int_at st j fr in
               let x'' = int_at st l fr in
-              let y = real_last st y fin fr in
+              let y = real_value st w fin fr in
               let v = view_of fr k touch in
               v.reals.(at3 a v x x' x'') <- y
         | _ ->
             fun fr ->
               let xs = eval_all is fr in
-              let y = real_last st y fin fr in
+              let y = real_value st w fin fr in
               let v = view_of fr k touch in
               v.reals.(atn a v xs) <- y)
-    | _ -> raise Ill_typed
+    | None -> raise Ill_typed
 
 let new_frame ~typed u =
   let n = max u.func.Ir.Func.next_vid 1 in
@@ -707,7 +877,7 @@ let new_frame ~typed u =
     let reals = Hashtbl.fold (fun _ t acc -> acc || t = Real) u.vtys false in
     fun () ->
       {
-        ints = Array.make n 0;
+        ints = Array.make (zero_slot u + 1) 0;
         reals = (if reals then Array.make n 0.0 else [||]);
         vals = [||];
         arrs = Array.make (Hashtbl.length u.slots) unfixed;
@@ -814,32 +984,96 @@ let instr cx (i : instr) : frame -> unit =
         charge st;
         st.printed <- v :: st.printed
 
-(* A block returns the block to run next, or -1 on return. *)
-let block cx (b : block) : frame -> int =
-  let st = cx.st in
-  let instrs = Array.of_list (List.map (instr cx) b.instrs) in
-  let run fr =
-    for j = 0 to Array.length instrs - 1 do
-      instrs.(j) fr
-    done;
-    charge st
-  in
-  match b.term with
-  | Goto l -> fun fr -> run fr; l
-  | Branch (c, t, e) ->
-      let c = bool_code (expr cx c) in
-      fun fr -> run fr; if c fr then t else e
-  | Ret -> fun fr -> run fr; -1
+(* --- threaded blocks ------------------------------------------------------ *)
 
+(* A block's closure, stored once every block is compiled; a jump reads
+   its target's cell when it runs. *)
+type cell = (frame -> unit) ref
+
+(* [instrs], then [k] as a tail call. *)
+let seq instrs (k : frame -> unit) =
+  match instrs with
+  | [||] -> k
+  | [| a |] -> fun fr -> a fr; k fr
+  | [| a; b |] -> fun fr -> a fr; b fr; k fr
+  | [| a; b; c |] -> fun fr -> a fr; b fr; c fr; k fr
+  | _ ->
+      fun fr ->
+        for j = 0 to Array.length instrs - 1 do
+          instrs.(j) fr
+        done;
+        k fr
+
+(* [instrs], the terminator's unit, then a tail call to [next]: [seq]
+   with the jump inlined. *)
+let goto st instrs (next : cell) =
+  match instrs with
+  | [||] -> fun fr -> charge st; !next fr
+  | [| a |] -> fun fr -> a fr; charge st; !next fr
+  | [| a; b |] -> fun fr -> a fr; b fr; charge st; !next fr
+  | [| a; b; c |] -> fun fr -> a fr; b fr; c fr; charge st; !next fr
+  | _ ->
+      fun fr ->
+        for j = 0 to Array.length instrs - 1 do
+          instrs.(j) fr
+        done;
+        charge st;
+        !next fr
+
+(* The terminator's unit, the condition, then a tail call to [t] or
+   [e]. An int comparison reads its operands itself, with the
+   terminator's unit and its own pending before them. *)
+let branch cx (c : expr) (t : cell) (e : cell) : frame -> unit =
+  let st = cx.st in
+  let on_bool c = fun fr -> charge st; if c fr then !t fr else !e fr in
+  match c with
+  | Ebin (op, a, b) -> (
+      let ca = expr cx a in
+      let cb = expr cx b in
+      match (ca, cb) with
+      | I _, I _ -> (
+          let pending = ref 2 in
+          let oa = int_opnd cx pending a ca in
+          let ob = int_opnd cx pending b cb in
+          let fin = !pending in
+          match op with
+          | Eq -> fun fr ->
+              let x = int_at st oa fr in
+              if x = int_last st ob fin fr then !t fr else !e fr
+          | Ne -> fun fr ->
+              let x = int_at st oa fr in
+              if x <> int_last st ob fin fr then !t fr else !e fr
+          | Lt -> fun fr ->
+              let x = int_at st oa fr in
+              if x < int_last st ob fin fr then !t fr else !e fr
+          | Le -> fun fr ->
+              let x = int_at st oa fr in
+              if x <= int_last st ob fin fr then !t fr else !e fr
+          | Gt -> fun fr ->
+              let x = int_at st oa fr in
+              if x > int_last st ob fin fr then !t fr else !e fr
+          | Ge -> fun fr ->
+              let x = int_at st oa fr in
+              if x >= int_last st ob fin fr then !t fr else !e fr
+          | _ -> on_bool (bool_code (ebin cx op a b ca cb)))
+      | _ -> on_bool (bool_code (ebin cx op a b ca cb)))
+  | _ -> on_bool (bool_code (expr cx c))
+
+let block cx cells (b : block) : frame -> unit =
+  let instrs = Array.of_list (List.map (instr cx) b.instrs) in
+  match b.term with
+  | Goto l -> goto cx.st instrs cells.(l)
+  | Branch (c, t, e) -> seq instrs (branch cx c cells.(t) cells.(e))
+  | Ret ->
+      let st = cx.st in
+      seq instrs (fun _ -> charge st)
+
+(* Every block's closure, then the entry's. *)
 let body cx =
   let f = cx.cur.func in
-  let blocks = Array.init (Ir.Func.num_blocks f) (fun bid -> block cx (Ir.Func.block f bid)) in
-  let entry = f.Ir.Func.entry in
-  fun fr ->
-    let b = ref entry in
-    while !b >= 0 do
-      b := blocks.(!b) fr
-    done
+  let cells = Array.init (Ir.Func.num_blocks f) (fun _ -> ref ignore) in
+  Array.iteri (fun bid cell -> cell := block cx cells (Ir.Func.block f bid)) cells;
+  !(cells.(f.Ir.Func.entry))
 
 (* Lay out every function, then compile the bodies, so that calls can
    resolve their callees; returns the main unit's entry. *)

@@ -18,7 +18,8 @@
 
     Execution model: {!run} first compiles every function of the
     program into OCaml closures, then runs them. Lookups are resolved
-    at compile time: blocks are an array, arrays get frame slots,
+    at compile time: each block tail-calls its successor's closure (no
+    dispatcher, a constant stack per call), arrays get frame slots,
     callees are bound, each check reads its atoms through precompiled
     readers, and an array's strides are computed once, when its dims
     are fixed. Where the static types prove it, expressions evaluate to
