@@ -246,18 +246,10 @@ let kill_state pool (keys : int list) (h : hstate) : hstate =
      opaque atom): plain kill. Conditional facts never shift.
    The assignment is linearized, and its facts interned, once, and each
    fact's shift is computed once. What [v]'s definition kills is read at
-   every use, since linearizations may add opaque atoms that mention
-   [v]; the first use reads it as it was before this assignment's own
-   linearization, as a transfer that linearizes on every use would. *)
+   every use, after [e] is linearized, since linearizations (this one
+   included) may add opaque atoms that mention [v]. *)
 let assign_transfer pool atoms (v : var) (e : expr) : hstate -> hstate =
-  let first = ref (Some (Atoms.killed_by_def atoms v)) in
-  let killed () =
-    match !first with
-    | Some k ->
-        first := None;
-        k
-    | None -> Atoms.killed_by_def atoms v
-  in
+  let killed () = Atoms.killed_by_def atoms v in
   let plain_kill h = kill_state pool (killed ()) h in
   if v.vty <> Int then plain_kill
   else

@@ -746,6 +746,44 @@ let test_wrong_hint_never_trusted () =
     (List.init 100 succ);
   Alcotest.(check bool) (Fmt.str "unsound deletions refused (%d)" !refused) true (!refused > 0)
 
+(* [n := mod(21 - n, 5)] is the first to linearize its right-hand
+   side, which makes the opaque atom [mod((21 - n), 5)]: an atom that
+   mentions [n], so it denotes a different value once [n] changes. The
+   transfer must read what the assignment kills after that
+   linearization, so no fact relating [n] to the atom survives it; one
+   read before the atom existed let [n = [mod((21 - n), 5)]] into every
+   block below (random-001 of the oracle cells has the shape). *)
+let test_assign_kills_own_atom () =
+  let f =
+    Nascent_ir.Program.main_func
+      (ir_of_source
+         "program t\n\
+          integer n, x\n\
+          n = 4\n\
+          n = mod(21 - n, 5)\n\
+          if x > 0 then\n\
+          x = 1\n\
+          endif\n\
+          print n\n\
+          end")
+  in
+  let cache = Validate.Cache.create () in
+  Array.iteri
+    (fun b s ->
+      List.iter
+        (fun c ->
+          let opaque (a, _) =
+            match Nascent_ir.Atoms.payload f.atoms (Nascent_checks.Atom.key a) with
+            | Some (Nascent_ir.Atoms.Aopaque _) -> true
+            | _ -> false
+          in
+          if List.exists opaque (Nascent_checks.Linexpr.terms (Nascent_checks.Check.lhs c))
+          then
+            Alcotest.failf "block %d: the fact %a outlives the assignment to n" b
+              Nascent_checks.Check.pp c)
+        (Validate.Facts.facts s))
+    (Validate.Facts.ambient_entry ~cache f)
+
 let suite =
   [
     tc "fig1: naive has 4 checks" test_fig1_naive_has_4_checks;
@@ -782,4 +820,5 @@ let suite =
     tc "oracle cells: random programs" test_oracle_cells_random;
     tc "oracle cells: work counts" test_work_counts;
     tc "certificate: a wrong hint is never trusted" test_wrong_hint_never_trusted;
+    tc "certificate: v := e kills what e's atoms say of v" test_assign_kills_own_atom;
   ]
