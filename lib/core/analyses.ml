@@ -8,11 +8,8 @@
      checks *of the same family* — the paper's stronger condition that
      keeps insertion points below the definitions of a check's symbols.
 
-   [cond_gens] controls whether a [Cond_check] generates its check.
-   The preheader pass sets it so that already-hoisted conditional
-   checks keep their loop-body coverage anticipatable/available for
-   transitive outer hoisting; global elimination leaves it off, because
-   a guarded check is not unconditionally performed. *)
+   A [Cond_check] generates nothing: its guard may be false, and then
+   it performs no check. *)
 
 module Ir = Nascent_ir
 module Bitset = Nascent_support.Bitset
@@ -51,58 +48,55 @@ let gen (tf : Dataflow.block_transfer) env ~ant (m : Ir.Types.check_meta) =
       Bitset.union_into ~into:tf.gen g;
       Bitset.diff_into ~into:tf.kill g
 
-let step tf env ~ant ~cond_gens (i : Ir.Types.instr) =
+let step tf env ~ant (i : Ir.Types.instr) =
   kill tf env.uni (env.ctx.Checkctx.instr_kill_keys i);
-  match i with
-  | Ir.Types.Check m -> gen tf env ~ant m
-  | Ir.Types.Cond_check (_, m) when cond_gens -> gen tf env ~ant m
-  | _ -> ()
+  match i with Ir.Types.Check m -> gen tf env ~ant m | _ -> ()
 
-let rec forward tf env ~cond_gens = function
+let rec forward tf env = function
   | [] -> ()
   | i :: rest ->
-      step tf env ~ant:false ~cond_gens i;
-      forward tf env ~cond_gens rest
+      step tf env ~ant:false i;
+      forward tf env rest
 
 (* last instruction first, on the stack rather than a reversed copy *)
-let rec backward tf env ~cond_gens = function
+let rec backward tf env = function
   | [] -> ()
   | i :: rest ->
-      backward tf env ~cond_gens rest;
-      step tf env ~ant:true ~cond_gens i
+      backward tf env rest;
+      step tf env ~ant:true i
 
-let block_transfer env ~ant ~cond_gens (b : Ir.Types.block) : Dataflow.block_transfer =
+let block_transfer env ~ant (b : Ir.Types.block) : Dataflow.block_transfer =
   let n = n_checks env in
   let tf = { Dataflow.gen = Bitset.create n; kill = Bitset.create n } in
   let entry_keys = env.ctx.Checkctx.block_entry_kill_keys b.Ir.Types.bid in
   if ant then begin
     (* backward: block-entry kills apply last *)
-    backward tf env ~cond_gens b.Ir.Types.instrs;
+    backward tf env b.Ir.Types.instrs;
     kill tf env.uni entry_keys
   end
   else begin
     kill tf env.uni entry_keys;
-    forward tf env ~cond_gens b.Ir.Types.instrs
+    forward tf env b.Ir.Types.instrs
   end;
   tf
 
-let transfers env ~ant ~cond_gens : Dataflow.block_transfer array =
+let transfers env ~ant : Dataflow.block_transfer array =
   let f = env.ctx.Checkctx.func in
   Array.init (Ir.Func.num_blocks f) (fun bid ->
-      block_transfer env ~ant ~cond_gens (Ir.Func.block f bid))
+      block_transfer env ~ant (Ir.Func.block f bid))
 
 (* Forward availability: AVIN/AVOUT per block. *)
-let availability ?(cond_gens = false) env : Dataflow.result =
+let availability env : Dataflow.result =
   let f = env.ctx.Checkctx.func in
   Dataflow.solve f ~universe:(n_checks env) ~direction:Dataflow.Forward
     ~boundary:(Bitset.create (n_checks env))
-    ~transfer:(transfers env ~ant:false ~cond_gens)
+    ~transfer:(transfers env ~ant:false)
 
 (* Backward anticipatability. The solver's [in_]/[out] are named by
    *program* position: [result.in_.(b)] is the value at block entry
    (ANTIN), [result.out.(b)] at block exit (ANTOUT). *)
-let anticipatability ?(cond_gens = false) env : Dataflow.result =
+let anticipatability env : Dataflow.result =
   let f = env.ctx.Checkctx.func in
   Dataflow.solve f ~universe:(n_checks env) ~direction:Dataflow.Backward
     ~boundary:(Bitset.create (n_checks env))
-    ~transfer:(transfers env ~ant:true ~cond_gens)
+    ~transfer:(transfers env ~ant:true)

@@ -16,12 +16,10 @@ val make_env : Checkctx.t -> env
 val n_checks : env -> int
 
 
-val availability : ?cond_gens:bool -> env -> Nascent_analysis.Dataflow.result
-(** Block-level availability. [cond_gens] makes a [Cond_check] generate
-    its check: off for global elimination (a guarded check is not
-    unconditionally performed), on inside the preheader pass, whose
-    guards are exactly loop-entry conditions. *)
+val availability : env -> Nascent_analysis.Dataflow.result
+(** Block-level availability. A [Cond_check] generates nothing in
+    either problem: when its guard is false it performs no check. *)
 
-val anticipatability : ?cond_gens:bool -> env -> Nascent_analysis.Dataflow.result
+val anticipatability : env -> Nascent_analysis.Dataflow.result
 (** Block-level anticipatability; [result.in_] is ANTIN (block entry),
     [result.out] ANTOUT. *)

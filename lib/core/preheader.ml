@@ -23,8 +23,8 @@
 
    Eligibility to hoist from loop L:
    - a plain check must be anticipatable at the beginning of L's body
-     (the paper's rule — it ensures a check at least as strong executes
-     on every iteration before its operands are redefined);
+     (the paper's rule: a check at least as strong runs on every path
+     before its operands change, maybe only after the loop exits);
    - a conditional check (produced by hoisting out of an inner loop)
      must sit in a block that dominates every latch of L — it executes
      exactly once per iteration — and both its guard and its check must
@@ -394,7 +394,7 @@ let run (ctx : Checkctx.t) ~variant : stats =
     | Some uf -> uf
     | None ->
         let env = Analyses.make_env ctx in
-        let uf = (env.Analyses.uni, Analyses.anticipatability ~cond_gens:true env) in
+        let uf = (env.Analyses.uni, Analyses.anticipatability env) in
         current := Some uf;
         uf
   in

@@ -7,7 +7,8 @@
    - traps iff the naive program traps,
    - errors iff the naive program errors,
    - prints the same values when neither happens,
-   - never performs more dynamic checks,
+   - never performs more dynamic checks under NI, CS and MCM, and
+     only a bounded number more under the other placements,
    and optimization is idempotent in behaviour (a second round changes
    nothing observable).
 
@@ -255,14 +256,18 @@ let check_program src =
             "behaviour change under %a:@.%s@.naive: %a@.optimized: %a" Config.pp config
             src Run.pp_outcome o1 Run.pp_outcome o2;
         check_trapped_prefix "optimized run" config src o1 o2;
-        (* Dynamic check counts are monotone for NI/CS/LI/LLS. The PRE
-           placements are down-safe but not always profitable — the
-           paper's Figure 5 shows SE adding checks on one path — so for
-           SE/LNI/ALL we only bound the damage. *)
+        (* Dynamic check counts are monotone for NI/CS/MCM. The other
+           placements are safe but not always profitable, so for them
+           we only bound the damage: the paper's Figure 5 shows SE
+           adding checks on one path, and LI/LLS hoist every check
+           anticipatable at the loop body's entry (section 3.3), which
+           a check after the loop can make it, so a hoisted check runs
+           once per loop entry even on a path that skips its site in
+           the loop (see [test_hoist_past_skipped_site]). *)
         let monotone =
           match config.Config.scheme with
-          | Config.NI | Config.CS | Config.LI | Config.LLS | Config.MCM -> true
-          | Config.SE | Config.LNI | Config.ALL -> false
+          | Config.NI | Config.CS | Config.MCM -> true
+          | Config.SE | Config.LNI | Config.ALL | Config.LI | Config.LLS -> false
         in
         if o1.Run.trap = None && o1.Run.error = None then begin
           if monotone && o2.Run.checks > o1.Run.checks then
@@ -326,9 +331,96 @@ let test_generator_diversity () =
     (!with_checks >= 45);
   Alcotest.(check bool) (Fmt.str "programs with loops (%d)" !loops) true (!loops >= 25)
 
+(* Minimized from the program [gen_program] draws from
+   [Random.State.make [| 86439 |]], on which the old monotone clause
+   for LI/LLS failed: LLS/PRX/cross-family-only took its dynamic checks
+   10 -> 11, and LI and LLS with all implications 10 -> 12. Of seeds
+   1..100,000, 31 such failures came up, all under LI or LLS. The loop's
+   a(n) is skipped on every trip, but the print after the loop makes
+   its checks anticipatable at the body's entry, so LI and LLS hoist
+   them to the preheader: they run there and again at the print, which
+   the other arm of the outer if keeps from being redundant. The run
+   is the naive run's in every other respect; MCM, which hoists only
+   from blocks on every path through an iteration, and NI and CS add
+   nothing. *)
+let hoist_past_skipped_site =
+  "program hoist\n\
+   integer i, m, n, a(1:10)\n\
+   n = 3\n\
+   m = 5\n\
+   if m > 1 then\n\
+   do i = 1, 4\n\
+   if m > 7 then\n\
+   a(n) = 0\n\
+   endif\n\
+   enddo\n\
+   endif\n\
+   print a(n)\n\
+   end"
+
+let test_hoist_past_skipped_site () =
+  let ir = Ir.Lower.of_source hoist_past_skipped_site in
+  let naive = Run.run ir in
+  Alcotest.(check int) "naive checks" 2 naive.Run.checks;
+  List.iter
+    (fun (config, checks) ->
+      let o = Run.run (fst (Core.Optimizer.optimize ~config ir)) in
+      let name = Fmt.str "%a" Config.pp config in
+      Alcotest.(check bool) (name ^ ": same outcome") true (outcome_key naive = outcome_key o);
+      Alcotest.(check int) (name ^ ": dynamic checks") checks o.Run.checks)
+    [
+      (Config.make ~scheme:Config.LLS (), 4);
+      (Config.make ~scheme:Config.LLS ~impl:Universe.Cross_family_only (), 4);
+      (Config.make ~scheme:Config.LI (), 4);
+      (Config.make ~scheme:Config.MCM (), 2);
+      (Config.make ~scheme:Config.NI (), 2);
+      (Config.make ~scheme:Config.CS (), 2);
+    ]
+
+(* Minimized from a program on which [prop_soundness] failed with
+   "behaviour change under LI/PRX/all-impl". The inner do loop never
+   runs, so its b(i - 1) checks, hoisted to its preheader as cond
+   checks, perform nothing; a(i) is skipped too. While cond checks
+   counted as performed in the preheader pass's anticipatability, they
+   made a(i)'s lower-bound check anticipatable at the while body's
+   entry, and LI, LLS and ALL hoisted it to the while preheader, where
+   it trapped on i = 0 in a program that checks nothing. *)
+let zero_trip_cond_check =
+  "program p\n\
+   integer i, k, m, n, a(1:10), b(0:19)\n\
+   n = 42\n\
+   i = 0\n\
+   m = 2\n\
+   while m > 0 do\n\
+   if m > 5 then\n\
+   a(i) = 1\n\
+   else\n\
+   do k = 6, n, -1\n\
+   b(i - 1) = 0\n\
+   enddo\n\
+   endif\n\
+   m = m - 1\n\
+   endwhile\n\
+   print i\n\
+   end"
+
+let test_zero_trip_cond_check () =
+  let ir = Ir.Lower.of_source zero_trip_cond_check in
+  let naive = Run.run ir in
+  Alcotest.(check (option string)) "naive: no trap" None naive.Run.trap;
+  List.iter
+    (fun config ->
+      let o = Run.run (fst (Core.Optimizer.optimize ~config ir)) in
+      let name = Fmt.str "%a" Config.pp config in
+      Alcotest.(check (option string)) (name ^ ": no trap") None o.Run.trap;
+      Alcotest.(check bool) (name ^ ": same outcome") true (outcome_key naive = outcome_key o))
+    configs
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_soundness;
+    Util.tc "LI/LLS hoist past a skipped site" test_hoist_past_skipped_site;
+    Util.tc "LI/LLS: a zero-trip cond check covers nothing" test_zero_trip_cond_check;
     Util.tc "sharded soundness (2 domains)" test_sharded_soundness;
     Util.tc "generator diversity" test_generator_diversity;
   ]
