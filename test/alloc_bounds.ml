@@ -153,6 +153,33 @@ let test_compile_response_alloc_bound () =
           b.Suite.name (String.length frame) words bound)
     Suite.all
 
+(* --- allocation budget on the interpreter ---------------------------------
+
+   A run compiles its program to closures, allocates its frames and
+   arrays, and boxes every float a real closure returns; a closure that
+   starts boxing per operation multiplies these words on any host. *)
+
+(* The mean words one [Run.run] of a suite program's LLS code
+   allocates, its compile to closures included: 90,203 when this budget
+   was set (169,311 with the block dispatcher and closure-read array
+   elements that preceded it), so the budget leaves about 11%. *)
+let test_run_alloc_budget () =
+  let progs =
+    List.map
+      (fun (b : Suite.benchmark) ->
+        let _, env = Nascent_frontend.Frontend.analyze_exn b.Suite.source in
+        let config = Config.make ~scheme:Config.LLS () in
+        fst (Nascent_core.Optimizer.optimize ~config (Nascent_ir.Lower.lower_program env)))
+      Suite.all
+  in
+  let run p = ignore (Nascent_interp.Run.run p) in
+  run (List.hd progs);
+  let (), words = allocated_words (fun () -> List.iter run progs) in
+  let mean = words / List.length progs in
+  let budget = 100_000 in
+  if mean > budget then
+    Alcotest.failf "an LLS suite run allocates %d words on average, budget %d" mean budget
+
 (* Under the "support" group, with the suite's other allocation bounds. *)
 let () =
   Alcotest.run "nascent-rco-alloc"
@@ -166,4 +193,5 @@ let () =
           Alcotest.test_case "service: compile response allocation" `Quick
             test_compile_response_alloc_bound;
         ] );
+      ("interp", [ Alcotest.test_case "run allocation budget" `Quick test_run_alloc_budget ]);
     ]
