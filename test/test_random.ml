@@ -419,8 +419,8 @@ let test_zero_trip_cond_check () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_soundness;
-    Util.tc "LI/LLS hoist past a skipped site" test_hoist_past_skipped_site;
-    Util.tc "LI/LLS: a zero-trip cond check covers nothing" test_zero_trip_cond_check;
     Util.tc "sharded soundness (2 domains)" test_sharded_soundness;
     Util.tc "generator diversity" test_generator_diversity;
+    Util.tc "LI/LLS hoist past a skipped site" test_hoist_past_skipped_site;
+    Util.tc "LI/LLS: a zero-trip cond check covers nothing" test_zero_trip_cond_check;
   ]
