@@ -1030,8 +1030,8 @@ let branch cx (c : expr) (t : cell) (e : cell) : frame -> unit =
   | Ebin (op, a, b) -> (
       let ca = expr cx a in
       let cb = expr cx b in
-      match (ca, cb) with
-      | I _, I _ -> (
+      match (op, ca, cb) with
+      | (Eq | Ne | Lt | Le | Gt | Ge), I _, I _ -> (
           let pending = ref 2 in
           let oa = int_opnd cx pending a ca in
           let ob = int_opnd cx pending b cb in
@@ -1052,10 +1052,9 @@ let branch cx (c : expr) (t : cell) (e : cell) : frame -> unit =
           | Gt -> fun fr ->
               let x = int_at st oa fr in
               if x > int_last st ob fin fr then !t fr else !e fr
-          | Ge -> fun fr ->
+          | _ -> fun fr ->
               let x = int_at st oa fr in
-              if x >= int_last st ob fin fr then !t fr else !e fr
-          | _ -> on_bool (bool_code (ebin cx op a b ca cb)))
+              if x >= int_last st ob fin fr then !t fr else !e fr)
       | _ -> on_bool (bool_code (ebin cx op a b ca cb)))
   | _ -> on_bool (bool_code (expr cx c))
 
