@@ -259,6 +259,73 @@ let test_mangle_torn_fails_crc () =
       | Ok _ -> Alcotest.failf "seed %d: torn frame decoded" seed)
     all_seeds
 
+(* --- wire bytes ---------------------------------------------------------- *)
+
+(* The payload CRC is IEEE 802.3 CRC32, computed here one bit at a
+   time so that it shares nothing with the codec's tables. *)
+let reference_crc32 s =
+  let c = ref 0xffffffff in
+  String.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 1 to 8 do
+        c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+      done)
+    s;
+  !c lxor 0xffffffff
+
+(* Bytes 16-19 of a frame: its CRC, big-endian. *)
+let crc_field s =
+  (Char.code s.[16] lsl 24) lor (Char.code s.[17] lsl 16) lor (Char.code s.[18] lsl 8)
+  lor Char.code s.[19]
+
+let test_crc_check_value () =
+  let s = Frame.encode ~id:0 "123456789" in
+  Alcotest.(check int) "CRC32 check value" 0xCBF43926 (crc_field s);
+  Alcotest.(check string) "header bytes 16-19" "\xcb\xf4\x39\x26" (String.sub s 16 4)
+
+(* Lengths 0-64 cover every tail a loop over 4- or 8-byte words can
+   leave; the payload bytes sweep the whole byte range. *)
+let test_crc_every_length () =
+  for len = 0 to 64 do
+    let payload = String.init len (fun i -> Char.chr ((i * 167 + len * 31 + 7) land 0xff)) in
+    let s = Frame.encode ~id:len payload in
+    Alcotest.(check int) (Printf.sprintf "CRC of %d bytes" len) (reference_crc32 payload)
+      (crc_field s);
+    let d = Frame.decoder () in
+    feed_all d s;
+    Alcotest.(check string) (Printf.sprintf "%d bytes decode" len) payload
+      (next_exn d).Frame.payload
+  done
+
+let test_crc_every_bit_flip () =
+  let payload = String.init 64 (fun i -> Char.chr ((i * 89 + 3) land 0xff)) in
+  let s = Frame.encode ~id:11 payload in
+  for bit = 0 to (64 * 8) - 1 do
+    let b = Bytes.of_string s in
+    let pos = Frame.header_bytes + (bit / 8) in
+    Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl (bit mod 8))));
+    let d = Frame.decoder () in
+    feed_all d (Bytes.to_string b);
+    match Frame.next d with
+    | Error Frame.Crc_mismatch -> ()
+    | Error e -> Alcotest.failf "bit %d: expected Crc_mismatch, got %a" bit Frame.pp_error e
+    | Ok _ -> Alcotest.failf "bit %d: flipped payload decoded" bit
+  done
+
+(* The largest frame a default decoder accepts survives the trip. *)
+let test_max_payload_roundtrip () =
+  let payload =
+    String.init Frame.default_max_payload (fun i -> Char.chr ((i lxor (i lsr 9)) land 0xff))
+  in
+  let s = Frame.encode ~id:77 payload in
+  Alcotest.(check int) "CRC" (reference_crc32 payload) (crc_field s);
+  let d = Frame.decoder () in
+  feed_all d s;
+  let f = next_exn d in
+  Alcotest.(check int) "id" 77 f.Frame.id;
+  Alcotest.(check bool) "payload" true (String.equal payload f.Frame.payload)
+
 (* --- hello handshake --------------------------------------------------- *)
 
 let test_hello_roundtrip () =
@@ -335,6 +402,10 @@ let suite =
       test_read_frame_faulty;
     Alcotest.test_case "write_all under faulty writer" `Quick
       test_write_all_faulty;
+    Alcotest.test_case "CRC32 check value in the header" `Quick test_crc_check_value;
+    Alcotest.test_case "CRC32 of every length 0-64" `Quick test_crc_every_length;
+    Alcotest.test_case "every payload bit flip fails CRC" `Quick test_crc_every_bit_flip;
+    Alcotest.test_case "max payload roundtrip" `Quick test_max_payload_roundtrip;
     Alcotest.test_case "torn mangle fails CRC" `Quick
       test_mangle_torn_fails_crc;
     Alcotest.test_case "hello roundtrip" `Quick test_hello_roundtrip;

@@ -289,6 +289,111 @@ let prop_json_unicode_escapes =
       let want = String.concat "" (List.map (fun (u, _) -> utf8 u) chars) in
       Json.parse ("\"" ^ text ^ "\"") = Ok (Json.Str want))
 
+(* --- Json at every word boundary ------------------------------------------
+
+   A string scanner that reads several bytes at a time must still see
+   a byte that needs escaping wherever it falls in the word and
+   whatever plain bytes sit beside it. *)
+
+(* Plain bytes, among them the neighbours of the bytes that need
+   escaping: one bit or one step away from '"', '\\' and 0x20. *)
+let plain_bytes = "a!#[]\xa2\xdc\x9f\xa0~\x7f\x80\xff`\x21\xe0\xc0\x5d"
+
+let plain_run len = String.init len (fun i -> plain_bytes.[i mod String.length plain_bytes])
+
+(* [run] of length [len] with [mid] inserted at offset [k]. *)
+let with_at len k mid =
+  let run = plain_run len in
+  String.sub run 0 k ^ mid ^ String.sub run k (len - k)
+
+(* The bytes placed into plain runs: each escaped one, and the
+   unescaped ones at the edges of the escaped ranges. *)
+let probe_bytes =
+  List.init 0x20 Char.chr @ [ '"'; '\\'; '\x20'; '\x7f'; '\x80'; '\xff' ]
+
+(* Every (run length, offset) pair: runs of 0-24 bytes, offsets 0-17. *)
+let each_placement f =
+  for len = 0 to 24 do
+    for k = 0 to min 17 len do
+      f len k
+    done
+  done
+
+(* A string literal printed one byte at a time. *)
+let reference_print s =
+  let b = Buffer.create (String.length s + 2) in
+  Buffer.add_char b '"';
+  String.iter
+    (fun ch ->
+      match ch with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | '\b' -> Buffer.add_string b "\\b"
+      | '\012' -> Buffer.add_string b "\\f"
+      | ch when Char.code ch < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code ch))
+      | ch -> Buffer.add_char b ch)
+    s;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
+let test_json_word_boundaries () =
+  List.iter
+    (fun ch ->
+      each_placement (fun len k ->
+          let s = with_at len k (String.make 1 ch) in
+          let v = Json.Str s in
+          let printed = Json.to_string v in
+          let what = Printf.sprintf "%C at %d of %d" ch k len in
+          Alcotest.(check string) (what ^ ": printed") (reference_print s) printed;
+          Alcotest.(check int) (what ^ ": length") (String.length printed) (Json.length v);
+          Alcotest.check json (what ^ ": parsed") v (parse_ok printed)))
+    probe_bytes
+
+(* Each malformed string, behind a prefix of zero or one escapes,
+   reports the byte offset where it broke. *)
+let test_json_word_boundary_errors () =
+  let check s at msg =
+    let want = Printf.sprintf "JSON parse error at byte %d: %s" at msg in
+    match Json.parse s with
+    | Ok v -> Alcotest.failf "expected parse error for %S, got %s" s (Json.to_string v)
+    | Error e -> Alcotest.(check string) (Printf.sprintf "error for %S" s) want e
+  in
+  List.iter
+    (fun lead ->
+      let at = 1 + String.length lead in
+      each_placement (fun len k ->
+          for c = 0 to 0x1f do
+            check
+              ("\"" ^ lead ^ with_at len k (String.make 1 (Char.chr c)) ^ "\"")
+              (at + k) "raw control byte in string"
+          done;
+          check ("\"" ^ lead ^ plain_run len) (at + len) "unterminated string";
+          check ("\"" ^ lead ^ with_at len k "\\x" ^ "\"") (at + k + 2) "bad escape";
+          check ("\"" ^ lead ^ String.sub (plain_run len) 0 k ^ "\\u12") (at + k + 4)
+            "truncated \\u escape"))
+    [ ""; "\\n"; "\\u00e9"; "\\ud834\\udd1e" ]
+
+(* A megabyte string with an escape every 7th byte prints and parses
+   back to itself. *)
+let test_json_large_string () =
+  let escapes = "\n\"\\\t\001\x1f" in
+  let s =
+    String.init (1 lsl 20) (fun i ->
+        if i mod 7 = 6 then escapes.[i / 7 mod String.length escapes]
+        else plain_bytes.[i mod String.length plain_bytes])
+  in
+  let v = Json.Str s in
+  let printed = Json.to_string v in
+  Alcotest.(check int) "length" (String.length printed) (Json.length v);
+  Alcotest.(check bool) "printed" true (String.equal (reference_print s) printed);
+  match Json.parse printed with
+  | Ok (Json.Str s') -> Alcotest.(check bool) "parsed back" true (String.equal s s')
+  | Ok _ -> Alcotest.fail "parsed to a non-string"
+  | Error e -> Alcotest.fail e
+
 let test_json_accessors () =
   let v = parse_ok {|{"s":"x","i":7,"b":true,"f":2.5,"n":null}|} in
   Alcotest.(check (option string)) "str" (Some "x") (Json.str_member "s" v);
@@ -559,6 +664,9 @@ let suite =
     tc "json: parse forms" test_json_parse_forms;
     tc "json: malformed rejected" test_json_malformed;
     tc "json: accessors" test_json_accessors;
+    tc "json: every word boundary" test_json_word_boundaries;
+    tc "json: errors at every word boundary" test_json_word_boundary_errors;
+    tc "json: 1 MiB string roundtrip" test_json_large_string;
     tc "retry: deterministic jitter" test_retry_delay_deterministic;
     tc "retry: outcomes" test_retry_outcomes;
     tc "retry: elapsed budget" test_retry_elapsed_budget;
