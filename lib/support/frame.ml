@@ -7,24 +7,49 @@ let header_bytes = 20
 let default_max_payload = 4 * 1024 * 1024
 let magic = "NF1"
 
-(* --- CRC32 (IEEE 802.3), table-driven, pure OCaml ------------------- *)
+(* --- CRC32 (IEEE 802.3), slicing-by-8, pure OCaml ------------------ *)
 
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+(* Eight 256-entry tables, one after another: table 0 is the classic
+   byte-at-a-time table, and entry [n] of table [k] is the CRC of byte
+   [n] followed by [k] zero bytes, so eight bytes fold in with eight
+   lookups (Kounavis & Berry, "A Systematic Approach to Building High
+   Performance Software-Based CRC Generators", ISCC 2005). *)
+let crc_tables =
+  let t = Array.make (8 * 256) 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for n = 256 to (8 * 256) - 1 do
+    let prev = t.(n - 256) in
+    t.(n) <- (prev lsr 8) lxor t.(prev land 0xff)
+  done;
+  t
 
 let crc32_sub s off len =
-  let table = Lazy.force crc_table in
+  let t = crc_tables in
   let c = ref 0xffffffff in
-  for i = off to off + len - 1 do
+  let i = ref off in
+  let stop = off + len in
+  while !i + 8 <= stop do
+    let a = Int32.to_int (String.get_int32_le s !i) lxor !c in
+    let b = Int32.to_int (String.get_int32_le s (!i + 4)) in
     c :=
-      Array.unsafe_get table ((!c lxor Char.code (String.unsafe_get s i)) land 0xff)
-      lxor (!c lsr 8)
+      Array.unsafe_get t (0x700 lor (a land 0xff))
+      lxor Array.unsafe_get t (0x600 lor ((a lsr 8) land 0xff))
+      lxor Array.unsafe_get t (0x500 lor ((a lsr 16) land 0xff))
+      lxor Array.unsafe_get t (0x400 lor ((a lsr 24) land 0xff))
+      lxor Array.unsafe_get t (0x300 lor (b land 0xff))
+      lxor Array.unsafe_get t (0x200 lor ((b lsr 8) land 0xff))
+      lxor Array.unsafe_get t (0x100 lor ((b lsr 16) land 0xff))
+      lxor Array.unsafe_get t ((b lsr 24) land 0xff);
+    i := !i + 8
+  done;
+  for i = !i to stop - 1 do
+    c := Array.unsafe_get t ((!c lxor Char.code (String.unsafe_get s i)) land 0xff) lxor (!c lsr 8)
   done;
   !c lxor 0xffffffff
 

@@ -47,23 +47,31 @@ let expect c ch =
   if (not (at_end c)) && cur c = ch then c.i <- c.i + 1
   else fail c (Printf.sprintf "expected %C" ch)
 
+(* Whether [word] lies at [i] of [s], from its byte [k] on. *)
+let rec lies_at s i word k =
+  k = String.length word
+  || (String.unsafe_get s (i + k) = String.unsafe_get word k && lies_at s i word (k + 1))
+
 let literal c word v =
   let n = String.length word in
-  if c.i + n <= String.length c.s && String.sub c.s c.i n = word then begin
+  if c.i + n <= String.length c.s && lies_at c.s c.i word 0 then begin
     c.i <- c.i + n;
     v
   end
   else fail c ("expected " ^ word)
 
+(* The value of a hex digit, or -1. *)
+let hex_value = function
+  | '0' .. '9' as ch -> Char.code ch - Char.code '0'
+  | 'a' .. 'f' as ch -> Char.code ch - Char.code 'a' + 10
+  | 'A' .. 'F' as ch -> Char.code ch - Char.code 'A' + 10
+  | _ -> -1
+
 let hex_digit c =
   if at_end c then fail c "truncated \\u escape";
-  let ch = cur c in
+  let v = hex_value (cur c) in
   c.i <- c.i + 1;
-  match ch with
-  | '0' .. '9' -> Char.code ch - Char.code '0'
-  | 'a' .. 'f' -> Char.code ch - Char.code 'a' + 10
-  | 'A' .. 'F' -> Char.code ch - Char.code 'A' + 10
-  | _ -> fail c "bad hex digit in \\u escape"
+  if v < 0 then fail c "bad hex digit in \\u escape" else v
 
 let hex4 c =
   let a = hex_digit c in
@@ -72,10 +80,9 @@ let hex4 c =
   let e = hex_digit c in
   (a lsl 12) lor (b lsl 8) lor (d lsl 4) lor e
 
-(* Write byte [ch] at output offset [o] when there is an output; the
-   next offset either way. *)
+(* Write byte [ch] at output offset [o]; the next offset. *)
 let put dst o ch =
-  (match dst with Some b -> Bytes.unsafe_set b o ch | None -> ());
+  Bytes.set dst o ch;
   o + 1
 
 (* Encode one Unicode scalar value as UTF-8 at [o]. *)
@@ -94,28 +101,75 @@ let put_utf8 dst o u =
     let o = put dst o (Char.chr (0x80 lor ((u lsr 6) land 0x3F))) in
     put dst o (Char.chr (0x80 lor (u land 0x3F)))
 
-(* The end of the run of bytes from [j] that decode to themselves. *)
+(* Whether any of the eight bytes at [j] is '"', '\\' or below 0x20,
+   the bytes a string cannot carry as themselves: the has-zero-byte
+   test on the word xor '"'s and on the word xor '\\'s, and its
+   has-less-than variant on the word itself (the "Bit Twiddling Hacks"
+   collection). Each is exact, and none depends on byte order. Inlined,
+   the [int64]s stay unboxed. *)
+let[@inline] special8 s j =
+  let x = String.get_int64_ne s j in
+  let ones = 0x0101010101010101L in
+  let q = Int64.logxor x 0x2222222222222222L in
+  let b = Int64.logxor x 0x5c5c5c5c5c5c5c5cL in
+  Int64.(
+    logand
+      (logor
+         (logand (sub q ones) (lognot q))
+         (logor
+            (logand (sub b ones) (lognot b))
+            (logand (sub x 0x2020202020202020L) (lognot x))))
+      0x8080808080808080L)
+  <> 0L
+
+(* The end of the run of bytes from [j] that decode and print as
+   themselves: eight bytes a step, then byte by byte from the word
+   that holds the stop. *)
 let rec plain_run s n j =
+  if j + 8 <= n && not (special8 s j) then plain_run s n (j + 8) else plain_bytes s n j
+
+and plain_bytes s n j =
   if
     j < n
     &&
     let ch = String.unsafe_get s j in
     ch <> '"' && ch <> '\\' && ch >= ' '
-  then plain_run s n (j + 1)
+  then plain_bytes s n (j + 1)
   else j
 
-(* One string body, from just past the opening quote to just past the
-   closing one. A run of bytes that need no decoding is copied in one
-   blit; each escape is decoded in place. With [dst = None] it only
-   validates and returns the decoded length — every error is raised
-   from that pass, at the offset it always had; with [Some b] it
-   writes the decoded bytes into [b], which that length sized. *)
+let utf8_length u = if u < 0x80 then 1 else if u < 0x800 then 2 else if u < 0x10000 then 3 else 4
+
+(* The decoded length of the string body from [j] to its closing
+   quote, hopping each run of plain bytes at word speed. It is exact
+   on a well-formed body and reads no further than the first thing it
+   cannot size; on a malformed one, decoding fails before it has
+   written more than the well-formed prefix this counted. *)
+let rec body_length s n j acc =
+  let k = plain_run s n j in
+  let acc = acc + (k - j) in
+  if k + 1 >= n || String.unsafe_get s k <> '\\' then acc
+  else if String.unsafe_get s (k + 1) = 'u' && k + 5 < n then
+    let u =
+      (hex_value s.[k + 2] lsl 12)
+      lor (hex_value s.[k + 3] lsl 8)
+      lor (hex_value s.[k + 4] lsl 4)
+      lor hex_value s.[k + 5]
+    in
+    (* a high surrogate heads a pair: 12 bytes that decode to 4 *)
+    if u >= 0xD800 && u <= 0xDBFF then body_length s n (k + 12) (acc + 4)
+    else body_length s n (k + 6) (acc + utf8_length u)
+  else body_length s n (k + 2) (acc + 1)
+
+(* One string body into [dst], from [c.i] just past the opening quote
+   to just past the closing one. A run of bytes that need no decoding
+   is copied in one blit; each escape is decoded in place. Every
+   malformed form fails here, at the offset the byte loop finds it. *)
 let rec decode_string c dst o =
   let s = c.s in
   let start = c.i in
   c.i <- plain_run s (String.length s) start;
   let run = c.i - start in
-  (match dst with Some b -> Bytes.blit_string s start b o run | None -> ());
+  Bytes.blit_string s start dst o run;
   let o = o + run in
   if at_end c then fail c "unterminated string"
   else
@@ -155,21 +209,22 @@ let rec decode_string c dst o =
         decode_string c dst o
     | _ -> fail c "raw control byte in string"
 
-(* Every escape is longer than what it decodes to, so a decoded length
-   equal to the raw one means there were none: one [String.sub].
-   Otherwise a second pass decodes into a string of exactly that
-   length. *)
+(* A body whose first run ends at the closing quote has no escapes:
+   one [String.sub]. Otherwise one pass decodes it into a string that
+   [body_length] sized exactly. *)
 let parse_string c =
   expect c '"';
-  let start = c.i in
-  let len = decode_string c None 0 in
-  if len = c.i - start - 1 then String.sub c.s start len
+  let s = c.s and start = c.i in
+  let n = String.length s in
+  let j = plain_run s n start in
+  if j < n && String.unsafe_get s j = '"' then begin
+    c.i <- j + 1;
+    String.sub s start (j - start)
+  end
   else begin
-    let b = Bytes.create len in
-    let stop = c.i in
-    c.i <- start;
-    ignore (decode_string c (Some b) 0);
-    assert (c.i = stop);
+    let b = Bytes.create (body_length s n j (j - start)) in
+    let len = decode_string c b 0 in
+    assert (len = Bytes.length b);
     Bytes.unsafe_to_string b
   end
 
@@ -300,12 +355,12 @@ let escaped_width ch =
   | ch when Char.code ch < 0x20 -> 6
   | _ -> 1
 
-let string_length s =
-  let n = ref 2 in
-  for i = 0 to String.length s - 1 do
-    n := !n + escaped_width (String.unsafe_get s i)
-  done;
-  !n
+let rec body_width s n j acc =
+  let k = plain_run s n j in
+  if k = n then acc + (k - j)
+  else body_width s n (k + 1) (acc + (k - j) + escaped_width (String.unsafe_get s k))
+
+let string_length s = body_width s (String.length s) 0 2
 
 let int_length n =
   let rec digits n acc = if n > -10 && n < 10 then acc else digits (n / 10) (acc + 1) in
@@ -350,40 +405,35 @@ let blit_int b o n =
   go n (o + len - 1);
   o + len
 
+(* The escape for a byte that cannot print as itself. *)
+let blit_escape b o ch =
+  Bytes.unsafe_set b o '\\';
+  match ch with
+  | '"' | '\\' | '\n' | '\r' | '\t' | '\b' | '\012' ->
+      let e =
+        match ch with
+        | '\n' -> 'n'
+        | '\r' -> 'r'
+        | '\t' -> 't'
+        | '\b' -> 'b'
+        | '\012' -> 'f'
+        | ch -> ch
+      in
+      blit_char b (o + 1) e
+  | ch ->
+      Bytes.blit_string "u00" 0 b (o + 1) 3;
+      Bytes.unsafe_set b (o + 4) hex.[Char.code ch lsr 4];
+      blit_char b (o + 5) hex.[Char.code ch land 15]
+
 (* A run of bytes that print as themselves is copied in one blit. *)
-let blit_string b o s =
-  let n = String.length s in
-  let o = ref (blit_char b o '"') in
-  let run = ref 0 (* start of the pending run *) in
-  for i = 0 to n - 1 do
-    let ch = String.unsafe_get s i in
-    if escaped_width ch > 1 then begin
-      Bytes.blit_string s !run b !o (i - !run);
-      o := !o + (i - !run);
-      run := i + 1;
-      Bytes.unsafe_set b !o '\\';
-      match ch with
-      | '"' | '\\' | '\n' | '\r' | '\t' | '\b' | '\012' ->
-          let e =
-            match ch with
-            | '\n' -> 'n'
-            | '\r' -> 'r'
-            | '\t' -> 't'
-            | '\b' -> 'b'
-            | '\012' -> 'f'
-            | ch -> ch
-          in
-          Bytes.unsafe_set b (!o + 1) e;
-          o := !o + 2
-      | ch ->
-          Bytes.blit_string "u00" 0 b (!o + 1) 3;
-          Bytes.unsafe_set b (!o + 4) hex.[Char.code ch lsr 4];
-          Bytes.unsafe_set b (!o + 5) hex.[Char.code ch land 15];
-          o := !o + 6
-    end
-  done;
-  Bytes.blit_string s !run b !o (n - !run);
-  blit_char b (!o + (n - !run)) '"'
+let rec blit_body b o s n j =
+  let k = plain_run s n j in
+  Bytes.blit_string s j b o (k - j);
+  let o = o + (k - j) in
+  if k = n then blit_char b o '"'
+  else blit_body b (blit_escape b o (String.unsafe_get s k)) s n (k + 1)
+
+let blit_string b o s = blit_body b (blit_char b o '"') s (String.length s) 0
 
 let rec blit_value b o = function
   | Null -> blit_text b o "null"
