@@ -7,6 +7,7 @@ module Linexpr = Nascent_checks.Linexpr
 module Check = Nascent_checks.Check
 module Cig = Nascent_checks.Cig
 module Universe = Nascent_checks.Universe
+module Oracle = Nascent_checks.Oracle
 module Bitset = Nascent_support.Bitset
 
 let atom k name = Atom.make ~key:k ~name
@@ -255,6 +256,66 @@ let test_universe_ant_gen_same_family_only () =
   (* ... anticipatability does not (the paper's stronger condition) *)
   Alcotest.(check bool) "ant does not" false (Bitset.mem (Universe.ant_gen uni i_n) i_m)
 
+(* Random checks over 2-3 atoms, each with a nonzero range expression
+   (a constant check would be a contradiction or a tautology, which
+   relates to every check through the oracle). Coefficients in [-2, 2]
+   make shared families and scaled copies ([2*x <= 10], [x <= 5])
+   common. *)
+let arb_checks =
+  let open QCheck.Gen in
+  let atoms = [| x; y; z |] in
+  let check nat =
+    map2
+      (fun cs k ->
+        let cs = if List.for_all (( = ) 0) cs then 1 :: List.tl cs else cs in
+        Check.make (Linexpr.of_terms (List.mapi (fun i c -> (atoms.(i), c)) cs)) k)
+      (list_repeat nat (int_range (-2) 2))
+      (int_range (-4) 4)
+  in
+  let gen = int_range 2 3 >>= fun nat -> list_size (int_range 1 6) (check nat) in
+  QCheck.make ~print:(Fmt.str "%a" Fmt.(Dump.list Check.pp)) gen
+
+(* Every mode's gen sets against a reference spelled pair by pair:
+   within a family, the smaller constant; across families, only what
+   the oracle proves, and only for availability. *)
+let prop_universe_relation =
+  QCheck.Test.make ~count:300 ~name:"universe gen sets match a brute-force reference" arb_checks
+    (fun checks ->
+      let modes = Universe.[ No_implications; Cross_family_only; All_implications ] in
+      List.for_all
+        (fun mode ->
+          List.for_all
+            (fun oracle ->
+              let uni = Universe.build ~cig:(Cig.create ()) ~mode ?oracle checks in
+              let n = Universe.size uni in
+              for i = 0 to n - 1 do
+                for j = 0 to n - 1 do
+                  let ci = Universe.check uni i and cj = Universe.check uni j in
+                  let within = Check.implies_within_family ci cj in
+                  let cross =
+                    Option.is_some oracle
+                    && (not (Check.same_family ci cj))
+                    && Oracle.implies ~hyps:[ ci ] cj
+                  in
+                  let avail, ant =
+                    match mode with
+                    | Universe.No_implications -> (i = j, i = j)
+                    | Universe.Cross_family_only -> (i = j || cross, i = j)
+                    | Universe.All_implications -> (within || cross, within)
+                  in
+                  let got gen = Bitset.mem (gen uni i) j in
+                  if got Universe.avail_gen <> avail || got Universe.ant_gen <> ant then
+                    QCheck.Test.fail_reportf "%s%s: %a => %a: avail %b (want %b), ant %b (want %b)"
+                      (Universe.mode_name mode)
+                      (if Option.is_some oracle then "+oracle" else "")
+                      Check.pp ci Check.pp cj (got Universe.avail_gen) avail
+                      (got Universe.ant_gen) ant
+                done
+              done;
+              true)
+            [ None; Some (Oracle.Cache.create ()) ])
+        modes)
+
 let test_universe_kills () =
   let c = Check.make (Linexpr.of_terms [ (x, 1); (y, -2) ]) 5 in
   let uni = mk_universe Universe.All_implications [ c ] in
@@ -288,4 +349,5 @@ let suite =
     tc "universe: avail gen modes" test_universe_avail_gen_modes;
     tc "universe: ant gen same-family only" test_universe_ant_gen_same_family_only;
     tc "universe: kills" test_universe_kills;
+    QCheck_alcotest.to_alcotest prop_universe_relation;
   ]
