@@ -1,7 +1,7 @@
 (* Benchmark harness: regenerates every table and figure of the
-   paper's evaluation (section 4) on the 10-program MiniF suite, and
-   times the optimizer configurations with Bechamel (one Test.make
-   group per table).
+   paper's evaluation (section 4) on the 10-program MiniF suite. The
+   optimizer's speed is measured by the ledger (bench/ledger), not
+   here.
 
    Table generation fans the (benchmark × config) matrix over the
    domain pool (NASCENT_JOBS, default: host core count) and serves
@@ -9,10 +9,10 @@
    hit/miss counts are reported after each table.
 
    Usage:
-     dune exec bench/main.exe               # everything
+     dune exec bench/main.exe               # tables and figures
      dune exec bench/main.exe -- table1     # just Table 1
-     dune exec bench/main.exe -- table2 | table3 | figures | canon | bech
-     dune exec bench/main.exe -- tables     # tables only, no Bechamel (CI mode)
+     dune exec bench/main.exe -- table2 | table3 | figures | canon | extensions
+     dune exec bench/main.exe -- tables     # tables only (CI mode)
      dune exec bench/main.exe -- check-determinism  # serial vs parallel vs warm cache + oracle differential
      dune exec bench/main.exe -- oracle-diff  # --oracle vs baseline observable-identity matrix
      dune exec bench/main.exe -- load       # open-loop RPS/latency ladder, 1 vs 3 shards + chaos
@@ -85,7 +85,7 @@ let run_extensions () =
   Report.extensions chars tables;
   incident_report "extensions" tables
 
-(* Table-only mode: everything except the Bechamel timers, for CI. *)
+(* Table-only mode: every table, no figures, for CI. *)
 let run_tables () =
   run_table1 ();
   run_table2 ();
@@ -601,87 +601,6 @@ let run_load () =
     exit 1
   end
 
-(* --- Bechamel: one Test.make per table ------------------------------- *)
-
-let bech_tests () =
-  let open Bechamel in
-  let sources = List.map (fun b -> b.B.source) B.all in
-  let irs () = List.map Nascent_ir.Lower.of_source sources in
-  (* Table 1's measurement pipeline: characterize the suite
-     (lower + loop analysis + static counts; dynamic runs excluded to
-     keep the timer on compiler-side work). *)
-  let t_table1 =
-    Test.make ~name:"table1-characterize"
-      (Staged.stage (fun () ->
-           List.iter
-             (fun ir ->
-               Nascent_ir.Program.iter_funcs
-                 (fun f -> ignore (Nascent_analysis.Loops.compute f))
-                 ir;
-               ignore (Nascent_ir.Program.static_counts ir))
-             (irs ())))
-  in
-  (* Table 2's dominant cost: one full optimizer run per scheme (PRX). *)
-  let t_table2 =
-    Test.make ~name:"table2-optimize-all-schemes"
-      (Staged.stage (fun () ->
-           let irs = irs () in
-           List.iter
-             (fun scheme ->
-               List.iter
-                 (fun ir ->
-                   ignore
-                     (Nascent_core.Optimizer.optimize
-                        ~config:(Config.make ~scheme ())
-                        ir))
-                 irs)
-             Config.all_schemes))
-  in
-  (* Table 3's extra cost: the primed variants (implications off). *)
-  let t_table3 =
-    Test.make ~name:"table3-optimize-impl-ablation"
-      (Staged.stage (fun () ->
-           let irs = irs () in
-           List.iter
-             (fun (scheme, impl) ->
-               List.iter
-                 (fun ir ->
-                   ignore
-                     (Nascent_core.Optimizer.optimize
-                        ~config:(Config.make ~scheme ~impl ())
-                        ir))
-                 irs)
-             [
-               (Config.NI, Nascent_checks.Universe.No_implications);
-               (Config.SE, Nascent_checks.Universe.No_implications);
-               (Config.LLS, Nascent_checks.Universe.Cross_family_only);
-             ]))
-  in
-  [ t_table1; t_table2; t_table3 ]
-
-let run_bech () =
-  let open Bechamel in
-  print_endline "";
-  print_endline "Bechamel timers (one Test.make per table):";
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.8) ~kde:(Some 100) () in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  List.iter
-    (fun test ->
-      let results =
-        Benchmark.all cfg instances test
-        |> Analyze.all
-             (Analyze.ols ~bootstrap:0 ~r_square:false
-                ~predictors:[| Measure.run |])
-             Toolkit.Instance.monotonic_clock
-      in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> Printf.printf "  %-36s %12.3f ms/run\n%!" name (est /. 1e6)
-          | _ -> Printf.printf "  %-36s (no estimate)\n%!" name)
-        results)
-    (bech_tests ())
-
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   let what = match args with [] -> [ "all" ] | xs -> xs in
@@ -696,11 +615,9 @@ let () =
     | "check-determinism" -> run_check_determinism ()
     | "oracle-diff" -> run_oracle_differential ()
     | "load" -> run_load ()
-    | "bech" -> run_bech ()
     | "all" ->
         run_tables ();
-        Figures.all ();
-        run_bech ()
+        Figures.all ()
     | other ->
         Printf.eprintf "unknown target %s\n" other;
         exit 1

@@ -10,10 +10,12 @@
      client [FILE]     send one request to a running nascentd service
 
    The optimizing commands accept --verify BOOL (IR verification
-   between passes, default on), --trace (per-pass logging),
-   --stats-json FILE (per-pass timing/counter records as JSON, written
-   atomically) and --inject-fault SPEC (deliberate corruption of one
-   pass's output, exercising the detect-and-rollback path).
+   between passes, default on), --stats-json FILE (per-pass
+   timing/counter records as JSON, written atomically) and
+   --inject-fault SPEC (deliberate corruption of one pass's output,
+   exercising the detect-and-rollback path). `dump` prints the per-pass
+   lines too; rolled-back passes and a refused certificate go to
+   stderr.
 
    Exit codes: 0 success; 1 input/usage error; 2 the interpreted
    program trapped or errored; 3 the verifier rejected the lowered
@@ -147,17 +149,10 @@ let oracle_arg =
     & info [ "oracle" ]
         ~doc:
           "Consult the decision-procedure implication oracle during elimination \
-           (cross-family implications beyond the syntactic CIG) and run \
+           (cross-family implications beyond the within-family rule) and run \
            per-compile translation validation: every original check site is \
            proven still covered by the residual checks plus dominating guards. \
            The certificate appears as the \"validated\" field of --stats-json.")
-
-let trace_arg =
-  Arg.(
-    value
-    & flag
-    & info [ "trace" ]
-        ~doc:"Trace optimizer passes (per-pass timing, check counts, verification) to stderr.")
 
 let jobs_arg =
   Arg.(
@@ -178,12 +173,6 @@ let stats_json_arg =
     & opt (some string) None
     & info [ "stats-json" ] ~docv:"FILE"
         ~doc:"Write optimizer statistics, including the per-pass breakdown, to $(docv) as JSON.")
-
-let setup_trace trace =
-  if trace then begin
-    Logs.set_reporter (Logs.format_reporter ());
-    Logs.Src.set_level Core.Optimizer.log_src (Some Logs.Debug)
-  end
 
 (* temp + rename: a crashed or interrupted run never leaves a torn
    stats file for a dashboard to misparse *)
@@ -271,9 +260,8 @@ let optimize_source src config ~naive =
 
 let cmd_dump =
   let doc = "Lower (and optimize) a program, then print its IR." in
-  let run file config naive trace json =
+  let run file config naive json =
     with_errors @@ fun () ->
-    setup_trace trace;
     let prog, stats = optimize_source (load_source file) config ~naive in
     Option.iter (Fmt.pr "! %a@.@." Core.Optimizer.pp_stats) stats;
     (match (stats, json) with
@@ -283,13 +271,12 @@ let cmd_dump =
     exit_of_stats stats
   in
   Cmd.v (Cmd.info "dump" ~doc)
-    Term.(const run $ file_arg $ config_term $ naive_arg $ trace_arg $ stats_json_arg)
+    Term.(const run $ file_arg $ config_term $ naive_arg $ stats_json_arg)
 
 let cmd_run =
   let doc = "Execute a program under the instrumented interpreter." in
-  let run file config naive fuel trace json =
+  let run file config naive fuel json =
     with_errors @@ fun () ->
-    setup_trace trace;
     let prog, stats = optimize_source (load_source file) config ~naive in
     (match (stats, json) with
     | Some st, Some path -> write_json path (Core.Optimizer.stats_to_json st)
@@ -300,14 +287,12 @@ let cmd_run =
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const run $ file_arg $ config_term $ naive_arg $ fuel_arg $ trace_arg
-      $ stats_json_arg)
+      const run $ file_arg $ config_term $ naive_arg $ fuel_arg $ stats_json_arg)
 
 let cmd_stats =
   let doc = "Compare every placement scheme on one program." in
-  let run file kind verify fault trace json =
+  let run file kind verify fault json =
     with_errors @@ fun () ->
-    setup_trace trace;
     let src = load_source file in
     let ir = Ir.Lower.of_source src in
     let o0 = Run.run ir in
@@ -337,8 +322,7 @@ let cmd_stats =
   in
   Cmd.v (Cmd.info "stats" ~doc)
     Term.(
-      const run $ file_arg $ kind_arg $ verify_arg $ fault_arg $ trace_arg
-      $ stats_json_arg)
+      const run $ file_arg $ kind_arg $ verify_arg $ fault_arg $ stats_json_arg)
 
 (* Schemes whose pipeline runs the pass a mutation class targets; a
    cell outside this set could never apply its fault, so it proves
@@ -448,9 +432,8 @@ let cmd_verify =
                 diverges from the naive interpreter."
                fault_classes_doc))
   in
-  let run file fault trace jobs oracle =
+  let run file fault jobs oracle =
     with_errors @@ fun () ->
-    setup_trace trace;
     setup_jobs jobs;
     let targets =
       match file with
@@ -625,7 +608,7 @@ let cmd_verify =
     end
   in
   Cmd.v (Cmd.info "verify" ~doc)
-    Term.(const run $ file_opt_arg $ fault_req_arg $ trace_arg $ jobs_arg $ oracle_arg)
+    Term.(const run $ file_opt_arg $ fault_req_arg $ jobs_arg $ oracle_arg)
 
 (* --- compile-service client -------------------------------------------- *)
 

@@ -57,8 +57,6 @@ let lower ~sub:(se, sc) ~bound:(be, bc) = make (Linexpr.sub be se) (sc - bc)
 let lhs t = t.lhs
 let constant t = t.k
 
-let family_key t = t.lhs
-
 (* Within a family, smaller constant = stronger check:
    [e <= 5] implies [e <= 7]. *)
 let same_family a b = a.fhash = b.fhash && (a.lhs == b.lhs || Linexpr.equal a.lhs b.lhs)
@@ -79,8 +77,27 @@ let mentions_key t k = Linexpr.mentions_key t.lhs k
 
 let atom_keys t = Linexpr.atom_keys t.lhs
 
-let family_hash t = t.fhash
-
 let hash t = t.hash
+
+module Families = struct
+  module Tbl = Hashtbl.Make (struct
+    type nonrec t = t
+
+    let equal = same_family
+    let hash c = c.fhash
+  end)
+
+  type t = int Tbl.t
+
+  let create () : t = Tbl.create 16
+
+  let id t c =
+    match Tbl.find_opt t c with
+    | Some f -> f
+    | None ->
+        let f = Tbl.length t in
+        Tbl.add t c f;
+        f
+end
 
 let pp ppf t = Fmt.pf ppf "Check (%a <= %d)" Linexpr.pp t.lhs t.k

@@ -30,8 +30,6 @@ val lhs : t -> Linexpr.t
 val constant : t -> int
 (** The range constant. *)
 
-val family_key : t -> Linexpr.t
-
 val same_family : t -> t -> bool
 (** Do the two checks share a range expression? *)
 
@@ -43,10 +41,20 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 
 val hash : t -> int
-(** Cached at construction, as is {!family_hash}. *)
+(** Cached at construction, as is the hash of the range expression, so
+    that {!Families} hashes a check in O(1). *)
 
-val family_hash : t -> int
-(** The hash of the range expression: equal for checks of one family. *)
+(** Dense family ids: the first family a table meets is 0, the next 1,
+    and so on. *)
+module Families : sig
+  type check := t
+  type t
+
+  val create : unit -> t
+
+  val id : t -> check -> int
+  (** The id of the check's family, allocated on first sight. *)
+end
 
 val compile_time_value : t -> bool option
 (** [Some v] when the check has no symbolic terms ([0 <= k]); step 5 of

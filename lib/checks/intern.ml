@@ -98,13 +98,6 @@ end
 
 module Tbl = Hashtbl.Make (Check)
 
-module Families = Hashtbl.Make (struct
-  type t = Check.t
-
-  let equal = Check.same_family
-  let hash = Check.family_hash
-end)
-
 module Handles = Hashtbl.Make (Ids)
 
 type cond = Check.t list * Check.t
@@ -119,7 +112,7 @@ end)
 type t = {
   oracle : Oracle.Cache.t;
   ids : int Tbl.t;
-  families : int Families.t;
+  families : Check.Families.t;
   mutable checks : Check.t array;
   mutable family : int array; (* id -> family *)
   mutable keys : int list array; (* id -> its atom keys *)
@@ -135,7 +128,7 @@ let create () =
   {
     oracle = Oracle.Cache.create ();
     ids = Tbl.create 64;
-    families = Families.create 16;
+    families = Check.Families.create ();
     checks = [||];
     family = [||];
     keys = [||];
@@ -172,13 +165,7 @@ let id t (c : Check.t) =
       t.checks.(i) <- c;
       t.keys.(i) <- Check.atom_keys c;
       t.masks.(i) <- mask t.keys.(i);
-      t.family.(i) <-
-        (match Families.find_opt t.families c with
-        | Some f -> f
-        | None ->
-            let f = Families.length t.families in
-            Families.add t.families c f;
-            f);
+      t.family.(i) <- Check.Families.id t.families c;
       Tbl.add t.ids c i;
       i
 

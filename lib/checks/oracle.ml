@@ -1,7 +1,7 @@
 (* Omega-lite implication oracle over canonical checks.
 
-   The CIG proves implications only *within* a syntactic family (same
-   range expression, constant comparison). This module decides the
+   Syntactic implication holds only *within* a family (same range
+   expression, constant comparison). This module decides the
    cross-family cases — conjunctions of linear inequalities over the
    same atom vocabulary — by refutation with Fourier–Motzkin variable
    elimination plus gcd tightening:
@@ -492,7 +492,8 @@ module Hyps = struct
     done;
     let rows = !rows in
     (* Fast path: the within-family constant comparison needs no
-       elimination and covers most queries the CIG already answers. A
+       elimination and covers most queries the family rule already
+       answers. A
        hypothesis of the goal's family has the goal's atoms, so it is
        a touched row or, for a goal without atoms, a constant. *)
     List.exists (fun c -> Check.implies_within_family c goal) rows

@@ -3,14 +3,19 @@
 
    The three implication modes correspond to the paper's Table 3
    ablations:
-   - [All_implications]  — full use of the CIG (the default);
+   - [All_implications]  — a check implies the weaker checks of its
+                           family (the default);
    - [No_implications]   — a check implies only itself (the primed NI'
                            and SE' variants);
-   - [Cross_family_only] — within-family implication disabled, edges
-                           between different families kept (the LLS'
-                           variant, which preserves the implications
-                           from preheader conditional checks to the
-                           loop-body checks they cover). *)
+   - [Cross_family_only] — within-family implication disabled, only
+                           implications between different families
+                           kept (the LLS' variant).
+
+   Syntactic implication never crosses a family: the paper's
+   cross-family edges (preheader conditional checks implying the body
+   checks they cover) are realized by the preheader pass deleting the
+   covered check when it hoists. Cross-family implication between two
+   checks comes only from the oracle. *)
 
 type mode = No_implications | Cross_family_only | All_implications
 
@@ -19,24 +24,29 @@ let mode_name = function
   | Cross_family_only -> "cross-family-only"
   | All_implications -> "all-impl"
 
+(* Does performing [a] make [b] redundant by the family rule [mode]
+   allows: a weaker check of its own family under the default, itself
+   otherwise? *)
+let family_implies mode a b =
+  match mode with
+  | All_implications -> Check.implies_within_family a b
+  | No_implications | Cross_family_only -> Check.equal a b
+
 module Index = Hashtbl.Make (Check)
+module Bitset = Nascent_support.Bitset
 
 type t = {
-  cig : Cig.t;
   index : int Index.t;
   checks : Check.t array;
   families : int array; (* check index -> family id *)
   mode : mode;
-  avail_gen : Nascent_support.Bitset.t array;
-      (* checks made available by performing check i *)
-  ant_gen : Nascent_support.Bitset.t array;
+  avail_gen : Bitset.t array; (* checks made available by performing check i *)
+  ant_gen : Bitset.t array;
       (* checks made anticipatable by performing check i (same-family only,
          per the paper's stronger anticipatability conditions) *)
-  kills : (int, Nascent_support.Bitset.t) Hashtbl.t; (* atom key -> checks killed *)
-  none : Nascent_support.Bitset.t; (* the empty set, for keys that kill nothing *)
+  kills : (int, Bitset.t) Hashtbl.t; (* atom key -> checks killed *)
+  none : Bitset.t; (* the empty set, for keys that kill nothing *)
 }
-
-module Bitset = Nascent_support.Bitset
 
 let size t = Array.length t.checks
 
@@ -45,11 +55,6 @@ let mode t = t.mode
 let check t i = t.checks.(i)
 
 let index_of t c = Index.find_opt t.index c
-
-let index_of_exn t c =
-  match index_of t c with
-  | Some i -> i
-  | None -> invalid_arg "Universe.index_of_exn: unregistered check"
 
 let family t i = t.families.(i)
 
@@ -60,27 +65,27 @@ let family t i = t.families.(i)
    O(n^2) oracle sweep of [build] from querying hopeless pairs. *)
 let same_atom_keys a b = List.equal Int.equal (Check.atom_keys a) (Check.atom_keys b)
 
-let oracle_proves oracle (arr : Check.t array) i j same_fam =
+(* Does the oracle prove that check [i] implies check [j] of another
+   family? Only the modes with cross-family implication ask. *)
+let oracle_proves mode oracle (arr : Check.t array) (families : int array) i j =
   match oracle with
   | None -> false
   | Some cache ->
-      i <> j && (not same_fam)
+      mode <> No_implications && i <> j
+      && families.(i) <> families.(j)
       && same_atom_keys arr.(i) arr.(j)
       && Oracle.implies ~cache ~hyps:[ arr.(i) ] arr.(j)
 
-(* Build a frozen universe from the distinct checks of [checks].
-   Implication queries go through [cig], which the caller has already
-   populated with cross-family edges (e.g. from loop-limit
-   substitution). Given an [oracle] cache, availability-generation is
-   additionally widened by the decision procedure ({!Oracle}): pairs
-   the CIG cannot relate syntactically (different families, e.g.
+(* Build a frozen universe from the distinct checks of [checks]. Given
+   an [oracle] cache, availability-generation is widened by the
+   decision procedure ({!Oracle}): pairs of different families (e.g.
    [2*i <= 10 => i <= 5]) gain an implication when the oracle proves
    it. Only [avail_gen] is widened — [ant_gen] keeps the paper's
    same-family restriction (section 3.2), because insertion safety
    depends on it, not on implication strength. The cache is the
    compile's own: every pass rebuilds the universe, and the pairs
    repeat. *)
-let build ~cig ~mode ?oracle (checks : Check.t list) : t =
+let build ~mode ?oracle (checks : Check.t list) : t =
   let index = Index.create 64 in
   let distinct =
     List.filter
@@ -94,32 +99,16 @@ let build ~cig ~mode ?oracle (checks : Check.t list) : t =
   in
   let arr = Array.of_list distinct in
   let n = Array.length arr in
-  let families = Array.map (Cig.family_of_check cig) arr in
+  let families = Array.map (Check.Families.id (Check.Families.create ())) arr in
   let avail_gen = Array.init n (fun _ -> Bitset.create n) in
   let ant_gen = Array.init n (fun _ -> Bitset.create n) in
   (* n^2 pairs: nothing below allocates per pair *)
   for i = 0 to n - 1 do
-    let fi = families.(i) and ci = Check.constant arr.(i) in
     for j = 0 to n - 1 do
-      let fj = families.(j) and cj = Check.constant arr.(j) in
-      let same_fam = fi = fj in
-      let strong =
-        match Cig.path_weight cig fi fj with Some w -> ci + w <= cj | None -> false
-      in
-      let avail_implies =
-        match mode with
-        | No_implications -> i = j
-        | Cross_family_only ->
-            i = j || ((not same_fam) && (strong || oracle_proves oracle arr i j same_fam))
-        | All_implications -> strong || oracle_proves oracle arr i j same_fam
-      in
-      if avail_implies then Bitset.add avail_gen.(i) j;
-      let ant_implies =
-        match mode with
-        | No_implications | Cross_family_only -> i = j
-        | All_implications -> same_fam && ci <= cj
-      in
-      if ant_implies then Bitset.add ant_gen.(i) j
+      let syntactic = family_implies mode arr.(i) arr.(j) in
+      if syntactic || oracle_proves mode oracle arr families i j then
+        Bitset.add avail_gen.(i) j;
+      if syntactic then Bitset.add ant_gen.(i) j
     done
   done;
   let kills = Hashtbl.create 64 in
@@ -138,7 +127,7 @@ let build ~cig ~mode ?oracle (checks : Check.t list) : t =
           Bitset.add set i)
         (Check.atom_keys c))
     arr;
-  { cig; index; checks = arr; families; mode; avail_gen; ant_gen; kills; none = Bitset.create n }
+  { index; checks = arr; families; mode; avail_gen; ant_gen; kills; none = Bitset.create n }
 
 (* Set of checks made available by performing check [i]. *)
 let avail_gen t i = t.avail_gen.(i)
@@ -153,6 +142,3 @@ let killed_by_key t k =
   match Hashtbl.find_opt t.kills k with
   | Some s -> s
   | None -> t.none
-
-let pp ppf t =
-  Array.iteri (fun i c -> Fmt.pf ppf "%d: %a@." i Check.pp c) t.checks

@@ -2,8 +2,8 @@
 
    Both are *must* data-flow problems over the frozen check universe:
    - availability (forward): a check statement generates itself and all
-     weaker checks (CIG-wide, mode-permitting); a definition of any
-     symbol of a check's range expression kills it;
+     checks it implies (mode-permitting); a definition of any symbol of
+     a check's range expression kills it;
    - anticipatability (backward): generation is restricted to weaker
      checks *of the same family* — the paper's stronger condition that
      keeps insertion points below the definitions of a check's symbols.
@@ -41,7 +41,7 @@ let rec kill (tf : Dataflow.block_transfer) uni = function
    availability (avail_gen) or within its family, for anticipatability
    (ant_gen). *)
 let gen (tf : Dataflow.block_transfer) env ~ant (m : Ir.Types.check_meta) =
-  match Universe.index_of env.uni (env.ctx.Checkctx.site_check m) with
+  match Universe.index_of env.uni m.Ir.Types.chk with
   | None -> ()
   | Some j ->
       let g = if ant then Universe.ant_gen env.uni j else Universe.avail_gen env.uni j in
@@ -49,7 +49,7 @@ let gen (tf : Dataflow.block_transfer) env ~ant (m : Ir.Types.check_meta) =
       Bitset.diff_into ~into:tf.kill g
 
 let step tf env ~ant (i : Ir.Types.instr) =
-  kill tf env.uni (env.ctx.Checkctx.instr_kill_keys i);
+  kill tf env.uni (Checkctx.kill_keys env.ctx i);
   match i with Ir.Types.Check m -> gen tf env ~ant m | _ -> ()
 
 let rec forward tf env = function
@@ -68,16 +68,7 @@ let rec backward tf env = function
 let block_transfer env ~ant (b : Ir.Types.block) : Dataflow.block_transfer =
   let n = n_checks env in
   let tf = { Dataflow.gen = Bitset.create n; kill = Bitset.create n } in
-  let entry_keys = env.ctx.Checkctx.block_entry_kill_keys b.Ir.Types.bid in
-  if ant then begin
-    (* backward: block-entry kills apply last *)
-    backward tf env b.Ir.Types.instrs;
-    kill tf env.uni entry_keys
-  end
-  else begin
-    kill tf env.uni entry_keys;
-    forward tf env b.Ir.Types.instrs
-  end;
+  if ant then backward tf env b.Ir.Types.instrs else forward tf env b.Ir.Types.instrs;
   tf
 
 let transfers env ~ant : Dataflow.block_transfer array =

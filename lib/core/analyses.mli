@@ -2,8 +2,8 @@
 
     Both are {e must} data-flow problems over a frozen check universe:
     - availability (forward): a check statement generates itself and
-      all weaker checks (CIG-wide, mode-permitting); a definition of
-      any symbol of a check's range expression kills it;
+      all checks it implies (mode-permitting); a definition of any
+      symbol of a check's range expression kills it;
     - anticipatability (backward): generation is restricted to weaker
       checks {e of the same family} — the paper's stronger condition
       that keeps insertion points below the definitions of a check's

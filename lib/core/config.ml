@@ -36,8 +36,8 @@ type t = {
          fault-tolerance harness. Forces the verifier on. *)
   oracle : bool;
       (* consult the decision-procedure oracle (Nascent_checks.Oracle)
-         during elimination: cross-family implications beyond the CIG's
-         syntactic edges, plus per-compile translation validation *)
+         during elimination: cross-family implications beyond the
+         within-family rule, plus per-compile translation validation *)
 }
 
 let default =

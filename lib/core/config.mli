@@ -35,7 +35,7 @@ type t = {
   oracle : bool;
       (** consult the decision-procedure oracle
           ({!Nascent_checks.Oracle}) during elimination — cross-family
-          implications beyond the CIG's syntactic edges — and run
+          implications beyond the within-family rule — and run
           per-compile translation validation ({!Nascent_ir.Validate})
           after optimization. Off by default. *)
 }

@@ -60,15 +60,12 @@ let redundancy_elimination (env : Analyses.env) (st : stats) : unit =
     (fun b ->
       if reach.(b.bid) then begin
         let cur = Bitset.copy avail.Nascent_analysis.Dataflow.in_.(b.bid) in
-        List.iter
-          (fun k -> Bitset.diff_into ~into:cur (Universe.killed_by_key env.Analyses.uni k))
-          (ctx.Checkctx.block_entry_kill_keys b.bid);
         let keep =
           List.filter
             (fun i ->
               match i with
               | Check m -> (
-                  match Universe.index_of env.Analyses.uni (ctx.Checkctx.site_check m) with
+                  match Universe.index_of env.Analyses.uni m.chk with
                   | None -> true (* not in universe: leave untouched *)
                   | Some j ->
                       if
@@ -88,7 +85,7 @@ let redundancy_elimination (env : Analyses.env) (st : stats) : unit =
                     (fun k ->
                       Bitset.diff_into ~into:cur
                         (Universe.killed_by_key env.Analyses.uni k))
-                    (ctx.Checkctx.instr_kill_keys i);
+                    (Checkctx.kill_keys ctx i);
                   true)
             b.instrs
         in
@@ -100,10 +97,10 @@ let redundancy_elimination (env : Analyses.env) (st : stats) : unit =
    {e ambient} facts of its program point — the branch conditions
    holding on every path in, assignment postconditions, and affine loop
    invariants, with check instructions contributing nothing
-   ({!Ir.Validate.Facts}). The CIG-based elimination above only sees
-   pairwise syntactic implications between checks; this sweep decides
-   arbitrary linear consequences (conjunctions across families,
-   equalities threaded through assignments), so it reaches checks —
+   ({!Ir.Validate.Facts}). The elimination above only sees pairwise
+   implications between checks; this sweep decides arbitrary linear
+   consequences (conjunctions across families, equalities threaded
+   through assignments), so it reaches checks —
    typically hoisted preheader checks over loop-invariant bounds — the
    paper's machinery cannot.
 

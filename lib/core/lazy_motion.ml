@@ -57,17 +57,15 @@ let locals (env : Analyses.env) (b : block) : local =
   let gen into gen_of i =
     match i with
     | Check m -> (
-        match Universe.index_of uni (ctx.Checkctx.site_check m) with
+        match Universe.index_of uni m.chk with
         | None -> ()
         | Some j -> Bitset.union_diff_into ~into (gen_of uni j) killed)
     | _ -> ()
   in
-  (* entry kills count as kills-before-everything for ANTLOC *)
-  kill (ctx.Checkctx.block_entry_kill_keys b.bid);
   List.iter
     (fun i ->
       gen antloc Universe.ant_gen i;
-      kill (ctx.Checkctx.instr_kill_keys i))
+      kill (Checkctx.kill_keys ctx i))
     b.instrs;
   (* backward scan for COMP; [transp] already has every kill *)
   Bitset.clear killed;
@@ -78,7 +76,7 @@ let locals (env : Analyses.env) (b : block) : local =
         gen comp Universe.avail_gen i;
         List.iter
           (fun key -> Bitset.union_into ~into:killed (Universe.killed_by_key uni key))
-          (ctx.Checkctx.instr_kill_keys i)
+          (Checkctx.kill_keys ctx i)
   in
   backward b.instrs;
   { antloc; comp; transp }

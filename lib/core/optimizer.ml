@@ -1,7 +1,8 @@
 (* The five-step range check optimizer (paper section 3):
 
-   1. construct the check implication graph     — {!Nascent_checks.Cig},
-      built implicitly as families are interned;
+   1. decide which checks imply which           — {!Nascent_checks.Universe}:
+      a smaller constant within a family, and under [--oracle] what the
+      Fourier–Motzkin oracle proves across families;
    2. compute safe insertion points             — {!Analyses.anticipatability};
    3. insert checks per the configured scheme   — {!Strengthen},
       {!Lazy_motion}, {!Preheader};
@@ -13,18 +14,12 @@
    Observability: every step is timed with a monotonic clock and
    recorded as a {!pass_stat}; with [Config.verify] set, a snapshot is
    taken before each step and {!Nascent_ir.Verify} checks the result
-   against the step's differential rules. Per-pass progress is traced
-   on the "nascent.optimizer" log source at debug level. *)
+   against the step's differential rules. *)
 
 module Ir = Nascent_ir
 module Mclock = Nascent_support.Mclock
 module Guard = Nascent_support.Guard
 module Json = Nascent_support.Json
-
-let log_src =
-  Logs.Src.create "nascent.optimizer" ~doc:"Range-check optimizer pass pipeline"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
 
 type pass_stat = {
   pass : string;
@@ -232,10 +227,6 @@ let optimize_func (config : Config.t) (f : Ir.Func.t) : stats =
         passes :=
           { pass = name; pass_time_s = dt; pass_checks_before = cb; pass_checks_after = ca }
           :: !passes;
-        Log.debug (fun m ->
-            m "%s: %-12s checks %3d -> %3d  %8.3f ms%s" f.Ir.Func.fname name cb ca
-              (1000.0 *. dt)
-              (if verify && vpass <> None then "  [verified]" else ""));
         Ok r
     | Error (cause, detail) ->
         Ir.Transform.restore_func ~from_:before f;
@@ -253,9 +244,6 @@ let optimize_func (config : Config.t) (f : Ir.Func.t) : stats =
         passes :=
           { pass = name; pass_time_s = dt; pass_checks_before = cb; pass_checks_after = cb }
           :: !passes;
-        Log.warn (fun m ->
-            m "%s: %-12s ROLLED BACK (%s): %s" f.Ir.Func.fname name (cause_name cause)
-              detail);
         Error ()
   in
   let st = ref (empty_stats config) in
@@ -284,15 +272,15 @@ let optimize_func (config : Config.t) (f : Ir.Func.t) : stats =
      and the certificate (most of their queries repeat); it dies with
      this call, so concurrent compiles never share one. *)
   let cache = Ir.Validate.Cache.create () in
-  (* The context — canonical site checks, kill oracles, loop structure,
-     CIG — is built once and shared by every pass; [Checkctx.refresh]
+  (* The context — loop structure, implication mode, oracle cache — is
+     built once and shared by every pass; [Checkctx.refresh]
      revalidates the loop structure after CFG-shaping passes instead of
      rebuilding (and re-canonicalizing) from scratch. Without a context
      no pass can run: a context fault degrades this function all the
      way to its naive-checked form (the NI floor). *)
   (match
      run_pass "context" (fun () ->
-         Checkctx.create_prx ~mode:config.Config.impl
+         Checkctx.create ~mode:config.Config.impl
            ?oracle:(if config.Config.oracle then Some cache else None)
            ?loops f)
    with
@@ -415,10 +403,6 @@ let optimize_func (config : Config.t) (f : Ir.Func.t) : stats =
             pass_checks_after = checks_after;
           }
           :: !passes;
-        if not (Ir.Validate.validated v) then
-          Log.warn (fun m ->
-              m "%s: translation validation FAILED: %a" f.Ir.Func.fname
-                Ir.Validate.pp v);
         Some v
   in
   (* The CFG view served the passes; a caller that keeps the optimized
@@ -438,12 +422,6 @@ let optimize_func (config : Config.t) (f : Ir.Func.t) : stats =
       work = Nascent_checks.Work.since w0;
     }
   in
-  Log.info (fun m ->
-      m "%s: %a checks %d -> %d in %.3f ms%s" f.Ir.Func.fname Config.pp config
-        checks_before checks_after (1000.0 *. result.elapsed_s)
-        (match result.incidents with
-        | [] -> ""
-        | is -> Fmt.str " (%d pass(es) rolled back)" (List.length is)));
   result
 
 (* Optimize a whole program, returning the optimized copy and the

@@ -1,7 +1,8 @@
 (** The five-step range check optimizer (paper section 3):
 
-    + construct the check implication graph ({!Nascent_checks.Cig},
-      built implicitly as families are interned);
+    + decide which checks imply which ({!Nascent_checks.Universe}: a
+      smaller constant within a family, and under [--oracle] what the
+      Fourier–Motzkin oracle proves across families);
     + compute safe insertion points ({!Analyses.anticipatability});
     + insert checks per the configured scheme ({!Strengthen},
       {!Lazy_motion}, {!Preheader});
@@ -18,8 +19,7 @@
 
     When [Config.verify] is set, {!Nascent_ir.Verify} additionally
     checks the IR between every step, and every step is always timed
-    with a monotonic clock into per-pass {!pass_stat} records. Pass
-    progress is traced on the {!log_src} log source at debug level.
+    with a monotonic clock into per-pass {!pass_stat} records.
 
     {b Fail-safe contract.} Every pass runs against a snapshot of the
     function IR. If the pass raises, the verifier rejects its output,
@@ -35,9 +35,6 @@
     [Config.fault] (the [--inject-fault] CLI flag) deliberately
     corrupts one pass's output via {!Nascent_ir.Mutate} to exercise
     this detect-and-rollback path; it forces verification on. *)
-
-val log_src : Logs.src
-(** The ["nascent.optimizer"] log source carrying per-pass traces. *)
 
 type pass_stat = {
   pass : string;  (** "context", "strengthen", "hoist", "eliminate", ... *)

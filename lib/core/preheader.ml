@@ -254,11 +254,7 @@ let articulation (f : Ir.Func.t) (l : Loops.loop) ~body_entry ~latches b =
 (* A conditional check equal to (or within-family stronger than) the
    one we are about to insert, with the same guard, already present? *)
 let already_covered (pre : block) ~guard ~(chk : Check.t) ~mode =
-  let covers (c' : Check.t) =
-    match mode with
-    | Universe.No_implications | Universe.Cross_family_only -> Check.equal c' chk
-    | Universe.All_implications -> Check.implies_within_family c' chk
-  in
+  let covers (c' : Check.t) = Universe.family_implies mode c' chk in
   List.exists
     (fun i ->
       match (i, guard) with
@@ -312,7 +308,7 @@ let process_loop (ctx : Checkctx.t) ~variant ~idom ~preds ~facts (st : stats)
                    every path through an iteration *)
                 articulation f l ~body_entry:body_bid ~latches c.c_bid
             | Invariant_only | Loop_limit -> (
-                match Universe.index_of uni (ctx.Checkctx.site_check c.c_meta) with
+                match Universe.index_of uni c.c_meta.chk with
                 | Some j -> Bitset.mem ant_at_body j
                 | None -> false))
         | Some g ->

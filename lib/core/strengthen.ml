@@ -31,7 +31,7 @@ let run (ctx : Checkctx.t) : stats =
         let strengthened_instr (i : instr) : instr =
           match i with
           | Check m -> (
-              match Universe.index_of uni (ctx.Checkctx.site_check m) with
+              match Universe.index_of uni m.chk with
               | None -> i
               | Some j ->
                   (* After this check executes, its family-weaker checks
@@ -53,21 +53,14 @@ let run (ctx : Checkctx.t) : stats =
                        family-weaker checks become anticipatable for
                        instructions earlier in the block. *)
                     Bitset.union_into ~into:cur (Universe.ant_gen uni !best);
-                    (* Strengthening rewrites the executed check, so it
-                       only applies when the analysis check is the
-                       instruction's own check (always true under PRX,
-                       and under INX after the rewriting pre-pass). *)
-                    if Check.equal m.chk (ctx.Checkctx.site_check m) then begin
-                      st.strengthened <- st.strengthened + 1;
-                      Check { m with chk = Universe.check uni !best }
-                    end
-                    else i
+                    st.strengthened <- st.strengthened + 1;
+                    Check { m with chk = Universe.check uni !best }
                   end
                   else i)
           | _ ->
               List.iter
                 (fun k -> Bitset.diff_into ~into:cur (Universe.killed_by_key uni k))
-                (ctx.Checkctx.instr_kill_keys i);
+                (Checkctx.kill_keys ctx i);
               i
         in
         (* rev_map evaluates front-to-back, so feeding it the reversed

@@ -218,9 +218,10 @@ let table2 ?(kinds = [ Config.PRX; Config.INX ]) (chars : characteristics list) 
        kinds)
 
 (* Table 3: implication ablation — NI/NI', SE/SE' (no implications at
-   all), LLS/LLS' (cross-family only), and ALL/ALL+O (the syntactic CIG
-   alone vs CIG plus the Fourier–Motzkin implication oracle, which adds
-   cross-family availability edges and conjunction-level redundancy). *)
+   all), LLS/LLS' (cross-family only), and ALL/ALL+O (the within-family
+   rule alone vs that rule plus the Fourier–Motzkin implication oracle,
+   which adds cross-family availability edges and conjunction-level
+   redundancy). *)
 let table3 ?(kinds = [ Config.PRX; Config.INX ]) (chars : characteristics list) :
     (Config.check_kind * row list) list =
   let variants =

@@ -105,7 +105,7 @@ let table3 chars groups =
     ~title:
       "Table 3: implication ablation (primed rows disable implications:\n\
        NI'/SE' entirely, LLS' within-family only; ALL+O adds the\n\
-       Fourier-Motzkin implication oracle on top of the syntactic CIG)"
+       Fourier-Motzkin implication oracle on top of the family rule)"
     chars groups
 
 let extensions chars groups =

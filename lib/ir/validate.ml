@@ -818,8 +818,6 @@ let func_cached cache ~(original : Func.t) ~(optimized : Func.t) : t =
   if validated checked then checked
   else { (walk (entry_hyps cache optimized)) with fallbacks = 1 }
 
-let func ~original ~optimized = func_cached (Cache.create ()) ~original ~optimized
-
 let func_guarded ~cache ~original ~optimized : t =
   let fuel = Guard.fuel ~what:budget_name ~budget:fuel_budget in
   try Guard.with_fuel fuel (fun () -> func_cached cache ~original ~optimized)

@@ -41,10 +41,6 @@ val validated : t -> bool
 val empty : t
 val merge : t -> t -> t
 
-val func : original:Func.t -> optimized:Func.t -> t
-(** Validate one function pair (unbounded — callers wanting the fuel
-    guarantee use {!func_guarded} or {!program}). *)
-
 (** A compile's entailment cache: one {!Nascent_checks.Oracle.Hyps}
     handle per fact set, each memoising the goals asked of it, over the
     {!Nascent_checks.Oracle.Cache} of refutations beneath them. Create
@@ -66,8 +62,8 @@ module Cache : sig
 end
 
 val func_guarded : cache:Cache.t -> original:Func.t -> optimized:Func.t -> t
-(** {!func} under the validator's own fuel budget, answering from and
-    filling [cache]; exhaustion reports a single "validation fuel
+(** Validate one function pair under the validator's own fuel budget,
+    answering from and filling [cache]; exhaustion reports a single "validation fuel
     exhausted" failure instead of raising. The entry facts of the walk
     are the hint in [cache] pruned to an inductive invariant, plus the
     residual checks available on every path; only if that walk leaves

@@ -1,11 +1,10 @@
-(* Canonical range expressions, checks, families, the check implication
-   graph (paper Figures 3/4), and frozen universes. *)
+(* Canonical range expressions, checks, families, and frozen
+   universes. *)
 
 open Util
 module Atom = Nascent_checks.Atom
 module Linexpr = Nascent_checks.Linexpr
 module Check = Nascent_checks.Check
-module Cig = Nascent_checks.Cig
 module Universe = Nascent_checks.Universe
 module Oracle = Nascent_checks.Oracle
 module Bitset = Nascent_support.Bitset
@@ -133,92 +132,11 @@ let prop_gcd_preserves_integer_solutions =
       in
       sat c = sat g)
 
-(* --- CIG (paper Figures 3/4) ------------------------------------------ *)
-
-let test_cig_within_family () =
-  let cig = Cig.create () in
-  let c1 = Check.make (Linexpr.of_atom x) 5 in
-  let c2 = Check.make (Linexpr.of_atom x) 9 in
-  let f1 = Cig.family_of_check cig c1 and f2 = Cig.family_of_check cig c2 in
-  Alcotest.(check int) "same family" f1 f2;
-  Alcotest.(check bool) "strong" true (Cig.as_strong_as cig ~strong:(f1, 5) ~weak:(f2, 9));
-  Alcotest.(check bool) "not strong" false
-    (Cig.as_strong_as cig ~strong:(f1, 9) ~weak:(f2, 5))
-
-let test_cig_figure4 () =
-  (* paper Figure 4: from Check(n <= 6) => Check(m <= 10) infer an edge
-     of weight 4; then Check(n <= 1) is as strong as Check(m <= 7) but
-     NOT as strong as Check(m <= 3). *)
-  let cig = Cig.create () in
-  let n = Linexpr.of_atom (atom 20 "n") and m = Linexpr.of_atom (atom 21 "m") in
-  Cig.add_implication cig ~from:(Check.make n 6) ~to_:(Check.make m 10);
-  let fn = Cig.family_of_expr cig n and fm = Cig.family_of_expr cig m in
-  Alcotest.(check bool) "n<=1 => m<=7" true
-    (Cig.as_strong_as cig ~strong:(fn, 1) ~weak:(fm, 7));
-  Alcotest.(check bool) "n<=1 /=> m<=3" false
-    (Cig.as_strong_as cig ~strong:(fn, 1) ~weak:(fm, 3));
-  Alcotest.(check bool) "no reverse edge" false
-    (Cig.as_strong_as cig ~strong:(fm, 0) ~weak:(fn, 100))
-
-let test_cig_min_weight_kept () =
-  let cig = Cig.create () in
-  let n = Linexpr.of_atom (atom 20 "n") and m = Linexpr.of_atom (atom 21 "m") in
-  Cig.add_implication cig ~from:(Check.make n 0) ~to_:(Check.make m 8);
-  Cig.add_implication cig ~from:(Check.make n 0) ~to_:(Check.make m 3);
-  let fn = Cig.family_of_expr cig n and fm = Cig.family_of_expr cig m in
-  (* the tighter weight-3 edge must win *)
-  Alcotest.(check (option int)) "weight" (Some 3) (Cig.path_weight cig fn fm)
-
-let test_cig_transitive_path () =
-  let cig = Cig.create () in
-  let a = Linexpr.of_atom (atom 30 "a")
-  and b = Linexpr.of_atom (atom 31 "b")
-  and c = Linexpr.of_atom (atom 32 "c") in
-  Cig.add_implication cig ~from:(Check.make a 0) ~to_:(Check.make b 2);
-  Cig.add_implication cig ~from:(Check.make b 0) ~to_:(Check.make c 5);
-  let fa = Cig.family_of_expr cig a and fc = Cig.family_of_expr cig c in
-  Alcotest.(check (option int)) "path weight 7" (Some 7) (Cig.path_weight cig fa fc);
-  Alcotest.(check bool) "a<=1 => c<=8" true
-    (Cig.as_strong_as cig ~strong:(fa, 1) ~weak:(fc, 8));
-  Alcotest.(check bool) "a<=2 /=> c<=8" false
-    (Cig.as_strong_as cig ~strong:(fa, 2) ~weak:(fc, 8))
-
-let prop_cig_strength_preorder =
-  (* as-strong-as is reflexive and transitive over a random CIG *)
-  (* nonnegative weights: negative cycles would make shortest paths
-     ill-defined (the implementation saturates conservatively, but the
-     triangle inequality the property relies on needs convergence) *)
-  let edge_gen = QCheck.(triple (int_bound 4) (int_bound 4) (int_bound 5)) in
-  QCheck.Test.make ~name:"cig strength is a preorder" (QCheck.small_list edge_gen)
-    (fun edges ->
-      let cig = Cig.create () in
-      let fam i = Linexpr.of_atom (atom (50 + i) (Printf.sprintf "f%d" i)) in
-      let fams = Array.init 5 (fun i -> Cig.family_of_expr cig (fam i)) in
-      List.iter
-        (fun (f, g, w) ->
-          if f <> g then
-            Cig.add_implication cig
-              ~from:(Check.make (fam f) 0)
-              ~to_:(Check.make (fam g) w))
-        edges;
-      let checks = List.concat_map (fun f -> [ (fams.(f), 0); (fams.(f), 3) ]) [ 0; 1; 2; 3; 4 ] in
-      let strong a b = Cig.as_strong_as cig ~strong:a ~weak:b in
-      List.for_all (fun c -> strong c c) checks
-      && List.for_all
-           (fun a ->
-             List.for_all
-               (fun b ->
-                 List.for_all
-                   (fun c -> (not (strong a b && strong b c)) || strong a c)
-                   checks)
-               checks)
-           checks)
-
 (* --- Universe ---------------------------------------------------------- *)
 
-let mk_universe mode checks =
-  let cig = Cig.create () in
-  Universe.build ~cig ~mode checks
+let mk_universe mode checks = Universe.build ~mode checks
+
+let index_in uni c = Option.get (Universe.index_of uni c)
 
 let test_universe_dedup () =
   let c = Check.make (Linexpr.of_atom x) 5 in
@@ -230,8 +148,8 @@ let test_universe_avail_gen_modes () =
   let c9 = Check.make (Linexpr.of_atom x) 9 in
   let test mode expected =
     let uni = mk_universe mode [ c5; c9 ] in
-    let i5 = Universe.index_of_exn uni c5 in
-    let i9 = Universe.index_of_exn uni c9 in
+    let i5 = index_in uni c5 in
+    let i9 = index_in uni c9 in
     let gen = Universe.avail_gen uni i5 in
     Alcotest.(check bool)
       (Fmt.str "strong gens weak under %s" (Universe.mode_name mode))
@@ -245,16 +163,18 @@ let test_universe_avail_gen_modes () =
   test Universe.Cross_family_only false
 
 let test_universe_ant_gen_same_family_only () =
-  let cig = Cig.create () in
-  let n = Linexpr.of_atom (atom 20 "n") and m = Linexpr.of_atom (atom 21 "m") in
-  let cn = Check.make n 0 and cm = Check.make m 10 in
-  Cig.add_implication cig ~from:cn ~to_:cm;
-  let uni = Universe.build ~cig ~mode:Universe.All_implications [ cn; cm ] in
-  let i_n = Universe.index_of_exn uni cn and i_m = Universe.index_of_exn uni cm in
-  (* availability crosses families via the CIG edge ... *)
-  Alcotest.(check bool) "avail crosses" true (Bitset.mem (Universe.avail_gen uni i_n) i_m);
+  (* [2*i <= 10] implies [i <= 5] across families, proven by the
+     oracle *)
+  let i = atom 20 "i" in
+  let c2 = Check.make (Linexpr.of_atom ~coeff:2 i) 10 and c1 = Check.make (Linexpr.of_atom i) 5 in
+  let uni =
+    Universe.build ~mode:Universe.All_implications ~oracle:(Oracle.Cache.create ()) [ c2; c1 ]
+  in
+  let i2 = index_in uni c2 and i1 = index_in uni c1 in
+  (* availability crosses families via the oracle ... *)
+  Alcotest.(check bool) "avail crosses" true (Bitset.mem (Universe.avail_gen uni i2) i1);
   (* ... anticipatability does not (the paper's stronger condition) *)
-  Alcotest.(check bool) "ant does not" false (Bitset.mem (Universe.ant_gen uni i_n) i_m)
+  Alcotest.(check bool) "ant does not" false (Bitset.mem (Universe.ant_gen uni i2) i1)
 
 (* Random checks over 2-3 atoms, each with a nonzero range expression
    (a constant check would be a contradiction or a tautology, which
@@ -286,7 +206,7 @@ let prop_universe_relation =
         (fun mode ->
           List.for_all
             (fun oracle ->
-              let uni = Universe.build ~cig:(Cig.create ()) ~mode ?oracle checks in
+              let uni = Universe.build ~mode ?oracle checks in
               let n = Universe.size uni in
               for i = 0 to n - 1 do
                 for j = 0 to n - 1 do
@@ -319,7 +239,7 @@ let prop_universe_relation =
 let test_universe_kills () =
   let c = Check.make (Linexpr.of_terms [ (x, 1); (y, -2) ]) 5 in
   let uni = mk_universe Universe.All_implications [ c ] in
-  let i = Universe.index_of_exn uni c in
+  let i = index_in uni c in
   Alcotest.(check bool) "killed by x" true (Bitset.mem (Universe.killed_by_key uni (Atom.key x)) i);
   Alcotest.(check bool) "killed by y" true (Bitset.mem (Universe.killed_by_key uni (Atom.key y)) i);
   Alcotest.(check bool) "not killed by z" true
@@ -340,11 +260,6 @@ let suite =
     tc "check: compile time" test_check_compile_time;
     tc "check: gcd normalize" test_check_gcd_normalize;
     QCheck_alcotest.to_alcotest prop_gcd_preserves_integer_solutions;
-    tc "cig: within family" test_cig_within_family;
-    tc "cig: figure 4" test_cig_figure4;
-    tc "cig: min weight kept" test_cig_min_weight_kept;
-    tc "cig: transitive path" test_cig_transitive_path;
-    QCheck_alcotest.to_alcotest prop_cig_strength_preorder;
     tc "universe: dedup" test_universe_dedup;
     tc "universe: avail gen modes" test_universe_avail_gen_modes;
     tc "universe: ant gen same-family only" test_universe_ant_gen_same_family_only;

@@ -15,7 +15,7 @@ open Ir.Types
 let ctx_of src =
   let prog = ir_of_source src in
   let f = Ir.Program.main_func prog in
-  (prog, Checkctx.create_prx ~mode:Universe.All_implications f)
+  (prog, Checkctx.create ~mode:Universe.All_implications f)
 
 let straightline = "program t\ninteger a(1:10), n\nn = 5\na(n) = 1\na(n) = 2\nprint n\nend"
 
@@ -60,7 +60,7 @@ let test_availability_killed_by_assignment () =
               (let s = Bitset.create (Universe.size uni) in
                List.iter
                  (fun k -> Bitset.union_into ~into:s (Universe.killed_by_key uni k))
-                 (ctx.Checkctx.instr_kill_keys i);
+                 (Checkctx.kill_keys ctx i);
                s)
         | _ -> [])
       b.instrs
@@ -82,7 +82,7 @@ let test_eliminate_counts () =
   let prog, _ = ctx_of straightline in
   let copy = Ir.Transform.copy_program prog in
   let f = Ir.Program.main_func copy in
-  let ctx = Checkctx.create_prx ~mode:Universe.All_implications f in
+  let ctx = Checkctx.create ~mode:Universe.All_implications f in
   let st = Core.Eliminate.run ctx in
   (* duplicate pair eliminated *)
   Alcotest.(check int) "redundant deleted" 2 st.Core.Eliminate.redundant_deleted;
@@ -127,7 +127,7 @@ let test_strengthen_stats_on_fig1 () =
     ctx_of "program t\ninteger a(5:10), n\nn = 3\na(2*n) = 0\na(2*n - 1) = 1\nprint n\nend"
   in
   let f = Ir.Program.main_func (Ir.Transform.copy_program prog) in
-  let ctx = Checkctx.create_prx ~mode:Universe.All_implications f in
+  let ctx = Checkctx.create ~mode:Universe.All_implications f in
   let st = Core.Strengthen.run ctx in
   Alcotest.(check int) "one check strengthened" 1 st.Core.Strengthen.strengthened
 

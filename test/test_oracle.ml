@@ -5,8 +5,8 @@
      enumeration of a finite integer box — if the oracle claims
      [hyps |= goal] then no assignment in the box may satisfy the
      hypotheses and violate the goal;
-   - coverage: everything the CIG proves syntactically (within-family
-     constant comparison) the oracle proves too, and so is every
+   - coverage: everything the family rule proves syntactically
+     (within-family constant comparison) the oracle proves too, and so is every
      nonnegative linear combination of the hypotheses (the rational
      Farkas certificates FM is complete for);
    - degradation: coefficient overflow and fuel exhaustion answer
@@ -88,9 +88,9 @@ let prop_unsat_sound =
        (G.list_size (G.int_range 1 5) gen_check))
     (fun cs -> (not (Oracle.unsat cs)) || box_unsat cs)
 
-(* --- coverage: oracle >= CIG ------------------------------------------ *)
+(* --- coverage: oracle >= the family rule ------------------------------ *)
 
-(* The CIG's universally sound rule is the within-family constant
+(* The universally sound syntactic rule is the within-family constant
    comparison; whatever it proves, the decision procedure must too. *)
 let prop_covers_within_family =
   QCheck.Test.make ~name:"oracle: proves every within-family implication"
@@ -107,7 +107,7 @@ let prop_covers_within_family =
 (* Rational completeness: any goal that is a nonnegative combination of
    the hypotheses plus nonnegative slack carries a Farkas certificate,
    and Fourier–Motzkin is complete for those. This is exactly the class
-   of cross-family implications the CIG cannot see syntactically. *)
+   of cross-family implications no syntactic rule sees. *)
 let prop_proves_farkas_combinations =
   let gen =
     G.map3
