@@ -3,14 +3,14 @@
    Both check analyses are *must* problems (intersection confluence)
    whose per-block transfer is kill-then-gen, so a problem is per-block
    GEN/KILL sets, a direction, and a boundary value, solved to the
-   maximal fixed point from the optimistic full set.
+   maximal fixed point from an optimistic top value.
 
    The engine ({!Nascent_ir.Fixpoint.iterate}) owns the sweep order,
    the stale blocks, the fuel tick per visit and the boundary blocks
    (including a backward problem's no-exit regions); this module keeps
    the sets and updates them in place, so a solve allocates its
    result's in/out sets and nothing per visit. Unreachable blocks, and
-   sources not yet visited, hold the optimistic full set, which is
+   sources not yet visited, hold the optimistic top value, which is
    what "unreachable" reads as in an intersection; clients only consult
    reachable blocks. *)
 
@@ -25,18 +25,19 @@ type block_transfer = { gen : Bitset.t; kill : Bitset.t }
 
 type result = { in_ : Bitset.t array; out : Bitset.t array }
 
-(* [solve f ~universe ~direction ~boundary ~transfer] where
-   [boundary] is the value at the entry (forward) or at every exit
-   block (backward), and [transfer.(b)] the GEN/KILL of block [b]. *)
-let solve (f : Func.t) ~universe ~direction ~(boundary : Bitset.t)
+(* [solve f ~top ~direction ~boundary ~transfer] where [top] is the
+   value every block starts from, [boundary] the value at the entry
+   (forward) or at every exit block (backward), and [transfer.(b)] the
+   GEN/KILL of block [b]. *)
+let solve (f : Func.t) ~(top : Bitset.t) ~direction ~(boundary : Bitset.t)
     ~(transfer : block_transfer array) : result =
   let n = Func.num_blocks f in
-  let mk_full () = Array.init n (fun _ -> Bitset.full universe) in
-  let in_ = mk_full () and out = mk_full () in
+  let mk_top () = Array.init n (fun _ -> Bitset.copy top) in
+  let in_ = mk_top () and out = mk_top () in
   (* [conf] is where a block's sources meet, [res] its transferred
      value, which its dependents read *)
   let conf, res = match direction with Forward -> (in_, out) | Backward -> (out, in_) in
-  let tmp = Bitset.create universe in
+  let tmp = Bitset.create (Bitset.universe top) in
   let visit ~sweep:_ b sources =
     (match sources with
     | [] -> Bitset.assign ~into:conf.(b) boundary

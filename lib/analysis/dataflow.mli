@@ -4,7 +4,7 @@
     Both check analyses are {e must} problems (intersection confluence)
     whose per-block transfer is kill-then-gen; a problem is per-block
     GEN/KILL sets, a direction, and a boundary value, solved to the
-    maximal fixed point from the optimistic full set, in place.
+    maximal fixed point from an optimistic top value, in place.
 
     Unreachable blocks keep the optimistic value; clients only consult
     reachable blocks. *)
@@ -23,13 +23,14 @@ type result = {
 
 val solve :
   Nascent_ir.Func.t ->
-  universe:int ->
+  top:Bitset.t ->
   direction:direction ->
   boundary:Bitset.t ->
   transfer:block_transfer array ->
   result
-(** [boundary] is the value at the entry (forward) or at every exit
-    block and no-exit block (backward). [in_]/[out] are named by
+(** [top] is the optimistic value every block starts from, and its
+    universe the problem's; [boundary] is the value at the entry
+    (forward) or at every exit block and no-exit block (backward). [in_]/[out] are named by
     {e program} position in both directions.
     @raise Nascent_support.Guard.Fuel_exhausted after [8n + 64] sweeps
     without a fixpoint. *)

@@ -169,7 +169,10 @@ let id t (c : Check.t) =
       Tbl.add t.ids c i;
       i
 
+let size t = Tbl.length t.ids
 let check t i = t.checks.(i)
+let family t i = t.family.(i)
+let keys t i = t.keys.(i)
 let of_checks t cs = Ids.of_list (List.map (id t) cs)
 let elements t s = List.sort Check.compare (List.map (check t) (Ids.elements s))
 let mentions t keys =

@@ -43,7 +43,17 @@ val oracle : t -> Oracle.Cache.t
 val id : t -> Check.t -> int
 (** The check's id, interning it on first sight. *)
 
+val size : t -> int
+(** The checks interned have the ids [0 .. size - 1]. *)
+
 val check : t -> int -> Check.t
+
+val family : t -> int -> int
+(** Equal for two checks iff they share a range expression. *)
+
+val keys : t -> int -> int list
+(** The check's {!Check.atom_keys}. *)
+
 val of_checks : t -> Check.t list -> Ids.t
 
 val elements : t -> Ids.t -> Check.t list

@@ -1,21 +1,8 @@
-(* A frozen universe of canonical checks with precomputed implication
-   relations, the set domain of the optimizer's data-flow analyses.
-
-   The three implication modes correspond to the paper's Table 3
-   ablations:
-   - [All_implications]  — a check implies the weaker checks of its
-                           family (the default);
-   - [No_implications]   — a check implies only itself (the primed NI'
-                           and SE' variants);
-   - [Cross_family_only] — within-family implication disabled, only
-                           implications between different families
-                           kept (the LLS' variant).
-
-   Syntactic implication never crosses a family: the paper's
-   cross-family edges (preheader conditional checks implying the body
-   checks they cover) are realized by the preheader pass deleting the
-   covered check when it hoists. Cross-family implication between two
-   checks comes only from the oracle. *)
+(* A compile's check table: the implication relations between the checks
+   of one function compile, on the compile's interned ids (see the
+   interface, which also describes the three modes). Syntactic
+   implication never crosses a family; cross-family implication comes
+   only from the oracle. *)
 
 type mode = No_implications | Cross_family_only | All_implications
 
@@ -32,112 +19,115 @@ let family_implies mode a b =
   | All_implications -> Check.implies_within_family a b
   | No_implications | Cross_family_only -> Check.equal a b
 
-module Index = Hashtbl.Make (Check)
 module Bitset = Nascent_support.Bitset
 
+(* Rows are indexed by the pool's ids. Every set ranges over the
+   table's capacity, which doubles when the ids outgrow it, so a sync
+   that adds a few checks widens nothing; the rows of ids without their
+   own yet are [none]. *)
 type t = {
-  index : int Index.t;
-  checks : Check.t array;
-  families : int array; (* check index -> family id *)
+  pool : Intern.t;
   mode : mode;
-  avail_gen : Bitset.t array; (* checks made available by performing check i *)
-  ant_gen : Bitset.t array;
+  oracle : bool;
+  mutable size : int; (* ids with rows *)
+  mutable avail_gen : Bitset.t array; (* checks made available by performing check i *)
+  mutable covered_by : Bitset.t array; (* the transpose of [avail_gen] *)
+  mutable ant_gen : Bitset.t array;
       (* checks made anticipatable by performing check i (same-family only,
          per the paper's stronger anticipatability conditions) *)
   kills : (int, Bitset.t) Hashtbl.t; (* atom key -> checks killed *)
-  none : Bitset.t; (* the empty set, for keys that kill nothing *)
+  mutable none : Bitset.t; (* the empty set, for keys that kill nothing *)
 }
 
-let size t = Array.length t.checks
+let create ~mode ~oracle pool =
+  {
+    pool;
+    mode;
+    oracle;
+    size = 0;
+    avail_gen = [||];
+    covered_by = [||];
+    ant_gen = [||];
+    kills = Hashtbl.create 64;
+    none = Bitset.create 0;
+  }
 
+let size t = Array.length t.avail_gen
 let mode t = t.mode
-
-let check t i = t.checks.(i)
-
-let index_of t c = Index.find_opt t.index c
-
-let family t i = t.families.(i)
-
-(* Same atom vocabulary (as key sets)? A single-hypothesis implication
-   [ci => cj] can only hold when every atom is shared: a variable
-   occurring in just one of the two constraints is unbounded in the
-   direction the refutation would need. Cheap pre-filter that keeps the
-   O(n^2) oracle sweep of [build] from querying hopeless pairs. *)
-let same_atom_keys a b = List.equal Int.equal (Check.atom_keys a) (Check.atom_keys b)
+let oracle t = t.oracle
+let pool t = t.pool
 
 (* Does the oracle prove that check [i] implies check [j] of another
-   family? Only the modes with cross-family implication ask. *)
-let oracle_proves mode oracle (arr : Check.t array) (families : int array) i j =
-  match oracle with
-  | None -> false
-  | Some cache ->
-      mode <> No_implications && i <> j
-      && families.(i) <> families.(j)
-      && same_atom_keys arr.(i) arr.(j)
-      && Oracle.implies ~cache ~hyps:[ arr.(i) ] arr.(j)
+   family? Only the modes with cross-family implication ask, and only
+   of a pair over the same atoms: a variable occurring in just one of
+   the two constraints is unbounded in the direction the refutation
+   would need, so a single-hypothesis implication cannot hold. *)
+let oracle_proves t i j =
+  t.oracle && t.mode <> No_implications && i <> j
+  && Intern.family t.pool i <> Intern.family t.pool j
+  && List.equal Int.equal (Intern.keys t.pool i) (Intern.keys t.pool j)
+  && Oracle.implies ~cache:(Intern.oracle t.pool)
+       ~hyps:[ Intern.check t.pool i ]
+       (Intern.check t.pool j)
 
-(* Build a frozen universe from the distinct checks of [checks]. Given
-   an [oracle] cache, availability-generation is widened by the
-   decision procedure ({!Oracle}): pairs of different families (e.g.
-   [2*i <= 10 => i <= 5]) gain an implication when the oracle proves
-   it. Only [avail_gen] is widened — [ant_gen] keeps the paper's
-   same-family restriction (section 3.2), because insertion safety
-   depends on it, not on implication strength. The cache is the
-   compile's own: every pass rebuilds the universe, and the pairs
-   repeat. *)
-let build ~mode ?oracle (checks : Check.t list) : t =
-  let index = Index.create 64 in
-  let distinct =
-    List.filter
-      (fun c ->
-        if Index.mem index c then false
-        else begin
-          Index.replace index c (Index.length index);
-          true
-        end)
-      checks
+(* Every set widened to capacity [cap]. *)
+let widen t cap =
+  let widen s =
+    let s' = Bitset.create cap in
+    Bitset.iter (Bitset.add s') s;
+    s'
   in
-  let arr = Array.of_list distinct in
-  let n = Array.length arr in
-  let families = Array.map (Check.Families.id (Check.Families.create ())) arr in
-  let avail_gen = Array.init n (fun _ -> Bitset.create n) in
-  let ant_gen = Array.init n (fun _ -> Bitset.create n) in
-  (* n^2 pairs: nothing below allocates per pair *)
+  let none = Bitset.create cap in
+  let rows old = Array.init cap (fun i -> if i < t.size then widen old.(i) else none) in
+  t.avail_gen <- rows t.avail_gen;
+  t.covered_by <- rows t.covered_by;
+  t.ant_gen <- rows t.ant_gen;
+  Hashtbl.filter_map_inplace (fun _ s -> Some (widen s)) t.kills;
+  t.none <- none
+
+(* Rows for the ids [size .. n - 1], every pair with a new member
+   decided, [i]-major. Bits are only ever added, and each is a decided
+   pair, so a grow cut off by a budget leaves correct rows behind, and
+   the next sync, which starts from the same [size], completes them. *)
+let grow t n =
+  if n > size t then widen t (max 16 (2 * n));
+  let cap = size t and n0 = t.size in
+  for i = n0 to n - 1 do
+    t.avail_gen.(i) <- Bitset.create cap;
+    t.covered_by.(i) <- Bitset.create cap;
+    t.ant_gen.(i) <- Bitset.create cap
+  done;
   for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      let syntactic = family_implies mode arr.(i) arr.(j) in
-      if syntactic || oracle_proves mode oracle arr families i j then
-        Bitset.add avail_gen.(i) j;
-      if syntactic then Bitset.add ant_gen.(i) j
+    let ci = Intern.check t.pool i in
+    for j = (if i < n0 then n0 else 0) to n - 1 do
+      let syntactic = family_implies t.mode ci (Intern.check t.pool j) in
+      if syntactic || oracle_proves t i j then begin
+        Bitset.add t.avail_gen.(i) j;
+        Bitset.add t.covered_by.(j) i
+      end;
+      if syntactic then Bitset.add t.ant_gen.(i) j
     done
   done;
-  let kills = Hashtbl.create 64 in
-  Array.iteri
-    (fun i c ->
-      List.iter
-        (fun key ->
-          let set =
-            match Hashtbl.find_opt kills key with
-            | Some s -> s
-            | None ->
-                let s = Bitset.create n in
-                Hashtbl.replace kills key s;
-                s
-          in
-          Bitset.add set i)
-        (Check.atom_keys c))
-    arr;
-  { index; checks = arr; families; mode; avail_gen; ant_gen; kills; none = Bitset.create n }
+  for i = n0 to n - 1 do
+    List.iter
+      (fun key ->
+        match Hashtbl.find_opt t.kills key with
+        | Some s -> Bitset.add s i
+        | None -> Hashtbl.replace t.kills key (Bitset.of_list cap [ i ]))
+      (Intern.keys t.pool i)
+  done;
+  t.size <- n
 
-(* Set of checks made available by performing check [i]. *)
+let sync t checks =
+  let ids = List.map (Intern.id t.pool) checks in
+  let n = Intern.size t.pool in
+  if n > t.size then grow t n;
+  Bitset.of_list (size t) ids
+
 let avail_gen t i = t.avail_gen.(i)
-
-(* Set of checks made anticipatable by performing check [i]. *)
+let covered_by t j = t.covered_by.(j)
 let ant_gen t i = t.ant_gen.(i)
 
-(* Set of checks whose range expression mentions the atom with key [k]
-   (i.e. killed by a definition of that atom). Shared with the
-   universe, as the gen sets are: read it, never write it. *)
 let killed_by_key t k =
   match Hashtbl.find_opt t.kills k with
   | Some s -> s

@@ -1,5 +1,14 @@
-(** A frozen universe of canonical checks with precomputed implication
-    relations — the set domain of the optimizer's data-flow analyses.
+(** A compile's check table: the implication relations between the
+    checks of one function compile — the set domain of the optimizer's
+    data-flow analyses.
+
+    The table is built on the compile's {!Intern} pool, so a check's
+    index is its interned id and its family is the pool's, shared with
+    the proof engine. It grows: {!sync} gives every id new since the
+    last call its rows, so each pair of checks is related once per
+    compile, however many passes ask. Ids are never taken back: a check
+    a pass deleted keeps its rows, and the table never assumes its ids
+    are the checks the function holds — {!sync} says which are.
 
     The three implication modes correspond to the paper's Table 3
     ablations:
@@ -26,31 +35,36 @@ val family_implies : mode -> Check.t -> Check.t -> bool
 
 type t
 
-val build : mode:mode -> ?oracle:Oracle.Cache.t -> Check.t list -> t
-(** Freeze the distinct checks of the list into an indexed universe.
-    Within a family, implication is {!family_implies}. Given an
-    [oracle] cache (the compile's own), the availability-generation sets
-    of [Cross_family_only] and [All_implications] are widened by the
-    {!Oracle} decision procedure: a pair of different families, over the
-    same atoms, gains an implication when the oracle proves it.
-    [ant_gen] is never widened — insertion safety depends on the paper's
-    same-family restriction (section 3.2). *)
+val create : mode:mode -> oracle:bool -> Intern.t -> t
+(** An empty table over the pool. With [oracle], the
+    availability-generation sets of [Cross_family_only] and
+    [All_implications] are widened by the {!Oracle} decision procedure,
+    asked through the pool's refutation memo: a pair of different
+    families, over the same atoms, gains an implication when the oracle
+    proves it. [ant_gen] is never widened — insertion safety depends on
+    the paper's same-family restriction (section 3.2). *)
+
+val sync : t -> Check.t list -> Nascent_support.Bitset.t
+(** Intern the checks, give every id the pool holds and the table does
+    not yet its rows, and return the set of the checks' ids. A sync cut
+    off by a budget leaves only decided pairs behind, and the next sync
+    completes the rows. *)
 
 val size : t -> int
+(** The universe of every set the table gives: its capacity, which is
+    above every id with rows and doubles when the ids outgrow it. *)
+
 val mode : t -> mode
-
-val check : t -> int -> Check.t
-(** The check at an index. *)
-
-val index_of : t -> Check.t -> int option
-
-val family : t -> int -> int
-(** The family id of the check at an index: equal for two checks of one
-    universe iff they share a range expression. *)
+val oracle : t -> bool
+val pool : t -> Intern.t
 
 val avail_gen : t -> int -> Nascent_support.Bitset.t
 (** Checks made {e available} by performing check [i]: [i] itself plus
     every check it implies (mode-permitting). *)
+
+val covered_by : t -> int -> Nascent_support.Bitset.t
+(** Checks whose performance makes check [j] available: the transpose
+    of {!avail_gen}. *)
 
 val ant_gen : t -> int -> Nascent_support.Bitset.t
 (** Checks made {e anticipatable} by performing check [i]: restricted
@@ -60,5 +74,5 @@ val ant_gen : t -> int -> Nascent_support.Bitset.t
 
 val killed_by_key : t -> int -> Nascent_support.Bitset.t
 (** Checks whose range expression mentions the atom with this key
-    (killed by a definition of that atom). The set is the universe's
-    own, as the gen sets are: read it, never write it. *)
+    (killed by a definition of that atom). Every set above is the
+    table's own: read it, never write it. *)

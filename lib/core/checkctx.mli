@@ -1,9 +1,10 @@
 (** Per-function optimization context.
 
-    Bundles the function with its loop structure, the configured
-    implication mode and, under [--oracle], the compile's entailment
-    cache. A check instruction's analysis check is its own canonical
-    check [m.chk]: the INX pre-pass rewrites instructions in place. *)
+    Bundles the function with its loop structure, the compile's
+    entailment cache and the compile's check table, built once on that
+    cache's interned checks and grown by every pass that asks for it. A
+    check instruction's analysis check is its own canonical check
+    [m.chk]: the INX pre-pass rewrites instructions in place. *)
 
 type t = {
   func : Nascent_ir.Func.t;
@@ -11,25 +12,25 @@ type t = {
       (** innermost-first; kept fresh via {!refresh} *)
   mutable loops_num_blocks : int;
       (** block count {!loops} was computed at *)
-  mode : Nascent_checks.Universe.mode;
-  oracle : Nascent_ir.Validate.Cache.t option;
-      (** the compile's entailment cache when availability is widened
-          with the {!Nascent_checks.Oracle} decision procedure (the
-          [--oracle] axis); [None] without the oracle *)
+  cache : Nascent_ir.Validate.Cache.t;  (** the compile's entailment cache *)
+  table : Nascent_checks.Universe.t;
+      (** the compile's check table, over [cache]'s interned checks *)
+  mutable present : Nascent_support.Bitset.t;
+      (** the ids of the checks the last {!universe} found in the
+          function *)
 }
 
 val create :
   mode:Nascent_checks.Universe.mode ->
-  ?oracle:Nascent_ir.Validate.Cache.t ->
+  oracle:bool ->
+  cache:Nascent_ir.Validate.Cache.t ->
   ?loops:Nascent_analysis.Loops.loop list ->
   Nascent_ir.Func.t ->
   t
-(** [loops] are the function's current loops, when a pass already has
+(** [oracle]: availability is widened with the
+    {!Nascent_checks.Oracle} decision procedure (the [--oracle] axis).
+    [loops] are the function's current loops, when a pass already has
     them (the INX rewrite); otherwise they are computed. *)
-
-val kill_keys : t -> Nascent_ir.Types.instr -> int list
-(** The atom keys an instruction invalidates: an assignment kills its
-    variable's atoms, a store or a call the load-bearing opaque atoms. *)
 
 val refresh : t -> unit
 (** Recompute the loop structure if a pass changed the CFG shape (edge
@@ -38,6 +39,7 @@ val refresh : t -> unit
     which is why one context can serve the whole pass pipeline. *)
 
 val universe : t -> Nascent_checks.Universe.t
-(** Freeze the checks currently present in the function into a
-    {!Nascent_checks.Universe} (placement passes rebuild this after
-    inserting). *)
+(** The check table, synced with the checks now in the function: new
+    checks get their rows and {!present} becomes their ids. A pass
+    calls it when it starts, and again after it inserted checks it
+    wants to analyse. *)

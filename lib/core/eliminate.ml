@@ -6,6 +6,7 @@ module Ir = Nascent_ir
 module Bitset = Nascent_support.Bitset
 module Check = Nascent_checks.Check
 module Universe = Nascent_checks.Universe
+module Intern = Nascent_checks.Intern
 module Expr = Nascent_ir.Expr
 open Ir.Types
 
@@ -18,43 +19,42 @@ type stats = {
 let new_stats () =
   { redundant_deleted = 0; compile_time_deleted = 0; compile_time_traps = 0 }
 
-(* covered_by.(j) = the set of checks whose execution makes j redundant
-   (the transpose of the availability generation relation). *)
-let covered_by (uni : Universe.t) : Bitset.t array =
-  let n = Universe.size uni in
-  let cov = Array.init n (fun _ -> Bitset.create n) in
-  for i = 0 to n - 1 do
-    Bitset.iter (fun j -> Bitset.add cov.(j) i) (Universe.avail_gen uni i)
-  done;
-  cov
-
 (* Step 4: remove every check instruction whose check is available at
    its own program point. One forward scan per block, seeded with the
-   block-entry availability. *)
-let redundancy_elimination (env : Analyses.env) (st : stats) : unit =
-  let ctx = env.Analyses.ctx in
+   block-entry availability; [cur] holds present checks only, as the
+   analysis does, so a check gone from the function never covers one. *)
+let redundancy_elimination (ctx : Checkctx.t) (st : stats) : unit =
   let f = ctx.Checkctx.func in
-  let avail = Analyses.availability env in
-  let cov = covered_by env.Analyses.uni in
+  let uni = Checkctx.universe ctx in
+  let pool = Universe.pool uni in
+  let avail = Analyses.availability ctx in
   let reach = Ir.Func.reachable f in
-  (* Oracle mode only: is the check at index [j] entailed by the
-     *conjunction* of the currently available checks? Every check in
-     [cur] was performed (and passed) on every path here with no
-     intervening kill of its atoms, so the conjunction of their
-     constraints holds at this point; if it implies [j]'s constraint,
-     executing [j] cannot trap. The single-hypothesis cases are already
-     folded into [cov] by the universe's oracle widening — this covers
-     genuinely conjunctive facts like [x <= y /\ y <= 5 |- x <= 5]. *)
+  (* Oracle mode only: is the check [j] entailed by the *conjunction*
+     of the currently available checks? Every check in [cur] was
+     performed (and passed) on every path here with no intervening kill
+     of its atoms, so the conjunction of their constraints holds at
+     this point; if it implies [j]'s constraint, executing [j] cannot
+     trap. The single-hypothesis cases are already in the table's
+     [covered_by] by its oracle widening — this covers genuinely
+     conjunctive facts like [x <= y /\ y <= 5 |- x <= 5]. Ids carry no
+     order, and the oracle's column pick breaks ties by the order of
+     its hypotheses, so they come in the function's order as the pass
+     found it, last first: [rank] is each check's first position. *)
+  let rank = Array.make (if Universe.oracle uni then Universe.size uni else 0) (-1) in
+  if Universe.oracle uni then
+    List.iteri
+      (fun k m ->
+        let i = Intern.id pool m.chk in
+        if rank.(i) < 0 then rank.(i) <- k)
+      (Ir.Func.all_check_metas f);
   let conjunction_implies cur j =
-    match ctx.Checkctx.oracle with
-    | None -> false
-    | Some cache ->
-        let hyps = ref [] in
-        Bitset.iter
-          (fun i -> hyps := Universe.check env.Analyses.uni i :: !hyps)
-          cur;
-        Nascent_checks.Oracle.implies ~cache:(Ir.Validate.Cache.oracle cache) ~hyps:!hyps
-          (Universe.check env.Analyses.uni j)
+    Universe.oracle uni
+    &&
+    let hyps =
+      List.map (Intern.check pool)
+        (List.sort (fun a b -> Int.compare rank.(b) rank.(a)) (Bitset.elements cur))
+    in
+    Nascent_checks.Oracle.implies ~cache:(Intern.oracle pool) ~hyps (Intern.check pool j)
   in
   Ir.Func.iter_blocks
     (fun b ->
@@ -64,28 +64,25 @@ let redundancy_elimination (env : Analyses.env) (st : stats) : unit =
           List.filter
             (fun i ->
               match i with
-              | Check m -> (
-                  match Universe.index_of env.Analyses.uni m.chk with
-                  | None -> true (* not in universe: leave untouched *)
-                  | Some j ->
-                      if
-                        (not (Bitset.disjoint cur cov.(j)))
-                        || conjunction_implies cur j
-                      then begin
-                        st.redundant_deleted <- st.redundant_deleted + 1;
-                        false
-                      end
-                      else begin
-                        Bitset.union_into ~into:cur (Universe.avail_gen env.Analyses.uni j);
-                        true
-                      end)
+              | Check m ->
+                  let j = Intern.id pool m.chk in
+                  if
+                    (not (Bitset.disjoint cur (Universe.covered_by uni j)))
+                    || conjunction_implies cur j
+                  then begin
+                    st.redundant_deleted <- st.redundant_deleted + 1;
+                    false
+                  end
+                  else begin
+                    Bitset.union_into ~into:cur (Universe.avail_gen uni j);
+                    Bitset.inter_into ~into:cur ctx.Checkctx.present;
+                    true
+                  end
               | Cond_check _ -> true (* guarded: generates nothing *)
               | _ ->
                   List.iter
-                    (fun k ->
-                      Bitset.diff_into ~into:cur
-                        (Universe.killed_by_key env.Analyses.uni k))
-                    (Checkctx.kill_keys ctx i);
+                    (fun k -> Bitset.diff_into ~into:cur (Universe.killed_by_key uni k))
+                    (Ir.Atoms.killed_by f.Ir.Func.atoms i);
                   true)
             b.instrs
         in
@@ -197,10 +194,8 @@ let compile_time_checks (f : Ir.Func.t) (st : stats) : unit =
    by compile-time folding. *)
 let run (ctx : Checkctx.t) : stats =
   let st = new_stats () in
-  let env = Analyses.make_env ctx in
-  redundancy_elimination env st;
-  Option.iter
-    (fun cache -> oracle_elimination ~cache ctx.Checkctx.func st)
-    ctx.Checkctx.oracle;
+  redundancy_elimination ctx st;
+  if Universe.oracle ctx.Checkctx.table then
+    oracle_elimination ~cache:ctx.Checkctx.cache ctx.Checkctx.func st;
   compile_time_checks ctx.Checkctx.func st;
   st

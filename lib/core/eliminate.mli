@@ -12,10 +12,11 @@ type stats = {
 
 val new_stats : unit -> stats
 
-val redundancy_elimination : Analyses.env -> stats -> unit
+val redundancy_elimination : Checkctx.t -> stats -> unit
 (** Step 4: one forward scan per block seeded with block-entry
     availability; a check instruction whose check is covered by an
-    available one is deleted, otherwise it generates. *)
+    available one is deleted, otherwise it generates. Syncs the
+    context's check table first. *)
 
 val oracle_elimination :
   cache:Nascent_ir.Validate.Cache.t -> Nascent_ir.Func.t -> stats -> unit

@@ -22,6 +22,7 @@
 module Ir = Nascent_ir
 module Bitset = Nascent_support.Bitset
 module Universe = Nascent_checks.Universe
+module Intern = Nascent_checks.Intern
 module Dataflow = Nascent_analysis.Dataflow
 open Ir.Types
 
@@ -31,67 +32,44 @@ type stats = { mutable inserted : int }
 
 (* Local predicates per block:
    ANTLOC — check locally anticipatable (performed before any kill);
-   COMP   — check locally available at block end (performed, not killed after);
    TRANSP — block does not kill the check. *)
-type local = { antloc : Bitset.t; comp : Bitset.t; transp : Bitset.t }
+type local = { antloc : Bitset.t; transp : Bitset.t }
 
-let locals (env : Analyses.env) (b : block) : local =
-  let ctx = env.Analyses.ctx in
-  let uni = env.Analyses.uni in
+let locals (ctx : Checkctx.t) (b : block) : local =
+  let uni = ctx.Checkctx.table in
+  let pool = Universe.pool uni in
   let n = Universe.size uni in
-  let antloc = Bitset.create n and comp = Bitset.create n in
-  let killed = Bitset.create n in
+  let antloc = Bitset.create n and killed = Bitset.create n in
   let transp = Bitset.full n in
-  (* kills go straight into [killed] (and out of [transp]), one atom's
-     set at a time: no set is built per instruction *)
-  let kill keys =
-    List.iter
-      (fun key ->
-        let k = Universe.killed_by_key uni key in
-        Bitset.union_into ~into:killed k;
-        Bitset.diff_into ~into:transp k)
-      keys
-  in
-  (* [into] gains what check [m] generates ([gen_of] its index) and
-     nothing [killed] already holds *)
-  let gen into gen_of i =
-    match i with
-    | Check m -> (
-        match Universe.index_of uni m.chk with
-        | None -> ()
-        | Some j -> Bitset.union_diff_into ~into (gen_of uni j) killed)
-    | _ -> ()
-  in
   List.iter
     (fun i ->
-      gen antloc Universe.ant_gen i;
-      kill (Checkctx.kill_keys ctx i))
+      (match i with
+      | Check m ->
+          Bitset.union_diff_into ~into:antloc
+            (Universe.ant_gen uni (Intern.id pool m.chk))
+            killed
+      | _ -> ());
+      (* kills go straight into [killed] (and out of [transp]), one
+         atom's set at a time: no set is built per instruction *)
+      List.iter
+        (fun key ->
+          let k = Universe.killed_by_key uni key in
+          Bitset.union_into ~into:killed k;
+          Bitset.diff_into ~into:transp k)
+        (Ir.Atoms.killed_by ctx.Checkctx.func.Ir.Func.atoms i))
     b.instrs;
-  (* backward scan for COMP; [transp] already has every kill *)
-  Bitset.clear killed;
-  let rec backward = function
-    | [] -> ()
-    | i :: rest ->
-        backward rest;
-        gen comp Universe.avail_gen i;
-        List.iter
-          (fun key -> Bitset.union_into ~into:killed (Universe.killed_by_key uni key))
-          (Checkctx.kill_keys ctx i)
-  in
-  backward b.instrs;
-  { antloc; comp; transp }
+  { antloc; transp }
 
 (* Insert the checks of [set] on edge (m, n). Because critical edges
    were split, either m has a single successor (append before its
    terminator) or n has a single predecessor (prepend). Within a family
    the strongest check is inserted first, so elimination keeps only it. *)
-let insert_on_edge (env : Analyses.env) preds (st : stats) m n (set : Bitset.t) =
+let insert_on_edge (ctx : Checkctx.t) preds (st : stats) m n (set : Bitset.t) =
   if not (Bitset.is_empty set) then begin
-    let uni = env.Analyses.uni in
-    let f = env.Analyses.ctx.Checkctx.func in
+    let f = ctx.Checkctx.func in
     let checks =
       Bitset.elements set
-      |> List.map (fun j -> Universe.check uni j)
+      |> List.map (Intern.check (Universe.pool ctx.Checkctx.table))
       |> List.sort Nascent_checks.Check.compare
     in
     let instrs =
@@ -120,17 +98,16 @@ let run (ctx : Checkctx.t) ~(placement : placement) : stats =
   let st = { inserted = 0 } in
   let f = ctx.Checkctx.func in
   ignore (Ir.Func.split_critical_edges f);
-  (* Splitting added blocks: recompute loops lazily by rebuilding the
-     env (the context's loop list is only used by the preheader pass,
-     which runs on its own context). *)
-  let env = Analyses.make_env ctx in
-  let uni = env.Analyses.uni in
-  let n = Universe.size uni in
+  (* Splitting added blocks, which leaves the context's loops stale:
+     this pass never reads them, and the optimizer refreshes them
+     before a pass that does. *)
+  let n = Universe.size (Checkctx.universe ctx) in
   let nb = Ir.Func.num_blocks f in
-  let loc = Array.init nb (fun bid -> locals env (Ir.Func.block f bid)) in
-  (* Down-safety (anticipatability) and up-safety (availability). *)
-  let ant = Analyses.anticipatability env in
-  let av = Analyses.availability env in
+  let loc = Array.init nb (fun bid -> locals ctx (Ir.Func.block f bid)) in
+  (* Down-safety (anticipatability) and up-safety (availability); both
+     hold present checks only, so every set below does too. *)
+  let ant = Analyses.anticipatability ctx in
+  let av = Analyses.availability ctx in
   let preds = Ir.Func.preds_array f in
   let entry = f.Ir.Func.entry in
   (* EARLIEST(m,n) = ANTIN(n) ∧ ¬AVOUT(m) ∧ (¬TRANSP(m) ∨ ¬ANTOUT(m));
@@ -156,13 +133,14 @@ let run (ctx : Checkctx.t) ~(placement : placement) : stats =
   in
   (match placement with
   | Safe_earliest ->
-      List.iter (fun (m, nd) -> insert_on_edge env preds st m nd (earliest m nd)) edges
+      List.iter (fun (m, nd) -> insert_on_edge ctx preds st m nd (earliest m nd)) edges
   | Latest_not_isolated ->
       (* LATER system (Knoop et al. 92):
          LATERIN(n) = ∧_{(m,n)} LATER(m,n)   (entry: the virtual edge's EARLIEST)
          LATER(m,n) = EARLIEST(m,n) ∨ (LATERIN(m) ∧ ¬ANTLOC(m))
-         INSERT(m,n) = LATER(m,n) ∧ ¬LATERIN(n) *)
-      let laterin = Array.init nb (fun _ -> Bitset.full n) in
+         INSERT(m,n) = LATER(m,n) ∧ ¬LATERIN(n)
+         LATERIN starts from the present checks, as the analyses do. *)
+      let laterin = Array.init nb (fun _ -> Bitset.copy ctx.Checkctx.present) in
       let later (m, nd) =
         let l = earliest m nd in
         if m <> -1 then Bitset.union_diff_into ~into:l laterin.(m) loc.(m).antloc;
@@ -188,6 +166,6 @@ let run (ctx : Checkctx.t) ~(placement : placement) : stats =
         (fun (m, nd) ->
           let ins = later (m, nd) in
           Bitset.diff_into ~into:ins laterin.(nd);
-          insert_on_edge env preds st m nd ins)
+          insert_on_edge ctx preds st m nd ins)
         edges);
   st

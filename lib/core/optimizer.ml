@@ -1,8 +1,10 @@
 (* The five-step range check optimizer (paper section 3):
 
    1. decide which checks imply which           — {!Nascent_checks.Universe}:
-      a smaller constant within a family, and under [--oracle] what the
-      Fourier–Motzkin oracle proves across families;
+      one check table per function compile, grown as passes add checks,
+      each pair decided once — a smaller constant within a family, and
+      under [--oracle] what the Fourier–Motzkin oracle proves across
+      families;
    2. compute safe insertion points             — {!Analyses.anticipatability};
    3. insert checks per the configured scheme   — {!Strengthen},
       {!Lazy_motion}, {!Preheader};
@@ -267,22 +269,21 @@ let optimize_func (config : Config.t) (f : Ir.Func.t) : stats =
   let reference =
     if config.Config.oracle then Some (Ir.Transform.copy_func f) else None
   in
-  (* One entailment cache per function compile, shared by every oracle
-     query — availability widening, conjunctive elimination, oracle-elim
-     and the certificate (most of their queries repeat); it dies with
+  (* One entailment cache per function compile: its interned checks are
+     the check table's ids, and every oracle query — availability
+     widening, conjunctive elimination, oracle-elim and the certificate
+     (most of their queries repeat) — shares its memo. It dies with
      this call, so concurrent compiles never share one. *)
   let cache = Ir.Validate.Cache.create () in
-  (* The context — loop structure, implication mode, oracle cache — is
-     built once and shared by every pass; [Checkctx.refresh]
-     revalidates the loop structure after CFG-shaping passes instead of
-     rebuilding (and re-canonicalizing) from scratch. Without a context
-     no pass can run: a context fault degrades this function all the
-     way to its naive-checked form (the NI floor). *)
+  (* The context — loop structure, cache, check table — is built once
+     and shared by every pass; [Checkctx.refresh] revalidates the loop
+     structure after CFG-shaping passes instead of rebuilding (and
+     re-canonicalizing) from scratch. Without a context no pass can
+     run: a context fault degrades this function all the way to its
+     naive-checked form (the NI floor). *)
   (match
      run_pass "context" (fun () ->
-         Checkctx.create ~mode:config.Config.impl
-           ?oracle:(if config.Config.oracle then Some cache else None)
-           ?loops f)
+         Checkctx.create ~mode:config.Config.impl ~oracle:config.Config.oracle ~cache ?loops f)
    with
   | Error () -> ()
   | Ok ctx ->
@@ -355,7 +356,7 @@ let optimize_func (config : Config.t) (f : Ir.Func.t) : stats =
       let elim =
         run_pass "eliminate" ~vpass:Ir.Verify.Elimination (fun () ->
             Checkctx.refresh ctx;
-            Eliminate.redundancy_elimination (Analyses.make_env ctx) e)
+            Eliminate.redundancy_elimination ctx e)
       in
       (* The decision-procedure sweep is its own pass so a rollback
          (fuel, verifier) costs only the oracle's extra deletions, not

@@ -1,6 +1,7 @@
 (** The five-step range check optimizer (paper section 3):
 
-    + decide which checks imply which ({!Nascent_checks.Universe}: a
+    + decide which checks imply which ({!Nascent_checks.Universe}, one
+      check table per function compile, each pair decided once: a
       smaller constant within a family, and under [--oracle] what the
       Fourier–Motzkin oracle proves across families);
     + compute safe insertion points ({!Analyses.anticipatability});

@@ -36,6 +36,7 @@ module Check = Nascent_checks.Check
 module Linexpr = Nascent_checks.Linexpr
 module Atom = Nascent_checks.Atom
 module Universe = Nascent_checks.Universe
+module Intern = Nascent_checks.Intern
 module Loops = Nascent_analysis.Loops
 module Expr = Nascent_ir.Expr
 open Ir.Types
@@ -266,16 +267,18 @@ let already_covered (pre : block) ~guard ~(chk : Check.t) ~mode =
       | _ -> false)
     pre.instrs
 
-(* [facts ()] is the check universe and its anticipatability for the
-   function as it stands; [idom] and [preds] hold for the whole pass. *)
-let process_loop (ctx : Checkctx.t) ~variant ~idom ~preds ~facts (st : stats)
+(* [ant ()] is the anticipatability of the function as it stands, over
+   the context's check table; [idom] and [preds] hold for the whole
+   pass. *)
+let process_loop (ctx : Checkctx.t) ~variant ~idom ~preds ~ant (st : stats)
     (l : Loops.loop) : bool =
   let f = ctx.Checkctx.func in
   let atoms = f.Ir.Func.atoms in
+  let mode = Universe.mode ctx.Checkctx.table in
   match (preheader_of l, body_entry_of l) with
   | None, _ | _, None -> false
   | Some pre_bid, Some body_bid ->
-      let uni, ant = facts () in
+      let ant = ant () in
       let latches =
         List.filter (fun p -> Loops.in_loop l p) preds.(l.Loops.header)
       in
@@ -307,10 +310,9 @@ let process_loop (ctx : Checkctx.t) ~variant ~idom ~preds ~facts (st : stats)
                 (* dominance-style reasoning only: the check must sit on
                    every path through an iteration *)
                 articulation f l ~body_entry:body_bid ~latches c.c_bid
-            | Invariant_only | Loop_limit -> (
-                match Universe.index_of uni c.c_meta.chk with
-                | Some j -> Bitset.mem ant_at_body j
-                | None -> false))
+            | Invariant_only | Loop_limit ->
+                let pool = Universe.pool ctx.Checkctx.table in
+                Bitset.mem ant_at_body (Intern.id pool c.c_meta.chk))
         | Some g ->
             (* once-per-iteration and guard stable across the loop *)
             latches <> []
@@ -340,10 +342,8 @@ let process_loop (ctx : Checkctx.t) ~variant ~idom ~preds ~facts (st : stats)
             let meta' = { c.c_meta with chk = chk' } in
             let pre = Ir.Func.block f pre_bid in
             let covered guard =
-              already_covered pre ~guard ~chk:chk' ~mode:ctx.Checkctx.mode
-              || already_covered
-                   { pre with instrs = List.rev !inserted }
-                   ~guard ~chk:chk' ~mode:ctx.Checkctx.mode
+              already_covered pre ~guard ~chk:chk' ~mode
+              || already_covered { pre with instrs = List.rev !inserted } ~guard ~chk:chk' ~mode
             in
             match Expr.fold guard with
             | Cbool false -> () (* loop never runs: body check unreachable *)
@@ -376,25 +376,25 @@ let run (ctx : Checkctx.t) ~variant : stats =
   let st = new_stats () in
   let f = ctx.Checkctx.func in
   (* Loops are processed innermost-first, and each hoist can enable
-     hoisting from the enclosing loop, so the check universe and its
-     anticipatability are rebuilt after every loop that hoisted
+     hoisting from the enclosing loop, so anticipatability is solved
+     again, over the synced check table, after every loop that hoisted
      something. A loop that hoisted nothing left the function as it
-     was, so the next loop reuses them. Hoisting edits instruction
-     lists only, never a terminator, so dominance and predecessors are
-     the same for every loop of the pass. *)
+     was, so the next loop reuses the solution. Hoisting edits
+     instruction lists only, never a terminator, so dominance and
+     predecessors are the same for every loop of the pass. *)
   let idom = Ir.Func.idom f in
   let preds = Ir.Func.preds_array f in
   let current = ref None in
-  let facts () =
+  let ant () =
     match !current with
-    | Some uf -> uf
+    | Some a -> a
     | None ->
-        let env = Analyses.make_env ctx in
-        let uf = (env.Analyses.uni, Analyses.anticipatability env) in
-        current := Some uf;
-        uf
+        ignore (Checkctx.universe ctx);
+        let a = Analyses.anticipatability ctx in
+        current := Some a;
+        a
   in
   List.iter
-    (fun l -> if process_loop ctx ~variant ~idom ~preds ~facts st l then current := None)
+    (fun l -> if process_loop ctx ~variant ~idom ~preds ~ant st l then current := None)
     ctx.Checkctx.loops;
   st

@@ -90,6 +90,11 @@ let payload_exn t key =
 let killed_by_def t (v : Types.var) : int list =
   Option.value ~default:[] (Hashtbl.find_opt t.killed v.vid)
 
-(* Atom keys invalidated by any store to an array (or call, which may
-   store). *)
-let killed_by_store t : int list = t.load_opaques
+(* Atom keys an instruction invalidates: an assignment kills its
+   variable's atoms, a store to an array or a call (which may store)
+   the opaque atoms that read memory. The one spelling of the rule for
+   the optimizer, the verifier and the certificate. *)
+let killed_by t : Types.instr -> int list = function
+  | Types.Assign (v, _) -> killed_by_def t v
+  | Types.Store _ | Types.Call _ -> t.load_opaques
+  | Types.Check _ | Types.Cond_check _ | Types.Trap _ | Types.Print _ -> []

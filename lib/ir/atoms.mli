@@ -38,6 +38,9 @@ val killed_by_def : t -> Types.var -> int list
 (** Atom keys invalidated by a definition of [v]: [v]'s own atom plus
     every opaque atom whose expression mentions [v]. *)
 
-val killed_by_store : t -> int list
-(** Atom keys invalidated by any array store or call: the opaque atoms
-    whose expressions read memory. *)
+val killed_by : t -> Types.instr -> int list
+(** Atom keys an instruction invalidates: {!killed_by_def} for an
+    assignment; for an array store or a call, the opaque atoms whose
+    expressions read memory; nothing otherwise. The list is read when
+    asked: a linearization may add opaque atoms that a later read
+    includes. *)

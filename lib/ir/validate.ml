@@ -178,7 +178,7 @@ module Cache = struct
   type t = { pool : Intern.t; mutable hint : hstate array option }
 
   let create () = { pool = Intern.create (); hint = None }
-  let oracle t = Intern.oracle t.pool
+  let pool t = t.pool
 end
 
 (* One ambient tick per query, hit or miss, so the watchdogs still see
@@ -330,7 +330,7 @@ let prepare ?(checks = true) (cache : Cache.t) atoms (i : instr) : hstate -> hst
   | Assign (v, e) ->
       let t = assign_transfer pool atoms v e in
       fun h -> Some (t h)
-  | Store _ | Call _ -> fun h -> Some (kill_state pool (Atoms.killed_by_store atoms) h)
+  | Store _ | Call _ -> fun h -> Some (kill_state pool (Atoms.killed_by atoms i) h)
   | Print _ -> Option.some
 
 let transfer ?checks cache atoms (h : hstate option) (i : instr) : hstate option =
@@ -366,9 +366,8 @@ let avail_transfer pool atoms ~(holds : Check.t list -> bool) (h : hstate option
       | Some gs ->
           let h = { h with conds = Ids.add (Intern.cond pool gs m.chk) h.conds } in
           if holds gs then Some (add h m.chk) else Some h)
-  | Some h, Assign (v, _) -> Some (kill_state pool (Atoms.killed_by_def atoms v) h)
-  | Some h, (Store _ | Call _) -> Some (kill_state pool (Atoms.killed_by_store atoms) h)
-  | Some h, Print _ -> Some h
+  | Some h, (Assign _ | Store _ | Call _ | Print _) ->
+      Some (kill_state pool (Atoms.killed_by atoms i) h)
 
 (* --- block-entry hypotheses: must-availability + edge facts --------- *)
 

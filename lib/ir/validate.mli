@@ -45,8 +45,9 @@ val merge : t -> t -> t
     handle per fact set, each memoising the goals asked of it, over the
     {!Nascent_checks.Oracle.Cache} of refutations beneath them. Create
     one per function compile and share it between the optimizer's
-    oracle queries ({!Facts}, availability widening, conjunctive
-    elimination) and the certificate ({!func_guarded}); drop it with
+    check table, its oracle queries ({!Facts}, availability widening,
+    conjunctive elimination) and the certificate ({!func_guarded}),
+    which then name every check by one id; drop it with
     the function. A hit returns exactly the answer a fresh query would,
     and only completed answers are stored, so a pass rolled back
     mid-query leaves it clean. It also carries the last
@@ -57,8 +58,10 @@ module Cache : sig
 
   val create : unit -> t
 
-  val oracle : t -> Nascent_checks.Oracle.Cache.t
-  (** The refutation memo, for oracle callers below the IR. *)
+  val pool : t -> Nascent_checks.Intern.t
+  (** The compile's interned checks, which the optimizer's check table
+      ({!Nascent_checks.Universe}) is built on, and the refutation memo
+      beneath them. *)
 end
 
 val func_guarded : cache:Cache.t -> original:Func.t -> optimized:Func.t -> t

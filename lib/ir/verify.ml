@@ -272,14 +272,8 @@ end)
 (* state: family lhs -> smallest generated constant on every path *)
 type ant_state = int FMap.t
 
-let kill_keys atoms (i : instr) : int list =
-  match i with
-  | Assign (v, _) -> Atoms.killed_by_def atoms v
-  | Store _ | Call _ -> Atoms.killed_by_store atoms
-  | Check _ | Cond_check _ | Trap _ | Print _ -> []
-
 let apply_kills atoms i (st : ant_state) : ant_state =
-  match kill_keys atoms i with
+  match Atoms.killed_by atoms i with
   | [] -> st
   | keys ->
       FMap.filter

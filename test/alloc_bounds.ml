@@ -129,7 +129,7 @@ let test_compile_alloc_budget () =
   compile (List.hd cells);
   let (), words = allocated_words (fun () -> List.iter compile cells) in
   let mean = words / List.length cells in
-  let budget = 150_000 in
+  let budget = 146_200 in
   if mean > budget then
     Alcotest.failf "a plain suite compile allocates %d words on average, budget %d" mean
       budget

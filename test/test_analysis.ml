@@ -207,12 +207,12 @@ let test_solver_must_confluence () =
         { Dataflow.gen; kill })
   in
   (* generated in the entry: available at the join *)
-  let r = Dataflow.solve f ~universe:1 ~direction:Dataflow.Forward
+  let r = Dataflow.solve f ~top:(Bitset.full 1) ~direction:Dataflow.Forward
       ~boundary:(Bitset.create 1) ~transfer:(mk_transfer f.Ir.Func.entry)
   in
   Alcotest.(check bool) "entry gen reaches join" true (Bitset.mem r.Dataflow.in_.(!join) 0);
   (* generated in one arm only: not available at the join *)
-  let r2 = Dataflow.solve f ~universe:1 ~direction:Dataflow.Forward
+  let r2 = Dataflow.solve f ~top:(Bitset.full 1) ~direction:Dataflow.Forward
       ~boundary:(Bitset.create 1) ~transfer:(mk_transfer arm)
   in
   Alcotest.(check bool) "one-arm gen blocked at join" false
@@ -232,7 +232,7 @@ let test_solver_kill () =
         if b = body then Bitset.add kill 0;
         { Dataflow.gen; kill })
   in
-  let r = Dataflow.solve f ~universe:1 ~direction:Dataflow.Forward
+  let r = Dataflow.solve f ~top:(Bitset.full 1) ~direction:Dataflow.Forward
       ~boundary:(Bitset.create 1) ~transfer
   in
   (* at the loop header the token is not available (killed on the back
@@ -255,12 +255,12 @@ let test_solver_backward () =
         if List.mem b gens then Bitset.add gen 0;
         { Dataflow.gen; kill })
   in
-  let r = Dataflow.solve f ~universe:1 ~direction:Dataflow.Backward
+  let r = Dataflow.solve f ~top:(Bitset.full 1) ~direction:Dataflow.Backward
       ~boundary:(Bitset.create 1) ~transfer:(mk arms)
   in
   Alcotest.(check bool) "both arms => anticipatable at entry" true
     (Bitset.mem r.Dataflow.in_.(f.Ir.Func.entry) 0);
-  let r2 = Dataflow.solve f ~universe:1 ~direction:Dataflow.Backward
+  let r2 = Dataflow.solve f ~top:(Bitset.full 1) ~direction:Dataflow.Backward
       ~boundary:(Bitset.create 1) ~transfer:(mk [ List.hd arms ])
   in
   Alcotest.(check bool) "one arm => not anticipatable" false
@@ -284,7 +284,7 @@ let test_solver_backward_no_exit () =
         { Dataflow.gen = Bitset.create 1; kill = Bitset.create 1 })
   in
   let r =
-    Dataflow.solve f ~universe:1 ~direction:Dataflow.Backward
+    Dataflow.solve f ~top:(Bitset.full 1) ~direction:Dataflow.Backward
       ~boundary:(Bitset.create 1) ~transfer
   in
   for b = 0 to n - 1 do

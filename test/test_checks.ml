@@ -1,11 +1,13 @@
-(* Canonical range expressions, checks, families, and frozen
-   universes. *)
+(* Canonical range expressions, checks, families, and the check
+   table. *)
 
 open Util
 module Atom = Nascent_checks.Atom
 module Linexpr = Nascent_checks.Linexpr
 module Check = Nascent_checks.Check
 module Universe = Nascent_checks.Universe
+module Intern = Nascent_checks.Intern
+module Work = Nascent_checks.Work
 module Oracle = Nascent_checks.Oracle
 module Bitset = Nascent_support.Bitset
 
@@ -134,14 +136,17 @@ let prop_gcd_preserves_integer_solutions =
 
 (* --- Universe ---------------------------------------------------------- *)
 
-let mk_universe mode checks = Universe.build ~mode checks
+let mk_universe ?(oracle = false) mode checks =
+  let uni = Universe.create ~mode ~oracle (Intern.create ()) in
+  ignore (Universe.sync uni checks);
+  uni
 
-let index_in uni c = Option.get (Universe.index_of uni c)
+let index_in uni c = Intern.id (Universe.pool uni) c
 
 let test_universe_dedup () =
   let c = Check.make (Linexpr.of_atom x) 5 in
   let uni = mk_universe Universe.All_implications [ c; c; c ] in
-  Alcotest.(check int) "one check" 1 (Universe.size uni)
+  Alcotest.(check int) "one check" 1 (Intern.size (Universe.pool uni))
 
 let test_universe_avail_gen_modes () =
   let c5 = Check.make (Linexpr.of_atom x) 5 in
@@ -167,21 +172,39 @@ let test_universe_ant_gen_same_family_only () =
      oracle *)
   let i = atom 20 "i" in
   let c2 = Check.make (Linexpr.of_atom ~coeff:2 i) 10 and c1 = Check.make (Linexpr.of_atom i) 5 in
-  let uni =
-    Universe.build ~mode:Universe.All_implications ~oracle:(Oracle.Cache.create ()) [ c2; c1 ]
-  in
+  let uni = mk_universe ~oracle:true Universe.All_implications [ c2; c1 ] in
   let i2 = index_in uni c2 and i1 = index_in uni c1 in
   (* availability crosses families via the oracle ... *)
   Alcotest.(check bool) "avail crosses" true (Bitset.mem (Universe.avail_gen uni i2) i1);
   (* ... anticipatability does not (the paper's stronger condition) *)
   Alcotest.(check bool) "ant does not" false (Bitset.mem (Universe.ant_gen uni i2) i1)
 
+(* Each cross-family pair over the same atoms reaches the oracle once
+   per table: syncing checks the table holds asks nothing, and a new
+   check asks only about its own pairs. Every [Oracle.implies] call
+   decides one goal. *)
+let test_universe_oracle_once_per_pair () =
+  let i = atom 20 "i" in
+  let c k coeff = Check.make (Linexpr.of_atom ~coeff i) k in
+  let c2 = c 10 2 and c1 = c 5 1 and c3 = c 14 3 and cneg = c 0 (-1) in
+  let uni = Universe.create ~mode:Universe.All_implications ~oracle:true (Intern.create ()) in
+  let goals batch =
+    let w0 = Work.now () in
+    ignore (Universe.sync uni batch);
+    (Work.since w0).Work.goals
+  in
+  Alcotest.(check int) "first two: both orders" 2 (goals [ c2; c1 ]);
+  Alcotest.(check int) "again: none" 0 (goals [ c1; c2 ]);
+  Alcotest.(check int) "a third: its pairs with two" 4 (goals [ c1; c3 ]);
+  Alcotest.(check int) "a fourth: its pairs with three" 6 (goals [ c2; c1; c3; cneg ]);
+  Alcotest.(check int) "all again: none" 0 (goals [ c2; c1; c3; cneg ])
+
 (* Random checks over 2-3 atoms, each with a nonzero range expression
    (a constant check would be a contradiction or a tautology, which
-   relates to every check through the oracle). Coefficients in [-2, 2]
-   make shared families and scaled copies ([2*x <= 10], [x <= 5])
-   common. *)
-let arb_checks =
+   relates to every check through the oracle), in 2-3 batches synced
+   one after another. Coefficients in [-2, 2] make shared families and
+   scaled copies ([2*x <= 10], [x <= 5]) common. *)
+let arb_batches =
   let open QCheck.Gen in
   let atoms = [| x; y; z |] in
   let check nat =
@@ -192,48 +215,73 @@ let arb_checks =
       (list_repeat nat (int_range (-2) 2))
       (int_range (-4) 4)
   in
-  let gen = int_range 2 3 >>= fun nat -> list_size (int_range 1 6) (check nat) in
-  QCheck.make ~print:(Fmt.str "%a" Fmt.(Dump.list Check.pp)) gen
+  let gen =
+    int_range 2 3 >>= fun nat ->
+    list_size (int_range 2 3) (list_size (int_range 1 4) (check nat))
+  in
+  QCheck.make ~print:(Fmt.str "%a" Fmt.(Dump.list (Dump.list Check.pp))) gen
 
-(* Every mode's gen sets against a reference spelled pair by pair:
-   within a family, the smaller constant; across families, only what
-   the oracle proves, and only for availability. *)
+(* Every mode's rows, after every batch, against a reference spelled
+   pair by pair: within a family, the smaller constant; across
+   families, only what the oracle proves, and only for availability.
+   [covered_by] is [avail_gen]'s transpose, the kill sets are the
+   checks over each atom, and a sync returns its batch's ids. *)
 let prop_universe_relation =
-  QCheck.Test.make ~count:300 ~name:"universe gen sets match a brute-force reference" arb_checks
-    (fun checks ->
+  QCheck.Test.make ~count:300 ~name:"universe gen sets match a brute-force reference"
+    arb_batches (fun batches ->
       let modes = Universe.[ No_implications; Cross_family_only; All_implications ] in
       List.for_all
         (fun mode ->
           List.for_all
             (fun oracle ->
-              let uni = Universe.build ~mode ?oracle checks in
-              let n = Universe.size uni in
-              for i = 0 to n - 1 do
-                for j = 0 to n - 1 do
-                  let ci = Universe.check uni i and cj = Universe.check uni j in
-                  let within = Check.implies_within_family ci cj in
-                  let cross =
-                    Option.is_some oracle
-                    && (not (Check.same_family ci cj))
-                    && Oracle.implies ~hyps:[ ci ] cj
-                  in
-                  let avail, ant =
-                    match mode with
-                    | Universe.No_implications -> (i = j, i = j)
-                    | Universe.Cross_family_only -> (i = j || cross, i = j)
-                    | Universe.All_implications -> (within || cross, within)
-                  in
-                  let got gen = Bitset.mem (gen uni i) j in
-                  if got Universe.avail_gen <> avail || got Universe.ant_gen <> ant then
-                    QCheck.Test.fail_reportf "%s%s: %a => %a: avail %b (want %b), ant %b (want %b)"
-                      (Universe.mode_name mode)
-                      (if Option.is_some oracle then "+oracle" else "")
-                      Check.pp ci Check.pp cj (got Universe.avail_gen) avail
-                      (got Universe.ant_gen) ant
-                done
-              done;
+              let uni = Universe.create ~mode ~oracle (Intern.create ()) in
+              let pool = Universe.pool uni in
+              List.iter
+                (fun batch ->
+                  let present = Universe.sync uni batch in
+                  let n = Intern.size pool in
+                  let ids = List.sort_uniq Int.compare (List.map (Intern.id pool) batch) in
+                  if Bitset.elements present <> ids then
+                    QCheck.Test.fail_reportf "sync returned %a" Bitset.pp present;
+                  for i = 0 to n - 1 do
+                    let ci = Intern.check pool i in
+                    List.iter
+                      (fun a ->
+                        if Bitset.mem (Universe.killed_by_key uni (Atom.key a)) i
+                           <> Check.mentions_key ci (Atom.key a)
+                        then QCheck.Test.fail_reportf "kill of %a by %a" Check.pp ci Atom.pp a)
+                      [ x; y; z ];
+                    for j = 0 to n - 1 do
+                      let cj = Intern.check pool j in
+                      let within = Check.implies_within_family ci cj in
+                      let cross =
+                        oracle
+                        && (not (Check.same_family ci cj))
+                        && Oracle.implies ~hyps:[ ci ] cj
+                      in
+                      let avail, ant =
+                        match mode with
+                        | Universe.No_implications -> (i = j, i = j)
+                        | Universe.Cross_family_only -> (i = j || cross, i = j)
+                        | Universe.All_implications -> (within || cross, within)
+                      in
+                      let got gen = Bitset.mem (gen uni i) j in
+                      if
+                        got Universe.avail_gen <> avail
+                        || got Universe.ant_gen <> ant
+                        || Bitset.mem (Universe.covered_by uni j) i <> avail
+                      then
+                        QCheck.Test.fail_reportf
+                          "%s%s: %a => %a: avail %b (want %b), ant %b (want %b)"
+                          (Universe.mode_name mode)
+                          (if oracle then "+oracle" else "")
+                          Check.pp ci Check.pp cj (got Universe.avail_gen) avail
+                          (got Universe.ant_gen) ant
+                    done
+                  done)
+                batches;
               true)
-            [ None; Some (Oracle.Cache.create ()) ])
+            [ false; true ])
         modes)
 
 let test_universe_kills () =
@@ -264,5 +312,6 @@ let suite =
     tc "universe: avail gen modes" test_universe_avail_gen_modes;
     tc "universe: ant gen same-family only" test_universe_ant_gen_same_family_only;
     tc "universe: kills" test_universe_kills;
+    tc "universe: one oracle question per pair" test_universe_oracle_once_per_pair;
     QCheck_alcotest.to_alcotest prop_universe_relation;
   ]

@@ -169,6 +169,48 @@ let test_static_counts_skip_unreachable () =
   let _, checks = Ir.Func.static_counts f in
   Alcotest.(check int) "unreachable checks not counted" 0 checks
 
+(* The one kill rule: an assignment kills its variable's atoms, a store
+   the opaque atoms that read memory, and a check or a print nothing.
+   The list is read when asked: linearizing [mod(21 - n, 5)] makes an
+   opaque atom that mentions [n], so what [n = mod(21 - n, 5)] kills
+   grows with it, and a transfer over the assignment must linearize
+   before it reads the list. *)
+let test_killed_by () =
+  let f =
+    main_of "program t\ninteger a(1:5), n\nn = 4\nn = mod(21 - n, 5)\na(a(n)) = 1\nprint n\nend"
+  in
+  let atoms = f.Ir.Func.atoms in
+  let instrs = List.concat_map (fun b -> (Ir.Func.block f b).instrs) (Ir.Func.rpo f) in
+  let opaque key =
+    match Ir.Atoms.payload atoms key with Some (Ir.Atoms.Aopaque e) -> Some e | _ -> None
+  in
+  let seen = ref [] in
+  List.iter
+    (fun i ->
+      match i with
+      | Assign (v, (Ebin _ as e)) when v.vname = "n" ->
+          seen := "assign" :: !seen;
+          let before = Ir.Atoms.killed_by atoms i in
+          ignore (Ir.Canon.linearize atoms e);
+          let after = Ir.Atoms.killed_by atoms i in
+          Alcotest.(check int) "the linearized atom joins the kills" (List.length before + 1)
+            (List.length after);
+          Alcotest.(check bool) "it is opaque" true
+            (List.exists (fun k -> (not (List.mem k before)) && opaque k <> None) after)
+      | Store _ ->
+          seen := "store" :: !seen;
+          let keys = Ir.Atoms.killed_by atoms i in
+          let load k = match opaque k with Some e -> Ir.Expr.has_load e | None -> false in
+          Alcotest.(check bool) "a store kills the loads" true
+            (keys <> [] && List.for_all load keys)
+      | Check _ | Print _ ->
+          seen := "other" :: !seen;
+          Alcotest.(check (list int)) "kills nothing" [] (Ir.Atoms.killed_by atoms i)
+      | _ -> ())
+    instrs;
+  Alcotest.(check (list string)) "every kind seen" [ "assign"; "other"; "store" ]
+    (List.sort_uniq String.compare !seen)
+
 let suite =
   [
     tc "store emits two checks per dim" test_store_emits_two_checks_per_dim;
@@ -184,4 +226,5 @@ let suite =
     tc "opaque subscript atoms" test_opaque_subscript_atoms;
     tc "printer smoke" test_printer_roundtrip_smoke;
     tc "static counts skip unreachable" test_static_counts_skip_unreachable;
+    tc "atoms: one kill rule, read when asked" test_killed_by;
   ]

@@ -23,15 +23,18 @@ echo "serving stack OK: $STACK lines (bar 5,700)"
 
 # --- optimizer-core size bar ------------------------------------------
 # ROADMAP item 10's bar on the optimizer core (lowered when the check
-# implication graph went), counted as
-# `cat lib/ir/*.ml* lib/analysis/*.ml* lib/core/*.ml* | wc -l`: a new
-# data-flow problem arrives as an instance of the fixpoint engine
-# (lib/ir/fixpoint.ml), not as another hand-written loop.
+# implication graph went, and again when one check table per compile
+# replaced the per-pass universes), counted as
+# `cat lib/checks/*.ml* lib/ir/*.ml* lib/analysis/*.ml* lib/core/*.ml* | wc -l`.
+# lib/checks is counted too, so code moved between the check table and
+# the passes cannot lower the count. A new data-flow problem arrives as
+# an instance of the fixpoint engine (lib/ir/fixpoint.ml), not as
+# another hand-written loop.
 
-CORE=$(cat lib/ir/*.ml* lib/analysis/*.ml* lib/core/*.ml* | wc -l)
-[ "$CORE" -le 6805 ] \
-    || { echo "FAIL: the optimizer core is $CORE lines, over the 6,805-line bar" >&2; exit 1; }
-echo "optimizer core OK: $CORE lines (bar 6,805)"
+CORE=$(cat lib/checks/*.ml* lib/ir/*.ml* lib/analysis/*.ml* lib/core/*.ml* | wc -l)
+[ "$CORE" -le 8471 ] \
+    || { echo "FAIL: the optimizer core is $CORE lines, over the 8,471-line bar" >&2; exit 1; }
+echo "optimizer core OK: $CORE lines (bar 8,471)"
 
 # --- compile-service smoke --------------------------------------------
 
