@@ -1,6 +1,6 @@
-(* Per-function optimization context: the function, its loops, the
-   compile's entailment cache and the check table every analysis and
-   placement pass consults. *)
+(* Per-function optimization context: the function, its loops and the
+   check table every analysis and placement pass consults, built on the
+   compile's interned checks. *)
 
 module Ir = Nascent_ir
 module Universe = Nascent_checks.Universe
@@ -10,18 +10,16 @@ type t = {
   func : Ir.Func.t;
   mutable loops : Loops.loop list; (* innermost-first; see [refresh] *)
   mutable loops_num_blocks : int; (* block count [loops] was computed at *)
-  cache : Ir.Validate.Cache.t;
   table : Universe.t;
   mutable present : Nascent_support.Bitset.t;
 }
 
-let create ~mode ~oracle ~cache ?loops (func : Ir.Func.t) : t =
+let create ~mode ~oracle ~pool ?loops (func : Ir.Func.t) : t =
   {
     func;
     loops = (match loops with Some l -> l | None -> Loops.compute func);
     loops_num_blocks = Ir.Func.num_blocks func;
-    cache;
-    table = Universe.create ~mode ~oracle (Ir.Validate.Cache.pool cache);
+    table = Universe.create ~mode ~oracle pool;
     present = Nascent_support.Bitset.create 0;
   }
 

@@ -1,10 +1,10 @@
 (** Per-function optimization context.
 
-    Bundles the function with its loop structure, the compile's
-    entailment cache and the compile's check table, built once on that
-    cache's interned checks and grown by every pass that asks for it. A
-    check instruction's analysis check is its own canonical check
-    [m.chk]: the INX pre-pass rewrites instructions in place. *)
+    Bundles the function with its loop structure and the compile's
+    check table, built once on the compile's interned checks
+    ({!Nascent_checks.Universe.pool}) and grown by every pass that asks
+    for it. A check instruction's analysis check is its own canonical
+    check [m.chk]: the INX pre-pass rewrites instructions in place. *)
 
 type t = {
   func : Nascent_ir.Func.t;
@@ -12,9 +12,7 @@ type t = {
       (** innermost-first; kept fresh via {!refresh} *)
   mutable loops_num_blocks : int;
       (** block count {!loops} was computed at *)
-  cache : Nascent_ir.Validate.Cache.t;  (** the compile's entailment cache *)
-  table : Nascent_checks.Universe.t;
-      (** the compile's check table, over [cache]'s interned checks *)
+  table : Nascent_checks.Universe.t;  (** the compile's check table *)
   mutable present : Nascent_support.Bitset.t;
       (** the ids of the checks the last {!universe} found in the
           function *)
@@ -23,11 +21,12 @@ type t = {
 val create :
   mode:Nascent_checks.Universe.mode ->
   oracle:bool ->
-  cache:Nascent_ir.Validate.Cache.t ->
+  pool:Nascent_checks.Intern.t ->
   ?loops:Nascent_analysis.Loops.loop list ->
   Nascent_ir.Func.t ->
   t
-(** [oracle]: availability is widened with the
+(** [pool]: the compile's interned checks, which the table is built on.
+    [oracle]: availability is widened with the
     {!Nascent_checks.Oracle} decision procedure (the [--oracle] axis).
     [loops] are the function's current loops, when a pass already has
     them (the INX rewrite); otherwise they are computed. *)

@@ -107,10 +107,11 @@ let redundancy_elimination (ctx : Checkctx.t) (st : stats) : unit =
    translation validator re-derives every proof on the post-deletion
    function. A [Cond_check] whose check is provable outright is deleted
    too — if its guard is true the check runs and passes, and if false
-   the instruction was a no-op either way. *)
-let oracle_elimination ~cache (f : Ir.Func.t) (st : stats) : unit =
+   the instruction was a no-op either way. The block-entry facts solved
+   are returned: they are the certificate's hint. *)
+let oracle_elimination ~pool (f : Ir.Func.t) (st : stats) : Ir.Validate.Facts.state array =
   let atoms = f.Ir.Func.atoms in
-  let entry = Ir.Validate.Facts.ambient_entry ~cache f in
+  let entry = Ir.Validate.Facts.ambient_entry ~pool f in
   let reach = Ir.Func.reachable f in
   Ir.Func.iter_blocks
     (fun b ->
@@ -121,7 +122,7 @@ let oracle_elimination ~cache (f : Ir.Func.t) (st : stats) : unit =
             (fun i ->
               let provable m =
                 match !state with
-                | Some s -> Ir.Validate.Facts.proves ~cache s m.chk
+                | Some s -> Ir.Validate.Facts.proves ~pool s m.chk
                 | None -> true (* dead past an unconditional trap *)
               in
               match i with
@@ -129,11 +130,12 @@ let oracle_elimination ~cache (f : Ir.Func.t) (st : stats) : unit =
                   st.redundant_deleted <- st.redundant_deleted + 1;
                   false
               | _ ->
-                  state := Ir.Validate.Facts.step ~cache atoms !state i;
+                  state := Ir.Validate.Facts.step ~pool atoms !state i;
                   true)
             b.instrs
       end)
-    f
+    f;
+  entry
 
 (* Step 5: checks whose range expression has no symbolic term are
    decided now; true ones disappear, false ones become TRAP
@@ -189,13 +191,3 @@ let compile_time_checks (f : Ir.Func.t) (st : stats) : unit =
             | _ -> Some i)
           b.instrs)
     f
-
-(* The standard tail of every scheme: redundancy elimination followed
-   by compile-time folding. *)
-let run (ctx : Checkctx.t) : stats =
-  let st = new_stats () in
-  redundancy_elimination ctx st;
-  if Universe.oracle ctx.Checkctx.table then
-    oracle_elimination ~cache:ctx.Checkctx.cache ctx.Checkctx.func st;
-  compile_time_checks ctx.Checkctx.func st;
-  st

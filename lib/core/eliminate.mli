@@ -19,7 +19,10 @@ val redundancy_elimination : Checkctx.t -> stats -> unit
     context's check table first. *)
 
 val oracle_elimination :
-  cache:Nascent_ir.Validate.Cache.t -> Nascent_ir.Func.t -> stats -> unit
+  pool:Nascent_checks.Intern.t ->
+  Nascent_ir.Func.t ->
+  stats ->
+  Nascent_ir.Validate.Facts.state array
 (** Step 4b ([--oracle] only): delete every check (and every guarded
     check) provable from the {e ambient} facts of its program point —
     branch conditions, assignment postconditions, and affine loop
@@ -27,10 +30,9 @@ val oracle_elimination :
     ({!Nascent_ir.Validate.Facts}). Check-independence keeps the
     deletions stable under each other, so the per-compile translation
     validator re-proves every one on the post-deletion function.
-    [cache] is the compile's entailment cache, shared with the
-    certificate. *)
+    [pool] is the compile's interned checks, shared with the
+    certificate. Returns the block-entry facts it solved, which the
+    certificate takes as its hint. *)
 
 val compile_time_checks : Nascent_ir.Func.t -> stats -> unit
 (** Step 5; also folds constant conditional-check guards. *)
-
-val run : Checkctx.t -> stats

@@ -269,24 +269,27 @@ let optimize_func (config : Config.t) (f : Ir.Func.t) : stats =
   let reference =
     if config.Config.oracle then Some (Ir.Transform.copy_func f) else None
   in
-  (* One entailment cache per function compile: its interned checks are
-     the check table's ids, and every oracle query — availability
-     widening, conjunctive elimination, oracle-elim and the certificate
-     (most of their queries repeat) — shares its memo. It dies with
-     this call, so concurrent compiles never share one. *)
-  let cache = Ir.Validate.Cache.create () in
-  (* The context — loop structure, cache, check table — is built once
+  (* One pool of interned checks per function compile: its ids are the
+     check table's, and every oracle query — availability widening,
+     conjunctive elimination, oracle-elim and the certificate (most of
+     their queries repeat) — shares its memo. It dies with this call,
+     so concurrent compiles never share one. *)
+  let pool = Nascent_checks.Intern.create () in
+  (* The context — loop structure, check table — is built once
      and shared by every pass; [Checkctx.refresh] revalidates the loop
      structure after CFG-shaping passes instead of rebuilding (and
      re-canonicalizing) from scratch. Without a context no pass can
      run: a context fault degrades this function all the way to its
-     naive-checked form (the NI floor). *)
-  (match
-     run_pass "context" (fun () ->
-         Checkctx.create ~mode:config.Config.impl ~oracle:config.Config.oracle ~cache ?loops f)
-   with
-  | Error () -> ()
-  | Ok ctx ->
+     naive-checked form (the NI floor). The match yields the ambient
+     block-entry facts a committed oracle-elim solved: the
+     certificate's hint. *)
+  let hint =
+    match
+      run_pass "context" (fun () ->
+          Checkctx.create ~mode:config.Config.impl ~oracle:config.Config.oracle ~pool ?loops f)
+    with
+    | Error () -> None
+    | Ok ctx ->
       (match config.Config.scheme with
       | Config.NI -> ()
       | Config.CS -> (
@@ -366,8 +369,8 @@ let optimize_func (config : Config.t) (f : Ir.Func.t) : stats =
       let oelim =
         if config.Config.oracle then
           run_pass "oracle-elim" ~vpass:Ir.Verify.Elimination (fun () ->
-              Eliminate.oracle_elimination ~cache f eo)
-        else Ok ()
+              Some (Eliminate.oracle_elimination ~pool f eo))
+        else Ok None
       in
       let fold =
         run_pass "fold" ~vpass:Ir.Verify.Fold (fun () -> Eliminate.compile_time_checks f e)
@@ -377,12 +380,14 @@ let optimize_func (config : Config.t) (f : Ir.Func.t) : stats =
           !st with
           redundant_deleted =
             (match elim with Ok () -> e.Eliminate.redundant_deleted | Error () -> 0)
-            + (match oelim with Ok () -> eo.Eliminate.redundant_deleted | Error () -> 0);
+            + (match oelim with Ok _ -> eo.Eliminate.redundant_deleted | Error () -> 0);
           compile_time_deleted =
             (match fold with Ok () -> e.Eliminate.compile_time_deleted | Error () -> 0);
           compile_time_traps =
             (match fold with Ok () -> e.Eliminate.compile_time_traps | Error () -> 0);
-        });
+        };
+      Option.join (Result.to_option oelim)
+  in
   let _, checks_after = Ir.Func.static_counts f in
   (* The certificate: prove every reference check site is still covered
      by the residual checks plus dominating guards. Runs outside the
@@ -394,7 +399,7 @@ let optimize_func (config : Config.t) (f : Ir.Func.t) : stats =
     | None -> None
     | Some orig ->
         let t = Mclock.counter () in
-        let v = Ir.Validate.func_guarded ~cache ~original:orig ~optimized:f in
+        let v = Ir.Validate.func_guarded ~pool ?hint ~original:orig ~optimized:f () in
         let dt = Mclock.elapsed_s t in
         passes :=
           {

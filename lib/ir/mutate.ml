@@ -20,7 +20,9 @@
    cannot tell the difference either. Only the per-compile translation
    validator ({!Validate}) — which must re-prove every reference check
    site from what remains — can catch it, which is exactly what the
-   class exists to demonstrate.
+   class exists to demonstrate. The class picks its deletion by asking
+   that validator, so it deletes only what the certificate refuses to
+   lose.
 
    Every choice is driven by a caller-supplied seed through a small
    LCG, so a failing injection replays exactly from its seed. Faults
@@ -139,6 +141,12 @@ let insert_at j i' instrs =
   in
   go 0 instrs
 
+(* The sites whose instruction is a plain (unguarded) check. *)
+let plain_check_sites (f : Func.t) =
+  List.filter
+    (fun (b, j, _) -> match nth_opt b.instrs j with Some (Check _) -> true | _ -> false)
+    (check_sites f)
+
 let apply_drop_check st (f : Func.t) =
   match check_sites f with
   | [] -> false
@@ -151,13 +159,7 @@ let apply_drop_check st (f : Func.t) =
    demands the replacement imply a removed same-family original, and a
    million-weaker check implies nothing the suite contains. *)
 let apply_weaken_check st (f : Func.t) =
-  let sites =
-    List.filter
-      (fun (b, j, _) ->
-        match nth_opt b.instrs j with Some (Check _) -> true | _ -> false)
-      (check_sites f)
-  in
-  match sites with
+  match plain_check_sites f with
   | [] -> false
   | sites ->
       let b, j, m = List.nth sites (pick st (List.length sites)) in
@@ -217,22 +219,32 @@ let apply_unsafe_insert st (f : Func.t) =
       b.instrs <- insert_at j (Check { m with src_array = m.src_array }) b.instrs;
       true
 
-(* Delete a check the residual program still relies on: a {e fragile}
-   site ({!Validate.fragile_sites}) — a plain check whose constraint
-   the validator could not re-prove from its region's hypotheses with
-   the site itself excluded. The deletion is legal under every
-   differential rule — elimination may delete checks — so nothing rolls
-   back; the per-compile translation validator is the only mechanism
-   left that can notice the reference site is no longer covered.
-   Vacuous (returns [false]) when every remaining check is re-provable
-   without itself. *)
+(* Delete a check the residual program still relies on: the first
+   plain check, in seeded order wrapping around, whose deletion the
+   translation validator ({!Validate}) refuses, asked on a fresh pool
+   with the function as it stood as the reference. The deletion is
+   legal under every differential rule — elimination may delete checks
+   — so nothing rolls back; the per-compile translation validator is
+   the only mechanism left that can notice the reference site is no
+   longer covered. Vacuous (returns [false]) when the validator
+   re-proves every plain check without it. *)
 let apply_unsound_eliminate st (f : Func.t) =
-  match Validate.fragile_sites f with
-  | [] -> false
-  | cs ->
-      let b, j = List.nth cs (pick st (List.length cs)) in
-      b.instrs <- remove_at j b.instrs;
-      true
+  let sites = Array.of_list (plain_check_sites f) in
+  let n = Array.length sites in
+  n > 0
+  &&
+  let original = Transform.copy_func f in
+  let start = pick st n in
+  let refused k =
+    let b, j, _ = sites.((start + k) mod n) in
+    let instrs = b.instrs in
+    b.instrs <- remove_at j instrs;
+    let pool = Nascent_checks.Intern.create () in
+    let proven = Validate.validated (Validate.func_guarded ~pool ~original ~optimized:f ()) in
+    if proven then b.instrs <- instrs;
+    not proven
+  in
+  List.exists refused (List.init n Fun.id)
 
 let apply ~seed cls (f : Func.t) : bool =
   let st = next_state (seed land 0x3FFFFFFF) in

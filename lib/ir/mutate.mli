@@ -16,9 +16,10 @@ type cls =
   | Hang_fixpoint
       (** spin the pass forever — caught by the per-pass fuel budget *)
   | Unsound_eliminate
-      (** delete a live (family-unique, not ambient-provable) check —
-          legal under every differential rule, caught only by the
-          per-compile translation validator ({!Validate}) *)
+      (** delete a plain check whose deletion the translation
+          validator ({!Validate}) refuses, chosen by asking it — legal
+          under every differential rule, caught only by the
+          per-compile certificate *)
 
 val all_classes : cls list
 val cls_name : cls -> string

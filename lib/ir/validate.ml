@@ -39,9 +39,10 @@
      where the deleted body checks need it.
 
    Block entry states are checked, not searched for, where they can
-   be ({!checked_entry}): the ambient facts oracle-elim solved for are
-   pruned to an inductive invariant, and the residual checks' facts
-   are added by a syntactic must-availability. Only if the walk from
+   be ({!checked_entry}): the ambient facts oracle-elim solved for,
+   passed in as the [hint] argument, are pruned to an inductive
+   invariant, and the residual checks' facts are added by a syntactic
+   must-availability. Only if the walk from
    those falls short does a forward data-flow search for them
    ({!entry_hyps}). Its meet is semantic: a candidate fact (drawn from
    every incoming path) survives if {e every} path proves it — plain
@@ -164,54 +165,45 @@ let constraints_of_opt ~positive atoms e =
 
 (* --- proofs ---------------------------------------------------------- *)
 
-(* One compile's entailment memo: the {!Intern} pool of its checks,
-   which holds an {!Oracle.Hyps} handle per fact set, each memoising
-   its own goals, over the oracle's refutation memo. The semantic meet
-   and the lockstep walk ask many goals of the same fact set; a caller
-   holding a handle asks them without hashing the set again. A handle
-   answers as [Oracle.implies] does on the set's checks in
-   [Check.compare] order.
+(* Every proof is asked of the compile's {!Intern} pool, which holds an
+   {!Oracle.Hyps} handle per fact set, each memoising its own goals,
+   over the oracle's refutation memo. The semantic meet and the
+   lockstep walk ask many goals of the same fact set; a caller holding
+   a handle asks them without hashing the set again. A handle answers
+   as [Oracle.implies] does on the set's checks in [Check.compare]
+   order.
 
-   [hint] is the block-entry states of the last ambient solve
-   ({!Facts.ambient_entry}), left for the certificate to check. *)
-module Cache = struct
-  type t = { pool : Intern.t; mutable hint : hstate array option }
-
-  let create () = { pool = Intern.create (); hint = None }
-  let pool t = t.pool
-end
-
-(* One ambient tick per query, hit or miss, so the watchdogs still see
+   One ambient tick per query, hit or miss, so the watchdogs still see
    every question asked. *)
 let proves (h : Oracle.Hyps.t) (goal : Check.t) : bool =
   Guard.tick_ambient ();
   Oracle.Hyps.implies h goal
 
-let entails (cache : Cache.t) facts goal = proves (Intern.handle cache.pool facts) goal
+let entails pool facts goal = proves (Intern.handle pool facts) goal
 
 (* [proves] for the fact set [facts ()], computed and looked up only
    when the first goal is asked, then held for every later goal. A
    [ref], not a [Lazy]: a computation cut off by an ambient budget
    leaves nothing behind. *)
-let prover (cache : Cache.t) (facts : unit -> Ids.t) : int -> bool =
+let prover pool (facts : unit -> Ids.t) : int -> bool =
   let hd = ref None in
   fun goal ->
     let h =
       match !hd with
       | Some h -> h
       | None ->
-          let h = Intern.handle cache.pool (facts ()) in
+          let h = Intern.handle pool (facts ()) in
           hd := Some h;
           h
     in
-    proves h (Intern.check cache.pool goal)
+    proves h (Intern.check pool goal)
 
 (* Activate every conditional fact whose guards the current facts
    prove, to fixpoint (each round either fires at least one pending
    conditional or stops, so it terminates in at most |conds| rounds). *)
-let close (cache : Cache.t) (h : hstate) : Ids.t =
+let close pool (h : hstate) : Ids.t =
   let facts = ref h.facts in
-  let pending = ref (Intern.conds cache.pool h.conds) in
+  let pending = ref (Intern.conds pool h.conds) in
   let continue = ref (!pending <> []) in
   while !continue do
     continue := false;
@@ -219,8 +211,8 @@ let close (cache : Cache.t) (h : hstate) : Ids.t =
     pending :=
       List.filter
         (fun (gs, c) ->
-          if List.for_all (fun g -> entails cache !facts g) gs then begin
-            facts := Ids.add (Intern.id cache.pool c) !facts;
+          if List.for_all (fun g -> entails pool !facts g) gs then begin
+            facts := Ids.add (Intern.id pool c) !facts;
             continue := true;
             false
           end
@@ -306,8 +298,7 @@ let guards_of atoms g =
    instructions contribute nothing, so the resulting facts depend only
    on assignments and branch structure — exactly the facts that survive
    any further check deletion. *)
-let prepare ?(checks = true) (cache : Cache.t) atoms (i : instr) : hstate -> hstate option =
-  let pool = cache.pool in
+let prepare ?(checks = true) pool atoms (i : instr) : hstate -> hstate option =
   let adds c =
     let c = Intern.id pool c in
     fun h -> Some { h with facts = Ids.add c h.facts }
@@ -323,7 +314,7 @@ let prepare ?(checks = true) (cache : Cache.t) atoms (i : instr) : hstate -> hst
           let c = Intern.id pool m.chk and cd = Intern.cond pool gs m.chk in
           fun h ->
             let facts =
-              if List.for_all (entails cache h.facts) gs then Ids.add c h.facts else h.facts
+              if List.for_all (entails pool h.facts) gs then Ids.add c h.facts else h.facts
             in
             Some { facts; conds = Ids.add cd h.conds })
   | Trap _ -> fun _ -> None
@@ -333,18 +324,18 @@ let prepare ?(checks = true) (cache : Cache.t) atoms (i : instr) : hstate -> hst
   | Store _ | Call _ -> fun h -> Some (kill_state pool (Atoms.killed_by atoms i) h)
   | Print _ -> Option.some
 
-let transfer ?checks cache atoms (h : hstate option) (i : instr) : hstate option =
-  match h with None -> None | Some h -> prepare ?checks cache atoms i h
+let transfer ?checks pool atoms (h : hstate option) (i : instr) : hstate option =
+  match h with None -> None | Some h -> prepare ?checks pool atoms i h
 
 (* Each block's transfer for a solve that visits blocks again and
    again: an instruction is prepared the first time it is reached, as
    [transfer] would have linearized it then, and kept. *)
-let block_transfer ?checks cache (f : Func.t) : int -> hstate -> hstate option =
+let block_transfer ?checks pool (f : Func.t) : int -> hstate -> hstate option =
   let memo = Array.make (Func.num_blocks f) [] in
   fun b h ->
     if memo.(b) == [] then
       memo.(b) <-
-        List.map (fun i -> lazy (prepare ?checks cache f.Func.atoms i)) (Func.block f b).instrs;
+        List.map (fun i -> lazy (prepare ?checks pool f.Func.atoms i)) (Func.block f b).instrs;
     List.fold_left
       (fun h t -> match h with None -> None | Some h -> Lazy.force t h)
       (Some h) memo.(b)
@@ -373,9 +364,9 @@ let avail_transfer pool atoms ~(holds : Check.t list -> bool) (h : hstate option
 
 (* [edge_facts f p b]: the constraints of the branch condition on the
    edge [p -> b], each branch linearized and interned once. *)
-let edge_facts (cache : Cache.t) (f : Func.t) : int -> int -> Ids.t =
+let edge_facts pool (f : Func.t) : int -> int -> Ids.t =
   let facts positive c =
-    Intern.of_checks cache.pool (constraints_of_opt ~positive f.Func.atoms c)
+    Intern.of_checks pool (constraints_of_opt ~positive f.Func.atoms c)
   in
   let branches =
     Array.init (Func.num_blocks f) (fun p ->
@@ -406,14 +397,14 @@ let reached = function Some h -> Fixpoint.Reached h | None -> Fixpoint.Unreachab
    hashed once, on the first goal it neither holds nor implies within a
    family. A member costs nothing; every other question one ambient
    tick, whoever answers it. *)
-let proven_on_all cache (paths : hstate list) : int -> bool =
-  let judged = List.map (fun h -> (h.facts, prover cache (fun () -> close cache h))) paths in
+let proven_on_all pool (paths : hstate list) : int -> bool =
+  let judged = List.map (fun h -> (h.facts, prover pool (fun () -> close pool h))) paths in
   fun c ->
     List.for_all
       (fun (facts, prove) ->
         Ids.mem c facts
         ||
-        if Intern.implied cache.Cache.pool facts c then begin
+        if Intern.implied pool facts c then begin
           Guard.tick_ambient ();
           true
         end
@@ -425,10 +416,10 @@ let proven_on_all cache (paths : hstate list) : int -> bool =
    predecessors of out(p) + the constraints of the edge p->b's branch
    condition. A block ending in (or past) a trap is [Unreachable] to
    its successors. *)
-let entry_hyps ?(checks = true) cache (f : Func.t) : hstate array =
+let entry_hyps ?(checks = true) pool (f : Func.t) : hstate array =
   let atoms = f.Func.atoms in
   let n = Func.num_blocks f in
-  let edge = edge_facts cache f in
+  let edge = edge_facts pool f in
   (* Affine loop invariants as meet {e candidates}: a counted loop whose
      basic variable [h] was materialized by the INX rewrite maintains
      [index = lo + step*h] at its header (established by the
@@ -460,7 +451,7 @@ let entry_hyps ?(checks = true) cache (f : Func.t) : hstate array =
                   Option.value (Hashtbl.find_opt tbl d.d_header) ~default:[]
                 in
                 Hashtbl.replace tbl d.d_header
-                  (Intern.id cache.pool c1 :: Intern.id cache.pool c2 :: prev)
+                  (Intern.id pool c1 :: Intern.id pool c2 :: prev)
             | exception Linexpr.Overflow -> ()))
       f.Func.loops;
     tbl
@@ -482,7 +473,7 @@ let entry_hyps ?(checks = true) cache (f : Func.t) : hstate array =
       (* no live path: read as no facts *)
       | [] -> h_empty
       | (h0 :: rest) as paths ->
-          let proven_on_all = proven_on_all cache paths in
+          let proven_on_all = proven_on_all pool paths in
           let base =
             match rest with
             | [] -> { h0 with facts = within h0.facts }
@@ -512,7 +503,7 @@ let entry_hyps ?(checks = true) cache (f : Func.t) : hstate array =
             (Option.value (Hashtbl.find_opt inv_candidates b) ~default:[]))
   in
   let transfer =
-    let t = block_transfer ~checks cache f in
+    let t = block_transfer ~checks pool f in
     fun b h -> reached (t b h)
   in
   (* The sweep cap is a backstop for the fuel-bounded (hence not
@@ -547,13 +538,12 @@ let entry_hyps ?(checks = true) cache (f : Func.t) : hstate array =
      shrinks, so the solve terminates.
    A block's state is the union of both, and every fact in it holds on
    every path in, by induction along the path. *)
-let checked_entry cache (f : Func.t) (hint : hstate array) : hstate array =
+let checked_entry pool (f : Func.t) (hint : hstate array) : hstate array =
   let atoms = f.Func.atoms in
   let n = Func.num_blocks f in
-  let pool = cache.Cache.pool in
-  let edge = edge_facts cache f in
+  let edge = edge_facts pool f in
   let ambient =
-    let t = block_transfer ~checks:false cache f in
+    let t = block_transfer ~checks:false pool f in
     fun b k -> reached (t b k)
   in
   let kept =
@@ -570,7 +560,7 @@ let checked_entry cache (f : Func.t) (hint : hstate array) : hstate array =
             | _, [] -> Reached h_empty
             | Unreachable, _ -> Unreachable
             | Reached k, paths ->
-                Reached { h_empty with facts = Ids.filter (proven_on_all cache paths) k.facts });
+                Reached { h_empty with facts = Ids.filter (proven_on_all pool paths) k.facts });
         transfer = ambient;
         equal = h_equal;
       }
@@ -600,7 +590,7 @@ let checked_entry cache (f : Func.t) (hint : hstate array) : hstate array =
                      gs
                | _ -> false
              in
-             (avail_transfer pool atoms ~holds a i, transfer ~checks:false cache atoms k i))
+             (avail_transfer pool atoms ~holds a i, transfer ~checks:false pool atoms k i))
            (Some a, Some { h_empty with facts = kept_facts b })
            instrs)
   in
@@ -674,7 +664,7 @@ let same_instr (a : instr) (b : instr) =
   | Call (n, args), Call (n', args') -> n = n' && args = args'
   | _ -> false
 
-let validate_block ~cache ~fname ~atoms ~orig_vids (entry : hstate) (ob : block)
+let validate_block ~pool ~fname ~atoms ~orig_vids (entry : hstate) (ob : block)
     (pb : block) : t =
   let results = ref [] in
   let record chk ok reason =
@@ -686,10 +676,10 @@ let validate_block ~cache ~fname ~atoms ~orig_vids (entry : hstate) (ob : block)
      already trapped unconditionally. Every question is one ambient
      tick, whoever answers it. *)
   let discharge ~dead ~opt_region h orig_region =
-    let prove = prover cache (fun () -> close cache h) in
+    let prove = prover pool (fun () -> close pool h) in
     let implied c =
-      let c = Intern.id cache.Cache.pool c in
-      if Intern.implied cache.Cache.pool h.facts c then begin
+      let c = Intern.id pool c in
+      if Intern.implied pool h.facts c then begin
         Guard.tick_ambient ();
         true
       end
@@ -735,7 +725,7 @@ let validate_block ~cache ~fname ~atoms ~orig_vids (entry : hstate) (ob : block)
         | _ -> ())
       orig_rest
   in
-  let step h i = Option.value (transfer cache atoms (Some h) i) ~default:h_empty in
+  let step h i = Option.value (transfer pool atoms (Some h) i) ~default:h_empty in
   let rec walk ~dead hyps orig opt =
     let orig_region, orig_rest = span is_checkish orig in
     let opt_region, opt_rest = span is_checkish opt in
@@ -744,7 +734,7 @@ let validate_block ~cache ~fname ~atoms ~orig_vids (entry : hstate) (ob : block)
        kills, and a region check that traps makes the remaining
        obligations vacuous anyway. *)
     let hyps' =
-      List.fold_left (transfer cache atoms) (Some hyps) opt_region
+      List.fold_left (transfer pool atoms) (Some hyps) opt_region
     in
     let dead' = dead || hyps' = None in
     let hyps' = Option.value hyps' ~default:h_empty in
@@ -779,11 +769,11 @@ let validate_block ~cache ~fname ~atoms ~orig_vids (entry : hstate) (ob : block)
   }
 
 (* The certificate walks every reachable reference block from checked
-   entry states ({!checked_entry}) over the hint the ambient solve left
-   in [cache] — solving for one first if none was left. Only if that
-   walk leaves a site unproven does it search ({!entry_hyps}) and walk
-   again; the result then counts one fallback. *)
-let func_cached cache ~(original : Func.t) ~(optimized : Func.t) : t =
+   entry states ({!checked_entry}) over [hint] — solving for the
+   ambient states first if none was given. Only if that walk leaves a
+   site unproven does it search ({!entry_hyps}) and walk again; the
+   result then counts one fallback. *)
+let certify ?hint pool ~(original : Func.t) ~(optimized : Func.t) : t =
   let atoms = optimized.Func.atoms in
   let reach = Func.reachable original in
   (* Variables the reference function mentions anywhere: assignments to
@@ -803,23 +793,21 @@ let func_cached cache ~(original : Func.t) ~(optimized : Func.t) : t =
           let pb = Func.block optimized ob.bid in
           acc :=
             merge !acc
-              (validate_block ~cache ~fname:original.Func.fname ~atoms ~orig_vids
+              (validate_block ~pool ~fname:original.Func.fname ~atoms ~orig_vids
                  entry.(ob.bid) ob pb))
       original;
     !acc
   in
   let hint =
-    match cache.Cache.hint with
-    | Some h -> h
-    | None -> entry_hyps ~checks:false cache optimized
+    match hint with Some h -> h | None -> entry_hyps ~checks:false pool optimized
   in
-  let checked = walk (checked_entry cache optimized hint) in
+  let checked = walk (checked_entry pool optimized hint) in
   if validated checked then checked
-  else { (walk (entry_hyps cache optimized)) with fallbacks = 1 }
+  else { (walk (entry_hyps pool optimized)) with fallbacks = 1 }
 
-let func_guarded ~cache ~original ~optimized : t =
+let func_guarded ~pool ?hint ~original ~optimized () : t =
   let fuel = Guard.fuel ~what:budget_name ~budget:fuel_budget in
-  try Guard.with_fuel fuel (fun () -> func_cached cache ~original ~optimized)
+  try Guard.with_fuel fuel (fun () -> certify ?hint pool ~original ~optimized)
   with Guard.Fuel_exhausted w when w = budget_name ->
     let _, checks = Func.static_counts original in
     {
@@ -858,7 +846,7 @@ let program ~(original : Program.t) ~(optimized : Program.t) : t =
               fallbacks = 0;
             }
       | Some opt ->
-          merge acc (func_guarded ~cache:(Cache.create ()) ~original:f ~optimized:opt))
+          merge acc (func_guarded ~pool:(Intern.create ()) ~original:f ~optimized:opt ()))
     empty
     (Program.funcs_sorted original)
 
@@ -872,91 +860,14 @@ let pp ppf t =
     Fmt.pf ppf "@[<v>NOT validated: %d/%d check sites proven@,%a@]"
       t.proven_sites t.total_sites (Fmt.list pp_site) t.failures
 
-(* Positions of plain check instructions the validator could not
-   re-prove if they were deleted: the check's constraint is unprovable
-   from the full hypothesis state of its check region with the site
-   itself excluded — exactly the discharge the lockstep walk would
-   attempt for that obligation after the deletion — from the searched
-   entry states and from the checked ones alike, since the certificate
-   walks from either. Used by {!Mutate.Unsound_eliminate} to pick
-   deletions the validator is guaranteed to catch (under schemes whose
-   residual in-place checks are reference checks). *)
-let fragile_sites (f : Func.t) : (block * int) list =
-  let atoms = f.Func.atoms in
-  let cache = Cache.create () in
-  let searched = entry_hyps cache f in
-  let checked = checked_entry cache f (entry_hyps ~checks:false cache f) in
-  let reach = Func.reachable f in
-  let acc = ref [] in
-  Func.iter_blocks
-    (fun b ->
-      if reach.(b.bid) then begin
-        let instrs = Array.of_list b.instrs in
-        let n = Array.length instrs in
-        (* the walk's hypotheses from each entry state *)
-        let hs = ref [ Some searched.(b.bid); Some checked.(b.bid) ] in
-        let i = ref 0 in
-        while !i < n do
-          if is_checkish instrs.(!i) then begin
-            (* a check region [j0, j1), as the walk spans them *)
-            let j0 = !i in
-            while !i < n && is_checkish instrs.(!i) do
-              incr i
-            done;
-            let j1 = !i in
-            let provable_without j chk = function
-              | None -> true (* dead past a trap: obligations are vacuous *)
-              | Some h0 -> (
-                  let hyps = ref (Some h0) in
-                  for k = j0 to j1 - 1 do
-                    if k <> j then hyps := transfer cache atoms !hyps instrs.(k)
-                  done;
-                  match !hyps with
-                  | Some s -> entails cache (close cache s) chk
-                  | None -> true)
-            in
-            for j = j0 to j1 - 1 do
-              match instrs.(j) with
-              | Check m when not (List.exists (provable_without j m.chk) !hs) ->
-                  acc := (b, j) :: !acc
-              | _ -> ()
-            done;
-            for k = j0 to j1 - 1 do
-              hs := List.map (fun h -> transfer cache atoms h instrs.(k)) !hs
-            done
-          end
-          else begin
-            hs := List.map (fun h -> transfer cache atoms h instrs.(!i)) !hs;
-            incr i
-          end
-        done
-      end)
-    f;
-  List.rev !acc
-
 (* --- the ambient fact engine, exposed for oracle elimination --------- *)
 
 module Facts = struct
-  (* A state keeps its compile's pool, so its facts can be read back. *)
-  type state = Intern.t * hstate
+  type state = hstate
 
-  let ambient_entry ~cache (f : Func.t) : state array =
-    let entry = entry_hyps ~checks:false cache f in
-    cache.Cache.hint <- Some entry;
-    Array.map (fun h -> (cache.Cache.pool, h)) entry
-
-  let facts ((pool, s) : state) = Intern.elements pool s.facts
-
-  let set_hint ~(cache : Cache.t) (hint : Check.t list array) =
-    cache.hint <-
-      Some (Array.map (fun cs -> { h_empty with facts = Intern.of_checks cache.pool cs }) hint)
-
-  let step ~cache atoms (s : state option) (i : instr) : state option =
-    match s with
-    | None -> None
-    | Some (pool, h) ->
-        Option.map (fun h -> (pool, h)) (transfer ~checks:false cache atoms (Some h) i)
-
-  let proves ~cache ((_, s) : state) (goal : Check.t) : bool =
-    entails cache (close cache s) goal
+  let ambient_entry ~pool (f : Func.t) : state array = entry_hyps ~checks:false pool f
+  let facts ~pool (s : state) = Intern.elements pool s.facts
+  let of_facts ~pool (cs : Check.t list) : state = { h_empty with facts = Intern.of_checks pool cs }
+  let step ~pool atoms (s : state option) (i : instr) = transfer ~checks:false pool atoms s i
+  let proves ~pool (s : state) (goal : Check.t) : bool = entails pool (close pool s) goal
 end

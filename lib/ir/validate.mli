@@ -41,52 +41,6 @@ val validated : t -> bool
 val empty : t
 val merge : t -> t -> t
 
-(** A compile's entailment cache: one {!Nascent_checks.Oracle.Hyps}
-    handle per fact set, each memoising the goals asked of it, over the
-    {!Nascent_checks.Oracle.Cache} of refutations beneath them. Create
-    one per function compile and share it between the optimizer's
-    check table, its oracle queries ({!Facts}, availability widening,
-    conjunctive elimination) and the certificate ({!func_guarded}),
-    which then name every check by one id; drop it with
-    the function. A hit returns exactly the answer a fresh query would,
-    and only completed answers are stored, so a pass rolled back
-    mid-query leaves it clean. It also carries the last
-    {!Facts.ambient_entry} solution as the hint the certificate checks.
-    Not thread-safe. *)
-module Cache : sig
-  type t
-
-  val create : unit -> t
-
-  val pool : t -> Nascent_checks.Intern.t
-  (** The compile's interned checks, which the optimizer's check table
-      ({!Nascent_checks.Universe}) is built on, and the refutation memo
-      beneath them. *)
-end
-
-val func_guarded : cache:Cache.t -> original:Func.t -> optimized:Func.t -> t
-(** Validate one function pair under the validator's own fuel budget,
-    answering from and filling [cache]; exhaustion reports a single "validation fuel
-    exhausted" failure instead of raising. The entry facts of the walk
-    are the hint in [cache] pruned to an inductive invariant, plus the
-    residual checks available on every path; only if that walk leaves
-    a site unproven are they searched for ([fallbacks] = 1). *)
-
-val program : original:Program.t -> optimized:Program.t -> t
-(** Validate every function of the reference program against its
-    optimized counterpart (missing counterparts are failures). *)
-
-val pp_site : site Fmt.t
-val pp : t Fmt.t
-
-val fragile_sites : Func.t -> (Types.block * int) list
-(** Positions [(block, index)] of plain check instructions whose
-    constraint the validator could not re-prove were the instruction
-    deleted: unprovable from the full hypothesis state of its check
-    region with the site itself excluded. {!Mutate}'s
-    [Unsound_eliminate] class picks its deletions here, so the
-    translation validator is guaranteed to refuse the certificate. *)
-
 (** The validator's hypothesis engine in {e ambient} mode: check
     instructions contribute no facts, so the state at a point depends
     only on assignments and the branch conditions holding on every path
@@ -94,30 +48,59 @@ val fragile_sites : Func.t -> (Types.block * int) list
     any} set of check deletions — the proof ingredients survive in the
     program text — which is what lets the oracle elimination pass
     delete such checks while the per-compile translation validator
-    still re-derives every proof on the post-deletion function. *)
+    still re-derives every proof on the post-deletion function.
+
+    Every function takes the compile's {!Nascent_checks.Intern} pool:
+    states name their facts by its ids, and every proof is answered
+    from and fills its memo. Create one pool per function compile and
+    share it between the optimizer's check table, its oracle queries
+    and the certificate; a hit returns exactly the answer a fresh query
+    would. Not thread-safe. *)
 module Facts : sig
   type state
 
-  val ambient_entry : cache:Cache.t -> Func.t -> state array
+  val ambient_entry : pool:Nascent_checks.Intern.t -> Func.t -> state array
   (** Per-block entry states from the validator's forward data-flow
       (semantic meet, affine loop-invariant candidates, widening) with
-      check contributions disabled, solved by {!Fixpoint}. The result
-      is left in [cache] as the certificate's hint. *)
+      check contributions disabled, solved by {!Fixpoint}. *)
 
-  val facts : state -> Nascent_checks.Check.t list
-  (** The state's facts, in set order. *)
+  val facts : pool:Nascent_checks.Intern.t -> state -> Nascent_checks.Check.t list
+  (** The state's facts, in {!Nascent_checks.Check.compare} order. *)
 
-  val set_hint : cache:Cache.t -> Nascent_checks.Check.t list array -> unit
-  (** Replace the hint in [cache] with these facts per block id. The
-      certificate keeps only the facts that every path into their block
-      proves, so a wrong hint can cost a fallback to the search but
-      never gets a false fact into a proof. *)
+  val of_facts : pool:Nascent_checks.Intern.t -> Nascent_checks.Check.t list -> state
+  (** A state holding exactly these facts, true or not. *)
 
-  val step : cache:Cache.t -> Atoms.t -> state option -> Types.instr -> state option
+  val step :
+    pool:Nascent_checks.Intern.t -> Atoms.t -> state option -> Types.instr -> state option
   (** Ambient transfer of one instruction; [None] = dead past an
       unconditional trap. *)
 
-  val proves : cache:Cache.t -> state -> Nascent_checks.Check.t -> bool
+  val proves : pool:Nascent_checks.Intern.t -> state -> Nascent_checks.Check.t -> bool
   (** Sound, fuel-bounded entailment: [true] means every execution
       reaching a point with this state satisfies the constraint. *)
 end
+
+val func_guarded :
+  pool:Nascent_checks.Intern.t ->
+  ?hint:Facts.state array ->
+  original:Func.t ->
+  optimized:Func.t ->
+  unit ->
+  t
+(** Validate one function pair under the validator's own fuel budget,
+    over the compile's [pool]; exhaustion reports a single "validation
+    fuel exhausted" failure instead of raising. The entry facts of the
+    walk are [hint] (per block id, over [pool]; by default the
+    {!Facts.ambient_entry} of [optimized], solved here) pruned to an
+    inductive invariant, plus the residual checks available on every
+    path; only if that walk leaves a site unproven are they searched
+    for ([fallbacks] = 1). Nothing in [hint] is trusted: a fact not
+    proven by every path into its block is dropped, so a wrong hint can
+    cost a fallback but never gets a false fact into a proof. *)
+
+val program : original:Program.t -> optimized:Program.t -> t
+(** Validate every function of the reference program against its
+    optimized counterpart (missing counterparts are failures). *)
+
+val pp_site : site Fmt.t
+val pp : t Fmt.t

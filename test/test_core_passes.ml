@@ -18,7 +18,7 @@ open Ir.Types
 
 let ctx_of_func f =
   Checkctx.create ~mode:Universe.All_implications ~oracle:false
-    ~cache:(Ir.Validate.Cache.create ()) f
+    ~pool:(Intern.create ()) f
 
 let ctx_of src =
   let prog = ir_of_source src in
@@ -89,7 +89,12 @@ let test_eliminate_counts () =
   let copy = Ir.Transform.copy_program prog in
   let f = Ir.Program.main_func copy in
   let ctx = ctx_of_func f in
-  let st = Core.Eliminate.run ctx in
+  (* the elimination tail, in the optimizer's order *)
+  let st = Core.Eliminate.new_stats () in
+  Core.Eliminate.redundancy_elimination ctx st;
+  if Universe.oracle ctx.Checkctx.table then
+    ignore (Core.Eliminate.oracle_elimination ~pool:(Universe.pool ctx.Checkctx.table) f st);
+  Core.Eliminate.compile_time_checks f st;
   (* duplicate pair eliminated *)
   Alcotest.(check int) "redundant deleted" 2 st.Core.Eliminate.redundant_deleted;
   let _, remaining = Ir.Func.static_counts f in
@@ -162,7 +167,7 @@ let same_as_fresh label ~oracle (stale : Checkctx.t) =
   let f = stale.Checkctx.func in
   let fresh =
     Checkctx.create ~mode:Universe.All_implications ~oracle
-      ~cache:(Ir.Validate.Cache.create ()) f
+      ~pool:(Intern.create ()) f
   in
   let checks ctx s =
     List.sort Check.compare
@@ -209,7 +214,7 @@ let test_stale_table_matches_fresh () =
                 (fun f ->
                   let ctx =
                     Checkctx.create ~mode:Universe.All_implications ~oracle
-                      ~cache:(Ir.Validate.Cache.create ()) f
+                      ~pool:(Intern.create ()) f
                   in
                   ignore (Checkctx.universe ctx);
                   let label =

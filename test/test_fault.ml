@@ -250,6 +250,62 @@ let test_validator_catches_unsound_eliminate () =
     [ 1; 7; 42; 1999 ];
   Alcotest.(check bool) "fault applied at least once (not vacuous)" true (!applied > 0)
 
+(* The class's own contract, asked of [Mutate] directly: on the
+   functions NI and LLS leave, a deletion that applies removes exactly
+   one plain check, and the certificate of the function before it
+   against the function after it is refused. *)
+let test_unsound_eliminate_contract () =
+  let instrs (f : Ir.Func.t) =
+    List.init (Ir.Func.num_blocks f) (fun b -> (Ir.Func.block f b).Ir.Types.instrs)
+  in
+  (* [after] is [before] less one plain check, the rest shared *)
+  let one_check_gone before after =
+    List.exists
+      (fun j ->
+        (match List.nth before j with Ir.Types.Check _ -> true | _ -> false)
+        && List.equal ( == ) (List.filteri (fun k _ -> k <> j) before) after)
+      (List.init (List.length before) Fun.id)
+  in
+  let applied = ref 0 in
+  List.iter
+    (fun (b : B.benchmark) ->
+      List.iter
+        (fun scheme ->
+          let opt, _ =
+            Optimizer.optimize ~config:(Config.make ~scheme ()) (ir_of_source b.B.source)
+          in
+          List.iter
+            (fun seed ->
+              Ir.Program.iter_funcs
+                (fun f ->
+                  let where =
+                    Fmt.str "%s.%s %s seed %d" b.B.name f.Ir.Func.fname
+                      (Config.scheme_name scheme) seed
+                  in
+                  let f = Ir.Transform.copy_func f in
+                  let original = Ir.Transform.copy_func f in
+                  if Mutate.apply ~seed Mutate.Unsound_eliminate f then begin
+                    incr applied;
+                    let changed =
+                      List.filter (fun (a, b) -> a != b) (List.combine (instrs original) (instrs f))
+                    in
+                    Alcotest.(check bool)
+                      (where ^ ": exactly one plain check gone")
+                      true
+                      (match changed with [ (a, b) ] -> one_check_gone a b | _ -> false);
+                    Alcotest.(check bool)
+                      (where ^ ": the certificate refuses the deletion")
+                      false
+                      (Ir.Validate.validated
+                         (Ir.Validate.func_guarded ~pool:(Nascent_checks.Intern.create ())
+                            ~original ~optimized:f ()))
+                  end)
+                opt)
+            [ 1; 2; 3 ])
+        [ Config.NI; Config.LLS ])
+    B.all;
+  Alcotest.(check bool) "the deletion applied somewhere (not vacuous)" true (!applied > 0)
+
 (* --- incident accounting ----------------------------------------------- *)
 
 let test_stats_json_reports_incidents () =
@@ -356,6 +412,8 @@ let suite =
     tc "every fault class caught and recovered" test_class_matrix;
     tc "hang degrades to the safe NI floor" test_hang_degrades_to_safe;
     tc "validator catches unsound elimination" test_validator_catches_unsound_eliminate;
+    tc "unsound-eliminate deletes one plain check the certificate refuses"
+      test_unsound_eliminate_contract;
     tc "fuel exhaustion is deterministic" test_fuel_deterministic;
     tc "stats json reports incidents" test_stats_json_reports_incidents;
     QCheck_alcotest.to_alcotest prop_faults_never_escape;

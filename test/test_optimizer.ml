@@ -640,10 +640,10 @@ let test_work_counts () =
   check_lines "work counts" (golden "work_counts.expected")
     (List.map snd (Lazy.force bench_cells @ Lazy.force random_cells))
 
-(* The certificate checks the hint oracle-elim leaves it and trusts
-   none of it. A poisoned hint adds to a block's honest facts
-   [0 <= -1] and the negation of each of them, so every fact it adds is
-   false on every path into the block. Trusted, [0 <= -1] alone would
+(* The certificate checks the hint it is given and trusts none of it.
+   A poisoned hint adds to a block's honest facts [0 <= -1] and the
+   negation of each of them, so every fact it adds is false on every
+   path into the block. Trusted, [0 <= -1] alone would
    prove every site. Only live blocks are poisoned: dead code is where
    every fact holds, and the certificate may keep a poisoned fact there
    and rightly prove more. A block is live if the honest facts say some
@@ -661,15 +661,15 @@ let poisoned_hint (f : Nascent_ir.Func.t) =
   let module C = Nascent_checks.Check in
   let module L = Nascent_checks.Linexpr in
   let module F = Nascent_ir.Func in
-  let cache = Validate.Cache.create () in
-  let honest = Validate.Facts.ambient_entry ~cache f in
+  let pool = Nascent_checks.Intern.create () in
+  let honest = Validate.Facts.ambient_entry ~pool f in
   let bottom = C.make L.zero (-1) in
-  let consistent = Array.map (fun s -> not (Validate.Facts.proves ~cache s bottom)) honest in
+  let consistent = Array.map (fun s -> not (Validate.Facts.proves ~pool s bottom)) honest in
   let falls_through =
     Array.mapi
       (fun p s ->
         List.fold_left
-          (Validate.Facts.step ~cache f.F.atoms)
+          (Validate.Facts.step ~pool f.F.atoms)
           (Some s) (F.block f p).Nascent_ir.Types.instrs
         <> None)
       honest
@@ -695,7 +695,7 @@ let poisoned_hint (f : Nascent_ir.Func.t) =
   let negation c = C.make (L.neg (C.lhs c)) (-C.constant c - 1) in
   Array.mapi
     (fun b s ->
-      let facts = Validate.Facts.facts s in
+      let facts = Validate.Facts.facts ~pool s in
       if live.(b) then (bottom :: facts) @ List.map negation facts else facts)
     honest
 
@@ -705,9 +705,9 @@ let poisoned_verdict ~kind (ir : Nascent_ir.Program.t) (opt : Nascent_ir.Program
       let original = Nascent_ir.Transform.copy_func f in
       if kind = Config.INX then ignore (Core.Induction_rewrite.run original);
       let optimized = Option.get (Nascent_ir.Program.find opt f.Nascent_ir.Func.fname) in
-      let cache = Validate.Cache.create () in
-      Validate.Facts.set_hint ~cache (poisoned_hint optimized);
-      Validate.merge acc (Validate.func_guarded ~cache ~original ~optimized))
+      let pool = Nascent_checks.Intern.create () in
+      let hint = Array.map (Validate.Facts.of_facts ~pool) (poisoned_hint optimized) in
+      Validate.merge acc (Validate.func_guarded ~pool ~hint ~original ~optimized ()))
     Validate.empty (Nascent_ir.Program.funcs_sorted ir)
 
 let verdict (v : Validate.t) =
@@ -767,7 +767,7 @@ let test_assign_kills_own_atom () =
           print n\n\
           end")
   in
-  let cache = Validate.Cache.create () in
+  let pool = Nascent_checks.Intern.create () in
   Array.iteri
     (fun b s ->
       List.iter
@@ -781,8 +781,8 @@ let test_assign_kills_own_atom () =
           then
             Alcotest.failf "block %d: the fact %a outlives the assignment to n" b
               Nascent_checks.Check.pp c)
-        (Validate.Facts.facts s))
-    (Validate.Facts.ambient_entry ~cache f)
+        (Validate.Facts.facts ~pool s))
+    (Validate.Facts.ambient_entry ~pool f)
 
 let suite =
   [

@@ -23,8 +23,9 @@ echo "serving stack OK: $STACK lines (bar 5,700)"
 
 # --- optimizer-core size bar ------------------------------------------
 # ROADMAP item 10's bar on the optimizer core (lowered when the check
-# implication graph went, and again when one check table per compile
-# replaced the per-pass universes), counted as
+# implication graph went, when one check table per compile replaced
+# the per-pass universes, and again when the certificate took its
+# inputs as arguments and lost its copy of the walk), counted as
 # `cat lib/checks/*.ml* lib/ir/*.ml* lib/analysis/*.ml* lib/core/*.ml* | wc -l`.
 # lib/checks is counted too, so code moved between the check table and
 # the passes cannot lower the count. A new data-flow problem arrives as
@@ -32,9 +33,9 @@ echo "serving stack OK: $STACK lines (bar 5,700)"
 # another hand-written loop.
 
 CORE=$(cat lib/checks/*.ml* lib/ir/*.ml* lib/analysis/*.ml* lib/core/*.ml* | wc -l)
-[ "$CORE" -le 8471 ] \
-    || { echo "FAIL: the optimizer core is $CORE lines, over the 8,471-line bar" >&2; exit 1; }
-echo "optimizer core OK: $CORE lines (bar 8,471)"
+[ "$CORE" -le 8374 ] \
+    || { echo "FAIL: the optimizer core is $CORE lines, over the 8,374-line bar" >&2; exit 1; }
+echo "optimizer core OK: $CORE lines (bar 8,374)"
 
 # --- compile-service smoke --------------------------------------------
 
