@@ -17,8 +17,7 @@ module Bitset = Nascent_support.Bitset
 open Ir.Types
 
 let ctx_of_func f =
-  Checkctx.create ~mode:Universe.All_implications ~oracle:false
-    ~pool:(Intern.create ()) f
+  Checkctx.create ~mode:Universe.All_implications ~oracle:false ~pool:(Intern.create ()) f
 
 let ctx_of src =
   let prog = ir_of_source src in
