@@ -221,26 +221,26 @@ let apply_unsafe_insert st (f : Func.t) =
 
 (* Delete a check the residual program still relies on: the first
    plain check, in seeded order wrapping around, whose deletion the
-   translation validator ({!Validate}) refuses, asked on a fresh pool
-   with the function as it stood as the reference. The deletion is
-   legal under every differential rule — elimination may delete checks
-   — so nothing rolls back; the per-compile translation validator is
-   the only mechanism left that can notice the reference site is no
-   longer covered. Vacuous (returns [false]) when the validator
-   re-proves every plain check without it. *)
+   translation validator ({!Validate}) refuses against the function as
+   it stood. The ambient facts ignore checks, so one solve on one pool
+   is every candidate's hint. The deletion is legal under every
+   differential rule (elimination may delete checks), so nothing rolls
+   back: only the translation validator can notice the reference site
+   is no longer covered. Vacuous ([false]) when it re-proves them all. *)
 let apply_unsound_eliminate st (f : Func.t) =
   let sites = Array.of_list (plain_check_sites f) in
   let n = Array.length sites in
   n > 0
   &&
   let original = Transform.copy_func f in
+  let pool = Nascent_checks.Intern.create () in
+  let hint = Validate.Facts.ambient_entry ~pool f in
   let start = pick st n in
   let refused k =
     let b, j, _ = sites.((start + k) mod n) in
     let instrs = b.instrs in
     b.instrs <- remove_at j instrs;
-    let pool = Nascent_checks.Intern.create () in
-    let proven = Validate.validated (Validate.func_guarded ~pool ~original ~optimized:f ()) in
+    let proven = Validate.(validated (func_guarded ~pool ~hint ~original ~optimized:f ())) in
     if proven then b.instrs <- instrs;
     not proven
   in

@@ -848,7 +848,7 @@ let run ?(on_ready = ignore) t =
 
 (* --- client helpers ---------------------------------------------------- *)
 
-(* Shared by nascentc client, the bench load target and the tests:
+(* Shared by nascentc client, the router, the ledger and the tests:
    the one place that knows how to speak a request/response exchange,
    including backoff against retryable errors. *)
 module Client = struct

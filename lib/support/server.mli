@@ -171,7 +171,7 @@ val stopping : t -> bool
 val uptime_s : t -> float
 
 (** Client side of the protocol — shared by [nascentc client], the
-    bench load target and the tests. *)
+    router, the ledger and the tests. *)
 module Client : sig
   type address = Uds of string | Tcp of string * int
 

@@ -1,10 +1,11 @@
 (* The shard router: consistent-hash determinism and balance, the
    cache-locality routing key (envelope stripping), transport-level
-   failover between live in-process shards, breaker ejection of a dead
-   shard, probe-driven re-admission, the all-down terminal error, and
-   the connection pool: reuse, one reconnect after a shard restart, no
-   reuse after a garbled response or a receive timeout, and a [stop]
-   that leaves no connection, fd or shard reader behind.
+   failover between live in-process shards and away from a shard that
+   dies mid-exchange, breaker ejection of a dead shard, probe-driven
+   re-admission, the all-down terminal error, and the connection pool:
+   reuse, one reconnect after a shard restart, no reuse after a garbled
+   response or a receive timeout, and a [stop] that leaves no
+   connection, fd or shard reader behind.
 
    The router's handler is exercised directly (it is just a function) —
    the shards behind it are real Server instances on real sockets, so
@@ -383,10 +384,11 @@ let test_pool_survives_shard_restart () =
       Alcotest.(check int) "one connect per shard incarnation" 2
         (router_stat r "connects"))
 
-(* A hand-rolled NF1 shard that answers the hello, then every request
-   with a payload that is not JSON. It serves one connection at a time
-   and counts the connections it accepts. *)
-let with_garbling_shard f =
+(* A hand-rolled NF1 shard that answers the hello, then each request
+   with [reply]'s payload, closing the connection where [reply] gives
+   none. It serves one connection at a time and counts the connections
+   it accepts. *)
+let with_raw_shard reply f =
   let path = Test_server.fresh_socket () in
   let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind lfd (Unix.ADDR_UNIX path);
@@ -396,12 +398,12 @@ let with_garbling_shard f =
     let dec = Frame.decoder () in
     let rec go () =
       match Test_server.read_one_frame fd dec with
-      | Ok (Some fr) ->
-          let reply =
-            if fr.Frame.id = 0 then Json.to_string (Frame.hello ()) else "not json"
-          in
-          Test_server.send_raw fd (Frame.encode ~id:fr.Frame.id reply);
-          go ()
+      | Ok (Some fr) -> (
+          match if fr.Frame.id = 0 then Some (Json.to_string (Frame.hello ())) else reply fr with
+          | Some payload ->
+              Test_server.send_raw fd (Frame.encode ~id:fr.Frame.id payload);
+              go ()
+          | None -> ())
       | Ok None | Error _ -> ()
     in
     (try go () with Unix.Unix_error _ -> ());
@@ -428,6 +430,30 @@ let with_garbling_shard f =
       Unix.close lfd;
       try Sys.remove path with Sys_error _ -> ())
     (fun () -> f path accepted)
+
+(* every request answered with a payload that is not JSON *)
+let with_garbling_shard f = with_raw_shard (fun _ -> Some "not json") f
+
+(* A shard that reads the request and dies before it answers: the
+   exchange fails on a fresh connection, which is the shard's failure,
+   so the router moves the request to the next shard rather than
+   returning the closed connection to the client. *)
+let test_failover_mid_exchange () =
+  with_raw_shard (fun _ -> None) (fun dying accepted ->
+      Test_server.with_server (marker "live") (fun live _ ->
+          let shards = [ shard_of dying "dying"; shard_of live "live" ] in
+          with_router (Router.create ~threshold:100 ~shards ()) @@ fun r ->
+          let dying_first req =
+            match Router.route r (Router.shard_key req) with
+            | first :: _ -> first.Router.name = "dying"
+            | [] -> false
+          in
+          let req = List.find dying_first (List.init 64 compile_req) in
+          let resp = (Router.handler r).Server.handle req in
+          Alcotest.(check string) "no error" "ok" (sfield resp "status");
+          Alcotest.(check string) "the live shard answered" "live" (sfield resp "shard");
+          Alcotest.(check int) "the dying shard took the request" 1 (Atomic.get accepted);
+          Alcotest.(check int) "one failover" 1 (router_stat r "failovers")))
 
 let test_pool_drops_garbled () =
   with_garbling_shard (fun path accepted ->
@@ -545,6 +571,8 @@ let suite =
     Alcotest.test_case "shard errors returned as-is" `Quick
       test_shard_errors_returned_as_is;
     Alcotest.test_case "all shards down" `Quick test_all_down;
+    Alcotest.test_case "failover when a shard dies mid-exchange" `Quick
+      test_failover_mid_exchange;
     Alcotest.test_case "breaker ejects dead shard" `Quick
       test_breaker_ejects_dead_shard;
     Alcotest.test_case "probe re-admits rebooted shard" `Quick

@@ -150,7 +150,18 @@ for flag in --seed=1 --stats-json=/dev/null --prewarm; do
         || { echo "FAIL: nascentc client $flag was not refused as an unknown option (exit $rc): $OUT" >&2
              exit 1; }
 done
-echo "fixed-bounds smoke OK: 9 removed nascentd flags and 4 removed nascentc flags are unknown options"
+# the bench harness has no load target: it refuses the name and writes
+# nothing (no BENCH_load.json) where it runs
+LTMP=$(mktemp -d "${TMPDIR:-/tmp}/nascent-load-XXXXXX")
+BENCHEXE="$(pwd)/_build/default/bench/main.exe"
+rc=0
+OUT=$(cd "$LTMP" && timeout 10 "$BENCHEXE" load 2>&1) || rc=$?
+LEFT=$(ls -A "$LTMP"); rm -rf "$LTMP"
+if [ "$rc" -eq 0 ] || ! echo "$OUT" | grep -q "unknown target load" || [ -n "$LEFT" ]; then
+    echo "FAIL: bench/main.exe load was not refused as an unknown target (exit $rc, left '$LEFT'): $OUT" >&2
+    exit 1
+fi
+echo "fixed-bounds smoke OK: 9 removed nascentd flags and 4 removed nascentc flags are unknown options, bench load is an unknown target"
 
 # --- chaos smoke: supervision + restart differential -----------------
 # A supervised child that never binds ends supervision instead of
@@ -275,16 +286,14 @@ echo "chaos smoke OK: unbound child not restarted->1, double-daemon refused, kil
 # --- shard smoke: framed TCP, router, chaos proxy, kill -9 a shard ----
 # Three shards behind a consistent-hash router on a framed TCP port,
 # with a torn-frame chaos proxy in front. A client batch runs through
-# the proxy while one (supervised) shard is kill -9'd mid-burst: every
+# the proxy while one (supervised) shard is kill -9'd mid-burst, beside
+# four clients that never retry on the router's own port: every
 # request must still exit 0 — the dead shard costs failovers and
 # retries, never a client-visible error — and the restarted shard must
 # rejoin the ring. The router must then carry a burst of memo hits on
 # the shard connections it already holds. A second torn-frame proxy on
-# a Unix socket proves that transport catches torn bytes too. Finally,
-# a quick open-loop load run must emit a well-formed BENCH_load.json
-# with a zero-error chaos rung.
+# a Unix socket proves that transport catches torn bytes too.
 
-ROOT=$(pwd)
 SBASE="${TMPDIR:-/tmp}/nascent-shard-$$"
 S0="$SBASE-s0.sock"; S1="$SBASE-s1.sock"; S2="$SBASE-s2.sock"
 RSOCK="$SBASE-router.sock"
@@ -310,8 +319,10 @@ SH1=$!
 ./_build/default/bin/nascentd.exe --socket "$S2" -j 1 --shard-name s2 \
     >/dev/null 2>&1 &
 SH2=$!
-trap 'kill "$SH0" "$SH1" "$SH2" "$ROUTER" "$RDEF" "$PROXY" "$UPROXY" 2>/dev/null || true; rm -f "$SBASE"-*' EXIT INT TERM
-ROUTER=""; RDEF=""; PROXY=""; UPROXY=""
+# pids unquoted: dash's kill stops at an empty argument, so a quoted
+# unset pid would spare every process named after it
+trap 'kill $SH0 $SH1 $SH2 $ROUTER $RDEF $PROXY $UPROXY $LOOPS 2>/dev/null || true; rm -f "$SBASE"-*' EXIT INT TERM
+ROUTER=""; RDEF=""; PROXY=""; UPROXY=""; LOOPS=""
 
 for s in "$S0" "$S1" "$S2"; do
     i=0
@@ -386,20 +397,62 @@ pclient() {
 pclient vortex >/dev/null || sfail "compile through chaos proxy exited $?, want 0"
 
 # full batch in the background; kill -9 the supervised shard mid-burst
+BENCHES="vortex arc2d bdna dyfesm mdg qcd spec77 trfd linpackd simple"
 ( rc=0
-  for bench in vortex arc2d bdna dyfesm mdg qcd spec77 trfd linpackd simple; do
+  for bench in $BENCHES; do
       pclient "$bench" >/dev/null 2>&1 || { rc=$?; break; }
   done
   echo "$rc" >"$BOUT" ) &
 BATCH=$!
+# beside it, four clients that never retry (--retries 1 is one attempt)
+# send the 10 benchmarks straight to the router's TCP port, round after
+# round, from before the kill until one whole round after it: a shard
+# dying under them may cost failovers inside the router, never a
+# failed request
+KILLED="$SBASE-killed"
+for l in 1 2 3 4; do
+    ( n=0; rc=0; after=0
+      until [ "$after" -eq 1 ] || [ "$rc" -ne 0 ]; do
+          if [ -e "$KILLED" ]; then after=1; fi
+          for bench in $BENCHES; do
+              timeout 60 ./_build/default/bin/nascentc.exe client \
+                  --connect "127.0.0.1:$RPORT" --retries 1 "$bench" \
+                  >/dev/null 2>"$SBASE-loop-$l.err" || { rc=$?; break; }
+              n=$((n + 1))
+              : >"$SBASE-loop-$l.up"
+          done
+      done
+      echo "$rc $n $after" >"$SBASE-loop-$l.out" ) &
+    LOOPS="$LOOPS $!"
+done
 sleep 0.4
+for l in 1 2 3 4; do
+    i=0
+    until [ -e "$SBASE-loop-$l.up" ]; do
+        [ ! -e "$SBASE-loop-$l.out" ] \
+            || sfail "no-retry client $l failed before the kill: $(cat "$SBASE-loop-$l.err")"
+        i=$((i + 1)); [ "$i" -le 300 ] || sfail "no-retry client $l sent nothing in 30s"
+        sleep 0.1
+    done
+done
 CHILD=$(awk '/serving pid/ { pid = $(NF-1) } END { print pid }' "$S1LOG")
 case "$CHILD" in *[!0-9]*|"") sfail "could not parse s1 serving pid" ;; esac
 kill -9 "$CHILD" 2>/dev/null || sfail "s1 serving child $CHILD already gone"
+: >"$KILLED"
 wait "$BATCH" 2>/dev/null || true
 [ -f "$BOUT" ] || sfail "client batch never finished"
 [ "$(cat "$BOUT")" = "0" ] \
     || sfail "client batch across shard kill exited $(cat "$BOUT"), want 0"
+for p in $LOOPS; do wait "$p" 2>/dev/null || true; done
+LOOPS=""
+NOREQ=0
+for l in 1 2 3 4; do
+    read -r rc n after <"$SBASE-loop-$l.out" || sfail "no-retry client $l never finished"
+    [ "$rc" -eq 0 ] \
+        || sfail "no-retry client $l: request $((n + 1)) exited $rc, want 0: $(cat "$SBASE-loop-$l.err")"
+    [ "$after" -eq 1 ] || sfail "no-retry client $l stopped before the kill"
+    NOREQ=$((NOREQ + n))
+done
 
 # the supervisor restarted s1 and it rejoined the ring
 S1STATUS=$(timeout 30 ./_build/default/bin/nascentc.exe client \
@@ -416,7 +469,6 @@ done
 # the router reuses its shard connections: after a warming round, 30
 # memo hits open at most one connection per router worker per shard
 # (2 x 3); one connection per forward would open 30
-BENCHES="vortex arc2d bdna dyfesm mdg qcd spec77 trfd linpackd simple"
 rclient() {
     timeout 30 ./_build/default/bin/nascentc.exe client --connect "$RSOCK" "$@"
 }
@@ -520,27 +572,4 @@ done
 
 trap - EXIT INT TERM
 rm -f "$SBASE"-*
-echo "shard smoke OK: chaos proxy batch->0 errors, kill -9 shard mid-burst ridden out, supervised shard rejoined, pooled shard connections reused, 16 concurrent compiles through a default (threaded) router match the shard, unix-socket torn-frame batch->0 errors, drains->0"
-
-# --- quick open-loop load run -----------------------------------------
-# A shrunk ladder (NASCENT_LOAD_QUICK=1) in a scratch directory, so the
-# committed full-ladder BENCH_load.json is not clobbered. The bench
-# itself exits nonzero if the chaos rung sees any client error.
-
-LTMP=$(mktemp -d "${TMPDIR:-/tmp}/nascent-load-XXXXXX")
-trap 'rm -rf "$LTMP"' EXIT INT TERM
-( cd "$LTMP" && TMPDIR="$LTMP" NASCENT_LOAD_QUICK=1 timeout 300 \
-      "$ROOT/_build/default/bench/main.exe" load >load.log 2>&1 ) \
-    || { sed 's/^/  bench load: /' "$LTMP/load.log" >&2
-         echo "FAIL: quick bench load exited nonzero" >&2; exit 1; }
-for key in '"one_shard"' '"three_shards"' '"chaos"' '"max_sustained_rps"' '"samples"'; do
-    grep -q "$key" "$LTMP/BENCH_load.json" \
-        || { echo "FAIL: BENCH_load.json lacks $key" >&2; exit 1; }
-done
-# every daemon socket is gone, the kill -9'd shard's included
-for f in "$LTMP"/nload-*.sock; do
-    [ ! -e "$f" ] || { echo "FAIL: bench load left $f behind" >&2; exit 1; }
-done
-trap - EXIT INT TERM
-rm -rf "$LTMP"
-echo "load smoke OK: quick ladder + zero-error chaos rung, BENCH_load.json well-formed, no daemon socket left"
+echo "shard smoke OK: chaos proxy batch->0 errors, kill -9 shard mid-burst ridden out by $NOREQ no-retry requests->0 errors, supervised shard rejoined, pooled shard connections reused, 16 concurrent compiles through a default (threaded) router match the shard, unix-socket torn-frame batch->0 errors, drains->0"
