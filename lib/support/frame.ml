@@ -200,6 +200,15 @@ let next d =
           else Ok (Some { id = !id; payload })
         end
 
+type view = { view_id : int; src : string; off : int; len : int }
+
+let next_view d =
+  match next d with
+  | Ok (Some f) ->
+      Ok (Some { view_id = f.id; src = f.payload; off = 0; len = String.length f.payload })
+  | Ok None -> Ok None
+  | Error e -> Error e
+
 (* --- blocking helpers with injectable I/O --------------------------- *)
 
 let read_frame ?(buf = Bytes.create 8192) ~read d =

@@ -70,6 +70,13 @@ val feed_bytes : decoder -> bytes -> off:int -> len:int -> unit
 val next : decoder -> (frame option, error) result
 (** The next complete frame; [Ok None] means more bytes are needed. *)
 
+type view = { view_id : int; src : string; off : int; len : int }
+(** A complete frame whose payload is bytes [off] to [off + len - 1] of
+    [src], its CRC already checked. *)
+
+val next_view : decoder -> (view option, error) result
+(** {!next} without the payload copy. *)
+
 val mid_frame : decoder -> bool
 (** Some bytes of an incomplete frame (or header) are buffered — the
     server's mid-frame read deadline keys off this: a peer may be

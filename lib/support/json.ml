@@ -342,6 +342,8 @@ let parse s =
   | exception Parse_error (i, msg) ->
       Error (Printf.sprintf "JSON parse error at byte %d: %s" i msg)
 
+let parse_sub s ~off ~len = parse (String.sub s off len)
+
 (* --- printing ---------------------------------------------------------- *)
 
 (* Printing measures first, then writes into a string of exactly that

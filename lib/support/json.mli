@@ -21,6 +21,12 @@ val parse : string -> (t, string) result
     bytes in strings, unpaired surrogates and nesting beyond 512
     levels all return [Error] with a byte offset. *)
 
+val parse_sub : string -> off:int -> len:int -> (t, string) result
+(** [parse_sub s ~off ~len] is [parse (String.sub s off len)]: it reads
+    no byte of [s] outside the slice, counts error offsets from [off],
+    and the tree it returns shares no bytes with [s].
+    @raise Invalid_argument if the slice is not within [s]. *)
+
 val to_string : t -> string
 (** Compact single-line rendering (the wire format), printed into a
     string of exactly its length. *)

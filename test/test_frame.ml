@@ -326,6 +326,140 @@ let test_max_payload_roundtrip () =
   Alcotest.(check int) "id" 77 f.Frame.id;
   Alcotest.(check bool) "payload" true (String.equal payload f.Frame.payload)
 
+(* --- payload views --------------------------------------------------------
+
+   A daemon takes each frame as a view of its connection's decoder
+   buffer and parses the payload there, so a view must carry exactly
+   the id and payload [next] returns, after the same checks. *)
+
+let view_payload (v : Frame.view) = String.sub v.Frame.src v.Frame.off v.Frame.len
+
+let take_view d =
+  match Frame.next_view d with
+  | Ok (Some v) -> v
+  | Ok None -> Alcotest.fail "expected a complete frame, got Ok None"
+  | Error e -> Alcotest.failf "expected a frame, got %a" Frame.pp_error e
+
+(* Pump [read] into [d] and take every frame as a view, copying its
+   payload before the next feed, as far as EOF or a decode error. *)
+let read_views ~read d =
+  let buf = Bytes.create 64 in
+  let rec go acc =
+    match Frame.next_view d with
+    | Error e -> (List.rev acc, Some e)
+    | Ok (Some v) -> go ((v.Frame.view_id, view_payload v) :: acc)
+    | Ok None -> (
+        match read buf 0 (Bytes.length buf) with
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go acc
+        | 0 -> (List.rev acc, None)
+        | n ->
+            Frame.feed_bytes d buf ~off:0 ~len:n;
+            go acc)
+  in
+  go []
+
+(* The same stream through [read_frame], as the clients read it. *)
+let read_frames ~read d =
+  let rec go acc =
+    match Frame.read_frame ~read d with
+    | Ok (Some f) -> go ((f.Frame.id, f.Frame.payload) :: acc)
+    | Ok None -> (List.rev acc, None)
+    | Error e -> (List.rev acc, Some e)
+  in
+  go []
+
+let id_payloads = Alcotest.(pair (list (pair int string)) (option frame_error))
+
+let test_view_faulty () =
+  let payloads = [ {|{"op":"status"}|}; String.make 300 'a'; ""; "final"; String.make 70 '"' ] in
+  let data = String.concat "" (List.mapi (fun i p -> Frame.encode ~id:(i + 1) p) payloads) in
+  List.iter
+    (fun cls ->
+      List.iter
+        (fun seed ->
+          let spec = { Netfault.cls; seed } in
+          let what = Printf.sprintf "%s seed %d" (Netfault.to_string spec) seed in
+          let dv = Frame.decoder () and df = Frame.decoder () in
+          let views = read_views ~read:(Netfault.reader spec ~data) dv in
+          let frames = read_frames ~read:(Netfault.reader spec ~data) df in
+          Alcotest.check id_payloads (what ^ ": views") frames views;
+          Alcotest.(check bool) (what ^ ": mid-frame") (Frame.mid_frame df) (Frame.mid_frame dv))
+        all_seeds)
+    [ Netfault.Delayed_bytes; Netfault.Stalled_reader;
+      Netfault.Truncated_write; Netfault.Reset_mid_exchange ]
+
+(* A flipped payload bit fails the view's CRC check, and the decoder
+   stays poisoned; every length a word loop can leave decodes. *)
+let test_view_crc_and_poison () =
+  let payload = String.init 64 (fun i -> Char.chr ((i * 89 + 3) land 0xff)) in
+  let s = Frame.encode ~id:11 payload in
+  for bit = 0 to (64 * 8) - 1 do
+    let b = Bytes.of_string s in
+    let pos = Frame.header_bytes + (bit / 8) in
+    Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl (bit mod 8))));
+    let d = Frame.decoder () in
+    feed_all d (Bytes.to_string b ^ s);
+    let poisoned () =
+      match Frame.next_view d with
+      | Error Frame.Crc_mismatch -> ()
+      | Error e -> Alcotest.failf "bit %d: expected Crc_mismatch, got %a" bit Frame.pp_error e
+      | Ok _ -> Alcotest.failf "bit %d: flipped payload decoded" bit
+    in
+    poisoned ();
+    (* the intact copy behind it, and one fed later, stay unread *)
+    poisoned ();
+    feed_all d s;
+    poisoned ()
+  done;
+  for len = 0 to 64 do
+    let payload = String.init len (fun i -> Char.chr ((i * 167 + len * 31 + 7) land 0xff)) in
+    let d = Frame.decoder () in
+    feed_all d (Frame.encode ~id:len payload);
+    let v = take_view d in
+    Alcotest.(check int) (Printf.sprintf "%d bytes: id" len) len v.Frame.view_id;
+    Alcotest.(check string) (Printf.sprintf "%d bytes decode" len) payload (view_payload v)
+  done
+
+(* A payload of [n] bytes: a JSON object, padded out with a string. *)
+let json_payload tag n =
+  let head = Printf.sprintf {|{"tag":%S,"pad":"|} tag in
+  head ^ String.make (n - String.length head - 2) 'x' ^ {|"}|}
+
+let parse_view v =
+  match Json.parse_sub v.Frame.src ~off:v.Frame.off ~len:v.Frame.len with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "view of frame %d: %s" v.Frame.view_id e
+
+(* A tree parsed from a view shares no bytes with the decoder's buffer:
+   A is parsed while half of B sits behind it, then the rest of B and a
+   large C arrive, and the decoder slides B to the front of its buffer
+   over A's bytes. *)
+let test_view_aliasing () =
+  let d = Frame.decoder () in
+  (* a buffer of 4,096 bytes, empty again *)
+  feed_all d (Frame.encode ~id:1 (json_payload "warm" 4076));
+  ignore (take_view d);
+  let pa = json_payload "A" 980 and pb = json_payload "B" 980 and pc = json_payload "C" 2480 in
+  let fa = Frame.encode ~id:10 pa and fb = Frame.encode ~id:11 pb in
+  let half = String.length fb / 2 in
+  feed_all d (fa ^ String.sub fb 0 half);
+  let va = take_view d in
+  Alcotest.(check int) "A's id" 10 va.Frame.view_id;
+  let ta = parse_view va in
+  feed_all d (String.sub fb half (String.length fb - half));
+  feed_all d (Frame.encode ~id:12 pc);
+  feed_all d (Frame.encode ~id:13 pa);
+  let expect what payload j =
+    Alcotest.(check string) what payload (Json.to_string j)
+  in
+  expect "A's tree after the slide" pa ta;
+  let vb = take_view d in
+  Alcotest.(check int) "B's id" 11 vb.Frame.view_id;
+  expect "B" pb (parse_view vb);
+  expect "C" pc (parse_view (take_view d));
+  expect "A again" pa (parse_view (take_view d));
+  expect "A's tree at the end" pa ta
+
 (* --- hello handshake --------------------------------------------------- *)
 
 let test_hello_roundtrip () =
@@ -408,6 +542,9 @@ let suite =
     Alcotest.test_case "max payload roundtrip" `Quick test_max_payload_roundtrip;
     Alcotest.test_case "torn mangle fails CRC" `Quick
       test_mangle_torn_fails_crc;
+    Alcotest.test_case "view under faulty reader" `Quick test_view_faulty;
+    Alcotest.test_case "view CRC check and poisoning" `Quick test_view_crc_and_poison;
+    Alcotest.test_case "view parsed tree outlives the buffer" `Quick test_view_aliasing;
     Alcotest.test_case "hello roundtrip" `Quick test_hello_roundtrip;
     Alcotest.test_case "hello rejects mismatches" `Quick test_hello_rejects;
     Alcotest.test_case "fault spec parse" `Quick test_spec_parse;

@@ -189,6 +189,34 @@ let test_json_parse_forms () =
 (* Each malformed input with the error [Json.parse] reports for it: the
    byte offset is part of the contract (a client is told where its
    request broke), so a rewrite of the parser must not move it. *)
+let malformed_corpus =
+  [
+    ("", "JSON parse error at byte 0: unexpected end of input");
+    ("{", "JSON parse error at byte 1: expected '\"'");
+    ("[1,]", "JSON parse error at byte 3: unexpected character ']'");
+    ("{\"a\":}", "JSON parse error at byte 5: unexpected character '}'");
+    ("\"unterminated", "JSON parse error at byte 13: unterminated string");
+    ("\"bad \\x escape\"", "JSON parse error at byte 7: bad escape");
+    ("nul", "JSON parse error at byte 0: expected null");
+    ("1 2" (* trailing garbage *), "JSON parse error at byte 2: trailing garbage after value");
+    ( "\"raw\tcontrol\"" (* literal control byte in a string *),
+      "JSON parse error at byte 4: raw control byte in string" );
+    ("\"\\ud834\"" (* unpaired surrogate *), "JSON parse error at byte 7: expected '\\\\'");
+    ("{\"a\" 1}", "JSON parse error at byte 5: expected ':'");
+    ("--3", "JSON parse error at byte 1: malformed number");
+    (* every other way a string can break *)
+    ("\"\\ud834\\u0041\"", "JSON parse error at byte 13: unpaired surrogate");
+    ("\"\\udd1e\"", "JSON parse error at byte 7: unpaired surrogate");
+    ("\"\\u12\"", "JSON parse error at byte 6: bad hex digit in \\u escape");
+    ("\"\\u12", "JSON parse error at byte 5: truncated \\u escape");
+    ("\"\\", "JSON parse error at byte 2: truncated escape");
+    ("\"x\001\"", "JSON parse error at byte 2: raw control byte in string");
+    ("\"abc\\n", "JSON parse error at byte 6: unterminated string");
+    (* the anti-DoS nesting bound *)
+    ( String.concat "" (List.init 600 (fun _ -> "[")),
+      "JSON parse error at byte 513: nesting too deep" );
+  ]
+
 let test_json_malformed () =
   List.iter
     (fun (s, want) ->
@@ -196,35 +224,7 @@ let test_json_malformed () =
       | Ok v ->
           Alcotest.failf "expected parse error for %S, got %s" s (Json.to_string v)
       | Error e -> Alcotest.(check string) (Printf.sprintf "error for %S" s) want e)
-    [
-      ("", "JSON parse error at byte 0: unexpected end of input");
-      ("{", "JSON parse error at byte 1: expected '\"'");
-      ("[1,]", "JSON parse error at byte 3: unexpected character ']'");
-      ("{\"a\":}", "JSON parse error at byte 5: unexpected character '}'");
-      ("\"unterminated", "JSON parse error at byte 13: unterminated string");
-      ("\"bad \\x escape\"", "JSON parse error at byte 7: bad escape");
-      ("nul", "JSON parse error at byte 0: expected null");
-      ("1 2" (* trailing garbage *), "JSON parse error at byte 2: trailing garbage after value");
-      ( "\"raw\tcontrol\"" (* literal control byte in a string *),
-        "JSON parse error at byte 4: raw control byte in string" );
-      ("\"\\ud834\"" (* unpaired surrogate *), "JSON parse error at byte 7: expected '\\\\'");
-      ("{\"a\" 1}", "JSON parse error at byte 5: expected ':'");
-      ("--3", "JSON parse error at byte 1: malformed number");
-      (* every other way a string can break *)
-      ("\"\\ud834\\u0041\"", "JSON parse error at byte 13: unpaired surrogate");
-      ("\"\\udd1e\"", "JSON parse error at byte 7: unpaired surrogate");
-      ("\"\\u12\"", "JSON parse error at byte 6: bad hex digit in \\u escape");
-      ("\"\\u12", "JSON parse error at byte 5: truncated \\u escape");
-      ("\"\\", "JSON parse error at byte 2: truncated escape");
-      ("\"x\001\"", "JSON parse error at byte 2: raw control byte in string");
-      ("\"abc\\n", "JSON parse error at byte 6: unterminated string");
-    ];
-  (* the anti-DoS nesting bound *)
-  let deep = String.concat "" (List.init 600 (fun _ -> "[")) in
-  match Json.parse deep with
-  | Ok _ -> Alcotest.fail "expected nesting-depth error"
-  | Error e ->
-      Alcotest.(check string) "nesting bound" "JSON parse error at byte 513: nesting too deep" e
+    malformed_corpus
 
 (* Any byte string survives printing and parsing unchanged. The
    generator leans on the bytes the printer must escape (every control
@@ -352,15 +352,9 @@ let test_json_word_boundaries () =
           Alcotest.check json (what ^ ": parsed") v (parse_ok printed)))
     probe_bytes
 
-(* Each malformed string, behind a prefix of zero or one escapes,
-   reports the byte offset where it broke. *)
-let test_json_word_boundary_errors () =
-  let check s at msg =
-    let want = Printf.sprintf "JSON parse error at byte %d: %s" at msg in
-    match Json.parse s with
-    | Ok v -> Alcotest.failf "expected parse error for %S, got %s" s (Json.to_string v)
-    | Error e -> Alcotest.(check string) (Printf.sprintf "error for %S" s) want e
-  in
+(* Each malformed string, behind a prefix of zero or one escapes, with
+   the error it reports: [check s at msg] for each. *)
+let each_boundary_error check =
   List.iter
     (fun lead ->
       let at = 1 + String.length lead in
@@ -375,6 +369,14 @@ let test_json_word_boundary_errors () =
           check ("\"" ^ lead ^ String.sub (plain_run len) 0 k ^ "\\u12") (at + k + 4)
             "truncated \\u escape"))
     [ ""; "\\n"; "\\u00e9"; "\\ud834\\udd1e" ]
+
+(* Each reports the byte offset where it broke. *)
+let test_json_word_boundary_errors () =
+  each_boundary_error (fun s at msg ->
+      let want = Printf.sprintf "JSON parse error at byte %d: %s" at msg in
+      match Json.parse s with
+      | Ok v -> Alcotest.failf "expected parse error for %S, got %s" s (Json.to_string v)
+      | Error e -> Alcotest.(check string) (Printf.sprintf "error for %S" s) want e)
 
 (* A megabyte string with an escape every 7th byte prints and parses
    back to itself. *)
@@ -393,6 +395,127 @@ let test_json_large_string () =
   | Ok (Json.Str s') -> Alcotest.(check bool) "parsed back" true (String.equal s s')
   | Ok _ -> Alcotest.fail "parsed to a non-string"
   | Error e -> Alcotest.fail e
+
+(* --- Json in a slice of a larger string -----------------------------------
+
+   A daemon parses each request where it lies in its connection's
+   buffer, between the bytes of other frames. [parse_sub] must read no
+   byte outside its slice: each slice here sits between bytes that
+   would change the result if read — a quote, a backslash, digits, a
+   closing brace, a valid JSON continuation — and must parse exactly as
+   a copy of it does. *)
+
+let result_json = Alcotest.(result json string)
+
+let neighbours = [ "\""; "\\"; "0123456789"; "}"; ",\"k\":[1,2]}"; "  \"x\"]" ]
+
+(* [text] at offset [off], with [pad] repeated on both sides of it. *)
+let embed pad off text =
+  let fill n = String.init n (fun i -> pad.[i mod String.length pad]) in
+  fill off ^ text ^ fill 24
+
+let parse_embedded pad off text = Json.parse_sub (embed pad off text) ~off ~len:(String.length text)
+
+(* Each suite program wrapped as a compile request. *)
+let suite_requests =
+  List.map
+    (fun (b : Nascent_benchmarks.Suite.benchmark) ->
+      Json.to_string
+        (Json.Obj
+           [
+             ("id", Json.Str "cli");
+             ("op", Json.Str "compile");
+             ("source", Json.Str b.Nascent_benchmarks.Suite.source);
+             ("scheme", Json.Str "LLS");
+             ("deadline_ms", Json.Int 30000);
+           ]))
+    Nascent_benchmarks.Suite.all
+
+let test_json_slice_values () =
+  let texts =
+    suite_requests
+    @ [ "3"; "123"; "-0.5e3"; "null"; "true"; "false"; "\"a\\nb\""; " [ 1 ,\t2 ] ";
+        "\"\\ud834\\udd1e\""; "{}"; "[]"; "\"\"" ]
+  in
+  List.iter
+    (fun text ->
+      let want = Json.parse text in
+      List.iter
+        (fun pad ->
+          for off = 0 to 17 do
+            Alcotest.check result_json
+              (Printf.sprintf "%S at %d between %S" (String.sub text 0 (min 20 (String.length text))) off pad)
+              want (parse_embedded pad off text)
+          done)
+        neighbours)
+    texts
+
+(* The malformed inputs fail with the same message, their offsets
+   counted from the start of the slice. *)
+let test_json_slice_errors () =
+  let check pad off s want =
+    match parse_embedded pad off s with
+    | Ok v -> Alcotest.failf "expected parse error for %S at %d, got %s" s off (Json.to_string v)
+    | Error e -> Alcotest.(check string) (Printf.sprintf "error for %S at %d between %S" s off pad) want e
+  in
+  List.iter
+    (fun (s, want) ->
+      List.iter (fun pad -> for off = 0 to 17 do check pad off s want done) neighbours)
+    malformed_corpus;
+  let n = List.length neighbours in
+  each_boundary_error (fun s at msg ->
+      let want = Printf.sprintf "JSON parse error at byte %d: %s" at msg in
+      for off = 0 to 17 do
+        check (List.nth neighbours (off mod n)) off s want
+      done)
+
+(* A slice cut short fails, though the bytes just past its end would
+   complete it, and a number stops at the slice's end. *)
+let test_json_slice_cut_short () =
+  let cut text rest =
+    List.iter
+      (fun off ->
+        let s = String.make off ' ' ^ text ^ rest in
+        Alcotest.check result_json
+          (Printf.sprintf "%S cut before %S at %d" text rest off)
+          (Json.parse text)
+          (Json.parse_sub s ~off ~len:(String.length text)))
+      [ 0; 1; 7; 8; 13 ]
+  in
+  List.iter
+    (fun (text, rest) ->
+      cut text rest;
+      match Json.parse_sub (text ^ rest) ~off:0 ~len:(String.length text) with
+      | Ok v -> Alcotest.failf "%S cut before %S parsed as %s" text rest (Json.to_string v)
+      | Error _ -> ())
+    [
+      ("{\"a\":1", "}");
+      ("[1,2", "]");
+      ("\"abc", "\"");
+      ("tru", "e");
+      ("nul", "l");
+      ("\"\\u00", "e9\"");
+      ("\"ab\\", "n\"");
+      ("\"\\ud834", "\\udd1e\"");
+      ("{\"a\"", ":1}");
+    ];
+  Alcotest.check result_json "number stops at the slice's end" (Ok (Json.Int 12))
+    (Json.parse_sub "123" ~off:0 ~len:2);
+  (* a string cut at every length, read a word at a time *)
+  for len = 0 to 24 do
+    cut ("{\"a\":\"" ^ plain_run len) "\"}"
+  done;
+  (* every prefix of a request, with the rest of it just past the slice *)
+  let req = List.hd suite_requests in
+  for len = 0 to String.length req - 1 do
+    Alcotest.check result_json
+      (Printf.sprintf "request cut at %d" len)
+      (Json.parse (String.sub req 0 len))
+      (Json.parse_sub ("{" ^ req) ~off:1 ~len)
+  done;
+  match Json.parse_sub "[1]" ~off:2 ~len:2 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a slice past the end of the string was accepted"
 
 let test_json_accessors () =
   let v = parse_ok {|{"s":"x","i":7,"b":true,"f":2.5,"n":null}|} in
@@ -667,6 +790,9 @@ let suite =
     tc "json: every word boundary" test_json_word_boundaries;
     tc "json: errors at every word boundary" test_json_word_boundary_errors;
     tc "json: 1 MiB string roundtrip" test_json_large_string;
+    tc "json: slice parses as its copy" test_json_slice_values;
+    tc "json: slice errors count from the slice" test_json_slice_errors;
+    tc "json: slice cut short" test_json_slice_cut_short;
     tc "retry: deterministic jitter" test_retry_delay_deterministic;
     tc "retry: outcomes" test_retry_outcomes;
     tc "retry: elapsed budget" test_retry_elapsed_budget;
