@@ -14,7 +14,7 @@ let magic = "NF1"
    [n] followed by [k] zero bytes, so eight bytes fold in with eight
    lookups (Kounavis & Berry, "A Systematic Approach to Building High
    Performance Software-Based CRC Generators", ISCC 2005). *)
-let crc_tables =
+let build_crc_tables () =
   let t = Array.make (8 * 256) 0 in
   for n = 0 to 255 do
     let c = ref n in
@@ -29,8 +29,20 @@ let crc_tables =
   done;
   t
 
+(* Built on the first CRC, so a process that frames nothing never pays
+   for them. Domains that race to the first CRC each build the same
+   tables, and the atomic publishes them whole. *)
+let crc_tables = Atomic.make [||]
+
 let crc32_sub s off len =
-  let t = crc_tables in
+  let t =
+    match Atomic.get crc_tables with
+    | [||] ->
+        let t = build_crc_tables () in
+        Atomic.set crc_tables t;
+        t
+    | t -> t
+  in
   let c = ref 0xffffffff in
   let i = ref off in
   let stop = off + len in
@@ -52,8 +64,6 @@ let crc32_sub s off len =
     c := Array.unsafe_get t ((!c lxor Char.code (String.unsafe_get s i)) land 0xff) lxor (!c lsr 8)
   done;
   !c lxor 0xffffffff
-
-let crc32 s = crc32_sub s 0 (String.length s)
 
 (* --- encode --------------------------------------------------------- *)
 
@@ -93,6 +103,7 @@ let encode_json ~id j =
 (* --- decode --------------------------------------------------------- *)
 
 type frame = { id : int; payload : string }
+type view = { view_id : int; src : string; off : int; len : int }
 
 type error = Bad_magic | Bad_version of int | Oversized of int | Crc_mismatch | Bad_id
 
@@ -111,9 +122,10 @@ let pp_error ppf = function
   | Bad_id -> Format.fprintf ppf "request id does not fit"
 
 (* The unconsumed bytes are [buf.[start .. stop - 1]]. A frame is read
-   where it lies: its header in place and its payload with one copy,
-   and consuming it only moves [start]. The bytes left over slide to
-   the front only when a feed would not fit behind them. *)
+   where it lies, header and payload, and consuming it only moves
+   [start]; its bytes stay put until a feed needs the room. The bytes
+   left over slide to the front only when a feed would not fit behind
+   them. *)
 type decoder = {
   max_payload : int;
   mutable buf : Bytes.t;
@@ -168,7 +180,7 @@ let poison d e =
 (* Validate as much of the header as is buffered, so a garbage prefix or
    a forged oversized length is rejected as soon as those bytes arrive —
    before any payload is read, let alone allocated. *)
-let next d =
+let next_view d =
   match d.poisoned with
   | Some e -> Error e
   | None ->
@@ -190,24 +202,20 @@ let next d =
             id := (!id lsl 8) lor Char.code (byte d (4 + i))
           done;
           let crc = u32_at d 16 in
-          let payload = Bytes.sub_string d.buf (d.start + header_bytes) len in
-          d.start <- d.start + header_bytes + len;
+          let src = Bytes.unsafe_to_string d.buf and off = d.start + header_bytes in
+          d.start <- off + len;
           if d.start = d.stop then begin
             d.start <- 0;
             d.stop <- 0
           end;
-          if crc32 payload <> crc then poison d Crc_mismatch
-          else Ok (Some { id = !id; payload })
+          if crc32_sub src off len <> crc then poison d Crc_mismatch
+          else Ok (Some { view_id = !id; src; off; len })
         end
 
-type view = { view_id : int; src : string; off : int; len : int }
-
-let next_view d =
-  match next d with
-  | Ok (Some f) ->
-      Ok (Some { view_id = f.id; src = f.payload; off = 0; len = String.length f.payload })
-  | Ok None -> Ok None
-  | Error e -> Error e
+let next d =
+  Result.map
+    (Option.map (fun v -> { id = v.view_id; payload = String.sub v.src v.off v.len }))
+    (next_view d)
 
 (* --- blocking helpers with injectable I/O --------------------------- *)
 

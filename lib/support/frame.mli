@@ -71,11 +71,16 @@ val next : decoder -> (frame option, error) result
 (** The next complete frame; [Ok None] means more bytes are needed. *)
 
 type view = { view_id : int; src : string; off : int; len : int }
-(** A complete frame whose payload is bytes [off] to [off + len - 1] of
-    [src], its CRC already checked. *)
+(** A complete frame where it lies in the decoder's buffer: its payload
+    is bytes [off] to [off + len - 1] of [src], its CRC already checked.
+    [src] is the buffer itself, so a view is valid only until the next
+    {!feed} or {!feed_bytes} on its decoder, which may move or overwrite
+    those bytes; whatever outlives that must be copied out first. *)
 
 val next_view : decoder -> (view option, error) result
-(** {!next} without the payload copy. *)
+(** {!next} without the payload copy: a daemon parses each request
+    where it lies ({!Json.parse_sub}), so its bytes are copied only
+    into the parsed tree. *)
 
 val mid_frame : decoder -> bool
 (** Some bytes of an incomplete frame (or header) are buffered — the

@@ -25,19 +25,20 @@ let max_depth = 512
 
 (* The parser allocates only what it returns: no option per byte, and a
    string's bytes are copied once, straight into a result sized
-   exactly. *)
+   exactly. It reads [s] from [i] up to [stop], never past it: the text
+   may be a slice of a larger buffer. *)
 
-type cursor = { s : string; mutable i : int }
+type cursor = { s : string; mutable i : int; stop : int }
 
 let fail c msg = raise (Parse_error (c.i, msg))
-let at_end c = c.i >= String.length c.s
+let at_end c = c.i >= c.stop
 
 (* The current byte; callers check [at_end] first. *)
 let cur c = String.unsafe_get c.s c.i
 
 let skip_ws c =
   while
-    c.i < String.length c.s
+    c.i < c.stop
     && match cur c with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
   do
     c.i <- c.i + 1
@@ -54,7 +55,7 @@ let rec lies_at s i word k =
 
 let literal c word v =
   let n = String.length word in
-  if c.i + n <= String.length c.s && lies_at c.s c.i word 0 then begin
+  if c.i + n <= c.stop && lies_at c.s c.i word 0 then begin
     c.i <- c.i + n;
     v
   end
@@ -167,7 +168,7 @@ let rec body_length s n j acc =
 let rec decode_string c dst o =
   let s = c.s in
   let start = c.i in
-  c.i <- plain_run s (String.length s) start;
+  c.i <- plain_run s c.stop start;
   let run = c.i - start in
   Bytes.blit_string s start dst o run;
   let o = o + run in
@@ -214,8 +215,7 @@ let rec decode_string c dst o =
    [body_length] sized exactly. *)
 let parse_string c =
   expect c '"';
-  let s = c.s and start = c.i in
-  let n = String.length s in
+  let s = c.s and start = c.i and n = c.stop in
   let j = plain_run s n start in
   if j < n && String.unsafe_get s j = '"' then begin
     c.i <- j + 1;
@@ -330,19 +330,20 @@ let rec parse_value c ~depth =
   | '-' | '0' .. '9' -> parse_number c
   | ch -> fail c (Printf.sprintf "unexpected character %C" ch)
 
-let parse s =
-  let c = { s; i = 0 } in
+let parse_sub s ~off ~len =
+  if off < 0 || len < 0 || off > String.length s - len then invalid_arg "Json.parse_sub";
+  let c = { s; i = off; stop = off + len } in
   match
     let v = parse_value c ~depth:0 in
     skip_ws c;
-    if c.i <> String.length s then fail c "trailing garbage after value";
+    if c.i <> c.stop then fail c "trailing garbage after value";
     v
   with
   | v -> Ok v
   | exception Parse_error (i, msg) ->
-      Error (Printf.sprintf "JSON parse error at byte %d: %s" i msg)
+      Error (Printf.sprintf "JSON parse error at byte %d: %s" (i - off) msg)
 
-let parse_sub s ~off ~len = parse (String.sub s off len)
+let parse s = parse_sub s ~off:0 ~len:(String.length s)
 
 (* --- printing ---------------------------------------------------------- *)
 

@@ -22,9 +22,10 @@ val parse : string -> (t, string) result
     levels all return [Error] with a byte offset. *)
 
 val parse_sub : string -> off:int -> len:int -> (t, string) result
-(** [parse_sub s ~off ~len] is [parse (String.sub s off len)]: it reads
-    no byte of [s] outside the slice, counts error offsets from [off],
-    and the tree it returns shares no bytes with [s].
+(** [parse_sub s ~off ~len] is [parse (String.sub s off len)] without
+    the copy: it reads no byte of [s] outside the slice, counts error
+    offsets from [off], and the tree it returns shares no bytes with
+    [s], so [s] may be a buffer that is overwritten later.
     @raise Invalid_argument if the slice is not within [s]. *)
 
 val to_string : t -> string

@@ -482,10 +482,14 @@ let enqueue t conn ~frame ~id req =
     Mutex.unlock t.lock
   end
 
+(* A frame's payload, parsed where it lies in the decoder's buffer. *)
+let parse_view (v : Frame.view) = Json.parse_sub v.src ~off:v.off ~len:v.len
+
 (* One frame payload, parsed and dispatched; the response is tagged
    with the request's frame id. *)
-let handle_request t conn ~frame body =
-  match Json.parse body with
+let handle_request t conn (v : Frame.view) =
+  let frame = v.view_id in
+  match parse_view v with
   | Error msg ->
       locked t (fun () -> t.c.bad_requests <- t.c.bad_requests + 1);
       answer t ~frame conn (error ~id:Json.Null ~code:"bad-request" msg)
@@ -521,23 +525,24 @@ let proto_reject t conn detail =
 (* Drain every complete frame buffered in the decoder. The first frame
    must be the hello (the version handshake); after that each payload
    is an ordinary request tagged with its frame id — the pipelining
-   tag that lets responses complete out of order on one socket.
-   Returns false when the connection must close. *)
+   tag that lets responses complete out of order on one socket. Each
+   payload is parsed before the next feed can move it. Returns false
+   when the connection must close. *)
 let rec drain_frames t conn =
-  match Frame.next conn.dec with
+  match Frame.next_view conn.dec with
   | Ok None -> true
-  | Ok (Some f) ->
+  | Ok (Some v) ->
       if conn.greeted then begin
-        handle_request t conn ~frame:f.Frame.id f.Frame.payload;
+        handle_request t conn v;
         drain_frames t conn
       end
       else begin
-        match Json.parse f.Frame.payload with
+        match parse_view v with
         | Ok j -> (
             match Frame.check_hello j with
             | Ok _ ->
                 conn.greeted <- true;
-                answer t ~frame:f.Frame.id conn hello_ack;
+                answer t ~frame:v.view_id conn hello_ack;
                 drain_frames t conn
             | Error msg ->
                 proto_reject t conn msg;

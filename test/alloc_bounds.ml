@@ -103,6 +103,34 @@ let test_json_parse_alloc_bound () =
           b.Suite.name (String.length req) words bound)
     Suite.all
 
+(* A daemon decodes each request and parses it where it lies in the
+   connection's buffer: the source is allocated once, as the decoded
+   string in the tree, and never as a frame payload. *)
+let test_request_decode_parse_alloc_bound () =
+  let d = Frame.decoder () in
+  List.iter
+    (fun (b : Suite.benchmark) ->
+      let frame = Frame.encode ~id:7 (compile_request b.Suite.source) in
+      let feed () = Frame.feed d frame ~off:0 ~len:(String.length frame) in
+      (* warm: the decoder has already held a frame this size *)
+      feed ();
+      ignore (Frame.next_view d);
+      feed ();
+      let parsed, words =
+        allocated_words (fun () ->
+            match Frame.next_view d with
+            | Ok (Some v) -> Json.parse_sub v.Frame.src ~off:v.Frame.off ~len:v.Frame.len
+            | _ -> Alcotest.failf "%s: frame not decoded" b.Suite.name)
+      in
+      Alcotest.(check (option string))
+        (b.Suite.name ^ ": source decoded") (Some b.Suite.source)
+        (Option.bind (Result.to_option parsed) (Json.str_member "source"));
+      let bound = string_words b.Suite.source + 256 in
+      if words > bound then
+        Alcotest.failf "%s: decoding and parsing a %d-byte frame allocated %d words, bound %d"
+          b.Suite.name (String.length frame) words bound)
+    Suite.all
+
 (* --- allocation budgets on the compile path -----------------------------
 
    A compile's garbage is paid by every domain of a daemon (each minor
@@ -189,6 +217,8 @@ let () =
           Alcotest.test_case "frame: next allocation bound" `Quick test_frame_next_alloc_bound;
           Alcotest.test_case "memo: key allocation bound" `Quick test_memo_key_alloc_bound;
           Alcotest.test_case "json: parse allocation bound" `Quick test_json_parse_alloc_bound;
+          Alcotest.test_case "request: decode and parse allocation bound" `Quick
+            test_request_decode_parse_alloc_bound;
           Alcotest.test_case "compile: allocation budget" `Quick test_compile_alloc_budget;
           Alcotest.test_case "service: compile response allocation" `Quick
             test_compile_response_alloc_bound;

@@ -448,6 +448,7 @@ let test_view_aliasing () =
   let ta = parse_view va in
   feed_all d (String.sub fb half (String.length fb - half));
   feed_all d (Frame.encode ~id:12 pc);
+  Alcotest.(check bool) "B slid over A's bytes" false (String.equal pa (view_payload va));
   feed_all d (Frame.encode ~id:13 pa);
   let expect what payload j =
     Alcotest.(check string) what payload (Json.to_string j)
