@@ -389,7 +389,7 @@ let test_view_faulty () =
       Netfault.Truncated_write; Netfault.Reset_mid_exchange ]
 
 (* A flipped payload bit fails the view's CRC check, and the decoder
-   stays poisoned; every length a word loop can leave decodes. *)
+   stays poisoned. *)
 let test_view_crc_and_poison () =
   let payload = String.init 64 (fun i -> Char.chr ((i * 89 + 3) land 0xff)) in
   let s = Frame.encode ~id:11 payload in
@@ -410,14 +410,6 @@ let test_view_crc_and_poison () =
     poisoned ();
     feed_all d s;
     poisoned ()
-  done;
-  for len = 0 to 64 do
-    let payload = String.init len (fun i -> Char.chr ((i * 167 + len * 31 + 7) land 0xff)) in
-    let d = Frame.decoder () in
-    feed_all d (Frame.encode ~id:len payload);
-    let v = take_view d in
-    Alcotest.(check int) (Printf.sprintf "%d bytes: id" len) len v.Frame.view_id;
-    Alcotest.(check string) (Printf.sprintf "%d bytes decode" len) payload (view_payload v)
   done
 
 (* A payload of [n] bytes: a JSON object, padded out with a string. *)
