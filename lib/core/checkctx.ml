@@ -37,3 +37,39 @@ let universe (t : t) : Universe.t =
   t.present <-
     Universe.sync t.table (List.map (fun m -> m.Ir.Types.chk) (Ir.Func.all_check_metas t.func));
   t.table
+
+type counts = {
+  mutable strengthened : int;
+  mutable pre_inserted : int;
+  mutable hoisted_invariant : int;
+  mutable hoisted_linear : int;
+  mutable guards_inserted : int;
+  mutable plain_inserted : int;
+  mutable redundant_deleted : int;
+  mutable compile_time_deleted : int;
+  mutable compile_time_traps : int;
+}
+
+let counts () =
+  {
+    strengthened = 0;
+    pre_inserted = 0;
+    hoisted_invariant = 0;
+    hoisted_linear = 0;
+    guards_inserted = 0;
+    plain_inserted = 0;
+    redundant_deleted = 0;
+    compile_time_deleted = 0;
+    compile_time_traps = 0;
+  }
+
+let add_counts ~into c =
+  into.strengthened <- into.strengthened + c.strengthened;
+  into.pre_inserted <- into.pre_inserted + c.pre_inserted;
+  into.hoisted_invariant <- into.hoisted_invariant + c.hoisted_invariant;
+  into.hoisted_linear <- into.hoisted_linear + c.hoisted_linear;
+  into.guards_inserted <- into.guards_inserted + c.guards_inserted;
+  into.plain_inserted <- into.plain_inserted + c.plain_inserted;
+  into.redundant_deleted <- into.redundant_deleted + c.redundant_deleted;
+  into.compile_time_deleted <- into.compile_time_deleted + c.compile_time_deleted;
+  into.compile_time_traps <- into.compile_time_traps + c.compile_time_traps

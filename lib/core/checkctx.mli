@@ -42,3 +42,25 @@ val universe : t -> Nascent_checks.Universe.t
     checks get their rows and {!present} becomes their ids. A pass
     calls it when it starts, and again after it inserted checks it
     wants to analyse. *)
+
+(** What the passes did to one function, one counter per kind of
+    change. A pass bumps the record it is passed; the optimizer hands
+    each pass attempt fresh counts and adds them to the function's
+    total only when the pass commits, so a rolled-back pass counts
+    nothing. *)
+type counts = {
+  mutable strengthened : int;
+  mutable pre_inserted : int;
+  mutable hoisted_invariant : int;
+  mutable hoisted_linear : int;
+  mutable guards_inserted : int;  (** conditional checks inserted *)
+  mutable plain_inserted : int;  (** guard known true at compile time *)
+  mutable redundant_deleted : int;
+  mutable compile_time_deleted : int;
+  mutable compile_time_traps : int;
+}
+
+val counts : unit -> counts
+(** All zero. *)
+
+val add_counts : into:counts -> counts -> unit

@@ -10,20 +10,11 @@ module Intern = Nascent_checks.Intern
 module Expr = Nascent_ir.Expr
 open Ir.Types
 
-type stats = {
-  mutable redundant_deleted : int;
-  mutable compile_time_deleted : int;
-  mutable compile_time_traps : int;
-}
-
-let new_stats () =
-  { redundant_deleted = 0; compile_time_deleted = 0; compile_time_traps = 0 }
-
 (* Step 4: remove every check instruction whose check is available at
    its own program point. One forward scan per block, seeded with the
    block-entry availability; [cur] holds present checks only, as the
    analysis does, so a check gone from the function never covers one. *)
-let redundancy_elimination (ctx : Checkctx.t) (st : stats) : unit =
+let redundancy_elimination (ctx : Checkctx.t) (st : Checkctx.counts) : unit =
   let f = ctx.Checkctx.func in
   let uni = Checkctx.universe ctx in
   let pool = Universe.pool uni in
@@ -109,7 +100,7 @@ let redundancy_elimination (ctx : Checkctx.t) (st : stats) : unit =
    too — if its guard is true the check runs and passes, and if false
    the instruction was a no-op either way. The block-entry facts solved
    are returned: they are the certificate's hint. *)
-let oracle_elimination ~pool (f : Ir.Func.t) (st : stats) : Ir.Validate.Facts.state array =
+let oracle_elimination ~pool (f : Ir.Func.t) (st : Checkctx.counts) : Ir.Validate.Facts.state array =
   let atoms = f.Ir.Func.atoms in
   let entry = Ir.Validate.Facts.ambient_entry ~pool f in
   let reach = Ir.Func.reachable f in
@@ -141,7 +132,7 @@ let oracle_elimination ~pool (f : Ir.Func.t) (st : stats) : Ir.Validate.Facts.st
    decided now; true ones disappear, false ones become TRAP
    instructions reported to the programmer. Conditional checks also
    fold their guard when it is constant. *)
-let compile_time_checks (f : Ir.Func.t) (st : stats) : unit =
+let compile_time_checks (f : Ir.Func.t) (st : Checkctx.counts) : unit =
   (* [orig] is returned whenever the instruction is unchanged so the
      verifier's physical-identity diff sees only genuine rewrites. *)
   let fold_check ~(orig : instr) (m : check_meta) ~(guard : expr option) :

@@ -2,17 +2,10 @@
     that are available (hence redundant), then fold compile-time
     checks — true ones disappear, false ones become [TRAP] instructions
     reported to the programmer. Every placement scheme ends with this
-    pass. *)
+    pass. Each step bumps the counts it is passed: [redundant_deleted],
+    or [compile_time_deleted] and [compile_time_traps]. *)
 
-type stats = {
-  mutable redundant_deleted : int;
-  mutable compile_time_deleted : int;
-  mutable compile_time_traps : int;
-}
-
-val new_stats : unit -> stats
-
-val redundancy_elimination : Checkctx.t -> stats -> unit
+val redundancy_elimination : Checkctx.t -> Checkctx.counts -> unit
 (** Step 4: one forward scan per block seeded with block-entry
     availability; a check instruction whose check is covered by an
     available one is deleted, otherwise it generates. Syncs the
@@ -21,7 +14,7 @@ val redundancy_elimination : Checkctx.t -> stats -> unit
 val oracle_elimination :
   pool:Nascent_checks.Intern.t ->
   Nascent_ir.Func.t ->
-  stats ->
+  Checkctx.counts ->
   Nascent_ir.Validate.Facts.state array
 (** Step 4b ([--oracle] only): delete every check (and every guarded
     check) provable from the {e ambient} facts of its program point —
@@ -34,5 +27,5 @@ val oracle_elimination :
     certificate. Returns the block-entry facts it solved, which the
     certificate takes as its hint. *)
 
-val compile_time_checks : Nascent_ir.Func.t -> stats -> unit
+val compile_time_checks : Nascent_ir.Func.t -> Checkctx.counts -> unit
 (** Step 5; also folds constant conditional-check guards. *)

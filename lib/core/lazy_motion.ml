@@ -28,8 +28,6 @@ open Ir.Types
 
 type placement = Safe_earliest | Latest_not_isolated
 
-type stats = { mutable inserted : int }
-
 (* Local predicates per block:
    ANTLOC — check locally anticipatable (performed before any kill);
    TRANSP — block does not kill the check. *)
@@ -64,7 +62,7 @@ let locals (ctx : Checkctx.t) (b : block) : local =
    were split, either m has a single successor (append before its
    terminator) or n has a single predecessor (prepend). Within a family
    the strongest check is inserted first, so elimination keeps only it. *)
-let insert_on_edge (ctx : Checkctx.t) preds (st : stats) m n (set : Bitset.t) =
+let insert_on_edge (ctx : Checkctx.t) preds (c : Checkctx.counts) m n (set : Bitset.t) =
   if not (Bitset.is_empty set) then begin
     let f = ctx.Checkctx.func in
     let checks =
@@ -74,11 +72,11 @@ let insert_on_edge (ctx : Checkctx.t) preds (st : stats) m n (set : Bitset.t) =
     in
     let instrs =
       List.map
-        (fun c ->
-          Check { chk = c; src_array = "<pre>"; src_dim = 0; kind = Upper })
+        (fun chk ->
+          Check { chk; src_array = "<pre>"; src_dim = 0; kind = Upper })
         checks
     in
-    st.inserted <- st.inserted + List.length instrs;
+    c.pre_inserted <- c.pre_inserted + List.length instrs;
     if m = -1 then begin
       (* virtual entry edge: insert at the top of the entry block *)
       let nb = Ir.Func.block f n in
@@ -94,8 +92,7 @@ let insert_on_edge (ctx : Checkctx.t) preds (st : stats) m n (set : Bitset.t) =
     end
   end
 
-let run (ctx : Checkctx.t) ~(placement : placement) : stats =
-  let st = { inserted = 0 } in
+let run (ctx : Checkctx.t) ~(placement : placement) (c : Checkctx.counts) : unit =
   let f = ctx.Checkctx.func in
   ignore (Ir.Func.split_critical_edges f);
   (* Splitting added blocks, which leaves the context's loops stale:
@@ -133,7 +130,7 @@ let run (ctx : Checkctx.t) ~(placement : placement) : stats =
   in
   (match placement with
   | Safe_earliest ->
-      List.iter (fun (m, nd) -> insert_on_edge ctx preds st m nd (earliest m nd)) edges
+      List.iter (fun (m, nd) -> insert_on_edge ctx preds c m nd (earliest m nd)) edges
   | Latest_not_isolated ->
       (* LATER system (Knoop et al. 92):
          LATERIN(n) = ∧_{(m,n)} LATER(m,n)   (entry: the virtual edge's EARLIEST)
@@ -166,6 +163,5 @@ let run (ctx : Checkctx.t) ~(placement : placement) : stats =
         (fun (m, nd) ->
           let ins = later (m, nd) in
           Bitset.diff_into ~into:ins laterin.(nd);
-          insert_on_edge ctx preds st m nd ins)
-        edges);
-  st
+          insert_on_edge ctx preds c m nd ins)
+        edges)

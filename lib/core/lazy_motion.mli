@@ -16,6 +16,5 @@
 
 type placement = Safe_earliest | Latest_not_isolated
 
-type stats = { mutable inserted : int }
-
-val run : Checkctx.t -> placement:placement -> stats
+val run : Checkctx.t -> placement:placement -> Checkctx.counts -> unit
+(** Bumps [pre_inserted] per inserted check. *)

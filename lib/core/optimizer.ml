@@ -84,18 +84,19 @@ type stats = {
   work : Nascent_checks.Work.t; (* the proof engine's deterministic work counts *)
 }
 
-let empty_stats config =
+(* Stats carrying [c]'s counters and nothing else yet. *)
+let stats_of config (c : Checkctx.counts) =
   {
     config;
-    strengthened = 0;
-    pre_inserted = 0;
-    hoisted_invariant = 0;
-    hoisted_linear = 0;
-    guards_inserted = 0;
-    plain_inserted = 0;
-    redundant_deleted = 0;
-    compile_time_deleted = 0;
-    compile_time_traps = 0;
+    strengthened = c.strengthened;
+    pre_inserted = c.pre_inserted;
+    hoisted_invariant = c.hoisted_invariant;
+    hoisted_linear = c.hoisted_linear;
+    guards_inserted = c.guards_inserted;
+    plain_inserted = c.plain_inserted;
+    redundant_deleted = c.redundant_deleted;
+    compile_time_deleted = c.compile_time_deleted;
+    compile_time_traps = c.compile_time_traps;
     static_checks_before = 0;
     static_checks_after = 0;
     passes = [];
@@ -156,6 +157,23 @@ let add a b =
     work = Nascent_checks.Work.add a.work b.work;
   }
 
+(* Step 3, the one step a scheme chooses: its placement passes in
+   pipeline order, each with its name and its verifier rules. *)
+let placement :
+    Config.scheme -> (string * Ir.Verify.pass * (Checkctx.t -> Checkctx.counts -> unit)) list =
+  let strengthen = ("strengthen", Ir.Verify.Strengthen, Strengthen.run) in
+  let hoist variant = ("hoist", Ir.Verify.Hoist, Preheader.run ~variant) in
+  let pre_insert placement = ("pre-insert", Ir.Verify.Code_motion, Lazy_motion.run ~placement) in
+  function
+  | Config.NI -> []
+  | Config.CS -> [ strengthen ]
+  | Config.SE -> [ pre_insert Lazy_motion.Safe_earliest ]
+  | Config.LNI -> [ pre_insert Lazy_motion.Latest_not_isolated ]
+  | Config.LI -> [ hoist Preheader.Invariant_only ]
+  | Config.LLS -> [ hoist Preheader.Loop_limit ]
+  | Config.MCM -> [ hoist Preheader.Markstein ]
+  | Config.ALL -> [ hoist Preheader.Loop_limit; pre_insert Lazy_motion.Safe_earliest ]
+
 (* Optimize one function in place.
 
    Fail-safe contract: every pass runs against a snapshot of the
@@ -178,16 +196,20 @@ let optimize_func (config : Config.t) (f : Ir.Func.t) : stats =
   let passes = ref [] in
   let incidents = ref [] in
   let faults_injected = ref 0 in
+  let total = Checkctx.counts () in
   (* Time [body] under a fuel budget, record its pass stats, and — when
      verifying — check the function against [vpass]'s differential
      rules relative to the snapshot. [vpass = None] marks steps that do
      not mutate the IR (context construction), which are timed and
      guarded but not re-verified. Any fault (exception, verifier
      rejection, fuel exhaustion) rolls the snapshot back and records an
-     incident instead of propagating. *)
-  let run_pass : type a. string -> ?vpass:Ir.Verify.pass -> (unit -> a) -> (a, unit) result
-      =
+     incident instead of propagating. [body] bumps fresh counts, which
+     join the function's total only if the pass commits: a rolled-back
+     pass counts nothing. *)
+  let run_pass : type a.
+      string -> ?vpass:Ir.Verify.pass -> (Checkctx.counts -> a) -> (a, unit) result =
    fun name ?vpass body ->
+    let counts = Checkctx.counts () in
     let before = Ir.Transform.snapshot_func f in
     let _, cb = Ir.Func.static_counts f in
     let t = Mclock.counter () in
@@ -197,7 +219,7 @@ let optimize_func (config : Config.t) (f : Ir.Func.t) : stats =
           Guard.with_fuel
             (Guard.fuel ~what:(f.Ir.Func.fname ^ ":" ^ name) ~budget:pass_fuel_budget)
             (fun () ->
-              let r = body () in
+              let r = body counts in
               (* Deliberate corruption of this pass's output, if the
                  configured fault targets it. *)
               (match fault with
@@ -225,6 +247,7 @@ let optimize_func (config : Config.t) (f : Ir.Func.t) : stats =
     let dt = Mclock.elapsed_s t in
     match outcome with
     | Ok r ->
+        Checkctx.add_counts ~into:total counts;
         let _, ca = Ir.Func.static_counts f in
         passes :=
           { pass = name; pass_time_s = dt; pass_checks_before = cb; pass_checks_after = ca }
@@ -248,7 +271,6 @@ let optimize_func (config : Config.t) (f : Ir.Func.t) : stats =
           :: !passes;
         Error ()
   in
-  let st = ref (empty_stats config) in
   (* INX: rewrite checks into induction-expression form first, so every
      later pass sees induction checks (section 2.3); the loops it found
      serve the context. A rolled-back rewrite leaves PRX-form checks —
@@ -257,7 +279,7 @@ let optimize_func (config : Config.t) (f : Ir.Func.t) : stats =
     if config.Config.kind <> Config.INX then None
     else
       match
-        run_pass "inx-rewrite" ~vpass:Ir.Verify.Rewrite (fun () -> Induction_rewrite.run f)
+        run_pass "inx-rewrite" ~vpass:Ir.Verify.Rewrite (fun _ -> Induction_rewrite.run f)
       with
       | Ok s -> Some s.Induction_rewrite.loops
       | Error () -> None
@@ -285,108 +307,31 @@ let optimize_func (config : Config.t) (f : Ir.Func.t) : stats =
      certificate's hint. *)
   let hint =
     match
-      run_pass "context" (fun () ->
+      run_pass "context" (fun _ ->
           Checkctx.create ~mode:config.Config.impl ~oracle:config.Config.oracle ~pool ?loops f)
     with
     | Error () -> None
     | Ok ctx ->
-      (match config.Config.scheme with
-      | Config.NI -> ()
-      | Config.CS -> (
-          match
-            run_pass "strengthen" ~vpass:Ir.Verify.Strengthen (fun () -> Strengthen.run ctx)
-          with
-          | Ok s -> st := { !st with strengthened = s.Strengthen.strengthened }
-          | Error () -> ())
-      | Config.SE | Config.LNI -> (
-          let placement =
-            if config.Config.scheme = Config.SE then Lazy_motion.Safe_earliest
-            else Lazy_motion.Latest_not_isolated
-          in
-          match
-            run_pass "pre-insert" ~vpass:Ir.Verify.Code_motion (fun () ->
-                Lazy_motion.run ctx ~placement)
-          with
-          | Ok s -> st := { !st with pre_inserted = s.Lazy_motion.inserted }
-          | Error () -> ())
-      | Config.LI | Config.LLS | Config.MCM -> (
-          let variant =
-            match config.Config.scheme with
-            | Config.LI -> Preheader.Invariant_only
-            | Config.MCM -> Preheader.Markstein
-            | _ -> Preheader.Loop_limit
-          in
-          match
-            run_pass "hoist" ~vpass:Ir.Verify.Hoist (fun () -> Preheader.run ctx ~variant)
-          with
-          | Ok s ->
-              st :=
-                {
-                  !st with
-                  hoisted_invariant = s.Preheader.hoisted_invariant;
-                  hoisted_linear =
-                    (if config.Config.scheme = Config.LI then 0
-                     else s.Preheader.hoisted_linear);
-                  guards_inserted = s.Preheader.guards_inserted;
-                  plain_inserted = s.Preheader.plain_inserted;
-                }
-          | Error () -> ())
-      | Config.ALL ->
-          (match
-             run_pass "hoist" ~vpass:Ir.Verify.Hoist (fun () ->
-                 Preheader.run ctx ~variant:Preheader.Loop_limit)
-           with
-          | Ok s1 ->
-              st :=
-                {
-                  !st with
-                  hoisted_invariant = s1.Preheader.hoisted_invariant;
-                  hoisted_linear = s1.Preheader.hoisted_linear;
-                  guards_inserted = s1.Preheader.guards_inserted;
-                  plain_inserted = s1.Preheader.plain_inserted;
-                }
-          | Error () -> ());
-          (match
-             run_pass "pre-insert" ~vpass:Ir.Verify.Code_motion (fun () ->
-                 Checkctx.refresh ctx;
-                 Lazy_motion.run ctx ~placement:Lazy_motion.Safe_earliest)
-           with
-          | Ok s2 -> st := { !st with pre_inserted = s2.Lazy_motion.inserted }
-          | Error () -> ()));
-      (* A rolled-back eliminate/fold leaves counters [e] accumulated
-         mid-flight; read them only from passes that committed. *)
-      let e = Eliminate.new_stats () in
-      let elim =
-        run_pass "eliminate" ~vpass:Ir.Verify.Elimination (fun () ->
-            Checkctx.refresh ctx;
-            Eliminate.redundancy_elimination ctx e)
-      in
-      (* The decision-procedure sweep is its own pass so a rollback
-         (fuel, verifier) costs only the oracle's extra deletions, not
-         the syntactic elimination above; its counters are likewise
-         separate so a rolled-back sweep contributes zero. *)
-      let eo = Eliminate.new_stats () in
-      let oelim =
-        if config.Config.oracle then
-          run_pass "oracle-elim" ~vpass:Ir.Verify.Elimination (fun () ->
-              Some (Eliminate.oracle_elimination ~pool f eo))
-        else Ok None
-      in
-      let fold =
-        run_pass "fold" ~vpass:Ir.Verify.Fold (fun () -> Eliminate.compile_time_checks f e)
-      in
-      st :=
-        {
-          !st with
-          redundant_deleted =
-            (match elim with Ok () -> e.Eliminate.redundant_deleted | Error () -> 0)
-            + (match oelim with Ok _ -> eo.Eliminate.redundant_deleted | Error () -> 0);
-          compile_time_deleted =
-            (match fold with Ok () -> e.Eliminate.compile_time_deleted | Error () -> 0);
-          compile_time_traps =
-            (match fold with Ok () -> e.Eliminate.compile_time_traps | Error () -> 0);
-        };
-      Option.join (Result.to_option oelim)
+        List.iter
+          (fun (name, vpass, run) ->
+            ignore
+              (run_pass name ~vpass (fun c ->
+                   Checkctx.refresh ctx;
+                   run ctx c)))
+          (placement config.Config.scheme
+          @ [ ("eliminate", Ir.Verify.Elimination, Eliminate.redundancy_elimination) ]);
+        (* The decision-procedure sweep is its own pass so a rollback
+           (fuel, verifier) costs only the oracle's extra deletions, not
+           the syntactic elimination above. *)
+        let hint =
+          if not config.Config.oracle then None
+          else
+            Result.to_option
+              (run_pass "oracle-elim" ~vpass:Ir.Verify.Elimination
+                 (Eliminate.oracle_elimination ~pool f))
+        in
+        ignore (run_pass "fold" ~vpass:Ir.Verify.Fold (Eliminate.compile_time_checks f));
+        hint
   in
   let _, checks_after = Ir.Func.static_counts f in
   (* The certificate: prove every reference check site is still covered
@@ -415,26 +360,23 @@ let optimize_func (config : Config.t) (f : Ir.Func.t) : stats =
      function (the experiment harness keeps dozens) should not also
      keep it. Whoever analyses the function again rebuilds one. *)
   f.Ir.Func.view <- None;
-  let result =
-    {
-      !st with
-      static_checks_before = checks_before;
-      static_checks_after = checks_after;
-      passes = List.rev !passes;
-      incidents = List.rev !incidents;
-      faults_injected = !faults_injected;
-      elapsed_s = Mclock.elapsed_s t0;
-      validation;
-      work = Nascent_checks.Work.since w0;
-    }
-  in
-  result
+  {
+    (stats_of config total) with
+    static_checks_before = checks_before;
+    static_checks_after = checks_after;
+    passes = List.rev !passes;
+    incidents = List.rev !incidents;
+    faults_injected = !faults_injected;
+    elapsed_s = Mclock.elapsed_s t0;
+    validation;
+    work = Nascent_checks.Work.since w0;
+  }
 
 (* Optimize a whole program, returning the optimized copy and the
    aggregated statistics. *)
 let optimize ?(config = Config.default) (p : Ir.Program.t) : Ir.Program.t * stats =
   let q = Ir.Transform.copy_program p in
-  let st = ref (empty_stats config) in
+  let st = ref (stats_of config (Checkctx.counts ())) in
   List.iter (fun f -> st := add !st (optimize_func config f)) (Ir.Program.funcs_sorted q);
   (q, !st)
 

@@ -102,6 +102,13 @@ val validated : stats -> bool option
 val add : stats -> stats -> stats
 (** Sums counters and per-pass records (merged by pass name). *)
 
+val placement :
+  Config.scheme -> (string * Nascent_ir.Verify.pass * (Checkctx.t -> Checkctx.counts -> unit)) list
+(** Step 3, the one step a scheme chooses: its placement passes in
+    pipeline order, each with its pass name and the verifier rules
+    its output is checked against. [NI] places nothing; [ALL] hoists
+    with loop-limit substitution, then inserts safe-earliest. *)
+
 val optimize_func : Config.t -> Nascent_ir.Func.t -> stats
 (** Optimize one function in place. A pass that faults is rolled back
     and reported in [stats.incidents]; the function is always left in a

@@ -52,16 +52,6 @@ type variant =
          single atom with unit coefficient) are hoisted — dominance
          reasoning instead of data-flow anticipatability. *)
 
-type stats = {
-  mutable hoisted_invariant : int;
-  mutable hoisted_linear : int;
-  mutable guards_inserted : int; (* conditional checks inserted *)
-  mutable plain_inserted : int; (* unconditional (guard known true) *)
-}
-
-let new_stats () =
-  { hoisted_invariant = 0; hoisted_linear = 0; guards_inserted = 0; plain_inserted = 0 }
-
 (* --- classification ------------------------------------------------- *)
 
 let atom_invariant (atoms : Ir.Atoms.t) (l : Loops.loop) (a : Atom.t) : bool =
@@ -270,7 +260,7 @@ let already_covered (pre : block) ~guard ~(chk : Check.t) ~mode =
 (* [ant ()] is the anticipatability of the function as it stands, over
    the context's check table; [idom] and [preds] hold for the whole
    pass. *)
-let process_loop (ctx : Checkctx.t) ~variant ~idom ~preds ~ant (st : stats)
+let process_loop (ctx : Checkctx.t) ~variant ~idom ~preds ~ant (st : Checkctx.counts)
     (l : Loops.loop) : bool =
   let f = ctx.Checkctx.func in
   let atoms = f.Ir.Func.atoms in
@@ -372,8 +362,7 @@ let process_loop (ctx : Checkctx.t) ~variant ~idom ~preds ~ant (st : stats)
       end
       else false
 
-let run (ctx : Checkctx.t) ~variant : stats =
-  let st = new_stats () in
+let run (ctx : Checkctx.t) ~variant (st : Checkctx.counts) : unit =
   let f = ctx.Checkctx.func in
   (* Loops are processed innermost-first, and each hoist can enable
      hoisting from the enclosing loop, so anticipatability is solved
@@ -396,5 +385,4 @@ let run (ctx : Checkctx.t) ~variant : stats =
   in
   List.iter
     (fun l -> if process_loop ctx ~variant ~idom ~preds ~ant st l then current := None)
-    ctx.Checkctx.loops;
-  st
+    ctx.Checkctx.loops

@@ -24,11 +24,6 @@ type variant =
           (single-atom, unit-coefficient) range expressions — dominance
           reasoning instead of data-flow anticipatability. *)
 
-type stats = {
-  mutable hoisted_invariant : int;
-  mutable hoisted_linear : int;
-  mutable guards_inserted : int;  (** conditional checks inserted *)
-  mutable plain_inserted : int;  (** guard known true at compile time *)
-}
-
-val run : Checkctx.t -> variant:variant -> stats
+val run : Checkctx.t -> variant:variant -> Checkctx.counts -> unit
+(** Bumps [hoisted_invariant] or [hoisted_linear] per hoisted site and
+    [guards_inserted] or [plain_inserted] per preheader insertion. *)

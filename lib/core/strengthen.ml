@@ -14,10 +14,7 @@ module Universe = Nascent_checks.Universe
 module Intern = Nascent_checks.Intern
 open Ir.Types
 
-type stats = { mutable strengthened : int }
-
-let run (ctx : Checkctx.t) : stats =
-  let st = { strengthened = 0 } in
+let run (ctx : Checkctx.t) (n : Checkctx.counts) : unit =
   let uni = Checkctx.universe ctx in
   let pool = Universe.pool uni in
   let ant = Analyses.anticipatability ctx in
@@ -56,7 +53,7 @@ let run (ctx : Checkctx.t) : stats =
                    family-weaker checks become anticipatable for
                    instructions earlier in the block. *)
                 gen cur !best;
-                st.strengthened <- st.strengthened + 1;
+                n.strengthened <- n.strengthened + 1;
                 Check { m with chk = Intern.check pool !best }
               end
               else i
@@ -71,5 +68,4 @@ let run (ctx : Checkctx.t) : stats =
            returns them in the original order. *)
         b.instrs <- List.rev_map strengthened_instr (List.rev b.instrs)
       end)
-    f;
-  st
+    f

@@ -7,6 +7,5 @@
     elimination pass then deletes them. This realizes the paper's
     Figure 1(b) -> 1(c) transformation. *)
 
-type stats = { mutable strengthened : int }
-
-val run : Checkctx.t -> stats
+val run : Checkctx.t -> Checkctx.counts -> unit
+(** Bumps [strengthened] per replaced check. *)

@@ -89,13 +89,13 @@ let test_eliminate_counts () =
   let f = Ir.Program.main_func copy in
   let ctx = ctx_of_func f in
   (* the elimination tail, in the optimizer's order *)
-  let st = Core.Eliminate.new_stats () in
+  let st = Checkctx.counts () in
   Core.Eliminate.redundancy_elimination ctx st;
   if Universe.oracle ctx.Checkctx.table then
     ignore (Core.Eliminate.oracle_elimination ~pool:(Universe.pool ctx.Checkctx.table) f st);
   Core.Eliminate.compile_time_checks f st;
   (* duplicate pair eliminated *)
-  Alcotest.(check int) "redundant deleted" 2 st.Core.Eliminate.redundant_deleted;
+  Alcotest.(check int) "redundant deleted" 2 st.Checkctx.redundant_deleted;
   let _, remaining = Ir.Func.static_counts f in
   Alcotest.(check int) "two remain" 2 remaining
 
@@ -117,8 +117,7 @@ let test_compile_time_fold_guard () =
         Cond_check (Cbool true, m);
         Cond_check (Ebin (Le, Cint 1, Cint 2), m);
       ];
-  let st = Core.Eliminate.new_stats () in
-  Core.Eliminate.compile_time_checks f st;
+  Core.Eliminate.compile_time_checks f (Checkctx.counts ());
   let plain, conds =
     List.fold_left
       (fun (p, c) i ->
@@ -138,25 +137,11 @@ let test_strengthen_stats_on_fig1 () =
   in
   let f = Ir.Program.main_func (Ir.Transform.copy_program prog) in
   let ctx = ctx_of_func f in
-  let st = Core.Strengthen.run ctx in
-  Alcotest.(check int) "one check strengthened" 1 st.Core.Strengthen.strengthened
+  let st = Checkctx.counts () in
+  Core.Strengthen.run ctx st;
+  Alcotest.(check int) "one check strengthened" 1 st.Checkctx.strengthened
 
 (* --- a table that holds deleted checks ---------------------------------- *)
-
-(* A scheme's placement pass, as the optimizer runs it. *)
-let run_scheme ctx = function
-  | Config.NI -> ()
-  | Config.CS -> ignore (Core.Strengthen.run ctx)
-  | Config.SE -> ignore (Core.Lazy_motion.run ctx ~placement:Core.Lazy_motion.Safe_earliest)
-  | Config.LNI ->
-      ignore (Core.Lazy_motion.run ctx ~placement:Core.Lazy_motion.Latest_not_isolated)
-  | Config.LI -> ignore (Core.Preheader.run ctx ~variant:Core.Preheader.Invariant_only)
-  | Config.LLS -> ignore (Core.Preheader.run ctx ~variant:Core.Preheader.Loop_limit)
-  | Config.MCM -> ignore (Core.Preheader.run ctx ~variant:Core.Preheader.Markstein)
-  | Config.ALL ->
-      ignore (Core.Preheader.run ctx ~variant:Core.Preheader.Loop_limit);
-      Checkctx.refresh ctx;
-      ignore (Core.Lazy_motion.run ctx ~placement:Core.Lazy_motion.Safe_earliest)
 
 (* Does [stale]'s table, which still holds the checks the passes so far
    deleted, give the same availability and anticipatability on the
@@ -220,10 +205,14 @@ let test_stale_table_matches_fresh () =
                     Fmt.str "%s %s%s" bm.name (Config.scheme_name scheme)
                       (if oracle then "+O" else "")
                   in
-                  run_scheme ctx scheme;
+                  List.iter
+                    (fun (_, _, run) ->
+                      Checkctx.refresh ctx;
+                      run ctx (Checkctx.counts ()))
+                    (Core.Optimizer.placement scheme);
                   if same_as_fresh (label ^ " placed") ~oracle ctx then incr stale;
                   Checkctx.refresh ctx;
-                  Core.Eliminate.redundancy_elimination ctx (Core.Eliminate.new_stats ());
+                  Core.Eliminate.redundancy_elimination ctx (Checkctx.counts ());
                   if same_as_fresh (label ^ " eliminated") ~oracle ctx then incr stale)
                 (Ir.Program.funcs_sorted prog))
             Config.[ NI; CS; SE; LNI; LI; LLS; ALL; MCM ])
