@@ -23,40 +23,8 @@ type loop = {
 
 let in_loop l bid = bid < Array.length l.block_set && l.block_set.(bid)
 
-(* The natural loop of back edge(s) into [header]: header plus every
-   block that reaches a latch without passing through the header. *)
-let natural_loop (f : Func.t) preds header latches =
-  let n = Func.num_blocks f in
-  let inset = Array.make n false in
-  inset.(header) <- true;
-  let rec pull b =
-    if not inset.(b) then begin
-      inset.(b) <- true;
-      List.iter pull preds.(b)
-    end
-  in
-  List.iter pull latches;
-  inset
-
-let collect_defined (f : Func.t) inset =
-  let defined = Hashtbl.create 16 in
-  let has_store = ref false in
-  Func.iter_blocks
-    (fun b ->
-      if inset.(b.Types.bid) then
-        List.iter
-          (fun (i : Types.instr) ->
-            match i with
-            | Types.Assign (v, _) -> Hashtbl.replace defined v.Types.vid ()
-            | Types.Store _ | Types.Call _ -> has_store := true
-            | _ -> ())
-          b.Types.instrs)
-    f;
-  (defined, !has_store)
-
 let compute (f : Func.t) : loop list =
   let idom = Func.idom f in
-  let preds = Func.preds_array f in
   let n = Func.num_blocks f in
   (* back edges grouped by header *)
   let latches_of = Hashtbl.create 8 in
@@ -77,10 +45,10 @@ let compute (f : Func.t) : loop list =
   let loops =
     Hashtbl.fold
       (fun header latches acc ->
-        let inset = natural_loop f preds header latches in
+        let inset = Func.natural_loop f header latches in
         let blocks = ref [] in
         Array.iteri (fun i b -> if b then blocks := i :: !blocks) inset;
-        let defined_vids, has_store = collect_defined f inset in
+        let defined_vids, has_store = Func.assigned_in f inset in
         {
           header;
           blocks = !blocks;

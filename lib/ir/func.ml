@@ -193,6 +193,36 @@ let dominates (idom : int array) a b =
     let rec up b = a = b || (idom.(b) <> b && up idom.(b)) in
     up b
 
+(* The natural loop of back edges from [latches] into [header]: the
+   header plus every block that reaches a latch without passing through
+   the header. *)
+let natural_loop t header latches =
+  let preds = preds_array t in
+  let inset = Array.make (num_blocks t) false in
+  inset.(header) <- true;
+  let rec pull b =
+    if not inset.(b) then begin
+      inset.(b) <- true;
+      List.iter pull preds.(b)
+    end
+  in
+  List.iter pull latches;
+  inset
+
+let assigned_in t inset =
+  let defined = Hashtbl.create 16 and has_store = ref false in
+  iter_blocks
+    (fun b ->
+      if inset.(b.bid) then
+        List.iter
+          (function
+            | Assign (v, _) -> Hashtbl.replace defined v.vid ()
+            | Store _ | Call _ -> has_store := true
+            | _ -> ())
+          b.instrs)
+    t;
+  (defined, !has_store)
+
 (* Blocks with a path to a successor-less block. The rest sit in
    no-exit regions (infinite loops built directly in the IR), which the
    backward analyses treat as boundary blocks. *)

@@ -78,6 +78,14 @@ val dominates : int array -> int -> int -> bool
 (** [dominates (idom f) a b]: does block [a] dominate block [b]?
     Reflexive; false when either is unreachable. *)
 
+val natural_loop : t -> int -> int list -> bool array
+(** [natural_loop t header latches]: the blocks, indexed by id, of the
+    natural loop of the back edges from [latches] into [header]. *)
+
+val assigned_in : t -> bool array -> (int, unit) Hashtbl.t * bool
+(** The scalars (by vid) assigned in a block set, and whether it holds
+    a store or a call (which may store). *)
+
 val reaches_exit : t -> bool array
 (** Blocks with a path to a successor-less block; the others sit in
     no-exit regions. Computed once per view. *)

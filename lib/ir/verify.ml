@@ -371,34 +371,6 @@ let check_insertion_safety (f : Func.t) ~inserted add =
       end)
     by_block
 
-(* Natural loop of [header]: header plus the backward closure of its
-   dominated back-edge sources. *)
-let natural_loop (f : Func.t) (idom : int array) (preds : int list array) header =
-  let n = Func.num_blocks f in
-  let inloop = Array.make n false in
-  inloop.(header) <- true;
-  let rec pull b =
-    if not inloop.(b) then begin
-      inloop.(b) <- true;
-      List.iter pull preds.(b)
-    end
-  in
-  List.iter
-    (fun p -> if Func.dominates idom header p then pull p)
-    preds.(header);
-  inloop
-
-let scalars_defined_in (f : Func.t) (inloop : bool array) =
-  let defined = Hashtbl.create 16 in
-  Func.iter_blocks
-    (fun b ->
-      if inloop.(b.bid) then
-        List.iter
-          (function Assign (v, _) -> Hashtbl.replace defined v.vid () | _ -> ())
-          b.instrs)
-    f;
-  defined
-
 let check_hoist (f : Func.t) (idom : int array) ~inserted ~removed add =
   let add rule where what = add rule (Lazy.force where) what in
   let preds = Func.preds_array f in
@@ -417,7 +389,8 @@ let check_hoist (f : Func.t) (idom : int array) ~inserted ~removed add =
     match Hashtbl.find_opt invariant_cache header with
     | Some d -> d
     | None ->
-        let d = scalars_defined_in f (natural_loop f idom preds header) in
+        let latches = List.filter (Func.dominates idom header) preds.(header) in
+        let d = fst (Func.assigned_in f (Func.natural_loop f header latches)) in
         Hashtbl.replace invariant_cache header d;
         d
   in
