@@ -49,8 +49,8 @@
    set intersection would lose facts that hold on all paths under
    different spellings ([i = lo] on the preheader path versus
    [i <= hi] on the back edge). Conditional facts meet by
-   intersection. A [Trap] makes everything after it dead, so remaining
-   obligations are vacuous.
+   intersection. A [Trap] makes everything after it dead, and so every
+   block that only a trap leads into: their obligations are vacuous.
 
    The validator is total and fail-safe: anything it cannot relate —
    structure mismatch, unlinearizable guard, oracle "unknown" — is a
@@ -415,8 +415,9 @@ let proven_on_all pool (paths : hstate list) : int -> bool =
    fixpoint engine: in(b) is the semantic meet over the live
    predecessors of out(p) + the constraints of the edge p->b's branch
    condition. A block ending in (or past) a trap is [Unreachable] to
-   its successors. *)
-let entry_hyps ?(checks = true) pool (f : Func.t) : hstate array =
+   its successors, and so is a block every path into which passes
+   through one. *)
+let entry_hyps ?(checks = true) pool (f : Func.t) : hstate Fixpoint.fact array =
   let atoms = f.Func.atoms in
   let n = Func.num_blocks f in
   let edge = edge_facts pool f in
@@ -468,39 +469,38 @@ let entry_hyps ?(checks = true) pool (f : Func.t) : hstate array =
   let join ~sweep ~prev b live =
     let widen = match prev with Fixpoint.Reached w when sweep > 2 -> Some w | _ -> None in
     let within s = match widen with None -> s | Some w -> Ids.inter s w.facts in
-    Fixpoint.Reached
-      (match paths_into edge b live with
-      (* no live path: read as no facts *)
-      | [] -> h_empty
-      | (h0 :: rest) as paths ->
-          let proven_on_all = proven_on_all pool paths in
-          let base =
-            match rest with
-            | [] -> { h0 with facts = within h0.facts }
-            | _ ->
-                (* Semantic meet: keep a candidate fact iff every path
-                   proves it; conditional facts meet structurally. *)
-                let conds = List.fold_left (fun acc h -> Ids.inter acc h.conds) h0.conds rest in
-                let candidates =
-                  List.fold_left (fun acc h -> Ids.union acc h.facts) h0.facts rest
-                in
-                { facts = Ids.filter proven_on_all (within candidates); conds }
-          in
-          let base =
-            match widen with
-            | None -> base
-            | Some w -> { base with conds = Ids.inter base.conds w.conds }
-          in
-          List.fold_left
-            (fun st c ->
-              if
-                Ids.mem c st.facts
-                || (match widen with Some w -> not (Ids.mem c w.facts) | None -> false)
-                || not (proven_on_all c)
-              then st
-              else { st with facts = Ids.add c st.facts })
-            base
-            (Option.value (Hashtbl.find_opt inv_candidates b) ~default:[]))
+    match paths_into edge b live with
+    | [] -> Fixpoint.Unreachable
+    | (h0 :: rest) as paths ->
+        let proven_on_all = proven_on_all pool paths in
+        let base =
+          match rest with
+          | [] -> { h0 with facts = within h0.facts }
+          | _ ->
+              (* Semantic meet: keep a candidate fact iff every path
+                 proves it; conditional facts meet structurally. *)
+              let conds = List.fold_left (fun acc h -> Ids.inter acc h.conds) h0.conds rest in
+              let candidates =
+                List.fold_left (fun acc h -> Ids.union acc h.facts) h0.facts rest
+              in
+              { facts = Ids.filter proven_on_all (within candidates); conds }
+        in
+        let base =
+          match widen with
+          | None -> base
+          | Some w -> { base with conds = Ids.inter base.conds w.conds }
+        in
+        Fixpoint.Reached
+          (List.fold_left
+             (fun st c ->
+               if
+                 Ids.mem c st.facts
+                 || (match widen with Some w -> not (Ids.mem c w.facts) | None -> false)
+                 || not (proven_on_all c)
+               then st
+               else { st with facts = Ids.add c st.facts })
+             base
+             (Option.value (Hashtbl.find_opt inv_candidates b) ~default:[]))
   in
   let transfer =
     let t = block_transfer ~checks pool f in
@@ -514,8 +514,10 @@ let entry_hyps ?(checks = true) pool (f : Func.t) : hstate array =
     Fixpoint.solve ~cap:((2 * n) + 9) f
       { direction = Forward; boundary = Reached h_empty; join; transfer; equal = h_equal }
   in
-  if not s.converged then Array.make n h_empty
-  else Array.map (function Fixpoint.Reached h -> h | Unreachable -> h_empty) s.flow_in
+  if not s.converged then Array.make n (Fixpoint.Reached h_empty) else s.flow_in
+
+(* A dead block's state for a reader that cannot say "dead": no facts. *)
+let facts_of = function Fixpoint.Reached h -> h | Unreachable -> h_empty
 
 (* --- the checked certificate: a hint made inductive ------------------- *)
 
@@ -526,7 +528,7 @@ let entry_hyps ?(checks = true) pool (f : Func.t) : hstate array =
      every fact kept at [b] is proven by every live predecessor's
      ambient out-state (its transfer from its own kept facts, checks
      contributing nothing) plus the edge's facts. A block with no live
-     predecessor keeps nothing, as the search gives it nothing. The kept
+     predecessor is dead, as it is to the search. The kept
      sets are inductive, so they hold on every execution whatever the
      hint was. When the hint is the ambient solution, each question is
      one the solve already asked of the same fact set: a memo hit.
@@ -538,9 +540,8 @@ let entry_hyps ?(checks = true) pool (f : Func.t) : hstate array =
      shrinks, so the solve terminates.
    A block's state is the union of both, and every fact in it holds on
    every path in, by induction along the path. *)
-let checked_entry pool (f : Func.t) (hint : hstate array) : hstate array =
+let checked_entry pool (f : Func.t) (hint : hstate array) : hstate Fixpoint.fact array =
   let atoms = f.Func.atoms in
-  let n = Func.num_blocks f in
   let edge = edge_facts pool f in
   let ambient =
     let t = block_transfer ~checks:false pool f in
@@ -557,8 +558,7 @@ let checked_entry pool (f : Func.t) (hint : hstate array) : hstate array =
         join =
           (fun ~sweep:_ ~prev b live ->
             match (prev, paths_into edge b live) with
-            | _, [] -> Reached h_empty
-            | Unreachable, _ -> Unreachable
+            | Unreachable, _ | _, [] -> Unreachable
             | Reached k, paths ->
                 Reached { h_empty with facts = Ids.filter (proven_on_all pool paths) k.facts });
         transfer = ambient;
@@ -603,27 +603,22 @@ let checked_entry pool (f : Func.t) (hint : hstate array) : hstate array =
           | Unreachable -> None)
         live
     in
-    let meet =
-      match paths with
-      | [] -> h_empty
-      | (a0, _) :: rest ->
-          let holds c =
-            List.for_all
-              (fun (a, k) -> Intern.implied pool a.facts c || Intern.implied pool k c)
-              paths
-          in
-          {
-            facts =
-              Ids.filter holds
-                (List.fold_left (fun acc (a, _) -> Ids.union acc a.facts) a0.facts rest);
-            conds = List.fold_left (fun acc (a, _) -> Ids.inter acc a.conds) a0.conds rest;
-          }
-    in
-    Fixpoint.Reached
-      (match prev with
-      | Fixpoint.Unreachable -> meet
-      | Reached prev ->
-          { facts = Ids.inter meet.facts prev.facts; conds = Ids.inter meet.conds prev.conds })
+    match paths with
+    | [] -> Fixpoint.Unreachable
+    | (a0, _) :: rest ->
+        let holds c =
+          List.for_all
+            (fun (a, k) -> Intern.implied pool a.facts c || Intern.implied pool k c)
+            paths
+        in
+        let facts =
+          Ids.filter holds (List.fold_left (fun acc (a, _) -> Ids.union acc a.facts) a0.facts rest)
+        in
+        let conds = List.fold_left (fun acc (a, _) -> Ids.inter acc a.conds) a0.conds rest in
+        Fixpoint.Reached
+          (match prev with
+          | Fixpoint.Unreachable -> { facts; conds }
+          | Reached p -> { facts = Ids.inter facts p.facts; conds = Ids.inter conds p.conds })
   in
   let avail =
     Fixpoint.solve f
@@ -635,10 +630,11 @@ let checked_entry pool (f : Func.t) (hint : hstate array) : hstate array =
         equal = h_equal;
       }
   in
-  Array.init n (fun b ->
-      match avail.flow_in.(b) with
-      | Reached a -> { a with facts = Ids.union (kept_facts b) a.facts }
-      | Unreachable -> h_empty)
+  Array.mapi
+    (fun b -> function
+      | Fixpoint.Reached a -> Fixpoint.Reached { a with facts = Ids.union (kept_facts b) a.facts }
+      | Unreachable -> Unreachable)
+    avail.flow_in
 
 (* --- the lockstep walk ---------------------------------------------- *)
 
@@ -664,7 +660,7 @@ let same_instr (a : instr) (b : instr) =
   | Call (n, args), Call (n', args') -> n = n' && args = args'
   | _ -> false
 
-let validate_block ~pool ~fname ~atoms ~orig_vids (entry : hstate) (ob : block)
+let validate_block ~pool ~fname ~atoms ~orig_vids ~dead (entry : hstate) (ob : block)
     (pb : block) : t =
   let results = ref [] in
   let record chk ok reason =
@@ -753,7 +749,7 @@ let validate_block ~pool ~fname ~atoms ~orig_vids (entry : hstate) (ob : block)
         walk ~dead:dead' (step hyps' p) os ps
     | _, _ -> fail_rest "structure mismatch" orig_rest
   in
-  walk ~dead:false entry ob.instrs pb.instrs;
+  walk ~dead entry ob.instrs pb.instrs;
   let results = List.rev !results in
   {
     total_sites = List.length results;
@@ -785,21 +781,25 @@ let certify ?hint pool ~(original : Func.t) ~(optimized : Func.t) : t =
   List.iter
     (function Pscalar v -> Hashtbl.replace orig_vids v.vid () | Parr _ -> ())
     original.Func.params;
-  let walk (entry : hstate array) =
+  (* A block no execution reaches is walked dead: its sites hold
+     vacuously. *)
+  let walk (entry : hstate Fixpoint.fact array) =
     let acc = ref empty in
     Func.iter_blocks
       (fun ob ->
         if reach.(ob.bid) && ob.bid < Func.num_blocks optimized then
-          let pb = Func.block optimized ob.bid in
+          let pb = Func.block optimized ob.bid and e = entry.(ob.bid) in
           acc :=
             merge !acc
               (validate_block ~pool ~fname:original.Func.fname ~atoms ~orig_vids
-                 entry.(ob.bid) ob pb))
+                 ~dead:(e = Fixpoint.Unreachable) (facts_of e) ob pb))
       original;
     !acc
   in
   let hint =
-    match hint with Some h -> h | None -> entry_hyps ~checks:false pool optimized
+    match hint with
+    | Some h -> h
+    | None -> Array.map facts_of (entry_hyps ~checks:false pool optimized)
   in
   let checked = walk (checked_entry pool optimized hint) in
   if validated checked then checked
@@ -865,7 +865,7 @@ let pp ppf t =
 module Facts = struct
   type state = hstate
 
-  let ambient_entry ~pool (f : Func.t) : state array = entry_hyps ~checks:false pool f
+  let ambient_entry ~pool f : state array = Array.map facts_of (entry_hyps ~checks:false pool f)
   let facts ~pool (s : state) = Intern.elements pool s.facts
   let of_facts ~pool (cs : Check.t list) : state = { h_empty with facts = Intern.of_checks pool cs }
   let step ~pool atoms (s : state option) (i : instr) = transfer ~checks:false pool atoms s i

@@ -62,7 +62,8 @@ module Facts : sig
   val ambient_entry : pool:Nascent_checks.Intern.t -> Func.t -> state array
   (** Per-block entry states from the validator's forward data-flow
       (semantic meet, affine loop-invariant candidates, widening) with
-      check contributions disabled, solved by {!Fixpoint}. *)
+      check contributions disabled, solved by {!Fixpoint}. A block
+      that every path reaches through a trap holds no facts. *)
 
   val facts : pool:Nascent_checks.Intern.t -> state -> Nascent_checks.Check.t list
   (** The state's facts, in {!Nascent_checks.Check.compare} order. *)
