@@ -4,16 +4,14 @@
    here.
 
    Table generation fans the (benchmark × config) matrix over the
-   domain pool (NASCENT_JOBS, default: host core count) and serves
-   repeated cells from the content-addressed cache; per-target cache
-   hit/miss counts are reported after each table.
+   domain pool (NASCENT_JOBS, default: host core count).
 
    Usage:
      dune exec bench/main.exe               # tables and figures
      dune exec bench/main.exe -- table1     # just Table 1
      dune exec bench/main.exe -- table2 | table3 | figures | canon | extensions
      dune exec bench/main.exe -- tables     # tables only (CI mode)
-     dune exec bench/main.exe -- check-determinism  # serial vs parallel vs warm cache + oracle differential
+     dune exec bench/main.exe -- check-determinism  # serial vs parallel + oracle differential
      dune exec bench/main.exe -- oracle-diff  # --oracle vs baseline observable-identity matrix
 *)
 
@@ -26,19 +24,8 @@ module Ir = Nascent_ir
 module Run = Nascent_interp.Run
 module B = Nascent_benchmarks.Suite
 module Pool = Nascent_support.Pool
-module Memo = Nascent_support.Memo
 
 let chars = lazy (E.characterize_all ())
-
-(* Per-target cache accounting: delta of the cell cache counters. *)
-let with_cache_report what f =
-  let b = E.cell_cache_stats () in
-  f ();
-  let a = E.cell_cache_stats () in
-  Printf.printf "[cache] %s: %d hit(s), %d miss(es), jobs=%d\n%!" what
-    (a.Memo.hits - b.Memo.hits)
-    (a.Memo.misses - b.Memo.misses)
-    (Pool.default_jobs ())
 
 (* Incident accounting: any cell that compiled degraded (a rolled-back
    optimizer pass) taints the numbers it contributed to — say so next
@@ -61,14 +48,12 @@ let incident_report what (tables : (Config.check_kind * E.row list) list) =
 let run_table1 () = Report.table1 (Lazy.force chars)
 
 let run_table2 () =
-  with_cache_report "table2" @@ fun () ->
   let chars = Lazy.force chars in
   let tables = E.table2 chars in
   Report.table2 chars tables;
   incident_report "table2" tables
 
 let run_table3 () =
-  with_cache_report "table3" @@ fun () ->
   let chars = Lazy.force chars in
   let tables = E.table3 chars in
   Report.table3 chars tables;
@@ -77,7 +62,6 @@ let run_table3 () =
 let run_canon () = Report.canon (E.canon_ablation (Lazy.force chars))
 
 let run_extensions () =
-  with_cache_report "extensions" @@ fun () ->
   let chars = Lazy.force chars in
   let tables = E.extensions chars in
   Report.extensions chars tables;
@@ -158,12 +142,12 @@ let run_oracle_differential () =
      %!"
     !cells !strict
 
-(* --- determinism gate: serial vs parallel vs warm cache --------------- *)
+(* --- determinism gate: serial vs parallel ------------------------------ *)
 
 (* The full table suite minus timing columns: what must be invariant
    across pool sizes. Timings (range/compile seconds) legitimately
-   differ between cold runs; everything else diverging means a pool or
-   cache bug, so CI fails on it. *)
+   differ between runs; everything else diverging means a pool bug, so
+   CI fails on it. *)
 let structural_row (r : E.row) =
   ( r.E.label,
     Config.cache_key r.E.config,
@@ -185,39 +169,21 @@ let full_suite () =
 let run_check_determinism () =
   let par_jobs = max 2 (Pool.default_jobs ()) in
   print_endline "";
-  Printf.printf "determinism gate: serial vs jobs=%d vs warm cache\n%!" par_jobs;
-  E.reset_cell_cache ();
+  Printf.printf "determinism gate: serial vs jobs=%d\n%!" par_jobs;
   Pool.set_default_jobs 1;
   let _, serial = full_suite () in
-  let serial_misses = (E.cell_cache_stats ()).Memo.misses in
-  E.reset_cell_cache ();
   Pool.set_default_jobs par_jobs;
   let _, parallel = full_suite () in
-  let parallel_misses = (E.cell_cache_stats ()).Memo.misses in
   if structural serial <> structural parallel then begin
     Printf.eprintf "FAIL: parallel tables diverge from the serial run\n%!";
     exit 1
   end;
-  (* Warm rerun: every cell must come from the cache (zero
-     re-optimizations) and the rows must be byte-identical, timing
-     columns included. *)
-  let before = E.cell_cache_stats () in
-  let _, warm = full_suite () in
-  let after = E.cell_cache_stats () in
-  if after.Memo.misses <> before.Memo.misses then begin
-    Printf.eprintf "FAIL: warm cache rerun re-optimized %d cell(s)\n%!"
-      (after.Memo.misses - before.Memo.misses);
-    exit 1
-  end;
-  if warm <> parallel then begin
-    Printf.eprintf "FAIL: warm cache rerun is not byte-identical\n%!";
-    exit 1
-  end;
-  Printf.printf
-    "determinism gate OK: %d serial cell(s) == %d parallel cell(s), warm rerun \
-     byte-identical with 0 re-optimizations\n\
-     %!"
-    serial_misses parallel_misses;
+  let cells =
+    List.fold_left
+      (fun n (_, rows) -> List.fold_left (fun n (r : E.row) -> n + List.length r.E.cells) n rows)
+      0 (List.concat serial)
+  in
+  Printf.printf "determinism gate OK: %d cell(s), serial == jobs=%d\n%!" cells par_jobs;
   run_oracle_differential ()
 
 let () =

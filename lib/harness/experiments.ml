@@ -19,15 +19,12 @@ module Universe = Nascent_checks.Universe
 module Loops = Nascent_analysis.Loops
 module Run = Nascent_interp.Run
 module Pool = Nascent_support.Pool
-module Memo = Nascent_support.Memo
 
 (* Every (benchmark × configuration) cell is a pure function of its
    inputs and runs on its own lowered copy, so the matrix fans out over
    the process-wide domain pool (NASCENT_JOBS / --jobs /
-   Pool.set_default_jobs; jobs=1 is the serial path) and lands in a
-   content-addressed cache. Determinism across pool sizes and the
-   byte-identity of warm-cache reruns are pinned by
-   test/test_parallel.ml. *)
+   Pool.set_default_jobs; jobs=1 is the serial path). Determinism
+   across pool sizes is pinned by test/test_parallel.ml. *)
 let pool () = Pool.global ()
 
 (* Per-cell watchdog: every cell runs under its own Guard fuel budget,
@@ -95,19 +92,11 @@ type cell = {
          healthy run, structural (invariant across pool sizes) *)
 }
 
-let cell_cache : cell Memo.t = Memo.create ()
-let cell_cache_stats () = Memo.stats cell_cache
-let reset_cell_cache () = Memo.clear cell_cache
-
 let run_config (c : characteristics) (config : Config.t) : cell =
   (* Timing run: the invariant verifier is a measurement harness, not a
      compiler pass, so it is switched off here (the test suite runs the
      same matrix with it on). *)
   let config = { config with Config.verify = false } in
-  let key =
-    Memo.key [ c.bench.B.name; c.bench.B.source; Config.cache_key config ]
-  in
-  Memo.find_or_compute cell_cache ~key @@ fun () ->
   let t0 = Nascent_support.Mclock.counter () in
   let ir = Ir.Lower.of_source c.bench.B.source in
   let opt, stats = Core.Optimizer.optimize ~config ir in

@@ -85,10 +85,3 @@ let stats t =
   Mutex.unlock t.lock;
   c
 
-let clear t =
-  Mutex.lock t.lock;
-  t.young <- Hashtbl.create 64;
-  t.old <- Hashtbl.create 1;
-  t.hits <- 0;
-  t.misses <- 0;
-  Mutex.unlock t.lock

@@ -44,6 +44,3 @@ val find_or_compute : 'v t -> key:string -> (unit -> 'v) -> 'v
     equal). *)
 
 val stats : 'v t -> counters
-
-val clear : 'v t -> unit
-(** Drop the table and reset {!stats} counters. *)

@@ -131,6 +131,25 @@ let test_class_matrix () =
                           i.Optimizer.inc_pass = Mutate.target_pass cls
                           && i.Optimizer.inc_cause = expected_cause cls)
                         is));
+            (* a rolled-back pass counts nothing *)
+            let rolled_back pass =
+              List.exists (fun i -> i.Optimizer.inc_pass = pass) stats.Optimizer.incidents
+            in
+            let oracle_elim_ran =
+              List.exists (fun p -> p.Optimizer.pass = "oracle-elim") stats.Optimizer.passes
+            in
+            List.iter
+              (fun (pass, counter, n, applies) ->
+                if rolled_back pass && applies then
+                  Alcotest.(check int) (Fmt.str "%s: rolled-back %s, %s" where pass counter) 0 n)
+              [
+                ("strengthen", "strengthened", stats.Optimizer.strengthened, true);
+                ("pre-insert", "pre_inserted", stats.Optimizer.pre_inserted, true);
+                ( "eliminate",
+                  "redundant_deleted",
+                  stats.Optimizer.redundant_deleted,
+                  not oracle_elim_ran );
+              ];
             (* recovered: the output is valid IR... *)
             (match Ir.Verify.program opt with
             | [] -> ()

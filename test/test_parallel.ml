@@ -3,12 +3,10 @@
 
    The load-bearing property is the differential one: the experiment
    tables must be STRUCTURALLY IDENTICAL whether computed serially
-   (jobs=1), on a pool (jobs=4), or replayed from a warm cache — and
-   the warm replay must be byte-identical (timing columns included)
-   with zero re-optimizations. bench/main.exe check-determinism runs
-   the same gate over the full suite in CI; this test pins it on a
-   3-benchmark subset so `dune runtest` catches pool/cache bugs
-   without CI. *)
+   (jobs=1) or on a pool (jobs=4). bench/main.exe check-determinism
+   runs the same gate over the full suite in CI; this test pins it on
+   a 3-benchmark subset so `dune runtest` catches pool bugs without
+   CI. *)
 
 module Pool = Nascent_support.Pool
 module Memo = Nascent_support.Memo
@@ -190,23 +188,14 @@ let test_tables_deterministic_across_jobs () =
   let tables () = [ E.table2 ~kinds:[ Config.PRX ] chars; E.table3 ~kinds:[ Config.PRX ] chars; E.extensions chars ] in
   let saved = Pool.default_jobs () in
   Fun.protect ~finally:(fun () -> Pool.set_default_jobs saved) @@ fun () ->
-  E.reset_cell_cache ();
   Pool.set_default_jobs 1;
   let serial = tables () in
-  let serial_misses = (E.cell_cache_stats ()).Memo.misses in
-  Alcotest.(check bool) "serial run computed cells" true (serial_misses > 0);
-  E.reset_cell_cache ();
+  Alcotest.(check bool) "serial run computed cells" true
+    (List.exists (fun (_, rows) -> rows <> []) (List.concat serial));
   Pool.set_default_jobs 4;
   let parallel = tables () in
   Alcotest.(check bool) "jobs=1 and jobs=4 structurally equal" true
-    (structural serial = structural parallel);
-  (* Warm rerun: byte-identical rows (timings included, replayed from
-     the cache) and zero re-optimizations. *)
-  let before = (E.cell_cache_stats ()).Memo.misses in
-  let warm = tables () in
-  let after = (E.cell_cache_stats ()).Memo.misses in
-  Alcotest.(check int) "zero re-optimizations on warm cache" 0 (after - before);
-  Alcotest.(check bool) "warm rerun byte-identical" true (warm = parallel)
+    (structural serial = structural parallel)
 
 (* --- task_fuel watchdog on the serial path ----------------------------- *)
 
