@@ -784,6 +784,79 @@ let test_assign_kills_own_atom () =
         (Validate.Facts.facts ~pool s))
     (Validate.Facts.ambient_entry ~pool f)
 
+(* The report pinned: dyfesm (several subroutines) under ALL+O/INX,
+   its timings zeroed, rendered by [stats_to_json] and [pp_stats].
+   stats_report.expected holds the JSON line, then the text; together
+   they pin every key, its order, every integer and the layout. The
+   program's report must also be the sum of its functions' reports:
+   each integer key, and each pass's check counts, added across
+   functions, with one record per pass in pipeline order. *)
+module Json = Nascent_support.Json
+
+let test_stats_report_pinned () =
+  let config = Config.make ~scheme:Config.ALL ~kind:Config.INX ~oracle:true () in
+  let ir = ir_of_source (Option.get (Nascent_benchmarks.Suite.find "dyfesm")).source in
+  let st = snd (Core.Optimizer.optimize ~config ir) in
+  let st =
+    {
+      st with
+      Core.Optimizer.elapsed_s = 0.0;
+      passes =
+        List.map (fun p -> { p with Core.Optimizer.pass_time_s = 0.0 }) st.Core.Optimizer.passes;
+    }
+  in
+  let json = Core.Optimizer.stats_to_json st in
+  check_lines "stats report"
+    (golden "stats_report.expected")
+    (Json.to_string json
+    :: String.split_on_char '\n' (Fmt.str "%a" Core.Optimizer.pp_stats st));
+  let per_func =
+    List.map
+      (fun f -> Core.Optimizer.stats_to_json (Core.Optimizer.optimize_func config f))
+      (Nascent_ir.Program.funcs_sorted (Nascent_ir.Transform.copy_program ir))
+  in
+  Alcotest.(check bool) "several functions" true (List.length per_func > 1);
+  let fields = function Json.Obj kv -> kv | _ -> Alcotest.fail "not an object" in
+  List.iter
+    (fun (k, v) ->
+      match v with
+      | Json.Int n ->
+          Alcotest.(check int) ("summed " ^ k) n
+            (List.fold_left
+               (fun acc j ->
+                 match Json.member k j with Some (Json.Int m) -> acc + m | _ -> acc)
+               0 per_func)
+      | _ -> ())
+    (fields json);
+  let passes j =
+    match Json.member "passes" j with
+    | Some (Json.List ps) ->
+        List.map
+          (fun p ->
+            let get k = Option.get (Json.member k p) in
+            match (get "pass", get "checks_before", get "checks_after") with
+            | Json.Str name, Json.Int cb, Json.Int ca -> (name, (cb, ca))
+            | _ -> Alcotest.fail "malformed pass record")
+          ps
+    | _ -> Alcotest.fail "no passes"
+  in
+  let names = List.map fst (passes json) in
+  Alcotest.(check (list string))
+    "one record per pass, pipeline order"
+    [ "inx-rewrite"; "context"; "hoist"; "pre-insert"; "eliminate"; "oracle-elim"; "fold";
+      "validate" ]
+    names;
+  List.iter
+    (fun (name, (cb, ca)) ->
+      let sum pick =
+        List.fold_left
+          (fun acc j ->
+            match List.assoc_opt name (passes j) with Some c -> acc + pick c | None -> acc)
+          0 per_func
+      in
+      Alcotest.(check (pair int int)) ("summed " ^ name) (sum fst, sum snd) (cb, ca))
+    (passes json)
+
 let suite =
   [
     tc "fig1: naive has 4 checks" test_fig1_naive_has_4_checks;
@@ -819,6 +892,7 @@ let suite =
     tc "oracle cells: benchmarks" test_oracle_cells_benchmarks;
     tc "oracle cells: random programs" test_oracle_cells_random;
     tc "oracle cells: work counts" test_work_counts;
+    tc "stats report pinned" test_stats_report_pinned;
     tc "certificate: a wrong hint is never trusted" test_wrong_hint_never_trusted;
     tc "certificate: v := e kills what e's atoms say of v" test_assign_kills_own_atom;
   ]
