@@ -87,6 +87,6 @@ let () =
     (fun f ->
       List.iter
         (fun (m : Ir.Types.check_meta) ->
-          Format.printf "  %a@." Ir.Printer.pp_check_meta m)
+          Format.printf "  %a@." Ir.Printer.pp_instr (Ir.Types.Check m))
         (Ir.Func.all_check_metas f))
     optimized

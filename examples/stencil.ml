@@ -64,11 +64,12 @@ let () =
     (fun scheme ->
       let config = Config.make ~scheme () in
       let optimized, stats = Core.Optimizer.optimize ~config naive in
+      let c = stats.Core.Optimizer.counts in
       let o = Run.run optimized in
       assert (o.Run.printed = o0.Run.printed);
       Format.printf "%-6s %14d %11.1f%% %10d@." (Config.scheme_name scheme) o.Run.checks
         (100.0 *. float_of_int (o0.Run.checks - o.Run.checks) /. float_of_int o0.Run.checks)
-        (stats.Core.Optimizer.hoisted_invariant + stats.Core.Optimizer.hoisted_linear))
+        (c.hoisted_invariant + c.hoisted_linear))
     Config.all_schemes;
   (* show what LLS left in the hot loop *)
   let optimized, _ =

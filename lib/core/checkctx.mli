@@ -43,11 +43,12 @@ val universe : t -> Nascent_checks.Universe.t
     calls it when it starts, and again after it inserted checks it
     wants to analyse. *)
 
-(** What the passes did to one function, one counter per kind of
-    change. A pass bumps the record it is passed; the optimizer hands
-    each pass attempt fresh counts and adds them to the function's
-    total only when the pass commits, so a rolled-back pass counts
-    nothing. *)
+(** What the passes did, one counter per kind of change: the one
+    record from pass to report. A pass bumps the record it is passed;
+    the optimizer hands each pass attempt fresh counts and adds them to
+    the function's total only when the pass commits, so a rolled-back
+    pass counts nothing. That total is [Optimizer.stats.counts], and
+    a program's is its functions' summed. *)
 type counts = {
   mutable strengthened : int;
   mutable pre_inserted : int;

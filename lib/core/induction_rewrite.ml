@@ -41,12 +41,6 @@ module Ssa = Nascent_analysis.Ssa
 module Induction = Nascent_analysis.Induction
 open Ir.Types
 
-type stats = {
-  mutable rewritten : int;
-  mutable basics_materialized : int;
-  loops : Loops.loop list; (* the function's loops, materialized latches included *)
-}
-
 (* Rewrite the terms of [chk] at a site with environment [env] enclosed
    by [loops] (innermost first). [h_atom_for] yields the atom of the
    materialized basic variable of the loop with the given header, or
@@ -88,10 +82,10 @@ let rewrite_check (f : Ir.Func.t) (ssa : Ssa.t) (loops : Loops.loop list)
     else Some (Check.make (Linexpr.of_terms !terms) (Check.constant chk - !const))
   with Fail -> None
 
-let run (f : Ir.Func.t) : stats =
+(* Returns the function's loops, materialized assignments included. *)
+let run (f : Ir.Func.t) : Loops.loop list =
   let ssa = Ssa.compute f in
   let loops = Loops.compute f in
-  let st = { rewritten = 0; basics_materialized = 0; loops } in
   let preds = Ir.Func.preds_array f in
   (* basic variables, materialized lazily per loop header *)
   let h_vars : (int, var) Hashtbl.t = Hashtbl.create 4 in
@@ -108,7 +102,6 @@ let run (f : Ir.Func.t) : stats =
               in
               Hashtbl.replace h_vars header h;
               d.d_basic <- Some h;
-              st.basics_materialized <- st.basics_materialized + 1;
               h
         in
         Some (Ir.Atoms.of_var f.Ir.Func.atoms h)
@@ -131,7 +124,6 @@ let run (f : Ir.Func.t) : stats =
                   | Some env -> (
                       match rewrite_check f ssa enclosing ~env m.chk ~h_atom_for with
                       | Some chk' when not (Check.equal chk' m.chk) ->
-                          st.rewritten <- st.rewritten + 1;
                           Check { m with chk = chk' }
                       | _ -> i))
               | _ -> i)
@@ -158,4 +150,4 @@ let run (f : Ir.Func.t) : stats =
             preds.(header)
       | _ -> ())
     h_vars;
-  st
+  loops

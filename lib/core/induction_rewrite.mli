@@ -12,13 +12,7 @@
     After this pass the whole PRX machinery runs unchanged on the
     rewritten checks — that is what the INX configuration axis means. *)
 
-type stats = {
-  mutable rewritten : int;
-  mutable basics_materialized : int;
-  loops : Nascent_analysis.Loops.loop list;
-      (** the function's natural loops after the rewrite, as
-          {!Nascent_analysis.Loops.compute} would find them: the
-          materialized assignments are among their definitions *)
-}
-
-val run : Nascent_ir.Func.t -> stats
+val run : Nascent_ir.Func.t -> Nascent_analysis.Loops.loop list
+(** Rewrite [f] in place and return its natural loops after the
+    rewrite, as {!Nascent_analysis.Loops.compute} would find them: the
+    materialized assignments are among their definitions. *)

@@ -63,15 +63,7 @@ let pass_fuel_budget = 200_000
 
 type stats = {
   config : Config.t;
-  strengthened : int;
-  pre_inserted : int;
-  hoisted_invariant : int;
-  hoisted_linear : int;
-  guards_inserted : int;
-  plain_inserted : int;
-  redundant_deleted : int;
-  compile_time_deleted : int;
-  compile_time_traps : int;
+  counts : Checkctx.counts; (* what the committed passes did *)
   static_checks_before : int;
   static_checks_after : int;
   passes : pass_stat list; (* pipeline order *)
@@ -83,29 +75,6 @@ type stats = {
          compile ran with [Config.oracle] *)
   work : Nascent_checks.Work.t; (* the proof engine's deterministic work counts *)
 }
-
-(* Stats carrying [c]'s counters and nothing else yet. *)
-let stats_of config (c : Checkctx.counts) =
-  {
-    config;
-    strengthened = c.strengthened;
-    pre_inserted = c.pre_inserted;
-    hoisted_invariant = c.hoisted_invariant;
-    hoisted_linear = c.hoisted_linear;
-    guards_inserted = c.guards_inserted;
-    plain_inserted = c.plain_inserted;
-    redundant_deleted = c.redundant_deleted;
-    compile_time_deleted = c.compile_time_deleted;
-    compile_time_traps = c.compile_time_traps;
-    static_checks_before = 0;
-    static_checks_after = 0;
-    passes = [];
-    incidents = [];
-    faults_injected = 0;
-    elapsed_s = 0.0;
-    validation = None;
-    work = Nascent_checks.Work.zero;
-  }
 
 (* [validated] folds the certificate to the wire-friendly triple:
    [None] = validation did not run, [Some ok] otherwise. *)
@@ -132,18 +101,15 @@ let merge_passes (a : pass_stat list) (b : pass_stat list) : pass_stat list =
       else acc @ [ p ])
     a b
 
+(* Sum two functions' stats into a fresh record; neither operand's
+   counts are touched. *)
 let add a b =
+  let counts = Checkctx.counts () in
+  Checkctx.add_counts ~into:counts a.counts;
+  Checkctx.add_counts ~into:counts b.counts;
   {
     a with
-    strengthened = a.strengthened + b.strengthened;
-    pre_inserted = a.pre_inserted + b.pre_inserted;
-    hoisted_invariant = a.hoisted_invariant + b.hoisted_invariant;
-    hoisted_linear = a.hoisted_linear + b.hoisted_linear;
-    guards_inserted = a.guards_inserted + b.guards_inserted;
-    plain_inserted = a.plain_inserted + b.plain_inserted;
-    redundant_deleted = a.redundant_deleted + b.redundant_deleted;
-    compile_time_deleted = a.compile_time_deleted + b.compile_time_deleted;
-    compile_time_traps = a.compile_time_traps + b.compile_time_traps;
+    counts;
     static_checks_before = a.static_checks_before + b.static_checks_before;
     static_checks_after = a.static_checks_after + b.static_checks_after;
     passes = merge_passes a.passes b.passes;
@@ -281,7 +247,7 @@ let optimize_func (config : Config.t) (f : Ir.Func.t) : stats =
       match
         run_pass "inx-rewrite" ~vpass:Ir.Verify.Rewrite (fun _ -> Induction_rewrite.run f)
       with
-      | Ok s -> Some s.Induction_rewrite.loops
+      | Ok loops -> Some loops
       | Error () -> None
   in
   (* Translation validation compares the final function against the
@@ -361,7 +327,8 @@ let optimize_func (config : Config.t) (f : Ir.Func.t) : stats =
      keep it. Whoever analyses the function again rebuilds one. *)
   f.Ir.Func.view <- None;
   {
-    (stats_of config total) with
+    config;
+    counts = total;
     static_checks_before = checks_before;
     static_checks_after = checks_after;
     passes = List.rev !passes;
@@ -376,9 +343,22 @@ let optimize_func (config : Config.t) (f : Ir.Func.t) : stats =
    aggregated statistics. *)
 let optimize ?(config = Config.default) (p : Ir.Program.t) : Ir.Program.t * stats =
   let q = Ir.Transform.copy_program p in
-  let st = ref (stats_of config (Checkctx.counts ())) in
-  List.iter (fun f -> st := add !st (optimize_func config f)) (Ir.Program.funcs_sorted q);
-  (q, !st)
+  let zero =
+    {
+      config;
+      counts = Checkctx.counts ();
+      static_checks_before = 0;
+      static_checks_after = 0;
+      passes = [];
+      incidents = [];
+      faults_injected = 0;
+      elapsed_s = 0.0;
+      validation = None;
+      work = Nascent_checks.Work.zero;
+    }
+  in
+  let funcs = Ir.Program.funcs_sorted q in
+  (q, List.fold_left (fun st f -> add st (optimize_func config f)) zero funcs)
 
 let pp_pass_stat ppf p =
   Fmt.pf ppf "%-12s checks %3d -> %3d  %8.3f ms" p.pass p.pass_checks_before
@@ -390,6 +370,7 @@ let pp_incident ppf (i : incident) =
     (1000.0 *. i.inc_elapsed_s)
 
 let pp_stats ppf (s : stats) =
+  let c = s.counts in
   Fmt.pf ppf
     "@[<v>config: %a@,\
      static checks: %d -> %d@,\
@@ -398,9 +379,9 @@ let pp_stats ppf (s : stats) =
      deleted: %d redundant + %d compile-time (%d traps)@,\
      %a@,\
      %atime: %.4fs@]"
-    Config.pp s.config s.static_checks_before s.static_checks_after s.strengthened
-    s.pre_inserted s.hoisted_invariant s.hoisted_linear s.guards_inserted
-    s.plain_inserted s.redundant_deleted s.compile_time_deleted s.compile_time_traps
+    Config.pp s.config s.static_checks_before s.static_checks_after c.strengthened
+    c.pre_inserted c.hoisted_invariant c.hoisted_linear c.guards_inserted
+    c.plain_inserted c.redundant_deleted c.compile_time_deleted c.compile_time_traps
     (Fmt.list pp_pass_stat) s.passes
     (fun ppf -> function
       | [] -> ()
@@ -428,19 +409,20 @@ let incident_to_json ?(brief = false) i =
        ]))
 
 let stats_to_json (s : stats) : Json.t =
+  let c = s.counts in
   let int_fields =
     [
       ("static_checks_before", s.static_checks_before);
       ("static_checks_after", s.static_checks_after);
-      ("strengthened", s.strengthened);
-      ("pre_inserted", s.pre_inserted);
-      ("hoisted_invariant", s.hoisted_invariant);
-      ("hoisted_linear", s.hoisted_linear);
-      ("guards_inserted", s.guards_inserted);
-      ("plain_inserted", s.plain_inserted);
-      ("redundant_deleted", s.redundant_deleted);
-      ("compile_time_deleted", s.compile_time_deleted);
-      ("compile_time_traps", s.compile_time_traps);
+      ("strengthened", c.strengthened);
+      ("pre_inserted", c.pre_inserted);
+      ("hoisted_invariant", c.hoisted_invariant);
+      ("hoisted_linear", c.hoisted_linear);
+      ("guards_inserted", c.guards_inserted);
+      ("plain_inserted", c.plain_inserted);
+      ("redundant_deleted", c.redundant_deleted);
+      ("compile_time_deleted", c.compile_time_deleted);
+      ("compile_time_traps", c.compile_time_traps);
     ]
   in
   let pass p =

@@ -39,7 +39,7 @@
 
 type pass_stat = {
   pass : string;  (** "context", "strengthen", "hoist", "eliminate", ... *)
-  pass_time_s : float;  (** monotonic; summed across functions by {!add} *)
+  pass_time_s : float;  (** monotonic; summed across functions by {!optimize} *)
   pass_checks_before : int;
   pass_checks_after : int;
 }
@@ -68,15 +68,7 @@ type incident = {
 
 type stats = {
   config : Config.t;
-  strengthened : int;
-  pre_inserted : int;
-  hoisted_invariant : int;
-  hoisted_linear : int;
-  guards_inserted : int;
-  plain_inserted : int;
-  redundant_deleted : int;
-  compile_time_deleted : int;
-  compile_time_traps : int;
+  counts : Checkctx.counts;  (** what the committed passes did *)
   static_checks_before : int;
   static_checks_after : int;
   passes : pass_stat list;  (** pipeline order *)
@@ -99,9 +91,6 @@ val validated : stats -> bool option
 (** The certificate folded to its wire form: [None] when validation did
     not run (no [--oracle]), [Some ok] otherwise. *)
 
-val add : stats -> stats -> stats
-(** Sums counters and per-pass records (merged by pass name). *)
-
 val placement :
   Config.scheme -> (string * Nascent_ir.Verify.pass * (Checkctx.t -> Checkctx.counts -> unit)) list
 (** Step 3, the one step a scheme chooses: its placement passes in
@@ -120,7 +109,8 @@ val optimize_func : Config.t -> Nascent_ir.Func.t -> stats
 val optimize :
   ?config:Config.t -> Nascent_ir.Program.t -> Nascent_ir.Program.t * stats
 (** Optimize a whole program. The input is not modified: optimization
-    runs on a copy, which is returned with aggregated statistics.
+    runs on a copy, which is returned with its functions' statistics
+    summed (per-pass records merged by pass name).
     Check [stats.incidents] to learn whether any function compiled
     degraded. *)
 

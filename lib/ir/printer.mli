@@ -1,7 +1,6 @@
 (** Human-readable dump of the IR, in the notation of the paper's
     figures: [Check (e <= k)] and [Cond-check (g, e <= k)]. *)
 
-val pp_check_meta : Types.check_meta Fmt.t
 val pp_instr : Types.instr Fmt.t
 val func_to_string : Func.t -> string
 val program_to_string : Program.t -> string

@@ -143,11 +143,11 @@ let test_class_matrix () =
                 if rolled_back pass && applies then
                   Alcotest.(check int) (Fmt.str "%s: rolled-back %s, %s" where pass counter) 0 n)
               [
-                ("strengthen", "strengthened", stats.Optimizer.strengthened, true);
-                ("pre-insert", "pre_inserted", stats.Optimizer.pre_inserted, true);
+                ("strengthen", "strengthened", stats.Optimizer.counts.strengthened, true);
+                ("pre-insert", "pre_inserted", stats.Optimizer.counts.pre_inserted, true);
                 ( "eliminate",
                   "redundant_deleted",
-                  stats.Optimizer.redundant_deleted,
+                  stats.Optimizer.counts.redundant_deleted,
                   not oracle_elim_ran );
               ];
             (* recovered: the output is valid IR... *)
@@ -194,7 +194,7 @@ let test_hang_degrades_to_safe () =
        stats.Optimizer.incidents);
   (* no elimination happened in the rolled-back pass *)
   Alcotest.(check int) "rolled-back eliminate deleted nothing" 0
-    stats.Optimizer.redundant_deleted;
+    stats.Optimizer.counts.redundant_deleted;
   let o = Run.run opt in
   check_no_trap o;
   (* every naive check survived the failed optimization *)

@@ -60,7 +60,7 @@ let test_fig1_cs_eliminates_two () =
      remain. *)
   let ir, opt, stats = optimize ~scheme:Config.CS figure1 in
   let _, o2 = assert_equivalent ir opt in
-  Alcotest.(check bool) "strengthened something" true (stats.Core.Optimizer.strengthened > 0);
+  Alcotest.(check bool) "strengthened something" true (stats.Core.Optimizer.counts.strengthened > 0);
   Alcotest.(check int) "2 checks" 2 o2.checks
 
 let test_fig1_no_implications_keeps_4 () =
@@ -92,16 +92,16 @@ let test_fig6_naive_checks () =
 let test_fig6_lls_hoists_everything () =
   let ir, opt, stats = optimize ~scheme:Config.LLS figure6 in
   let _, o2 = assert_equivalent ir opt in
-  Alcotest.(check bool) "hoisted linear" true (stats.Core.Optimizer.hoisted_linear > 0);
-  Alcotest.(check bool) "hoisted invariant" true (stats.Core.Optimizer.hoisted_invariant > 0);
+  Alcotest.(check bool) "hoisted linear" true (stats.Core.Optimizer.counts.hoisted_linear > 0);
+  Alcotest.(check bool) "hoisted invariant" true (stats.Core.Optimizer.counts.hoisted_invariant > 0);
   (* All loop checks collapse to a handful of preheader checks. *)
   Alcotest.(check bool) (Fmt.str "few checks (%d)" o2.checks) true (o2.checks <= 8)
 
 let test_fig6_li_hoists_only_invariant () =
   let ir, opt, stats = optimize ~scheme:Config.LI figure6 in
   let _, o2 = assert_equivalent ir opt in
-  Alcotest.(check bool) "hoisted invariant" true (stats.Core.Optimizer.hoisted_invariant > 0);
-  Alcotest.(check int) "no linear hoists" 0 stats.Core.Optimizer.hoisted_linear;
+  Alcotest.(check bool) "hoisted invariant" true (stats.Core.Optimizer.counts.hoisted_invariant > 0);
+  Alcotest.(check int) "no linear hoists" 0 stats.Core.Optimizer.counts.hoisted_linear;
   (* The linear checks on j remain in the loop. *)
   Alcotest.(check bool) (Fmt.str "some checks remain (%d)" o2.checks) true (o2.checks > 8)
 
@@ -151,7 +151,7 @@ let test_lls_downward_loop () =
   in
   let ir, opt, stats = optimize ~scheme:Config.LLS src in
   let _, o2 = assert_equivalent ir opt in
-  Alcotest.(check bool) "hoisted" true (stats.Core.Optimizer.hoisted_linear > 0);
+  Alcotest.(check bool) "hoisted" true (stats.Core.Optimizer.counts.hoisted_linear > 0);
   Alcotest.(check bool) (Fmt.str "few checks (%d)" o2.checks) true (o2.checks <= 4)
 
 let test_lls_step2_constant_bounds () =
@@ -167,7 +167,7 @@ let test_lls_step2_constant_bounds () =
   in
   let ir, opt, stats = optimize ~scheme:Config.LLS src in
   let _, o2 = assert_equivalent ir opt in
-  Alcotest.(check bool) "hoisted" true (stats.Core.Optimizer.hoisted_linear > 0);
+  Alcotest.(check bool) "hoisted" true (stats.Core.Optimizer.counts.hoisted_linear > 0);
   Alcotest.(check bool) (Fmt.str "few checks (%d)" o2.checks) true (o2.checks <= 4)
 
 let test_lls_step2_exact_extreme () =
@@ -263,7 +263,7 @@ let test_while_li_hoist () =
   in
   let ir, opt, stats = optimize ~scheme:Config.LI src in
   let o1, o2 = assert_equivalent ir opt in
-  Alcotest.(check bool) "hoisted" true (stats.Core.Optimizer.hoisted_invariant > 0);
+  Alcotest.(check bool) "hoisted" true (stats.Core.Optimizer.counts.hoisted_invariant > 0);
   Alcotest.(check int) "naive" 80 o1.checks;
   Alcotest.(check bool) (Fmt.str "few checks (%d)" o2.checks) true (o2.checks <= 4)
 
@@ -337,12 +337,12 @@ let test_compile_time_true_checks_removed () =
   let ir, opt, stats = optimize ~scheme:Config.NI src in
   let _, o2 = assert_equivalent ir opt in
   Alcotest.(check int) "no runtime checks" 0 o2.checks;
-  Alcotest.(check bool) "ct-deleted" true (stats.Core.Optimizer.compile_time_deleted > 0)
+  Alcotest.(check bool) "ct-deleted" true (stats.Core.Optimizer.counts.compile_time_deleted > 0)
 
 let test_compile_time_false_becomes_trap () =
   let src = "program ctf\ninteger a(1:10)\na(11) = 1\nend" in
   let ir, opt, stats = optimize ~scheme:Config.NI src in
-  Alcotest.(check bool) "trap inserted" true (stats.Core.Optimizer.compile_time_traps > 0);
+  Alcotest.(check bool) "trap inserted" true (stats.Core.Optimizer.counts.compile_time_traps > 0);
   let o1 = run ir and o2 = run opt in
   trap_expected o1;
   trap_expected o2
@@ -446,7 +446,7 @@ let test_lls_index_integrity_at_ir_level () =
   Alcotest.(check (option string)) "injected program does not trap" None o1.trap;
   let opt, stats = Core.Optimizer.optimize ~config:(Config.make ~scheme:Config.LLS ()) ir in
   Alcotest.(check int) "no linear hoist of the corrupted index" 0
-    stats.Core.Optimizer.hoisted_linear;
+    stats.Core.Optimizer.counts.hoisted_linear;
   let o2 = run opt in
   Alcotest.(check (option string)) "optimized does not trap" None o2.trap
 
@@ -458,7 +458,7 @@ let test_mcm_hoists_simple_straightline_loop () =
   in
   let ir, opt, stats = optimize ~scheme:Config.MCM src in
   let _, o2 = assert_equivalent ir opt in
-  Alcotest.(check bool) "hoisted" true (stats.Core.Optimizer.hoisted_linear > 0);
+  Alcotest.(check bool) "hoisted" true (stats.Core.Optimizer.counts.hoisted_linear > 0);
   Alcotest.(check bool) (Fmt.str "few checks (%d)" o2.checks) true (o2.checks <= 4)
 
 let test_mcm_skips_branchy_body () =
@@ -479,7 +479,7 @@ let test_mcm_skips_branchy_body () =
   ignore (assert_equivalent ir opt);
   ignore ir;
   Alcotest.(check int) "nothing hoisted" 0
-    (stats.Core.Optimizer.hoisted_linear + stats.Core.Optimizer.hoisted_invariant)
+    (stats.Core.Optimizer.counts.hoisted_linear + stats.Core.Optimizer.counts.hoisted_invariant)
 
 let test_mcm_skips_complex_expressions () =
   (* 2*j - 1 is not a "simple" range expression for MCM, but LLS takes it *)
@@ -490,8 +490,8 @@ let test_mcm_skips_complex_expressions () =
   let ir, opt_lls, stats_lls = optimize ~scheme:Config.LLS src in
   ignore (assert_equivalent ir opt_lls);
   let o_mcm = run opt_mcm and o_lls = run opt_lls in
-  Alcotest.(check int) "MCM hoists nothing linear" 0 stats_mcm.Core.Optimizer.hoisted_linear;
-  Alcotest.(check bool) "LLS hoists it" true (stats_lls.Core.Optimizer.hoisted_linear > 0);
+  Alcotest.(check int) "MCM hoists nothing linear" 0 stats_mcm.Core.Optimizer.counts.hoisted_linear;
+  Alcotest.(check bool) "LLS hoists it" true (stats_lls.Core.Optimizer.counts.hoisted_linear > 0);
   Alcotest.(check bool)
     (Fmt.str "LLS (%d) < MCM (%d)" o_lls.checks o_mcm.checks)
     true
@@ -559,7 +559,7 @@ let oracle_cell_line label (st : Core.Optimizer.stats) =
   let v = Option.get st.Core.Optimizer.validation in
   Printf.sprintf "%s checks_after=%d redundant_deleted=%d sites=%d proven=%d incidents=%s"
     label
-    st.Core.Optimizer.static_checks_after st.Core.Optimizer.redundant_deleted
+    st.Core.Optimizer.static_checks_after st.Core.Optimizer.counts.redundant_deleted
     v.Nascent_ir.Validate.total_sites v.Nascent_ir.Validate.proven_sites
     (match st.Core.Optimizer.incidents with
     | [] -> "none"
